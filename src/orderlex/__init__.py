@@ -33,7 +33,6 @@ from .finite import (
     TorusHomomorphism,
     cover_degree,
     cyclic_group,
-    direct_sum,
     enumerate_homomorphisms,
     klein_four_group,
     regular_representation,
@@ -43,19 +42,9 @@ from .finite import (
     trivial_representation,
 )
 from .fox import fox_derivative, specialize
-from .freegroup import FreeEndomorphism, abelianization_matrix
-from .laurent import (
-    LaurentPolynomial,
-    format_polynomial,
-    parse_polynomial,
-    substitute_power,
-)
-from .linalg import (
-    PolynomialMatrix,
-    RationalMatrix,
-    homology_invariant_factors,
-    smith_normal_form,
-)
+from .freegroup import FreeEndomorphism
+from .laurent import LaurentPolynomial, format_polynomial, parse_polynomial
+from .linalg import PolynomialMatrix, RationalMatrix, homology_invariant_factors
 from .manifest import (
     LoadedManifest,
     ManifestOptions,
@@ -91,7 +80,7 @@ from .torus import (
     presentation,
     twisted_alexander,
 )
-from .words import FreeWord, commutator, format_word, parse_word, reduce_word
+from .words import FreeWord, commutator, format_word, parse_word
 
 __version__ = "0.1.0"
 
@@ -124,7 +113,6 @@ __all__ = [
     "SingularMatrixError",
     "TorusHomomorphism",
     "WordParseError",
-    "abelianization_matrix",
     "all_roots_real_positive",
     "automorphism",
     "bi_order_axiom_suite",
@@ -136,7 +124,6 @@ __all__ = [
     "cover_alexander",
     "cover_degree",
     "cyclic_group",
-    "direct_sum",
     "enumerate_homomorphisms",
     "figure_eight_monodromy",
     "format_polynomial",
@@ -156,16 +143,13 @@ __all__ = [
     "parse_polynomial",
     "parse_word",
     "presentation",
-    "reduce_word",
     "regular_representation",
     "select_homomorphism",
     "select_representation",
     "small_groups_catalog",
-    "smith_normal_form",
     "specialize",
     "standard_battery",
     "sturm_positive_root_count",
-    "substitute_power",
     "symmetric_group",
     "theorem2_report",
     "trivial_group",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: alexander, twisted, cover, verify, report.  Exit codes:
-0 success, 1 a verification check failed, 2 parse error, 3 certification or
+0 success, 1 a verification check failed or had nothing to check, 2 parse
+error or a depth, trial count or d-scale below 1, 3 certification or
 representation failure, 4 unresolved selector.  ORDERLEX_DEPTH overrides the
 built-in default comparison depth; an explicit --depth flag or manifest
 option wins over the environment.
@@ -49,9 +50,22 @@ def _env_depth():
     if raw is None:
         return DEFAULT_DEPTH
     try:
-        return int(raw)
+        depth = int(raw)
     except ValueError:
         raise ManifestError("ORDERLEX_DEPTH must be an integer") from None
+    if depth < 1:
+        raise ManifestError("ORDERLEX_DEPTH must be at least 1")
+    return depth
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _resolve_depth(args, manifest):
@@ -197,6 +211,14 @@ def _selected_homs(args, manifest):
     return list(manifest.homomorphisms)
 
 
+def _nonempty(doc, ok):
+    """A battery without checks fails instead of passing vacuously."""
+    if doc["checks"]:
+        return ok
+    doc["reason"] = "manifest defines no homomorphisms"
+    return False
+
+
 def cmd_verify(args):
     manifest = load_manifest(args.manifest)
     torus = manifest.torus
@@ -211,6 +233,7 @@ def cmd_verify(args):
             checks.append({"hom": hom.label, **report})
             ok = ok and report["equal"]
         doc["checks"] = checks
+        ok = _nonempty(doc, ok)
     elif which == "lemma4":
         checks = []
         for label, rep in _rep_battery(manifest):
@@ -232,12 +255,11 @@ def cmd_verify(args):
         checks = []
         for hom in _selected_homs(args, manifest):
             report = theorem2_report(torus, hom)
-            hom_ok = report["existence_equal"] and (
-                not report["twisted_obstructs"] or report["cover_obstructs"]
-            )
+            hom_ok = report["existence_equal"]
             checks.append({"hom": hom.label, "ok": hom_ok, **report})
             ok = ok and hom_ok
         doc["checks"] = checks
+        ok = _nonempty(doc, ok)
     elif which == "order-lemmas":
         depth = _resolve_depth(args, manifest)
         trials = _resolve(args, manifest, "trials", 500)
@@ -276,8 +298,15 @@ def cmd_report(args):
     }
     ok = True
     for hom in manifest.homomorphisms:
-        shapiro = verify_shapiro(torus, hom)
         theorem2 = theorem2_report(torus, hom)
+        # verify_shapiro's block, read off the one theorem-2 computation;
+        # formatted polynomials are equal exactly when the polynomials are.
+        shapiro = {
+            "twisted": theorem2["twisted"],
+            "cover": theorem2["cover"],
+            "equal": theorem2["twisted"] == theorem2["cover"],
+            "d": theorem2["d"],
+        }
         hom_ok = shapiro["equal"] and theorem2["existence_equal"]
         ok = ok and hom_ok
         doc["homomorphisms"].append(
@@ -315,13 +344,13 @@ def build_parser():
             p.add_argument(
                 "--d-scale",
                 dest="d_scale",
-                type=int,
+                type=_positive_int,
                 default=1,
                 help="exponent assigned to the stable letter (default 1)",
             )
         if suite:
-            p.add_argument("--depth", type=int, help="Magnus truncation depth")
-            p.add_argument("--trials", type=int, help="randomized trials per suite")
+            p.add_argument("--depth", type=_positive_int, help="Magnus truncation depth")
+            p.add_argument("--trials", type=_positive_int, help="randomized trials per suite")
             p.add_argument("--seed", type=int, help="random seed echoed in reports")
 
     p = sub.add_parser("alexander", help="classical polynomial and verdict")

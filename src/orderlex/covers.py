@@ -17,12 +17,12 @@ from .finite import (
     invert_permutation,
     multiply_permutations,
     regular_representation,
+    schreier_transversal,
     TorusHomomorphism,
 )
-from .freegroup import FreeEndomorphism, abelianization_matrix
-from .laurent import LaurentPolynomial, format_polynomial, substitute_power
-from .linalg import PolynomialMatrix, char_poly
-from .torus import AlexanderResult, MappingTorus, twisted_alexander
+from .freegroup import FreeEndomorphism
+from .laurent import format_polynomial
+from .torus import MappingTorus, _monodromy_polynomial, twisted_alexander
 from .words import FreeWord
 
 
@@ -35,36 +35,6 @@ class CoverData:
     schreier_transversal: tuple
     subgroup_basis: tuple
     lifted_monodromy: FreeEndomorphism
-
-
-def _schreier_transversal(f):
-    """Shortlex-minimal coset representatives for ker(f|F) in F.
-
-    Cosets are identified with the elements of f(F); breadth-first search
-    over the letters x_1, x_1^-1, x_2, ... yields a prefix-closed
-    transversal, listed in discovery order starting at the identity coset.
-    """
-    identity = f.group.identity()
-    letters = []
-    for g in range(1, f.rank + 1):
-        letters.append(((g, 1), f.fiber_images[g - 1]))
-        letters.append(((g, -1), invert_permutation(f.fiber_images[g - 1])))
-    reps = {identity: FreeWord.empty()}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for element in frontier:
-            word = reps[element]
-            for letter, image in letters:
-                reached = multiply_permutations(element, image)
-                if reached in reps:
-                    continue
-                reps[reached] = FreeWord(word.letters + (letter,))
-                order.append(reached)
-                nxt.append(reached)
-        frontier = nxt
-    return order, reps
 
 
 def build_cover(m, f, w_override=None):
@@ -80,7 +50,7 @@ def build_cover(m, f, w_override=None):
             raise ValueError("w_override does not satisfy f(w) = f(t)^-d")
         w = w_override
 
-    order, reps = _schreier_transversal(f)
+    order, reps = schreier_transversal(f)
     identity = f.group.identity()
 
     basis = []
@@ -149,26 +119,7 @@ def build_cover(m, f, w_override=None):
 def cover_alexander(c):
     """Classical polynomial of the cover, rescaled by the cover degree:
     det(t^d I - theta_tilde_*), cross-checked against invariant factors."""
-    a = abelianization_matrix(c.lifted_monodromy)
-    poly = substitute_power(char_poly(a), c.d).canonicalize()
-    n = a.rows
-    char_matrix = (
-        PolynomialMatrix.identity(n) * LaurentPolynomial.term(1, c.d)
-        - PolynomialMatrix.from_rational(a)
-    )
-    factors = char_matrix.smith_normal_form()
-    if any(f.is_zero for f in factors):
-        raise ConsistencyError("t^d I - A is singular for a lifted automorphism")
-    product = LaurentPolynomial.one()
-    for f in factors:
-        product = product * f
-    if product.canonicalize() != poly:
-        raise ConsistencyError(
-            "cover invariant factors do not multiply to the rescaled "
-            "characteristic polynomial"
-        )
-    nonunit = tuple(f for f in factors if not f.is_one)
-    return AlexanderResult(poly, nonunit, 0)
+    return _monodromy_polynomial(c.lifted_monodromy.abelianization(), c.d)
 
 
 def verify_shapiro(m, f):

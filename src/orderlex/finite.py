@@ -276,10 +276,6 @@ class TorusHomomorphism:
                 "images violate the mapping-torus relations"
             )
 
-    def fiber_image_subgroup(self):
-        """Elements of f(F), ordered by BFS from the fiber images."""
-        return _bfs_closure(self.group.degree, list(self.fiber_images), self.group.order + 1)
-
     def image_subgroup(self):
         """Elements of the full image, ordered by BFS."""
         gens = list(self.fiber_images) + [self.stable_image]
@@ -315,42 +311,51 @@ class TorusHomomorphism:
         )
 
 
-def cover_degree(f):
-    """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
-    over the fiber generators with f(w) = f(t)^-d."""
-    fiber_subgroup = set(f.fiber_image_subgroup())
-    t = f.stable_image
-    acc = t
-    d = 1
-    while acc not in fiber_subgroup:
-        acc = multiply_permutations(acc, t)
-        d += 1
-        if d > f.group.order:
-            raise RuntimeError("cover degree search failed to terminate")
-    goal = invert_permutation(acc)
+def schreier_transversal(f):
+    """Shortlex-minimal coset representatives for ker(f|F) in F.
+
+    Cosets are identified with the elements of f(F); breadth-first search
+    over the letters x_1, x_1^-1, x_2, ... yields a prefix-closed
+    transversal, listed in discovery order starting at the identity coset.
+    Returns (order, reps): the elements of f(F) in discovery order and the
+    map from each element to its representative word.
+    """
     identity = f.group.identity()
-    if goal == identity:
-        return d, FreeWord.empty()
     letters = []
     for g in range(1, f.rank + 1):
         letters.append(((g, 1), f.fiber_images[g - 1]))
         letters.append(((g, -1), invert_permutation(f.fiber_images[g - 1])))
-    frontier = [(identity, ())]
-    seen = {identity}
+    reps = {identity: FreeWord.empty()}
+    order = [identity]
+    frontier = [identity]
     while frontier:
         nxt = []
-        for element, word in frontier:
+        for element in frontier:
+            word = reps[element]
             for letter, image in letters:
                 reached = multiply_permutations(element, image)
-                if reached in seen:
+                if reached in reps:
                     continue
-                seen.add(reached)
-                extended = word + (letter,)
-                if reached == goal:
-                    return d, FreeWord(extended)
-                nxt.append((reached, extended))
+                reps[reached] = FreeWord(word.letters + (letter,))
+                order.append(reached)
+                nxt.append(reached)
         frontier = nxt
-    raise RuntimeError("witness word search failed; image closure is inconsistent")
+    return order, reps
+
+
+def cover_degree(f):
+    """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
+    over the fiber generators with f(w) = f(t)^-d."""
+    _, reps = schreier_transversal(f)
+    t = f.stable_image
+    acc = t
+    d = 1
+    while acc not in reps:
+        acc = multiply_permutations(acc, t)
+        d += 1
+        if d > f.group.order:
+            raise RuntimeError("cover degree search failed to terminate")
+    return d, reps[invert_permutation(acc)]
 
 
 def permutation_matrix(p):
@@ -470,10 +475,6 @@ def regular_representation(f):
 
 def trivial_representation(rank, dimension=1):
     return FiniteRepresentation.trivial(rank, dimension)
-
-
-def direct_sum(a, b):
-    return a.direct_sum(b)
 
 
 def enumerate_homomorphisms(monodromy, group):

@@ -19,95 +19,9 @@ from .words import FreeWord
 _F0 = Fraction(0)
 
 
-class GroupRingWord:
-    """Finite rational combination of reduced words."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for w, c in items:
-                c = Fraction(c)
-                if not c:
-                    continue
-                acc = data.get(w, _F0) + c
-                if acc:
-                    data[w] = acc
-                else:
-                    del data[w]
-        self._terms = data
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def from_word(cls, w, coeff=1):
-        return cls({w: Fraction(coeff)})
-
-    @classmethod
-    def one(cls):
-        return cls({FreeWord.empty(): Fraction(1)})
-
-    def items(self):
-        return self._terms.items()
-
-    @property
-    def is_zero(self):
-        return not self._terms
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingWord) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            acc = out.get(w, _F0) + c
-            if acc:
-                out[w] = acc
-            else:
-                del out[w]
-        r = GroupRingWord()
-        r._terms = out
-        return r
-
-    def __neg__(self):
-        r = GroupRingWord()
-        r._terms = {w: -c for w, c in self._terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, q):
-        q = Fraction(q)
-        return GroupRingWord({w: c * q for w, c in self._terms.items()})
-
-    def left_mul(self, word):
-        return GroupRingWord({word * w: c for w, c in self._terms.items()})
-
-    def right_mul(self, word):
-        return GroupRingWord({w * word: c for w, c in self._terms.items()})
-
-    def __repr__(self):
-        from .words import format_word
-
-        if not self._terms:
-            return "GroupRingWord(0)"
-        parts = [
-            f"{c}*[{format_word(w)}]"
-            for w, c in sorted(self._terms.items(), key=lambda kv: kv[0].letters)
-        ]
-        return "GroupRingWord(" + " + ".join(parts) + ")"
-
-
 def fox_derivative(w, gen, rank=None):
-    """Fox derivative of the word w with respect to generator gen."""
+    """Fox derivative of the word w with respect to generator gen, as a
+    group ring element {reduced FreeWord: nonzero Fraction coefficient}."""
     if gen < 1 or (rank is not None and gen > rank):
         raise ValueError(f"unknown generator {gen}")
     terms = {}
@@ -127,18 +41,19 @@ def fox_derivative(w, gen, rank=None):
             else:
                 add(FreeWord(prefix + [(g, -1)]), Fraction(-1))
         prefix.append((g, s))
-    return GroupRingWord(terms)
+    return terms
 
 
 def specialize(x, matrices, exponents):
     """Linear extension of g -> matrices[g]^sign * t^exponents[g].
 
-    x may be a FreeWord or a GroupRingWord.  matrices maps generator index
-    to an invertible RationalMatrix, exponents to an integer.  Returns a
+    x may be a FreeWord or a group ring element {FreeWord: Fraction} as
+    returned by fox_derivative.  matrices maps generator index to an
+    invertible RationalMatrix, exponents to an integer.  Returns a
     PolynomialMatrix of the common dimension.
     """
     if isinstance(x, FreeWord):
-        x = GroupRingWord.from_word(x)
+        x = {x: Fraction(1)}
     dims = {m.rows for m in matrices.values()}
     if len(dims) != 1 or any(m.rows != m.cols for m in matrices.values()):
         raise ValueError("generator matrices must be square of equal dimension")

@@ -111,15 +111,3 @@ class FreeEndomorphism:
 
         imgs = ",".join(format_word(w) for w in self.images)
         return f"FreeEndomorphism(rank={self.rank}, images=[{imgs}])"
-
-
-def apply_endomorphism(e, w):
-    return e.apply(w)
-
-
-def compose(e1, e2):
-    return e1.compose(e2)
-
-
-def abelianization_matrix(e):
-    return e.abelianization()

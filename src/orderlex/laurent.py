@@ -57,11 +57,6 @@ class LaurentPolynomial:
     def term(cls, coeff, exp=0):
         return cls({int(exp): Fraction(coeff)})
 
-    @classmethod
-    def from_dense(cls, coeffs):
-        """Build from a list [c0, c1, ...] of coefficients of t^0, t^1, ..."""
-        return cls(dict(enumerate(coeffs)))
-
     # -- inspection --------------------------------------------------
 
     @property
@@ -241,10 +236,6 @@ class LaurentPolynomial:
     def is_one(self):
         return self._c == {0: Fraction(1)}
 
-    def is_unit(self):
-        """True for c * t^k with c != 0."""
-        return len(self._c) == 1
-
     def __repr__(self):
         return f"LaurentPolynomial({format_polynomial(self)!r})"
 
@@ -396,11 +387,3 @@ def parse_polynomial(s):
             e = int(exp)
         coeffs[e] = coeffs.get(e, _ZERO) + c
     return LaurentPolynomial(coeffs)
-
-
-def canonicalize(p):
-    return p.canonicalize()
-
-
-def substitute_power(p, d):
-    return p.substitute_power(d)

@@ -175,10 +175,6 @@ class RationalMatrix:
         return LaurentPolynomial(coeffs)
 
 
-def char_poly(m):
-    return m.char_poly()
-
-
 class PolynomialMatrix:
     __slots__ = ("rows", "cols", "_e")
 
@@ -343,15 +339,15 @@ class PolynomialMatrix:
         """Reduce a working copy to diagonal form by unimodular operations.
 
         Pivot choice: the nonzero entry of minimal degree, ties broken by
-        the smallest (row, col) pair.  Returns (diag, V, Vinv, rank) where
-        self * V ~ row-equivalent diagonal and V is unimodular over
-        Q[t, 1/t].  V and Vinv are None unless track is set.
+        the smallest (row, col) pair.  Returns (diag, Vinv, rank) where
+        self * V ~ row-equivalent diagonal for a unimodular V over
+        Q[t, 1/t] built from the column operations.  Vinv is None unless
+        track is set.
         """
         m = [list(r) for r in self._e]
         rows, cols = self.rows, self.cols
         one = LaurentPolynomial.one()
         zero = LaurentPolynomial.zero()
-        v = [[one if i == j else zero for j in range(cols)] for i in range(cols)] if track else None
         vinv = [[one if i == j else zero for j in range(cols)] for i in range(cols)] if track else None
 
         def normalize_row(i):
@@ -372,8 +368,6 @@ class PolynomialMatrix:
             for r in range(rows):
                 m[r][a], m[r][b] = m[r][b], m[r][a]
             if track:
-                for r in range(cols):
-                    v[r][a], v[r][b] = v[r][b], v[r][a]
                 vinv[a], vinv[b] = vinv[b], vinv[a]
 
         def col_addmul(dst, src, q):
@@ -382,9 +376,6 @@ class PolynomialMatrix:
                 if not m[r][src].is_zero:
                     m[r][dst] = m[r][dst] + q * m[r][src]
             if track:
-                for r in range(cols):
-                    if not v[r][src].is_zero:
-                        v[r][dst] = v[r][dst] + q * v[r][src]
                 # inverse op acts on rows of Vinv: row_src -= q * row_dst
                 vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
 
@@ -464,34 +455,18 @@ class PolynomialMatrix:
             k += 1
 
         diag = [m[i][i] for i in range(limit)]
-        vm = PolynomialMatrix(v) if track else None
         vinvm = PolynomialMatrix(vinv) if track else None
         rank = sum(1 for d in diag if not d.is_zero)
-        return diag, vm, vinvm, rank
+        return diag, vinvm, rank
 
     def smith_normal_form(self):
         """Canonical invariant factors p1 | p2 | ..., padded with zeros to
         min(rows, cols)."""
-        diag, _, _, _ = self._snf_core(track=False)
+        diag, _, _ = self._snf_core(track=False)
         out = [d.canonicalize() for d in diag]
         nonzero = [d for d in out if not d.is_zero]
         zeros = [d for d in out if d.is_zero]
         return nonzero + zeros
-
-    def rank(self):
-        _, _, _, r = self._snf_core(track=False)
-        return r
-
-    def kernel_basis(self):
-        """Basis of the kernel over Q[t, 1/t], as a list of column matrices."""
-        _, v, _, rank = self._snf_core(track=True)
-        basis = []
-        for j in range(rank, self.cols):
-            col = PolynomialMatrix([[v.entry(i, j)] for i in range(self.cols)])
-            if not (self * col).is_zero():
-                raise ConsistencyError("kernel basis column failed verification")
-            basis.append(col)
-        return basis
 
 
 def _fraction_gcd(a, b):
@@ -500,10 +475,6 @@ def _fraction_gcd(a, b):
     return Fraction(
         gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)
     )
-
-
-def smith_normal_form(pm):
-    return pm.smith_normal_form()
 
 
 def homology_invariant_factors(b1, b2):
@@ -517,7 +488,7 @@ def homology_invariant_factors(b1, b2):
         raise ValueError("boundary maps do not compose")
     if not (b1 * b2).is_zero():
         raise ConsistencyError("boundary maps do not compose to zero")
-    _, v, vinv, rank = b1._snf_core(track=True)
+    _, vinv, rank = b1._snf_core(track=True)
     y = vinv * b2
     for i in range(rank):
         for j in range(y.cols):

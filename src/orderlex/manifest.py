@@ -241,6 +241,10 @@ def loads_manifest(text):
         trials=_get(opt_spec, "trials", int, "options", default=500),
         seed=_get(opt_spec, "seed", int, "options", default=0),
     )
+    for key in ("depth", "trials"):
+        value = getattr(options, key)
+        if value is not None and value < 1:
+            raise ManifestError(f"must be at least 1, got {value}", f"options.{key}")
     return LoadedManifest(torus, homs, reps, options)
 
 

@@ -293,9 +293,7 @@ def clay_rolfsen_verdict(p):
 
 
 def has_positive_real_eigenvalue(m):
-    from .linalg import char_poly
-
-    return sturm_positive_root_count(char_poly(m)) > 0
+    return sturm_positive_root_count(m.char_poly()) > 0
 
 
 def theorem2_report(m, f):

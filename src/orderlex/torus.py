@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, ConsistencyError, RepresentationError
 from .fox import fox_derivative, specialize
-from .freegroup import FreeEndomorphism, abelianization_matrix
-from .laurent import LaurentPolynomial, canonicalize, substitute_power, format_polynomial
-from .linalg import PolynomialMatrix, char_poly, homology_invariant_factors
+from .freegroup import FreeEndomorphism
+from .laurent import LaurentPolynomial, format_polynomial
+from .linalg import PolynomialMatrix, homology_invariant_factors
 from .words import FreeWord
 
 
@@ -73,19 +73,27 @@ def presentation(m):
 def classical_alexander(m):
     """Characteristic polynomial of the homology action of the monodromy,
     cross-checked against the invariant factors of tI - A."""
-    a = abelianization_matrix(m.monodromy)
-    poly = char_poly(a).canonicalize()
-    n = m.fiber_rank
-    char_matrix = PolynomialMatrix.identity(n) * LaurentPolynomial.t() - PolynomialMatrix.from_rational(a)
+    return _monodromy_polynomial(m.monodromy.abelianization(), 1)
+
+
+def _monodromy_polynomial(a, d):
+    """det(t^d I - A) for the homology action A of an automorphism,
+    cross-checked against the invariant factors of t^d I - A."""
+    poly = a.char_poly().substitute_power(d).canonicalize()
+    char_matrix = (
+        PolynomialMatrix.identity(a.rows) * LaurentPolynomial.term(1, d)
+        - PolynomialMatrix.from_rational(a)
+    )
     factors = char_matrix.smith_normal_form()
     if any(f.is_zero for f in factors):
-        raise ConsistencyError("tI - A is singular for an automorphism")
+        raise ConsistencyError("t^d I - A is singular for an automorphism")
     product = LaurentPolynomial.one()
     for f in factors:
         product = product * f
     if product.canonicalize() != poly:
         raise ConsistencyError(
-            "invariant factors of tI - A do not multiply to the characteristic polynomial"
+            "invariant factors of t^d I - A do not multiply to the "
+            "characteristic polynomial"
         )
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(poly, nonunit, 0)
@@ -187,7 +195,7 @@ def lemma4_check(m, rep, d):
     """Rescaling law: twisting phi by d equals substituting t^d afterwards."""
     direct = twisted_alexander(m, rep, d_scale=d)
     base = twisted_alexander(m, rep, d_scale=1)
-    rescaled = canonicalize(substitute_power(base.polynomial, d))
+    rescaled = base.polynomial.substitute_power(d).canonicalize()
     return {
         "d": d,
         "direct": format_polynomial(direct.polynomial),

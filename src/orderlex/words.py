@@ -79,10 +79,6 @@ class FreeWord:
     def inverse(self):
         return FreeWord([(g, -s) for g, s in reversed(self.letters)])
 
-    def conjugated_by(self, w):
-        """w * self * w^-1."""
-        return w * self * w.inverse()
-
     def exponent_sum(self, gen):
         return sum(s for g, s in self.letters if g == gen)
 
@@ -91,11 +87,6 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({format_word(self)!r})"
-
-
-def reduce_word(letters):
-    """Freely reduce a raw letter sequence."""
-    return FreeWord(letters)
 
 
 def commutator(u, v):

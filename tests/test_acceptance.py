@@ -17,7 +17,6 @@ from orderlex.covers import verify_shapiro
 from orderlex.finite import (
     TorusHomomorphism,
     cyclic_group,
-    direct_sum,
     enumerate_homomorphisms,
     regular_representation,
     small_groups_catalog,
@@ -29,7 +28,6 @@ from orderlex.laurent import (
     exact_div,
     parse_polynomial,
     poly_gcd,
-    substitute_power,
 )
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.ordering import (
@@ -155,8 +153,7 @@ def test_acceptance_3_rescaling():
         (fig8, regular_representation(_stable_cyclic_hom(fig8, 5))),
         (
             fig8,
-            direct_sum(
-                trivial_representation(2),
+            trivial_representation(2).direct_sum(
                 regular_representation(_stable_cyclic_hom(fig8, 2)),
             ),
         ),

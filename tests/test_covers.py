@@ -5,9 +5,17 @@ import pytest
 
 from orderlex.autos import automorphism, figure_eight_monodromy, identity_automorphism
 from orderlex.covers import build_cover, cover_alexander, verify_shapiro
-from orderlex.finite import TorusHomomorphism, cyclic_group, klein_four_group, symmetric_group
-from orderlex.laurent import parse_polynomial
-from orderlex.torus import MappingTorus, classical_alexander
+from orderlex.errors import ConsistencyError
+from orderlex.finite import (
+    TorusHomomorphism,
+    cyclic_group,
+    klein_four_group,
+    symmetric_group,
+    trivial_representation,
+)
+from orderlex.laurent import LaurentPolynomial, parse_polynomial
+from orderlex.linalg import PolynomialMatrix, RationalMatrix
+from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 from orderlex.words import FreeWord, format_word, parse_word
 
 
@@ -148,3 +156,22 @@ class TestShapiro:
         f.require_well_defined(theta)
         report = verify_shapiro(m, f)
         assert report["equal"], report
+
+
+class TestCrossChecksRaise:
+    """Each second route raises when it disagrees with the first."""
+
+    def test_char_poly_against_invariant_factors(self, monkeypatch):
+        m = MappingTorus(2, figure_eight_monodromy())
+        cover = build_cover(m, cyclic_stable_hom(m, 2))
+        monkeypatch.setattr(RationalMatrix, "char_poly", lambda self: LaurentPolynomial.one())
+        with pytest.raises(ConsistencyError):
+            classical_alexander(m)
+        with pytest.raises(ConsistencyError):
+            cover_alexander(cover)
+
+    def test_wada_bookkeeping(self, monkeypatch):
+        m = MappingTorus(2, figure_eight_monodromy())
+        monkeypatch.setattr(PolynomialMatrix, "det", lambda self: LaurentPolynomial.one())
+        with pytest.raises(ConsistencyError):
+            twisted_alexander(m, trivial_representation(2))

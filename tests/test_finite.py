@@ -11,7 +11,6 @@ from orderlex.finite import (
     TorusHomomorphism,
     cover_degree,
     cyclic_group,
-    direct_sum,
     enumerate_homomorphisms,
     format_cycles,
     klein_four_group,
@@ -181,7 +180,7 @@ class TestRepresentations:
         g = cyclic_group(2)
         f = TorusHomomorphism(g, (g.identity(), g.identity()), g.element(1))
         b = regular_representation(f)
-        s = direct_sum(a, b)
+        s = a.direct_sum(b)
         assert s.dimension == 3
         w = parse_word("t", 2, allow_stable=True)
         top_left = s.evaluate(w).entry(0, 0)

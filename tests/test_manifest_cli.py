@@ -6,6 +6,7 @@ import json
 import pytest
 
 from orderlex import cli
+from orderlex.covers import verify_shapiro
 from orderlex.errors import (
     IllDefinedHomomorphismError,
     ManifestError,
@@ -18,6 +19,7 @@ from orderlex.manifest import (
     select_homomorphism,
     select_representation,
 )
+from orderlex.ordering import theorem2_report
 
 MINIMAL = {
     "manifold": {
@@ -225,6 +227,52 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert {h["label"] for h in doc["homomorphisms"]} == {"z2-a", "z2-at"}
+
+    @pytest.mark.parametrize("which", ["fig8_manifest_path", "id2_manifest_path"])
+    def test_report_blocks_match_library(self, capsys, request, which):
+        path = request.getfixturevalue(which)
+        assert cli.main(["report", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        manifest = load_manifest(path)
+        assert len(doc["homomorphisms"]) == len(manifest.homomorphisms)
+        for block, hom in zip(doc["homomorphisms"], manifest.homomorphisms):
+            assert block["label"] == hom.label
+            assert block["shapiro"] == verify_shapiro(manifest.torus, hom)
+            assert block["theorem2"] == theorem2_report(manifest.torus, hom)
+
+    @pytest.mark.parametrize(
+        "argv, options, env, code, message",
+        [
+            (["verify", "shapiro"], None, None, 1, "no homomorphisms"),
+            (["verify", "theorem2"], None, None, 1, "no homomorphisms"),
+            (["verify", "order-lemmas", "--trials", "-3"], None, None, 2, "--trials"),
+            (["verify", "order-lemmas", "--depth", "0"], None, None, 2, "--depth"),
+            (["twisted", "--rep", "trivial", "--d-scale", "0"], None, None, 2, "--d-scale"),
+            (["verify", "order-lemmas"], {"depth": 0}, None, 2, "options.depth"),
+            (["verify", "order-lemmas"], {"trials": 0}, None, 2, "options.trials"),
+            (["verify", "order-lemmas"], None, "0", 2, "ORDERLEX_DEPTH"),
+        ],
+    )
+    def test_no_vacuous_pass_and_bounded_counts(
+        self, tmp_path, capsys, monkeypatch, argv, options, env, code, message
+    ):
+        doc = json.loads(manifest_text())
+        if options is not None:
+            doc["options"] = options
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.delenv("ORDERLEX_DEPTH", raising=False)
+        if env is not None:
+            monkeypatch.setenv("ORDERLEX_DEPTH", env)
+        try:
+            got = cli.main(argv + [str(path)])
+        except SystemExit as e:  # argparse rejects a bad flag value
+            got = e.code
+        captured = capsys.readouterr()
+        assert got == code
+        assert message in captured.out + captured.err
+        if code == cli.EXIT_CHECK_FAILED:
+            assert json.loads(captured.out)["ok"] is False
 
     def test_exit_code_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
