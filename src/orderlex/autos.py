@@ -13,7 +13,7 @@ from .freegroup import FreeEndomorphism
 from .words import parse_word
 
 
-def automorphism(rank, images, inverse_images, _label=None):
+def automorphism(rank, images, inverse_images):
     """Build a certified automorphism from word strings."""
     fwd = tuple(parse_word(s, rank) for s in images)
     back = tuple(parse_word(s, rank) for s in inverse_images)

@@ -2,8 +2,9 @@
 
 Subcommands: alexander, twisted, cover, verify, report.  Exit codes:
 0 success, 1 a verification check failed or had nothing to check, 2 parse
-error or a depth, trial count or d-scale below 1, 3 certification or
-representation failure, 4 unresolved selector.  ORDERLEX_DEPTH overrides the
+error, a group beyond the element limit, or a depth, trial count or d-scale
+below 1, 3 certification or representation failure, 4 unresolved selector,
+5 internal cross-check disagreed (a bug).  ORDERLEX_DEPTH overrides the
 built-in default comparison depth; an explicit --depth flag or manifest
 option wins over the environment.
 """
@@ -18,6 +19,7 @@ import sys
 from .covers import build_cover, cover_alexander, verify_shapiro
 from .errors import (
     CertificationError,
+    ConsistencyError,
     IllDefinedHomomorphismError,
     ManifestError,
     PolynomialParseError,
@@ -43,6 +45,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_CERTIFICATION = 3
 EXIT_SELECTOR = 4
+EXIT_INTERNAL = 5
 
 
 def _env_depth():
@@ -92,8 +95,8 @@ def _emit(doc, as_json, human_lines):
 
 
 def _warn_not_surjective(hom):
-    if not hom.is_surjective():
-        image_order = len(hom.image_subgroup())
+    image_order = len(hom.image_subgroup())
+    if image_order != hom.group.order:
         print(
             f"note: homomorphism {hom.label!r} is not surjective; "
             f"computing with its image subgroup of order {image_order}",
@@ -211,9 +214,9 @@ def _selected_homs(args, manifest):
     return list(manifest.homomorphisms)
 
 
-def _nonempty(doc, ok):
+def _nonempty(doc, checks, ok):
     """A battery without checks fails instead of passing vacuously."""
-    if doc["checks"]:
+    if checks:
         return ok
     doc["reason"] = "manifest defines no homomorphisms"
     return False
@@ -233,7 +236,7 @@ def cmd_verify(args):
             checks.append({"hom": hom.label, **report})
             ok = ok and report["equal"]
         doc["checks"] = checks
-        ok = _nonempty(doc, ok)
+        ok = _nonempty(doc, checks, ok)
     elif which == "lemma4":
         checks = []
         for label, rep in _rep_battery(manifest):
@@ -259,7 +262,7 @@ def cmd_verify(args):
             checks.append({"hom": hom.label, "ok": hom_ok, **report})
             ok = ok and hom_ok
         doc["checks"] = checks
-        ok = _nonempty(doc, ok)
+        ok = _nonempty(doc, checks, ok)
     elif which == "order-lemmas":
         depth = _resolve_depth(args, manifest)
         trials = _resolve(args, manifest, "trials", 500)
@@ -318,6 +321,7 @@ def cmd_report(args):
                 "ok": hom_ok,
             }
         )
+    ok = _nonempty(doc, doc["homomorphisms"], ok)
     doc["ok"] = ok
     print(json.dumps(doc, sort_keys=True, indent=2))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -394,6 +398,9 @@ def main(argv=None):
     except SelectorError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SELECTOR
+    except ConsistencyError as e:
+        print(f"error: internal cross-check disagreed (a bug): {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

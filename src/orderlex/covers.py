@@ -43,10 +43,8 @@ def build_cover(m, f, w_override=None):
     f.require_well_defined(m.monodromy)
     d, w = cover_degree(f)
     if w_override is not None:
-        power = f.stable_image
-        for _ in range(d - 1):
-            power = multiply_permutations(power, f.stable_image)
-        if multiply_permutations(power, f.evaluate(w_override)) != f.group.identity():
+        stable = FreeWord.generator(f.rank + 1)
+        if f.evaluate(stable ** d * w_override) != f.group.identity():
             raise ValueError("w_override does not satisfy f(w) = f(t)^-d")
         w = w_override
 
@@ -96,7 +94,7 @@ def build_cover(m, f, w_override=None):
         return FreeWord(letters)
 
     theta_d = m.monodromy.power(d)
-    theta_d_inv = m.monodromy.power(-d)
+    theta_d_inv = theta_d.inverse_endomorphism()
     w_inv = w.inverse()
     images = tuple(rewrite(theta_d.apply(w * b * w_inv)) for b in basis)
     inverse_images = tuple(

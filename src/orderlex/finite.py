@@ -296,7 +296,7 @@ class TorusHomomorphism:
             return tuple(idx[multiply_permutations(g, h)] for h in elems)
 
         gens = [as_perm(p) for p in self.fiber_images] + [as_perm(self.stable_image)]
-        name = (self.group.name or "G") + "-image" if not self.is_surjective() else self.group.name
+        name = self.group.name if len(elems) == self.group.order else (self.group.name or "G") + "-image"
         image_group = FiniteGroup(len(elems), gens, name=name)
         return TorusHomomorphism(image_group, gens[:-1], gens[-1], label=self.label)
 
@@ -353,8 +353,6 @@ def cover_degree(f):
     while acc not in reps:
         acc = multiply_permutations(acc, t)
         d += 1
-        if d > f.group.order:
-            raise RuntimeError("cover degree search failed to terminate")
     return d, reps[invert_permutation(acc)]
 
 

@@ -1,9 +1,12 @@
 """Endomorphisms of free groups, with certified inverses.
 
-A FreeEndomorphism stores the images of the generators.  When inverse
-images are supplied, both compositions are checked to fix every generator
-at construction time, so carrying inverse_images is a proof that the map
-is an automorphism.
+A FreeEndomorphism stores the images of the generators; carrying
+inverse_images proves that it is an automorphism.  The constructor checks
+that both compositions fix every generator, so every map that enters from
+outside (a catalog entry, a manifest, a lifted cover monodromy) is checked.
+Inverses, composites and powers of certified maps are certified by
+construction and skip the check: if f o f^-1 and g o g^-1 fix every
+generator, so do (f o g) o (g^-1 o f^-1) and (g^-1 o f^-1) o (f o g).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError
 from .linalg import RationalMatrix
-from .words import FreeWord
+from .words import FreeWord, format_word
 
 
 @dataclass(frozen=True)
@@ -39,18 +42,21 @@ class FreeEndomorphism:
                     raise ValueError("inverse image uses a generator beyond the rank")
             self._verify_inverse()
 
+    @classmethod
+    def _derived(cls, rank, images, inverse_images):
+        """A map built from checked maps, without __post_init__'s checks."""
+        out = object.__new__(cls)
+        out.__dict__.update(rank=rank, images=images, inverse_images=inverse_images)
+        return out
+
     def _verify_inverse(self):
-        back = FreeEndomorphism(self.rank, self.inverse_images)
+        back = self.inverse_endomorphism()
+        pairs = ((self, back, "forward o inverse"), (back, self, "inverse o forward"))
         for i in range(1, self.rank + 1):
             gen = FreeWord.generator(i)
-            if self.apply(back.images[i - 1]) != gen:
-                raise CertificationError(
-                    f"forward o inverse does not fix generator {i}"
-                )
-            if back.apply(self.images[i - 1]) != gen:
-                raise CertificationError(
-                    f"inverse o forward does not fix generator {i}"
-                )
+            for outer, inner, name in pairs:
+                if outer.apply(inner.images[i - 1]) != gen:
+                    raise CertificationError(f"{name} does not fix generator {i}")
 
     @classmethod
     def identity(cls, rank):
@@ -64,11 +70,11 @@ class FreeEndomorphism:
     def apply(self, w):
         out = []
         for g, s in w.letters:
-            img = self.images[g - 1]
+            img = self.images[g - 1].letters
             if s > 0:
-                out.extend(img.letters)
+                out.extend(img)
             else:
-                out.extend(img.inverse().letters)
+                out.extend((h, -e) for h, e in reversed(img))
         return FreeWord(out)
 
     def compose(self, other):
@@ -79,21 +85,19 @@ class FreeEndomorphism:
         inverse = None
         if self.is_certified and other.is_certified:
             back = other.inverse_endomorphism()
-            fwd_back = self.inverse_endomorphism()
-            inverse = tuple(back.apply(w) for w in fwd_back.images)
-        return FreeEndomorphism(self.rank, images, inverse)
+            inverse = tuple(back.apply(w) for w in self.inverse_images)
+        return FreeEndomorphism._derived(self.rank, images, inverse)
 
     def inverse_endomorphism(self):
         if not self.is_certified:
             raise CertificationError("no certified inverse available")
-        return FreeEndomorphism(self.rank, self.inverse_images, self.images)
+        return FreeEndomorphism._derived(self.rank, self.inverse_images, self.images)
 
     def power(self, k):
-        if k < 0:
-            return self.inverse_endomorphism().power(-k)
+        base = self if k >= 0 else self.inverse_endomorphism()
         out = FreeEndomorphism.identity(self.rank)
-        for _ in range(k):
-            out = self.compose(out)
+        for _ in range(abs(k)):
+            out = base.compose(out)
         return out
 
     def abelianization(self):
@@ -107,7 +111,5 @@ class FreeEndomorphism:
         )
 
     def __repr__(self):
-        from .words import format_word
-
         imgs = ",".join(format_word(w) for w in self.images)
         return f"FreeEndomorphism(rank={self.rank}, images=[{imgs}])"

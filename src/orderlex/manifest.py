@@ -34,7 +34,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ManifestError, RepresentationError, SelectorError, WordParseError
+from .errors import EnumerationLimitError, ManifestError, RepresentationError
+from .errors import SelectorError, WordParseError
 from .finite import FiniteGroup, FiniteRepresentation, TorusHomomorphism, parse_cycles
 from .freegroup import FreeEndomorphism
 from .linalg import RationalMatrix
@@ -77,7 +78,7 @@ def _get(mapping, key, kind, location, default=_MISSING):
 
 def _parse_word_field(text, rank, location):
     try:
-        return parse_word(text, rank)
+        return parse_word(_expect(text, str, location), rank)
     except WordParseError as e:
         raise ManifestError(str(e), location) from e
 
@@ -97,7 +98,7 @@ def _load_group(spec, location):
             raise ManifestError(str(e), loc) from e
     try:
         return FiniteGroup(degree, generators, name=name)
-    except ValueError as e:
+    except (ValueError, EnumerationLimitError) as e:
         raise ManifestError(str(e), location) from e
 
 
@@ -196,23 +197,16 @@ def _load_torus(spec):
             "monodromy and monodromy_inverse must list one word per generator",
             location,
         )
-    images = tuple(
-        _parse_word_field(
-            _expect(s, str, f"{location}.monodromy[{i}]"),
-            rank,
-            f"{location}.monodromy[{i}]",
+
+    def words(key, specs):
+        return tuple(
+            _parse_word_field(s, rank, f"{location}.{key}[{i}]")
+            for i, s in enumerate(specs)
         )
-        for i, s in enumerate(images_spec)
+
+    monodromy = FreeEndomorphism(
+        rank, words("monodromy", images_spec), words("monodromy_inverse", inverses_spec)
     )
-    inverses = tuple(
-        _parse_word_field(
-            _expect(s, str, f"{location}.monodromy_inverse[{i}]"),
-            rank,
-            f"{location}.monodromy_inverse[{i}]",
-        )
-        for i, s in enumerate(inverses_spec)
-    )
-    monodromy = FreeEndomorphism(rank, images, inverses)
     return MappingTorus(rank, monodromy, label=label)
 
 

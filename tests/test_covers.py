@@ -5,7 +5,7 @@ import pytest
 
 from orderlex.autos import automorphism, figure_eight_monodromy, identity_automorphism
 from orderlex.covers import build_cover, cover_alexander, verify_shapiro
-from orderlex.errors import ConsistencyError
+from orderlex.errors import CertificationError, ConsistencyError
 from orderlex.finite import (
     TorusHomomorphism,
     cyclic_group,
@@ -13,6 +13,7 @@ from orderlex.finite import (
     symmetric_group,
     trivial_representation,
 )
+from orderlex.freegroup import FreeEndomorphism
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
@@ -175,3 +176,33 @@ class TestCrossChecksRaise:
         monkeypatch.setattr(PolynomialMatrix, "det", lambda self: LaurentPolynomial.one())
         with pytest.raises(ConsistencyError):
             twisted_alexander(m, trivial_representation(2))
+
+    def test_lifted_monodromy_certification(self, monkeypatch):
+        m = MappingTorus(2, figure_eight_monodromy())
+        f = cyclic_stable_hom(m, 2)
+        power = FreeEndomorphism.power
+
+        def wrong_power(self, k):
+            # theta^k carrying theta^-(k+1) as its inverse: only the lifted
+            # monodromy's own certification sees the error
+            inverse_images = power(self, k + 1).inverse_images
+            return FreeEndomorphism._derived(self.rank, power(self, k).images, inverse_images)
+
+        monkeypatch.setattr(FreeEndomorphism, "power", wrong_power)
+        with pytest.raises(CertificationError):
+            build_cover(m, f)
+
+    def test_lifted_monodromy_is_checked(self, monkeypatch):
+        m = MappingTorus(2, figure_eight_monodromy())
+        f = cyclic_stable_hom(m, 3)
+        identity = FreeEndomorphism.identity(2)
+        checked = []
+        verify = FreeEndomorphism._verify_inverse
+
+        def counting(self):
+            checked.append(self)
+            verify(self)
+
+        monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", counting)
+        cover = build_cover(m, f)
+        assert checked == [identity, cover.lifted_monodromy]

@@ -103,3 +103,58 @@ class TestBattery:
     def test_ranks(self):
         ranks = {auto.rank for _, auto in standard_battery()}
         assert ranks == {2, 3}
+
+
+BATTERY = standard_battery()
+
+
+def recertify(auto):
+    """Rebuild a map through the public constructor, which checks its inverse."""
+    return FreeEndomorphism(auto.rank, auto.images, auto.inverse_images)
+
+
+class TestCertifiedByConstruction:
+    """Derived maps skip the inverse check; these tests run it on them."""
+
+    @pytest.mark.parametrize("label, auto", BATTERY, ids=[label for label, _ in BATTERY])
+    def test_powers_and_inverse(self, label, auto):
+        for k in range(-4, 5):
+            power = auto.power(k)
+            assert recertify(power) == power
+        for k in range(1, 5):
+            assert auto.power(-k).images == auto.power(k).inverse_images
+        inverse = auto.inverse_endomorphism()
+        assert recertify(inverse) == inverse
+
+    def test_composites(self):
+        pairs = 0
+        for _, f in BATTERY:
+            for _, g in BATTERY:
+                if f.rank == g.rank:
+                    composite = f.compose(g)
+                    assert recertify(composite) == composite
+                    pairs += 1
+        assert pairs == 9 * 9 + 3 * 3
+
+    def test_check_runs_only_in_the_constructor(self, monkeypatch):
+        theta = figure_eight_monodromy()
+        swap = automorphism(2, ("b", "a"), ("b", "a"))
+        checked = []
+        verify = FreeEndomorphism._verify_inverse
+
+        def counting(self):
+            checked.append(self)
+            verify(self)
+
+        monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", counting)
+        identity = FreeEndomorphism.identity(2)
+        for build in (
+            lambda: theta.power(6),
+            lambda: theta.power(-6),
+            lambda: theta.compose(swap),
+            theta.inverse_endomorphism,
+        ):
+            checked.clear()
+            build()
+            assert len(checked) <= 1
+            assert all(m == identity for m in checked)

@@ -19,6 +19,8 @@ from orderlex.manifest import (
     select_homomorphism,
     select_representation,
 )
+from orderlex.laurent import LaurentPolynomial
+from orderlex.linalg import RationalMatrix
 from orderlex.ordering import theorem2_report
 
 MINIMAL = {
@@ -271,6 +273,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert got == code
         assert message in captured.out + captured.err
+        if code == cli.EXIT_CHECK_FAILED:
+            assert json.loads(captured.out)["ok"] is False
+
+    S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
+
+    @pytest.mark.parametrize(
+        "argv, homs, break_char_poly, code, message",
+        [
+            (
+                ["report"],
+                [{"group": S8, "fiber_images": [0, 0], "stable_image": 0}],
+                False,
+                cli.EXIT_PARSE_ERROR,
+                "homomorphisms[0].group: group enumeration exceeded 10000 elements",
+            ),
+            (["alexander"], [], True, cli.EXIT_INTERNAL, "internal cross-check disagreed"),
+            (["report"], [], False, cli.EXIT_CHECK_FAILED, "no homomorphisms"),
+        ],
+        ids=["group-beyond-limit", "consistency-error", "report-without-homomorphisms"],
+    )
+    def test_documented_exit_codes(
+        self, tmp_path, capsys, monkeypatch, argv, homs, break_char_poly, code, message
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(homomorphisms=homs))
+        if break_char_poly:
+            monkeypatch.setattr(RationalMatrix, "char_poly", lambda self: LaurentPolynomial.one())
+        got = cli.main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert got == code
+        assert message in captured.err + captured.out
         if code == cli.EXIT_CHECK_FAILED:
             assert json.loads(captured.out)["ok"] is False
 
