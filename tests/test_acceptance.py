@@ -3,8 +3,16 @@ single pass/fail line (replayed in the terminal summary).
 
 Every check here runs on exact rational arithmetic; timing bounds are
 wall-clock on the worked examples, generous enough for CI noise.
+
+Acceptance 5 also compares every theorem2_report of the battery sweep with
+the snapshot in data/battery_sweep.json.  After a deliberate change of that
+output, rewrite the snapshot with
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
+import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -40,6 +48,9 @@ from orderlex.ordering import (
 )
 from orderlex.roots import common_positive_root_count, sturm_positive_root_count
 from orderlex.torus import MappingTorus, classical_alexander, lemma4_check, lemma5_check, twisted_alexander
+
+
+SWEEP_SNAPSHOT = pathlib.Path(__file__).resolve().parent / "data" / "battery_sweep.json"
 
 
 def L(s):
@@ -213,35 +224,49 @@ def test_acceptance_4_direct_sum_multiplicativity():
     )
 
 
-def test_acceptance_5_twisted_never_strengthens_cover_verdict():
-    start = time.perf_counter()
-    autos = standard_battery()
-    total = existence_mismatches = strengthenings = 0
-    for label, auto in autos:
+def _battery_sweep():
+    """Yield (battery label, image key, torus, f) for one homomorphism per
+    image class of each battery map into the groups of order <= 6."""
+    for label, auto in standard_battery():
         torus = MappingTorus(auto.rank, auto, label=label)
         homs = {}
         for group in small_groups_catalog():
             for f in enumerate_homomorphisms(torus.monodromy, group):
                 homs.setdefault(f.image_key(), f)
-        for f in homs.values():
-            report = theorem2_report(torus, f)
-            total += 1
-            if not report["existence_equal"]:
-                existence_mismatches += 1
-            if report["twisted_obstructs"] and not report["cover_obstructs"]:
-                strengthenings += 1
+        for key, f in homs.items():
+            yield label, json.dumps(key, separators=(",", ":")), torus, f
+
+
+def test_acceptance_5_twisted_never_strengthens_cover_verdict():
+    start = time.perf_counter()
+    autos = standard_battery()
+    snapshot = json.loads(SWEEP_SNAPSHOT.read_text())
+    expected_classes = sum(len(classes) for classes in snapshot.values())
+    total = existence_mismatches = strengthenings = snapshot_mismatches = 0
+    for label, key, torus, f in _battery_sweep():
+        report = theorem2_report(torus, f)
+        total += 1
+        if report != snapshot.get(label, {}).get(key):
+            snapshot_mismatches += 1
+        if not report["existence_equal"]:
+            existence_mismatches += 1
+        if report["twisted_obstructs"] and not report["cover_obstructs"]:
+            strengthenings += 1
     elapsed = time.perf_counter() - start
     ok = (
         len(autos) >= 10
         and existence_mismatches == 0
         and strengthenings == 0
+        and snapshot_mismatches == 0
+        and total == expected_classes
     )
     _record(
         5,
         ok,
         f"{len(autos)} automorphisms x groups of order <= 6: {total} "
         f"homomorphism classes, positive-root existence twisted == cover in "
-        f"all, 0 verdicts strengthened, {elapsed:.1f}s",
+        f"all, 0 verdicts strengthened, {snapshot_mismatches} reports differ "
+        f"from the {expected_classes}-class snapshot, {elapsed:.1f}s",
     )
 
 
@@ -356,3 +381,10 @@ def test_acceptance_9_exact_algebra_oracles():
         f"({snf_failures} failures); Sturm counts == constructed root "
         f"ground truth on 100 linear-factor products ({sturm_failures} failures)",
     )
+
+
+if __name__ == "__main__":
+    doc = {}
+    for label, key, torus, f in _battery_sweep():
+        doc.setdefault(label, {})[key] = theorem2_report(torus, f)
+    SWEEP_SNAPSHOT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
