@@ -401,10 +401,13 @@ class FiniteRepresentation:
 
     def evaluate(self, word):
         acc = RationalMatrix.identity(self.dimension)
+        inverses = {}
         for g, s in word.letters:
             m = self.matrix_for(g)
             if s < 0:
-                m = m.inverse()
+                if g not in inverses:
+                    inverses[g] = m.inverse()
+                m = inverses[g]
             acc = acc * m
         return acc
 

@@ -75,7 +75,7 @@ class FreeEndomorphism:
                 out.extend(img)
             else:
                 out.extend((h, -e) for h, e in reversed(img))
-        return FreeWord(out)
+        return FreeWord._reduced(out)
 
     def compose(self, other):
         """self after other: (self.compose(other)).apply(w) = self(other(w))."""

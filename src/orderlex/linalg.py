@@ -29,12 +29,24 @@ class RationalMatrix:
             raise ValueError("ragged matrix")
 
     @classmethod
+    def _of_rows(cls, rows):
+        """A matrix that takes ownership of rows: equal-length lists whose
+        entries are already Fraction, so they are neither copied nor checked."""
+        out = object.__new__(cls)
+        out._e = rows
+        out.rows = len(rows)
+        out.cols = len(rows[0]) if rows else 0
+        return out
+
+    @classmethod
     def identity(cls, n):
-        return cls([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)])
+        return cls._of_rows(
+            [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
+        )
 
     @classmethod
     def zeros(cls, r, c):
-        return cls([[_F0] * c for _ in range(r)])
+        return cls._of_rows([[_F0] * c for _ in range(r)])
 
     def entry(self, i, j):
         return self._e[i][j]
@@ -78,14 +90,24 @@ class RationalMatrix:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return RationalMatrix([[x * q for x in r] for r in self._e])
+            return RationalMatrix._of_rows([[x * q for x in r] for r in self._e])
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            bt = list(zip(*other._e))
-            return RationalMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._e]
-            )
+            # Row i of the product is the sum of a * (row k of other) over the
+            # nonzero a = self[i][k]; only nonzero entries are visited, so a
+            # product of permutation matrices costs O(n^2), not O(n^3).
+            sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other._e]
+            n = other.cols
+            out = []
+            for row in self._e:
+                acc = [_F0] * n
+                for a, terms in zip(row, sparse):
+                    if a:
+                        for j, b in terms:
+                            acc[j] += a * b
+                out.append(acc)
+            return RationalMatrix._of_rows(out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -137,7 +159,10 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(r) + RationalMatrix.identity(n).row(i) for i, r in enumerate(self._e)]
+        m = [
+            list(r) + [_F1 if j == i else _F0 for j in range(n)]
+            for i, r in enumerate(self._e)
+        ]
         for k in range(n):
             piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
@@ -149,7 +174,7 @@ class RationalMatrix:
                 if i != k and m[i][k]:
                     f = m[i][k]
                     m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return RationalMatrix([r[n:] for r in m])
+        return RationalMatrix._of_rows([r[n:] for r in m])
 
     def char_poly(self):
         """det(t*I - self) by the Faddeev-LeVerrier recurrence.
@@ -165,13 +190,10 @@ class RationalMatrix:
             ak = -mk.trace() / k
             coeffs[n - k] = ak
             if k < n:
-                shifted = RationalMatrix(
-                    [
-                        [mk.entry(i, j) + (ak if i == j else 0) for j in range(n)]
-                        for i in range(n)
-                    ]
-                )
-                mk = self * shifted
+                shifted = mk.to_lists()
+                for i in range(n):
+                    shifted[i][i] += ak
+                mk = self * RationalMatrix._of_rows(shifted)
         return LaurentPolynomial(coeffs)
 
 

@@ -41,6 +41,14 @@ class FreeWord:
         object.__setattr__(self, "letters", _free_reduce(ls))
 
     @classmethod
+    def _reduced(cls, letters):
+        """The word on letters already known to be valid (int pairs with
+        generator >= 1 and sign +1/-1); it is only freely reduced."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "letters", _free_reduce(letters))
+        return out
+
+    @classmethod
     def generator(cls, g, sign=1):
         return cls([(g, sign)])
 

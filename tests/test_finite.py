@@ -15,6 +15,7 @@ from orderlex.finite import (
     format_cycles,
     klein_four_group,
     parse_cycles,
+    permutation_matrix,
     regular_representation,
     small_groups_catalog,
     symmetric_group,
@@ -174,6 +175,29 @@ class TestRepresentations:
         ident = RationalMatrix.identity(2)
         with pytest.raises(RepresentationError):
             FiniteRepresentation((ident, ident), shear)
+
+    def test_evaluate_inverts_each_generator_once(self, monkeypatch):
+        from orderlex.linalg import RationalMatrix
+
+        a, b, t = (permutation_matrix(p) for p in ((1, 0, 2), (1, 2, 0), (2, 0, 1)))
+        rep = FiniteRepresentation((a, b), t)
+        letters = {1: a, 2: b, 3: t}
+        inverses = {g: m.inverse() for g, m in letters.items()}
+        w = parse_word("ABABTaTBAb", 2, allow_stable=True)
+        expected = RationalMatrix.identity(3)
+        for g, s in w:
+            expected = expected * (letters[g] if s > 0 else inverses[g])
+
+        inverted = []
+        inverse = RationalMatrix.inverse
+
+        def counting(self):
+            inverted.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(RationalMatrix, "inverse", counting)
+        assert rep.evaluate(w) == expected
+        assert len(inverted) <= 3
 
     def test_direct_sum_dimensions(self):
         a = trivial_representation(2)

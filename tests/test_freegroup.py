@@ -158,3 +158,37 @@ class TestCertifiedByConstruction:
             build()
             assert len(checked) <= 1
             assert all(m == identity for m in checked)
+
+
+class TestApplyBuildsReducedWords:
+    """apply builds its result without the public constructor's letter
+    checks; these tests compare it with that constructor."""
+
+    @pytest.mark.parametrize("label, auto", BATTERY, ids=[label for label, _ in BATTERY])
+    def test_matches_public_constructor(self, label, auto):
+        for k in range(-4, 5):
+            power = auto.power(k)
+            for w in power.images + power.inverse_images:
+                assert FreeWord(list(w.letters)) == w
+                substituted = [
+                    letter
+                    for g, s in w
+                    for letter in (auto.images[g - 1] if s > 0 else auto.images[g - 1].inverse())
+                ]
+                assert auto.apply(w) == FreeWord(substituted)
+
+    def test_apply_skips_letter_validation(self, monkeypatch):
+        theta = figure_eight_monodromy()
+        words = [w for k in range(-3, 4) for w in theta.power(k).images]
+        words.append(FreeWord.empty())
+        built = []
+        init = FreeWord.__init__
+
+        def counting(self, letters=()):
+            built.append(letters)
+            init(self, letters)
+
+        monkeypatch.setattr(FreeWord, "__init__", counting)
+        for w in words:
+            theta.apply(w)
+        assert built == []

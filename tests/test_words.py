@@ -43,6 +43,15 @@ class TestReduction:
         assert (u * v).inverse() == v.inverse() * u.inverse()
 
 
+class TestValidation:
+    @pytest.mark.parametrize("letter", [(0, 1), (1, 2), (-1, 1), (1, 0)])
+    def test_rejects_bad_letters(self, letter):
+        with pytest.raises(ValueError):
+            FreeWord([letter])
+        with pytest.raises(ValueError):
+            FreeWord([(1, 1), letter, (1, -1)])
+
+
 class TestParsing:
     def test_round_trip(self):
         for s in ("", "a", "aB", "abAB", "bbbA"):
