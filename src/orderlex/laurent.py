@@ -111,6 +111,11 @@ class LaurentPolynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant compares equal to its coefficient, so it hashes like it
+        if not self._c:
+            return hash(0)
+        if len(self._c) == 1 and 0 in self._c:
+            return hash(self._c[0])
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):
@@ -316,6 +321,122 @@ def squarefree_part(p):
     if g.is_one:
         return c
     return exact_div(c, g).canonicalize()
+
+
+# -- dense Z[t] kernels -------------------------------------------------
+#
+# A Z[t] polynomial is a list of int coefficients indexed by exponent, with
+# no trailing zeros; the zero polynomial is [].  The matrix routines in
+# linalg work on these, so Fraction arithmetic happens only when a row is
+# converted in and a result is converted back.
+
+
+def _zsubmul(c, a, q, b):
+    """c*a - q*b."""
+    out = [0] * max(len(c) + len(a), len(q) + len(b), 1)
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    for i, x in enumerate(q):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zexact_div(a, b):
+    """Exact quotient a / b in Z[t]; raises ArithmeticError on a remainder,
+    like exact_div."""
+    if b == [1]:
+        return a
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + db]
+        if top:
+            f, rem = divmod(top, lead)
+            if rem:
+                raise ArithmeticError("division was expected to be exact")
+            q[k] = f
+            for i, y in enumerate(b, k):
+                r[i] -= f * y
+    if any(r[:db]):
+        raise ArithmeticError("division was expected to be exact")
+    return q
+
+
+def _zpseudo_divmod(a, b):
+    """(c, q, r) with c*a = q*b + r, c a positive integer and deg r < deg b.
+
+    c collects only the factors of the leading coefficient of b that the
+    division needs, so it is 1 whenever that coefficient is 1 or -1."""
+    db = len(b) - 1
+    lead = b[-1]
+    c = 1
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + db]
+        if not top:
+            continue
+        f, rem = divmod(top, lead)
+        if rem:
+            s = abs(lead) // gcd(top, lead)
+            c *= s
+            r = [s * x for x in r]
+            q = [s * x for x in q]
+            f = top * s // lead
+        q[k] = f
+        for i, y in enumerate(b, k):
+            r[i] -= f * y
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return c, q, r
+
+
+def _zprimitive(row):
+    """A row of Z[t] polynomials divided by the gcd of all its coefficients."""
+    g = 0
+    for p in row:
+        g = gcd(g, *p)
+        if g == 1:
+            return row
+    if g < 2:
+        return row
+    return [[x // g for x in p] for p in row]
+
+
+def _row_to_z(row):
+    """(zrow, shift, den) with zrow = den * t^-shift * row in Z[t].
+
+    shift is the least order in the row and den the lcm of its coefficient
+    denominators, so both factors are units; a zero row gives shift 0 and
+    den 1."""
+    live = [x._c for x in row if x._c]
+    if not live:
+        return [[] for _ in row], 0, 1
+    shift = min(min(c) for c in live)
+    den = lcm(*(v.denominator for c in live for v in c.values()))
+    out = []
+    for x in row:
+        p = [0] * (max(x._c) - shift + 1) if x._c else []
+        for e, v in x._c.items():
+            p[e - shift] = v.numerator * (den // v.denominator)
+        out.append(p)
+    return out, shift, den
+
+
+def _z_to_laurent(p, shift=0, den=1):
+    """The Laurent polynomial t^shift * p / den."""
+    r = LaurentPolynomial()
+    r._c = {e: Fraction(v, den) for e, v in enumerate(p, shift) if v}
+    return r
 
 
 # -- text form --------------------------------------------------------

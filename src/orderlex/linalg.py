@@ -5,14 +5,29 @@ LaurentPolynomial entries and carries the Smith normal form machinery used
 for module presentations over Q[t, 1/t].  Since rational scalars and powers
 of t are units of that ring, rows may be rescaled by them freely; the
 invariant factors are reported in canonical form.
+
+The determinant and the Smith normal form use that freedom to work on the
+integer Z[t] kernels of laurent: each row is shifted and scaled into Z[t]
+on the way in, eliminations are fraction-free (Bareiss for the determinant,
+pseudo-division for the Smith normal form), and Fraction coefficients
+appear only when a result is converted back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ConsistencyError, SingularMatrixError
-from .laurent import LaurentPolynomial, exact_div, poly_divmod
+from .laurent import (
+    LaurentPolynomial,
+    _row_to_z,
+    _z_to_laurent,
+    _zexact_div,
+    _zprimitive,
+    _zpseudo_divmod,
+    _zsubmul,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -315,10 +330,11 @@ class PolynomialMatrix:
         return PolynomialMatrix([list(c) for c in zip(*self._e)])
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination.
+        """Exact determinant by fraction-free Bareiss elimination over Z[t].
 
-        Rows are first shifted by powers of t to land in Q[t]; the shift is
-        multiplied back at the end, so the result is the true determinant.
+        Each row is shifted by a power of t and scaled by the lcm of its
+        denominators to land in Z[t]; both factors are units and are undone
+        at the end, so the result is the true determinant.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -327,85 +343,86 @@ class PolynomialMatrix:
             return LaurentPolynomial.one()
         m = []
         total_shift = 0
-        for row in self._e:
-            orders = [x.order for x in row if not x.is_zero]
-            k = min(orders) if orders else 0
-            if k:
-                total_shift += k
-                row = [x.shift(-k) for x in row]
-            else:
-                row = list(row)
-            m.append(row)
+        den = 1
         sign = 1
-        prev = LaurentPolynomial.one()
+        for row in self._e:
+            zrow, shift, d = _row_to_z(row)
+            m.append(zrow)
+            total_shift += shift
+            den *= d
+        prev = [1]
         for k in range(n - 1):
-            piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+            piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
                 return LaurentPolynomial.zero()
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 sign = -sign
+            mk = m[k]
+            p = mk[k]
             for i in range(k + 1, n):
+                mi = m[i]
+                a = mi[k]
                 for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = exact_div(num, prev) if not num.is_zero else num
-            prev = m[k][k]
-        result = m[n - 1][n - 1]
-        if sign < 0:
-            result = -result
-        return result.shift(total_shift)
+                    mi[j] = _zexact_div(_zsubmul(p, mi[j], a, mk[j]), prev)
+            prev = p
+        return _z_to_laurent(m[n - 1][n - 1], total_shift, sign * den)
 
     # -- Smith normal form -------------------------------------------
 
     def _snf_core(self, track):
         """Reduce a working copy to diagonal form by unimodular operations.
 
-        Pivot choice: the nonzero entry of minimal degree, ties broken by
-        the smallest (row, col) pair.  Returns (diag, Vinv, rank) where
-        self * V ~ row-equivalent diagonal for a unimodular V over
-        Q[t, 1/t] built from the column operations.  Vinv is None unless
-        track is set.
+        The work is done over Z[t]: rows are kept as integer-primitive Z[t]
+        rows, and each division is a pseudo-division c*a = q*b + r whose
+        scale c is a rational unit.  Pivot choice: the nonzero entry of
+        minimal degree, ties broken by the smallest (row, col) pair.  Returns
+        (diag, Vinv, rank) where self * V ~ row-equivalent diagonal for a
+        unimodular V over Q[t, 1/t] built from the column operations.  Vinv
+        is None unless track is set.
         """
-        m = [list(r) for r in self._e]
         rows, cols = self.rows, self.cols
-        one = LaurentPolynomial.one()
-        zero = LaurentPolynomial.zero()
-        vinv = [[one if i == j else zero for j in range(cols)] for i in range(cols)] if track else None
+        m = [_row_to_z(row)[0] for row in self._e]
+        # row j of Vinv is vinv[j] / vden[j], with vinv[j] in Z[t]
+        vinv = [[[1] if i == j else [] for j in range(cols)] for i in range(cols)] if track else None
+        vden = [1] * cols
 
         def normalize_row(i):
+            # unit row scaling: strip the common power of t and the content
             row = m[i]
-            live = [x for x in row if not x.is_zero]
-            if not live:
-                return
-            k = min(x.order for x in live)
-            cont = None
-            for x in live:
-                c = x.content()
-                cont = c if cont is None else _fraction_gcd(cont, c)
-            scale = 1 / cont if cont else _F1
-            if k or scale != 1:
-                m[i] = [x.shift(-k) * scale if not x.is_zero else x for x in row]
+            k = min((next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
+            m[i] = _zprimitive([x[k:] for x in row] if k else row)
 
         def col_swap(a, b):
-            for r in range(rows):
-                m[r][a], m[r][b] = m[r][b], m[r][a]
+            for row in m:
+                row[a], row[b] = row[b], row[a]
             if track:
                 vinv[a], vinv[b] = vinv[b], vinv[a]
+                vden[a], vden[b] = vden[b], vden[a]
 
-        def col_addmul(dst, src, q):
-            # col_dst += q * col_src
-            for r in range(rows):
-                if not m[r][src].is_zero:
-                    m[r][dst] = m[r][dst] + q * m[r][src]
+        def reduce_col(j, k):
+            # col_j := c * col_j - q * col_k clears m[k][j] to the remainder.
+            # Column k is zero outside row k here, so rows other than k only
+            # see the unit scale c.
+            c, q, r = _zpseudo_divmod(m[k][j], m[k][k])
+            if c != 1:
+                for row in m:
+                    if row[j]:
+                        row[j] = [c * x for x in row[j]]
+            m[k][j] = r
             if track:
-                # inverse op acts on rows of Vinv: row_src -= q * row_dst
-                vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
+                # Vinv: row j is divided by c, then row k gains q * row j
+                vden[j] *= c
+                dk, dj = vden[k], vden[j]
+                l = lcm(dk, dj)
+                sq = [-(l // dj) * x for x in q]
+                row = [_zsubmul([l // dk], a, sq, b) for a, b in zip(vinv[k], vinv[j])]
+                g = gcd(l, *(x for p in row for x in p)) if l > 1 else 1
+                vinv[k] = [[x // g for x in p] for p in row] if g > 1 else row
+                vden[k] = l // g
 
         def row_swap(a, b):
             m[a], m[b] = m[b], m[a]
-
-        def row_addmul(dst, src, q):
-            m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
 
         for i in range(rows):
             normalize_row(i)
@@ -417,10 +434,10 @@ class PolynomialMatrix:
             for i in range(k, rows):
                 for j in range(k, cols):
                     x = m[i][j]
-                    if x.is_zero:
+                    if not x:
                         continue
-                    # rows are kept in Q[t] form, so this is the Q[t] degree
-                    d = x.degree
+                    # rows are kept in Z[t] form, so this is the Q[t] degree
+                    d = len(x) - 1
                     if pivot is None or (d, i, j) < pivot:
                         pivot = (d, i, j)
             if pivot is None:
@@ -435,11 +452,14 @@ class PolynomialMatrix:
             while True:
                 dirty = False
                 for i in range(k + 1, rows):
-                    if m[i][k].is_zero:
+                    if not m[i][k]:
                         continue
-                    q, r = poly_divmod(m[i][k], m[k][k])
-                    row_addmul(i, k, -q)
-                    if not m[i][k].is_zero:
+                    # row_i := c * row_i - q * row_k, then its content removed
+                    c, q, _ = _zpseudo_divmod(m[i][k], m[k][k])
+                    m[i] = _zprimitive(
+                        [_zsubmul([c], a, q, b) for a, b in zip(m[i], m[k])]
+                    )
+                    if m[i][k]:
                         row_swap(i, k)
                         normalize_row(k)
                         dirty = True
@@ -447,11 +467,10 @@ class PolynomialMatrix:
                 if dirty:
                     continue
                 for j in range(k + 1, cols):
-                    if m[k][j].is_zero:
+                    if not m[k][j]:
                         continue
-                    q, r = poly_divmod(m[k][j], m[k][k])
-                    col_addmul(j, k, -q)
-                    if not m[k][j].is_zero:
+                    reduce_col(j, k)
+                    if m[k][j]:
                         col_swap(j, k)
                         normalize_row(k)
                         dirty = True
@@ -463,21 +482,24 @@ class PolynomialMatrix:
             pivot_poly = m[k][k]
             for i in range(k + 1, rows):
                 for j in range(k + 1, cols):
-                    if m[i][j].is_zero:
-                        continue
-                    _, r = poly_divmod(m[i][j], pivot_poly)
-                    if not r.is_zero:
+                    if m[i][j] and _zpseudo_divmod(m[i][j], pivot_poly)[2]:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is not None:
-                row_addmul(k, offender, LaurentPolynomial.one())
+                m[k] = [_zsubmul([1], a, [-1], b) for a, b in zip(m[k], m[offender])]
                 continue
             k += 1
 
-        diag = [m[i][i] for i in range(limit)]
-        vinvm = PolynomialMatrix(vinv) if track else None
+        diag = [_z_to_laurent(m[i][i]) for i in range(limit)]
+        vinvm = (
+            PolynomialMatrix(
+                [[_z_to_laurent(x, 0, d) for x in row] for row, d in zip(vinv, vden)]
+            )
+            if track
+            else None
+        )
         rank = sum(1 for d in diag if not d.is_zero)
         return diag, vinvm, rank
 
@@ -489,14 +511,6 @@ class PolynomialMatrix:
         nonzero = [d for d in out if not d.is_zero]
         zeros = [d for d in out if d.is_zero]
         return nonzero + zeros
-
-
-def _fraction_gcd(a, b):
-    from math import gcd, lcm
-
-    return Fraction(
-        gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)
-    )
 
 
 def homology_invariant_factors(b1, b2):

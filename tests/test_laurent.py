@@ -34,6 +34,15 @@ class TestArithmetic:
         assert LaurentPolynomial.one().is_one
         assert not LaurentPolynomial.one().is_zero
 
+    def test_constants_hash_like_their_coefficient(self):
+        for c in (0, 1, -1, 7, Fraction(-3, 4)):
+            p = LaurentPolynomial.term(c)
+            assert p == c
+            assert hash(p) == hash(c)
+            assert p in {c} and c in {p}
+        assert LaurentPolynomial.one() in {1}
+        assert LaurentPolynomial.zero() in {0}
+
     def test_add_sub(self):
         p = L("t^2 - 3*t + 1")
         assert p - p == LaurentPolynomial.zero()

@@ -2,13 +2,18 @@
 polynomials, Smith normal form over Q[t], homology invariant factors."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlex import laurent
+from orderlex.autos import figure_eight_monodromy
 from orderlex.errors import ConsistencyError, SingularMatrixError
+from orderlex.finite import TorusHomomorphism, cyclic_group, regular_representation
+from orderlex.fox import fox_derivative, specialize
 from orderlex.laurent import (
     LaurentPolynomial,
     divides,
@@ -21,6 +26,7 @@ from orderlex.linalg import (
     RationalMatrix,
     homology_invariant_factors,
 )
+from orderlex.torus import MappingTorus, presentation, twisted_alexander
 
 
 def L(s):
@@ -204,6 +210,53 @@ class TestHomologyInvariantFactors:
         b2 = PM([["1"], ["0"]])
         with pytest.raises(ConsistencyError):
             homology_invariant_factors(b1, b2)
+
+
+class TestIntegerKernels:
+    def test_no_fraction_division(self, monkeypatch):
+        """det, the Smith normal form and the twisted pipeline around them
+        run on Z[t] and never reach the Fraction division of laurent."""
+        calls = {"poly_divmod": 0, "exact_div": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        # patch every binding, so that a module importing the name counts too
+        modules = [m for n, m in list(sys.modules.items()) if n.startswith("orderlex")]
+        for name in calls:
+            original = getattr(laurent, name)
+            wrapper = counting(name, original)
+            for module in modules:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        # the twisted boundary matrix of the figure-eight knot group under
+        # the regular representation onto Z3
+        torus = MappingTorus(2, figure_eight_monodromy())
+        g = cyclic_group(3)
+        f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
+        f.require_well_defined(torus.monodromy)
+        rep = regular_representation(f)
+        matrices = {1: rep.fiber_matrices[0], 2: rep.fiber_matrices[1], 3: rep.stable_matrix}
+        exponents = {1: 0, 2: 0, 3: 1}
+        fox = PolynomialMatrix.from_blocks(
+            [[specialize(fox_derivative(r, j), matrices, exponents) for j in (1, 2, 3)]
+             for r in presentation(torus)]
+        )
+        assert (fox.rows, fox.cols) == (6, 9)
+        minor = fox.submatrix(range(6), range(6))
+        assert not minor.det().is_zero
+        assert len(fox.smith_normal_form()) == 6
+        twisted_alexander(torus, rep)
+        assert calls == {"poly_divmod": 0, "exact_div": 0}
+
+        # the counters count: divides goes through poly_divmod
+        assert divides(L("t - 1"), L("t^2 - 1"))
+        assert calls["poly_divmod"] == 1
 
 
 @settings(max_examples=30, deadline=None)

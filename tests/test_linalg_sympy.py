@@ -1,4 +1,5 @@
-"""Differential oracle: RationalMatrix against sympy's exact matrices.
+"""Differential oracle: RationalMatrix and PolynomialMatrix against sympy's
+exact matrices and its invariant factors over QQ[t].
 
 sympy shares no code with orderlex and is used only here; without it the
 module is skipped.
@@ -9,12 +10,18 @@ from fractions import Fraction
 
 import pytest
 
+from orderlex import linalg
 from orderlex.errors import SingularMatrixError
-from orderlex.linalg import RationalMatrix
+from orderlex.laurent import LaurentPolynomial
+from orderlex.linalg import PolynomialMatrix, RationalMatrix, homology_invariant_factors
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
+
 T = sympy.Symbol("t")
+QQ_T = sympy.QQ[T]
 
 
 def random_entry(rng, density):
@@ -134,3 +141,170 @@ def test_permutation_products():
         assert_same(acc.inverse(), expected.inv())
         assert acc.det() == from_sympy(expected.det())
         assert_fraction_matrix(RationalMatrix.identity(n))
+
+
+# -- PolynomialMatrix ---------------------------------------------------
+#
+# Entries carry non-monic Fraction coefficients and negative exponents, so
+# the determinant and the Smith normal form must clear denominators, shift
+# rows and scale pseudo-divisions, which matrices with integer or
+# permutation entries never make them do.
+
+
+def random_laurent(rng, density, low=-2, high=2):
+    if rng.random() >= density:
+        return LaurentPolynomial.zero()
+    start = rng.randint(low, high)
+    return LaurentPolynomial(
+        {e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+         for e in range(start, start + rng.randint(0, 2) + 1)}
+    )
+
+
+def random_poly_matrix(rng, rows, cols, density):
+    return PolynomialMatrix(
+        [[random_laurent(rng, density) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def shifted_rows(m):
+    """The rows of m as sympy polynomials, each row multiplied by the unit
+    t^-order that puts it in QQ[t]; returns (matrix, total shift)."""
+    rows = []
+    total = 0
+    for i in range(m.rows):
+        row = [m.entry(i, j) for j in range(m.cols)]
+        live = [x.order for x in row if not x.is_zero]
+        k = min(live) if live else 0
+        total += k
+        rows.append([
+            sum((sympy.Rational(c.numerator, c.denominator) * T ** (e - k)
+                 for e, c in x.items()), sympy.Integer(0))
+            for x in row
+        ])
+    return sympy.Matrix(rows), total
+
+
+def from_sympy_poly(expr):
+    poly = sympy.Poly(expr, T, domain=sympy.QQ)
+    return LaurentPolynomial(
+        {e: from_sympy(c) for (e,), c in poly.terms()}
+    )
+
+
+def sympy_invariant_factors(m):
+    """Canonical invariant factors of m over Q[t, 1/t], by sympy.  Row
+    shifts by t^k and the factors t^k of sympy's QQ[t] answer are units."""
+    s, _ = shifted_rows(m)
+    factors = invariant_factors(s, domain=QQ_T)
+    return [from_sympy_poly(f).canonicalize() for f in factors]
+
+
+def test_polynomial_det():
+    rng = random.Random("polynomial det")
+    for n in range(1, 7):
+        for density in (1.0, 0.5):
+            m = random_poly_matrix(rng, n, n, density)
+            s, shift = shifted_rows(m)
+            det = DomainMatrix.from_Matrix(s).convert_to(QQ_T).det()
+            expected = from_sympy_poly(QQ_T.to_sympy(det)).shift(shift)
+            assert m.det() == expected
+    # a repeated row up to a unit makes the determinant zero
+    rows = random_poly_matrix(rng, 4, 4, 1.0)
+    rows = [[rows.entry(i, j) for j in range(4)] for i in range(4)]
+    rows[3] = [x.shift(-1) * Fraction(-2, 3) for x in rows[0]]
+    assert PolynomialMatrix(rows).det().is_zero
+
+
+# (rows, cols, density): square sizes 1-6, non-square shapes, sparse
+SNF_SHAPES = [
+    (1, 1, 1.0), (2, 2, 1.0), (3, 3, 0.7), (4, 4, 0.5), (5, 5, 0.4),
+    (6, 6, 0.3), (2, 4, 0.8), (4, 2, 0.8), (3, 5, 0.5), (5, 3, 0.5),
+    (1, 3, 1.0), (3, 1, 1.0),
+]
+
+
+@pytest.mark.parametrize("rows, cols, density", SNF_SHAPES)
+def test_polynomial_smith_normal_form(rows, cols, density):
+    rng = random.Random(f"snf {rows}x{cols}@{density}")
+    for _ in range(3):
+        m = random_poly_matrix(rng, rows, cols, density)
+        assert m.smith_normal_form() == sympy_invariant_factors(m)
+    # a dependent row gives a zero invariant factor when rows <= cols
+    entries = [[m.entry(i, j) for j in range(cols)] for i in range(rows)]
+    if rows > 1:
+        entries[-1] = [a * Fraction(3, 4) + b.shift(2) for a, b in zip(entries[0], entries[1])]
+        m = PolynomialMatrix(entries)
+        assert m.smith_normal_form() == sympy_invariant_factors(m)
+
+
+def unimodular_pair(rng, n, steps):
+    """(P, P^-1) for a product of elementary operations over Q[t, 1/t]:
+    adding a Laurent multiple of one row to another, and scaling a row by
+    a rational unit times t^k."""
+    p = PolynomialMatrix.identity(n)
+    p_inv = PolynomialMatrix.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        e = [[LaurentPolynomial.one() if a == b else LaurentPolynomial.zero()
+              for b in range(n)] for a in range(n)]
+        e_inv = [list(r) for r in e]
+        if i != j and rng.random() < 0.7:
+            x = random_laurent(rng, 1.0)
+            e[i][j] = x
+            e_inv[i][j] = -x
+        else:
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+            k = rng.randint(-2, 2)
+            e[i][i] = LaurentPolynomial.term(c, k)
+            e_inv[i][i] = LaurentPolynomial.term(1 / c, -k)
+        p = p * PolynomialMatrix(e)
+        p_inv = PolynomialMatrix(e_inv) * p_inv
+    return p, p_inv
+
+
+# (b1 rows, chain rank n, rank of b1, b2 cols)
+HOMOLOGY_SHAPES = [
+    (1, 2, 1, 1), (2, 3, 1, 2), (2, 4, 2, 2), (3, 4, 1, 3),
+    (3, 5, 2, 2), (2, 5, 2, 4), (4, 6, 3, 3), (1, 6, 1, 5),
+]
+
+
+@pytest.mark.parametrize("m_rows, n, r, k", HOMOLOGY_SHAPES)
+def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
+    """b1 = [A | 0] P^-1 and b2 = P [0; B] compose to zero, and their
+    homology is the cokernel of B, whose invariant factors sympy computes;
+    P hides that structure from the library."""
+    scales = []
+    pseudo = linalg._zpseudo_divmod
+
+    def recording(a, b):
+        out = pseudo(a, b)
+        scales.append(out[0])
+        return out
+
+    monkeypatch.setattr(linalg, "_zpseudo_divmod", recording)
+    rng = random.Random(f"homology {m_rows} {n} {r} {k}")
+    zero = LaurentPolynomial.zero()
+    for _ in range(3):
+        p, p_inv = unimodular_pair(rng, n, n)
+        # A has full column rank r: its top r x r block is lower triangular
+        # with a nonzero diagonal
+        a = [[random_laurent(rng, 0.8) if j < i else zero for j in range(r)]
+             for i in range(m_rows)]
+        for i in range(r):
+            while a[i][i].is_zero:
+                a[i][i] = random_laurent(rng, 1.0)
+        a_block = PolynomialMatrix([row + [zero] * (n - r) for row in a])
+        b = random_poly_matrix(rng, n - r, k, 0.6)
+        b_block = PolynomialMatrix([[zero] * k for _ in range(r)] + [
+            [b.entry(i, j) for j in range(k)] for i in range(n - r)
+        ])
+        b1 = a_block * p_inv
+        b2 = p * b_block
+        factors, free_rank = homology_invariant_factors(b1, b2)
+        expected = [f for f in sympy_invariant_factors(b) if not f.is_zero]
+        assert factors == expected
+        assert free_rank == (n - r) - len(expected)
+    # the pseudo-divisions had to scale, so column scaling reached Vinv
+    assert any(c != 1 for c in scales)
