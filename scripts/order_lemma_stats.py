@@ -4,20 +4,21 @@
 Runs the commutator-inequality suite and the bi-order axiom suite at a
 chosen rank/trial count and prints the tallies as JSON.  Violations should
 always be zero; the interesting number is the unresolved rate at shallow
-depths.
+depths.  A rank, trial count or depth below 1 exits 2 with a usage error.
 """
 
 import argparse
 import json
 
+from orderlex.cli import _positive_int
 from orderlex.ordering import bi_order_axiom_suite, lemma_comm_suite
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rank", type=int, default=2)
-    parser.add_argument("--trials", type=int, default=500)
-    parser.add_argument("--depth", type=int, default=6)
+    parser.add_argument("--rank", type=_positive_int, default=2)
+    parser.add_argument("--trials", type=_positive_int, default=500)
+    parser.add_argument("--depth", type=_positive_int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -2,11 +2,13 @@
 commutator inequalities it satisfies, and orderability verdicts from
 Alexander polynomials.
 
-The ordering: embed the free group into truncated power series in
-non-commuting variables X_1..X_n by x_i -> 1 + X_i, and compare elements by
-the first nonzero coefficient of u * v^-1 - 1 in graded-lexicographic
-monomial order.  Truncation at a finite depth makes some comparisons
-unresolvable; those are reported, never guessed.
+The ordering: embed the free group into power series in non-commuting
+variables X_1..X_n by x_i -> 1 + X_i, and compare elements by the first
+nonzero coefficient of u * v^-1 - 1 in graded-lexicographic monomial order.
+It lies in the first nonzero homogeneous degree, the lower-central-series
+class of u * v^-1 (Magnus-Karrass-Solitar 5.5-5.7), so the expansion is
+computed lazily, degree by degree, and stopping there is exact.  A class
+above the depth is reported unresolved, never guessed.
 """
 
 from __future__ import annotations
@@ -38,89 +40,94 @@ class Comparison(Enum):
 
 
 class MagnusSeries:
-    """Truncated series with integer coefficients on monomials in
-    non-commuting variables, stored as tuples of generator indices."""
+    """Image of a word under x_i -> 1 + X_i, truncated at total degree
+    depth, with integer coefficients on monomials stored as tuples of
+    generator indices.  Its homogeneous components are computed lazily, in
+    degree order, only as far as a query needs; the leading term lies in
+    the first nonzero component of positive degree, so stopping there is
+    exact."""
 
-    __slots__ = ("rank", "depth", "coefficients")
+    __slots__ = ("depth", "_pending", "_components")
 
-    def __init__(self, rank, depth, coefficients):
-        self.rank = rank
+    def __init__(self, depth, components):
         self.depth = depth
-        self.coefficients = {m: c for m, c in coefficients.items() if c}
+        self._pending = components
+        self._components = []
 
-    @classmethod
-    def one(cls, rank, depth):
-        return cls(rank, depth, {(): 1})
+    def _component(self, k):
+        while len(self._components) <= k:
+            self._components.append(next(self._pending))
+        return self._components[k]
 
     def coefficient(self, mono):
-        return self.coefficients.get(tuple(mono), 0)
+        mono = tuple(mono)
+        if len(mono) > self.depth:
+            return 0
+        return self._component(len(mono)).get(mono, 0)
 
-    def multiply(self, other):
-        depth = self.depth
-        out = {}
-        for m1, c1 in self.coefficients.items():
-            room = depth - len(m1)
-            for m2, c2 in other.coefficients.items():
-                if len(m2) > room:
-                    continue
-                key = m1 + m2
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return MagnusSeries(self.rank, depth, out)
+    @property
+    def coefficients(self):
+        """Every nonzero coefficient up to the depth, as a dict."""
+        return {
+            mono: coeff
+            for k in range(self.depth + 1)
+            for mono, coeff in self._component(k).items()
+        }
 
     def leading_term(self):
         """Smallest non-constant monomial with nonzero coefficient in
         graded-lex order, as (monomial, coefficient), or None."""
-        best = None
-        for mono, coeff in self.coefficients.items():
-            if not mono:
-                continue
-            key = (len(mono), mono)
-            if best is None or key < best[0]:
-                best = (key, mono, coeff)
-        if best is None:
-            return None
-        return best[1], best[2]
+        for k in range(1, self.depth + 1):
+            component = self._component(k)
+            if component:
+                mono = min(component)
+                return mono, component[mono]
+        return None
 
     def __repr__(self):
-        return f"MagnusSeries(rank={self.rank}, depth={self.depth}, terms={len(self.coefficients)})"
+        return f"MagnusSeries(depth={self.depth}, components={len(self._components)})"
 
 
-_letter_cache = {}
+def _graded_components(letters):
+    """Yield the degree-k component of the image of the word, for k = 0,
+    1, 2, ...  With p_j the image of the first j letters, a letter x_g
+    gives p_j[k] = p_{j-1}[k] + p_{j-1}[k-1] X_g, and a letter x_g^-1
+    (from p_j (1 + X_g) = p_{j-1}) gives p_j[k] = p_{j-1}[k] - p_j[k-1] X_g.
+    Only degree k-1 of each prefix is kept."""
+    prev = [{(): 1}] * (len(letters) + 1)
+    yield prev[-1]
+    while True:
+        cur = [{}]
+        for j, (g, s) in enumerate(letters):
+            source = prev[j] if s > 0 else prev[j + 1]
+            comp = cur[j]
+            if source:
+                comp = dict(comp)
+                for mono, coeff in source.items():
+                    key = mono + (g,)
+                    acc = comp.get(key, 0) + s * coeff
+                    if acc:
+                        comp[key] = acc
+                    else:
+                        del comp[key]
+            cur.append(comp)
+        yield cur[-1]
+        prev = cur
 
 
-def _letter_series(gen, sign, depth):
-    key = (gen, sign, depth)
-    cached = _letter_cache.get(key)
-    if cached is None:
-        if sign > 0:
-            cached = {(): 1, (gen,): 1}
-        else:
-            cached = {(gen,) * k: (-1) ** k for k in range(depth + 1)}
-        _letter_cache[key] = cached
-    return cached
-
-
-def magnus_expand(w, depth=DEFAULT_DEPTH, rank=None):
+def magnus_expand(w, depth=DEFAULT_DEPTH):
     """Image of the word under x_i -> 1 + X_i, truncated at total degree
-    depth; inverses expand through the geometric series."""
+    depth; inverses expand through the geometric series.  Components are
+    computed when a query on the series first needs them."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if rank is None:
-        rank = max(w.max_generator(), 1)
-    series = MagnusSeries.one(rank, depth)
-    for g, s in w.letters:
-        series = series.multiply(
-            MagnusSeries(rank, depth, _letter_series(g, s, depth))
-        )
-    return series
+    return MagnusSeries(depth, _graded_components(w.letters))
 
 
 def magnus_compare(u, v, depth=DEFAULT_DEPTH):
     """Compare two words under the Magnus bi-ordering at the given depth."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if u == v:
         return Comparison.EQUAL
     series = magnus_expand(u * v.inverse(), depth)
@@ -131,24 +138,16 @@ def magnus_compare(u, v, depth=DEFAULT_DEPTH):
 
 
 class _Tally:
-    """Comparison bookkeeping for the property suites.  Resolving a
-    comparison at a shallow depth is sound (truncation only hides higher
-    degrees), so cheap depths are tried first."""
+    """Comparison bookkeeping for the property suites."""
 
     def __init__(self, depth):
         self.depth = depth
         self.resolved = 0
         self.unresolved = 0
         self.violations = 0
-        ladder = [d for d in (2, 4) if d < depth]
-        self.ladder = ladder + [depth]
 
     def compare(self, u, v):
-        result = Comparison.UNRESOLVED_AT_DEPTH
-        for d in self.ladder:
-            result = magnus_compare(u, v, d)
-            if result is not Comparison.UNRESOLVED_AT_DEPTH:
-                break
+        result = magnus_compare(u, v, self.depth)
         if result is Comparison.UNRESOLVED_AT_DEPTH:
             self.unresolved += 1
         else:

@@ -74,18 +74,15 @@ class FreeWord:
     def __mul__(self, other):
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return FreeWord(self.letters + other.letters)
+        return FreeWord._reduced(self.letters + other.letters)
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        w = FreeWord.empty()
-        for _ in range(k):
-            w = w * self
-        return w
+        return FreeWord._reduced(self.letters * k)
 
     def inverse(self):
-        return FreeWord([(g, -s) for g, s in reversed(self.letters)])
+        return FreeWord._reduced([(g, -s) for g, s in reversed(self.letters)])
 
     def exponent_sum(self, gen):
         return sum(s for g, s in self.letters if g == gen)

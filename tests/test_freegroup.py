@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from orderlex.autos import automorphism, figure_eight_monodromy, standard_battery
 from orderlex.errors import CertificationError
 from orderlex.freegroup import FreeEndomorphism
-from orderlex.words import FreeWord, parse_word
+from orderlex.words import FreeWord, commutator, parse_word
 
 words_st = st.lists(
     st.tuples(st.integers(min_value=1, max_value=2), st.sampled_from((1, -1))),
@@ -192,3 +192,39 @@ class TestApplyBuildsReducedWords:
         for w in words:
             theta.apply(w)
         assert built == []
+
+
+class TestWordOperationsBuildReducedWords:
+    """Products, inverses and powers of words build their results without
+    the public constructor's letter checks; these tests compare them with
+    that constructor."""
+
+    def test_match_public_constructor_without_validation(self, monkeypatch):
+        def inv(letters):
+            return [(g, -s) for g, s in reversed(letters)]
+
+        a, b = parse_word("abA", 2), parse_word("bab", 2)
+        words = [parse_word(s, 3) for s in ("abA", "aBAb", "abcAB", "b")]
+        a3, b2 = list(a.letters) * 3, inv(b.letters) * 2
+        expected = [FreeWord(inv(a3) + inv(b2) + a3 + b2)]
+        for w in words:
+            expected.append(FreeWord(inv(w.letters)))
+            expected += [FreeWord(list(w.letters) * k) for k in range(5)]
+            expected += [FreeWord(inv(w.letters) * k) for k in range(1, 5)]
+
+        built = []
+        init = FreeWord.__init__
+
+        def counting(self, letters=()):
+            built.append(letters)
+            init(self, letters)
+
+        monkeypatch.setattr(FreeWord, "__init__", counting)
+        results = [commutator(a ** 3, b ** -2)]
+        for w in words:
+            results.append(w.inverse())
+            results += [w ** k for k in range(5)]
+            results += [w ** -k for k in range(1, 5)]
+        monkeypatch.undo()
+        assert built == []
+        assert results == expected

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlex import ordering
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import (
@@ -36,35 +37,122 @@ words_st = st.lists(
 ).map(FreeWord)
 
 
+def truncated_product(a, b, depth):
+    """Product of two series given as {monomial: coefficient}, truncated at
+    total degree depth."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if len(m1) + len(m2) <= depth:
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_expand(letters, depth):
+    """Truncated Magnus image of a letter list (reduced or not), as the
+    product of the images 1 + X_g and sum_k (-X_g)^k of its letters."""
+    series = {(): 1}
+    for g, s in letters:
+        if s > 0:
+            factor = {(): 1, (g,): 1}
+        else:
+            factor = {(g,) * k: (-1) ** k for k in range(depth + 1)}
+        series = truncated_product(series, factor, depth)
+    return series
+
+
+def inverse_letters(letters):
+    return [(g, -s) for g, s in reversed(letters)]
+
+
+def oracle_compare(u, v, depth):
+    """Magnus comparison of two letter lists from the oracle expansion of
+    u v^-1 and its graded-lex leading term."""
+    if FreeWord(u) == FreeWord(v):
+        return Comparison.EQUAL
+    series = oracle_expand(u + inverse_letters(v), depth)
+    terms = [m for m in series if m]
+    if not terms:
+        return Comparison.UNRESOLVED_AT_DEPTH
+    lead = min(terms, key=lambda m: (len(m), m))
+    return Comparison.GREATER if series[lead] > 0 else Comparison.LESS
+
+
+@st.composite
+def letter_pairs(draw):
+    """Two letter lists of rank 2 or 3; sometimes the second is the first
+    followed by a commutator, so that u v^-1 lies deep in the lower central
+    series."""
+    rank = draw(st.integers(min_value=2, max_value=3))
+    letters = st.lists(
+        st.tuples(st.integers(min_value=1, max_value=rank), st.sampled_from((1, -1))),
+        max_size=8,
+    )
+    u = draw(letters)
+    if draw(st.booleans()):
+        x, y = draw(letters), draw(letters)
+        return u, u + inverse_letters(x) + inverse_letters(y) + x + y
+    return u, draw(letters)
+
+
 class TestMagnusExpansion:
     def test_generator(self):
-        s = magnus_expand(W("a"), depth=3, rank=2)
+        s = magnus_expand(W("a"), depth=3)
         assert s.coefficient(()) == 1
         assert s.coefficient((1,)) == 1
         assert s.coefficient((1, 1)) == 0
 
     def test_inverse_is_geometric_series(self):
-        s = magnus_expand(W("A"), depth=3, rank=2)
+        s = magnus_expand(W("A"), depth=3)
         assert s.coefficient((1,)) == -1
         assert s.coefficient((1, 1)) == 1
         assert s.coefficient((1, 1, 1)) == -1
 
     def test_commutator_leading_term(self):
-        s = magnus_expand(commutator(W("a"), W("b")), depth=2, rank=2)
+        s = magnus_expand(commutator(W("a"), W("b")), depth=2)
         assert s.coefficient((1, 2)) == 1
         assert s.coefficient((2, 1)) == -1
         assert s.coefficient((1,)) == 0
         assert s.coefficient((2,)) == 0
 
     def test_empty_word_is_one(self):
-        s = magnus_expand(FreeWord.empty(), depth=4, rank=2)
+        s = magnus_expand(FreeWord.empty(), depth=4)
         assert s.coefficients == {(): 1}
 
     @given(words_st, words_st)
     def test_multiplicative(self, u, v):
-        su = magnus_expand(u, depth=4, rank=2)
-        sv = magnus_expand(v, depth=4, rank=2)
-        assert su.multiply(sv).coefficients == magnus_expand(u * v, depth=4, rank=2).coefficients
+        su = magnus_expand(u, depth=4)
+        sv = magnus_expand(v, depth=4)
+        product = truncated_product(su.coefficients, sv.coefficients, 4)
+        assert product == magnus_expand(u * v, depth=4).coefficients
+
+    @settings(max_examples=150, deadline=None)
+    @given(letter_pairs(), st.integers(min_value=1, max_value=6))
+    def test_matches_oracle(self, pair, depth):
+        u, v = pair
+        assert magnus_expand(FreeWord(u), depth).coefficients == oracle_expand(u, depth)
+        assert magnus_expand(FreeWord(v), depth).coefficients == oracle_expand(v, depth)
+        assert magnus_compare(FreeWord(u), FreeWord(v), depth) is oracle_compare(u, v, depth)
+
+    def test_stops_at_first_nonzero_degree(self, monkeypatch):
+        pulled = []
+        graded = ordering._graded_components
+
+        def counting(letters):
+            for component in graded(letters):
+                pulled.append(component)
+                yield component
+
+        monkeypatch.setattr(ordering, "_graded_components", counting)
+        comm = commutator(W("a"), W("b"))
+        assert magnus_compare(comm, FreeWord.empty(), depth=40) is Comparison.GREATER
+        assert len(pulled) <= 3
+        pulled.clear()
+        series = magnus_expand(comm, depth=40)
+        assert series.coefficient((2, 1)) == -1
+        assert len(pulled) <= 3
+        assert series.leading_term() == ((1, 2), 1)
+        assert len(pulled) <= 3
 
 
 class TestMagnusCompare:
@@ -75,6 +163,13 @@ class TestMagnusCompare:
     def test_equality_only_on_equal_words(self):
         assert magnus_compare(W("ab"), W("ab")) is Comparison.EQUAL
         assert magnus_compare(W("ab"), W("ba")) is not Comparison.EQUAL
+
+    def test_depth_checked_before_equality(self):
+        for depth in (0, -1):
+            with pytest.raises(ValueError):
+                magnus_compare(W("ab"), W("ab"), depth=depth)
+            with pytest.raises(ValueError):
+                magnus_compare(W("ab"), W("ba"), depth=depth)
 
     def test_antisymmetric_pairs(self):
         u, v = W("abA"), W("bb")
