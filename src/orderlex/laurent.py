@@ -90,17 +90,6 @@ class LaurentPolynomial:
     def items(self):
         return self._c.items()
 
-    def to_dense(self):
-        """Coefficient list indexed by exponent; requires order >= 0."""
-        if not self._c:
-            return []
-        if self.order < 0:
-            raise ValueError("negative exponents present")
-        out = [_ZERO] * (self.degree + 1)
-        for e, c in self._c.items():
-            out[e] = c
-        return out
-
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
@@ -253,61 +242,29 @@ class LaurentPolynomial:
 
 def poly_divmod(a, b):
     """Euclidean division in Q[t].  Both arguments must have order >= 0
-    (or be zero); returns (q, r) with a = q*b + r and deg r < deg b."""
+    (or be zero); returns (q, r) with a = q*b + r and deg r < deg b.
+
+    a and b are moved into Z[t] under one common unit and pseudo-divided;
+    the quotient and remainder are unique, so undoing the unit and the
+    pseudo-division's scale gives them exactly."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return LaurentPolynomial.zero(), LaurentPolynomial.zero()
-    ad = a.to_dense()
-    bd = b.to_dense()
-    q = {}
-    r = list(ad)
-    db = len(bd) - 1
-    lead = bd[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) - 1 < db or not r:
-            break
-        k = len(r) - 1 - db
-        f = r[-1] / lead
-        q[k] = f
-        for i, c in enumerate(bd):
-            r[k + i] -= f * c
-    return LaurentPolynomial(q), LaurentPolynomial(dict(enumerate(r)))
-
-
-def exact_div(a, b):
-    """Exact quotient a / b in Q[t]; raises if the division leaves a remainder."""
-    q, r = poly_divmod(a, b)
-    if not r.is_zero:
-        raise ArithmeticError("division was expected to be exact")
-    return q
-
-
-def divides(p, q):
-    """Laurent divisibility p | q.  The zero polynomial is divisible by
-    everything; division by the zero polynomial is an error."""
-    if p.is_zero:
-        raise ZeroDivisionError("divisibility by the zero polynomial")
-    if q.is_zero:
-        return True
-    # units t^k do not affect divisibility
-    a = q.shift(-q.order)
-    b = p.shift(-p.order)
-    _, r = poly_divmod(a, b)
-    return r.is_zero
+    (za, zb), shift, den = _row_to_z([a, b])
+    if shift < 0:
+        raise ValueError("negative exponents present")
+    c, q, r = _zpseudo_divmod(za, zb)
+    return _z_to_laurent(q, 0, c), _z_to_laurent(r, shift, c * den)
 
 
 def poly_gcd(p, q):
     """Canonical gcd in Q[t, 1/t] (canonicalized, so gcd of units is 1)."""
     a = p.canonicalize()
     b = q.canonicalize()
+    # canonical forms have order 0, so they divide as they are
     while not b.is_zero:
-        a2 = a.shift(-a.order) if not a.is_zero else a
-        _, r = poly_divmod(a2, b.shift(-b.order))
+        _, r = poly_divmod(a, b)
         a, b = b, r.canonicalize()
-    return a.canonicalize()
+    return a
 
 
 def squarefree_part(p):
@@ -320,15 +277,19 @@ def squarefree_part(p):
     g = poly_gcd(c, c.derivative())
     if g.is_one:
         return c
-    return exact_div(c, g).canonicalize()
+    q, r = poly_divmod(c, g)
+    if not r.is_zero:
+        raise ArithmeticError("division was expected to be exact")
+    return q.canonicalize()
 
 
 # -- dense Z[t] kernels -------------------------------------------------
 #
 # A Z[t] polynomial is a list of int coefficients indexed by exponent, with
-# no trailing zeros; the zero polynomial is [].  The matrix routines in
-# linalg work on these, so Fraction arithmetic happens only when a row is
-# converted in and a result is converted back.
+# no trailing zeros; the zero polynomial is [].  _zpseudo_divmod is the one
+# division loop: poly_divmod above and the determinant and Smith normal form
+# of linalg all run on it, so Fraction arithmetic happens only when a
+# polynomial or row is converted in and a result is converted back.
 
 
 def _zsubmul(c, a, q, b):
@@ -345,29 +306,6 @@ def _zsubmul(c, a, q, b):
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _zexact_div(a, b):
-    """Exact quotient a / b in Z[t]; raises ArithmeticError on a remainder,
-    like exact_div."""
-    if b == [1]:
-        return a
-    db = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        top = r[k + db]
-        if top:
-            f, rem = divmod(top, lead)
-            if rem:
-                raise ArithmeticError("division was expected to be exact")
-            q[k] = f
-            for i, y in enumerate(b, k):
-                r[i] -= f * y
-    if any(r[:db]):
-        raise ArithmeticError("division was expected to be exact")
-    return q
 
 
 def _zpseudo_divmod(a, b):
@@ -497,7 +435,12 @@ def parse_polynomial(s):
         if not m or (m.group(2) is None and m.group(3) is None):
             raise PolynomialParseError(f"unrecognized term {chunk.strip()!r}", pos)
         sign, num, tvar, exp = m.groups()
-        c = Fraction(num.replace(" ", "")) if num else Fraction(1)
+        try:
+            c = Fraction(num.replace(" ", "")) if num else Fraction(1)
+        except ZeroDivisionError:
+            raise PolynomialParseError(
+                f"zero denominator in term {chunk.strip()!r}", pos
+            ) from None
         if sign == "-":
             c = -c
         if tvar is None:

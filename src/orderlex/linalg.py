@@ -9,8 +9,11 @@ invariant factors are reported in canonical form.
 The determinant and the Smith normal form use that freedom to work on the
 integer Z[t] kernels of laurent: each row is shifted and scaled into Z[t]
 on the way in, eliminations are fraction-free (Bareiss for the determinant,
-pseudo-division for the Smith normal form), and Fraction coefficients
-appear only when a result is converted back.
+pseudo-division for the Smith normal form, both on the one pseudo-division
+loop of laurent), and Fraction coefficients appear only when a result is
+converted back.  homology_invariant_factors carries b2 through the Smith
+reduction of b1 in the same Z[t] form, so it builds no inverse matrix and
+multiplies no polynomial matrices beyond checking b1 * b2 = 0.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .laurent import (
     LaurentPolynomial,
     _row_to_z,
     _z_to_laurent,
-    _zexact_div,
     _zprimitive,
     _zpseudo_divmod,
     _zsubmul,
@@ -364,153 +366,145 @@ class PolynomialMatrix:
                 mi = m[i]
                 a = mi[k]
                 for j in range(k + 1, n):
-                    mi[j] = _zexact_div(_zsubmul(p, mi[j], a, mk[j]), prev)
+                    # an exact quotient in Z[t] never needs a scale
+                    c, q, r = _zpseudo_divmod(_zsubmul(p, mi[j], a, mk[j]), prev)
+                    if c != 1 or r:
+                        raise ArithmeticError("division was expected to be exact")
+                    mi[j] = q
             prev = p
         return _z_to_laurent(m[n - 1][n - 1], total_shift, sign * den)
-
-    # -- Smith normal form -------------------------------------------
-
-    def _snf_core(self, track):
-        """Reduce a working copy to diagonal form by unimodular operations.
-
-        The work is done over Z[t]: rows are kept as integer-primitive Z[t]
-        rows, and each division is a pseudo-division c*a = q*b + r whose
-        scale c is a rational unit.  Pivot choice: the nonzero entry of
-        minimal degree, ties broken by the smallest (row, col) pair.  Returns
-        (diag, Vinv, rank) where self * V ~ row-equivalent diagonal for a
-        unimodular V over Q[t, 1/t] built from the column operations.  Vinv
-        is None unless track is set.
-        """
-        rows, cols = self.rows, self.cols
-        m = [_row_to_z(row)[0] for row in self._e]
-        # row j of Vinv is vinv[j] / vden[j], with vinv[j] in Z[t]
-        vinv = [[[1] if i == j else [] for j in range(cols)] for i in range(cols)] if track else None
-        vden = [1] * cols
-
-        def normalize_row(i):
-            # unit row scaling: strip the common power of t and the content
-            row = m[i]
-            k = min((next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
-            m[i] = _zprimitive([x[k:] for x in row] if k else row)
-
-        def col_swap(a, b):
-            for row in m:
-                row[a], row[b] = row[b], row[a]
-            if track:
-                vinv[a], vinv[b] = vinv[b], vinv[a]
-                vden[a], vden[b] = vden[b], vden[a]
-
-        def reduce_col(j, k):
-            # col_j := c * col_j - q * col_k clears m[k][j] to the remainder.
-            # Column k is zero outside row k here, so rows other than k only
-            # see the unit scale c.
-            c, q, r = _zpseudo_divmod(m[k][j], m[k][k])
-            if c != 1:
-                for row in m:
-                    if row[j]:
-                        row[j] = [c * x for x in row[j]]
-            m[k][j] = r
-            if track:
-                # Vinv: row j is divided by c, then row k gains q * row j
-                vden[j] *= c
-                dk, dj = vden[k], vden[j]
-                l = lcm(dk, dj)
-                sq = [-(l // dj) * x for x in q]
-                row = [_zsubmul([l // dk], a, sq, b) for a, b in zip(vinv[k], vinv[j])]
-                g = gcd(l, *(x for p in row for x in p)) if l > 1 else 1
-                vinv[k] = [[x // g for x in p] for p in row] if g > 1 else row
-                vden[k] = l // g
-
-        def row_swap(a, b):
-            m[a], m[b] = m[b], m[a]
-
-        for i in range(rows):
-            normalize_row(i)
-
-        limit = min(rows, cols)
-        k = 0
-        while k < limit:
-            pivot = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    x = m[i][j]
-                    if not x:
-                        continue
-                    # rows are kept in Z[t] form, so this is the Q[t] degree
-                    d = len(x) - 1
-                    if pivot is None or (d, i, j) < pivot:
-                        pivot = (d, i, j)
-            if pivot is None:
-                break
-            _, pi, pj = pivot
-            if pi != k:
-                row_swap(pi, k)
-            if pj != k:
-                col_swap(pj, k)
-            normalize_row(k)
-
-            while True:
-                dirty = False
-                for i in range(k + 1, rows):
-                    if not m[i][k]:
-                        continue
-                    # row_i := c * row_i - q * row_k, then its content removed
-                    c, q, _ = _zpseudo_divmod(m[i][k], m[k][k])
-                    m[i] = _zprimitive(
-                        [_zsubmul([c], a, q, b) for a, b in zip(m[i], m[k])]
-                    )
-                    if m[i][k]:
-                        row_swap(i, k)
-                        normalize_row(k)
-                        dirty = True
-                        break
-                if dirty:
-                    continue
-                for j in range(k + 1, cols):
-                    if not m[k][j]:
-                        continue
-                    reduce_col(j, k)
-                    if m[k][j]:
-                        col_swap(j, k)
-                        normalize_row(k)
-                        dirty = True
-                        break
-                if not dirty:
-                    break
-
-            offender = None
-            pivot_poly = m[k][k]
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if m[i][j] and _zpseudo_divmod(m[i][j], pivot_poly)[2]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is not None:
-                m[k] = [_zsubmul([1], a, [-1], b) for a, b in zip(m[k], m[offender])]
-                continue
-            k += 1
-
-        diag = [_z_to_laurent(m[i][i]) for i in range(limit)]
-        vinvm = (
-            PolynomialMatrix(
-                [[_z_to_laurent(x, 0, d) for x in row] for row, d in zip(vinv, vden)]
-            )
-            if track
-            else None
-        )
-        rank = sum(1 for d in diag if not d.is_zero)
-        return diag, vinvm, rank
 
     def smith_normal_form(self):
         """Canonical invariant factors p1 | p2 | ..., padded with zeros to
         min(rows, cols)."""
-        diag, _, _ = self._snf_core(track=False)
-        out = [d.canonicalize() for d in diag]
-        nonzero = [d for d in out if not d.is_zero]
-        zeros = [d for d in out if d.is_zero]
-        return nonzero + zeros
+        diag = _snf_core([_row_to_z(row)[0] for row in self._e], self.cols)
+        return [_z_to_laurent(d).canonicalize() for d in diag]
+
+
+def _snf_core(m, cols, carry=None):
+    """Reduce the Z[t] rows m, each of length cols, to diagonal form in place
+    by unimodular operations over Q[t, 1/t]; returns the diagonal m[i][i],
+    i < min(len(m), cols), as Z[t] lists, nonzero entries first.
+
+    Rows are kept integer-primitive, and each division is a pseudo-division
+    c*a = q*b + r whose scale c is a rational unit.  Pivot choice: the
+    nonzero entry of minimal degree, ties broken by the smallest (row, col)
+    pair.  The column operations make up a unimodular V with m * V
+    row-equivalent to the diagonal.  carry, when given, is a list of cols
+    Z[t] rows Y; every column operation on m is applied to it as the row
+    operation of V^-1, so on return row j of carry is a rational unit times
+    row j of V^-1 * Y.
+    """
+    rows = len(m)
+    # carry row j stands for carry[j] / cden[j]
+    cden = [1] * cols
+
+    def normalize_row(i):
+        # unit row scaling: strip the common power of t and the content
+        row = m[i]
+        k = min((next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
+        m[i] = _zprimitive([x[k:] for x in row] if k else row)
+
+    def col_swap(a, b):
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+        if carry is not None:
+            carry[a], carry[b] = carry[b], carry[a]
+            cden[a], cden[b] = cden[b], cden[a]
+
+    def reduce_col(j, k):
+        # col_j := c * col_j - q * col_k clears m[k][j] to the remainder.
+        # Column k is zero outside row k here, so rows other than k only
+        # see the unit scale c.
+        c, q, r = _zpseudo_divmod(m[k][j], m[k][k])
+        if c != 1:
+            for row in m:
+                if row[j]:
+                    row[j] = [c * x for x in row[j]]
+        m[k][j] = r
+        if carry is not None:
+            # V^-1: row j is divided by c, then row k gains q * row j
+            cden[j] *= c
+            dk, dj = cden[k], cden[j]
+            l = lcm(dk, dj)
+            sq = [-(l // dj) * x for x in q]
+            row = [_zsubmul([l // dk], a, sq, b) for a, b in zip(carry[k], carry[j])]
+            g = gcd(l, *(x for p in row for x in p)) if l > 1 else 1
+            carry[k] = [[x // g for x in p] for p in row] if g > 1 else row
+            cden[k] = l // g
+
+    def row_swap(a, b):
+        m[a], m[b] = m[b], m[a]
+
+    for i in range(rows):
+        normalize_row(i)
+
+    limit = min(rows, cols)
+    k = 0
+    while k < limit:
+        pivot = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                x = m[i][j]
+                if not x:
+                    continue
+                # rows are kept in Z[t] form, so this is the Q[t] degree
+                d = len(x) - 1
+                if pivot is None or (d, i, j) < pivot:
+                    pivot = (d, i, j)
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        if pi != k:
+            row_swap(pi, k)
+        if pj != k:
+            col_swap(pj, k)
+        normalize_row(k)
+
+        while True:
+            dirty = False
+            for i in range(k + 1, rows):
+                if not m[i][k]:
+                    continue
+                # row_i := c * row_i - q * row_k, then its content removed
+                c, q, _ = _zpseudo_divmod(m[i][k], m[k][k])
+                m[i] = _zprimitive(
+                    [_zsubmul([c], a, q, b) for a, b in zip(m[i], m[k])]
+                )
+                if m[i][k]:
+                    row_swap(i, k)
+                    normalize_row(k)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            for j in range(k + 1, cols):
+                if not m[k][j]:
+                    continue
+                reduce_col(j, k)
+                if m[k][j]:
+                    col_swap(j, k)
+                    normalize_row(k)
+                    dirty = True
+                    break
+            if not dirty:
+                break
+
+        offender = None
+        pivot_poly = m[k][k]
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if m[i][j] and _zpseudo_divmod(m[i][j], pivot_poly)[2]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            m[k] = [_zsubmul([1], a, [-1], b) for a, b in zip(m[k], m[offender])]
+            continue
+        k += 1
+
+    return [m[i][i] for i in range(limit)]
 
 
 def homology_invariant_factors(b1, b2):
@@ -524,15 +518,16 @@ def homology_invariant_factors(b1, b2):
         raise ValueError("boundary maps do not compose")
     if not (b1 * b2).is_zero():
         raise ConsistencyError("boundary maps do not compose to zero")
-    _, vinv, rank = b1._snf_core(track=True)
-    y = vinv * b2
-    for i in range(rank):
-        for j in range(y.cols):
-            if not y.entry(i, j).is_zero:
-                raise ConsistencyError("image does not land in the kernel")
+    # b2 in Z[t] under one unit; reducing b1 carries it to V^-1 * b2, up to
+    # a rational unit per row
+    k = b2.cols
+    flat, _, _ = _row_to_z([x for row in b2._e for x in row])
+    y = [flat[i * k:(i + 1) * k] for i in range(b2.rows)]
+    diag = _snf_core([_row_to_z(row)[0] for row in b1._e], b1.cols, carry=y)
+    rank = sum(1 for d in diag if d)
+    if any(p for row in y[:rank] for p in row):
+        raise ConsistencyError("image does not land in the kernel")
     kernel_rank = b1.cols - rank
-    ybot = y.submatrix(range(rank, b1.cols), range(y.cols))
-    diag = ybot.smith_normal_form()
-    nonzero = [d for d in diag if not d.is_zero]
+    nonzero = [_z_to_laurent(d).canonicalize() for d in _snf_core(y[rank:], k) if d]
     free_rank = kernel_rank - len(nonzero)
     return nonzero, free_rank

@@ -36,7 +36,8 @@ from fractions import Fraction
 
 from .errors import EnumerationLimitError, ManifestError, RepresentationError
 from .errors import SelectorError, WordParseError
-from .finite import FiniteGroup, FiniteRepresentation, TorusHomomorphism, parse_cycles
+from .finite import DEFAULT_ELEMENT_LIMIT, FiniteGroup, FiniteRepresentation
+from .finite import TorusHomomorphism, parse_cycles
 from .freegroup import FreeEndomorphism
 from .linalg import RationalMatrix
 from .torus import MappingTorus
@@ -86,6 +87,12 @@ def _parse_word_field(text, rank, location):
 def _load_group(spec, location):
     _expect(spec, dict, location)
     degree = _get(spec, "degree", int, location)
+    # every permutation is a list of degree points, so bound it before parsing
+    if degree > DEFAULT_ELEMENT_LIMIT:
+        raise ManifestError(
+            f"degree {degree} exceeds the limit of {DEFAULT_ELEMENT_LIMIT}",
+            f"{location}.degree",
+        )
     gen_specs = _get(spec, "generators", list, location)
     name = _get(spec, "name", str, location, default=None)
     generators = []

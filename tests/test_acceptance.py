@@ -33,8 +33,8 @@ from orderlex.finite import (
 )
 from orderlex.laurent import (
     LaurentPolynomial,
-    exact_div,
     parse_polynomial,
+    poly_divmod,
     poly_gcd,
 )
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
@@ -339,7 +339,9 @@ def _determinantal_factors(pm):
         if acc.is_zero:
             factors.append(LaurentPolynomial.zero())
         else:
-            factors.append(exact_div(acc, prev).canonicalize())
+            quotient, remainder = poly_divmod(acc, prev)
+            assert remainder.is_zero
+            factors.append(quotient.canonicalize())
             prev = acc
     return factors
 

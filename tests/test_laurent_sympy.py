@@ -1,0 +1,100 @@
+"""Differential oracle: the division boundary of laurent and the Sturm
+counts of roots against sympy's polynomial arithmetic over QQ.
+
+Coefficients are non-monic fractions, so the Z[t] pseudo-division behind
+poly_divmod has to scale and clear denominators.  sympy shares no code with
+orderlex and is used only here; without it the module is skipped.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from orderlex.laurent import LaurentPolynomial, poly_divmod, poly_gcd, squarefree_part
+from orderlex.roots import sturm_positive_root_count
+
+sympy = pytest.importorskip("sympy")
+
+T = sympy.Symbol("t")
+
+
+def random_fraction(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+
+def random_laurent(rng, max_terms=5, low=0, high=0):
+    """A nonzero polynomial with up to max_terms terms starting at an
+    exponent in [low, high]."""
+    start = rng.randint(low, high)
+    coeffs = {e: random_fraction(rng) if rng.random() < 0.8 else 0
+              for e in range(start, start + rng.randint(1, max_terms))}
+    coeffs[max(coeffs)] = random_fraction(rng)
+    coeffs[start] = random_fraction(rng)
+    return LaurentPolynomial(coeffs)
+
+
+def random_product(rng, low=0, high=0):
+    """A product of random factors, some repeated and some with rational
+    positive roots, so gcds, square-free parts and root counts are
+    nontrivial."""
+    factors = [random_laurent(rng, 3, low, high) for _ in range(rng.randint(1, 3))]
+    factors += [LaurentPolynomial({0: -Fraction(rng.randint(1, 7), rng.randint(1, 4)), 1: 1})
+                for _ in range(rng.randint(0, 2))]
+    factors.append(rng.choice(factors))
+    p = LaurentPolynomial.term(random_fraction(rng))
+    for f in rng.sample(factors, rng.randint(1, len(factors))):
+        p = p * f
+    return p
+
+
+def to_sympy(p):
+    """p times the unit t^-order, as a sympy polynomial over QQ; 0 is not
+    one of its roots."""
+    k = p.order
+    expr = sum((sympy.Rational(c.numerator, c.denominator) * T ** (e - k)
+                for e, c in p.items()), sympy.Integer(0))
+    return sympy.Poly(expr, T, domain=sympy.QQ)
+
+
+def from_sympy(poly):
+    return LaurentPolynomial(
+        {e: Fraction(int(c.p), int(c.q)) for (e,), c in poly.terms()}
+    )
+
+
+def test_divmod_matches_sympy():
+    rng = random.Random("poly_divmod")
+    for _ in range(200):
+        a = random_laurent(rng, 7, 0, 3)
+        b = random_laurent(rng, 4, 0, 2)
+        q, r = poly_divmod(a, b)
+        # poly_divmod divides a and b themselves, with no unit removed
+        sq, sr = sympy.div(to_sympy(a) * T ** a.order, to_sympy(b) * T ** b.order)
+        assert q == from_sympy(sq)
+        assert r == from_sympy(sr)
+
+
+def test_gcd_and_squarefree_part_match_sympy():
+    rng = random.Random("poly_gcd")
+    nontrivial = 0
+    for _ in range(100):
+        common = random_product(rng, -2, 2)
+        p = common * random_product(rng, -2, 2)
+        q = common * random_laurent(rng, 3, -2, 2)
+        expected = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).canonicalize()
+        assert poly_gcd(p, q) == expected
+        assert squarefree_part(p) == from_sympy(to_sympy(p).sqf_part()).canonicalize()
+        nontrivial += not expected.is_one
+    assert nontrivial > 50
+
+
+def test_sturm_counts_match_sympy():
+    rng = random.Random("sturm")
+    positive = 0
+    for _ in range(100):
+        p = random_product(rng, -2, 2)
+        expected = int(to_sympy(p).sqf_part().count_roots(0, None))
+        assert sturm_positive_root_count(p) == expected
+        positive += expected > 0
+    assert positive > 0

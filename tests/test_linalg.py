@@ -9,16 +9,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlex import laurent
+from orderlex import laurent, torus as torus_module
 from orderlex.autos import figure_eight_monodromy
 from orderlex.errors import ConsistencyError, SingularMatrixError
 from orderlex.finite import TorusHomomorphism, cyclic_group, regular_representation
 from orderlex.fox import fox_derivative, specialize
 from orderlex.laurent import (
     LaurentPolynomial,
-    divides,
-    exact_div,
     parse_polynomial,
+    poly_divmod,
     poly_gcd,
 )
 from orderlex.linalg import (
@@ -39,6 +38,13 @@ def QM(rows):
 
 def PM(rows):
     return PolynomialMatrix([[L(str(x)) for x in r] for r in rows])
+
+
+def exact_quotient(a, b):
+    """a / b for canonical a and b, asserting that b divides a."""
+    q, r = poly_divmod(a, b)
+    assert r.is_zero
+    return q
 
 
 def random_poly_matrix(rng, n, max_deg=2, span=3):
@@ -74,7 +80,7 @@ def factors_from_divisors(chain):
         if d.is_zero:
             out.append(LaurentPolynomial.zero())
         else:
-            out.append(exact_div(d, prev).canonicalize())
+            out.append(exact_quotient(d, prev).canonicalize())
             prev = d
     return out
 
@@ -169,7 +175,7 @@ class TestSmithNormalForm:
             m = random_poly_matrix(rng, n)
             factors = [f for f in m.smith_normal_form() if not f.is_zero]
             for a, b in zip(factors, factors[1:]):
-                assert divides(a, b)
+                exact_quotient(b, a)
 
     def test_matches_determinantal_divisors_random(self):
         rng = random.Random(12)
@@ -205,6 +211,37 @@ class TestHomologyInvariantFactors:
         assert factors == []
         assert free_rank == 2
 
+    def test_one_matrix_product(self, monkeypatch):
+        """On a twisted boundary pair the only PolynomialMatrix product is
+        the b1 * b2 = 0 check; b2 is carried through the reduction of b1."""
+        pairs = []
+        original = torus_module.homology_invariant_factors
+
+        def capturing(b1, b2):
+            pairs.append((b1, b2))
+            return original(b1, b2)
+
+        monkeypatch.setattr(torus_module, "homology_invariant_factors", capturing)
+        torus = MappingTorus(2, figure_eight_monodromy())
+        g = cyclic_group(3)
+        f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
+        f.require_well_defined(torus.monodromy)
+        expected = twisted_alexander(torus, regular_representation(f))
+        (b1, b2), = pairs
+
+        products = []
+        mul = PolynomialMatrix.__mul__
+
+        def counting(self, other):
+            products.append((self.rows, self.cols, other.rows, other.cols))
+            return mul(self, other)
+
+        monkeypatch.setattr(PolynomialMatrix, "__mul__", counting)
+        factors, free_rank = homology_invariant_factors(b1, b2)
+        assert products == [(b1.rows, b1.cols, b2.rows, b2.cols)]
+        assert free_rank == expected.free_rank == 0
+        assert tuple(x for x in factors if not x.is_one) == expected.invariant_factors
+
     def test_rejects_non_complex(self):
         b1 = PM([["1", "0"]])
         b2 = PM([["1"], ["0"]])
@@ -215,8 +252,9 @@ class TestHomologyInvariantFactors:
 class TestIntegerKernels:
     def test_no_fraction_division(self, monkeypatch):
         """det, the Smith normal form and the twisted pipeline around them
-        run on Z[t] and never reach the Fraction division of laurent."""
-        calls = {"poly_divmod": 0, "exact_div": 0}
+        run on the Z[t] kernels directly and never reach poly_divmod, which
+        converts between Fraction polynomials and Z[t] on every call."""
+        calls = {"poly_divmod": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -252,11 +290,11 @@ class TestIntegerKernels:
         assert not minor.det().is_zero
         assert len(fox.smith_normal_form()) == 6
         twisted_alexander(torus, rep)
-        assert calls == {"poly_divmod": 0, "exact_div": 0}
+        assert calls == {"poly_divmod": 0}
 
-        # the counters count: divides goes through poly_divmod
-        assert divides(L("t - 1"), L("t^2 - 1"))
-        assert calls["poly_divmod"] == 1
+        # the counter counts: poly_gcd goes through poly_divmod
+        assert poly_gcd(L("t - 1"), L("t^2 - 1")) == L("t - 1")
+        assert calls["poly_divmod"] == 2
 
 
 @settings(max_examples=30, deadline=None)

@@ -306,5 +306,5 @@ def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
         expected = [f for f in sympy_invariant_factors(b) if not f.is_zero]
         assert factors == expected
         assert free_rank == (n - r) - len(expected)
-    # the pseudo-divisions had to scale, so column scaling reached Vinv
+    # the pseudo-divisions had to scale, so column scaling reached the carried b2
     assert any(c != 1 for c in scales)

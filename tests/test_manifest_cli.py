@@ -19,6 +19,7 @@ from orderlex.manifest import (
     select_homomorphism,
     select_representation,
 )
+from orderlex.finite import DEFAULT_ELEMENT_LIMIT
 from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import theorem2_report
@@ -277,6 +278,7 @@ class TestCli:
             assert json.loads(captured.out)["ok"] is False
 
     S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
+    WIDE = {"name": "Z2", "degree": DEFAULT_ELEMENT_LIMIT + 1, "generators": ["(1 2)"]}
 
     @pytest.mark.parametrize(
         "argv, homs, break_char_poly, code, message",
@@ -288,10 +290,23 @@ class TestCli:
                 cli.EXIT_PARSE_ERROR,
                 "homomorphisms[0].group: group enumeration exceeded 10000 elements",
             ),
+            (
+                ["alexander"],
+                [{"group": WIDE, "fiber_images": [0, 0], "stable_image": 0}],
+                False,
+                cli.EXIT_PARSE_ERROR,
+                f"homomorphisms[0].group.degree: degree {DEFAULT_ELEMENT_LIMIT + 1} "
+                f"exceeds the limit of {DEFAULT_ELEMENT_LIMIT}",
+            ),
             (["alexander"], [], True, cli.EXIT_INTERNAL, "internal cross-check disagreed"),
             (["report"], [], False, cli.EXIT_CHECK_FAILED, "no homomorphisms"),
         ],
-        ids=["group-beyond-limit", "consistency-error", "report-without-homomorphisms"],
+        ids=[
+            "group-beyond-limit",
+            "degree-beyond-limit",
+            "consistency-error",
+            "report-without-homomorphisms",
+        ],
     )
     def test_documented_exit_codes(
         self, tmp_path, capsys, monkeypatch, argv, homs, break_char_poly, code, message
