@@ -22,6 +22,7 @@ from .linalg import RationalMatrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
+MATRIX_ORDER_BOUND = 1000
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -126,13 +127,13 @@ def _bfs_closure(degree, generators, limit):
 class FiniteGroup:
     """A permutation group with a fixed, reproducible element order."""
 
-    def __init__(self, degree, generators, name=None, element_limit=DEFAULT_ELEMENT_LIMIT):
+    def __init__(self, degree, generators, name=None):
         self.degree = int(degree)
         if self.degree < 1:
             raise ValueError("degree must be positive")
         self.generators = [_check_permutation(g, self.degree) for g in generators]
         self.name = name
-        self.elements = _bfs_closure(self.degree, self.generators, element_limit)
+        self.elements = _bfs_closure(self.degree, self.generators, DEFAULT_ELEMENT_LIMIT)
         self._index = {g: i for i, g in enumerate(self.elements)}
 
     @property
@@ -369,7 +370,7 @@ class FiniteRepresentation:
     """Invertible rational matrices for the fiber generators and the stable
     letter, each of finite multiplicative order."""
 
-    def __init__(self, fiber_matrices, stable_matrix, label=None, order_bound=1000):
+    def __init__(self, fiber_matrices, stable_matrix, label=None):
         self.fiber_matrices = tuple(fiber_matrices)
         self.stable_matrix = stable_matrix
         self.label = label
@@ -378,13 +379,15 @@ class FiniteRepresentation:
         if len(dims) != 1:
             raise RepresentationError("matrices must be square of a common dimension")
         self.dimension = dims.pop()
+        if self.dimension == 0:
+            raise RepresentationError("matrices must have dimension at least 1")
         self.rank = len(self.fiber_matrices)
         for m in mats:
             if m.det() == 0:
                 raise RepresentationError("generator matrix is singular")
-            if _multiplicative_order(m, order_bound) is None:
+            if _multiplicative_order(m) is None:
                 raise RepresentationError(
-                    f"generator matrix has no order up to {order_bound}"
+                    f"generator matrix has no order up to {MATRIX_ORDER_BOUND}"
                 )
 
     @classmethod
@@ -440,10 +443,10 @@ class FiniteRepresentation:
         return f"FiniteRepresentation{tag}(rank {self.rank}, dim {self.dimension})"
 
 
-def _multiplicative_order(m, bound):
+def _multiplicative_order(m):
     eye = RationalMatrix.identity(m.rows)
     acc = m
-    for k in range(1, bound + 1):
+    for k in range(1, MATRIX_ORDER_BOUND + 1):
         if acc == eye:
             return k
         acc = acc * m

@@ -19,10 +19,10 @@ from .words import FreeWord
 _F0 = Fraction(0)
 
 
-def fox_derivative(w, gen, rank=None):
+def fox_derivative(w, gen):
     """Fox derivative of the word w with respect to generator gen, as a
     group ring element {reduced FreeWord: nonzero Fraction coefficient}."""
-    if gen < 1 or (rank is not None and gen > rank):
+    if gen < 1:
         raise ValueError(f"unknown generator {gen}")
     terms = {}
 

@@ -13,6 +13,7 @@ plain equality downstream.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -267,22 +268,6 @@ def poly_gcd(p, q):
     return a
 
 
-def squarefree_part(p):
-    """p divided by gcd(p, p'), canonicalized.  Same root set, simple roots."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no square-free part")
-    c = p.canonicalize()
-    if c.degree == 0:
-        return c
-    g = poly_gcd(c, c.derivative())
-    if g.is_one:
-        return c
-    q, r = poly_divmod(c, g)
-    if not r.is_zero:
-        raise ArithmeticError("division was expected to be exact")
-    return q.canonicalize()
-
-
 # -- dense Z[t] kernels -------------------------------------------------
 #
 # A Z[t] polynomial is a list of int coefficients indexed by exponent, with
@@ -379,6 +364,10 @@ def _z_to_laurent(p, shift=0, den=1):
 
 # -- text form --------------------------------------------------------
 
+_TERM_RE = re.compile(
+    r"^\s*([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(-?\d+))?)?\s*$"
+)
+
 
 def format_polynomial(p):
     """Render with descending exponents and explicit '*', e.g. "t^2 - 3*t + 1"."""
@@ -411,27 +400,19 @@ def parse_polynomial(s):
     if not text.strip():
         raise PolynomialParseError("empty polynomial string")
     # split into signed terms; a +/- is a separator unless it follows '^'
-    terms = []
-    cur = []
+    starts = [0]
     prev_sig = ""
     for i, ch in enumerate(text):
         if ch in "+-" and prev_sig and prev_sig != "^":
-            terms.append(("".join(cur), i))
-            cur = [ch]
-        else:
-            cur.append(ch)
+            starts.append(i)
         if not ch.isspace():
             prev_sig = ch
-    terms.append(("".join(cur), len(text)))
-
-    import re
-
-    term_re = re.compile(
-        r"^\s*([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(-?\d+))?)?\s*$"
-    )
     coeffs = {}
-    for chunk, pos in terms:
-        m = term_re.match(chunk)
+    for start, end in zip(starts, starts[1:] + [len(text)]):
+        chunk = text[start:end]
+        # an error points at the term's first non-space character
+        pos = start + len(chunk) - len(chunk.lstrip())
+        m = _TERM_RE.match(chunk)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise PolynomialParseError(f"unrecognized term {chunk.strip()!r}", pos)
         sign, num, tvar, exp = m.groups()

@@ -182,7 +182,10 @@ def _load_representation(spec, torus, index):
     stable = _load_matrix(
         _get(spec, "stable_matrix", list, location), f"{location}.stable_matrix"
     )
-    rep = FiniteRepresentation(fibers, stable, label=label)
+    try:
+        rep = FiniteRepresentation(fibers, stable, label=label)
+    except RepresentationError as e:
+        raise RepresentationError(f"{location}: {e}") from e
     if not rep.satisfies_relations(torus.monodromy):
         raise RepresentationError(
             f"{location}: matrices violate the mapping-torus relations"

@@ -3,58 +3,54 @@
 Everything runs over Fraction coefficients, so the counts are certificates
 rather than numerics.  Laurent inputs are canonicalized first; stripping
 the unit t^k never changes roots away from 0.
+
+The Sturm chain is that of the canonical q itself, with no square-free
+step.  Its last entry g is gcd(q, q') up to a constant, and g divides every
+entry, so the chain is g times a Sturm chain of q / g, whose roots are the
+distinct roots of q.  Since q is canonical, q(0) != 0, hence g(0) != 0; g
+also has a nonzero leading coefficient, so dividing by g changes no sign at
+0 or at +oo.  The sign changes there therefore count the distinct roots in
+(0, oo), and deg q - deg g counts the distinct complex roots.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from .laurent import poly_divmod, poly_gcd, squarefree_part
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
+from .laurent import poly_divmod, poly_gcd
 
 
 def _sign_changes(values):
-    signs = [_sign(v) for v in values if v]
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_chain(p):
-    """Sturm chain of a square-free polynomial with order 0."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
+def _root_counts(q):
+    """(distinct roots in (0, oo), distinct complex roots) of a canonical
+    polynomial q of positive degree, from its one Sturm chain."""
+    chain = [q, q.derivative()]
+    while chain[-1].degree > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
         if r.is_zero:
             break
         chain.append(-r)
-    return [q for q in chain if not q.is_zero]
+    at_zero = [f.coefficient(0) for f in chain]
+    at_inf = [f.leading_coefficient for f in chain]
+    positive = _sign_changes(at_zero) - _sign_changes(at_inf)
+    return positive, q.degree - chain[-1].degree
 
 
 def sturm_positive_root_count(p):
     """Number of distinct real roots of p in the open interval (0, oo).
 
-    Multiplicities are ignored; the square-free part is used internally.
-    Raises on the zero polynomial.
+    Multiplicities are ignored.  Raises on the zero polynomial.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
     q = p.canonicalize()
     if q.degree == 0:
         return 0
-    q = squarefree_part(q)
-    if q.degree == 0:
-        return 0
-    chain = _sturm_chain(q)
-    # canonical form has order 0, hence q(0) != 0, so 0 is a valid endpoint
-    at_zero = [f.coefficient(0) for f in chain]
-    at_inf = [f.leading_coefficient for f in chain]
-    return _sign_changes(at_zero) - _sign_changes(at_inf)
+    return _root_counts(q)[0]
 
 
 def all_roots_real_positive(p):
@@ -73,18 +69,15 @@ def all_roots_real_positive(p):
             stacklevel=2,
         )
         return True
-    s = squarefree_part(q)
-    # distinct roots of p = roots of s; all real positive iff the positive
-    # real count reaches deg s
-    return sturm_positive_root_count(s) == s.degree
+    positive, distinct = _root_counts(q)
+    return positive == distinct
 
 
 def common_positive_root_count(p, q):
     """Number of distinct positive real roots shared by p and q."""
-    g = poly_gcd(squarefree_part(p), squarefree_part(q))
-    if g.degree == 0:
-        return 0
-    return sturm_positive_root_count(g)
+    if p.is_zero or q.is_zero:
+        raise ValueError("the zero polynomial does not have a root set")
+    return sturm_positive_root_count(poly_gcd(p, q))
 
 
 __all__ = [

@@ -1,15 +1,42 @@
 import pathlib
+import sys
 
 import pytest
 
 from _acceptance_log import LINES as ACCEPTANCE_LINES
 
+from orderlex import laurent
 from orderlex.autos import figure_eight_monodromy, identity_automorphism
 from orderlex.finite import TorusHomomorphism, cyclic_group
 from orderlex.torus import MappingTorus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFEST_DIR = REPO_ROOT / "manifests"
+
+
+@pytest.fixture
+def laurent_calls(monkeypatch):
+    """Counts of calls to poly_divmod and poly_gcd during the test.
+
+    Every orderlex binding of each function is wrapped, so a module that
+    imported the name counts too."""
+    calls = {"poly_divmod": 0, "poly_gcd": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("orderlex")]
+    for name in calls:
+        original = getattr(laurent, name)
+        wrapper = counting(name, original)
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from orderlex.laurent import (
     parse_polynomial,
     poly_divmod,
     poly_gcd,
-    squarefree_part,
 )
 
 
@@ -127,6 +126,14 @@ class TestTextForm:
         with pytest.raises(PolynomialParseError):
             parse_polynomial("t^2 + $")
 
+    @pytest.mark.parametrize(
+        "text, position", [("t^2 + $", 4), ("  @ + t", 2), ("1/0 + t", 0)]
+    )
+    def test_parse_error_points_at_term_start(self, text, position):
+        with pytest.raises(PolynomialParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
     def test_parse_zero_denominator(self):
         with pytest.raises(PolynomialParseError) as err:
             parse_polynomial("1/0 + t")
@@ -172,10 +179,6 @@ class TestDivision:
 
     def test_gcd_coprime(self):
         assert poly_gcd(L("t - 1"), L("t + 1")).is_one
-
-    def test_squarefree_part(self):
-        assert squarefree_part(L("t^2 - 2*t + 1")) == L("t - 1")
-        assert squarefree_part(L("t^2 - 3*t + 1")) == L("t^2 - 3*t + 1")
 
     @given(poly_st.filter(lambda p: not p.is_zero), poly_st)
     def test_divmod_identity(self, b, a):

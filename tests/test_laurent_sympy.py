@@ -11,8 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from orderlex.laurent import LaurentPolynomial, poly_divmod, poly_gcd, squarefree_part
-from orderlex.roots import sturm_positive_root_count
+from orderlex.laurent import LaurentPolynomial, poly_divmod, poly_gcd
+from orderlex.roots import (
+    all_roots_real_positive,
+    common_positive_root_count,
+    sturm_positive_root_count,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -36,7 +40,7 @@ def random_laurent(rng, max_terms=5, low=0, high=0):
 
 def random_product(rng, low=0, high=0):
     """A product of random factors, some repeated and some with rational
-    positive roots, so gcds, square-free parts and root counts are
+    positive roots, so gcds, multiplicities and root counts are
     nontrivial."""
     factors = [random_laurent(rng, 3, low, high) for _ in range(rng.randint(1, 3))]
     factors += [LaurentPolynomial({0: -Fraction(rng.randint(1, 7), rng.randint(1, 4)), 1: 1})
@@ -44,6 +48,20 @@ def random_product(rng, low=0, high=0):
     factors.append(rng.choice(factors))
     p = LaurentPolynomial.term(random_fraction(rng))
     for f in rng.sample(factors, rng.randint(1, len(factors))):
+        p = p * f
+    return p
+
+
+def positive_product(rng):
+    """A product of factors t - r with r > 0 and t^2 - a*t + 1 with a >= 3,
+    one of them repeated, so every root is real and positive."""
+    factors = [LaurentPolynomial({0: -Fraction(rng.randint(1, 9), rng.randint(1, 4)), 1: 1})
+               for _ in range(rng.randint(1, 3))]
+    factors += [LaurentPolynomial({0: 1, 1: -rng.randint(3, 6), 2: 1})
+                for _ in range(rng.randint(0, 1))]
+    factors.append(rng.choice(factors))
+    p = LaurentPolynomial.term(random_fraction(rng), rng.randint(-2, 2))
+    for f in factors:
         p = p * f
     return p
 
@@ -75,7 +93,7 @@ def test_divmod_matches_sympy():
         assert r == from_sympy(sr)
 
 
-def test_gcd_and_squarefree_part_match_sympy():
+def test_gcd_matches_sympy():
     rng = random.Random("poly_gcd")
     nontrivial = 0
     for _ in range(100):
@@ -84,7 +102,6 @@ def test_gcd_and_squarefree_part_match_sympy():
         q = common * random_laurent(rng, 3, -2, 2)
         expected = from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).canonicalize()
         assert poly_gcd(p, q) == expected
-        assert squarefree_part(p) == from_sympy(to_sympy(p).sqf_part()).canonicalize()
         nontrivial += not expected.is_one
     assert nontrivial > 50
 
@@ -98,3 +115,33 @@ def test_sturm_counts_match_sympy():
         assert sturm_positive_root_count(p) == expected
         positive += expected > 0
     assert positive > 0
+
+
+def test_all_roots_real_positive_matches_sympy():
+    rng = random.Random("all_roots_real_positive")
+    verdicts = {True: 0, False: 0}
+    for i in range(90):
+        # a third are products of positive factors alone, the rest mix in
+        # random factors
+        p = positive_product(rng)
+        if i % 3:
+            p = p * random_product(rng, -2, 2)
+        sqf = to_sympy(p).sqf_part()
+        expected = sqf.count_roots(0, None) == sqf.degree()
+        assert all_roots_real_positive(p) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+
+def test_common_positive_root_count_matches_sympy():
+    rng = random.Random("common_positive_root_count")
+    shared = 0
+    for _ in range(100):
+        common = random_product(rng, -2, 2)
+        p = common * random_product(rng, -2, 2)
+        q = common * random_product(rng, -2, 2)
+        gcd = sympy.gcd(to_sympy(p), to_sympy(q))
+        expected = int(gcd.sqf_part().count_roots(0, None))
+        assert common_positive_root_count(p, q) == expected
+        shared += expected > 0
+    assert shared > 20

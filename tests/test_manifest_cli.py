@@ -334,6 +334,29 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["alexander", str(path)]) == cli.EXIT_CERTIFICATION
 
+    @pytest.mark.parametrize(
+        "rep, message",
+        [
+            (
+                {"fiber_matrices": [[], []], "stable_matrix": []},
+                "representations[0]: matrices must have dimension at least 1",
+            ),
+            (
+                {"fiber_matrices": [[[1, 0]], [[1, 0]]], "stable_matrix": [[1, 0]]},
+                "representations[0]: matrices must be square of a common dimension",
+            ),
+        ],
+        ids=["dimension-zero", "not-square"],
+    )
+    @pytest.mark.parametrize("argv", [["twisted", "--rep", "0", "--json"], ["verify", "lemma5"]])
+    def test_bad_representation_located(self, tmp_path, capsys, rep, message, argv):
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(representations=[rep]))
+        assert cli.main(argv + [str(path)]) == cli.EXIT_CERTIFICATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_exit_code_selector(self, fig8_manifest_path, capsys):
         code = cli.main(["twisted", fig8_manifest_path, "--hom", "nosuch"])
         assert code == cli.EXIT_SELECTOR

@@ -102,3 +102,22 @@ class TestCommonRoots:
 
     def test_multiplicity_insensitive(self):
         assert common_positive_root_count(L("t^2 - 2*t + 1"), L("t - 1")) == 1
+
+    def test_zero_raises(self):
+        zero = LaurentPolynomial.zero()
+        for p, q in ((zero, L("t - 1")), (L("t - 1"), zero)):
+            with pytest.raises(ValueError):
+                common_positive_root_count(p, q)
+
+
+def test_one_chain_per_query(laurent_calls):
+    """Root counts build one Sturm chain of the polynomial itself, with no
+    square-free step: only the common-root count takes a gcd, and one."""
+    # roots 1 (twice), 2 and +-i
+    p = L("t - 1") ** 2 * L("t - 2") * L("t^2 + 1")
+    assert sturm_positive_root_count(p) == 2
+    assert not all_roots_real_positive(p)
+    assert laurent_calls["poly_gcd"] == 0
+    assert laurent_calls["poly_divmod"] > 0
+    assert common_positive_root_count(p, L("t^2 - 1")) == 1
+    assert laurent_calls["poly_gcd"] == 1
