@@ -4,7 +4,11 @@ polynomial of the associated cover with t replaced by t^d.
 
 The cover of the fiber is the one corresponding to Ftilde = ker(f) cut down
 to the fiber subgroup F.  A shortlex breadth-first transversal makes the
-Schreier basis and every derived matrix reproducible.
+Schreier basis and every derived matrix reproducible.  As f o theta is f
+conjugated by f(t), theta^(+-1) preserve Ftilde; their restriction theta~ and
+conjugation by w, C~_w, are certified once on the basis, where words are short.
+The lifted monodromy x -> theta^d(w x w^-1) is exactly theta~^d o C~_w, since
+rewriting is an isomorphism of Ftilde onto the free group on the basis.
 """
 
 from __future__ import annotations
@@ -93,14 +97,15 @@ def build_cover(m, f, w_override=None):
             raise ValueError("word does not lie in the subgroup")
         return FreeWord(letters)
 
-    theta_d = m.monodromy.power(d)
-    theta_d_inv = theta_d.inverse_endomorphism()
+    def restricted(forward, backward):
+        images = [tuple(rewrite(phi(b)) for b in basis) for phi in (forward, backward)]
+        return FreeEndomorphism(len(basis), *images)
+
+    theta = m.monodromy
     w_inv = w.inverse()
-    images = tuple(rewrite(theta_d.apply(w * b * w_inv)) for b in basis)
-    inverse_images = tuple(
-        rewrite(w_inv * theta_d_inv.apply(b) * w) for b in basis
-    )
-    lifted = FreeEndomorphism(len(basis), images, inverse_images)
+    theta_tilde = restricted(theta.apply, theta.inverse_endomorphism().apply)
+    conjugation = restricted(lambda b: w * b * w_inv, lambda b: w_inv * b * w)
+    lifted = theta_tilde.power(d).compose(conjugation)
 
     transversal = tuple(reps[element] for element in order)
     return CoverData(
@@ -116,7 +121,7 @@ def build_cover(m, f, w_override=None):
 
 def cover_alexander(c):
     """Classical polynomial of the cover, rescaled by the cover degree:
-    det(t^d I - theta_tilde_*), cross-checked against invariant factors."""
+    det(t^d I - (theta~^d o C~_w)_*), checked against invariant factors."""
     return _monodromy_polynomial(c.lifted_monodromy.abelianization(), c.d)
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import itertools
 
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     EnumerationLimitError,
     IllDefinedHomomorphismError,
     RepresentationError,
 )
-from .linalg import RationalMatrix
+from .laurent import LaurentPolynomial
+from .linalg import PolynomialMatrix, RationalMatrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
@@ -444,6 +446,8 @@ class FiniteRepresentation:
 
 
 def _multiplicative_order(m):
+    if not _cyclotomic_bounds_hold(m):
+        return None
     eye = RationalMatrix.identity(m.rows)
     acc = m
     for k in range(1, MATRIX_ORDER_BOUND + 1):
@@ -451,6 +455,28 @@ def _multiplicative_order(m):
             return k
         acc = acc * m
     return None
+
+
+def _cyclotomic_bounds_hold(m):
+    """A necessary condition for finite order, decided without powers of m.
+
+    The characteristic polynomial of a matrix of finite order is a product
+    of cyclotomic polynomials, so all n of its roots lie on the unit circle:
+    each coefficient c_i is an integer with |c_i| <= C(n, i), and |c_0| = 1.
+    An invertible matrix with a single nonzero entry +-1 in each row is a
+    signed permutation matrix, which has finite order; it skips the
+    determinant, which would cost more than its few powers.
+    """
+    n = m.rows
+    if all([abs(x) for x in m.row(i) if x] == [1] for i in range(n)):
+        return True
+    char = (
+        PolynomialMatrix.identity(n) * LaurentPolynomial.t()
+        - PolynomialMatrix.from_rational(m)
+    ).det()
+    return abs(char.coefficient(0)) == 1 and all(
+        c.denominator == 1 and abs(c) <= comb(n, i) for i, c in char.items()
+    )
 
 
 def _block_diagonal(a, b):

@@ -3,8 +3,9 @@
 A FreeEndomorphism stores the images of the generators; carrying
 inverse_images proves that it is an automorphism.  The constructor checks
 that both compositions fix every generator, so every map that enters from
-outside (a catalog entry, a manifest, a lifted cover monodromy) is checked.
-Inverses, composites and powers of certified maps are certified by
+outside (a catalog entry, a manifest, a cover's restriction of the monodromy
+to the subgroup or its conjugation) is checked.  The identity, and
+inverses, composites and powers of certified maps, are certified by
 construction and skip the check: if f o f^-1 and g o g^-1 fix every
 generator, so do (f o g) o (g^-1 o f^-1) and (g^-1 o f^-1) o (f o g).
 """
@@ -61,7 +62,7 @@ class FreeEndomorphism:
     @classmethod
     def identity(cls, rank):
         gens = tuple(FreeWord.generator(i) for i in range(1, rank + 1))
-        return cls(rank, gens, gens)
+        return cls._derived(rank, gens, gens)
 
     @property
     def is_certified(self):

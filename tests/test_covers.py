@@ -3,13 +3,20 @@ and the twisted-vs-cover cross-check."""
 
 import pytest
 
-from orderlex.autos import automorphism, figure_eight_monodromy, identity_automorphism
+from orderlex.autos import (
+    automorphism,
+    figure_eight_monodromy,
+    identity_automorphism,
+    standard_battery,
+)
 from orderlex.covers import build_cover, cover_alexander, verify_shapiro
 from orderlex.errors import CertificationError, ConsistencyError
 from orderlex.finite import (
     TorusHomomorphism,
     cyclic_group,
+    enumerate_homomorphisms,
     klein_four_group,
+    small_groups_catalog,
     symmetric_group,
     trivial_representation,
 )
@@ -177,25 +184,49 @@ class TestCrossChecksRaise:
         with pytest.raises(ConsistencyError):
             twisted_alexander(m, trivial_representation(2))
 
-    def test_lifted_monodromy_certification(self, monkeypatch):
-        m = MappingTorus(2, figure_eight_monodromy())
+    def test_restricted_monodromy_certification(self, monkeypatch):
+        theta = figure_eight_monodromy()
+        m = MappingTorus(2, theta)
         f = cyclic_stable_hom(m, 2)
-        power = FreeEndomorphism.power
+        inverse = FreeEndomorphism.inverse_endomorphism
 
-        def wrong_power(self, k):
-            # theta^k carrying theta^-(k+1) as its inverse: only the lifted
-            # monodromy's own certification sees the error
-            inverse_images = power(self, k + 1).inverse_images
-            return FreeEndomorphism._derived(self.rank, power(self, k).images, inverse_images)
+        def wrong_inverse(self):
+            # theta carrying theta^-2 as its inverse: the base map was
+            # certified already, so only the restriction theta~ sees it
+            back = inverse(self)
+            return back.compose(back) if self is theta else back
 
-        monkeypatch.setattr(FreeEndomorphism, "power", wrong_power)
+        checked = []
+        verify = FreeEndomorphism._verify_inverse
+
+        def counting(self):
+            checked.append(self)
+            verify(self)
+
+        monkeypatch.setattr(FreeEndomorphism, "inverse_endomorphism", wrong_inverse)
+        monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", counting)
         with pytest.raises(CertificationError):
             build_cover(m, f)
+        # the first map build_cover certifies is theta~, and it raised
+        assert len(checked) == 1
+        assert checked[0].images == theta.images
 
-    def test_lifted_monodromy_is_checked(self, monkeypatch):
-        m = MappingTorus(2, figure_eight_monodromy())
-        f = cyclic_stable_hom(m, 3)
-        identity = FreeEndomorphism.identity(2)
+    @pytest.mark.parametrize(
+        "theta, k, fiber, stable, theta_tilde, conjugation",
+        [
+            # figure-eight onto Z3: Ftilde = F, theta~ = theta, w empty
+            (figure_eight_monodromy(), 3, (0, 0), 1, ("aba", "ab"), ("a", "b")),
+            # identity onto Z2 through a and t: w = a, basis [b, aa, abA]
+            (identity_automorphism(2), 2, (1, 0), 1, ("a", "b", "c"), ("c", "b", "baB")),
+        ],
+        ids=["figure-eight-z3", "identity-z2-conjugating"],
+    )
+    def test_only_restrictions_are_checked(
+        self, monkeypatch, theta, k, fiber, stable, theta_tilde, conjugation
+    ):
+        m = MappingTorus(2, theta)
+        g = cyclic_group(k)
+        f = TorusHomomorphism(g, tuple(g.element(x) for x in fiber), g.element(stable))
         checked = []
         verify = FreeEndomorphism._verify_inverse
 
@@ -205,4 +236,62 @@ class TestCrossChecksRaise:
 
         monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", counting)
         cover = build_cover(m, f)
-        assert checked == [identity, cover.lifted_monodromy]
+        rank = len(cover.subgroup_basis)
+        assert [[format_word(w) for w in c.images] for c in checked] == [
+            list(theta_tilde),
+            list(conjugation),
+        ]
+        assert all(c.rank == rank for c in checked)
+        assert all(c is not cover.lifted_monodromy for c in checked)
+
+
+class TestLiftedMonodromy:
+    def test_certified_words_stay_small(self, monkeypatch):
+        # figure-eight onto Z_k lifts theta^k, whose images have Fibonacci
+        # lengths; the maps certified on the way are theta~ and C~_w only
+        m = MappingTorus(2, figure_eight_monodromy())
+        sizes = []
+        verify = FreeEndomorphism._verify_inverse
+
+        def measuring(self):
+            sizes.append(sum(map(len, self.images + self.inverse_images)))
+            verify(self)
+
+        monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", measuring)
+        for k in range(2, 10):
+            sizes.clear()
+            cover = build_cover(m, cyclic_stable_hom(m, k))
+            assert sizes and max(sizes) <= 20, (k, sizes)
+        assert sum(map(len, cover.lifted_monodromy.images)) == 10946
+
+    def test_lifted_words_against_base_powers(self):
+        # substituting basis words back into F needs no rewriting
+        def in_fiber(word, basis):
+            out = FreeWord.empty()
+            for g, s in word.letters:
+                out = out * (basis[g - 1] if s > 0 else basis[g - 1].inverse())
+            return out
+
+        classes = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            homs = {}
+            for group in small_groups_catalog():
+                for f in enumerate_homomorphisms(auto, group):
+                    homs.setdefault(f.image_key(), f)
+            for f in homs.values():
+                cover = build_cover(m, f)
+                d, w, basis = cover.d, cover.w, cover.subgroup_basis
+                if d > 7:
+                    continue
+                forward, backward = auto.power(d), auto.power(-d)
+                lifted = cover.lifted_monodromy
+                for b, image, inverse_image in zip(
+                    basis, lifted.images, lifted.inverse_images
+                ):
+                    assert in_fiber(image, basis) == forward.apply(w * b * w.inverse())
+                    assert in_fiber(inverse_image, basis) == (
+                        w.inverse() * backward.apply(b) * w
+                    )
+                classes += 1
+        assert classes == 256

@@ -6,6 +6,7 @@ import pytest
 from orderlex.autos import figure_eight_monodromy, identity_automorphism
 from orderlex.errors import IllDefinedHomomorphismError, RepresentationError
 from orderlex.finite import (
+    MATRIX_ORDER_BOUND,
     FiniteGroup,
     FiniteRepresentation,
     TorusHomomorphism,
@@ -22,7 +23,30 @@ from orderlex.finite import (
     trivial_group,
     trivial_representation,
 )
+from orderlex.linalg import RationalMatrix
 from orderlex.words import FreeWord, parse_word
+
+
+@pytest.fixture
+def matrix_products(monkeypatch):
+    """The left factors of the RationalMatrix products made in the test."""
+    calls = []
+    product = RationalMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(self)
+        return product(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counting)
+    return calls
+
+
+def _corner_two(n):
+    """All-ones upper triangle with entries (n, 1) = 1 and (n, n) = 2: its
+    trace n + 1 exceeds C(n, 1) and its c_0 is 2, so it has infinite order."""
+    rows = [[int(j >= i) for j in range(n)] for i in range(n)]
+    rows[n - 1][0], rows[n - 1][n - 1] = 1, 2
+    return rows
 
 
 class TestCycles:
@@ -175,6 +199,28 @@ class TestRepresentations:
         ident = RationalMatrix.identity(2)
         with pytest.raises(RepresentationError):
             FiniteRepresentation((ident, ident), shear)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [_corner_two(4), _corner_two(8), _corner_two(12), [[2, 1], [1, 1]]],
+        ids=["corner-4", "corner-8", "corner-12", "figure-eight-homology"],
+    )
+    def test_rejects_infinite_order_without_powers(self, matrix_products, rows):
+        ident = RationalMatrix.identity(len(rows))
+        with pytest.raises(RepresentationError, match="no order up to 1000"):
+            FiniteRepresentation((RationalMatrix(rows), ident), ident)
+        assert len(matrix_products) <= 5
+
+    def test_order_loop_still_decides_cyclotomic_matrices(self, matrix_products):
+        ident = RationalMatrix.identity(2)
+        # rotation by a quarter turn has order 4
+        FiniteRepresentation((RationalMatrix([[0, -1], [1, 0]]), ident), ident)
+        # the shear's characteristic polynomial (t - 1)^2 passes every
+        # coefficient bound; only the product loop rejects it
+        matrix_products.clear()
+        with pytest.raises(RepresentationError, match="no order up to 1000"):
+            FiniteRepresentation((RationalMatrix([[1, 1], [0, 1]]), ident), ident)
+        assert len(matrix_products) == MATRIX_ORDER_BOUND
 
     def test_evaluate_inverts_each_generator_once(self, monkeypatch):
         from orderlex.linalg import RationalMatrix

@@ -159,6 +159,17 @@ class TestCertifiedByConstruction:
             assert len(checked) <= 1
             assert all(m == identity for m in checked)
 
+    def test_identity_and_powers_run_no_check(self, monkeypatch):
+        # the identity is certified by definition, so a power starting from
+        # it is certified by construction throughout
+        theta = figure_eight_monodromy()
+        checked = []
+        monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", checked.append)
+        assert FreeEndomorphism.identity(3).is_certified
+        for k in (0, 6, -6):
+            assert theta.power(k).is_certified
+        assert checked == []
+
 
 class TestApplyBuildsReducedWords:
     """apply builds its result without the public constructor's letter

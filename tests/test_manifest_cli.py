@@ -2,6 +2,7 @@
 exit codes."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -194,6 +195,14 @@ class TestCli:
         assert doc["d"] == 2
         assert doc["basis"] == ["a", "b"]
         assert doc["polynomial"] == "t^4 - 7*t^2 + 1"
+
+    def test_cover_json_document_pinned(self, capsys, fig8_manifest_path):
+        # the whole document, lifted monodromy words included: on the
+        # basis [a, b] they are the images of theta^5 letter for letter
+        code = cli.main(["cover", fig8_manifest_path, "--hom", "z5", "--json"])
+        assert code == 0
+        pinned = pathlib.Path(__file__).parent / "data" / "cover_fig8_z5.json"
+        assert capsys.readouterr().out == pinned.read_text()
 
     def test_verify_shapiro_all_homs(self, capsys, fig8_manifest_path):
         code = cli.main(["verify", "shapiro", fig8_manifest_path])
