@@ -240,20 +240,19 @@ def cmd_verify(args):
     elif which == "lemma4":
         checks = []
         for label, rep in _rep_battery(manifest):
-            for d in (2, 3):
-                report = lemma4_check(torus, rep, d)
+            for report in lemma4_check(torus, rep, (2, 3)):
                 checks.append({"rep": label, **report})
                 ok = ok and report["equal"]
         doc["checks"] = checks
     elif which == "lemma5":
         battery = _rep_battery(manifest)
-        checks = []
-        for i, (label_a, rep_a) in enumerate(battery):
-            for label_b, rep_b in battery[i:]:
-                equal = lemma5_check(torus, rep_a, rep_b)
-                checks.append({"a": label_a, "b": label_b, "equal": equal})
-                ok = ok and equal
-        doc["checks"] = checks
+        pairs = [(a, b) for i, a in enumerate(battery) for b in battery[i:]]
+        equal = lemma5_check(torus, [(rep_a, rep_b) for (_, rep_a), (_, rep_b) in pairs])
+        doc["checks"] = [
+            {"a": label_a, "b": label_b, "equal": e}
+            for ((label_a, _), (label_b, _)), e in zip(pairs, equal)
+        ]
+        ok = all(equal)
     elif which == "theorem2":
         checks = []
         for hom in _selected_homs(args, manifest):

@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 
 from fractions import Fraction
-from math import comb
+from math import gcd, lcm
 
 from .errors import (
     EnumerationLimitError,
     IllDefinedHomomorphismError,
     RepresentationError,
 )
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _zpseudo_divmod
 from .linalg import PolynomialMatrix, RationalMatrix
 from .words import FreeWord
 
@@ -446,37 +446,90 @@ class FiniteRepresentation:
 
 
 def _multiplicative_order(m):
-    if not _cyclotomic_bounds_hold(m):
-        return None
-    eye = RationalMatrix.identity(m.rows)
-    acc = m
-    for k in range(1, MATRIX_ORDER_BOUND + 1):
-        if acc == eye:
-            return k
-        acc = acc * m
-    return None
+    """The order of the invertible matrix m, or None if it exceeds
+    MATRIX_ORDER_BOUND or m has infinite order.
 
-
-def _cyclotomic_bounds_hold(m):
-    """A necessary condition for finite order, decided without powers of m.
-
-    The characteristic polynomial of a matrix of finite order is a product
-    of cyclotomic polynomials, so all n of its roots lie on the unit circle:
-    each coefficient c_i is an integer with |c_i| <= C(n, i), and |c_0| = 1.
-    An invertible matrix with a single nonzero entry +-1 in each row is a
-    signed permutation matrix, which has finite order; it skips the
-    determinant, which would cost more than its few powers.
+    A matrix of finite order is diagonalizable over C with roots of unity
+    as eigenvalues, so its characteristic polynomial is a product of
+    cyclotomic polynomials Phi_k and its order is the lcm N of those k.
+    Hence m has an order up to the bound exactly when det(tI - m) factors
+    into cyclotomic polynomials, N is at most the bound and m^N = I, taken
+    by repeated squaring.  A signed permutation matrix has finite order; it
+    skips the determinant, since its order can be read off its cycles.
     """
+    order = _signed_permutation_order(m)
+    if order is None:
+        order = _cyclotomic_lcm(m)
+    if order is None or order > MATRIX_ORDER_BOUND:
+        return None
+    return order if m.power(order).is_identity() else None
+
+
+def _signed_permutation_order(m):
+    """The order of m if each row and column holds one nonzero entry, +-1,
+    else None: the lcm over the cycles of their lengths, each doubled when
+    the signs along it multiply to -1."""
+    image = {}
+    for i in range(m.rows):
+        nonzero = [(j, x) for j, x in enumerate(m.row(i)) if x]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
+            return None
+        image[nonzero[0][0]] = (i, nonzero[0][1])
+    if len(image) != m.rows:
+        return None
+    order = 1
+    while image:
+        start, (j, sign) = image.popitem()
+        length = 1
+        while j != start:
+            j, s = image.pop(j)
+            length += 1
+            sign *= s
+        order = lcm(order, length if sign > 0 else 2 * length)
+    return order
+
+
+def _cyclotomic_lcm(m):
+    """lcm of the k with Phi_k dividing det(tI - m), or None unless that
+    polynomial is a product of such Phi_k with k <= MATRIX_ORDER_BOUND."""
     n = m.rows
-    if all([abs(x) for x in m.row(i) if x] == [1] for i in range(n)):
-        return True
     char = (
         PolynomialMatrix.identity(n) * LaurentPolynomial.t()
         - PolynomialMatrix.from_rational(m)
     ).det()
-    return abs(char.coefficient(0)) == 1 and all(
-        c.denominator == 1 and abs(c) <= comb(n, i) for i, c in char.items()
-    )
+    coeffs = [char.coefficient(e) for e in range(n + 1)]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    rest = [int(c) for c in coeffs]
+    order = 1
+    for k, phi in _cyclotomic_polynomials(n):
+        if len(rest) == 1:
+            break
+        while len(phi) <= len(rest):
+            _, q, r = _zpseudo_divmod(rest, phi)
+            if r:
+                break
+            rest = q
+            order = lcm(order, k)
+    return order if rest == [1] else None
+
+
+def _cyclotomic_polynomials(n):
+    """(k, Phi_k) as Z[t] coefficient lists, for k ascending up to
+    MATRIX_ORDER_BOUND with deg Phi_k = phi(k) <= n.  Since
+    phi(k) >= sqrt(k / 2), every such k is at most 2 n^2; and the divisors
+    d of k have phi(d) <= phi(k), so Phi_k = (t^k - 1) / prod Phi_d over the
+    proper divisors uses only polynomials already built."""
+    built = {}
+    for k in range(1, min(2 * n * n, MATRIX_ORDER_BOUND) + 1):
+        if sum(gcd(i, k) == 1 for i in range(1, k + 1)) > n:
+            continue
+        phi = [-1] + [0] * (k - 1) + [1]
+        for d, p in built.items():
+            if k % d == 0:
+                phi = _zpseudo_divmod(phi, p)[1]
+        built[k] = phi
+        yield k, phi
 
 
 def _block_diagonal(a, b):

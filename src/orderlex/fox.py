@@ -5,7 +5,10 @@ fox_derivative implements the standard left derivative determined by
 from which d(x^-1)/dx = -x^-1 follows.
 
 specialize sends a group ring element through g -> rho(g) * t^phi(g),
-yielding a matrix of Laurent polynomials.
+yielding a matrix of Laurent polynomials.  The words of a Fox derivative
+are prefixes of one word, so specialize builds each prefix product once by
+extending the longest prefix already built, sums coeff * product into one
+rational matrix per power of t, and makes each Laurent entry once at the end.
 """
 
 from __future__ import annotations
@@ -58,24 +61,41 @@ def specialize(x, matrices, exponents):
     if len(dims) != 1 or any(m.rows != m.cols for m in matrices.values()):
         raise ValueError("generator matrices must be square of equal dimension")
     dim = dims.pop()
-    inverses = {}
-
-    def mat(g, s):
-        if s > 0:
-            return matrices[g]
-        if g not in inverses:
-            inverses[g] = matrices[g].inverse()
-        return inverses[g]
-
-    acc = PolynomialMatrix.zeros(dim, dim)
-    for word, coeff in x.items():
-        prod = RationalMatrix.identity(dim)
-        shift = 0
-        for g, s in word.letters:
+    # chain[k] is (product, t-exponent) of the first k letters of previous;
+    # in sorted order a word shares its longest built prefix with previous
+    chain = [(RationalMatrix.identity(dim), 0)]
+    previous = ()
+    sums = {}
+    for word in sorted(x, key=lambda w: w.letters):
+        letters = word.letters
+        k = 0
+        for a, b in zip(letters, previous):
+            if a != b:
+                break
+            k += 1
+        del chain[k + 1:]
+        for g, s in letters[k:]:
             if g not in matrices:
                 raise ValueError(f"no matrix assigned to generator {g}")
-            prod = prod * mat(g, s)
-            shift += s * exponents[g]
-        term = LaurentPolynomial.term(coeff, shift)
-        acc = acc + PolynomialMatrix.from_rational(prod, scale=term)
-    return acc
+            prod, shift = chain[-1]
+            m = matrices[g] if s > 0 else matrices[g].inverse()
+            chain.append((prod * m, shift + s * exponents[g]))
+        previous = letters
+        prod, shift = chain[-1]
+        if shift not in sums:
+            sums[shift] = [[_F0] * dim for _ in range(dim)]
+        coeff = x[word]
+        for acc, row in zip(sums[shift], prod._e):
+            for j, v in enumerate(row):
+                if v:
+                    acc[j] += coeff * v
+    entries = [[{} for _ in range(dim)] for _ in range(dim)]
+    for shift, acc in sums.items():
+        for row, values in zip(entries, acc):
+            for j, v in enumerate(values):
+                if v:
+                    row[j][shift] = v
+    zero = LaurentPolynomial.zero()
+    return PolynomialMatrix(
+        [[LaurentPolynomial(e) if e else zero for e in row] for row in entries]
+    )

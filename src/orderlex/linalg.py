@@ -36,10 +36,14 @@ _F1 = Fraction(1)
 
 
 class RationalMatrix:
-    __slots__ = ("rows", "cols", "_e")
+    """A matrix over Q.  Values are never mutated after construction, so
+    the inverse is computed once and kept in _inv."""
+
+    __slots__ = ("rows", "cols", "_e", "_inv")
 
     def __init__(self, entries):
         self._e = [[Fraction(x) for x in row] for row in entries]
+        self._inv = None
         self.rows = len(self._e)
         self.cols = len(self._e[0]) if self._e else 0
         if any(len(r) != self.cols for r in self._e):
@@ -51,6 +55,7 @@ class RationalMatrix:
         entries are already Fraction, so they are neither copied nor checked."""
         out = object.__new__(cls)
         out._e = rows
+        out._inv = None
         out.rows = len(rows)
         out.cols = len(rows[0]) if rows else 0
         return out
@@ -139,14 +144,20 @@ class RationalMatrix:
         return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
 
     def power(self, k):
+        """self^k by repeated squaring."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             return self.inverse().power(-k)
-        out = RationalMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
+        out = None
+        square = self
+        while k:
+            if k & 1:
+                out = square if out is None else out * square
+            k >>= 1
+            if k:
+                square = square * square
+        return RationalMatrix.identity(self.rows) if out is None else out
 
     def det(self):
         """Determinant by fraction Gaussian elimination."""
@@ -173,6 +184,12 @@ class RationalMatrix:
         return sign * total
 
     def inverse(self):
+        if self._inv is None:
+            self._inv = self._invert()
+        return self._inv
+
+    def _invert(self):
+        """Gauss-Jordan elimination on [self | I]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -246,12 +263,8 @@ class PolynomialMatrix:
         """Embed a RationalMatrix, optionally multiplied by a polynomial."""
         if scale is None:
             scale = LaurentPolynomial.one()
-        return cls(
-            [
-                [scale * Fraction(m.entry(i, j)) for j in range(m.cols)]
-                for i in range(m.rows)
-            ]
-        )
+        zero = LaurentPolynomial.zero()
+        return cls([[scale * x if x else zero for x in row] for row in m._e])
 
     @classmethod
     def from_blocks(cls, blocks):

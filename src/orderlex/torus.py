@@ -191,24 +191,39 @@ def _wada_cross_check(m, rep, d_scale, fox_matrix, b1, poly):
         )
 
 
-def lemma4_check(m, rep, d):
-    """Rescaling law: twisting phi by d equals substituting t^d afterwards."""
-    direct = twisted_alexander(m, rep, d_scale=d)
-    base = twisted_alexander(m, rep, d_scale=1)
-    rescaled = base.polynomial.substitute_power(d).canonicalize()
-    return {
-        "d": d,
-        "direct": format_polynomial(direct.polynomial),
-        "rescaled": format_polynomial(rescaled),
-        "equal": direct.polynomial == rescaled,
-    }
+def lemma4_check(m, rep, ds):
+    """Rescaling law: twisting phi by d equals substituting t^d afterwards.
+
+    One report per d in ds, each against the same d = 1 polynomial."""
+    base = twisted_alexander(m, rep).polynomial
+    reports = []
+    for d in ds:
+        direct = twisted_alexander(m, rep, d_scale=d).polynomial
+        rescaled = base.substitute_power(d).canonicalize()
+        reports.append(
+            {
+                "d": d,
+                "direct": format_polynomial(direct),
+                "rescaled": format_polynomial(rescaled),
+                "equal": direct == rescaled,
+            }
+        )
+    return reports
 
 
-def lemma5_check(m, rep_a, rep_b):
-    """Direct-sum multiplicativity of the twisted polynomial."""
-    combined = twisted_alexander(m, rep_a.direct_sum(rep_b)).polynomial
-    product = (
-        twisted_alexander(m, rep_a).polynomial
-        * twisted_alexander(m, rep_b).polynomial
-    ).canonicalize()
-    return combined == product
+def lemma5_check(m, pairs):
+    """Direct-sum multiplicativity of the twisted polynomial: one bool per
+    pair (a, b), in order.  The polynomial of each representation object is
+    computed once, however many pairs it appears in."""
+    polys = {}
+
+    def poly(rep):
+        if rep not in polys:
+            polys[rep] = twisted_alexander(m, rep).polynomial
+        return polys[rep]
+
+    results = []
+    for a, b in pairs:
+        combined = twisted_alexander(m, a.direct_sum(b)).polynomial
+        results.append(combined == (poly(a) * poly(b)).canonicalize())
+    return results

@@ -6,7 +6,6 @@ import pytest
 from orderlex.autos import figure_eight_monodromy, identity_automorphism
 from orderlex.errors import IllDefinedHomomorphismError, RepresentationError
 from orderlex.finite import (
-    MATRIX_ORDER_BOUND,
     FiniteGroup,
     FiniteRepresentation,
     TorusHomomorphism,
@@ -215,12 +214,54 @@ class TestRepresentations:
         ident = RationalMatrix.identity(2)
         # rotation by a quarter turn has order 4
         FiniteRepresentation((RationalMatrix([[0, -1], [1, 0]]), ident), ident)
-        # the shear's characteristic polynomial (t - 1)^2 passes every
-        # coefficient bound; only the product loop rejects it
-        matrix_products.clear()
-        with pytest.raises(RepresentationError, match="no order up to 1000"):
-            FiniteRepresentation((RationalMatrix([[1, 1], [0, 1]]), ident), ident)
-        assert len(matrix_products) == MATRIX_ORDER_BOUND
+        assert len(matrix_products) <= 10
+        # the shear and the unipotent Jordan blocks have characteristic
+        # polynomial (t - 1)^n, a cyclotomic product with lcm 1; m^1 != I
+        # rejects them without running up to the order bound
+        blocks = [[[1, 1], [0, 1]]] + [
+            [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+            for n in (4, 8, 12)
+        ]
+        for rows in blocks:
+            eye = RationalMatrix.identity(len(rows))
+            matrix_products.clear()
+            with pytest.raises(RepresentationError, match="no order up to 1000"):
+                FiniteRepresentation((RationalMatrix(rows), eye), eye)
+            assert len(matrix_products) <= 10
+
+    @pytest.mark.parametrize(
+        "orders, accepted",
+        [((8, 3, 5, 7), True), ((8, 9, 5, 7), False)],
+        ids=["order-840", "order-2520"],
+    )
+    def test_order_bound_is_exact(self, matrix_products, orders, accepted):
+        # the companion matrix of prod Phi_k has order lcm(k): 840 is within
+        # the bound of 1000 and 2520 is not
+        cyclotomic = {
+            3: [1, 1, 1],
+            5: [1, 1, 1, 1, 1],
+            7: [1, 1, 1, 1, 1, 1, 1],
+            8: [1, 0, 0, 0, 1],
+            9: [1, 0, 0, 1, 0, 0, 1],
+        }
+        poly = [1]
+        for k in orders:
+            out = [0] * (len(poly) + len(cyclotomic[k]) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(cyclotomic[k]):
+                    out[i + j] += a * b
+            poly = out
+        n = len(poly) - 1
+        rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][n - 1] = -poly[i]
+        eye = RationalMatrix.identity(n)
+        if accepted:
+            FiniteRepresentation((RationalMatrix(rows), eye), eye)
+        else:
+            with pytest.raises(RepresentationError, match="no order up to 1000"):
+                FiniteRepresentation((RationalMatrix(rows), eye), eye)
+        assert len(matrix_products) <= 20
 
     def test_evaluate_inverts_each_generator_once(self, monkeypatch):
         from orderlex.linalg import RationalMatrix

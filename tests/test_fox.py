@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlex.autos import standard_battery
+from orderlex.finite import (
+    FiniteRepresentation,
+    enumerate_homomorphisms,
+    regular_representation,
+    small_groups_catalog,
+)
 from orderlex.fox import fox_derivative, specialize
 from orderlex.laurent import parse_polynomial
 from orderlex.linalg import RationalMatrix
+from orderlex.torus import MappingTorus, presentation
 from orderlex.words import FreeWord, parse_word
 
 words_st = st.lists(
@@ -123,3 +131,131 @@ class TestSpecialize:
     def test_missing_generator_rejected(self):
         with pytest.raises(ValueError):
             specialize(ring("a"), {2: RationalMatrix.identity(1)}, {2: 0})
+
+
+def _reference_inverse(a):
+    """Gauss-Jordan inverse of a list matrix of Fractions."""
+    dim = len(a)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(dim)] for i, r in enumerate(a)]
+    for k in range(dim):
+        piv = next(i for i in range(k, dim) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(dim):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[k])]
+    return [r[dim:] for r in rows]
+
+
+def _reference_specialize(x, letters, exponents):
+    """The per-term specialization in plain lists: each word's product is
+    rebuilt from the identity.  letters maps (generator, sign) to a list
+    matrix of Fractions.  Returns {(row, col): {exponent: nonzero
+    Fraction}}."""
+    dim = len(next(iter(letters.values())))
+
+    def product(a, b):
+        out = [[Fraction(0)] * dim for _ in range(dim)]
+        for row, arow in zip(out, a):
+            for k, v in enumerate(arow):
+                if v:
+                    for j, w in enumerate(b[k]):
+                        if w:
+                            row[j] += v * w
+        return out
+
+    out = {}
+    for word, coeff in x.items():
+        prod = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        shift = 0
+        for g, s in word.letters:
+            prod = product(prod, letters[g, s])
+            shift += s * exponents[g]
+        for i in range(dim):
+            for j in range(dim):
+                if prod[i][j]:
+                    entry = out.setdefault((i, j), {})
+                    entry[shift] = entry.get(shift, Fraction(0)) + coeff * prod[i][j]
+    return {
+        key: {e: c for e, c in entry.items() if c}
+        for key, entry in out.items()
+        if any(entry.values())
+    }
+
+
+def _library_entries(pm):
+    return {
+        (i, j): dict(pm.entry(i, j).items())
+        for i in range(pm.rows)
+        for j in range(pm.cols)
+        if pm.entry(i, j)
+    }
+
+
+def _assert_matches_reference(m, fiber_matrices, stable_matrix, d_scales):
+    matrices = dict(enumerate(fiber_matrices, start=1))
+    matrices[m.stable_index] = stable_matrix
+    letters = {}
+    for g, a in matrices.items():
+        letters[g, 1] = a.to_lists()
+        letters[g, -1] = _reference_inverse(letters[g, 1])
+    for d_scale in d_scales:
+        exponents = {g: 0 for g in matrices}
+        exponents[m.stable_index] = d_scale
+        for r in presentation(m):
+            for j in range(1, m.stable_index + 1):
+                x = fox_derivative(r, j)
+                got = _library_entries(specialize(x, matrices, exponents))
+                assert got == _reference_specialize(x, letters, exponents), (r, j)
+
+
+class TestSpecializeAgainstReference:
+    def test_battery_regular_representations(self):
+        classes = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            homs = {}
+            for group in small_groups_catalog():
+                for f in enumerate_homomorphisms(auto, group):
+                    homs.setdefault(f.image_key(), f)
+            for f in homs.values():
+                rep = regular_representation(f)
+                _assert_matches_reference(
+                    m, rep.fiber_matrices, rep.stable_matrix, (1, 2, 3)
+                )
+                classes += 1
+        assert classes == 256
+
+    def test_non_integer_entries(self):
+        # the quarter-turn rotation conjugated by diag(2, 1)
+        q = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
+        rep = FiniteRepresentation((q, q), q)
+        for _, auto in standard_battery():
+            if auto.rank != 2:
+                continue
+            _assert_matches_reference(
+                MappingTorus(2, auto), rep.fiber_matrices, rep.stable_matrix, (1, 2, 3)
+            )
+
+    @settings(max_examples=100)
+    @given(
+        st.dictionaries(
+            words_st,
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+            max_size=6,
+        )
+    )
+    def test_arbitrary_group_ring_elements(self, x):
+        # words that are not prefixes of one word, such as a and a^-1
+        matrices = {
+            1: RationalMatrix([[0, -2], [Fraction(1, 2), 0]]),
+            2: RationalMatrix([[0, 1], [1, 0]]),
+        }
+        exponents = {1: 1, 2: -2}
+        letters = {}
+        for g, a in matrices.items():
+            letters[g, 1] = a.to_lists()
+            letters[g, -1] = _reference_inverse(letters[g, 1])
+        got = _library_entries(specialize(x, matrices, exponents))
+        assert got == _reference_specialize(x, letters, exponents)

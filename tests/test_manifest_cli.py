@@ -217,6 +217,34 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
 
+    @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
+    def test_verify_lemma_documents_pinned(self, capsys, fig8_manifest_path, which):
+        code = cli.main(["verify", which, fig8_manifest_path, "--json"])
+        assert code == 0
+        pinned = pathlib.Path(__file__).parent / "data" / f"verify_{which}_fig8.json"
+        assert capsys.readouterr().out == pinned.read_text()
+
+    @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
+    def test_verify_lemma_twisted_calls(self, monkeypatch, capsys, fig8_manifest_path, which):
+        # lemma4 computes d = 1 once beside d = 2, 3; lemma5 computes each
+        # representation once beside each direct sum
+        from orderlex import torus
+
+        calls = []
+        twisted = torus.twisted_alexander
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return twisted(*args, **kwargs)
+
+        monkeypatch.setattr(torus, "twisted_alexander", counting)
+        manifest = load_manifest(fig8_manifest_path)
+        k = 1 + len(manifest.homomorphisms) + len(manifest.representations)
+        assert cli.main(["verify", which, fig8_manifest_path]) == 0
+        capsys.readouterr()
+        expected = 3 * k if which == "lemma4" else k + k * (k + 1) // 2
+        assert len(calls) == expected
+
     def test_verify_order_lemmas_seeded(self, capsys, fig8_manifest_path):
         code = cli.main(
             ["verify", "order-lemmas", fig8_manifest_path, "--trials", "20", "--seed", "3"]

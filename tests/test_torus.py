@@ -143,30 +143,51 @@ class TestTwisted:
         res = twisted_alexander(m, z2_regular(m))
         assert res.polynomial == L("t^4 - 2*t^2 + 1")
 
+    def test_generators_inverted_once_per_representation(self, monkeypatch):
+        m = MappingTorus(2, identity_automorphism(2))
+        g = symmetric_group(3)
+        f = TorusHomomorphism(g, (g.element(1), g.element(2)), g.identity())
+        f.require_well_defined(m.monodromy)
+        rep = regular_representation(f)
+        generators = rep.fiber_matrices + (rep.stable_matrix,)
+        inverted = []
+        invert = RationalMatrix._invert
+
+        def counting(self):
+            inverted.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(RationalMatrix, "_invert", counting)
+        first = twisted_alexander(m, rep)
+        assert twisted_alexander(m, rep) == first
+        assert len(inverted) <= len(generators)
+        assert len({id(a) for a in inverted}) == len(inverted)
+        assert all(any(a is b for b in generators) for a in inverted)
+
 
 class TestLemma4:
     def test_rescaling(self):
         m = fig8()
         rep = z2_regular(m)
-        for d in (2, 3):
-            report = lemma4_check(m, rep, d)
+        reports = lemma4_check(m, rep, (2, 3))
+        assert [report["d"] for report in reports] == [2, 3]
+        for report in reports:
             assert report["equal"], report
-            assert report["d"] == d
 
     def test_report_keys(self):
         m = fig8()
-        report = lemma4_check(m, trivial_representation(2), 2)
+        [report] = lemma4_check(m, trivial_representation(2), (2,))
         assert set(report) == {"d", "direct", "rescaled", "equal"}
 
 
 class TestLemma5:
     def test_trivial_pair(self):
         m = fig8()
-        assert lemma5_check(m, trivial_representation(2), trivial_representation(2))
+        assert lemma5_check(m, [(trivial_representation(2), trivial_representation(2))]) == [True]
 
     def test_mixed_pair(self):
         m = fig8()
-        assert lemma5_check(m, trivial_representation(2), z2_regular(m))
+        assert lemma5_check(m, [(trivial_representation(2), z2_regular(m))]) == [True]
 
     def test_direct_sum_polynomial_is_product(self):
         m = fig8()
@@ -183,4 +204,4 @@ class TestLemma5:
         f.require_well_defined(m.monodromy)
         rep = regular_representation(f)
         assert rep.dimension == 6
-        assert lemma5_check(m, rep, trivial_representation(2))
+        assert lemma5_check(m, [(rep, trivial_representation(2))]) == [True]
