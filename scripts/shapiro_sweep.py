@@ -5,13 +5,15 @@ For each certified automorphism and each valid homomorphism to a group of
 order <= 6 (deduplicated by the induced map onto its image), verify that
 the twisted polynomial of the regular representation matches the classical
 polynomial of the corresponding cover, and print root-count summaries.
+Exits 1 when any check fails or when no check ran, else 0.
 """
 
 import argparse
+import sys
 import time
 
 from orderlex.autos import standard_battery
-from orderlex.finite import enumerate_homomorphisms, small_groups_catalog
+from orderlex.finite import homomorphism_classes
 from orderlex.ordering import theorem2_report
 from orderlex.torus import MappingTorus
 
@@ -25,10 +27,7 @@ def main():
     total = mismatches = 0
     for label, auto in standard_battery():
         torus = MappingTorus(auto.rank, auto, label=label)
-        homs = {}
-        for group in small_groups_catalog():
-            for f in enumerate_homomorphisms(torus.monodromy, group):
-                homs.setdefault(f.image_key(), f)
+        homs = homomorphism_classes(torus.monodromy)
         rows = []
         for f in homs.values():
             report = theorem2_report(torus, f)
@@ -47,7 +46,8 @@ def main():
             print(row)
     print()
     print(f"{total} checks, {mismatches} mismatches, {time.time() - start:.1f}s")
+    return 1 if mismatches or not total else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -34,6 +34,7 @@ from .finite import (
     cover_degree,
     cyclic_group,
     enumerate_homomorphisms,
+    homomorphism_classes,
     klein_four_group,
     regular_representation,
     small_groups_catalog,
@@ -131,6 +132,7 @@ __all__ = [
     "fox_derivative",
     "has_positive_real_eigenvalue",
     "homology_invariant_factors",
+    "homomorphism_classes",
     "identity_automorphism",
     "klein_four_group",
     "lemma4_check",

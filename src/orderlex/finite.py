@@ -233,10 +233,9 @@ class TorusHomomorphism:
 
     def __init__(self, group, fiber_images, stable_image, label=None):
         self.group = group
-        self.fiber_images = tuple(
-            _check_permutation(p, group.degree) for p in fiber_images
-        )
-        self.stable_image = _check_permutation(stable_image, group.degree)
+        # membership is the whole check: FiniteGroup certified its elements
+        self.fiber_images = tuple(map(tuple, fiber_images))
+        self.stable_image = tuple(stable_image)
         for p in self.fiber_images + (self.stable_image,):
             if p not in group:
                 raise ValueError("image is not an element of the target group")
@@ -385,17 +384,13 @@ class FiniteRepresentation:
             raise RepresentationError("matrices must have dimension at least 1")
         self.rank = len(self.fiber_matrices)
         for m in mats:
-            if m.det() == 0:
-                raise RepresentationError("generator matrix is singular")
+            # m^N = I makes m invertible, so det only words a rejection
             if _multiplicative_order(m) is None:
+                if m.det() == 0:
+                    raise RepresentationError("generator matrix is singular")
                 raise RepresentationError(
                     f"generator matrix has no order up to {MATRIX_ORDER_BOUND}"
                 )
-
-    @classmethod
-    def trivial(cls, rank, dimension=1):
-        eye = RationalMatrix.identity(dimension)
-        return cls([eye] * rank, eye, label="trivial")
 
     def matrix_for(self, gen):
         if 1 <= gen <= self.rank:
@@ -446,23 +441,24 @@ class FiniteRepresentation:
 
 
 def _multiplicative_order(m):
-    """The order of the invertible matrix m, or None if it exceeds
-    MATRIX_ORDER_BOUND or m has infinite order.
+    """The order of the square matrix m, or None if m is singular, has
+    infinite order or has an order above MATRIX_ORDER_BOUND.
 
-    A matrix of finite order is diagonalizable over C with roots of unity
-    as eigenvalues, so its characteristic polynomial is a product of
-    cyclotomic polynomials Phi_k and its order is the lcm N of those k.
-    Hence m has an order up to the bound exactly when det(tI - m) factors
-    into cyclotomic polynomials, N is at most the bound and m^N = I, taken
-    by repeated squaring.  A signed permutation matrix has finite order; it
-    skips the determinant, since its order can be read off its cycles.
+    A signed permutation matrix is certified by its cycles alone, which
+    give its exact order.  Any other matrix of finite order is
+    diagonalizable over C with roots of unity as eigenvalues, so its
+    characteristic polynomial is a product of cyclotomic polynomials Phi_k
+    and its order is the lcm N of those k.  Hence m has an order up to the
+    bound exactly when det(tI - m) factors into cyclotomic polynomials, N
+    is at most the bound and m^N = I, taken by repeated squaring.  m^N = I
+    also makes m invertible, so no determinant is needed.
     """
     order = _signed_permutation_order(m)
     if order is None:
         order = _cyclotomic_lcm(m)
-    if order is None or order > MATRIX_ORDER_BOUND:
-        return None
-    return order if m.power(order).is_identity() else None
+        if order is None or order > MATRIX_ORDER_BOUND or not m.power(order).is_identity():
+            return None
+    return order if order <= MATRIX_ORDER_BOUND else None
 
 
 def _signed_permutation_order(m):
@@ -556,8 +552,9 @@ def regular_representation(f):
     return FiniteRepresentation(fibers, stable, label=label)
 
 
-def trivial_representation(rank, dimension=1):
-    return FiniteRepresentation.trivial(rank, dimension)
+def trivial_representation(rank):
+    one = RationalMatrix.identity(1)
+    return FiniteRepresentation([one] * rank, one, label="trivial")
 
 
 def enumerate_homomorphisms(monodromy, group):
@@ -570,3 +567,13 @@ def enumerate_homomorphisms(monodromy, group):
         if hom.is_well_defined(monodromy):
             homs.append(hom)
     return homs
+
+
+def homomorphism_classes(monodromy):
+    """One homomorphism into each group of small_groups_catalog() per
+    image_key(), keyed by it, in catalog and enumeration order."""
+    classes = {}
+    for group in small_groups_catalog():
+        for f in enumerate_homomorphisms(monodromy, group):
+            classes.setdefault(f.image_key(), f)
+    return classes

@@ -13,7 +13,7 @@ pseudo-division for the Smith normal form, both on the one pseudo-division
 loop of laurent), and Fraction coefficients appear only when a result is
 converted back.  homology_invariant_factors carries b2 through the Smith
 reduction of b1 in the same Z[t] form, so it builds no inverse matrix and
-multiplies no polynomial matrices beyond checking b1 * b2 = 0.
+multiplies no polynomial matrices; b1 * b2 = 0 is read off the carried b2.
 """
 
 from __future__ import annotations
@@ -300,9 +300,6 @@ class PolynomialMatrix:
     def __repr__(self):
         return f"PolynomialMatrix({[[str(x) for x in r] for r in self._e]!r})"
 
-    def is_zero(self):
-        return all(x.is_zero for r in self._e for x in r)
-
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -525,12 +522,11 @@ def homology_invariant_factors(b1, b2):
 
     b1 and b2 are consecutive boundary maps (b1 * b2 = 0).  Returns
     (factors, free_rank) where factors are the canonical nonzero invariant
-    factors of the torsion part, units included.
+    factors of the torsion part, units included.  Raises ConsistencyError
+    unless b1 * b2 = 0.
     """
     if b1.cols != b2.rows:
         raise ValueError("boundary maps do not compose")
-    if not (b1 * b2).is_zero():
-        raise ConsistencyError("boundary maps do not compose to zero")
     # b2 in Z[t] under one unit; reducing b1 carries it to V^-1 * b2, up to
     # a rational unit per row
     k = b2.cols
@@ -538,8 +534,10 @@ def homology_invariant_factors(b1, b2):
     y = [flat[i * k:(i + 1) * k] for i in range(b2.rows)]
     diag = _snf_core([_row_to_z(row)[0] for row in b1._e], b1.cols, carry=y)
     rank = sum(1 for d in diag if d)
+    # U * b1 * V = D gives b1 * b2 = U^-1 * D * (V^-1 * b2), and the first
+    # rank entries of D are nonzero in a domain: b1 * b2 = 0 iff y[:rank] = 0
     if any(p for row in y[:rank] for p in row):
-        raise ConsistencyError("image does not land in the kernel")
+        raise ConsistencyError("boundary maps do not compose to zero")
     kernel_rank = b1.cols - rank
     nonzero = [_z_to_laurent(d).canonicalize() for d in _snf_core(y[rank:], k) if d]
     free_rank = kernel_rank - len(nonzero)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import EnumerationLimitError, ManifestError, RepresentationError
 from .errors import SelectorError, WordParseError
 from .finite import DEFAULT_ELEMENT_LIMIT, FiniteGroup, FiniteRepresentation
-from .finite import TorusHomomorphism, parse_cycles
+from .finite import TorusHomomorphism, parse_cycles, trivial_representation
 from .freegroup import FreeEndomorphism
 from .linalg import RationalMatrix
 from .torus import MappingTorus
@@ -285,7 +285,7 @@ def select_representation(manifest, selector=None):
     reps = manifest.representations
     if selector in (None, "trivial"):
         if selector == "trivial" or not reps:
-            return FiniteRepresentation.trivial(manifest.torus.fiber_rank)
+            return trivial_representation(manifest.torus.fiber_rank)
         if len(reps) == 1:
             return reps[0]
         raise SelectorError("manifest has no unique representation; pass a selector")

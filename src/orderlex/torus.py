@@ -99,14 +99,6 @@ def _monodromy_polynomial(a, d):
     return AlexanderResult(poly, nonunit, 0)
 
 
-def _twisting_data(m, rep, d_scale):
-    matrices = {i: rep.fiber_matrices[i - 1] for i in range(1, m.fiber_rank + 1)}
-    matrices[m.stable_index] = rep.stable_matrix
-    exponents = {i: 0 for i in range(1, m.fiber_rank + 1)}
-    exponents[m.stable_index] = d_scale
-    return matrices, exponents
-
-
 def twisted_alexander(m, rep, d_scale=1):
     """Invariant factors of the first twisted homology of the mapping torus.
 
@@ -118,6 +110,11 @@ def twisted_alexander(m, rep, d_scale=1):
     enter transposed, which replaces the module by its contragredient and
     changes no invariant factor up to units.
 
+    By Fox's fundamental formula sum_j (dr/dx_j)(x_j - 1) = r - 1, block i
+    of b1 * b2 is (rep(r_i) - I)^T, so the homology's b1 * b2 = 0 check is
+    the relator check: its ConsistencyError becomes RepresentationError if
+    rep violates a relator, and is re-raised as a bug otherwise.
+
     A second, independent route computes the classical Wada quotient
     bookkeeping det(fox matrix minus t-column) * order(H_0) and compares it
     with product(p_i) * det(rep(t) t^d - I); disagreement raises
@@ -127,35 +124,35 @@ def twisted_alexander(m, rep, d_scale=1):
         raise ValueError("d_scale must be a positive integer")
     if rep.rank != m.fiber_rank:
         raise RepresentationError("representation rank does not match the fiber")
-    if not rep.satisfies_relations(m.monodromy):
-        raise RepresentationError(
-            "representation violates the mapping-torus relations"
-        )
-    n = m.fiber_rank
-    dim = rep.dimension
-    matrices, exponents = _twisting_data(m, rep, d_scale)
-    relators = presentation(m)
+    gens = range(1, m.stable_index + 1)
+    matrices = dict(zip(gens, rep.fiber_matrices + (rep.stable_matrix,)))
+    exponents = {j: 0 for j in gens}
+    exponents[m.stable_index] = d_scale
 
     fox_blocks = [
-        [
-            specialize(fox_derivative(r, j), matrices, exponents)
-            for j in range(1, m.stable_index + 1)
-        ]
-        for r in relators
+        [specialize(fox_derivative(r, j), matrices, exponents) for j in gens]
+        for r in presentation(m)
     ]
     fox_matrix = PolynomialMatrix.from_blocks(fox_blocks)
     b2 = fox_matrix.transpose()
 
-    eye = PolynomialMatrix.identity(dim)
+    eye = PolynomialMatrix.identity(rep.dimension)
     phi_blocks = []
-    for j in range(1, m.stable_index + 1):
+    for j in gens:
         phi_g = PolynomialMatrix.from_rational(
             matrices[j], scale=LaurentPolynomial.term(1, exponents[j])
         )
         phi_blocks.append((phi_g - eye).transpose())
     b1 = PolynomialMatrix.from_blocks([phi_blocks])
 
-    factors, free_rank = homology_invariant_factors(b1, b2)
+    try:
+        factors, free_rank = homology_invariant_factors(b1, b2)
+    except ConsistencyError:
+        if rep.satisfies_relations(m.monodromy):
+            raise
+        raise RepresentationError(
+            "representation violates the mapping-torus relations"
+        ) from None
     if free_rank > 0:
         poly = LaurentPolynomial.zero()
     else:
@@ -164,26 +161,21 @@ def twisted_alexander(m, rep, d_scale=1):
             poly = poly * f
         poly = poly.canonicalize()
 
-    _wada_cross_check(m, rep, d_scale, fox_matrix, b1, poly)
+    # the last block of b1 is (rep(t) t^d - I)^T
+    _wada_cross_check(fox_matrix, b1, phi_blocks[-1], poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(poly, nonunit, free_rank)
 
 
-def _wada_cross_check(m, rep, d_scale, fox_matrix, b1, poly):
-    n = m.fiber_rank
-    dim = rep.dimension
-    minor = fox_matrix.submatrix(range(n * dim), range(n * dim))
-    det_minor = minor.det()
-    t_block = PolynomialMatrix.from_rational(
-        rep.stable_matrix, scale=LaurentPolynomial.term(1, d_scale)
-    )
-    det_t_minus_one = (t_block - PolynomialMatrix.identity(dim)).det()
+def _wada_cross_check(fox_matrix, b1, t_block, poly):
+    fiber = range(fox_matrix.rows)
+    det_minor = fox_matrix.submatrix(fiber, fiber).det()
     order_h0 = LaurentPolynomial.one()
     for f in b1.smith_normal_form():
         order_h0 = order_h0 * f
     lhs = (det_minor * order_h0).canonicalize()
-    rhs = (poly * det_t_minus_one).canonicalize()
+    rhs = (poly * t_block.det()).canonicalize()
     if lhs != rhs:
         raise ConsistencyError(
             "homology invariant factors disagree with the determinant bookkeeping: "

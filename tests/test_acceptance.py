@@ -15,19 +15,22 @@ import json
 import pathlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from _acceptance_log import LINES
 
+from orderlex import finite
 from orderlex.autos import figure_eight_monodromy, identity_automorphism, standard_battery
 from orderlex.covers import verify_shapiro
 from orderlex.finite import (
+    FiniteRepresentation,
     TorusHomomorphism,
     cyclic_group,
     enumerate_homomorphisms,
+    homomorphism_classes,
     regular_representation,
-    small_groups_catalog,
     symmetric_group,
     trivial_representation,
 )
@@ -228,11 +231,7 @@ def _battery_sweep():
     image class of each battery map into the groups of order <= 6."""
     for label, auto in standard_battery():
         torus = MappingTorus(auto.rank, auto, label=label)
-        homs = {}
-        for group in small_groups_catalog():
-            for f in enumerate_homomorphisms(torus.monodromy, group):
-                homs.setdefault(f.image_key(), f)
-        for key, f in homs.items():
+        for key, f in homomorphism_classes(torus.monodromy).items():
             yield label, json.dumps(key, separators=(",", ":")), torus, f
 
 
@@ -267,6 +266,54 @@ def test_acceptance_5_twisted_never_strengthens_cover_verdict():
         f"all, 0 verdicts strengthened, {snapshot_mismatches} reports differ "
         f"from the {expected_classes}-class snapshot, {elapsed:.1f}s",
     )
+
+
+def test_sweep_certifies_each_fact_once(monkeypatch):
+    """Over every 16th acceptance-5 class: enumerate_homomorphisms checks no
+    permutation (group elements are certified by FiniteGroup), and
+    theorem2_report makes no relator check, no PolynomialMatrix product and
+    no RationalMatrix det or power."""
+    calls = Counter()
+    enumerating = []
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(finite, "_check_permutation",
+             lambda *a: "permutation check" + (" in enumeration" if enumerating else ""))
+    original_enumerate = finite.enumerate_homomorphisms
+
+    def enumerate_marked(*args):
+        enumerating.append(args)
+        try:
+            return original_enumerate(*args)
+        finally:
+            enumerating.pop()
+
+    monkeypatch.setattr(finite, "enumerate_homomorphisms", enumerate_marked)
+    classes = list(islice(_battery_sweep(), 0, None, 16))
+    # image_key() builds a FiniteGroup, whose generators are checked
+    assert calls.pop("permutation check") > 0
+    assert calls == {}
+
+    counting(FiniteRepresentation, "satisfies_relations", lambda *a: "relator check")
+    counting(RationalMatrix, "det", lambda *a: "rational det")
+    counting(RationalMatrix, "power", lambda *a: "rational power")
+    counting(PolynomialMatrix, "__mul__", lambda a, b: (
+        "polynomial matrix product" if isinstance(b, PolynomialMatrix) else "scalar product"))
+    for _, _, torus, f in classes:
+        theorem2_report(torus, f)
+    # the classical and cover routes scale t^d I by a polynomial, and
+    # regular_representation builds the image group
+    assert calls.pop("scalar product") > 0
+    assert calls.pop("permutation check") > 0
+    assert len(classes) == 16 and calls == {}
 
 
 def test_acceptance_6_bi_order_axioms():

@@ -14,9 +14,8 @@ from orderlex.errors import CertificationError, ConsistencyError
 from orderlex.finite import (
     TorusHomomorphism,
     cyclic_group,
-    enumerate_homomorphisms,
+    homomorphism_classes,
     klein_four_group,
-    small_groups_catalog,
     symmetric_group,
     trivial_representation,
 )
@@ -275,11 +274,7 @@ class TestLiftedMonodromy:
         classes = 0
         for _, auto in standard_battery():
             m = MappingTorus(auto.rank, auto)
-            homs = {}
-            for group in small_groups_catalog():
-                for f in enumerate_homomorphisms(auto, group):
-                    homs.setdefault(f.image_key(), f)
-            for f in homs.values():
+            for f in homomorphism_classes(auto).values():
                 cover = build_cover(m, f)
                 d, w, basis = cover.d, cover.w, cover.subgroup_basis
                 if d > 7:

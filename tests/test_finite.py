@@ -1,6 +1,9 @@
 """Permutation groups, torus homomorphisms, cover degrees, and finite
 representations."""
 
+import itertools
+import random
+
 import pytest
 
 from orderlex.autos import figure_eight_monodromy, identity_automorphism
@@ -11,8 +14,10 @@ from orderlex.finite import (
     TorusHomomorphism,
     cover_degree,
     cyclic_group,
+    _multiplicative_order,
     enumerate_homomorphisms,
     format_cycles,
+    homomorphism_classes,
     klein_four_group,
     parse_cycles,
     permutation_matrix,
@@ -140,6 +145,35 @@ class TestHomomorphisms:
             assert f.fiber_images == (g.identity(), g.identity())
 
 
+    @pytest.mark.parametrize(
+        "image",
+        [(0, 2, 1), (0, 1), (0, 1, 2, 3), (0, 0, 1), (1, 2, 3)],
+        ids=["odd-permutation", "short", "long", "not-a-permutation", "out-of-range"],
+    )
+    def test_image_outside_group_rejected(self, image):
+        g = cyclic_group(3)
+        e = g.identity()
+        for fibers, stable in (((e, image), e), ((e, e), image)):
+            with pytest.raises(ValueError, match="not an element of the target group"):
+                TorusHomomorphism(g, fibers, stable)
+
+    def test_images_given_as_lists(self):
+        g = cyclic_group(3)
+        f = TorusHomomorphism(g, ([0, 1, 2], list(g.element(1))), list(g.element(2)))
+        assert f.fiber_images == (g.identity(), g.element(1))
+        assert f.stable_image == g.element(2)
+
+    def test_homomorphism_classes(self):
+        theta = figure_eight_monodromy()
+        catalog = small_groups_catalog()
+        classes = homomorphism_classes(theta)
+        every = [f for g in catalog for f in enumerate_homomorphisms(theta, g)]
+        assert set(classes) == {f.image_key() for f in every}
+        assert all(f.image_key() == key for key, f in classes.items())
+        positions = [catalog.index(f.group) for f in classes.values()]
+        assert positions == sorted(positions)
+
+
 class TestCoverDegree:
     def test_fig8_z2(self):
         g = cyclic_group(2)
@@ -189,6 +223,38 @@ class TestRepresentations:
         g = cyclic_group(2)
         f = TorusHomomorphism(g, (g.identity(), g.identity()), g.element(1))
         assert regular_representation(f).satisfies_relations(theta)
+
+    @pytest.mark.parametrize(
+        "rows", [[[0]], [[1, 2], [2, 4]], [[0, 1], [0, 0]]], ids=["zero", "rank-1", "nilpotent"]
+    )
+    def test_rejects_singular_generator(self, rows):
+        ident = RationalMatrix.identity(len(rows))
+        with pytest.raises(RepresentationError, match="generator matrix is singular"):
+            FiniteRepresentation((ident, RationalMatrix(rows)), ident)
+
+    def test_signed_permutation_order_is_exact(self):
+        """The order read off the cycles is the least k with m^k = I, for
+        every signed permutation matrix up to dimension 3 and sampled ones of
+        dimensions 4 to 6."""
+
+        def signed_permutations(n):
+            for perm in itertools.permutations(range(n)):
+                for signs in itertools.product((1, -1), repeat=n):
+                    yield perm, signs
+
+        rng = random.Random(6)
+        cases = [c for n in (1, 2, 3) for c in signed_permutations(n)]
+        for n in (4, 5, 6):
+            cases += rng.sample(list(signed_permutations(n)), 40)
+        for perm, signs in cases:
+            n = len(perm)
+            m = RationalMatrix(
+                [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+            )
+            acc, k = m, 1
+            while not acc.is_identity():
+                acc, k = acc * m, k + 1
+            assert _multiplicative_order(m) == k, (perm, signs)
 
     def test_rejects_infinite_order(self):
         from fractions import Fraction

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from orderlex.autos import standard_battery
 from orderlex.finite import (
     FiniteRepresentation,
-    enumerate_homomorphisms,
+    homomorphism_classes,
     regular_representation,
-    small_groups_catalog,
 )
 from orderlex.fox import fox_derivative, specialize
 from orderlex.laurent import parse_polynomial
@@ -215,11 +214,7 @@ class TestSpecializeAgainstReference:
         classes = 0
         for _, auto in standard_battery():
             m = MappingTorus(auto.rank, auto)
-            homs = {}
-            for group in small_groups_catalog():
-                for f in enumerate_homomorphisms(auto, group):
-                    homs.setdefault(f.image_key(), f)
-            for f in homs.values():
+            for f in homomorphism_classes(auto).values():
                 rep = regular_representation(f)
                 _assert_matches_reference(
                     m, rep.fiber_matrices, rep.stable_matrix, (1, 2, 3)

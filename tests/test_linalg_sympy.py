@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from orderlex import linalg
-from orderlex.errors import SingularMatrixError
+from orderlex.errors import ConsistencyError, SingularMatrixError
 from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import PolynomialMatrix, RationalMatrix, homology_invariant_factors
 
@@ -270,11 +270,30 @@ HOMOLOGY_SHAPES = [
 ]
 
 
+def composing_pair(rng, m_rows, n, r, k):
+    """b1 = [A | 0] P^-1 and b2 = P [0; B], which compose to zero, and B."""
+    zero = LaurentPolynomial.zero()
+    p, p_inv = unimodular_pair(rng, n, n)
+    # A has full column rank r: its top r x r block is lower triangular
+    # with a nonzero diagonal
+    a = [[random_laurent(rng, 0.8) if j < i else zero for j in range(r)]
+         for i in range(m_rows)]
+    for i in range(r):
+        while a[i][i].is_zero:
+            a[i][i] = random_laurent(rng, 1.0)
+    a_block = PolynomialMatrix([row + [zero] * (n - r) for row in a])
+    b = random_poly_matrix(rng, n - r, k, 0.6)
+    b_block = PolynomialMatrix([[zero] * k for _ in range(r)] + [
+        [b.entry(i, j) for j in range(k)] for i in range(n - r)
+    ])
+    return a_block * p_inv, p * b_block, b
+
+
 @pytest.mark.parametrize("m_rows, n, r, k", HOMOLOGY_SHAPES)
 def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
-    """b1 = [A | 0] P^-1 and b2 = P [0; B] compose to zero, and their
-    homology is the cokernel of B, whose invariant factors sympy computes;
-    P hides that structure from the library."""
+    """The homology of a composing pair is the cokernel of B, whose
+    invariant factors sympy computes; P hides that structure from the
+    library."""
     scales = []
     pseudo = linalg._zpseudo_divmod
 
@@ -285,26 +304,29 @@ def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
 
     monkeypatch.setattr(linalg, "_zpseudo_divmod", recording)
     rng = random.Random(f"homology {m_rows} {n} {r} {k}")
-    zero = LaurentPolynomial.zero()
     for _ in range(3):
-        p, p_inv = unimodular_pair(rng, n, n)
-        # A has full column rank r: its top r x r block is lower triangular
-        # with a nonzero diagonal
-        a = [[random_laurent(rng, 0.8) if j < i else zero for j in range(r)]
-             for i in range(m_rows)]
-        for i in range(r):
-            while a[i][i].is_zero:
-                a[i][i] = random_laurent(rng, 1.0)
-        a_block = PolynomialMatrix([row + [zero] * (n - r) for row in a])
-        b = random_poly_matrix(rng, n - r, k, 0.6)
-        b_block = PolynomialMatrix([[zero] * k for _ in range(r)] + [
-            [b.entry(i, j) for j in range(k)] for i in range(n - r)
-        ])
-        b1 = a_block * p_inv
-        b2 = p * b_block
+        b1, b2, b = composing_pair(rng, m_rows, n, r, k)
         factors, free_rank = homology_invariant_factors(b1, b2)
         expected = [f for f in sympy_invariant_factors(b) if not f.is_zero]
         assert factors == expected
         assert free_rank == (n - r) - len(expected)
     # the pseudo-divisions had to scale, so column scaling reached the carried b2
     assert any(c != 1 for c in scales)
+
+
+@pytest.mark.parametrize("m_rows, n, r, k", HOMOLOGY_SHAPES)
+def test_perturbed_pair_does_not_compose(m_rows, n, r, k):
+    """One b2 entry moved off a composing pair is caught by the carried b2:
+    the entry sits in a row i where column i of b1 is nonzero, so
+    b1 * b2 != 0."""
+    rng = random.Random(f"perturbed {m_rows} {n} {r} {k}")
+    b1, b2, _ = composing_pair(rng, m_rows, n, r, k)
+    i = next(i for i in range(n) if any(b1.entry(a, i) for a in range(m_rows)))
+    delta = LaurentPolynomial.zero()
+    while delta.is_zero:
+        delta = random_laurent(rng, 1.0)
+    j = rng.randrange(k)
+    rows = [[b2.entry(a, c) for c in range(k)] for a in range(n)]
+    rows[i][j] = rows[i][j] + delta
+    with pytest.raises(ConsistencyError, match="do not compose to zero"):
+        homology_invariant_factors(b1, PolynomialMatrix(rows))

@@ -382,8 +382,12 @@ class TestCli:
                 {"fiber_matrices": [[[1, 0]], [[1, 0]]], "stable_matrix": [[1, 0]]},
                 "representations[0]: matrices must be square of a common dimension",
             ),
+            (
+                {"fiber_matrices": [[[0]], [[1]]], "stable_matrix": [[1]]},
+                "representations[0]: generator matrix is singular",
+            ),
         ],
-        ids=["dimension-zero", "not-square"],
+        ids=["dimension-zero", "not-square", "singular"],
     )
     @pytest.mark.parametrize("argv", [["twisted", "--rep", "0", "--json"], ["verify", "lemma5"]])
     def test_bad_representation_located(self, tmp_path, capsys, rep, message, argv):

@@ -1,6 +1,8 @@
 """The drivers under scripts/, run as a user runs them: in a subprocess
-with the package on PYTHONPATH."""
+with the package on PYTHONPATH.  The sweep's exit code is tested in
+process, with its checks replaced, since a real sweep takes seconds."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -55,3 +57,32 @@ def test_figure_eight_demo():
     assert fields["verdict"] == "biorderable_by_perron_rolfsen"
     assert fields["cover degree d"] == "2"
     assert fields["twisted == cover"] == "True"
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("all-equal", 0), ("one-mismatch", 1), ("no-checks", 1)],
+)
+def test_shapiro_sweep_exit_code(monkeypatch, capsys, case, code):
+    """The sweep exits 1 on any existence mismatch and when it ran no
+    check, so it never passes vacuously."""
+    spec = importlib.util.spec_from_file_location(
+        "shapiro_sweep", ROOT / "scripts" / "shapiro_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", ["shapiro_sweep.py"])
+    seen = []
+
+    def report(torus, f):
+        seen.append(f)
+        equal = case == "all-equal" or len(seen) > 1
+        return {"existence_equal": equal}
+
+    monkeypatch.setattr(sweep, "theorem2_report", report)
+    if case == "no-checks":
+        monkeypatch.setattr(sweep, "homomorphism_classes", lambda monodromy: {})
+    assert sweep.main() == code
+    mismatches = int(case == "one-mismatch")
+    assert f"{len(seen)} checks, {mismatches} mismatches" in capsys.readouterr().out
+    assert (len(seen) > 0) == (case != "no-checks")

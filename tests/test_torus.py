@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from orderlex.autos import automorphism, figure_eight_monodromy, identity_automorphism
-from orderlex.errors import CertificationError, RepresentationError
+from orderlex import torus as torus_module
+from orderlex.errors import CertificationError, ConsistencyError, RepresentationError
 from orderlex.finite import (
     TorusHomomorphism,
     cyclic_group,
@@ -14,7 +15,7 @@ from orderlex.finite import (
     trivial_representation,
 )
 from orderlex.laurent import parse_polynomial
-from orderlex.linalg import RationalMatrix
+from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import (
     MappingTorus,
     classical_alexander,
@@ -128,6 +129,29 @@ class TestTwisted:
         rep = FiniteRepresentation((sign, sign), one)
         with pytest.raises(RepresentationError):
             twisted_alexander(m, rep)
+
+    def test_corrupted_fox_block_is_a_bug(self, monkeypatch):
+        """A representation that satisfies the relators, with one entry of
+        each relator's stable-letter Fox block corrupted: b1 * b2 != 0 is
+        reported as ConsistencyError, not as bad input."""
+        m = fig8()
+        rep = z2_regular(m)
+        calls = []
+        original = torus_module.specialize
+
+        def corrupting(x, matrices, exponents):
+            out = original(x, matrices, exponents)
+            calls.append(x)
+            if len(calls) % m.stable_index:
+                return out
+            rows = [[out.entry(i, j) for j in range(out.cols)] for i in range(out.rows)]
+            rows[0][0] = rows[0][0] + L("1")
+            return PolynomialMatrix(rows)
+
+        monkeypatch.setattr(torus_module, "specialize", corrupting)
+        with pytest.raises(ConsistencyError, match="do not compose to zero"):
+            twisted_alexander(m, rep)
+        assert len(calls) == m.fiber_rank * m.stable_index
 
     def test_invariant_factors_multiply_to_polynomial(self):
         m = fig8()
