@@ -2,9 +2,10 @@
 
 Subcommands: alexander, twisted, cover, verify, report.  Exit codes:
 0 success, 1 a verification check failed or had nothing to check, 2 parse
-error, a group beyond the element limit, or a depth, trial count or d-scale
-below 1, 3 certification or representation failure, 4 unresolved selector,
-5 internal cross-check disagreed (a bug).  ORDERLEX_DEPTH overrides the
+error, a group beyond the element limit, a depth, trial count or d-scale
+below 1, or a cover with more basis generators than word letters,
+3 certification or representation failure, 4 unresolved selector, 5
+internal cross-check disagreed (a bug).  ORDERLEX_DEPTH overrides the
 built-in default comparison depth; an explicit --depth flag or manifest
 option wins over the environment.
 """
@@ -38,7 +39,7 @@ from .ordering import (
     theorem2_report,
 )
 from .torus import classical_alexander, lemma4_check, lemma5_check, twisted_alexander
-from .words import format_word
+from .words import FIBER_ALPHABET, format_word
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -136,10 +137,8 @@ def _pick_representation(args, manifest):
         hom = select_homomorphism(manifest, getattr(args, "hom", None))
         _warn_not_surjective(hom)
         return hom.label, regular_representation(hom)
-    if manifest.representations:
-        rep = select_representation(manifest, None)
-        return rep.label, rep
-    return "trivial", trivial_representation(manifest.torus.fiber_rank)
+    rep = select_representation(manifest, None)
+    return rep.label, rep
 
 
 def cmd_twisted(args):
@@ -172,12 +171,19 @@ def cmd_cover(args):
     hom = select_homomorphism(manifest, args.hom)
     _warn_not_surjective(hom)
     cover = build_cover(manifest.torus, hom)
+    rank = len(cover.subgroup_basis)
+    if rank > len(FIBER_ALPHABET):
+        print(
+            f"error: the cover of {hom.label!r} has {rank} basis generators; "
+            f"lifted words print with at most {len(FIBER_ALPHABET)} generator letters",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE_ERROR
     result = cover_alexander(cover)
-    stable = manifest.torus.stable_index
     doc = {
         "hom": hom.label,
         "d": cover.d,
-        "w": format_word(cover.w, stable_index=stable),
+        "w": format_word(cover.w),
         "transversal": [format_word(u) for u in cover.schreier_transversal],
         "basis": [format_word(b) for b in cover.subgroup_basis],
         "lifted_monodromy": [

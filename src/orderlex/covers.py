@@ -22,18 +22,15 @@ from .finite import (
     multiply_permutations,
     regular_representation,
     schreier_transversal,
-    TorusHomomorphism,
 )
 from .freegroup import FreeEndomorphism
 from .laurent import format_polynomial
-from .torus import MappingTorus, _monodromy_polynomial, twisted_alexander
+from .torus import _monodromy_polynomial, twisted_alexander
 from .words import FreeWord
 
 
 @dataclass(frozen=True)
 class CoverData:
-    base: MappingTorus
-    hom: TorusHomomorphism
     d: int
     w: FreeWord
     schreier_transversal: tuple
@@ -41,16 +38,11 @@ class CoverData:
     lifted_monodromy: FreeEndomorphism
 
 
-def build_cover(m, f, w_override=None):
+def build_cover(m, f):
     """Reidemeister-Schreier data for the cover attached to f, together with
     the monodromy lifted through the stable element t^d * w."""
     f.require_well_defined(m.monodromy)
     d, w = cover_degree(f)
-    if w_override is not None:
-        stable = FreeWord.generator(f.rank + 1)
-        if f.evaluate(stable ** d * w_override) != f.group.identity():
-            raise ValueError("w_override does not satisfy f(w) = f(t)^-d")
-        w = w_override
 
     order, reps = schreier_transversal(f)
     identity = f.group.identity()
@@ -109,8 +101,6 @@ def build_cover(m, f, w_override=None):
 
     transversal = tuple(reps[element] for element in order)
     return CoverData(
-        base=m,
-        hom=f,
         d=d,
         w=w,
         schreier_transversal=transversal,

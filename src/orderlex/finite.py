@@ -19,8 +19,8 @@ from .errors import (
     IllDefinedHomomorphismError,
     RepresentationError,
 )
-from .laurent import LaurentPolynomial, _zpseudo_divmod
-from .linalg import PolynomialMatrix, RationalMatrix
+from .laurent import _zpseudo_divmod
+from .linalg import RationalMatrix, characteristic_matrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
@@ -286,25 +286,18 @@ class TorusHomomorphism:
     def is_surjective(self):
         return len(self.image_subgroup()) == self.group.order
 
-    def restricted_to_image(self):
-        """The same homomorphism onto its image, realized as left
-        multiplication of the image on its own BFS-ordered element list.
-        Two homomorphisms with equal restrictions carry identical twisting
-        data, so this doubles as a deduplication key."""
+    def image_key(self):
+        """The permutations by which the images of the fiber generators and
+        of the stable letter act by left multiplication on the BFS-ordered
+        image_subgroup().  Two homomorphisms with equal keys carry identical
+        twisting data, so this doubles as a deduplication key."""
         elems = self.image_subgroup()
         idx = {e: i for i, e in enumerate(elems)}
 
         def as_perm(g):
             return tuple(idx[multiply_permutations(g, h)] for h in elems)
 
-        gens = [as_perm(p) for p in self.fiber_images] + [as_perm(self.stable_image)]
-        name = self.group.name if len(elems) == self.group.order else (self.group.name or "G") + "-image"
-        image_group = FiniteGroup(len(elems), gens, name=name)
-        return TorusHomomorphism(image_group, gens[:-1], gens[-1], label=self.label)
-
-    def image_key(self):
-        h = self.restricted_to_image()
-        return (h.fiber_images, h.stable_image)
+        return tuple(map(as_perm, self.fiber_images)), as_perm(self.stable_image)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -384,10 +377,7 @@ class FiniteRepresentation:
             raise RepresentationError("matrices must have dimension at least 1")
         self.rank = len(self.fiber_matrices)
         for m in mats:
-            # m^N = I makes m invertible, so det only words a rejection
             if _multiplicative_order(m) is None:
-                if m.det() == 0:
-                    raise RepresentationError("generator matrix is singular")
                 raise RepresentationError(
                     f"generator matrix has no order up to {MATRIX_ORDER_BOUND}"
                 )
@@ -441,8 +431,9 @@ class FiniteRepresentation:
 
 
 def _multiplicative_order(m):
-    """The order of the square matrix m, or None if m is singular, has
-    infinite order or has an order above MATRIX_ORDER_BOUND.
+    """The order of the square matrix m, or None if m has infinite order
+    or an order above MATRIX_ORDER_BOUND; RepresentationError if m is
+    singular.
 
     A signed permutation matrix is certified by its cycles alone, which
     give its exact order.  Any other matrix of finite order is
@@ -451,7 +442,8 @@ def _multiplicative_order(m):
     and its order is the lcm N of those k.  Hence m has an order up to the
     bound exactly when det(tI - m) factors into cyclotomic polynomials, N
     is at most the bound and m^N = I, taken by repeated squaring.  m^N = I
-    also makes m invertible, so no determinant is needed.
+    also makes m invertible; a singular m is recognized by the zero
+    constant term of det(tI - m), which is (-1)^n det(m).
     """
     order = _signed_permutation_order(m)
     if order is None:
@@ -487,12 +479,12 @@ def _signed_permutation_order(m):
 
 def _cyclotomic_lcm(m):
     """lcm of the k with Phi_k dividing det(tI - m), or None unless that
-    polynomial is a product of such Phi_k with k <= MATRIX_ORDER_BOUND."""
+    polynomial is a product of such Phi_k with k <= MATRIX_ORDER_BOUND.
+    Raises RepresentationError if its constant term, (-1)^n det(m), is 0."""
     n = m.rows
-    char = (
-        PolynomialMatrix.identity(n) * LaurentPolynomial.t()
-        - PolynomialMatrix.from_rational(m)
-    ).det()
+    char = characteristic_matrix(m, 1).det()
+    if not char.coefficient(0):
+        raise RepresentationError("generator matrix is singular")
     coeffs = [char.coefficient(e) for e in range(n + 1)]
     if any(c.denominator != 1 for c in coeffs):
         return None
@@ -545,11 +537,14 @@ def regular_representation(f):
     representation is taken over the image subgroup, which is the part the
     associated cover sees.
     """
-    h = f.restricted_to_image()
-    fibers = [permutation_matrix(p) for p in h.fiber_images]
-    stable = permutation_matrix(h.stable_image)
-    label = f"regular-{h.group.name}" if h.group.name else "regular"
-    return FiniteRepresentation(fibers, stable, label=label)
+    fibers, stable = f.image_key()
+    name = f.group.name
+    if len(stable) != f.group.order:
+        name = (name or "G") + "-image"
+    label = f"regular-{name}" if name else "regular"
+    return FiniteRepresentation(
+        [permutation_matrix(p) for p in fibers], permutation_matrix(stable), label=label
+    )
 
 
 def trivial_representation(rank):

@@ -50,13 +50,11 @@ def fox_derivative(w, gen):
 def specialize(x, matrices, exponents):
     """Linear extension of g -> matrices[g]^sign * t^exponents[g].
 
-    x may be a FreeWord or a group ring element {FreeWord: Fraction} as
-    returned by fox_derivative.  matrices maps generator index to an
+    x is a group ring element {FreeWord: rational coefficient}, such as
+    fox_derivative returns.  matrices maps generator index to an
     invertible RationalMatrix, exponents to an integer.  Returns a
     PolynomialMatrix of the common dimension.
     """
-    if isinstance(x, FreeWord):
-        x = {x: Fraction(1)}
     dims = {m.rows for m in matrices.values()}
     if len(dims) != 1 or any(m.rows != m.cols for m in matrices.values()):
         raise ValueError("generator matrices must be square of equal dimension")

@@ -6,14 +6,17 @@ for module presentations over Q[t, 1/t].  Since rational scalars and powers
 of t are units of that ring, rows may be rescaled by them freely; the
 invariant factors are reported in canonical form.
 
-The determinant and the Smith normal form use that freedom to work on the
-integer Z[t] kernels of laurent: each row is shifted and scaled into Z[t]
-on the way in, eliminations are fraction-free (Bareiss for the determinant,
-pseudo-division for the Smith normal form, both on the one pseudo-division
-loop of laurent), and Fraction coefficients appear only when a result is
-converted back.  homology_invariant_factors carries b2 through the Smith
-reduction of b1 in the same Z[t] form, so it builds no inverse matrix and
-multiplies no polynomial matrices; b1 * b2 = 0 is read off the carried b2.
+A polynomial matrix is only ever assembled (by fox.specialize,
+characteristic_matrix, from_blocks, submatrix or transpose) and handed to
+the determinant, the Smith normal form or homology_invariant_factors; no
+code adds or multiplies polynomial matrices.  Those kernels use the unit
+freedom to work on the integer Z[t] kernels of laurent: each row is shifted
+and scaled into Z[t] on the way in, eliminations are fraction-free (Bareiss
+for the determinant, pseudo-division for the Smith normal form, both on the
+one pseudo-division loop of laurent), and Fraction coefficients appear only
+when a result is converted back.  homology_invariant_factors carries b2
+through the Smith reduction of b1 in the same Z[t] form, so it builds no
+inverse matrix; b1 * b2 = 0 is read off the carried b2.
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ class RationalMatrix:
             [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zeros(cls, r, c):
-        return cls._of_rows([[_F0] * c for _ in range(r)])
-
     def entry(self, i, j):
         return self._e[i][j]
 
@@ -93,49 +92,25 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self._e!r})"
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._e, other._e)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalMatrix([[-x for x in r] for r in self._e])
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RationalMatrix._of_rows([[x * q for x in r] for r in self._e])
-        if isinstance(other, RationalMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            # Row i of the product is the sum of a * (row k of other) over the
-            # nonzero a = self[i][k]; only nonzero entries are visited, so a
-            # product of permutation matrices costs O(n^2), not O(n^3).
-            sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other._e]
-            n = other.cols
-            out = []
-            for row in self._e:
-                acc = [_F0] * n
-                for a, terms in zip(row, sparse):
-                    if a:
-                        for j, b in terms:
-                            acc[j] += a * b
-                out.append(acc)
-            return RationalMatrix._of_rows(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def transpose(self):
-        return RationalMatrix([list(c) for c in zip(*self._e)])
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        # Row i of the product is the sum of a * (row k of other) over the
+        # nonzero a = self[i][k]; only nonzero entries are visited, so a
+        # product of permutation matrices costs O(n^2), not O(n^3).
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other._e]
+        n = other.cols
+        out = []
+        for row in self._e:
+            acc = [_F0] * n
+            for a, terms in zip(row, sparse):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            out.append(acc)
+        return RationalMatrix._of_rows(out)
 
     def trace(self):
         return sum(self._e[i][i] for i in range(self.rows))
@@ -158,30 +133,6 @@ class RationalMatrix:
             if k:
                 square = square * square
         return RationalMatrix.identity(self.rows) if out is None else out
-
-    def det(self):
-        """Determinant by fraction Gaussian elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        m = [list(r) for r in self._e]
-        n = self.rows
-        sign = 1
-        total = _F1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                return _F0
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            total *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    f = m[i][k] * inv
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-        return sign * total
 
     def inverse(self):
         if self._inv is None:
@@ -248,25 +199,6 @@ class PolynomialMatrix:
             raise ValueError("ragged matrix")
 
     @classmethod
-    def identity(cls, n):
-        one = LaurentPolynomial.one()
-        zero = LaurentPolynomial.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, r, c):
-        zero = LaurentPolynomial.zero()
-        return cls([[zero] * c for _ in range(r)])
-
-    @classmethod
-    def from_rational(cls, m, scale=None):
-        """Embed a RationalMatrix, optionally multiplied by a polynomial."""
-        if scale is None:
-            scale = LaurentPolynomial.one()
-        zero = LaurentPolynomial.zero()
-        return cls([[scale * x if x else zero for x in row] for row in m._e])
-
-    @classmethod
     def from_blocks(cls, blocks):
         """Assemble from a 2d grid of PolynomialMatrix blocks."""
         rows = []
@@ -289,54 +221,8 @@ class PolynomialMatrix:
             [[self._e[i][j] for j in col_range] for i in row_range]
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._e == other._e
-        )
-
     def __repr__(self):
         return f"PolynomialMatrix({[[str(x) for x in r] for r in self._e]!r})"
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return PolynomialMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)]
-        )
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return PolynomialMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)]
-        )
-
-    def __neg__(self):
-        return PolynomialMatrix([[-x for x in r] for r in self._e])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPolynomial)):
-            return PolynomialMatrix([[x * other for x in r] for r in self._e])
-        if isinstance(other, PolynomialMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            bt = list(zip(*other._e))
-            out = []
-            zero = LaurentPolynomial.zero()
-            for row in self._e:
-                new = []
-                for col in bt:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = acc + a * b
-                    new.append(acc)
-                out.append(new)
-            return PolynomialMatrix(out)
-        return NotImplemented
 
     def transpose(self):
         return PolynomialMatrix([list(c) for c in zip(*self._e)])
@@ -389,6 +275,17 @@ class PolynomialMatrix:
         min(rows, cols)."""
         diag = _snf_core([_row_to_z(row)[0] for row in self._e], self.cols)
         return [_z_to_laurent(d).canonicalize() for d in diag]
+
+
+def characteristic_matrix(a, d):
+    """t^d I - a for a square RationalMatrix a; its determinant is the
+    characteristic polynomial of a at t^d."""
+    return PolynomialMatrix(
+        [
+            [LaurentPolynomial({d: int(i == j), 0: -x}) for j, x in enumerate(row)]
+            for i, row in enumerate(a._e)
+        ]
+    )
 
 
 def _snf_core(m, cols, carry=None):

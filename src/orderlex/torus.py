@@ -20,7 +20,7 @@ from .errors import CertificationError, ConsistencyError, RepresentationError
 from .fox import fox_derivative, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import LaurentPolynomial, format_polynomial
-from .linalg import PolynomialMatrix, homology_invariant_factors
+from .linalg import PolynomialMatrix, characteristic_matrix, homology_invariant_factors
 from .words import FreeWord
 
 
@@ -80,11 +80,7 @@ def _monodromy_polynomial(a, d):
     """det(t^d I - A) for the homology action A of an automorphism,
     cross-checked against the invariant factors of t^d I - A."""
     poly = a.char_poly().substitute_power(d).canonicalize()
-    char_matrix = (
-        PolynomialMatrix.identity(a.rows) * LaurentPolynomial.term(1, d)
-        - PolynomialMatrix.from_rational(a)
-    )
-    factors = char_matrix.smith_normal_form()
+    factors = characteristic_matrix(a, d).smith_normal_form()
     if any(f.is_zero for f in factors):
         raise ConsistencyError("t^d I - A is singular for an automorphism")
     product = LaurentPolynomial.one()
@@ -103,12 +99,12 @@ def twisted_alexander(m, rep, d_scale=1):
     """Invariant factors of the first twisted homology of the mapping torus.
 
     The chain complex of the presentation 2-complex has boundary maps
-    assembled from Fox derivatives of the relators (degree 2 -> 1) and from
-    the generator images minus identity (degree 1 -> 0); both are pushed
-    through g -> rep(g) * t^(phi(g)).  Because the module carries a left
-    action while the matrices act on column vectors, both boundary blocks
-    enter transposed, which replaces the module by its contragredient and
-    changes no invariant factor up to units.
+    assembled from group ring elements: the Fox derivatives of the relators
+    (degree 2 -> 1) and x_j - 1 for each generator (degree 1 -> 0).  Both go
+    through the one specialization g -> rep(g) * t^(phi(g)).  Because the
+    module carries a left action while the matrices act on column vectors,
+    both boundary blocks enter transposed, which replaces the module by its
+    contragredient and changes no invariant factor up to units.
 
     By Fox's fundamental formula sum_j (dr/dx_j)(x_j - 1) = r - 1, block i
     of b1 * b2 is (rep(r_i) - I)^T, so the homology's b1 * b2 = 0 check is
@@ -135,14 +131,11 @@ def twisted_alexander(m, rep, d_scale=1):
     ]
     fox_matrix = PolynomialMatrix.from_blocks(fox_blocks)
     b2 = fox_matrix.transpose()
-
-    eye = PolynomialMatrix.identity(rep.dimension)
-    phi_blocks = []
-    for j in gens:
-        phi_g = PolynomialMatrix.from_rational(
-            matrices[j], scale=LaurentPolynomial.term(1, exponents[j])
-        )
-        phi_blocks.append((phi_g - eye).transpose())
+    one = FreeWord.empty()
+    phi_blocks = [
+        specialize({FreeWord.generator(j): 1, one: -1}, matrices, exponents).transpose()
+        for j in gens
+    ]
     b1 = PolynomialMatrix.from_blocks([phi_blocks])
 
     try:

@@ -23,7 +23,7 @@ from orderlex.freegroup import FreeEndomorphism
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
-from orderlex.words import FreeWord, format_word, parse_word
+from orderlex.words import FreeWord, format_word
 
 
 def L(s):
@@ -87,21 +87,6 @@ class TestBuildCover:
         m = MappingTorus(2, figure_eight_monodromy())
         c = build_cover(m, cyclic_stable_hom(m, 3))
         assert c.lifted_monodromy.is_certified
-
-    def test_w_override_validation(self):
-        m = MappingTorus(2, identity_automorphism(2))
-        g = cyclic_group(2)
-        f = TorusHomomorphism(g, (g.element(1), g.identity()), g.element(1))
-        with pytest.raises(ValueError):
-            build_cover(m, f, w_override=parse_word("b", 2))
-
-    def test_w_override_changes_basis_expression_not_polynomial(self):
-        m = MappingTorus(2, identity_automorphism(2))
-        g = cyclic_group(2)
-        f = TorusHomomorphism(g, (g.element(1), g.identity()), g.element(1))
-        default = cover_alexander(build_cover(m, f))
-        other = cover_alexander(build_cover(m, f, w_override=parse_word("aaa", 2)))
-        assert default.polynomial == other.polynomial
 
 
 class TestCoverAlexander:

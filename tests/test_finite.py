@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from orderlex.autos import figure_eight_monodromy, identity_automorphism
+from orderlex.autos import figure_eight_monodromy, identity_automorphism, standard_battery
 from orderlex.errors import IllDefinedHomomorphismError, RepresentationError
 from orderlex.finite import (
     FiniteGroup,
@@ -172,6 +172,26 @@ class TestHomomorphisms:
         assert all(f.image_key() == key for key, f in classes.items())
         positions = [catalog.index(f.group) for f in classes.values()]
         assert positions == sorted(positions)
+
+    def test_classes_build_no_group_beyond_the_catalog(self, monkeypatch):
+        """Over the battery, homomorphism_classes builds the catalog's
+        groups and no other: image_key() and regular_representation act on
+        the image's element list without a second FiniteGroup."""
+        built = []
+        init = FiniteGroup.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteGroup, "__init__", counting)
+        catalog = len(small_groups_catalog())
+        for label, auto in standard_battery():
+            built.clear()
+            classes = homomorphism_classes(auto)
+            for f in classes.values():
+                regular_representation(f)
+            assert len(built) == catalog, label
 
 
 class TestCoverDegree:

@@ -102,14 +102,14 @@ class TestSpecialize:
         ident = RationalMatrix.identity(2)
         mats = {1: swap, 2: ident}
         exps = {1: 1, 2: 0}
-        pm = specialize(W("a"), mats, exps)
+        pm = specialize(ring("a"), mats, exps)
         assert pm.entry(0, 1) == parse_polynomial("t")
         assert pm.entry(0, 0).is_zero
 
     def test_inverse_letter(self):
         swap = RationalMatrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
         mats = {1: swap}
-        pm = specialize(parse_word("A", 1), mats, {1: 2})
+        pm = specialize(ring("A", rank=1), mats, {1: 2})
         # swap is an involution, so the inverse contributes t^-2 * swap
         assert pm.entry(0, 1) == parse_polynomial("t").shift(-3)
 
@@ -122,7 +122,7 @@ class TestSpecialize:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             specialize(
-                W("ab"),
+                ring("ab"),
                 {1: RationalMatrix.identity(1), 2: RationalMatrix.identity(2)},
                 {1: 0, 2: 0},
             )

@@ -204,6 +204,40 @@ class TestCli:
         pinned = pathlib.Path(__file__).parent / "data" / "cover_fig8_z5.json"
         assert capsys.readouterr().out == pinned.read_text()
 
+    @pytest.mark.parametrize("k", [24, 26])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_cover_beyond_printable_letters(self, tmp_path, capsys, id2_manifest_path, k, as_json):
+        """Onto Z_k with a -> 1 the identity monodromy's cover has rank
+        k + 1.  Its lifted words print while the rank fits the 25 fiber
+        letters (k = 24); past that (k = 26) the command exits 2 with a
+        message, not a traceback."""
+        doc = json.loads(pathlib.Path(id2_manifest_path).read_text())
+        cycle = "(" + " ".join(str(i) for i in range(1, k + 1)) + ")"
+        doc["homomorphisms"] = [
+            {
+                "label": f"z{k}",
+                "group": {"name": f"Z{k}", "degree": k, "generators": [cycle]},
+                "fiber_images": [1, 0],
+                "stable_image": 0,
+            }
+        ]
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["cover", str(path)] + (["--json"] if as_json else []))
+        captured = capsys.readouterr()
+        if k == 24:
+            assert code == cli.EXIT_OK
+            if as_json:
+                assert len(json.loads(captured.out)["lifted_monodromy"]) == 25
+            else:
+                assert "subgroup rank: 25" in captured.out
+        else:
+            assert code == cli.EXIT_PARSE_ERROR
+            assert captured.out == ""
+            assert "'z26'" in captured.err and "27 basis generators" in captured.err
+            assert "at most 25 generator letters" in captured.err
+            assert "Traceback" not in captured.err
+
     def test_verify_shapiro_all_homs(self, capsys, fig8_manifest_path):
         code = cli.main(["verify", "shapiro", fig8_manifest_path])
         assert code == 0

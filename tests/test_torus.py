@@ -24,7 +24,7 @@ from orderlex.torus import (
     presentation,
     twisted_alexander,
 )
-from orderlex.words import format_word, parse_word
+from orderlex.words import FreeWord, format_word, parse_word
 
 
 def L(s):
@@ -133,16 +133,19 @@ class TestTwisted:
     def test_corrupted_fox_block_is_a_bug(self, monkeypatch):
         """A representation that satisfies the relators, with one entry of
         each relator's stable-letter Fox block corrupted: b1 * b2 != 0 is
-        reported as ConsistencyError, not as bad input."""
+        reported as ConsistencyError, not as bad input.  The Fox blocks are
+        the first fiber_rank * stable_index specializations; the b1 blocks
+        x_j - 1 that follow are left intact."""
         m = fig8()
         rep = z2_regular(m)
         calls = []
         original = torus_module.specialize
+        fox_calls = m.fiber_rank * m.stable_index
 
         def corrupting(x, matrices, exponents):
             out = original(x, matrices, exponents)
             calls.append(x)
-            if len(calls) % m.stable_index:
+            if len(calls) > fox_calls or len(calls) % m.stable_index:
                 return out
             rows = [[out.entry(i, j) for j in range(out.cols)] for i in range(out.rows)]
             rows[0][0] = rows[0][0] + L("1")
@@ -151,7 +154,10 @@ class TestTwisted:
         monkeypatch.setattr(torus_module, "specialize", corrupting)
         with pytest.raises(ConsistencyError, match="do not compose to zero"):
             twisted_alexander(m, rep)
-        assert len(calls) == m.fiber_rank * m.stable_index
+        one = FreeWord.empty()
+        assert calls[fox_calls:] == [
+            {FreeWord.generator(j): 1, one: -1} for j in range(1, m.stable_index + 1)
+        ]
 
     def test_invariant_factors_multiply_to_polynomial(self):
         m = fig8()
