@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -19,14 +18,12 @@ from .errors import (
     IllDefinedHomomorphismError,
     RepresentationError,
 )
-from .laurent import _zpseudo_divmod
+from .laurent import _to_zcanonical, _zpseudo_divmod
 from .linalg import RationalMatrix, characteristic_matrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
 MATRIX_ORDER_BOUND = 1000
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def identity_permutation(degree):
@@ -354,17 +351,19 @@ def cover_degree(f):
 def permutation_matrix(p):
     """Left-multiplication convention: column i carries a 1 in row p[i]."""
     n = len(p)
-    rows = [[_F0] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[p[i]][i] = _F1
-    return RationalMatrix(rows)
+        rows[p[i]][i] = 1
+    return RationalMatrix._of(rows, 1)
 
 
 class FiniteRepresentation:
     """Invertible rational matrices for the fiber generators and the stable
-    letter, each of finite multiplicative order."""
+    letter, each of finite multiplicative order; orders lists those orders,
+    fiber generators first.  Only direct_sum passes _orders, which it knows
+    from its summands; otherwise each matrix is certified here."""
 
-    def __init__(self, fiber_matrices, stable_matrix, label=None):
+    def __init__(self, fiber_matrices, stable_matrix, label=None, _orders=None):
         self.fiber_matrices = tuple(fiber_matrices)
         self.stable_matrix = stable_matrix
         self.label = label
@@ -376,11 +375,13 @@ class FiniteRepresentation:
         if self.dimension == 0:
             raise RepresentationError("matrices must have dimension at least 1")
         self.rank = len(self.fiber_matrices)
-        for m in mats:
-            if _multiplicative_order(m) is None:
-                raise RepresentationError(
-                    f"generator matrix has no order up to {MATRIX_ORDER_BOUND}"
-                )
+        if _orders is None:
+            _orders = [_multiplicative_order(m) for m in mats]
+        if None in _orders or max(_orders) > MATRIX_ORDER_BOUND:
+            raise RepresentationError(
+                f"generator matrix has no order up to {MATRIX_ORDER_BOUND}"
+            )
+        self.orders = tuple(_orders)
 
     def matrix_for(self, gen):
         if 1 <= gen <= self.rank:
@@ -423,7 +424,9 @@ class FiniteRepresentation:
         label = None
         if self.label and other.label:
             label = f"{self.label}+{other.label}"
-        return FiniteRepresentation(fibers, stable, label=label)
+        # a block-diagonal matrix has the lcm of its blocks' orders
+        orders = tuple(map(lcm, self.orders, other.orders))
+        return FiniteRepresentation(fibers, stable, label=label, _orders=orders)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -457,9 +460,11 @@ def _signed_permutation_order(m):
     """The order of m if each row and column holds one nonzero entry, +-1,
     else None: the lcm over the cycles of their lengths, each doubled when
     the signs along it multiply to -1."""
+    if m._den != 1:
+        return None
     image = {}
-    for i in range(m.rows):
-        nonzero = [(j, x) for j, x in enumerate(m.row(i)) if x]
+    for i, row in enumerate(m._z):
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
         if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
             return None
         image[nonzero[0][0]] = (i, nonzero[0][1])
@@ -485,10 +490,10 @@ def _cyclotomic_lcm(m):
     char = characteristic_matrix(m, 1).det()
     if not char.coefficient(0):
         raise RepresentationError("generator matrix is singular")
-    coeffs = [char.coefficient(e) for e in range(n + 1)]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    rest = [int(c) for c in coeffs]
+    # det(tI - m) is monic: its canonical form is itself if its coefficients
+    # are integers, and otherwise leads with an integer > 1, which no
+    # division by a cyclotomic polynomial removes
+    rest = _to_zcanonical(char)
     order = 1
     for k, phi in _cyclotomic_polynomials(n):
         if len(rest) == 1:
@@ -522,12 +527,11 @@ def _cyclotomic_polynomials(n):
 
 def _block_diagonal(a, b):
     n, k = a.rows, b.rows
-    rows = []
-    for i in range(n):
-        rows.append(list(a.row(i)) + [_F0] * k)
-    for i in range(k):
-        rows.append([_F0] * n + list(b.row(i)))
-    return RationalMatrix(rows)
+    den = lcm(a._den, b._den)
+    sa, sb = den // a._den, den // b._den
+    rows = [[sa * x for x in r] + [0] * k for r in a._z]
+    rows += [[0] * n + [sb * x for x in r] for r in b._z]
+    return RationalMatrix._of(rows, den)
 
 
 def regular_representation(f):

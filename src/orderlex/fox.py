@@ -7,15 +7,18 @@ from which d(x^-1)/dx = -x^-1 follows.
 specialize sends a group ring element through g -> rho(g) * t^phi(g),
 yielding a matrix of Laurent polynomials.  The words of a Fox derivative
 are prefixes of one word, so specialize builds each prefix product once by
-extending the longest prefix already built, sums coeff * product into one
-rational matrix per power of t, and makes each Laurent entry once at the end.
+extending the longest prefix already built; a chain starts at its first
+letter's matrix, and a letter whose matrix is the identity multiplies
+nothing.  The integer rows of each product, times its coefficient, are
+summed straight into the Z[t] entries of the result over one common
+denominator, so no Fraction or Laurent polynomial is built on the way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .laurent import LaurentPolynomial
 from .linalg import PolynomialMatrix, RationalMatrix
 from .words import FreeWord
 
@@ -59,11 +62,18 @@ def specialize(x, matrices, exponents):
     if len(dims) != 1 or any(m.rows != m.cols for m in matrices.values()):
         raise ValueError("generator matrices must be square of equal dimension")
     dim = dims.pop()
-    # chain[k] is (product, t-exponent) of the first k letters of previous;
-    # in sorted order a word shares its longest built prefix with previous
-    chain = [(RationalMatrix.identity(dim), 0)]
+    # each letter's matrix; identity matrices, which multiply nothing, are left out
+    letter = {}
+    for g, m in matrices.items():
+        if not m.is_identity():
+            letter[g, 1], letter[g, -1] = m, m.inverse()
+    # chain[k] is (product, t-exponent) of the first k letters of previous,
+    # None standing for the identity; in sorted order a word shares its
+    # longest built prefix with previous
+    chain = [(None, 0)]
     previous = ()
-    sums = {}
+    terms = []
+    identity = RationalMatrix.identity(dim)
     for word in sorted(x, key=lambda w: w.letters):
         letters = word.letters
         k = 0
@@ -76,24 +86,27 @@ def specialize(x, matrices, exponents):
             if g not in matrices:
                 raise ValueError(f"no matrix assigned to generator {g}")
             prod, shift = chain[-1]
-            m = matrices[g] if s > 0 else matrices[g].inverse()
-            chain.append((prod * m, shift + s * exponents[g]))
+            m = letter.get((g, s))
+            if m is not None:
+                prod = m if prod is None else prod * m
+            chain.append((prod, shift + s * exponents[g]))
         previous = letters
         prod, shift = chain[-1]
-        if shift not in sums:
-            sums[shift] = [[_F0] * dim for _ in range(dim)]
-        coeff = x[word]
-        for acc, row in zip(sums[shift], prod._e):
+        terms.append((x[word], identity if prod is None else prod, shift))
+    # entry (i, j) is t^low * out[i][j] / den, summed over the terms
+    den = lcm(*(c.denominator * p._den for c, p, _ in terms))
+    low = min((e for _, _, e in terms), default=0)
+    width = max((e for _, _, e in terms), default=0) - low + 1
+    out = [[[] for _ in range(dim)] for _ in range(dim)]
+    for coeff, prod, e in terms:
+        f = coeff.numerator * (den // (coeff.denominator * prod._den))
+        for acc, row in zip(out, prod._z):
             for j, v in enumerate(row):
                 if v:
-                    acc[j] += coeff * v
-    entries = [[{} for _ in range(dim)] for _ in range(dim)]
-    for shift, acc in sums.items():
-        for row, values in zip(entries, acc):
-            for j, v in enumerate(values):
-                if v:
-                    row[j][shift] = v
-    zero = LaurentPolynomial.zero()
-    return PolynomialMatrix(
-        [[LaurentPolynomial(e) if e else zero for e in row] for row in entries]
-    )
+                    if not acc[j]:
+                        acc[j] = [0] * width
+                    acc[j][e - low] += f * v
+    for p in (p for acc in out for p in acc):
+        while p and not p[-1]:
+            p.pop()
+    return PolynomialMatrix._of(out, low, den)

@@ -203,29 +203,12 @@ class LaurentPolynomial:
 
     # -- canonical form ----------------------------------------------
 
-    def content(self):
-        """gcd of the coefficients as a positive rational."""
-        if not self._c:
-            raise ValueError("the zero polynomial has no content")
-        num = 0
-        den = 1
-        for c in self._c.values():
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
-
     def canonicalize(self):
         """Unique unit multiple with order 0, integer content-1 coefficients,
         and positive leading coefficient.  Zero maps to zero."""
         if not self._c:
             return self
-        shift = -self.order
-        scale = 1 / self.content()
-        if self.leading_coefficient < 0:
-            scale = -scale
-        r = LaurentPolynomial()
-        r._c = {e + shift: c * scale for e, c in self._c.items()}
-        return r
+        return _z_to_laurent(_to_zcanonical(self))
 
     @property
     def is_one(self):
@@ -273,8 +256,9 @@ def poly_gcd(p, q):
 # A Z[t] polynomial is a list of int coefficients indexed by exponent, with
 # no trailing zeros; the zero polynomial is [].  _zpseudo_divmod is the one
 # division loop: poly_divmod above and the determinant and Smith normal form
-# of linalg all run on it, so Fraction arithmetic happens only when a
-# polynomial or row is converted in and a result is converted back.
+# of linalg all run on it.  linalg keeps its polynomial matrices in this
+# form, so Fraction arithmetic happens only when a Laurent polynomial is
+# converted in and a result is converted back.
 
 
 def _zsubmul(c, a, q, b):
@@ -346,13 +330,35 @@ def _row_to_z(row):
         return [[] for _ in row], 0, 1
     shift = min(min(c) for c in live)
     den = lcm(*(v.denominator for c in live for v in c.values()))
-    out = []
-    for x in row:
-        p = [0] * (max(x._c) - shift + 1) if x._c else []
-        for e, v in x._c.items():
-            p[e - shift] = v.numerator * (den // v.denominator)
-        out.append(p)
-    return out, shift, den
+    return [_scaled(x._c, shift, den) for x in row], shift, den
+
+
+def _scaled(c, shift, den):
+    """den * t^-shift * p in Z[t], for the coefficient map c of p and a unit
+    that clears its denominators and negative exponents."""
+    p = [0] * (max(c) - shift + 1) if c else []
+    for e, v in c.items():
+        p[e - shift] = v.numerator * (den // v.denominator)
+    return p
+
+
+def _zcanonical(p):
+    """The canonical form of the Z[t] polynomial p (see canonicalize): the
+    power of t and the content divided out, the leading coefficient made
+    positive."""
+    if not p:
+        return p
+    k = next(e for e, c in enumerate(p) if c)
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [x // g for x in p[k:]]
+
+
+def _to_zcanonical(p):
+    """The canonical form of the Laurent polynomial p as a Z[t] list."""
+    if not p._c:
+        return []
+    den = lcm(*(v.denominator for v in p._c.values()))
+    return _zcanonical(_scaled(p._c, min(p._c), den))
 
 
 def _z_to_laurent(p, shift=0, den=1):

@@ -1,27 +1,25 @@
-"""Exact matrices over Q and over Laurent polynomials.
-
-RationalMatrix holds Fraction entries.  PolynomialMatrix holds
-LaurentPolynomial entries and carries the Smith normal form machinery used
-for module presentations over Q[t, 1/t].  Since rational scalars and powers
-of t are units of that ring, rows may be rescaled by them freely; the
-invariant factors are reported in canonical form.
+"""Exact matrices over Q and over Laurent polynomials, both held as integers:
+integer rows over one common denominator, and Z[t] rows under one unit
+t^shift / den of Q[t, 1/t].  Fraction and LaurentPolynomial values appear
+only at the public boundary: the constructors, entry, row and to_lists.
 
 A polynomial matrix is only ever assembled (by fox.specialize,
 characteristic_matrix, from_blocks, submatrix or transpose) and handed to
 the determinant, the Smith normal form or homology_invariant_factors; no
-code adds or multiplies polynomial matrices.  Those kernels use the unit
-freedom to work on the integer Z[t] kernels of laurent: each row is shifted
-and scaled into Z[t] on the way in, eliminations are fraction-free (Bareiss
-for the determinant, pseudo-division for the Smith normal form, both on the
-one pseudo-division loop of laurent), and Fraction coefficients appear only
-when a result is converted back.  homology_invariant_factors carries b2
-through the Smith reduction of b1 in the same Z[t] form, so it builds no
-inverse matrix; b1 * b2 = 0 is read off the carried b2.
+code adds or multiplies polynomial matrices.  Since rational scalars and
+powers of t are units, those kernels read the rows as they are and rescale
+them freely.  Eliminations are fraction-free (Bareiss for the determinant,
+pseudo-division for the Smith normal form, both on the one pseudo-division
+loop of laurent), and the invariant factors are reported in canonical form.
+homology_invariant_factors carries b2 through the Smith reduction of b1 in
+the same Z[t] form, so it builds no inverse matrix; b1 * b2 = 0 is read off
+the carried b2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import ConsistencyError, SingularMatrixError
@@ -29,68 +27,70 @@ from .laurent import (
     LaurentPolynomial,
     _row_to_z,
     _z_to_laurent,
+    _zcanonical,
     _zprimitive,
     _zpseudo_divmod,
     _zsubmul,
 )
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class RationalMatrix:
-    """A matrix over Q.  Values are never mutated after construction, so
-    the inverse is computed once and kept in _inv."""
+    """A matrix over Q, held as integer rows _z over one positive common
+    denominator _den with gcd(_den, every entry) = 1, so equal matrices have
+    equal state.  Values are never mutated after construction, so the
+    inverse is computed once and kept in _inv."""
 
-    __slots__ = ("rows", "cols", "_e", "_inv")
+    __slots__ = ("rows", "cols", "_z", "_den", "_inv")
 
     def __init__(self, entries):
-        self._e = [[Fraction(x) for x in row] for row in entries]
-        self._inv = None
-        self.rows = len(self._e)
-        self.cols = len(self._e[0]) if self._e else 0
-        if any(len(r) != self.cols for r in self._e):
+        rows = [[Fraction(x) for x in row] for row in entries]
+        # the lcm of reduced denominators is coprime to the scaled entries
+        den = lcm(1, *(x.denominator for r in rows for x in r))
+        self._set([[x.numerator * (den // x.denominator) for x in r] for r in rows], den)
+
+    def _set(self, z, den):
+        self._z, self._den, self._inv = z, den, None
+        self.rows, self.cols = len(z), len(z[0]) if z else 0
+        if any(len(r) != self.cols for r in z):
             raise ValueError("ragged matrix")
 
     @classmethod
-    def _of_rows(cls, rows):
-        """A matrix that takes ownership of rows: equal-length lists whose
-        entries are already Fraction, so they are neither copied nor checked."""
+    def _of(cls, z, den):
+        """The matrix z / den from integer rows z, which it takes over, and
+        any den > 0."""
+        g = gcd(den, *(x for r in z for x in r)) if den > 1 else 1
         out = object.__new__(cls)
-        out._e = rows
-        out._inv = None
-        out.rows = len(rows)
-        out.cols = len(rows[0]) if rows else 0
+        out._set([[x // g for x in r] for r in z] if g > 1 else z, den // g)
         return out
 
     @classmethod
+    @cache  # matrices are never mutated, so one identity per n serves all
     def identity(cls, n):
-        return cls._of_rows(
-            [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
-        )
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def entry(self, i, j):
-        return self._e[i][j]
+        return Fraction(self._z[i][j], self._den)
 
     def row(self, i):
-        return list(self._e[i])
+        return [Fraction(x, self._den) for x in self._z[i]]
 
     def to_lists(self):
-        return [list(r) for r in self._e]
+        return [self.row(i) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._e == other._e
+            and self._den == other._den
+            and self._z == other._z
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self._e))
+        return hash((self._den, tuple(map(tuple, self._z))))
 
     def __repr__(self):
-        return f"RationalMatrix({self._e!r})"
+        return f"RationalMatrix({self.to_lists()!r})"
 
     def __mul__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -100,23 +100,23 @@ class RationalMatrix:
         # Row i of the product is the sum of a * (row k of other) over the
         # nonzero a = self[i][k]; only nonzero entries are visited, so a
         # product of permutation matrices costs O(n^2), not O(n^3).
-        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other._e]
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other._z]
         n = other.cols
         out = []
-        for row in self._e:
-            acc = [_F0] * n
+        for row in self._z:
+            acc = [0] * n
             for a, terms in zip(row, sparse):
                 if a:
                     for j, b in terms:
                         acc[j] += a * b
             out.append(acc)
-        return RationalMatrix._of_rows(out)
+        return RationalMatrix._of(out, self._den * other._den)
 
     def trace(self):
-        return sum(self._e[i][i] for i in range(self.rows))
+        return Fraction(sum(self._z[i][i] for i in range(self.rows)), self._den)
 
     def is_identity(self):
-        return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
+        return self._den == 1 and self._z == RationalMatrix.identity(self.rows)._z
 
     def power(self, k):
         """self^k by repeated squaring."""
@@ -140,114 +140,122 @@ class RationalMatrix:
         return self._inv
 
     def _invert(self):
-        """Gauss-Jordan elimination on [self | I]."""
+        """Fraction-free Gauss-Jordan elimination on [z | I] ends in [C | R]
+        with C diagonal, so (z / den)^-1 has row i equal to den * R[i] / C[i]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [
-            list(r) + [_F1 if j == i else _F0 for j in range(n)]
-            for i, r in enumerate(self._e)
-        ]
+        m = [r + [int(j == i) for j in range(n)] for i, r in enumerate(self._z)]
         for k in range(n):
             piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
                 raise SingularMatrixError("matrix is singular")
             m[k], m[piv] = m[piv], m[k]
-            inv = 1 / m[k][k]
-            m[k] = [x * inv for x in m[k]]
+            mk = m[k]
+            p = mk[k]
             for i in range(n):
-                if i != k and m[i][k]:
-                    f = m[i][k]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return RationalMatrix._of_rows([r[n:] for r in m])
+                f = m[i][k]
+                if i != k and f:
+                    row = [p * a - f * b for a, b in zip(m[i], mk)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
+        den = lcm(*(r[i] for i, r in enumerate(m)))
+        return RationalMatrix._of(
+            [[self._den * (den // r[i]) * x for x in r[n:]] for i, r in enumerate(m)],
+            den,
+        )
 
     def char_poly(self):
-        """det(t*I - self) by the Faddeev-LeVerrier recurrence.
-
-        Division happens only by the integers 1..n, which is exact over Q.
-        """
+        """det(t*I - self) = den^-n chi_z(den * t) for the integer rows
+        z = den * self, with chi_z by the Faddeev-LeVerrier recurrence; its
+        divisions by 1..n are exact, as chi_z has integer coefficients."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
-        coeffs = {n: _F1}
-        mk = self
+        z = RationalMatrix._of(self._z, 1)
+        coeffs = {n: 1}
+        mk = z
         for k in range(1, n + 1):
-            ak = -mk.trace() / k
+            ak = -sum(mk._z[i][i] for i in range(n)) // k
             coeffs[n - k] = ak
             if k < n:
-                shifted = mk.to_lists()
+                shifted = [list(r) for r in mk._z]
                 for i in range(n):
                     shifted[i][i] += ak
-                mk = self * RationalMatrix._of_rows(shifted)
-        return LaurentPolynomial(coeffs)
+                mk = z * RationalMatrix._of(shifted, 1)
+        return LaurentPolynomial(
+            {e: Fraction(c, self._den ** (n - e)) for e, c in coeffs.items()}
+        )
 
 
 class PolynomialMatrix:
-    __slots__ = ("rows", "cols", "_e")
+    """A matrix over Q[t, 1/t], held as Z[t] rows _z under one unit: entry
+    (i, j) is t^_shift * _z[i][j] / _den, with _den > 0."""
+
+    __slots__ = ("rows", "cols", "_z", "_shift", "_den")
 
     def __init__(self, entries):
-        self._e = [
-            [
-                x if isinstance(x, LaurentPolynomial) else LaurentPolynomial.term(x)
-                for x in row
-            ]
-            for row in entries
-        ]
-        self.rows = len(self._e)
-        self.cols = len(self._e[0]) if self._e else 0
-        if any(len(r) != self.cols for r in self._e):
+        term = LaurentPolynomial.term
+        rows = [[x if isinstance(x, LaurentPolynomial) else term(x) for x in r] for r in entries]
+        flat, shift, den = _row_to_z([x for r in rows for x in r])
+        flat = iter(flat)
+        self._set([[next(flat) for _ in r] for r in rows], shift, den)
+
+    def _set(self, z, shift, den):
+        self._z, self._shift, self._den = z, shift, den
+        self.rows, self.cols = len(z), len(z[0]) if z else 0
+        if any(len(r) != self.cols for r in z):
             raise ValueError("ragged matrix")
 
     @classmethod
+    def _of(cls, z, shift, den):
+        """The matrix t^shift * z / den from rows z of Z[t] lists, which it
+        takes over."""
+        out = object.__new__(cls)
+        out._set(z, shift, den)
+        return out
+
+    @classmethod
     def from_blocks(cls, blocks):
-        """Assemble from a 2d grid of PolynomialMatrix blocks."""
+        """Assemble from a 2d grid of blocks, under their least shift and lcm den."""
+        shift = min(b._shift for brow in blocks for b in brow)
+        den = lcm(*(b._den for brow in blocks for b in brow))
         rows = []
         for brow in blocks:
             height = brow[0].rows
             if any(b.rows != height for b in brow):
                 raise ValueError("inconsistent block heights")
+            units = [(b._z, den // b._den, [0] * (b._shift - shift)) for b in brow]
             for i in range(height):
-                row = []
-                for b in brow:
-                    row.extend(b._e[i])
-                rows.append(row)
-        return cls(rows)
+                rows.append([pad + [scale * x for x in p] if p else p
+                             for z, scale, pad in units for p in z[i]])
+        return cls._of(rows, shift, den)
 
     def entry(self, i, j):
-        return self._e[i][j]
+        return _z_to_laurent(self._z[i][j], self._shift, self._den)
 
     def submatrix(self, row_range, col_range):
-        return PolynomialMatrix(
-            [[self._e[i][j] for j in col_range] for i in row_range]
+        return PolynomialMatrix._of(
+            [[self._z[i][j] for j in col_range] for i in row_range], self._shift, self._den
         )
 
     def __repr__(self):
-        return f"PolynomialMatrix({[[str(x) for x in r] for r in self._e]!r})"
+        entries = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
+        return f"PolynomialMatrix({entries!r})"
 
     def transpose(self):
-        return PolynomialMatrix([list(c) for c in zip(*self._e)])
+        return PolynomialMatrix._of([list(c) for c in zip(*self._z)], self._shift, self._den)
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination over Z[t].
-
-        Each row is shifted by a power of t and scaled by the lcm of its
-        denominators to land in Z[t]; both factors are units and are undone
-        at the end, so the result is the true determinant.
-        """
+        """Exact determinant by fraction-free Bareiss elimination over Z[t]
+        on the rows, times the n-th power of the matrix's unit."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return LaurentPolynomial.one()
-        m = []
-        total_shift = 0
-        den = 1
+        m = [list(r) for r in self._z]
         sign = 1
-        for row in self._e:
-            zrow, shift, d = _row_to_z(row)
-            m.append(zrow)
-            total_shift += shift
-            den *= d
         prev = [1]
         for k in range(n - 1):
             piv = next((i for i in range(k, n) if m[i][k]), None)
@@ -268,24 +276,24 @@ class PolynomialMatrix:
                         raise ArithmeticError("division was expected to be exact")
                     mi[j] = q
             prev = p
-        return _z_to_laurent(m[n - 1][n - 1], total_shift, sign * den)
+        return _z_to_laurent(m[n - 1][n - 1], n * self._shift, sign * self._den ** n)
 
     def smith_normal_form(self):
         """Canonical invariant factors p1 | p2 | ..., padded with zeros to
         min(rows, cols)."""
-        diag = _snf_core([_row_to_z(row)[0] for row in self._e], self.cols)
-        return [_z_to_laurent(d).canonicalize() for d in diag]
+        diag = _snf_core([list(r) for r in self._z], self.cols)
+        return [_z_to_laurent(_zcanonical(d)) for d in diag]
 
 
 def characteristic_matrix(a, d):
     """t^d I - a for a square RationalMatrix a; its determinant is the
     characteristic polynomial of a at t^d."""
-    return PolynomialMatrix(
-        [
-            [LaurentPolynomial({d: int(i == j), 0: -x}) for j, x in enumerate(row)]
-            for i, row in enumerate(a._e)
-        ]
-    )
+    rows = []
+    for i, row in enumerate(a._z):
+        out = [[-x] if x else [] for x in row]
+        out[i] = [-row[i]] + [0] * (d - 1) + [a._den]
+        rows.append(out)
+    return PolynomialMatrix._of(rows, 0, a._den)
 
 
 def _snf_core(m, cols, carry=None):
@@ -427,15 +435,14 @@ def homology_invariant_factors(b1, b2):
     # b2 in Z[t] under one unit; reducing b1 carries it to V^-1 * b2, up to
     # a rational unit per row
     k = b2.cols
-    flat, _, _ = _row_to_z([x for row in b2._e for x in row])
-    y = [flat[i * k:(i + 1) * k] for i in range(b2.rows)]
-    diag = _snf_core([_row_to_z(row)[0] for row in b1._e], b1.cols, carry=y)
+    y = [list(r) for r in b2._z]
+    diag = _snf_core([list(r) for r in b1._z], b1.cols, carry=y)
     rank = sum(1 for d in diag if d)
     # U * b1 * V = D gives b1 * b2 = U^-1 * D * (V^-1 * b2), and the first
     # rank entries of D are nonzero in a domain: b1 * b2 = 0 iff y[:rank] = 0
     if any(p for row in y[:rank] for p in row):
         raise ConsistencyError("boundary maps do not compose to zero")
     kernel_rank = b1.cols - rank
-    nonzero = [_z_to_laurent(d).canonicalize() for d in _snf_core(y[rank:], k) if d]
+    nonzero = [_z_to_laurent(_zcanonical(d)) for d in _snf_core(y[rank:], k) if d]
     free_rank = kernel_rank - len(nonzero)
     return nonzero, free_rank

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from .errors import CertificationError, ConsistencyError, RepresentationError
 from .fox import fox_derivative, specialize
 from .freegroup import FreeEndomorphism
-from .laurent import LaurentPolynomial, format_polynomial
+from .laurent import (
+    LaurentPolynomial,
+    _to_zcanonical,
+    _z_to_laurent,
+    _zsubmul,
+    format_polynomial,
+)
 from .linalg import PolynomialMatrix, characteristic_matrix, homology_invariant_factors
 from .words import FreeWord
 
@@ -83,10 +89,7 @@ def _monodromy_polynomial(a, d):
     factors = characteristic_matrix(a, d).smith_normal_form()
     if any(f.is_zero for f in factors):
         raise ConsistencyError("t^d I - A is singular for an automorphism")
-    product = LaurentPolynomial.one()
-    for f in factors:
-        product = product * f
-    if product.canonicalize() != poly:
+    if _product_z(factors) != _to_zcanonical(poly):
         raise ConsistencyError(
             "invariant factors of t^d I - A do not multiply to the "
             "characteristic polynomial"
@@ -146,33 +149,35 @@ def twisted_alexander(m, rep, d_scale=1):
         raise RepresentationError(
             "representation violates the mapping-torus relations"
         ) from None
-    if free_rank > 0:
-        poly = LaurentPolynomial.zero()
-    else:
-        poly = LaurentPolynomial.one()
-        for f in factors:
-            poly = poly * f
-        poly = poly.canonicalize()
+    poly = [] if free_rank > 0 else _product_z(factors)
 
     # the last block of b1 is (rep(t) t^d - I)^T
     _wada_cross_check(fox_matrix, b1, phi_blocks[-1], poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
-    return AlexanderResult(poly, nonunit, free_rank)
+    return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
+
+
+def _product_z(polys, out=(1,)):
+    """The canonical form of out times the product of the Laurent
+    polynomials polys, for a canonical Z[t] list out: by Gauss's lemma it is
+    the product of their canonical forms."""
+    for p in polys:
+        out = _zsubmul(out, _to_zcanonical(p), (), ())  # out * p
+    return list(out)
 
 
 def _wada_cross_check(fox_matrix, b1, t_block, poly):
+    """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists."""
     fiber = range(fox_matrix.rows)
     det_minor = fox_matrix.submatrix(fiber, fiber).det()
-    order_h0 = LaurentPolynomial.one()
-    for f in b1.smith_normal_form():
-        order_h0 = order_h0 * f
-    lhs = (det_minor * order_h0).canonicalize()
-    rhs = (poly * t_block.det()).canonicalize()
+    lhs = _product_z([det_minor] + b1.smith_normal_form())
+    rhs = _product_z([t_block.det()], poly)
     if lhs != rhs:
         raise ConsistencyError(
             "homology invariant factors disagree with the determinant bookkeeping: "
-            f"{format_polynomial(lhs)} vs {format_polynomial(rhs)}"
+            f"{format_polynomial(_z_to_laurent(lhs))} vs "
+            f"{format_polynomial(_z_to_laurent(rhs))}"
         )
 
 

@@ -53,6 +53,30 @@ def _corner_two(n):
     return rows
 
 
+def _cyclotomic_companion(orders):
+    """The companion matrix of the product of Phi_k over k in orders; its
+    order is the lcm of orders."""
+    cyclotomic = {
+        3: [1, 1, 1],
+        5: [1, 1, 1, 1, 1],
+        7: [1, 1, 1, 1, 1, 1, 1],
+        8: [1, 0, 0, 0, 1],
+        9: [1, 0, 0, 1, 0, 0, 1],
+    }
+    poly = [1]
+    for k in orders:
+        out = [0] * (len(poly) + len(cyclotomic[k]) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(cyclotomic[k]):
+                out[i + j] += a * b
+        poly = out
+    n = len(poly) - 1
+    rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][n - 1] = -poly[i]
+    return RationalMatrix(rows)
+
+
 class TestCycles:
     def test_parse_identity_forms(self):
         for text in ("()", "e", "id", ""):
@@ -323,30 +347,13 @@ class TestRepresentations:
     def test_order_bound_is_exact(self, matrix_products, orders, accepted):
         # the companion matrix of prod Phi_k has order lcm(k): 840 is within
         # the bound of 1000 and 2520 is not
-        cyclotomic = {
-            3: [1, 1, 1],
-            5: [1, 1, 1, 1, 1],
-            7: [1, 1, 1, 1, 1, 1, 1],
-            8: [1, 0, 0, 0, 1],
-            9: [1, 0, 0, 1, 0, 0, 1],
-        }
-        poly = [1]
-        for k in orders:
-            out = [0] * (len(poly) + len(cyclotomic[k]) - 1)
-            for i, a in enumerate(poly):
-                for j, b in enumerate(cyclotomic[k]):
-                    out[i + j] += a * b
-            poly = out
-        n = len(poly) - 1
-        rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            rows[i][n - 1] = -poly[i]
-        eye = RationalMatrix.identity(n)
+        m = _cyclotomic_companion(orders)
+        eye = RationalMatrix.identity(m.rows)
         if accepted:
-            FiniteRepresentation((RationalMatrix(rows), eye), eye)
+            FiniteRepresentation((m, eye), eye)
         else:
             with pytest.raises(RepresentationError, match="no order up to 1000"):
-                FiniteRepresentation((RationalMatrix(rows), eye), eye)
+                FiniteRepresentation((m, eye), eye)
         assert len(matrix_products) <= 20
 
     def test_evaluate_inverts_each_generator_once(self, monkeypatch):
@@ -371,6 +378,46 @@ class TestRepresentations:
         monkeypatch.setattr(RationalMatrix, "inverse", counting)
         assert rep.evaluate(w) == expected
         assert len(inverted) <= 3
+
+    def test_direct_sum_certifies_nothing(self, monkeypatch, capsys, fig8_manifest_path):
+        """verify lemma5 takes each direct sum's generator orders as the lcm
+        of its summands' orders: no order certification runs inside
+        direct_sum, and the orders are the certified ones."""
+        from orderlex import cli, finite
+
+        order = finite._multiplicative_order
+        direct_sum = FiniteRepresentation.direct_sum
+        inside, certified, sums = [], [], []
+
+        def counting(m):
+            certified.append(bool(inside))
+            return order(m)
+
+        def marked(self, other):
+            inside.append(True)
+            try:
+                sums.append(direct_sum(self, other))
+            finally:
+                inside.pop()
+            return sums[-1]
+
+        monkeypatch.setattr(finite, "_multiplicative_order", counting)
+        monkeypatch.setattr(FiniteRepresentation, "direct_sum", marked)
+        assert cli.main(["verify", "lemma5", fig8_manifest_path, "--json"]) == 0
+        capsys.readouterr()
+        assert sums and certified and not any(certified)
+        for s in sums:
+            assert s.orders == tuple(map(order, s.fiber_matrices + (s.stable_matrix,)))
+
+    def test_direct_sum_order_bound(self):
+        """Orders 840 and 9 are each within the bound; their direct sum has
+        order 2520 and is rejected."""
+        a, b = _cyclotomic_companion((8, 3, 5, 7)), _cyclotomic_companion((9,))
+        left = FiniteRepresentation((a, RationalMatrix.identity(a.rows)), a)
+        right = FiniteRepresentation((b, RationalMatrix.identity(b.rows)), b)
+        assert (left.orders, right.orders) == ((840, 1, 840), (9, 1, 9))
+        with pytest.raises(RepresentationError, match="no order up to 1000"):
+            left.direct_sum(right)
 
     def test_direct_sum_dimensions(self):
         a = trivial_representation(2)

@@ -2,12 +2,14 @@
 polynomials, Smith normal form over Q[t], homology invariant factors."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlex import laurent
 from orderlex import torus as torus_module
 from orderlex.autos import figure_eight_monodromy
 from orderlex.errors import ConsistencyError, SingularMatrixError
@@ -288,6 +290,99 @@ class TestIntegerKernels:
         # the counter counts: poly_gcd goes through poly_divmod
         assert poly_gcd(L("t - 1"), L("t^2 - 1")) == L("t - 1")
         assert laurent_calls["poly_divmod"] == 2
+
+    def test_no_conversion_in_the_twisted_pipeline(self, monkeypatch):
+        """The twisted pipeline holds its matrices in Z[t] from specialize
+        to the invariant factors: twisted_alexander converts no row of
+        Laurent polynomials into Z[t], and specialize builds no Laurent
+        polynomial."""
+        torus = MappingTorus(2, figure_eight_monodromy())
+        g = cyclic_group(3)
+        f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
+        f.require_well_defined(torus.monodromy)
+        rep = regular_representation(f)
+        counts = {"rows": 0, "built": 0, "specialize": 0}
+        to_z = laurent._row_to_z
+
+        def converting(row):
+            counts["rows"] += 1
+            return to_z(row)
+
+        for module in [m for n, m in list(sys.modules.items()) if n.startswith("orderlex")]:
+            if vars(module).get("_row_to_z") is to_z:
+                monkeypatch.setattr(module, "_row_to_z", converting)
+        init = LaurentPolynomial.__init__
+        inside = []
+
+        def building(self, coeffs=None):
+            counts["built"] += bool(inside)
+            init(self, coeffs)
+
+        specialize_ = torus_module.specialize
+
+        def marked(*args):
+            counts["specialize"] += 1
+            inside.append(True)
+            try:
+                return specialize_(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(LaurentPolynomial, "__init__", building)
+        monkeypatch.setattr(torus_module, "specialize", marked)
+        result = twisted_alexander(torus, rep)
+        assert result.polynomial == L("t^6 - 18*t^3 + 1")
+        assert counts == {"rows": 0, "built": 0, "specialize": 9}
+        # the counters count: the public constructor converts its entries
+        PolynomialMatrix([[L("t"), L("1/2")]])
+        assert counts["rows"] == 1
+
+
+laurent_st = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+    max_size=3,
+).map(LaurentPolynomial)
+
+
+@st.composite
+def block_grids(draw):
+    """A 2 x 2 grid of blocks of Laurent entries, as nested lists, each
+    block scaled by its own unit c * t^k."""
+    heights = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=2))
+    widths = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=2))
+    grid = []
+    for h in heights:
+        brow = []
+        for w in widths:
+            k = draw(st.integers(min_value=-4, max_value=4))
+            c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+            entries = draw(st.lists(st.lists(laurent_st, min_size=w, max_size=w),
+                                    min_size=h, max_size=h))
+            brow.append([[x.shift(k) * c for x in row] for row in entries])
+        grid.append(brow)
+    return grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_grids(), st.data())
+def test_storage_round_trip(grid, data):
+    """Entries survive the Z[t] storage: the constructor, transpose,
+    submatrix and from_blocks give back the entries they were built from."""
+    def entries(pm):
+        return [[pm.entry(i, j) for j in range(pm.cols)] for i in range(pm.rows)]
+
+    full = [sum((brow[b][i] for b in range(len(brow))), []) for brow in grid
+            for i in range(len(brow[0]))]
+    for block in (b for brow in grid for b in brow):
+        pm = PolynomialMatrix(block)
+        assert entries(pm) == block
+        assert entries(pm.transpose()) == [list(c) for c in zip(*block)]
+    pm = PolynomialMatrix.from_blocks([[PolynomialMatrix(b) for b in brow] for brow in grid])
+    assert entries(pm) == full
+    rows = data.draw(st.lists(st.sampled_from(range(pm.rows)), max_size=4))
+    cols = data.draw(st.lists(st.sampled_from(range(pm.cols)), min_size=1, max_size=4))
+    assert entries(pm.submatrix(rows, cols)) == [[full[i][j] for j in cols] for i in rows]
 
 
 @settings(max_examples=30, deadline=None)

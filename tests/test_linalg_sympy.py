@@ -5,6 +5,7 @@ sympy shares no code with orderlex and is used only here; without it the
 module is skipped.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,13 @@ def assert_fraction_matrix(m):
     assert hash(m) == hash(rebuilt)
 
 
+def assert_reduced(m):
+    """The stored form: integer rows over one positive denominator that
+    shares no factor with all of them."""
+    assert m._den > 0
+    assert math.gcd(m._den, *(x for r in m._z for x in r)) == 1
+
+
 # (rows, inner, cols, density): mostly zero, dense, non-square, degenerate
 SHAPES = [
     (5, 5, 5, 0.2),
@@ -96,6 +104,7 @@ def test_product(rows, inner, cols, density):
         product = a * b
         assert_same(product, to_sympy(a) * to_sympy(b))
         assert_fraction_matrix(product)
+        assert_reduced(product)
 
 
 @pytest.mark.parametrize("n, density", [(1, 1.0), (3, 1.0), (5, 0.5), (6, 0.25), (7, 0.15)])
@@ -124,6 +133,7 @@ def test_square_invariants(n, density):
             inverse = m.inverse()
             assert_same(inverse, s.inv())
             assert_fraction_matrix(inverse)
+            assert_reduced(inverse)
             assert (m * inverse).is_identity()
     assert invertible > 0
 
@@ -141,6 +151,36 @@ def test_permutation_products():
             assert_fraction_matrix(acc)
         assert_same(acc.inverse(), expected.inv())
         assert_fraction_matrix(RationalMatrix.identity(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scaled_conjugates(n):
+    """D P D^-1 for a signed permutation P and a rational diagonal D: every
+    entry can carry a denominator and the matrices have finite order, so
+    products, powers, inverses and characteristic polynomials all meet
+    denominators and cancel some of them."""
+    rng = random.Random(f"conjugates {n}")
+    mats = []
+    for _ in range(4):
+        p = list(range(n))
+        rng.shuffle(p)
+        d = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n)]
+        mats.append(RationalMatrix(
+            [[rng.choice((-1, 1)) * d[i] / d[j] if p[i] == j else 0 for j in range(n)]
+             for i in range(n)]
+        ))
+    for a, b in zip(mats, mats[1:]):
+        s = to_sympy(a)
+        for m, expected in ((a * b, s * to_sympy(b)), (a.inverse(), s.inv()),
+                            (a.power(5), s ** 5), (a.power(-3), s.inv() ** 3)):
+            assert_same(m, expected)
+            assert_fraction_matrix(m)
+            assert_reduced(m)
+        coeffs = [from_sympy(c) for c in s.charpoly(T).all_coeffs()]
+        cp = a.char_poly()
+        assert [cp.coefficient(n - k) for k in range(n + 1)] == coeffs
+        assert a.trace() == from_sympy(s.trace())
+        assert (a * a.inverse()).is_identity()
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -86,3 +86,38 @@ def test_shapiro_sweep_exit_code(monkeypatch, capsys, case, code):
     mismatches = int(case == "one-mismatch")
     assert f"{len(seen)} checks, {mismatches} mismatches" in capsys.readouterr().out
     assert (len(seen) > 0) == (case != "no-checks")
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("all-correct", 0), ("one-failed", 1), ("no-result-line", 1), ("no-golden-seed", 1)],
+)
+def test_golden_check_exit_code(monkeypatch, capsys, case, code):
+    """The golden check exits 1 when any run has a failed item, prints no
+    result line, or has no golden digests to compare with; the runs are
+    replaced, since a real check takes seconds per workload."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_check", ROOT / "scripts" / "golden_check.py"
+    )
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    seed = "100000" if case == "no-golden-seed" else "1"
+    monkeypatch.setattr(sys, "argv", ["golden_check.py", "--seeds", "0", seed])
+    runs = []
+
+    def fake_run(argv, **kwargs):
+        runs.append(argv)
+        failed = int(case == "one-failed" and len(runs) == 3)
+        line = json.dumps({"correct": not failed, "attempted": 5, "failed": failed,
+                           "metrics": {}})
+        stdout = "" if case == "no-result-line" and len(runs) == 2 else f"summary\n{line}\n"
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    monkeypatch.setattr(check.subprocess, "run", fake_run)
+    assert check.main() == code
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = len(spec["workloads"])
+    assert len(runs) == workloads * (1 if case == "no-golden-seed" else 2)
+    assert all(argv[-4:] == ["--seconds", "0", "--trace", "0"] for argv in runs)
+    failed = {"all-correct": 0, "no-golden-seed": workloads}.get(case, 1)
+    assert f"{failed} of {2 * workloads} runs failed" in capsys.readouterr().out

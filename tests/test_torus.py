@@ -4,12 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from orderlex.autos import automorphism, figure_eight_monodromy, identity_automorphism
+from orderlex.autos import (
+    automorphism,
+    figure_eight_monodromy,
+    identity_automorphism,
+    standard_battery,
+)
 from orderlex import torus as torus_module
 from orderlex.errors import CertificationError, ConsistencyError, RepresentationError
 from orderlex.finite import (
+    FiniteRepresentation,
     TorusHomomorphism,
     cyclic_group,
+    enumerate_homomorphisms,
+    homomorphism_classes,
     regular_representation,
     symmetric_group,
     trivial_representation,
@@ -158,6 +166,50 @@ class TestTwisted:
         assert calls[fox_calls:] == [
             {FreeWord.generator(j): 1, one: -1} for j in range(1, m.stable_index + 1)
         ]
+
+    def test_no_product_with_an_identity_factor(self, monkeypatch):
+        """Prefix chains start at a letter's matrix, and a letter whose
+        matrix is the identity multiplies nothing: over the 6 classes of
+        fig8, no RationalMatrix product has an identity factor."""
+        label, auto = standard_battery()[0]
+        m = MappingTorus(auto.rank, auto)
+        reps = [regular_representation(f) for f in homomorphism_classes(auto).values()]
+        assert (label, len(reps)) == ("fig8", 6)
+        product = RationalMatrix.__mul__
+        factors = []
+
+        def recording(a, b):
+            factors.append(a.is_identity() or b.is_identity())
+            return product(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__mul__", recording)
+        for rep in reps:
+            twisted_alexander(m, rep)
+        assert factors and not any(factors)
+
+    def test_conjugate_with_denominators(self):
+        """The quarter-turn representations of every rank-2 battery map and
+        their conjugates by diag(2, 1), whose matrices have denominators,
+        have equal twisted polynomials."""
+        q = RationalMatrix([[0, -1], [1, 0]])
+        conjugate = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
+        g = cyclic_group(4)
+        checked = 0
+        for _, auto in standard_battery():
+            if auto.rank != 2:
+                continue
+            m = MappingTorus(2, auto)
+            for f in enumerate_homomorphisms(auto, g):
+                # element k of the cyclic group is its generator to the k
+                k = [g.index(p) for p in f.fiber_images + (f.stable_image,)]
+                plain, scaled = (
+                    FiniteRepresentation([a.power(i) for i in k[:2]], a.power(k[2]))
+                    for a in (q, conjugate)
+                )
+                for d in (1, 2, 3):
+                    assert twisted_alexander(m, scaled, d) == twisted_alexander(m, plain, d)
+                    checked += 1
+        assert checked > 0
 
     def test_invariant_factors_multiply_to_polynomial(self):
         m = fig8()
