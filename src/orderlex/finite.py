@@ -19,7 +19,7 @@ from .errors import (
     RepresentationError,
 )
 from .laurent import _to_zcanonical, _zpseudo_divmod
-from .linalg import RationalMatrix, characteristic_matrix
+from .linalg import RationalMatrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
@@ -486,8 +486,7 @@ def _cyclotomic_lcm(m):
     """lcm of the k with Phi_k dividing det(tI - m), or None unless that
     polynomial is a product of such Phi_k with k <= MATRIX_ORDER_BOUND.
     Raises RepresentationError if its constant term, (-1)^n det(m), is 0."""
-    n = m.rows
-    char = characteristic_matrix(m, 1).det()
+    char = m.char_poly()
     if not char.coefficient(0):
         raise RepresentationError("generator matrix is singular")
     # det(tI - m) is monic: its canonical form is itself if its coefficients
@@ -495,7 +494,7 @@ def _cyclotomic_lcm(m):
     # division by a cyclotomic polynomial removes
     rest = _to_zcanonical(char)
     order = 1
-    for k, phi in _cyclotomic_polynomials(n):
+    for k, phi in _cyclotomic_polynomials(m.rows):
         if len(rest) == 1:
             break
         while len(phi) <= len(rest):

@@ -1,19 +1,16 @@
 """Exact matrices over Q and over Laurent polynomials, both held as integers:
 integer rows over one common denominator, and Z[t] rows under one unit
 t^shift / den of Q[t, 1/t].  Fraction and LaurentPolynomial values appear
-only at the public boundary: the constructors, entry, row and to_lists.
+only at the public boundary: the constructors, entry and to_lists.
 
 A polynomial matrix is only ever assembled (by fox.specialize,
-characteristic_matrix, from_blocks, submatrix or transpose) and handed to
-the determinant, the Smith normal form or homology_invariant_factors; no
-code adds or multiplies polynomial matrices.  Since rational scalars and
-powers of t are units, those kernels read the rows as they are and rescale
-them freely.  Eliminations are fraction-free (Bareiss for the determinant,
-pseudo-division for the Smith normal form, both on the one pseudo-division
-loop of laurent), and the invariant factors are reported in canonical form.
-homology_invariant_factors carries b2 through the Smith reduction of b1 in
-the same Z[t] form, so it builds no inverse matrix; b1 * b2 = 0 is read off
-the carried b2.
+characteristic_matrix, from_blocks or transpose) and read by the kernels,
+which rescale rows by units freely.  pencil_char_poly reads a minor
+t^d A - B as the characteristic polynomial of A^-1 B, so the Bareiss
+determinant serves only det(t^d rho(t) - I); it and the Smith normal form
+share the one pseudo-division loop of laurent.  homology_invariant_factors
+carries b2 through the Smith reduction of b1, so it builds no inverse matrix
+and reads b1 * b2 = 0 off the carried b2.
 """
 
 from __future__ import annotations
@@ -71,11 +68,8 @@ class RationalMatrix:
     def entry(self, i, j):
         return Fraction(self._z[i][j], self._den)
 
-    def row(self, i):
-        return [Fraction(x, self._den) for x in self._z[i]]
-
     def to_lists(self):
-        return [self.row(i) for i in range(self.rows)]
+        return [[Fraction(x, self._den) for x in r] for r in self._z]
 
     def __eq__(self, other):
         return (
@@ -97,20 +91,7 @@ class RationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # Row i of the product is the sum of a * (row k of other) over the
-        # nonzero a = self[i][k]; only nonzero entries are visited, so a
-        # product of permutation matrices costs O(n^2), not O(n^3).
-        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other._z]
-        n = other.cols
-        out = []
-        for row in self._z:
-            acc = [0] * n
-            for a, terms in zip(row, sparse):
-                if a:
-                    for j, b in terms:
-                        acc[j] += a * b
-            out.append(acc)
-        return RationalMatrix._of(out, self._den * other._den)
+        return RationalMatrix._of(_zmatmul(self._z, other._z), self._den * other._den)
 
     def trace(self):
         return Fraction(sum(self._z[i][i] for i in range(self.rows)), self._den)
@@ -172,20 +153,33 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
-        z = RationalMatrix._of(self._z, 1)
         coeffs = {n: 1}
-        mk = z
+        mk = self._z
         for k in range(1, n + 1):
-            ak = -sum(mk._z[i][i] for i in range(n)) // k
+            ak = -sum(mk[i][i] for i in range(n)) // k
             coeffs[n - k] = ak
             if k < n:
-                shifted = [list(r) for r in mk._z]
+                shifted = [list(r) for r in mk]
                 for i in range(n):
                     shifted[i][i] += ak
-                mk = z * RationalMatrix._of(shifted, 1)
+                mk = _zmatmul(self._z, shifted)
         return LaurentPolynomial(
             {e: Fraction(c, self._den ** (n - e)) for e, c in coeffs.items()}
         )
+
+
+def _zmatmul(x, y):
+    """x * y for integer rows, over nonzero entries only (O(n^2) for permutations)."""
+    sparse = [[(j, b) for j, b in enumerate(r) if b] for r in y]
+    out = []
+    for row in x:
+        acc = [0] * len(y[0]) if y else []
+        for a, terms in zip(row, sparse):
+            if a:
+                for j, b in terms:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 class PolynomialMatrix:
@@ -234,11 +228,6 @@ class PolynomialMatrix:
     def entry(self, i, j):
         return _z_to_laurent(self._z[i][j], self._shift, self._den)
 
-    def submatrix(self, row_range, col_range):
-        return PolynomialMatrix._of(
-            [[self._z[i][j] for j in col_range] for i in row_range], self._shift, self._den
-        )
-
     def __repr__(self):
         entries = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
         return f"PolynomialMatrix({entries!r})"
@@ -277,6 +266,25 @@ class PolynomialMatrix:
                     mi[j] = q
             prev = p
         return _z_to_laurent(m[n - 1][n - 1], n * self._shift, sign * self._den ** n)
+
+    def pencil_char_poly(self, block, d):
+        """For the leading square minor t^d A - B of self, with A = I_n (x) block
+        and B constant, chi_M(t^d) = det(minor) / det(A) for M = A^-1 B."""
+        size, dim, den, lo = self.rows, block.rows, self._den, -self._shift
+        a, b = ([[s * p[e] if 0 <= e < len(p) else 0 for p in r[:size]] for r in self._z]
+                for e, s in ((lo + d, 1), (lo, -1)))  # the t^d and t^0 coefficients
+        if any(c for r in self._z for p in r[:size]
+               for e, c in enumerate(p) if e - lo not in (0, d)):
+            raise ConsistencyError("the minor has t-degrees other than 0 and d")
+        if size % dim or any(
+                x * block._den != den * block._z[k % dim][l % dim] * (k // dim == l // dim)
+                for k, r in enumerate(a) for l, x in enumerate(r)):
+            raise ConsistencyError("the t^d part of the minor is not I_n (x) block")
+        if not block.is_identity():
+            inv = block.inverse()  # kept by block, so computed once per matrix
+            b = [r for i in range(0, size, dim) for r in _zmatmul(inv._z, b[i:i + dim])]
+            den *= inv._den
+        return RationalMatrix._of(b, den).char_poly().substitute_power(d)
 
     def smith_normal_form(self):
         """Canonical invariant factors p1 | p2 | ..., padded with zeros to

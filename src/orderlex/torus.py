@@ -114,10 +114,10 @@ def twisted_alexander(m, rep, d_scale=1):
     the relator check: its ConsistencyError becomes RepresentationError if
     rep violates a relator, and is re-raised as a bug otherwise.
 
-    A second, independent route computes the classical Wada quotient
-    bookkeeping det(fox matrix minus t-column) * order(H_0) and compares it
-    with product(p_i) * det(rep(t) t^d - I); disagreement raises
-    ConsistencyError.
+    A second, independent route (Wada's) compares det(fox minor) *
+    order(H_0) with product(p_i) * det(rep(t) t^d - I); disagreement raises
+    ConsistencyError.  The fibered minor t^d A - B has determinant
+    det(A) chi_{A^-1 B}(t^d) (Kitano-Morifuji 2005; see _wada_cross_check).
     """
     if d_scale < 1:
         raise ValueError("d_scale must be a positive integer")
@@ -152,7 +152,7 @@ def twisted_alexander(m, rep, d_scale=1):
     poly = [] if free_rank > 0 else _product_z(factors)
 
     # the last block of b1 is (rep(t) t^d - I)^T
-    _wada_cross_check(fox_matrix, b1, phi_blocks[-1], poly)
+    _wada_cross_check(fox_matrix, b1, phi_blocks[-1], rep.stable_matrix, d_scale, poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
@@ -167,11 +167,14 @@ def _product_z(polys, out=(1,)):
     return list(out)
 
 
-def _wada_cross_check(fox_matrix, b1, t_block, poly):
-    """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists."""
-    fiber = range(fox_matrix.rows)
-    det_minor = fox_matrix.submatrix(fiber, fiber).det()
-    lhs = _product_z([det_minor] + b1.smith_normal_form())
+def _wada_cross_check(fox_matrix, b1, t_block, stable, d, poly):
+    """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists.
+
+    The fiber columns of relator t x_i t^-1 theta(x_i)^-1 specialize to
+    delta_ij stable t^d - B_ij, B constant, so det(fox minor) is a unit times
+    chi_M(t^d) for M = (I_n (x) stable^-1) B (Kitano-Morifuji 2005;
+    Friedl-Vidussi, "A survey of twisted Alexander polynomials", 2011)."""
+    lhs = _product_z([fox_matrix.pencil_char_poly(stable, d)] + b1.smith_normal_form())
     rhs = _product_z([t_block.det()], poly)
     if lhs != rhs:
         raise ConsistencyError(

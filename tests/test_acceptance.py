@@ -373,7 +373,8 @@ def _determinantal_factors(pm):
         acc = LaurentPolynomial.zero()
         for rs in combinations(range(n), k):
             for cs in combinations(range(n), k):
-                acc = poly_gcd(acc, pm.submatrix(rs, cs).det())
+                minor = PolynomialMatrix([[pm.entry(i, j) for j in cs] for i in rs])
+                acc = poly_gcd(acc, minor.det())
         acc = acc.canonicalize()
         if acc.is_zero:
             factors.append(LaurentPolynomial.zero())

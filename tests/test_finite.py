@@ -27,7 +27,7 @@ from orderlex.finite import (
     trivial_group,
     trivial_representation,
 )
-from orderlex.linalg import RationalMatrix
+from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.words import FreeWord, parse_word
 
 
@@ -338,6 +338,26 @@ class TestRepresentations:
             with pytest.raises(RepresentationError, match="no order up to 1000"):
                 FiniteRepresentation((RationalMatrix(rows), eye), eye)
             assert len(matrix_products) <= 10
+
+    def test_order_certification_makes_no_polynomial_det(self, monkeypatch):
+        """det(tI - m) comes from the characteristic polynomial, not from a
+        determinant over Q[t, 1/t]."""
+        calls = []
+        det = PolynomialMatrix.det
+
+        def counting(m):
+            calls.append(m)
+            return det(m)
+
+        monkeypatch.setattr(PolynomialMatrix, "det", counting)
+        eye = RationalMatrix.identity(2)
+        FiniteRepresentation((RationalMatrix([[0, -1], [1, 0]]), eye), eye)
+        for n in (4, 8, 12):
+            jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+            eye = RationalMatrix.identity(n)
+            with pytest.raises(RepresentationError, match="no order up to 1000"):
+                FiniteRepresentation((RationalMatrix(jordan), eye), eye)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "orders, accepted",

@@ -82,7 +82,8 @@ def determinantal_divisor_chain(pm):
         acc = LaurentPolynomial.zero()
         for rs in combinations(range(n), k):
             for cs in combinations(range(n), k):
-                acc = poly_gcd(acc, pm.submatrix(rs, cs).det())
+                minor = PolynomialMatrix([[pm.entry(i, j) for j in cs] for i in rs])
+                acc = poly_gcd(acc, minor.det())
         chain.append(acc.canonicalize())
     return chain
 
@@ -157,6 +158,48 @@ class TestPolynomialMatrixDet:
             a = random_poly_matrix(rng, 3, max_deg=1, span=2)
             b = random_poly_matrix(rng, 3, max_deg=1, span=2)
             assert product(a, b).det() == a.det() * b.det()
+
+
+class TestPencilCharPoly:
+    """PolynomialMatrix.pencil_char_poly reads the leading square minor
+    t^d (I_n (x) block) - B as chi_M(t^d), M = (I_n (x) block^-1) B."""
+
+    def test_identity_block_gives_char_poly_of_b(self):
+        b = QM([[2, 1], [1, 1]])
+        for d in (1, 2, 3):
+            pm = characteristic_matrix(b, d)
+            chi = pm.pencil_char_poly(RationalMatrix.identity(1), d)
+            assert chi == b.char_poly().substitute_power(d)
+            assert pm.pencil_char_poly(RationalMatrix.identity(2), d) == pm.det()
+
+    def test_block_is_inverted(self):
+        # t^2 * [[2]] - [[3]] has determinant 2 t^2 - 3 = 2 (t^2 - 3/2)
+        assert PM([["2*t^2 - 3"]]).pencil_char_poly(QM([[2]]), 2) == L("t^2 - 3/2")
+        # I_2 (x) [[0, 1], [1, 0]]: the 4 x 4 minor of 1 + t^3 * swap, with
+        # trailing columns ignored
+        pm = PM([["1", "t^3", "0", "0", "t^5"],
+                 ["t^3", "1", "0", "0", "0"],
+                 ["0", "0", "1", "t^3", "t"],
+                 ["0", "0", "t^3", "1", "0"]])
+        swap = QM([[0, 1], [1, 0]])
+        chi = pm.pencil_char_poly(swap, 3)
+        bareiss = PolynomialMatrix([[pm.entry(i, j) for j in range(4)] for i in range(4)]).det()
+        assert chi == bareiss  # det(I_2 (x) swap) = 1
+        assert chi == L("t^12 - 2*t^6 + 1")
+
+    @pytest.mark.parametrize("entry", ["t - 1", "t^3 - 1", "t^-1 + t^2"])
+    def test_other_degrees_raise(self, entry):
+        with pytest.raises(ConsistencyError, match="t-degrees other than 0 and d"):
+            PM([[entry, "0"], ["0", "t^2"]]).pencil_char_poly(RationalMatrix.identity(1), 2)
+
+    def test_other_leading_part_raises(self):
+        swap = QM([[0, 1], [1, 0]])
+        with pytest.raises(ConsistencyError, match="not I_n"):
+            PM([["t", "1"], ["1", "t"]]).pencil_char_poly(swap, 1)
+        # an off-diagonal block with a t^d part
+        pm = PM([["1", "t"], ["t", "0"]])
+        with pytest.raises(ConsistencyError, match="not I_n"):
+            pm.pencil_char_poly(RationalMatrix.identity(1), 1)
 
 
 class TestSmithNormalForm:
@@ -281,7 +324,7 @@ class TestIntegerKernels:
              for r in presentation(torus)]
         )
         assert (fox.rows, fox.cols) == (6, 9)
-        minor = fox.submatrix(range(6), range(6))
+        minor = PolynomialMatrix([[fox.entry(i, j) for j in range(6)] for i in range(6)])
         assert not minor.det().is_zero
         assert len(fox.smith_normal_form()) == 6
         twisted_alexander(torus, rep)
@@ -367,8 +410,9 @@ def block_grids(draw):
 @settings(max_examples=30, deadline=None)
 @given(block_grids(), st.data())
 def test_storage_round_trip(grid, data):
-    """Entries survive the Z[t] storage: the constructor, transpose,
-    submatrix and from_blocks give back the entries they were built from."""
+    """Entries survive the Z[t] storage: the constructor, transpose and
+    from_blocks give back the entries they were built from, and so does a
+    minor rebuilt from entries."""
     def entries(pm):
         return [[pm.entry(i, j) for j in range(pm.cols)] for i in range(pm.rows)]
 
@@ -382,7 +426,8 @@ def test_storage_round_trip(grid, data):
     assert entries(pm) == full
     rows = data.draw(st.lists(st.sampled_from(range(pm.rows)), max_size=4))
     cols = data.draw(st.lists(st.sampled_from(range(pm.cols)), min_size=1, max_size=4))
-    assert entries(pm.submatrix(rows, cols)) == [[full[i][j] for j in cols] for i in rows]
+    minor = PolynomialMatrix([[pm.entry(i, j) for j in cols] for i in rows])
+    assert entries(minor) == [[full[i][j] for j in cols] for i in rows]
 
 
 @settings(max_examples=30, deadline=None)

@@ -193,6 +193,34 @@ def test_characteristic_matrix(n):
             charpoly = to_sympy(m).charpoly(T).as_expr().subs(T, T ** d)
             assert characteristic_matrix(m, d).det() == from_sympy_laurent(charpoly)
 
+def random_sympy_matrix(rng, rows, cols, density):
+    return sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
+        rng.randint(-9, 9) if rng.random() < density else 0, rng.randint(1, 6)))
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_pencil_char_poly(size):
+    """det(t^d A - B) = det(A) chi_{A^-1 B}(t^d) for A = I_n (x) S with S a
+    random invertible rational matrix (S = A when n = 1) and B random, each
+    built in sympy; the left side is sympy's determinant."""
+    rng = random.Random(f"pencil {size}")
+    for dim in (k for k in range(1, size + 1) if size % k == 0):
+        for d in (1, 2, 3):
+            for density in (1.0, 0.4):
+                s = random_sympy_matrix(rng, dim, dim, 1.0)
+                while s.det() == 0:
+                    s = random_sympy_matrix(rng, dim, dim, 1.0)
+                a = sympy.diag(*[s] * (size // dim))
+                b = random_sympy_matrix(rng, size, size, density)
+                minor = T ** d * a - b
+                block = RationalMatrix([[from_sympy(s[i, j]) for j in range(dim)]
+                                        for i in range(dim)])
+                chi = from_sympy_matrix(minor).pencil_char_poly(block, d)
+                det = DomainMatrix.from_Matrix(minor).convert_to(QQ_T).det()
+                expected = from_sympy_poly(QQ_T.to_sympy(det))
+                assert chi * LaurentPolynomial.term(from_sympy(a.det())) == expected
+
+
 # -- PolynomialMatrix ---------------------------------------------------
 #
 # Entries carry non-monic Fraction coefficients and negative exponents, so

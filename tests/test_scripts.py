@@ -121,3 +121,54 @@ def test_golden_check_exit_code(monkeypatch, capsys, case, code):
     assert all(argv[-4:] == ["--seconds", "0", "--trace", "0"] for argv in runs)
     failed = {"all-correct": 0, "no-golden-seed": workloads}.get(case, 1)
     assert f"{failed} of {2 * workloads} runs failed" in capsys.readouterr().out
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(failed, items_per_s, p50_ms):
+    """The last line run.py prints, for two metrics."""
+    return json.loads(json.dumps({
+        "correct": failed == 0, "attempted": 100, "failed": failed,
+        "metrics": {"items_per_s": {"value": items_per_s, "unit": "1/s"},
+                    "item_p50_ms": {"value": p50_ms, "unit": "ms"}},
+    }))
+
+
+def test_bench_pairs_summary():
+    """Quartiles per side, the ratio of the medians, the pairs the change
+    won (higher is better for one metric, lower for the other) and the
+    failed items per side, from canned result lines."""
+    bench_pairs = _load_script("bench_pairs")
+    spec = [
+        {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "item_p50_ms", "unit": "ms", "better": "lower", "bound": 0.15},
+    ]
+    pairs = [
+        {"parent": _result_line(0, 100.0, 10.0), "change": _result_line(0, 120.0, 8.0)},
+        {"parent": _result_line(1, 110.0, 9.0), "change": _result_line(0, 105.0, 9.5)},
+        {"parent": _result_line(0, 90.0, 11.0), "change": _result_line(2, 130.0, 7.0)},
+        {"parent": _result_line(0, 100.0, 10.0), "change": _result_line(0, 125.0, 10.0)},
+    ]
+    entry = bench_pairs.summarize([1, 2, 3, 4], pairs, spec)
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["pairs"] == 4
+    assert entry["failed"] == {"parent": 1, "change": 2}
+    rate = entry["metrics"]["items_per_s"]
+    assert (rate["unit"], rate["better"], rate["bound"]) == ("1/s", "higher", 0.25)
+    assert rate["parent"] == {"q1": 97.5, "median": 100.0, "q3": 102.5}
+    assert rate["change"] == {"q1": 116.25, "median": 122.5, "q3": 126.25}
+    assert rate["change_over_parent"] == 1.225
+    assert rate["change_wins"] == 3
+    p50 = entry["metrics"]["item_p50_ms"]
+    assert p50["parent"]["median"] == 10.0
+    assert p50["change"]["median"] == 8.75
+    assert p50["change_over_parent"] == 0.875
+    # a tie is no win
+    assert p50["change_wins"] == 2
+    single = bench_pairs.summarize([7], pairs[:1], spec)["metrics"]["items_per_s"]
+    assert single["parent"] == {"q1": 100.0, "median": 100.0, "q3": 100.0}

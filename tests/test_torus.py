@@ -225,6 +225,51 @@ class TestTwisted:
         res = twisted_alexander(m, z2_regular(m))
         assert res.polynomial == L("t^4 - 2*t^2 + 1")
 
+    def test_wada_minor_matches_bareiss(self, monkeypatch):
+        """On every battery class at d_scale 1-3, the fiber minor's
+        determinant read as chi_M(t^d) equals the Bareiss determinant of the
+        same minor, canonically."""
+        pencil = PolynomialMatrix.pencil_char_poly
+        minors = []
+
+        def recording(self, block, d):
+            out = pencil(self, block, d)
+            minors.append((self, out))
+            return out
+
+        monkeypatch.setattr(PolynomialMatrix, "pencil_char_poly", recording)
+        classes = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            for f in homomorphism_classes(auto).values():
+                rep = regular_representation(f)
+                classes += 1
+                for d in (1, 2, 3):
+                    twisted_alexander(m, rep, d)
+        assert (classes, len(minors)) == (256, 768)
+        for fox, chi in minors:
+            n = fox.rows
+            minor = PolynomialMatrix([[fox.entry(i, j) for j in range(n)] for i in range(n)])
+            assert chi.canonicalize() == minor.det().canonicalize()
+
+    def test_one_polynomial_det_per_twisted_polynomial(self, monkeypatch):
+        """The Bareiss determinant serves only det(rep(t) t^d - I)."""
+        det = PolynomialMatrix.det
+        calls = []
+
+        def counting(self):
+            calls.append(self.rows)
+            return det(self)
+
+        monkeypatch.setattr(PolynomialMatrix, "det", counting)
+        _, auto = standard_battery()[0]
+        m = MappingTorus(auto.rank, auto)
+        for rep in map(regular_representation, homomorphism_classes(auto).values()):
+            for d in (1, 2):
+                before = len(calls)
+                twisted_alexander(m, rep, d)
+                assert calls[before:] == [rep.dimension]
+
     def test_generators_inverted_once_per_representation(self, monkeypatch):
         m = MappingTorus(2, identity_automorphism(2))
         g = symmetric_group(3)
