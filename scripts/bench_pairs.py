@@ -31,13 +31,15 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# the benchmark's run length, untraced
+RUN_ARGS = ("--seconds", "16", "--trace", "0")
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """(result line, result document) of one untraced run in checkout."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         *RUN_ARGS],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = out.stdout.strip().splitlines()
@@ -94,7 +96,6 @@ def main(argv=None):
     parser.add_argument("--out", type=pathlib.Path, required=True)
     parser.add_argument("--run", nargs="+", action="append", required=True,
                         metavar=("WORKLOAD", "SEED"), help="a workload and its seeds")
-    parser.add_argument("--seconds", type=float, default=16.0)
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
@@ -108,7 +109,7 @@ def main(argv=None):
         for k, seed in enumerate(seeds):
             pair = {}
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                pair[side], doc = run_once(checkouts[side], workload, seed, args.seconds)
+                pair[side], doc = run_once(checkouts[side], workload, seed)
                 fingerprints[side] = doc["fingerprint"]
                 value = pair[side]["metrics"]["items_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: {value:.1f} items/s, "
@@ -119,8 +120,7 @@ def main(argv=None):
     out = {
         "what": "end-to-end metrics of the parent commit and of this change, "
                 "from alternating pairs of runs",
-        "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(RUN_ARGS),
         "pairing": "one parent and one change run per seed, the parent first on "
                    "even-numbered pairs",
         "parent_commit": fingerprints["parent"]["git_commit"],

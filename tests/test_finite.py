@@ -33,7 +33,11 @@ from orderlex.words import FreeWord, parse_word
 
 @pytest.fixture
 def matrix_products(monkeypatch):
-    """The left factors of the RationalMatrix products made in the test."""
+    """The left factors of the RationalMatrix products made in the test.
+
+    Only RationalMatrix.__mul__ is counted, so bounds on this list bound
+    the order check's power-loop products; the products inside char_poly
+    run on linalg's integer kernel directly and are deliberately uncounted."""
     calls = []
     product = RationalMatrix.__mul__
 
