@@ -4,11 +4,14 @@
 Runs the commutator-inequality suite and the bi-order axiom suite at a
 chosen rank/trial count and prints the tallies as JSON.  Violations should
 always be zero; the interesting number is the unresolved rate at shallow
-depths.  A rank, trial count or depth below 1 exits 2 with a usage error.
+depths.  Exits 1 when either suite reports a violation or resolves no
+comparison, so that it never passes vacuously, else 0.  A rank, trial count
+or depth below 1 exits 2 with a usage error.
 """
 
 import argparse
 import json
+import sys
 
 from orderlex.cli import _positive_int
 from orderlex.ordering import bi_order_axiom_suite, lemma_comm_suite
@@ -33,7 +36,9 @@ def main():
         ),
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
+    suites = (doc["commutators"], doc["axioms"])
+    return 1 if any(s["violations"] or not s["resolved"] for s in suites) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -160,15 +160,6 @@ class FiniteGroup:
     def inverse(self, a):
         return invert_permutation(a)
 
-    def element_order(self, a):
-        e = self.identity()
-        acc = a
-        k = 1
-        while acc != e:
-            acc = multiply_permutations(acc, a)
-            k += 1
-        return k
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteGroup)

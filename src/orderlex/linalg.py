@@ -93,9 +93,6 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
         return RationalMatrix._of(_zmatmul(self._z, other._z), self._den * other._den)
 
-    def trace(self):
-        return Fraction(sum(self._z[i][i] for i in range(self.rows)), self._den)
-
     def is_identity(self):
         return self._den == 1 and self._z == RationalMatrix.identity(self.rows)._z
 

@@ -6,9 +6,15 @@ The ordering: embed the free group into power series in non-commuting
 variables X_1..X_n by x_i -> 1 + X_i, and compare elements by the first
 nonzero coefficient of u * v^-1 - 1 in graded-lexicographic monomial order.
 It lies in the first nonzero homogeneous degree, the lower-central-series
-class of u * v^-1 (Magnus-Karrass-Solitar 5.5-5.7), so the expansion is
-computed lazily, degree by degree, and stopping there is exact.  A class
+class of u * v^-1 (Magnus-Karrass-Solitar, MKS, 5.5-5.7), so the expansion
+is computed lazily, degree by degree, and stopping there is exact.  A class
 above the depth is reported unresolved, never guessed.
+
+Most comparisons resolve at degree 1 or 2, both in closed form: degree 1
+is sum_a e_a X_a, e_a the exponent sum of x_a, and when every e_a is zero,
+degree 2 is the Lie element sum_{a<b} c(a,b) [X_a, X_b], c(a,b) a pair sum
+of Fox derivatives (Chen-Fox-Lyndon, "Free differential calculus IV", Ann.
+Math. 68 (1958)).  Only higher degrees run the per-prefix recursion.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import random
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .covers import build_cover, cover_alexander
 from .finite import regular_representation
@@ -89,6 +96,36 @@ class MagnusSeries:
 
 
 def _graded_components(letters):
+    """Yield the degree-k component of the image of the word, k = 0, 1, ...
+    Degree 1 is sum_a e_a X_a, e_a the exponent sum of x_a (MKS 5.5).  When
+    every e_a is zero, degree 2 is a Lie element (MKS 5.7): X_a X_b has
+    coefficient c(a,b) = sum of s_j E_a(j) over the letters x_b^s_j, E_a(j)
+    the exponent sum of x_a before letter j, c(b,a) = -c(a,b), c(a,a) = 0
+    (Chen-Fox-Lyndon, Ann. Math. 68 (1958)).  Only a query for a higher
+    component builds the per-prefix recursion."""
+    sums = {}
+    for g, s in letters:
+        sums[g] = sums.get(g, 0) + s
+    degree1 = {(g,): e for g, e in sums.items() if e}
+    yield {(): 1}
+    yield degree1
+    if not degree1:
+        before = dict.fromkeys(sums, 0)
+        pairs = {}
+        for b, s in letters:
+            for a, e in before.items():
+                if a < b and e:
+                    pairs[a, b] = pairs.get((a, b), 0) + s * e
+            before[b] += s
+        degree2 = {}
+        for (a, b), c in pairs.items():
+            if c:
+                degree2[a, b], degree2[b, a] = c, -c
+        yield degree2
+    yield from islice(_prefix_components(letters), 3 - bool(degree1), None)
+
+
+def _prefix_components(letters):
     """Yield the degree-k component of the image of the word, for k = 0,
     1, 2, ...  With p_j the image of the first j letters, a letter x_g
     gives p_j[k] = p_{j-1}[k] + p_{j-1}[k-1] X_g, and a letter x_g^-1

@@ -41,12 +41,17 @@ class FreeWord:
         object.__setattr__(self, "letters", _free_reduce(ls))
 
     @classmethod
-    def _reduced(cls, letters):
-        """The word on letters already known to be valid (int pairs with
-        generator >= 1 and sign +1/-1); it is only freely reduced."""
+    def _wrap(cls, letters):
+        """The word on a tuple of letters already known to be valid (int
+        pairs with generator >= 1 and sign +1/-1) and freely reduced."""
         out = object.__new__(cls)
-        object.__setattr__(out, "letters", _free_reduce(letters))
+        object.__setattr__(out, "letters", letters)
         return out
+
+    @classmethod
+    def _reduced(cls, letters):
+        """The word on valid letters, only freely reduced."""
+        return cls._wrap(_free_reduce(letters))
 
     @classmethod
     def generator(cls, g, sign=1):
@@ -72,9 +77,17 @@ class FreeWord:
         return hash(self.letters)
 
     def __mul__(self, other):
+        """Both factors are reduced, so a cancellation can only start at the
+        junction and run outward from it: only there are letters compared."""
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return FreeWord._reduced(self.letters + other.letters)
+        left, right = self.letters, other.letters
+        k = 0
+        for (g, s), (h, r) in zip(reversed(left), right):
+            if g != h or s == r:
+                break
+            k += 1
+        return FreeWord._wrap(left[: len(left) - k] + right[k:] if k else left + right)
 
     def __pow__(self, k):
         if k < 0:
@@ -82,7 +95,9 @@ class FreeWord:
         return FreeWord._reduced(self.letters * k)
 
     def inverse(self):
-        return FreeWord._reduced([(g, -s) for g, s in reversed(self.letters)])
+        """The reversed word with signs flipped; no adjacent pair of it can
+        cancel, as none of the reduced word's pairs could."""
+        return FreeWord._wrap(tuple([(g, -s) for g, s in reversed(self.letters)]))
 
     def exponent_sum(self, gen):
         return sum(s for g, s in self.letters if g == gen)

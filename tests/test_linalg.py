@@ -137,7 +137,8 @@ class TestRationalMatrix:
 
     def test_power(self):
         m = QM([[2, 1], [1, 1]])
-        assert m.power(2).trace() == 7
+        square = m.power(2)
+        assert square.entry(0, 0) + square.entry(1, 1) == 7
         assert m.power(0).is_identity()
         assert (m.power(-1) * m).is_identity()
 
@@ -447,5 +448,5 @@ def test_char_poly_root_trace_consistency(rows):
     # det expanded along the first row
     (a, b, c), (d, e, f), (g, h, i) = rows
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    assert p.coefficient(2) == -m.trace()
+    assert p.coefficient(2) == -(a + e + i)
     assert p.coefficient(0) == -det

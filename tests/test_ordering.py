@@ -10,6 +10,7 @@ from orderlex import ordering
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import (
+    DEFAULT_DEPTH,
     Comparison,
     OrderStatus,
     bi_order_axiom_suite,
@@ -95,6 +96,23 @@ def letter_pairs(draw):
     return u, draw(letters)
 
 
+@st.composite
+def commutator_products(draw):
+    """(rank, letters) of a product of one to three commutators [x, y] of
+    short letter lists, rank 2 to 5, over a drawn subset of the generators,
+    so that some are absent; every exponent sum of the word is zero."""
+    rank = draw(st.integers(min_value=2, max_value=5))
+    present = draw(st.lists(st.integers(min_value=1, max_value=rank), min_size=1,
+                            max_size=rank, unique=True))
+    letters = st.lists(st.tuples(st.sampled_from(present), st.sampled_from((1, -1))),
+                       max_size=4)
+    word = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        x, y = draw(letters), draw(letters)
+        word += inverse_letters(x) + inverse_letters(y) + x + y
+    return rank, word
+
+
 class TestMagnusExpansion:
     def test_generator(self):
         s = magnus_expand(W("a"), depth=3)
@@ -153,6 +171,49 @@ class TestMagnusExpansion:
         assert len(pulled) <= 3
         assert series.leading_term() == ((1, 2), 1)
         assert len(pulled) <= 3
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(commutator_products())
+    def test_commutator_subgroup_matches_oracle(self, drawn):
+        """Degree 2 of a word with every exponent sum zero comes from the
+        pair sums; it and the degrees above it match the oracle, and degree
+        2 is antisymmetric with a zero diagonal (a Lie element)."""
+        rank, letters = drawn
+        word = FreeWord(letters)
+        for depth in range(2, 7):
+            assert magnus_expand(word, depth).coefficients == oracle_expand(letters, depth)
+        series = magnus_expand(word, 2)
+        gens = range(1, rank + 1)
+        assert all(series.coefficient((a,)) == 0 for a in gens)
+        for a in gens:
+            assert series.coefficient((a, a)) == 0
+            for b in gens:
+                assert series.coefficient((a, b)) == -series.coefficient((b, a))
+
+    def test_low_degrees_build_no_prefix_recursion(self, monkeypatch):
+        """Comparisons that resolve at degree 1 or 2 take those degrees in
+        closed form; only a pair whose difference lies in the third term of
+        the lower central series builds the per-prefix recursion."""
+        built = []
+        prefix = ordering._prefix_components
+
+        def counting(letters):
+            built.append(letters)
+            return prefix(letters)
+
+        monkeypatch.setattr(ordering, "_prefix_components", counting)
+        a, b = W("a"), W("b")
+        one = FreeWord.empty()
+        assert magnus_compare(W("ab"), b) is Comparison.GREATER
+        assert magnus_compare(W("Ab"), W("bA")) is Comparison.LESS
+        assert magnus_compare(commutator(a, b), one) is Comparison.GREATER
+        assert magnus_compare(commutator(b, a), commutator(a, b)) is Comparison.LESS
+        assert built == []
+        deep = commutator(commutator(a, b), b)
+        result = magnus_compare(deep, one)
+        assert result is oracle_compare(list(deep.letters), [], DEFAULT_DEPTH)
+        assert len(built) == 1
 
 
 class TestMagnusCompare:

@@ -1,6 +1,7 @@
 """The drivers under scripts/, run as a user runs them: in a subprocess
-with the package on PYTHONPATH.  The sweep's exit code is tested in
-process, with its checks replaced, since a real sweep takes seconds."""
+with the package on PYTHONPATH.  The exit codes of the sweep and of the
+order statistics are tested in process, with their checks replaced, since
+a real sweep takes seconds and a real suite cannot be made to fail."""
 
 import importlib.util
 import json
@@ -43,6 +44,31 @@ def test_order_lemma_stats_rejects_counts_below_one(flag):
     assert out.returncode == 2
     assert flag in out.stderr and "must be at least 1" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("clean", 0), ("commutators-violation", 1), ("axioms-violation", 1),
+     ("commutators-unresolved", 1), ("axioms-unresolved", 1)],
+)
+def test_order_lemma_stats_exit_code(monkeypatch, capsys, case, code):
+    """The statistics exit 1 when either suite reports a violation or
+    resolves no comparison, so they never pass vacuously."""
+    stats = _load_script("order_lemma_stats")
+    monkeypatch.setattr(sys, "argv", ["order_lemma_stats.py", "--trials", "3"])
+
+    def suite(name):
+        def run(rank, trials, depth, seed):
+            return {"trials": trials, "depth": depth, "unresolved": 0,
+                    "resolved": 0 if case == f"{name}-unresolved" else 5,
+                    "violations": int(case == f"{name}-violation")}
+        return run
+
+    monkeypatch.setattr(stats, "lemma_comm_suite", suite("commutators"))
+    monkeypatch.setattr(stats, "bi_order_axiom_suite", suite("axioms"))
+    assert stats.main() == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["commutators"]["trials"] == doc["axioms"]["trials"] == 3
 
 
 def test_figure_eight_demo():

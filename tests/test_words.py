@@ -37,6 +37,20 @@ class TestReduction:
         assert w * w.inverse() == FreeWord.empty()
         assert w.inverse() * w == FreeWord.empty()
 
+    @given(letters_st, letters_st, st.integers(min_value=0, max_value=12))
+    def test_product_and_inverse_match_validating_constructor(self, l1, l2, overlap):
+        """The product, which cancels only at the junction, and the inverse,
+        which is not re-reduced, give the words that the validating
+        constructor builds from the concatenated and the reversed letters.
+        v may start with the inverse of a tail of u, so that the junction
+        cancels far, up to all of u or of v."""
+        u = FreeWord(l1)
+        tail = u.letters[len(u) - min(overlap, len(u)):]
+        v = FreeWord([(g, -s) for g, s in reversed(tail)] + l2)
+        assert u * v == FreeWord(u.letters + v.letters)
+        assert v * u == FreeWord(v.letters + u.letters)
+        assert u.inverse() == FreeWord([(g, -s) for g, s in reversed(u.letters)])
+
     @given(letters_st, letters_st)
     def test_product_antihomomorphism(self, l1, l2):
         u, v = FreeWord(l1), FreeWord(l2)
