@@ -77,8 +77,7 @@ class FreeWord:
         return hash(self.letters)
 
     def __mul__(self, other):
-        """Both factors are reduced, so a cancellation can only start at the
-        junction and run outward from it: only there are letters compared."""
+        """Reduced factors can cancel only outward from their junction."""
         if not isinstance(other, FreeWord):
             return NotImplemented
         left, right = self.letters, other.letters
@@ -95,8 +94,9 @@ class FreeWord:
         return FreeWord._reduced(self.letters * k)
 
     def inverse(self):
-        """The reversed word with signs flipped; no adjacent pair of it can
-        cancel, as none of the reduced word's pairs could."""
+        """The reversed word with signs flipped, reduced as the word is; built
+        from a list, as a tuple grown from a generator is resized step by
+        step, which fragments small-object memory and raises the peak RSS."""
         return FreeWord._wrap(tuple([(g, -s) for g, s in reversed(self.letters)]))
 
     def exponent_sum(self, gen):
