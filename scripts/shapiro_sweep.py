@@ -3,9 +3,11 @@
 
 For each certified automorphism and each valid homomorphism to a group of
 order <= 6 (deduplicated by the induced map onto its image), verify that
-the twisted polynomial of the regular representation matches the classical
-polynomial of the corresponding cover, and print root-count summaries.
-Exits 1 when any check fails or when no check ran, else 0.
+the twisted polynomial of the regular representation equals the classical
+polynomial of the corresponding cover, and that the two agree on whether a
+positive real root exists; print root-count summaries.  A check fails when
+either comparison does.  Exits 1 when any check fails or when no check ran,
+else 0.
 """
 
 import argparse
@@ -31,7 +33,7 @@ def main():
         rows = []
         for f in homs.values():
             report = theorem2_report(torus, f)
-            ok = report["existence_equal"]
+            ok = report["existence_equal"] and report["twisted"] == report["cover"]
             total += 1
             if not ok:
                 mismatches += 1

@@ -72,19 +72,12 @@ def _positive_int(text):
     return value
 
 
-def _resolve_depth(args, manifest):
-    if getattr(args, "depth", None) is not None:
-        return args.depth
-    if manifest.options.depth is not None:
-        return manifest.options.depth
-    return _env_depth()
-
-
-def _resolve(args, manifest, name, fallback):
+def _resolve(args, manifest, name):
+    """The command-line value of name, else the manifest's."""
     value = getattr(args, name, None)
     if value is not None:
         return value
-    return getattr(manifest.options, name, fallback)
+    return getattr(manifest.options, name)
 
 
 def _emit(doc, as_json, human_lines):
@@ -269,9 +262,9 @@ def cmd_verify(args):
         doc["checks"] = checks
         ok = _nonempty(doc, checks, ok)
     elif which == "order-lemmas":
-        depth = _resolve_depth(args, manifest)
-        trials = _resolve(args, manifest, "trials", 500)
-        seed = _resolve(args, manifest, "seed", 0)
+        depth = _resolve(args, manifest, "depth") or _env_depth()
+        trials = _resolve(args, manifest, "trials")
+        seed = _resolve(args, manifest, "seed")
         commutators = lemma_comm_suite(2, trials, depth=depth, seed=seed)
         axioms = bi_order_axiom_suite(2, trials, depth=depth, seed=seed)
         doc.update(

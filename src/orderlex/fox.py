@@ -2,7 +2,12 @@
 
 fox_derivative implements the standard left derivative determined by
   d(x)/dx = 1,  d(uv)/dx = du/dx + u * dv/dx,
-from which d(x^-1)/dx = -x^-1 follows.
+from which d(x^-1)/dx = -x^-1 follows.  Walking a reduced word once, each
+letter x^s of the derivative's generator adds s times the prefix before it
+(s = 1) or through it (s = -1).  These prefixes of a reduced word are
+reduced, and no two terms share one: two occurrences give equal lengths only
+as x^-1 followed by x, which a reduced word never contains.  So the terms
+never merge or cancel.
 
 specialize sends a group ring element through g -> rho(g) * t^phi(g),
 yielding a matrix of Laurent polynomials.  The words of a Fox derivative
@@ -22,32 +27,15 @@ from math import lcm
 from .linalg import PolynomialMatrix, RationalMatrix
 from .words import FreeWord
 
-_F0 = Fraction(0)
-
 
 def fox_derivative(w, gen):
     """Fox derivative of the word w with respect to generator gen, as a
     group ring element {reduced FreeWord: nonzero Fraction coefficient}."""
     if gen < 1:
         raise ValueError(f"unknown generator {gen}")
-    terms = {}
-
-    def add(word, coeff):
-        acc = terms.get(word, _F0) + coeff
-        if acc:
-            terms[word] = acc
-        else:
-            del terms[word]
-
-    prefix = []
-    for g, s in w.letters:
-        if g == gen:
-            if s > 0:
-                add(FreeWord(prefix), Fraction(1))
-            else:
-                add(FreeWord(prefix + [(g, -1)]), Fraction(-1))
-        prefix.append((g, s))
-    return terms
+    letters = w.letters
+    return {FreeWord._wrap(letters[:j + (s < 0)]): Fraction(s)
+            for j, (g, s) in enumerate(letters) if g == gen}
 
 
 def specialize(x, matrices, exponents):

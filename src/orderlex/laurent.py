@@ -51,10 +51,6 @@ class LaurentPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def t(cls):
-        return cls({1: 1})
-
-    @classmethod
     def term(cls, coeff, exp=0):
         return cls({int(exp): Fraction(coeff)})
 

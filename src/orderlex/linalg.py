@@ -307,9 +307,14 @@ def _snf_core(m, cols, carry=None):
     i < min(len(m), cols), as Z[t] lists, nonzero entries first.
 
     Rows are kept integer-primitive, and each division is a pseudo-division
-    c*a = q*b + r whose scale c is a rational unit.  Pivot choice: the
-    nonzero entry of minimal degree, ties broken by the smallest (row, col)
-    pair.  The column operations make up a unimodular V with m * V
+    c*a = q*b + r whose scale c is a rational unit.  One loop: it moves the
+    nonzero entry of minimal degree (ties broken by the smallest (row, col)
+    pair) to (k, k), clears column k by row operations and only then row k
+    by column operations.  A remainder left by either has a lower degree
+    than the pivot, so the loop searches again, and the degree of the pivot
+    falls until both are clear.  Then a later entry the pivot does not
+    divide is added into row k, and k advances only once none is left.
+    The column operations make up a unimodular V with m * V
     row-equivalent to the diagonal.  carry, when given, is a list of cols
     Z[t] rows Y; every column operation on m is applied to it as the row
     operation of V^-1, so on return row j of carry is a rational unit times
@@ -353,62 +358,39 @@ def _snf_core(m, cols, carry=None):
             carry[k] = [[x // g for x in p] for p in row] if g > 1 else row
             cden[k] = l // g
 
-    def row_swap(a, b):
-        m[a], m[b] = m[b], m[a]
-
     for i in range(rows):
         normalize_row(i)
 
     limit = min(rows, cols)
     k = 0
     while k < limit:
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = m[i][j]
-                if not x:
-                    continue
-                # rows are kept in Z[t] form, so this is the Q[t] degree
-                d = len(x) - 1
-                if pivot is None or (d, i, j) < pivot:
-                    pivot = (d, i, j)
+        # the nonzero entry of least degree; rows are kept in Z[t] form, so
+        # len - 1 is its Q[t] degree
+        pivot = min(((len(x), i, j) for i in range(k, rows)
+                     for j, x in enumerate(m[i][k:], k) if x), default=None)
         if pivot is None:
             break
         _, pi, pj = pivot
-        if pi != k:
-            row_swap(pi, k)
+        m[pi], m[k] = m[k], m[pi]
         if pj != k:
             col_swap(pj, k)
         normalize_row(k)
 
-        while True:
-            dirty = False
-            for i in range(k + 1, rows):
-                if not m[i][k]:
-                    continue
+        for i in range(k + 1, rows):
+            if m[i][k]:
                 # row_i := c * row_i - q * row_k, then its content removed
                 c, q, _ = _zpseudo_divmod(m[i][k], m[k][k])
                 m[i] = _zprimitive(
                     [_zsubmul([c], a, q, b) for a, b in zip(m[i], m[k])]
                 )
-                if m[i][k]:
-                    row_swap(i, k)
-                    normalize_row(k)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(k + 1, cols):
-                if not m[k][j]:
-                    continue
+        if any(m[i][k] for i in range(k + 1, rows)):
+            continue  # a remainder, of lower degree than the pivot
+        # column k is now zero outside row k, as reduce_col needs
+        for j in range(k + 1, cols):
+            if m[k][j]:
                 reduce_col(j, k)
-                if m[k][j]:
-                    col_swap(j, k)
-                    normalize_row(k)
-                    dirty = True
-                    break
-            if not dirty:
-                break
+        if any(m[k][k + 1:]):
+            continue
 
         offender = None
         pivot_poly = m[k][k]

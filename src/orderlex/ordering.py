@@ -219,7 +219,7 @@ def random_reduced_word(rng, rank, max_len=8, min_len=1):
                 break
         letters.append((g, s))
         prev = (g, s)
-    return FreeWord(letters)
+    return FreeWord._wrap(tuple(letters))
 
 
 def lemma_comm_suite(rank, trials, depth=DEFAULT_DEPTH, seed=0):

@@ -89,9 +89,12 @@ class FreeWord:
         return FreeWord._wrap(left[: len(left) - k] + right[k:] if k else left + right)
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return FreeWord._reduced(self.letters * k)
+        """k products of w, or -k of w^-1, each cancelling only at its junction."""
+        base = self if k >= 0 else self.inverse()
+        out = FreeWord._wrap(())
+        for _ in range(abs(k)):
+            out = out * base
+        return out
 
     def inverse(self):
         """The reversed word with signs flipped, reduced as the word is; built

@@ -82,6 +82,41 @@ class TestAxioms:
             assert lhs == rhs
 
 
+def reference_fox(w, gen):
+    """d(u x^s) = du + u d(x^s) letter by letter, with d(x)/dx = 1 and
+    d(x^-1)/dx = -x^-1, every word built by the validating constructor and
+    equal words merged."""
+    out = {}
+    u = []
+    for g, s in w.letters:
+        if g == gen:
+            word = FreeWord(u if s > 0 else u + [(g, -1)])
+            out[word] = out.get(word, Fraction(0)) + s
+        u.append((g, s))
+    return {word: c for word, c in out.items() if c}
+
+
+ranked_words_st = st.integers(min_value=1, max_value=4).flatmap(
+    lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=rank), st.sampled_from((1, -1))),
+            max_size=16,
+        ).map(FreeWord),
+    )
+)
+
+
+@settings(max_examples=200)
+@given(ranked_words_st)
+def test_matches_reference(ranked):
+    rank, w = ranked
+    for g in range(1, rank + 1):
+        got = fox_derivative(w, g)
+        assert got == reference_fox(w, g)
+        assert all(type(c) is Fraction for c in got.values())
+
+
 class TestFundamentalIdentity:
     @settings(max_examples=200)
     @given(words_st)

@@ -331,6 +331,39 @@ def test_polynomial_smith_normal_form(rows, cols, density):
         assert m.smith_normal_form() == sympy_invariant_factors(m)
 
 
+# the first pivot (t-1)(t-2) divides neither the entry below it nor the one
+# beside it, and the later pivot t - 1 does not divide (t+1)(t+2), so the
+# reduction meets a column remainder, a row remainder and a non-divisible
+# later entry
+REMAINDER_CASE = [
+    [(T - 1) * (T - 2), (T - 1) * (T - 5), 0],
+    [(T - 1) * (T - 3), (T - 1) * T, 0],
+    [0, 0, (T + 1) * (T + 2)],
+]
+
+
+def test_smith_normal_form_remainders():
+    m = from_sympy_matrix(sympy.Matrix(REMAINDER_CASE).expand())
+    assert m.smith_normal_form() == sympy_invariant_factors(m)
+
+
+@pytest.mark.parametrize("v", [(T, 1, T ** 2), (1, T, 0), (T ** 2, 0, 1)])
+def test_homology_remainders(v):
+    """b1 = [M | M v] and b2 = [v; -1] B compose to zero for the remainder
+    case M, which has full rank, so ker b1 is spanned by [v; -1] and the
+    homology is the cokernel of the row B; reducing b1 carries b2 through
+    every remainder."""
+    m = sympy.Matrix(REMAINDER_CASE)
+    v = sympy.Matrix(v)
+    b = sympy.Matrix([[(T - 1) * (T + 3), (T - 1) ** 2, T * (T - 1) * (T + 2)]])
+    b1 = m.row_join(m * v).expand()
+    b2 = (v.col_join(sympy.Matrix([[-1]])) * b).expand()
+    factors, free_rank = homology_invariant_factors(from_sympy_matrix(b1), from_sympy_matrix(b2))
+    assert factors == sympy_invariant_factors(from_sympy_matrix(b)) == [
+        LaurentPolynomial({0: -1, 1: 1})]
+    assert free_rank == 0
+
+
 def sympy_laurent(rng, density, low=-2, high=2):
     """random_laurent's draws, as a sympy expression."""
     if rng.random() >= density:

@@ -87,10 +87,11 @@ def test_figure_eight_demo():
 
 @pytest.mark.parametrize(
     "case, code",
-    [("all-equal", 0), ("one-mismatch", 1), ("no-checks", 1)],
+    [("all-equal", 0), ("one-mismatch", 1), ("polynomials-differ", 1), ("no-checks", 1)],
 )
 def test_shapiro_sweep_exit_code(monkeypatch, capsys, case, code):
-    """The sweep exits 1 on any existence mismatch and when it ran no
+    """The sweep exits 1 on any existence mismatch, on a twisted polynomial
+    that differs from the cover's while existence agrees, and when it ran no
     check, so it never passes vacuously."""
     spec = importlib.util.spec_from_file_location(
         "shapiro_sweep", ROOT / "scripts" / "shapiro_sweep.py"
@@ -102,14 +103,17 @@ def test_shapiro_sweep_exit_code(monkeypatch, capsys, case, code):
 
     def report(torus, f):
         seen.append(f)
-        equal = case == "all-equal" or len(seen) > 1
-        return {"existence_equal": equal}
+        first = len(seen) == 1
+        cover = "t^2 - 3*t + 1"
+        twisted = "t^2 - 4*t + 1" if case == "polynomials-differ" and first else cover
+        equal = case != "one-mismatch" or not first
+        return {"existence_equal": equal, "twisted": twisted, "cover": cover}
 
     monkeypatch.setattr(sweep, "theorem2_report", report)
     if case == "no-checks":
         monkeypatch.setattr(sweep, "homomorphism_classes", lambda monodromy: {})
     assert sweep.main() == code
-    mismatches = int(case == "one-mismatch")
+    mismatches = int(case in ("one-mismatch", "polynomials-differ"))
     assert f"{len(seen)} checks, {mismatches} mismatches" in capsys.readouterr().out
     assert (len(seen) > 0) == (case != "no-checks")
 

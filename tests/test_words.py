@@ -51,6 +51,23 @@ class TestReduction:
         assert v * u == FreeWord(v.letters + u.letters)
         assert u.inverse() == FreeWord([(g, -s) for g, s in reversed(u.letters)])
 
+    @given(letters_st, letters_st, st.integers(min_value=-4, max_value=4))
+    def test_power_matches_validating_constructor(self, l1, l2, k):
+        """w = p c p^-1 with p drawn on its own, so that w is often not
+        cyclically reduced; w^k is the reduced repetition of the letters of
+        w, or of w^-1 when k < 0."""
+        p = FreeWord(l1)
+        w = p * FreeWord(l2) * p.inverse()
+        base = w if k >= 0 else w.inverse()
+        assert w ** k == FreeWord(base.letters * abs(k))
+
+    @pytest.mark.parametrize("text", ["aBcbA", "abcBA", "aBA", "abAB", "a", ""])
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_power_examples(self, text, k):
+        w = parse_word(text, 3)
+        base = w if k >= 0 else w.inverse()
+        assert w ** k == FreeWord(base.letters * abs(k))
+
     @given(letters_st, letters_st)
     def test_product_antihomomorphism(self, l1, l2):
         u, v = FreeWord(l1), FreeWord(l2)
