@@ -8,6 +8,12 @@ change:
         --run cover_ladder 14001 14002 14003 --run sweep 14101 14102 \\
         --claim cover_ladder items_per_s
 
+Both must be git work trees, so that the output names the parent commit:
+make the parent with `git worktree add --detach PARENT_DIR PARENT_COMMIT`
+or `git clone REPO PARENT_DIR` followed by a checkout of the commit, not
+with `git archive`.  A directory that resolves no commit of its own exits 2
+before any run.
+
 Each seed of each --run makes one pair: one run of
 
     perfbench/run.py --workload W --seed S --seconds 16 --trace 0
@@ -33,6 +39,21 @@ import sys
 SIDES = ("parent", "change")
 # the benchmark's run length, untraced
 RUN_ARGS = ("--seconds", "16", "--trace", "0")
+
+
+def commit_of(checkout):
+    """The commit checked out at the top of the git work tree checkout, or
+    None when checkout is not one (an export, or a directory inside another
+    repository's tree)."""
+    try:
+        out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+                             capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = out.stdout.split("\n")
+    if out.returncode or pathlib.Path(lines[0]).resolve() != pathlib.Path(checkout).resolve():
+        return None
+    return lines[1]
 
 
 def run_once(checkout, workload, seed):
@@ -100,6 +121,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     checkouts = {"parent": args.parent, "change": args.change}
+    commits = {side: commit_of(checkouts[side]) for side in SIDES}
+    for side in SIDES:
+        if commits[side] is None:
+            parser.error(f"{checkouts[side]}: the {side} checkout is not a git work tree "
+                         "with a commit; make it with git worktree add --detach or git clone")
     workloads, fingerprints = {}, {}
     for workload, *seeds in args.run:
         seeds = [int(s) for s in seeds]
@@ -123,7 +149,7 @@ def main(argv=None):
         "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(RUN_ARGS),
         "pairing": "one parent and one change run per seed, the parent first on "
                    "even-numbered pairs",
-        "parent_commit": fingerprints["parent"]["git_commit"],
+        "parent_commit": commits["parent"],
         "claimed": ({"workload": args.claim[0], "metric": args.claim[1]}
                     if args.claim else None),
         "workloads": workloads,

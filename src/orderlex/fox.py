@@ -10,13 +10,15 @@ as x^-1 followed by x, which a reduced word never contains.  So the terms
 never merge or cancel.
 
 specialize sends a group ring element through g -> rho(g) * t^phi(g),
-yielding a matrix of Laurent polynomials.  The words of a Fox derivative
-are prefixes of one word, so specialize builds each prefix product once by
-extending the longest prefix already built; a chain starts at its first
-letter's matrix, and a letter whose matrix is the identity multiplies
-nothing.  The integer rows of each product, times its coefficient, are
-summed straight into the Z[t] entries of the result over one common
-denominator, so no Fraction or Laurent polynomial is built on the way.
+yielding a matrix of Laurent polynomials.  fox_row specializes the Fox
+derivatives of one word by every generator at once: the terms of all of
+them are prefixes of that word, so one walk builds each prefix product
+rho * t^phi once and hands it to the block of the letter it precedes or
+ends.  Both start a product at its first letter's matrix, and a letter
+whose matrix is the identity multiplies nothing.  The integer rows of each
+product, times its coefficient, are summed straight into the Z[t] entries
+of the result over one common denominator, so no Fraction or Laurent
+polynomial is built on the way.
 """
 
 from __future__ import annotations
@@ -46,41 +48,65 @@ def specialize(x, matrices, exponents):
     invertible RationalMatrix, exponents to an integer.  Returns a
     PolynomialMatrix of the common dimension.
     """
+    dim, letter = _letters(matrices)
+    terms = []
+    for word, coeff in x.items():
+        *_, last = _prefixes(word.letters, letter, exponents)
+        terms.append((coeff, *last))
+    return _sum_terms(terms, dim)
+
+
+def fox_row(r, matrices, exponents):
+    """[specialize(fox_derivative(r, g), matrices, exponents) for g in
+    sorted(matrices)], from one walk of the word r: letter x_g^s adds s
+    times the prefix product before it (s = 1) or through it (s = -1) to
+    block g."""
+    dim, letter = _letters(matrices)
+    terms = {g: [] for g in matrices}
+    letters = r.letters
+    walk = _prefixes(letters, letter, exponents)
+    before = next(walk)
+    for (g, s), after in zip(letters, walk):
+        terms[g].append((s, *(before if s > 0 else after)))
+        before = after
+    return [_sum_terms(terms[g], dim) for g in sorted(matrices)]
+
+
+def _letters(matrices):
+    """(dim, letter): the common dimension of the square matrices, and the
+    matrix of each letter (g, s) whose matrix is not the identity."""
     dims = {m.rows for m in matrices.values()}
     if len(dims) != 1 or any(m.rows != m.cols for m in matrices.values()):
         raise ValueError("generator matrices must be square of equal dimension")
-    dim = dims.pop()
-    # each letter's matrix; identity matrices, which multiply nothing, are left out
-    letter = {}
+    letter = {(g, s): None for g in matrices for s in (1, -1)}
     for g, m in matrices.items():
         if not m.is_identity():
             letter[g, 1], letter[g, -1] = m, m.inverse()
-    # chain[k] is (product, t-exponent) of the first k letters of previous,
-    # None standing for the identity; in sorted order a word shares its
-    # longest built prefix with previous
-    chain = [(None, 0)]
-    previous = ()
-    terms = []
+    return dims.pop(), letter
+
+
+def _prefixes(letters, letter, exponents):
+    """(product, t-exponent) of each prefix of letters, the empty one
+    first, with None standing for the identity product."""
+    prod, shift = None, 0
+    yield prod, shift
+    for g, s in letters:
+        try:
+            m = letter[g, s]
+        except KeyError:
+            raise ValueError(f"no matrix assigned to generator {g}") from None
+        if m is not None:
+            prod = m if prod is None else prod * m
+        shift += s * exponents[g]
+        yield prod, shift
+
+
+def _sum_terms(terms, dim):
+    """The PolynomialMatrix sum of coeff * prod * t^e over the terms
+    (coeff, prod, e): coeff rational, prod a RationalMatrix of dimension
+    dim or None for the identity."""
     identity = RationalMatrix.identity(dim)
-    for word in sorted(x, key=lambda w: w.letters):
-        letters = word.letters
-        k = 0
-        for a, b in zip(letters, previous):
-            if a != b:
-                break
-            k += 1
-        del chain[k + 1:]
-        for g, s in letters[k:]:
-            if g not in matrices:
-                raise ValueError(f"no matrix assigned to generator {g}")
-            prod, shift = chain[-1]
-            m = letter.get((g, s))
-            if m is not None:
-                prod = m if prod is None else prod * m
-            chain.append((prod, shift + s * exponents[g]))
-        previous = letters
-        prod, shift = chain[-1]
-        terms.append((x[word], identity if prod is None else prod, shift))
+    terms = [(c, identity if p is None else p, e) for c, p, e in terms]
     # entry (i, j) is t^low * out[i][j] / den, summed over the terms
     den = lcm(*(c.denominator * p._den for c, p, _ in terms))
     low = min((e for _, _, e in terms), default=0)

@@ -3,14 +3,15 @@ integer rows over one common denominator, and Z[t] rows under one unit
 t^shift / den of Q[t, 1/t].  Fraction and LaurentPolynomial values appear
 only at the public boundary: the constructors, entry and to_lists.
 
-A polynomial matrix is only ever assembled (by fox.specialize,
+A polynomial matrix is only ever assembled (by fox.fox_row, fox.specialize,
 characteristic_matrix, from_blocks or transpose) and read by the kernels,
 which rescale rows by units freely.  pencil_char_poly reads a minor
 t^d A - B as the characteristic polynomial of A^-1 B, so the Bareiss
 determinant serves only det(t^d rho(t) - I); it and the Smith normal form
 share the one pseudo-division loop of laurent.  homology_invariant_factors
 carries b2 through the Smith reduction of b1, so it builds no inverse matrix
-and reads b1 * b2 = 0 off the carried b2.
+and reads b1 * b2 = 0 off the carried b2; it also returns the diagonal of
+that reduction, the invariant factors of coker(b1), so b1 is reduced once.
 """
 
 from __future__ import annotations
@@ -319,6 +320,12 @@ def _snf_core(m, cols, carry=None):
     Z[t] rows Y; every column operation on m is applied to it as the row
     operation of V^-1, so on return row j of carry is a rational unit times
     row j of V^-1 * Y.
+
+    Without a carry, a pivot that is a unit c t^e of Q[t, 1/t] skips its
+    column operations.  Column k is clear outside row k by then, so they
+    would only clear row k and scale other columns by units, and a unit
+    divides every later entry; the rest of row k is set to zero and k
+    advances.
     """
     rows = len(m)
     # carry row j stands for carry[j] / cden[j]
@@ -385,6 +392,13 @@ def _snf_core(m, cols, carry=None):
                 )
         if any(m[i][k] for i in range(k + 1, rows)):
             continue  # a remainder, of lower degree than the pivot
+        if carry is None and not any(m[k][k][:-1]):
+            # a unit c t^e: with column k zero outside row k, the column
+            # operations would only clear row k and scale other columns by
+            # units, and a unit divides every later entry
+            m[k][k + 1:] = [[] for _ in range(k + 1, cols)]
+            k += 1
+            continue
         # column k is now zero outside row k, as reduce_col needs
         for j in range(k + 1, cols):
             if m[k][j]:
@@ -413,8 +427,10 @@ def homology_invariant_factors(b1, b2):
     """Invariant factors of ker(b1) / im(b2) over Q[t, 1/t].
 
     b1 and b2 are consecutive boundary maps (b1 * b2 = 0).  Returns
-    (factors, free_rank) where factors are the canonical nonzero invariant
-    factors of the torsion part, units included.  Raises ConsistencyError
+    (factors, free_rank, b1_factors) where factors are the canonical nonzero
+    invariant factors of the torsion part, units included, and b1_factors
+    are b1.smith_normal_form(), the invariant factors of coker(b1), read
+    off the reduction of b1 that carries b2.  Raises ConsistencyError
     unless b1 * b2 = 0.
     """
     if b1.cols != b2.rows:
@@ -432,4 +448,4 @@ def homology_invariant_factors(b1, b2):
     kernel_rank = b1.cols - rank
     nonzero = [_z_to_laurent(_zcanonical(d)) for d in _snf_core(y[rank:], k) if d]
     free_rank = kernel_rank - len(nonzero)
-    return nonzero, free_rank
+    return nonzero, free_rank, [_z_to_laurent(_zcanonical(d)) for d in diag]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError, ConsistencyError, RepresentationError
-from .fox import fox_derivative, specialize
+from .fox import fox_row, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import (
     LaurentPolynomial,
@@ -103,11 +103,12 @@ def twisted_alexander(m, rep, d_scale=1):
 
     The chain complex of the presentation 2-complex has boundary maps
     assembled from group ring elements: the Fox derivatives of the relators
-    (degree 2 -> 1) and x_j - 1 for each generator (degree 1 -> 0).  Both go
-    through the one specialization g -> rep(g) * t^(phi(g)).  Because the
-    module carries a left action while the matrices act on column vectors,
-    both boundary blocks enter transposed, which replaces the module by its
-    contragredient and changes no invariant factor up to units.
+    (degree 2 -> 1), one fox_row walk per relator, and x_j - 1 for each
+    generator (degree 1 -> 0), by specialize.  Both send g to
+    rep(g) * t^(phi(g)).  Because the module carries a left action while
+    the matrices act on column vectors, both boundary blocks enter
+    transposed, which replaces the module by its contragredient and
+    changes no invariant factor up to units.
 
     By Fox's fundamental formula sum_j (dr/dx_j)(x_j - 1) = r - 1, block i
     of b1 * b2 is (rep(r_i) - I)^T, so the homology's b1 * b2 = 0 check is
@@ -128,10 +129,7 @@ def twisted_alexander(m, rep, d_scale=1):
     exponents = {j: 0 for j in gens}
     exponents[m.stable_index] = d_scale
 
-    fox_blocks = [
-        [specialize(fox_derivative(r, j), matrices, exponents) for j in gens]
-        for r in presentation(m)
-    ]
+    fox_blocks = [fox_row(r, matrices, exponents) for r in presentation(m)]
     fox_matrix = PolynomialMatrix.from_blocks(fox_blocks)
     b2 = fox_matrix.transpose()
     one = FreeWord.empty()
@@ -142,7 +140,7 @@ def twisted_alexander(m, rep, d_scale=1):
     b1 = PolynomialMatrix.from_blocks([phi_blocks])
 
     try:
-        factors, free_rank = homology_invariant_factors(b1, b2)
+        factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
     except ConsistencyError:
         if rep.satisfies_relations(m.monodromy):
             raise
@@ -152,7 +150,7 @@ def twisted_alexander(m, rep, d_scale=1):
     poly = [] if free_rank > 0 else _product_z(factors)
 
     # the last block of b1 is (rep(t) t^d - I)^T
-    _wada_cross_check(fox_matrix, b1, phi_blocks[-1], rep.stable_matrix, d_scale, poly)
+    _wada_cross_check(fox_matrix, b1_factors, phi_blocks[-1], rep.stable_matrix, d_scale, poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
@@ -167,14 +165,18 @@ def _product_z(polys, out=(1,)):
     return list(out)
 
 
-def _wada_cross_check(fox_matrix, b1, t_block, stable, d, poly):
+def _wada_cross_check(fox_matrix, b1_factors, t_block, stable, d, poly):
     """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists.
 
     The fiber columns of relator t x_i t^-1 theta(x_i)^-1 specialize to
     delta_ij stable t^d - B_ij, B constant, so det(fox minor) is a unit times
     chi_M(t^d) for M = (I_n (x) stable^-1) B (Kitano-Morifuji 2005;
-    Friedl-Vidussi, "A survey of twisted Alexander polynomials", 2011)."""
-    lhs = _product_z([fox_matrix.pencil_char_poly(stable, d)] + b1.smith_normal_form())
+    Friedl-Vidussi, "A survey of twisted Alexander polynomials", 2011).
+    order(H_0) is the product of b1_factors, the invariant factors of
+    H_0 = coker(b1) that the homology's reduction of b1 already computed:
+    a second reduction would run the same loop on the same matrix and
+    check nothing independent."""
+    lhs = _product_z([fox_matrix.pencil_char_poly(stable, d)] + b1_factors)
     rhs = _product_z([t_block.det()], poly)
     if lhs != rhs:
         raise ConsistencyError(

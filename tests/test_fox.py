@@ -12,7 +12,7 @@ from orderlex.finite import (
     homomorphism_classes,
     regular_representation,
 )
-from orderlex.fox import fox_derivative, specialize
+from orderlex.fox import fox_derivative, fox_row, specialize
 from orderlex.laurent import parse_polynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.torus import MappingTorus, presentation
@@ -289,3 +289,48 @@ class TestSpecializeAgainstReference:
             letters[g, -1] = _reference_inverse(letters[g, 1])
         got = _library_entries(specialize(x, matrices, exponents))
         assert got == _reference_specialize(x, letters, exponents)
+
+
+# invertible 2 x 2 matrices: the identity, integer ones and ones with
+# denominators
+MATRIX_POOL = (
+    RationalMatrix.identity(2),
+    RationalMatrix([[0, 1], [1, 0]]),
+    RationalMatrix([[0, -2], [Fraction(1, 2), 0]]),
+    RationalMatrix([[1, 1], [0, 1]]),
+    RationalMatrix([[Fraction(1, 3), 0], [Fraction(2, 5), 3]]),
+)
+
+
+@st.composite
+def fox_rows(draw):
+    """(word, matrices, exponents): a word over generators 1..rank, a pool
+    matrix per generator and t-exponent d in {1, 2, 3} on the last
+    generator, as on a mapping torus's stable letter."""
+    rank, w = draw(ranked_words_st)
+    matrices = {g: draw(st.sampled_from(MATRIX_POOL)) for g in range(1, rank + 1)}
+    exponents = {g: draw(st.integers(min_value=-2, max_value=2)) for g in range(1, rank)}
+    exponents[rank] = draw(st.sampled_from((1, 2, 3)))
+    return w, matrices, exponents
+
+
+@settings(max_examples=200)
+@given(fox_rows())
+def test_fox_row_matches_reference(case):
+    """Block j of the one-walk row is the reference specialization of
+    d(w)/dx_j."""
+    w, matrices, exponents = case
+    letters = {}
+    for g, a in matrices.items():
+        letters[g, 1] = a.to_lists()
+        letters[g, -1] = _reference_inverse(letters[g, 1])
+    blocks = fox_row(w, matrices, exponents)
+    assert len(blocks) == len(matrices)
+    for j, block in enumerate(blocks, 1):
+        expected = _reference_specialize(fox_derivative(w, j), letters, exponents)
+        assert _library_entries(block) == expected, (w, j)
+
+
+def test_fox_row_rejects_missing_generator():
+    with pytest.raises(ValueError, match="no matrix assigned to generator 2"):
+        fox_row(W("ab"), {1: RationalMatrix.identity(1)}, {1: 0})

@@ -262,16 +262,18 @@ class TestHomologyInvariantFactors:
         # b1 * b2 = 0 with b2 presenting a (t-1)-torsion module
         b1 = PM([["t - 1", "0"]])
         b2 = PM([["0"], ["t - 1"]])
-        factors, free_rank = homology_invariant_factors(b1, b2)
+        factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
         assert [str(f) for f in factors] == ["t - 1"]
         assert free_rank == 0
+        assert b1_factors == b1.smith_normal_form() == [L("t - 1")]
 
     def test_free_part_detected(self):
         b1 = PM([[0, 0]])
         b2 = PM([[0], [0]])
-        factors, free_rank = homology_invariant_factors(b1, b2)
+        factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
         assert factors == []
         assert free_rank == 2
+        assert b1_factors == [L("0")]
 
     def test_no_matrix_product(self, monkeypatch):
         """A twisted boundary pair is only assembled and reduced:
@@ -295,8 +297,9 @@ class TestHomologyInvariantFactors:
 
         arithmetic = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__")
         assert not any(hasattr(PolynomialMatrix, op) for op in arithmetic)
-        factors, free_rank = homology_invariant_factors(b1, b2)
+        factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
         assert free_rank == expected.free_rank == 0
+        assert b1_factors == b1.smith_normal_form()
         assert tuple(x for x in factors if not x.is_one) == expected.invariant_factors
 
     def test_rejects_non_complex(self):
@@ -336,16 +339,16 @@ class TestIntegerKernels:
         assert laurent_calls["poly_divmod"] == 2
 
     def test_no_conversion_in_the_twisted_pipeline(self, monkeypatch):
-        """The twisted pipeline holds its matrices in Z[t] from specialize
-        to the invariant factors: twisted_alexander converts no row of
-        Laurent polynomials into Z[t], and specialize builds no Laurent
-        polynomial."""
+        """The twisted pipeline holds its matrices in Z[t] from fox_row and
+        specialize to the invariant factors: twisted_alexander converts no
+        row of Laurent polynomials into Z[t], and neither fox_row nor
+        specialize builds a Laurent polynomial."""
         torus = MappingTorus(2, figure_eight_monodromy())
         g = cyclic_group(3)
         f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
         f.require_well_defined(torus.monodromy)
         rep = regular_representation(f)
-        counts = {"rows": 0, "built": 0, "specialize": 0}
+        counts = {"rows": 0, "built": 0, "fox_row": 0, "specialize": 0}
         to_z = laurent._row_to_z
 
         def converting(row):
@@ -362,21 +365,26 @@ class TestIntegerKernels:
             counts["built"] += bool(inside)
             init(self, coeffs)
 
-        specialize_ = torus_module.specialize
+        def marked(name):
+            original = getattr(torus_module, name)
 
-        def marked(*args):
-            counts["specialize"] += 1
-            inside.append(True)
-            try:
-                return specialize_(*args)
-            finally:
-                inside.pop()
+            def call(*args):
+                counts[name] += 1
+                inside.append(True)
+                try:
+                    return original(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(torus_module, name, call)
 
         monkeypatch.setattr(LaurentPolynomial, "__init__", building)
-        monkeypatch.setattr(torus_module, "specialize", marked)
+        marked("fox_row")
+        marked("specialize")
         result = twisted_alexander(torus, rep)
         assert result.polynomial == L("t^6 - 18*t^3 + 1")
-        assert counts == {"rows": 0, "built": 0, "specialize": 9}
+        # one row walk per relator, one specialize per b1 block x_j - 1
+        assert counts == {"rows": 0, "built": 0, "fox_row": 2, "specialize": 3}
         # the counters count: the public constructor converts its entries
         PolynomialMatrix([[L("t"), L("1/2")]])
         assert counts["rows"] == 1

@@ -347,6 +347,36 @@ def test_smith_normal_form_remainders():
     assert m.smith_normal_form() == sympy_invariant_factors(m)
 
 
+# unit pivots with nonzero row tails: two constant pivots ahead of a block
+# with no unit, and a first pivot t, a unit of Q[t, 1/t] but not of Q[t],
+# whose column clears by one row operation
+UNIT_PIVOT_CASES = [
+    [[2, 3, T ** 2 + 1, T - 4],
+     [1, 1, T, T ** 3],
+     [0, 0, (T - 1) * (T - 2), (T - 1) * (T - 5)],
+     [0, 0, (T - 1) * (T - 3), (T - 1) * T]],
+    [[T, T + 1, 0],
+     [T ** 2, T ** 2 + T + 5, T - 1],
+     [0, T ** 2 - 1, (T - 1) ** 2]],
+]
+
+
+@pytest.mark.parametrize("case", UNIT_PIVOT_CASES)
+@pytest.mark.parametrize("transpose", [False, True])
+def test_smith_normal_form_unit_pivots(case, transpose):
+    """A unit pivot clears its row without column operations; the factors
+    still match sympy's, with and without a carry."""
+    s = sympy.Matrix(case).expand()
+    m = from_sympy_matrix(s.T if transpose else s)
+    expected = sympy_invariant_factors(m)
+    assert m.smith_normal_form() == expected
+    # the same matrix as b1 of a pair with b2 = 0, reduced with a carry
+    b2 = PolynomialMatrix([[0] for _ in range(m.cols)])
+    factors, free_rank, b1_factors = homology_invariant_factors(m, b2)
+    assert b1_factors == expected
+    assert factors == [] and free_rank == m.cols - sum(1 for f in expected if not f.is_zero)
+
+
 @pytest.mark.parametrize("v", [(T, 1, T ** 2), (1, T, 0), (T ** 2, 0, 1)])
 def test_homology_remainders(v):
     """b1 = [M | M v] and b2 = [v; -1] B compose to zero for the remainder
@@ -358,10 +388,12 @@ def test_homology_remainders(v):
     b = sympy.Matrix([[(T - 1) * (T + 3), (T - 1) ** 2, T * (T - 1) * (T + 2)]])
     b1 = m.row_join(m * v).expand()
     b2 = (v.col_join(sympy.Matrix([[-1]])) * b).expand()
-    factors, free_rank = homology_invariant_factors(from_sympy_matrix(b1), from_sympy_matrix(b2))
+    b1 = from_sympy_matrix(b1)
+    factors, free_rank, b1_factors = homology_invariant_factors(b1, from_sympy_matrix(b2))
     assert factors == sympy_invariant_factors(from_sympy_matrix(b)) == [
         LaurentPolynomial({0: -1, 1: 1})]
     assert free_rank == 0
+    assert b1_factors == sympy_invariant_factors(b1)
 
 
 def sympy_laurent(rng, density, low=-2, high=2):
@@ -441,10 +473,11 @@ def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
     rng = random.Random(f"homology {m_rows} {n} {r} {k}")
     for _ in range(3):
         b1, b2, b = (from_sympy_matrix(x) for x in composing_pair(rng, m_rows, n, r, k))
-        factors, free_rank = homology_invariant_factors(b1, b2)
+        factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
         expected = [f for f in sympy_invariant_factors(b) if not f.is_zero]
         assert factors == expected
         assert free_rank == (n - r) - len(expected)
+        assert b1_factors == sympy_invariant_factors(b1)
     # the pseudo-divisions had to scale, so column scaling reached the carried b2
     assert any(c != 1 for c in scales)
 

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -167,6 +168,46 @@ def _result_line(failed, items_per_s, p50_ms):
         "metrics": {"items_per_s": {"value": items_per_s, "unit": "1/s"},
                     "item_p50_ms": {"value": p50_ms, "unit": "ms"}},
     }))
+
+
+def test_bench_pairs_needs_a_commit_per_checkout(tmp_path, monkeypatch, capsys):
+    """A parent exported without .git (as git archive leaves it) exits 2
+    naming that checkout, before any benchmark run."""
+    bench_pairs = _load_script("bench_pairs")
+    export = tmp_path / "export"
+    export.mkdir()
+
+    def run_once(checkout, workload, seed):
+        raise AssertionError(f"ran {workload} in {checkout}")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main([str(export), str(ROOT), "--out", str(tmp_path / "out.json"),
+                          "--run", "sweep", "1"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{export}: the parent checkout is not a git work tree" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_pairs_commit_of(tmp_path):
+    """The commit of a work tree's top directory; None for a directory
+    inside it or outside any repository."""
+    bench_pairs = _load_script("bench_pairs")
+    tree = tmp_path / "tree"
+    (tree / "sub").mkdir(parents=True)
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
+                               "-c", "user.email=t@example.org", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "empty")
+    assert bench_pairs.commit_of(tree) == git("rev-parse", "HEAD")
+    assert bench_pairs.commit_of(tree / "sub") is None
+    assert bench_pairs.commit_of(tmp_path / "missing") is None
 
 
 def test_bench_pairs_summary():

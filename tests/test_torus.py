@@ -141,29 +141,34 @@ class TestTwisted:
     def test_corrupted_fox_block_is_a_bug(self, monkeypatch):
         """A representation that satisfies the relators, with one entry of
         each relator's stable-letter Fox block corrupted: b1 * b2 != 0 is
-        reported as ConsistencyError, not as bad input.  The Fox blocks are
-        the first fiber_rank * stable_index specializations; the b1 blocks
-        x_j - 1 that follow are left intact."""
+        reported as ConsistencyError, not as bad input.  The Fox blocks come
+        from one fox_row walk per relator, the stable-letter block last;
+        the b1 blocks x_j - 1 come from specialize and are left intact."""
         m = fig8()
         rep = z2_regular(m)
-        calls = []
-        original = torus_module.specialize
-        fox_calls = m.fiber_rank * m.stable_index
+        relators, calls = [], []
+        fox_row = torus_module.fox_row
+        specialize = torus_module.specialize
 
-        def corrupting(x, matrices, exponents):
-            out = original(x, matrices, exponents)
-            calls.append(x)
-            if len(calls) > fox_calls or len(calls) % m.stable_index:
-                return out
+        def corrupting(r, matrices, exponents):
+            blocks = fox_row(r, matrices, exponents)
+            relators.append(r)
+            out = blocks[-1]
             rows = [[out.entry(i, j) for j in range(out.cols)] for i in range(out.rows)]
             rows[0][0] = rows[0][0] + L("1")
-            return PolynomialMatrix(rows)
+            return blocks[:-1] + [PolynomialMatrix(rows)]
 
-        monkeypatch.setattr(torus_module, "specialize", corrupting)
+        def recording(x, matrices, exponents):
+            calls.append(x)
+            return specialize(x, matrices, exponents)
+
+        monkeypatch.setattr(torus_module, "fox_row", corrupting)
+        monkeypatch.setattr(torus_module, "specialize", recording)
         with pytest.raises(ConsistencyError, match="do not compose to zero"):
             twisted_alexander(m, rep)
+        assert relators == presentation(m)
         one = FreeWord.empty()
-        assert calls[fox_calls:] == [
+        assert calls == [
             {FreeWord.generator(j): 1, one: -1} for j in range(1, m.stable_index + 1)
         ]
 
@@ -186,6 +191,59 @@ class TestTwisted:
         for rep in reps:
             twisted_alexander(m, rep)
         assert factors and not any(factors)
+
+    def test_one_reduction_of_b1(self, monkeypatch):
+        """One call reduces b1 once, carrying b2, and then the bottom block
+        of the carried b2: the Wada check reads order(H_0) off the
+        homology's reduction of b1 instead of taking b1's Smith normal form
+        again."""
+        from orderlex import linalg
+
+        m = fig8()
+        rep = z2_regular(m)
+        reductions, snf = [], []
+        core = linalg._snf_core
+        smith = PolynomialMatrix.smith_normal_form
+
+        def reducing(rows, cols, carry=None):
+            reductions.append(carry is not None)
+            return core(rows, cols, carry)
+
+        def counting(self):
+            snf.append(self)
+            return smith(self)
+
+        monkeypatch.setattr(linalg, "_snf_core", reducing)
+        monkeypatch.setattr(PolynomialMatrix, "smith_normal_form", counting)
+        assert twisted_alexander(m, rep).polynomial == L("t^4 - 7*t^2 + 1")
+        assert reductions == [True, False]
+        assert snf == []
+
+    def test_fox_products_per_relator(self, monkeypatch):
+        """The Fox blocks of a relator of length L cost at most L - 1
+        matrix products, one per letter after the first, whichever
+        generators the letters carry: over every class of the battery
+        into the groups of order <= 6, at d = 1 and 2."""
+        product = RationalMatrix.__mul__
+        count = [0]
+
+        def counting(a, b):
+            count[0] += 1
+            return product(a, b)
+
+        monkeypatch.setattr(RationalMatrix, "__mul__", counting)
+        checked = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            bound = sum(len(r) - 1 for r in presentation(m))
+            for f in homomorphism_classes(auto).values():
+                rep = regular_representation(f)
+                for d in (1, 2):
+                    count[0] = 0
+                    twisted_alexander(m, rep, d_scale=d)
+                    assert count[0] <= bound, (auto, f, d)
+                    checked += 1
+        assert checked == 512
 
     def test_conjugate_with_denominators(self):
         """The quarter-turn representations of every rank-2 battery map and
