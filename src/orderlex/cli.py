@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .covers import build_cover, cover_alexander, verify_shapiro
 from .errors import (
@@ -325,6 +326,7 @@ def cmd_report(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@cache  # one parser per process, built at the first main call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="orderlex",
@@ -383,8 +385,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ManifestError, WordParseError, PolynomialParseError) as e:

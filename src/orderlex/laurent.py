@@ -259,6 +259,8 @@ def poly_gcd(p, q):
 
 def _zsubmul(c, a, q, b):
     """c*a - q*b."""
+    if not (c and a) and not (q and b):
+        return []
     out = [0] * max(len(c) + len(a), len(q) + len(b), 1)
     for i, x in enumerate(c):
         if x:

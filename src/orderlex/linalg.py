@@ -302,6 +302,30 @@ def characteristic_matrix(a, d):
     return PolynomialMatrix._of(rows, 0, a._den)
 
 
+def _least_entry(m, k):
+    """(len(x), i, j) for the nonzero x = m[i][j], i, j >= k, of least
+    length, ties broken by the least (i, j); None if there is none.  Z[t]
+    lists have no trailing zeros, so len - 1 is the Q[t] degree, and a
+    constant has the least length, so the row-major search stops at one."""
+    best = None
+    for i in range(k, len(m)):
+        for j, x in enumerate(m[i][k:], k):
+            if x and (best is None or len(x) < best[0]):
+                if len(x) == 1:
+                    return 1, i, j
+                best = len(x), i, j
+    return best
+
+
+def _row_submul(c, row, q, other):
+    """[c*a - q*b for a, b in zip(row, other)] for an integer c > 0.  Only
+    entries with b nonzero need _zsubmul; the others are c*a, or a itself
+    when c == 1, which is safe as no kernel mutates a Z[t] list in place."""
+    cl = [c]
+    return [_zsubmul(cl, a, q, b) if b else a if c == 1 else [c * x for x in a]
+            for a, b in zip(row, other)]
+
+
 def _snf_core(m, cols, carry=None):
     """Reduce the Z[t] rows m, each of length cols, to diagonal form in place
     by unimodular operations over Q[t, 1/t]; returns the diagonal m[i][i],
@@ -326,6 +350,14 @@ def _snf_core(m, cols, carry=None):
     would only clear row k and scale other columns by units, and a unit
     divides every later entry; the rest of row k is set to zero and k
     advances.
+
+    Zero entries cost no products.  A row or carry operation c*a - q*b
+    calls _zsubmul only where b is nonzero and elsewhere scales a by c.
+    The pivot search stops at the first constant in row-major order: no
+    nonzero entry has lower degree, so it is the minimum the full search
+    would pick.  normalize_row skips its power-of-t scan when some entry
+    has a constant term, and a constant pivot, which divides every entry,
+    skips the search for one it does not divide.
     """
     rows = len(m)
     # carry row j stands for carry[j] / cden[j]
@@ -334,7 +366,8 @@ def _snf_core(m, cols, carry=None):
     def normalize_row(i):
         # unit row scaling: strip the common power of t and the content
         row = m[i]
-        k = min((next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
+        k = 0 if any(x and x[0] for x in row) else min(
+            (next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
         m[i] = _zprimitive([x[k:] for x in row] if k else row)
 
     def col_swap(a, b):
@@ -360,7 +393,7 @@ def _snf_core(m, cols, carry=None):
             dk, dj = cden[k], cden[j]
             l = lcm(dk, dj)
             sq = [-(l // dj) * x for x in q]
-            row = [_zsubmul([l // dk], a, sq, b) for a, b in zip(carry[k], carry[j])]
+            row = _row_submul(l // dk, carry[k], sq, carry[j])
             g = gcd(l, *(x for p in row for x in p)) if l > 1 else 1
             carry[k] = [[x // g for x in p] for p in row] if g > 1 else row
             cden[k] = l // g
@@ -371,10 +404,7 @@ def _snf_core(m, cols, carry=None):
     limit = min(rows, cols)
     k = 0
     while k < limit:
-        # the nonzero entry of least degree; rows are kept in Z[t] form, so
-        # len - 1 is its Q[t] degree
-        pivot = min(((len(x), i, j) for i in range(k, rows)
-                     for j, x in enumerate(m[i][k:], k) if x), default=None)
+        pivot = _least_entry(m, k)
         if pivot is None:
             break
         _, pi, pj = pivot
@@ -387,9 +417,7 @@ def _snf_core(m, cols, carry=None):
             if m[i][k]:
                 # row_i := c * row_i - q * row_k, then its content removed
                 c, q, _ = _zpseudo_divmod(m[i][k], m[k][k])
-                m[i] = _zprimitive(
-                    [_zsubmul([c], a, q, b) for a, b in zip(m[i], m[k])]
-                )
+                m[i] = _zprimitive(_row_submul(c, m[i], q, m[k]))
         if any(m[i][k] for i in range(k + 1, rows)):
             continue  # a remainder, of lower degree than the pivot
         if carry is None and not any(m[k][k][:-1]):
@@ -406,17 +434,13 @@ def _snf_core(m, cols, carry=None):
         if any(m[k][k + 1:]):
             continue
 
-        offender = None
-        pivot_poly = m[k][k]
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if m[i][j] and _zpseudo_divmod(m[i][j], pivot_poly)[2]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        # the first row with a later entry the pivot does not divide; a
+        # constant pivot divides every entry, so it skips the search
+        p = m[k][k]
+        offender = next((i for i in range(k + 1, rows) if len(p) > 1 and any(
+            x and _zpseudo_divmod(x, p)[2] for x in m[i][k + 1:])), None)
         if offender is not None:
-            m[k] = [_zsubmul([1], a, [-1], b) for a, b in zip(m[k], m[offender])]
+            m[k] = _row_submul(1, m[k], [-1], m[offender])
             continue
         k += 1
 

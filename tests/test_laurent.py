@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from orderlex.errors import PolynomialParseError
 from orderlex.laurent import (
     LaurentPolynomial,
+    _zsubmul,
     format_polynomial,
     parse_polynomial,
     poly_divmod,
@@ -199,3 +200,27 @@ class TestDivision:
         for x in (p, q):
             if not x.is_zero:
                 assert_divides(g, x)
+
+
+# a Z[t] list: [] for zero, else no trailing zero; zero is drawn as often as
+# all nonzero lists together
+zlist_st = st.one_of(
+    st.just([]),
+    st.builds(lambda body, top: body + [top],
+              st.lists(st.integers(min_value=-9, max_value=9), max_size=3),
+              st.integers(min_value=-9, max_value=9).filter(bool)),
+)
+
+
+def dense(p):
+    return LaurentPolynomial({e: x for e, x in enumerate(p) if x})
+
+
+@given(zlist_st, zlist_st, zlist_st, zlist_st)
+def test_zsubmul_against_dense_reference(c, a, q, b):
+    """c*a - q*b on Z[t] lists equals the product of the dense Laurent
+    polynomials, for operands that may be zero, and keeps no trailing zero."""
+    out = _zsubmul(c, a, q, b)
+    assert out == [] or out[-1] != 0
+    assert all(isinstance(x, int) for x in out)
+    assert dense(out) == dense(c) * dense(a) - dense(q) * dense(b)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orderlex import laurent
 from orderlex import torus as torus_module
@@ -24,6 +24,7 @@ from orderlex.laurent import (
 from orderlex.linalg import (
     PolynomialMatrix,
     RationalMatrix,
+    _least_entry,
     characteristic_matrix,
     homology_invariant_factors,
 )
@@ -458,3 +459,38 @@ def test_char_poly_root_trace_consistency(rows):
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert p.coefficient(2) == -(a + e + i)
     assert p.coefficient(0) == -det
+
+
+@st.composite
+def sparse_zmatrices(draw):
+    """(m, k): Z[t] rows with at least 60% zero entries and a column k <
+    min(rows, cols).  shortest = 2 draws no constant entry; shortest = 1
+    draws constants among longer entries, often several."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    shortest = draw(st.sampled_from([1, 2]))
+    nonzero = st.builds(
+        lambda body, top: body + [top],
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=shortest - 1, max_size=3),
+        st.integers(min_value=-5, max_value=5).filter(bool))
+    nonzeros = draw(st.integers(min_value=0, max_value=rows * cols * 2 // 5))
+    cells = draw(st.permutations(range(rows * cols)))[:nonzeros]
+    m = [[draw(nonzero) if i * cols + j in cells else [] for j in range(cols)]
+         for i in range(rows)]
+    return m, draw(st.integers(min_value=0, max_value=min(rows, cols) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_zmatrices())
+@example(([[[] for _ in range(3)] for _ in range(2)], 0))  # all zero
+@example(([[[], [0, 2]], [[3], [-1]]], 0))  # constants in both rows
+@example(([[[], [-1]], [[3], []]], 0))  # row-major and column-major differ
+@example(([[[1, 1], [0, 0, 2]], [[], [4, 1]]], 1))  # no constant
+def test_least_entry_is_the_row_major_minimum(case):
+    """The pivot search returns the (length, row, col) minimum over the
+    nonzero entries at or past (k, k), so its early stop at the first
+    constant picks the pivot the full minimum picks."""
+    m, k = case
+    assert _least_entry(m, k) == min(
+        ((len(x), i, j) for i in range(k, len(m)) for j, x in enumerate(m[i][k:], k) if x),
+        default=None)

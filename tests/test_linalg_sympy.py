@@ -396,6 +396,91 @@ def test_homology_remainders(v):
     assert b1_factors == sympy_invariant_factors(b1)
 
 
+def sparse_entry(rng):
+    """Zero with probability 0.65; else a rational constant, a unit c t^k
+    or a Laurent polynomial of two or three terms, each equally often."""
+    if rng.random() < 0.65:
+        return sympy.Integer(0)
+
+    def c():
+        return sympy.Rational(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return c()
+    if kind == 1:
+        return c() * T ** rng.randint(-2, 2)
+    start = rng.randint(-1, 1)
+    return sum((c() * T ** e for e in range(start, start + rng.randint(2, 3))), sympy.Integer(0))
+
+
+def mostly_zero(s):
+    return sum(1 for x in s if x == 0) >= 0.6 * len(s)
+
+
+def pivot_row_has_gaps(s):
+    """Some row with a nonzero constant has a zero where another row has a
+    nonzero entry, so a row operation by it meets both kinds of entry."""
+    return any(
+        any(s[i, j].is_number and s[i, j] != 0 for j in range(s.cols))
+        and any(s[i, j] == 0 and any(s[a, j] != 0 for a in range(s.rows) if a != i)
+                for j in range(s.cols))
+        for i in range(s.rows))
+
+
+def sparse_matrix(rng, rows, cols, full_rank=False):
+    """A sparse_entry matrix with at least 60% zero entries, constants
+    among the others and a pivot row with gaps; of full rank if asked."""
+    while True:
+        s = sympy.Matrix(rows, cols, lambda i, j: sparse_entry(rng))
+        if (mostly_zero(s) and pivot_row_has_gaps(s)
+                and not (full_rank and s.det() == 0)):
+            return s
+
+
+SPARSE_SHAPES = [(3, 3), (4, 4), (5, 5), (6, 6), (4, 6), (6, 4), (3, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("rows, cols", SPARSE_SHAPES)
+def test_smith_normal_form_sparse(rows, cols):
+    """Mostly-zero matrices mixing constants with polynomials, and their
+    transposes, where row and column operations mostly scale or keep
+    entries: the factors match sympy's."""
+    rng = random.Random(f"sparse snf {rows}x{cols}")
+    for _ in range(4):
+        s = sparse_matrix(rng, rows, cols)
+        for x in (s, s.T):
+            m = from_sympy_matrix(x)
+            assert m.smith_normal_form() == sympy_invariant_factors(m)
+
+
+# (columns n of the full-rank M, columns s of V, columns k of B)
+SPARSE_HOMOLOGY_SHAPES = [(3, 1, 2), (4, 1, 3), (4, 2, 2), (5, 2, 3), (6, 1, 4)]
+
+
+@pytest.mark.parametrize("n, s, k", SPARSE_HOMOLOGY_SHAPES)
+def test_homology_invariant_factors_sparse(n, s, k):
+    """b1 = [M | M V] and b2 = [V; -I] B compose to zero for sparse M, V and
+    B; M has full rank, so ker b1 is the image of [V; -I] and the homology
+    is the cokernel of B.  Reducing b1 carries the mostly-zero b2."""
+    rng = random.Random(f"sparse homology {n} {s} {k}")
+    for _ in range(3):
+        while True:
+            m = sparse_matrix(rng, n, n, full_rank=True)
+            v = sympy.Matrix(n, s, lambda i, j: sparse_entry(rng))
+            b = sympy.Matrix(s, k, lambda i, j: sparse_entry(rng))
+            b1 = m.row_join(m * v).expand()
+            b2 = (v.col_join(-sympy.eye(s)) * b).expand()
+            if mostly_zero(b1) and mostly_zero(b2) and any(b2):
+                break
+        b1 = from_sympy_matrix(b1)
+        factors, free_rank, b1_factors = homology_invariant_factors(b1, from_sympy_matrix(b2))
+        expected = [f for f in sympy_invariant_factors(from_sympy_matrix(b)) if not f.is_zero]
+        assert factors == expected
+        assert free_rank == s - len(expected)
+        assert b1_factors == sympy_invariant_factors(b1)
+
+
 def sympy_laurent(rng, density, low=-2, high=2):
     """random_laurent's draws, as a sympy expression."""
     if rng.random() >= density:

@@ -1,6 +1,7 @@
 """Manifest loading diagnostics, selector resolution, CLI behavior and
 exit codes."""
 
+import argparse
 import json
 import pathlib
 
@@ -250,6 +251,41 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
+
+    def test_one_parser_per_process(self, capsys, monkeypatch, fig8_manifest_path):
+        """main builds its parser at the first call and keeps it: a parser
+        that has already parsed, or rejected, a command line answers the
+        next one exactly as a freshly built one does."""
+        argvs = [["report", fig8_manifest_path],
+                 ["twisted", "--d-scale", "0", fig8_manifest_path],
+                 ["verify", "lemma4", fig8_manifest_path]]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # argparse rejects a bad flag value
+                code = e.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            first.append(run(argv))
+        assert [code for code, _, _ in first] == [0, 2, 0]
+        assert "--d-scale" in first[1][2]
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "orderlex":  # the top-level parser
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        assert [run(argv) for argv in argvs] == first
+        assert len(built) == 1
 
     @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
     def test_verify_lemma_documents_pinned(self, capsys, fig8_manifest_path, which):

@@ -219,6 +219,43 @@ class TestTwisted:
         assert reductions == [True, False]
         assert snf == []
 
+    def test_reduction_skips_zero_products(self, monkeypatch):
+        """Inside the Smith reduction, c*a - q*b goes to _zsubmul only when
+        q*b is nonzero: where the pivot or carry row has a zero entry the
+        entry is only scaled.  Over every fifth class of the battery into
+        the groups of order <= 6, at d = 1 and 2."""
+        from orderlex import linalg
+
+        core, submul = linalg._snf_core, linalg._zsubmul
+        reducing, calls, zero = [False], [0], []
+
+        def within(rows, cols, carry=None):
+            reducing[0] = True
+            try:
+                return core(rows, cols, carry)
+            finally:
+                reducing[0] = False
+
+        def counting(c, a, q, b):
+            if reducing[0]:
+                calls[0] += 1
+                if not (q and b):
+                    zero.append((c, a, q, b))
+            return submul(c, a, q, b)
+
+        monkeypatch.setattr(linalg, "_snf_core", within)
+        monkeypatch.setattr(linalg, "_zsubmul", counting)
+        checked = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            for f in list(homomorphism_classes(auto).values())[::5]:
+                rep = regular_representation(f)
+                for d in (1, 2):
+                    twisted_alexander(m, rep, d_scale=d)
+                    checked += 1
+        assert checked == 114 and calls[0] > 0
+        assert zero == []
+
     def test_fox_products_per_relator(self, monkeypatch):
         """The Fox blocks of a relator of length L cost at most L - 1
         matrix products, one per letter after the first, whichever
