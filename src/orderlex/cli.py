@@ -276,6 +276,9 @@ def cmd_verify(args):
             }
         )
         ok = commutators["violations"] == 0 and axioms["violations"] == 0
+        if not (commutators["resolved"] and axioms["resolved"]):
+            doc["reason"] = "a suite resolved no comparison"
+            ok = False
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown verification {which!r}")
 

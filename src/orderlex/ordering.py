@@ -10,12 +10,14 @@ class of u * v^-1 (Magnus-Karrass-Solitar, MKS, 5.5-5.7), so the expansion
 is computed lazily, degree by degree, and stopping there is exact.  A class
 above the depth is reported unresolved, never guessed.
 
-Most comparisons resolve at degree 1 or 2, both in closed form: degree 1
-is sum_a e_a X_a, e_a the exponent sum of x_a, and when every e_a is zero,
-degree 2 is the Lie element sum_{a<b} c(a,b) [X_a, X_b], c(a,b) a pair sum
-of Fox derivatives (Chen-Fox-Lyndon, "Free differential calculus IV", Ann.
-Math. 68 (1958)).  Only higher degrees run the per-prefix recursion.
-"""
+The expansion M is a ring homomorphism and M(v)^-1 is 1 plus higher
+terms, so the lead of M(u v^-1) - 1 = (M(u) - M(v)) M(v)^-1 is the lead of
+M(u) - M(v).  Degree 1 of a word is sum_a e_a X_a, e_a the exponent sum of
+x_a, and degree 2 is c(a,b) X_a X_b off the diagonal, c(a,b) a pair sum of
+Fox derivatives (Chen-Fox-Lyndon, "Free differential calculus IV", Ann.
+Math. 68 (1958)).  A comparison reads both from u and v; only a pair that
+agrees at both, u * v^-1 in the third lower-central term, builds u * v^-1
+and runs the per-prefix recursion."""
 
 from __future__ import annotations
 
@@ -95,13 +97,28 @@ class MagnusSeries:
         return f"MagnusSeries(depth={self.depth}, components={len(self._components)})"
 
 
+def _pair_sums(letters, width):
+    """Pair sums c(a,b) = sum of s_j E_a(j) over the letters x_b^s_j of the
+    word, E_a(j) the exponent sum of x_a before letter j, for generators
+    1 <= a < b < width, as a flat list with c(a,b) at a * width + b and
+    zero elsewhere, so that list order is lexicographic order on (a, b)."""
+    before = [0] * width
+    sums = [0] * (width * width)
+    for b, s in letters:
+        for a in range(1, b):
+            e = before[a]
+            if e:
+                sums[a * width + b] += s * e
+        before[b] += s
+    return sums
+
+
 def _graded_components(letters):
     """Yield the degree-k component of the image of the word, k = 0, 1, ...
     Degree 1 is sum_a e_a X_a, e_a the exponent sum of x_a (MKS 5.5).  When
     every e_a is zero, degree 2 is a Lie element (MKS 5.7): X_a X_b has
-    coefficient c(a,b) = sum of s_j E_a(j) over the letters x_b^s_j, E_a(j)
-    the exponent sum of x_a before letter j, c(b,a) = -c(a,b), c(a,a) = 0
-    (Chen-Fox-Lyndon, Ann. Math. 68 (1958)).  Only a query for a higher
+    coefficient the pair sum c(a,b) for a < b, c(b,a) = -c(a,b) and c(a,a)
+    = 0 (Chen-Fox-Lyndon, Ann. Math. 68 (1958)).  Only a query for a higher
     component builds the per-prefix recursion."""
     sums = {}
     for g, s in letters:
@@ -110,16 +127,11 @@ def _graded_components(letters):
     yield {(): 1}
     yield degree1
     if not degree1:
-        before = dict.fromkeys(sums, 0)
-        pairs = {}
-        for b, s in letters:
-            for a, e in before.items():
-                if a < b and e:
-                    pairs[a, b] = pairs.get((a, b), 0) + s * e
-            before[b] += s
+        width = max(sums, default=0) + 1
         degree2 = {}
-        for (a, b), c in pairs.items():
+        for i, c in enumerate(_pair_sums(letters, width)):
             if c:
+                a, b = divmod(i, width)
                 degree2[a, b], degree2[b, a] = c, -c
         yield degree2
     yield from islice(_prefix_components(letters), 3 - bool(degree1), None)
@@ -162,13 +174,27 @@ def magnus_expand(w, depth=DEFAULT_DEPTH):
 
 
 def magnus_compare(u, v, depth=DEFAULT_DEPTH):
-    """Compare two words under the Magnus bi-ordering at the given depth."""
+    """Compare two words under the Magnus bi-ordering at the given depth:
+    by exponent sums, then (depth >= 2) pair sums, as lists in monomial
+    order, whose comparison is the sign of the lead of M(u) - M(v) (module
+    docstring); where the e_a agree, so do the C(e_a, 2) on the diagonal,
+    and c(b,a) = e_a e_b - c(a,b).  A pair that ties expands u * v^-1."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if u == v:
         return Comparison.EQUAL
-    series = magnus_expand(u * v.inverse(), depth)
-    lead = series.leading_term()
+    left, right = u.letters, v.letters
+    width = max(left + right)[0] + 1
+    of_u, of_v = [0] * width, [0] * width
+    for g, s in left:
+        of_u[g] += s
+    for g, s in right:
+        of_v[g] += s
+    if of_u == of_v and depth >= 2:
+        of_u, of_v = _pair_sums(left, width), _pair_sums(right, width)
+    if of_u != of_v:
+        return Comparison.GREATER if of_u > of_v else Comparison.LESS
+    lead = magnus_expand(u * v.inverse(), depth).leading_term()
     if lead is None:
         return Comparison.UNRESOLVED_AT_DEPTH
     return Comparison.GREATER if lead[1] > 0 else Comparison.LESS
@@ -239,12 +265,13 @@ def lemma_comm_suite(rank, trials, depth=DEFAULT_DEPTH, seed=0):
         if tally.compare(a, one) is Comparison.GREATER:
             tally.expect(tally.compare(comm, a.inverse()), Comparison.GREATER)
         if tally.compare(comm, one) is Comparison.GREATER:
-            for n in range(2, 5):
-                for m in range(2, 5):
-                    big = commutator(a ** n, b ** m)
+            powers = [(a ** n, b ** n) for n in range(2, 5)]
+            for a_n, _ in powers:
+                for _, b_m in powers:
+                    big = commutator(a_n, b_m)
                     tally.expect(tally.compare(big, comm), Comparison.GREATER)
-            for n in range(2, 5):
-                big = commutator(a ** n, b ** n)
+            for a_n, b_n in powers:
+                big = commutator(a_n, b_n)
                 tally.expect(tally.compare(big.inverse(), comm), Comparison.LESS)
                 tally.expect(tally.compare(comm, big), Comparison.LESS)
     return tally.report(trials)

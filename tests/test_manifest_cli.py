@@ -325,6 +325,22 @@ class TestCli:
         assert doc["commutators"]["violations"] == 0
         assert doc["axioms"]["violations"] == 0
 
+    def test_verify_order_lemmas_fails_when_a_suite_resolves_nothing(
+        self, capsys, fig8_manifest_path
+    ):
+        # at depth 1 this seed's commutator suite leaves every comparison
+        # unresolved: no violation, but nothing was checked either
+        code = cli.main(
+            ["verify", "order-lemmas", fig8_manifest_path,
+             "--trials", "1", "--seed", "438", "--depth", "1"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["commutators"]["resolved"] == 0
+        assert doc["axioms"]["resolved"] > 0
+        assert doc["ok"] is False
+        assert doc["reason"] == "a suite resolved no comparison"
+        assert code == cli.EXIT_CHECK_FAILED
+
     def test_verify_theorem2(self, capsys, id2_manifest_path):
         code = cli.main(["verify", "theorem2", id2_manifest_path])
         assert code == 0

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orderlex import ordering
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
@@ -113,6 +113,19 @@ def commutator_products(draw):
     return rank, word
 
 
+@st.composite
+def commutator_offsets(draw):
+    """(u, u c) as letter lists, c a product of commutators at rank 2 to 5:
+    the pair agrees at degree 1, and often at degree 2 too, when u^-1 (u c)
+    = c lies in the third term of the lower central series."""
+    rank, c = draw(commutator_products())
+    u = draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=rank), st.sampled_from((1, -1))),
+        max_size=6,
+    ))
+    return u, u + c
+
+
 class TestMagnusExpansion:
     def test_generator(self):
         s = magnus_expand(W("a"), depth=3)
@@ -214,6 +227,66 @@ class TestMagnusExpansion:
         result = magnus_compare(deep, one)
         assert result is oracle_compare(list(deep.letters), [], DEFAULT_DEPTH)
         assert len(built) == 1
+
+    def test_low_degree_pairs_build_no_product(self, monkeypatch):
+        """A comparison whose lead lies in degree 1 or 2 reads it from the
+        two words on their own: it neither inverts a word nor expands one.
+        Only a pair whose quotient lies in the third term of the lower
+        central series builds u v^-1 and expands it."""
+        rng = random.Random(19)
+        pairs = []
+        for _ in range(150):
+            rank = rng.randint(2, 4)
+            u = random_reduced_word(rng, rank, max_len=6)
+            x = random_reduced_word(rng, rank, max_len=3)
+            y = random_reduced_word(rng, rank, max_len=3)
+            pairs.append((u, random_reduced_word(rng, rank, max_len=6)))
+            pairs.append((u, u * commutator(x, y)))
+            pairs.append((u, u * commutator(commutator(x, y), x)))
+        calls = []
+        expand, inverse = ordering.magnus_expand, FreeWord.inverse
+
+        def counting_expand(*args):
+            calls.append("expand")
+            return expand(*args)
+
+        def counting_inverse(w):
+            calls.append("inverse")
+            return inverse(w)
+
+        monkeypatch.setattr(ordering, "magnus_expand", counting_expand)
+        monkeypatch.setattr(FreeWord, "inverse", counting_inverse)
+        seen = {True: 0, False: 0}
+        for u, v in pairs:
+            quotient = list(u.letters) + inverse_letters(list(v.letters))
+            low = any(oracle_expand(quotient, 2).keys() - {()})
+            calls.clear()
+            result = magnus_compare(u, v, depth=4)
+            assert result is oracle_compare(list(u.letters), list(v.letters), 4)
+            if u == v:
+                continue
+            seen[low] += 1
+            assert calls == ([] if low else ["inverse", "expand"])
+        assert seen[True] > 200 and seen[False] > 100
+
+    @settings(max_examples=100, deadline=None)
+    @given(commutator_offsets(), st.integers(min_value=2, max_value=5))
+    # 1 against [b, c][d, a]: pair sums differ at (1, 4) and (2, 3) with
+    # opposite signs, and lex order on (a, b) puts (1, 4) first, where
+    # order on (b, a) would put (2, 3) first
+    @example(([], [(2, -1), (3, -1), (2, 1), (3, 1), (4, -1), (1, -1), (4, 1), (1, 1)]), 2)
+    def test_commutator_offsets_match_oracle(self, pair, depth):
+        """Pairs that agree at degree 1, ranks 2 to 5: at depth 1 they are
+        unresolved, and at depth 2 and the drawn depth the degree-2 pair-sum
+        comparison and the expansion past it match the oracle, either way
+        round."""
+        u, v = pair
+        tie = (Comparison.EQUAL if FreeWord(u) == FreeWord(v)
+               else Comparison.UNRESOLVED_AT_DEPTH)
+        assert magnus_compare(FreeWord(u), FreeWord(v), 1) is tie
+        for d in (1, 2, depth):
+            assert magnus_compare(FreeWord(u), FreeWord(v), d) is oracle_compare(u, v, d)
+            assert magnus_compare(FreeWord(v), FreeWord(u), d) is oracle_compare(v, u, d)
 
 
 class TestMagnusCompare:
