@@ -1,13 +1,14 @@
-"""Endomorphisms of free groups, with certified inverses.
+"""Automorphisms of free groups, with certified inverses.
 
-A FreeEndomorphism stores the images of the generators; carrying
-inverse_images proves that it is an automorphism.  The constructor checks
-that both compositions fix every generator, so every map that enters from
-outside (a catalog entry, a manifest, a cover's restriction of the monodromy
-to the subgroup or its conjugation) is checked.  The identity, and
-inverses, composites and powers of certified maps, are certified by
-construction and skip the check: if f o f^-1 and g o g^-1 fix every
-generator, so do (f o g) o (g^-1 o f^-1) and (g^-1 o f^-1) o (f o g).
+A FreeEndomorphism stores the images of the generators and, as a required
+field, the inverse_images that prove it an automorphism; every map in the
+package is one.  The constructor checks that both compositions fix every
+generator, so every map that enters from outside (a catalog entry, a
+manifest, a cover's restriction of the monodromy to the subgroup or its
+conjugation) is checked, and a wrong inverse raises CertificationError.
+The identity, and inverses, composites and powers of certified maps, are
+certified by construction and skip the check: if f o f^-1 and g o g^-1 fix
+every generator, so do (f o g) o (g^-1 o f^-1) and (g^-1 o f^-1) o (f o g).
 """
 
 from __future__ import annotations
@@ -23,25 +24,18 @@ from .words import FreeWord, format_word
 class FreeEndomorphism:
     rank: int
     images: tuple
-    inverse_images: tuple | None = None
+    inverse_images: tuple
 
     def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != self.rank:
-            raise ValueError("one image per generator required")
-        for w in images:
-            if w.max_generator() > self.rank:
-                raise ValueError("image uses a generator beyond the rank")
-        if self.inverse_images is not None:
-            inv = tuple(self.inverse_images)
-            object.__setattr__(self, "inverse_images", inv)
-            if len(inv) != self.rank:
-                raise ValueError("one inverse image per generator required")
-            for w in inv:
+        for name, label in (("images", "image"), ("inverse_images", "inverse image")):
+            words = tuple(getattr(self, name))
+            object.__setattr__(self, name, words)
+            if len(words) != self.rank:
+                raise ValueError(f"one {label} per generator required")
+            for w in words:
                 if w.max_generator() > self.rank:
-                    raise ValueError("inverse image uses a generator beyond the rank")
-            self._verify_inverse()
+                    raise ValueError(f"{label} uses a generator beyond the rank")
+        self._verify_inverse()
 
     @classmethod
     def _derived(cls, rank, images, inverse_images):
@@ -64,10 +58,6 @@ class FreeEndomorphism:
         gens = tuple(FreeWord.generator(i) for i in range(1, rank + 1))
         return cls._derived(rank, gens, gens)
 
-    @property
-    def is_certified(self):
-        return self.inverse_images is not None
-
     def apply(self, w):
         out = []
         for g, s in w.letters:
@@ -83,15 +73,11 @@ class FreeEndomorphism:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         images = tuple(self.apply(w) for w in other.images)
-        inverse = None
-        if self.is_certified and other.is_certified:
-            back = other.inverse_endomorphism()
-            inverse = tuple(back.apply(w) for w in self.inverse_images)
+        back = other.inverse_endomorphism()
+        inverse = tuple(back.apply(w) for w in self.inverse_images)
         return FreeEndomorphism._derived(self.rank, images, inverse)
 
     def inverse_endomorphism(self):
-        if not self.is_certified:
-            raise CertificationError("no certified inverse available")
         return FreeEndomorphism._derived(self.rank, self.inverse_images, self.images)
 
     def power(self, k):

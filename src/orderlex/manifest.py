@@ -227,6 +227,14 @@ def loads_manifest(text):
         raise ManifestError(
             f"invalid JSON: {e.msg}", f"line {e.lineno} column {e.colno}"
         ) from e
+    except RecursionError:
+        raise ManifestError("invalid JSON: nested too deeply", "manifest") from None
+    except ValueError as e:
+        # json raises a plain ValueError only for an integer literal
+        # beyond the interpreter's digit limit for int conversion
+        raise ManifestError(
+            "invalid JSON: an integer literal exceeds the digit limit", "manifest"
+        ) from e
     _expect(data, dict, "manifest")
     torus = _load_torus(_get(data, "manifold", dict, "manifest"))
     homs = [
@@ -261,6 +269,17 @@ def load_manifest(path):
     return loads_manifest(text)
 
 
+def _select(items, selector, kind):
+    """The item labelled selector, else the one it indexes.  isdecimal, not
+    isdigit: int() rejects digits such as superscripts."""
+    for item in items:
+        if item.label == selector:
+            return item
+    if selector.isdecimal() and int(selector) < len(items):
+        return items[int(selector)]
+    raise SelectorError(f"no {kind} matches {selector!r}")
+
+
 def select_homomorphism(manifest, selector=None):
     homs = manifest.homomorphisms
     if selector is None:
@@ -271,12 +290,7 @@ def select_homomorphism(manifest, selector=None):
             if homs
             else "manifest defines no homomorphisms"
         )
-    for hom in homs:
-        if hom.label == selector:
-            return hom
-    if selector.isdigit() and int(selector) < len(homs):
-        return homs[int(selector)]
-    raise SelectorError(f"no homomorphism matches {selector!r}")
+    return _select(homs, selector, "homomorphism")
 
 
 def select_representation(manifest, selector=None):
@@ -289,9 +303,4 @@ def select_representation(manifest, selector=None):
         if len(reps) == 1:
             return reps[0]
         raise SelectorError("manifest has no unique representation; pass a selector")
-    for rep in reps:
-        if rep.label == selector:
-            return rep
-    if selector.isdigit() and int(selector) < len(reps):
-        return reps[int(selector)]
-    raise SelectorError(f"no representation matches {selector!r}")
+    return _select(reps, selector, "representation")

@@ -6,18 +6,19 @@ The ordering: embed the free group into power series in non-commuting
 variables X_1..X_n by x_i -> 1 + X_i, and compare elements by the first
 nonzero coefficient of u * v^-1 - 1 in graded-lexicographic monomial order.
 It lies in the first nonzero homogeneous degree, the lower-central-series
-class of u * v^-1 (Magnus-Karrass-Solitar, MKS, 5.5-5.7), so the expansion
-is computed lazily, degree by degree, and stopping there is exact.  A class
-above the depth is reported unresolved, never guessed.
+class of u * v^-1 (Magnus-Karrass-Solitar, MKS, 5.5-5.7).  The expansion
+runs one recursion over the prefixes of the word, lazily, degree by degree,
+and stopping at the first nonzero degree is exact.  A class above the depth
+is reported unresolved, never guessed.
 
 The expansion M is a ring homomorphism and M(v)^-1 is 1 plus higher
 terms, so the lead of M(u v^-1) - 1 = (M(u) - M(v)) M(v)^-1 is the lead of
 M(u) - M(v).  Degree 1 of a word is sum_a e_a X_a, e_a the exponent sum of
 x_a, and degree 2 is c(a,b) X_a X_b off the diagonal, c(a,b) a pair sum of
 Fox derivatives (Chen-Fox-Lyndon, "Free differential calculus IV", Ann.
-Math. 68 (1958)).  A comparison reads both from u and v; only a pair that
-agrees at both, u * v^-1 in the third lower-central term, builds u * v^-1
-and runs the per-prefix recursion."""
+Math. 68 (1958)).  These closed forms live only in the comparison, which
+reads both from u and v; only a pair that agrees at both, u * v^-1 in the
+third lower-central term, builds u * v^-1 and expands it."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import random
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 from .covers import build_cover, cover_alexander
 from .finite import regular_representation
@@ -113,30 +113,6 @@ def _pair_sums(letters, width):
     return sums
 
 
-def _graded_components(letters):
-    """Yield the degree-k component of the image of the word, k = 0, 1, ...
-    Degree 1 is sum_a e_a X_a, e_a the exponent sum of x_a (MKS 5.5).  When
-    every e_a is zero, degree 2 is a Lie element (MKS 5.7): X_a X_b has
-    coefficient the pair sum c(a,b) for a < b, c(b,a) = -c(a,b) and c(a,a)
-    = 0 (Chen-Fox-Lyndon, Ann. Math. 68 (1958)).  Only a query for a higher
-    component builds the per-prefix recursion."""
-    sums = {}
-    for g, s in letters:
-        sums[g] = sums.get(g, 0) + s
-    degree1 = {(g,): e for g, e in sums.items() if e}
-    yield {(): 1}
-    yield degree1
-    if not degree1:
-        width = max(sums, default=0) + 1
-        degree2 = {}
-        for i, c in enumerate(_pair_sums(letters, width)):
-            if c:
-                a, b = divmod(i, width)
-                degree2[a, b], degree2[b, a] = c, -c
-        yield degree2
-    yield from islice(_prefix_components(letters), 3 - bool(degree1), None)
-
-
 def _prefix_components(letters):
     """Yield the degree-k component of the image of the word, for k = 0,
     1, 2, ...  With p_j the image of the first j letters, a letter x_g
@@ -170,7 +146,7 @@ def magnus_expand(w, depth=DEFAULT_DEPTH):
     computed when a query on the series first needs them."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return MagnusSeries(depth, _graded_components(w.letters))
+    return MagnusSeries(depth, _prefix_components(w.letters))
 
 
 def magnus_compare(u, v, depth=DEFAULT_DEPTH):
@@ -233,8 +209,8 @@ class _Tally:
         }
 
 
-def random_reduced_word(rng, rank, max_len=8, min_len=1):
-    length = rng.randint(min_len, max_len)
+def random_reduced_word(rng, rank, max_len=8):
+    length = rng.randint(1, max_len)
     letters = []
     prev = None
     for _ in range(length):

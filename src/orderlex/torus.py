@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificationError, ConsistencyError, RepresentationError
+from .errors import ConsistencyError, RepresentationError
 from .fox import fox_row, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import (
@@ -41,10 +41,6 @@ class MappingTorus:
             raise ValueError("fiber rank must be at least 1")
         if self.monodromy.rank != self.fiber_rank:
             raise ValueError("monodromy rank does not match the fiber rank")
-        if not self.monodromy.is_certified:
-            raise CertificationError(
-                "monodromy must carry a certified inverse (supply inverse images)"
-            )
 
     @property
     def stable_index(self):

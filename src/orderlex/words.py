@@ -54,8 +54,8 @@ class FreeWord:
         return cls._wrap(_free_reduce(letters))
 
     @classmethod
-    def generator(cls, g, sign=1):
-        return cls([(g, sign)])
+    def generator(cls, g):
+        return cls([(g, 1)])
 
     @classmethod
     def empty(cls):

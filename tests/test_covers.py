@@ -84,9 +84,20 @@ class TestBuildCover:
         assert len(c.subgroup_basis) == 6 * (2 - 1) + 1
 
     def test_lifted_monodromy_certified(self):
-        m = MappingTorus(2, figure_eight_monodromy())
-        c = build_cover(m, cyclic_stable_hom(m, 3))
-        assert c.lifted_monodromy.is_certified
+        # every cover's lifted monodromy and its inverse undo each other
+        # on every basis generator
+        covers = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            for f in homomorphism_classes(auto).values():
+                lifted = build_cover(m, f).lifted_monodromy
+                back = lifted.inverse_endomorphism()
+                for i in range(lifted.rank):
+                    x = FreeWord.generator(i + 1)
+                    assert lifted.apply(back.images[i]) == x
+                    assert back.apply(lifted.images[i]) == x
+                covers += 1
+        assert covers == 256
 
 
 class TestCoverAlexander:

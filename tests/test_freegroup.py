@@ -14,10 +14,20 @@ words_st = st.lists(
 ).map(FreeWord)
 
 
+def assert_inverse_pair(f):
+    """f and its inverse undo each other on every generator:
+    outer.apply(inner.images[i]) == x_i both ways."""
+    back = f.inverse_endomorphism()
+    for i in range(f.rank):
+        x = FreeWord.generator(i + 1)
+        assert f.apply(back.images[i]) == x
+        assert back.apply(f.images[i]) == x
+
+
 class TestConstruction:
     def test_identity(self):
         e = FreeEndomorphism.identity(3)
-        assert e.is_certified
+        assert_inverse_pair(e)
         w = parse_word("abC", 3)
         assert e.apply(w) == w
 
@@ -27,17 +37,15 @@ class TestConstruction:
         assert theta.apply(parse_word("AB", 2)) == parse_word("ABABA", 2)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            FreeEndomorphism(2, (parse_word("a", 2),))
+        a, b = parse_word("a", 2), parse_word("b", 2)
+        with pytest.raises(ValueError, match="one image per generator"):
+            FreeEndomorphism(2, (a,), (a, b))
+        with pytest.raises(ValueError, match="one inverse image per generator"):
+            FreeEndomorphism(2, (a, b), (a,))
 
     def test_rejects_bad_inverse(self):
         with pytest.raises(CertificationError):
             automorphism(2, ("aba", "ab"), ("Ba", "Ab"))
-
-    def test_uncertified_endomorphism_allowed(self):
-        # a non-injective endomorphism carries no inverse certificate
-        e = FreeEndomorphism(2, (parse_word("a", 2), parse_word("a", 2)))
-        assert not e.is_certified
 
 
 class TestComposition:
@@ -94,8 +102,8 @@ class TestBattery:
     def test_size_and_certification(self):
         battery = standard_battery()
         assert len(battery) >= 10
-        for label, auto in battery:
-            assert auto.is_certified, label
+        for _, auto in battery:
+            assert_inverse_pair(auto)
 
     def test_labels_unique(self):
         labels = [label for label, _ in standard_battery()]
@@ -122,6 +130,8 @@ class TestCertifiedByConstruction:
         for k in range(-4, 5):
             power = auto.power(k)
             assert recertify(power) == power
+            if abs(k) <= 3:
+                assert_inverse_pair(power)
         for k in range(1, 5):
             assert auto.power(-k).images == auto.power(k).inverse_images
         inverse = auto.inverse_endomorphism()
@@ -134,6 +144,7 @@ class TestCertifiedByConstruction:
                 if f.rank == g.rank:
                     composite = f.compose(g)
                     assert recertify(composite) == composite
+                    assert_inverse_pair(composite)
                     pairs += 1
         assert pairs == 9 * 9 + 3 * 3
 
@@ -166,9 +177,9 @@ class TestCertifiedByConstruction:
         theta = figure_eight_monodromy()
         checked = []
         monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", checked.append)
-        assert FreeEndomorphism.identity(3).is_certified
+        assert_inverse_pair(FreeEndomorphism.identity(3))
         for k in (0, 6, -6):
-            assert theta.power(k).is_certified
+            assert_inverse_pair(theta.power(k))
         assert checked == []
 
 

@@ -62,6 +62,22 @@ class TestLoading:
             loads_manifest("{not json")
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200000, '{"options": {"seed": ' + "9" * 4301 + "}}"],
+        ids=["nested-too-deep", "integer-over-digit-limit"],
+    )
+    def test_json_beyond_parser_limits_located(self, text, tmp_path, capsys):
+        with pytest.raises(ManifestError) as exc:
+            loads_manifest(text)
+        assert exc.value.location == "manifest"
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert cli.main(["alexander", str(path)]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: manifest: ")
+
     def test_missing_key_named(self):
         doc = json.loads(manifest_text())
         del doc["manifold"]["monodromy_inverse"]
@@ -487,6 +503,16 @@ class TestCli:
     def test_exit_code_selector(self, fig8_manifest_path, capsys):
         code = cli.main(["twisted", fig8_manifest_path, "--hom", "nosuch"])
         assert code == cli.EXIT_SELECTOR
+
+    @pytest.mark.parametrize(
+        "flag, kind", [("--hom", "homomorphism"), ("--rep", "representation")]
+    )
+    @pytest.mark.parametrize("selector", ["²", "³"], ids=["superscript-2", "superscript-3"])
+    def test_non_decimal_digit_selector(self, fig8_manifest_path, capsys, flag, kind, selector):
+        # str.isdigit accepts superscripts, which int() rejects
+        code = cli.main(["twisted", fig8_manifest_path, flag, selector])
+        assert code == cli.EXIT_SELECTOR
+        assert capsys.readouterr().err == f"error: no {kind} matches {selector!r}\n"
 
     def test_depth_env_override(self, capsys, fig8_manifest_path, monkeypatch):
         monkeypatch.setenv("ORDERLEX_DEPTH", "4")

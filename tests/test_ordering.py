@@ -167,14 +167,14 @@ class TestMagnusExpansion:
 
     def test_stops_at_first_nonzero_degree(self, monkeypatch):
         pulled = []
-        graded = ordering._graded_components
+        prefix = ordering._prefix_components
 
         def counting(letters):
-            for component in graded(letters):
+            for component in prefix(letters):
                 pulled.append(component)
                 yield component
 
-        monkeypatch.setattr(ordering, "_graded_components", counting)
+        monkeypatch.setattr(ordering, "_prefix_components", counting)
         comm = commutator(W("a"), W("b"))
         assert magnus_compare(comm, FreeWord.empty(), depth=40) is Comparison.GREATER
         assert len(pulled) <= 3
@@ -189,9 +189,9 @@ class TestMagnusExpansion:
     @settings(max_examples=60, deadline=None)
     @given(commutator_products())
     def test_commutator_subgroup_matches_oracle(self, drawn):
-        """Degree 2 of a word with every exponent sum zero comes from the
-        pair sums; it and the degrees above it match the oracle, and degree
-        2 is antisymmetric with a zero diagonal (a Lie element)."""
+        """On a word with every exponent sum zero the expansion matches the
+        oracle through degree 6, and degree 2 is antisymmetric with a zero
+        diagonal (a Lie element)."""
         rank, letters = drawn
         word = FreeWord(letters)
         for depth in range(2, 7):

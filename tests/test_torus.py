@@ -11,7 +11,7 @@ from orderlex.autos import (
     standard_battery,
 )
 from orderlex import torus as torus_module
-from orderlex.errors import CertificationError, ConsistencyError, RepresentationError
+from orderlex.errors import ConsistencyError, RepresentationError
 from orderlex.finite import (
     FiniteRepresentation,
     TorusHomomorphism,
@@ -51,13 +51,6 @@ def z2_regular(m):
 
 
 class TestConstruction:
-    def test_requires_certified_monodromy(self):
-        from orderlex.freegroup import FreeEndomorphism
-
-        uncertified = FreeEndomorphism(2, figure_eight_monodromy().images)
-        with pytest.raises(CertificationError):
-            MappingTorus(2, uncertified)
-
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             MappingTorus(3, figure_eight_monodromy())
