@@ -27,6 +27,13 @@ machine fingerprint and source digest.  The output file holds, per
 workload and metric, the quartiles of each side, the ratio of the medians
 and the number of pairs the change won, in the schema of BENCH_13.json.
 Quartiles are statistics.quantiles(..., n=4, method="inclusive").
+
+--claim W M names the workload and end-to-end metric the change claims to
+improve; a W with no --run or an M outside BENCHMARK.json's "end_to_end"
+exits 2 before any run.  claim_met in the output is true when W ran at
+least ten pairs, the change won at least nine tenths of them on M, ties
+counting for neither, and its median beats the parent's by more than the
+parent's q3 - q1; it is null without a claim.
 """
 
 import argparse
@@ -110,6 +117,19 @@ def summarize(seeds, pairs, spec):
     return entry
 
 
+def claim_met(entry, metric):
+    """Whether metric of one workload entry of summarize meets the claim
+    rule: at least ten pairs, of which the change won at least nine tenths,
+    and a median gap in the better direction wider than the parent's
+    q3 - q1."""
+    m = entry["metrics"][metric]
+    parent, change = m["parent"], m["change"]
+    sign = 1 if m["better"] == "higher" else -1
+    gap = sign * (change["median"] - parent["median"])
+    return (entry["pairs"] >= 10 and 10 * m["change_wins"] >= 9 * entry["pairs"]
+            and gap > parent["q3"] - parent["q1"])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=pathlib.Path, help="checkout of the parent commit")
@@ -120,6 +140,13 @@ def main(argv=None):
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim:
+        workload, metric = args.claim
+        if workload not in (run[0] for run in args.run):
+            parser.error(f"--claim {workload} {metric}: no --run of workload {workload}")
+        if metric not in (m["name"] for m in spec):
+            parser.error(f"--claim {workload} {metric}: {metric} is not an end-to-end metric "
+                         f"of BENCHMARK.json ({', '.join(m['name'] for m in spec)})")
     checkouts = {"parent": args.parent, "change": args.change}
     commits = {side: commit_of(checkouts[side]) for side in SIDES}
     for side in SIDES:
@@ -152,11 +179,14 @@ def main(argv=None):
         "parent_commit": commits["parent"],
         "claimed": ({"workload": args.claim[0], "metric": args.claim[1]}
                     if args.claim else None),
+        "claim_met": claim_met(workloads[args.claim[0]], args.claim[1]) if args.claim else None,
         "workloads": workloads,
         "machine": {k: machine[k] for k in ("cpu_model", "nproc", "python")},
         "source_digest": {side: fingerprints[side]["source_digest"] for side in SIDES},
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    if args.claim:
+        print(f"claim {' '.join(args.claim)}: {'met' if out['claim_met'] else 'not met'}")
     return 0
 
 

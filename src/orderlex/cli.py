@@ -3,7 +3,8 @@
 Subcommands: alexander, twisted, cover, verify, report.  Exit codes:
 0 success, 1 a verification check failed or had nothing to check, 2 parse
 error, a group beyond the element limit, a depth, trial count or d-scale
-below 1, or a cover with more basis generators than word letters,
+below 1, a d-scale above D_SCALE_LIMIT, or a cover with more basis
+generators than word letters,
 3 certification or representation failure, 4 unresolved selector, 5
 internal cross-check disagreed (a bug).  ORDERLEX_DEPTH overrides the
 built-in default comparison depth; an explicit --depth flag or manifest
@@ -70,6 +71,18 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# --d-scale D builds Z[t] rows about D long per entry, so its time grows
+# linearly in D
+D_SCALE_LIMIT = 10000
+
+
+def _d_scale(text):
+    value = _positive_int(text)
+    if value > D_SCALE_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {D_SCALE_LIMIT}, got {value}")
     return value
 
 
@@ -351,9 +364,9 @@ def build_parser():
             p.add_argument(
                 "--d-scale",
                 dest="d_scale",
-                type=_positive_int,
+                type=_d_scale,
                 default=1,
-                help="exponent assigned to the stable letter (default 1)",
+                help=f"exponent assigned to the stable letter, 1 to {D_SCALE_LIMIT} (default 1)",
             )
         if suite:
             p.add_argument("--depth", type=_positive_int, help="Magnus truncation depth")

@@ -12,13 +12,16 @@ share the one pseudo-division loop of laurent.  homology_invariant_factors
 carries b2 through the Smith reduction of b1, so it builds no inverse matrix
 and reads b1 * b2 = 0 off the carried b2; it also returns the diagonal of
 that reduction, the invariant factors of coker(b1), so b1 is reduced once.
+RationalMatrix.char_poly works over F_p, for a Mersenne prime p above
+twice a Hadamard bound on its coefficients, and shares no code with the
+Smith normal form, so the checks that compare the two stay independent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import ConsistencyError, SingularMatrixError
 from .laurent import (
@@ -146,24 +149,111 @@ class RationalMatrix:
 
     def char_poly(self):
         """det(t*I - self) = den^-n chi_z(den * t) for the integer rows
-        z = den * self, with chi_z by the Faddeev-LeVerrier recurrence; its
-        divisions by 1..n are exact, as chi_z has integer coefficients."""
+        z = den * self.  chi_z is computed modulo a prime p in O(n^3): a
+        Hessenberg reduction by similarity over F_p, then the recurrence
+        for the characteristic polynomial of a Hessenberg matrix (Cohen, A
+        Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+
+        By Hadamard's inequality the coefficient of t^(n-k) is at most
+        e_k(|z_1|, ..., |z_n|) <= B = prod_i (2 + isqrt(|z_i|^2)) in
+        absolute value, for the row norms |z_i|.  p is the least Mersenne
+        prime 2^q - 1 of _MERSENNE_EXPONENTS with p > 2B, so each
+        coefficient is its symmetric residue; a bound past the table
+        raises ArithmeticError."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
-        coeffs = {n: 1}
-        mk = self._z
-        for k in range(1, n + 1):
-            ak = -sum(mk[i][i] for i in range(n)) // k
-            coeffs[n - k] = ak
-            if k < n:
-                shifted = [list(r) for r in mk]
-                for i in range(n):
-                    shifted[i][i] += ak
-                mk = _zmatmul(self._z, shifted)
-        return LaurentPolynomial(
-            {e: Fraction(c, self._den ** (n - e)) for e, c in coeffs.items()}
+        bound = 1
+        for r in self._z:
+            bound *= 2 + isqrt(sum(x * x for x in r))
+        p = _char_poly_modulus(bound)
+        half = p >> 1
+        den = self._den
+        # the coefficient c_e of t^e in chi_z becomes c_e / den^(n-e)
+        return _z_to_laurent([(c - p if c > half else c) * den ** e for e, c in
+                              enumerate(_hessenberg_char_poly(self._z, p))], 0, den ** n)
+
+
+# the exponents q of the Mersenne primes 2^q - 1 from 2^61 - 1 on, each
+# proven prime; primes are built from them only when chosen
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+    11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839,
+    859433, 1257787, 1398269, 2976221, 3021377, 6972593, 13466917, 20996011,
+    24036583, 25964951, 30402457, 32582657, 37156667, 42643801, 43112609,
+    57885161, 74207281, 77232917, 82589933,
+)
+
+
+def _char_poly_modulus(bound):
+    """The least prime p = 2^q - 1, q in _MERSENNE_EXPONENTS, with p > 2 * bound
+    for a bound >= 1; 2^q - 1 > 2 * bound exactly when 2^q > 2 * bound + 1,
+    an odd number above 1."""
+    bits = (2 * bound + 1).bit_length()
+    q = next((q for q in _MERSENNE_EXPONENTS if q >= bits), None)
+    if q is None:
+        raise ArithmeticError(
+            f"characteristic polynomial coefficient bound of {bound.bit_length()} bits "
+            "exceeds the Mersenne prime table"
         )
+    return (1 << q) - 1
+
+
+def _hessenberg_char_poly(z, p):
+    """The coefficients, constant first, of det(t*I - z) mod p, in [0, p),
+    for square integer rows z and a prime p.
+
+    Column c = m - 1 is cleared below row m by the row operations
+    row_i -= u_i row_m with a pivot moved to (m, c) by a row and column
+    swap.  The operations share row m, so they commute, and their inverse
+    is the one column operation col_m += sum_i u_i col_i.  Only nonzero
+    entries cost a product.  On the Hessenberg form h, chi_(k+1), the
+    polynomial of the leading (k+1) x (k+1) block, is (t - h[k][k]) chi_k
+    minus the sum over i < k of h[i][k] times the subdiagonal product
+    h[i+1][i] ... h[k][k-1] times chi_i; a zero on the subdiagonal ends
+    that sum."""
+    n = len(z)
+    h = [[x % p for x in r] for r in z]
+    for m in range(1, n - 1):
+        c = m - 1
+        piv = next((i for i in range(m, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for r in h:
+                r[piv], r[m] = r[m], r[piv]
+        hm = h[m]
+        inv = pow(hm[c], -1, p)
+        ops = [(i, h[i][c] * inv % p) for i in range(m + 1, n) if h[i][c]]
+        terms = [(j, b) for j, b in enumerate(hm) if b] if ops else ()
+        for i, u in ops:
+            hi = h[i]
+            for j, b in terms:
+                hi[j] = (hi[j] - u * b) % p
+        for i, u in ops:
+            for r in h:
+                if r[i]:
+                    r[m] = (r[m] + u * r[i]) % p
+    chi = [[1]]
+    for k in range(n):
+        prev = chi[k]
+        hkk = h[k][k]
+        out = [0] + prev  # t * chi_k
+        if hkk:
+            for e, b in enumerate(prev):
+                out[e] = (out[e] - hkk * b) % p
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            f = sub * h[i][k] % p
+            if f:
+                for e, b in enumerate(chi[i]):
+                    out[e] = (out[e] - f * b) % p
+        chi.append(out)
+    return chi[n]
 
 
 def _zmatmul(x, y):

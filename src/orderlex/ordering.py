@@ -353,7 +353,10 @@ def theorem2_report(m, f):
 
     classical_count = sturm_positive_root_count(classical)
     twisted_count = sturm_positive_root_count(twisted)
-    cover_count = sturm_positive_root_count(covered)
+    # equal polynomials (Shapiro) have equal counts; only a disagreement,
+    # which existence_equal must catch, needs the cover's own chain
+    cover_count = (twisted_count if covered == twisted
+                   else sturm_positive_root_count(covered))
     shared = common_positive_root_count(twisted, classical)
 
     return {

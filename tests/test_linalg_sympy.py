@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from orderlex import linalg
+from orderlex.autos import figure_eight_monodromy
 from orderlex.errors import ConsistencyError, SingularMatrixError
+from orderlex.finite import TorusHomomorphism, cyclic_group, regular_representation
 from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import (
     PolynomialMatrix,
@@ -20,6 +22,7 @@ from orderlex.linalg import (
     characteristic_matrix,
     homology_invariant_factors,
 )
+from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 
 sympy = pytest.importorskip("sympy")
 
@@ -181,6 +184,149 @@ def test_scaled_conjugates(n):
         assert [cp.coefficient(n - k) for k in range(n + 1)] == coeffs
         assert sum(a.entry(i, i) for i in range(n)) == from_sympy(s.trace())
         assert (a * a.inverse()).is_identity()
+
+
+# -- the modular characteristic polynomial ------------------------------
+
+
+def sympy_charpoly(m):
+    """The coefficients, leading first, of det(tI - m) by sympy's
+    DomainMatrix charpoly over QQ."""
+    dm = DomainMatrix([[sympy.QQ(x.numerator, x.denominator) for x in r] for r in m.to_lists()],
+                      (m.rows, m.cols), sympy.QQ)
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in dm.charpoly()]
+
+
+def hadamard_bound(z):
+    """prod_i (2 + isqrt(|z_i|^2)) over the rows z_i."""
+    return math.prod(2 + math.isqrt(sum(x * x for x in r)) for r in z)
+
+
+@pytest.fixture
+def moduli(monkeypatch):
+    """The (bound, p) of every char_poly call; each p is checked to exceed
+    twice its bound."""
+    chosen = []
+    modulus = linalg._char_poly_modulus
+
+    def recording(bound):
+        p = modulus(bound)
+        assert p > 2 * bound
+        chosen.append((bound, p))
+        return p
+
+    monkeypatch.setattr(linalg, "_char_poly_modulus", recording)
+    return chosen
+
+
+def assert_char_poly(m):
+    """char_poly(m) equals sympy's, and every coefficient of the integer
+    characteristic polynomial of den * m is at most its Hadamard bound."""
+    n = m.rows
+    cp = m.char_poly()
+    assert [cp.coefficient(n - k) for k in range(n + 1)] == sympy_charpoly(m)
+    scaled = RationalMatrix(m._z).char_poly()
+    assert all(abs(scaled.coefficient(e)) <= hadamard_bound(m._z) for e in range(n + 1))
+
+
+# (n, largest numerator, largest denominator): up to N = 24 with small
+# entries; entries up to 2^200, at sizes that keep the bound's prime small
+# enough to test quickly
+CHAR_POLY_SHAPES = [
+    (1, 9, 1), (2, 9, 1), (7, 9, 1), (12, 9, 1), (18, 9, 1), (24, 9, 1),
+    (5, 9, 6), (10, 9, 6), (16, 9, 6), (24, 3, 4),
+    (2, 2 ** 200, 1), (4, 2 ** 200, 1), (3, 2 ** 200, 2 ** 100),
+]
+
+
+@pytest.mark.parametrize("n, top, den", CHAR_POLY_SHAPES, ids=[
+    f"{n}x{n}-top{top.bit_length()}b-den{den.bit_length()}b" for n, top, den in CHAR_POLY_SHAPES])
+def test_char_poly_against_sympy(n, top, den, moduli):
+    rng = random.Random(f"char poly {n} {top} {den}")
+    for density in (1.0, 0.3):
+        entries = [[Fraction(rng.randint(-top, top), rng.randint(1, den))
+                    if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        assert_char_poly(RationalMatrix(entries))
+    if top >= 2 ** 200:
+        # the dense matrix's entries push its bound past 2^61 - 1: q >= 521
+        assert moduli[0][1].bit_length() >= 521
+
+
+def direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [], 0
+    for b in blocks:
+        out += [[0] * at + r + [0] * (n - at - len(r)) for r in b]
+        at += len(b)
+    return out
+
+
+STRUCTURED = {
+    "zero": [[0] * 5 for _ in range(5)],
+    "identity": [[int(i == j) for j in range(6)] for i in range(6)],
+    "one-by-one": [[-7]],
+    "nilpotent Jordan block": [[int(j == i + 1) for j in range(6)] for i in range(6)],
+    "direct sum": direct_sum([[2, 1], [1, 1]], [[0, -1], [1, 0]], [[3, 1, 4], [1, 5, 9], [2, 6, 5]]),
+    # the first column is zero below the diagonal, so the first Hessenberg
+    # step finds no pivot
+    "block upper triangular": [
+        [4, 1, 2, 7, -1], [0, 3, 5, 2, 8], [0, 1, -2, 6, 0],
+        [0, 0, 0, 1, 9], [0, 0, 0, -4, 2],
+    ],
+    "block lower triangular": [
+        [1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [5, 6, 7, 8, 0],
+        [9, 1, 2, 3, 0], [4, 5, 6, 7, 8],
+    ],
+    "permuted direct sum": [
+        [0, 0, 1, 0, 0], [0, 2, 0, 0, 1], [1, 0, 0, 0, 0],
+        [0, 0, 0, 5, 0], [0, 1, 0, 0, 3],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_char_poly_structured(name, moduli):
+    """Zero, the identity, 1 x 1, a nilpotent Jordan block, direct sums and
+    block-triangular matrices, where Hessenberg steps find no pivot, and
+    their rational multiples."""
+    entries = STRUCTURED[name]
+    assert_char_poly(RationalMatrix(entries))
+    assert_char_poly(RationalMatrix([[Fraction(x, 3) for x in r] for r in entries]))
+    assert moduli and all(p == 2 ** 61 - 1 for _, p in moduli)
+
+
+def test_char_poly_bound_past_the_table(monkeypatch):
+    """With the table cut to 2^61 - 1, a matrix whose bound exceeds 2^60
+    raises ArithmeticError naming the bound's bit length; one within it
+    still computes."""
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (61,))
+    small = RationalMatrix([[2, 1], [1, 1]])
+    assert small.char_poly() == LaurentPolynomial({2: 1, 1: -3, 0: 1})
+    z = [[2 ** 40, 1], [3, 2 ** 40]]
+    bits = hadamard_bound(z).bit_length()
+    assert bits > 61
+    with pytest.raises(ArithmeticError, match=f"bound of {bits} bits"):
+        RationalMatrix(z).char_poly()
+
+
+def test_char_poly_prime_below_twice_the_bound(monkeypatch):
+    """A prime below 2B gives wrong coefficients, and the independent
+    routes that check char_poly raise ConsistencyError: the Smith normal
+    form in classical_alexander and the Bareiss determinant in
+    twisted_alexander's Wada check."""
+    torus = MappingTorus(2, figure_eight_monodromy())
+    g = cyclic_group(2)
+    rep = regular_representation(TorusHomomorphism(g, (g.identity(),) * 2, g.element(1)))
+
+    def small(bound):
+        assert 3 < 2 * bound
+        return 3
+
+    monkeypatch.setattr(linalg, "_char_poly_modulus", small)
+    with pytest.raises(ConsistencyError, match="characteristic polynomial"):
+        classical_alexander(torus)
+    with pytest.raises(ConsistencyError, match="determinant bookkeeping"):
+        twisted_alexander(torus, rep)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -390,6 +390,8 @@ class TestCli:
             (["verify", "order-lemmas", "--trials", "-3"], None, None, 2, "--trials"),
             (["verify", "order-lemmas", "--depth", "0"], None, None, 2, "--depth"),
             (["twisted", "--rep", "trivial", "--d-scale", "0"], None, None, 2, "--d-scale"),
+            (["twisted", "--rep", "trivial", "--d-scale", "10001"], None, None, 2,
+             "argument --d-scale: must be at most 10000, got 10001"),
             (["verify", "order-lemmas"], {"depth": 0}, None, 2, "options.depth"),
             (["verify", "order-lemmas"], {"trials": 0}, None, 2, "options.trials"),
             (["verify", "order-lemmas"], None, "0", 2, "ORDERLEX_DEPTH"),
@@ -415,6 +417,14 @@ class TestCli:
         assert message in captured.out + captured.err
         if code == cli.EXIT_CHECK_FAILED:
             assert json.loads(captured.out)["ok"] is False
+
+    def test_d_scale_limit_parses(self):
+        """The parser takes --d-scale up to D_SCALE_LIMIT; only parsed,
+        since the twisted complex grows linearly in D."""
+        parse = cli.build_parser().parse_args
+        args = parse(["twisted", "m.json", "--d-scale", str(cli.D_SCALE_LIMIT)])
+        assert args.d_scale == cli.D_SCALE_LIMIT == 10000
+        assert parse(["twisted", "m.json"]).d_scale == 1
 
     S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
     WIDE = {"name": "Z2", "degree": DEFAULT_ELEMENT_LIMIT + 1, "generators": ["(1 2)"]}

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orderlex import ordering
+from orderlex.autos import figure_eight_monodromy, standard_battery
+from orderlex.finite import homomorphism_classes
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import (
@@ -20,7 +22,9 @@ from orderlex.ordering import (
     magnus_compare,
     magnus_expand,
     random_reduced_word,
+    theorem2_report,
 )
+from orderlex.torus import AlexanderResult, MappingTorus
 from orderlex.words import FreeWord, commutator, parse_word
 
 
@@ -402,3 +406,47 @@ class TestPositiveEigenvalue:
     def test_negative_identity(self):
         m = RationalMatrix([[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]])
         assert not has_positive_real_eigenvalue(m)
+
+
+class TestTheorem2Report:
+    @staticmethod
+    def counting_chains(monkeypatch):
+        """The polynomials theorem2_report runs a Sturm chain on."""
+        chains = []
+        count = ordering.sturm_positive_root_count
+
+        def counting(p):
+            chains.append(p)
+            return count(p)
+
+        monkeypatch.setattr(ordering, "sturm_positive_root_count", counting)
+        return chains
+
+    def test_equal_cover_polynomial_shares_the_twisted_chain(self, monkeypatch):
+        """Over every 8th class of the battery the cover polynomial equals the
+        twisted one (Shapiro), so each report runs two chains, the classical
+        and the twisted, and takes the cover's count from the twisted."""
+        classes = [(MappingTorus(auto.rank, auto, label), f)
+                   for label, auto in standard_battery()
+                   for f in homomorphism_classes(auto).values()][::8]
+        chains = self.counting_chains(monkeypatch)
+        for torus, f in classes:
+            report = theorem2_report(torus, f)
+            assert report["cover"] == report["twisted"]
+            assert report["cover_positive_roots"] == report["twisted_positive_roots"]
+        assert len(classes) > 20
+        assert len(chains) == 2 * len(classes)
+
+    def test_differing_cover_polynomial_runs_its_chain(self, monkeypatch):
+        """A cover polynomial other than the twisted one gets its own chain,
+        so existence_equal still catches a disagreement."""
+        torus = MappingTorus(2, figure_eight_monodromy(), "figure-eight")
+        f = next(iter(homomorphism_classes(torus.monodromy).values()))
+        monkeypatch.setattr(ordering, "cover_alexander",
+                            lambda cover: AlexanderResult(L("t^2 + t + 1"), (), 0))
+        chains = self.counting_chains(monkeypatch)
+        report = theorem2_report(torus, f)
+        assert len(chains) == 3 and chains[-1] == L("t^2 + t + 1")
+        assert report["twisted_positive_roots"] > 0
+        assert report["cover_positive_roots"] == 0
+        assert report["existence_equal"] is False

@@ -243,3 +243,91 @@ def test_bench_pairs_summary():
     assert p50["change_wins"] == 2
     single = bench_pairs.summarize([7], pairs[:1], spec)["metrics"]["items_per_s"]
     assert single["parent"] == {"q1": 100.0, "median": 100.0, "q3": 100.0}
+
+
+@pytest.mark.parametrize(
+    "claim, message",
+    [(["cover_ladder", "items_per_s"], "no --run of workload cover_ladder"),
+     (["sweep", "linalg.char_poly_s"], "linalg.char_poly_s is not an end-to-end metric")],
+    ids=["workload-not-run", "metric-not-end-to-end"],
+)
+def test_bench_pairs_rejects_unchecked_claim(tmp_path, monkeypatch, capsys, claim, message):
+    """A claim on a workload with no --run, or on a metric outside
+    BENCHMARK.json's end-to-end list, exits 2 before any run."""
+    bench_pairs = _load_script("bench_pairs")
+
+    def run_once(checkout, workload, seed):
+        raise AssertionError(f"ran {workload} in {checkout}")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main([str(ROOT), str(ROOT), "--out", str(tmp_path / "out.json"),
+                          "--run", "sweep", "1", "--claim", *claim])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def _claim_entry(parent, change, better="higher"):
+    """A summarize entry of one metric from per-pair values."""
+    bench_pairs = _load_script("bench_pairs")
+    spec = [{"name": "m", "unit": "u", "better": better, "bound": 0.25}]
+    pairs = [{"parent": {"failed": 0, "metrics": {"m": {"value": p}}},
+              "change": {"failed": 0, "metrics": {"m": {"value": c}}}}
+             for p, c in zip(parent, change)]
+    return bench_pairs, bench_pairs.summarize(range(len(pairs)), pairs, spec)
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, met",
+    [
+        # ten wins, the medians 10 apart against a parent q3 - q1 of 1.5
+        ([100, 101, 99, 102, 98, 100, 101, 99, 100, 100], [110] * 10, "higher", True),
+        # nine wins and one tie still make nine tenths
+        ([100] * 10, [100] + [110] * 9, "higher", True),
+        # eight wins of ten
+        ([100] * 10, [90, 90] + [110] * 8, "higher", False),
+        # every pair won, but the gap is inside the parent's spread
+        ([90, 110, 90, 110, 90, 110, 90, 110, 90, 110],
+         [91, 111, 91, 111, 91, 111, 91, 111, 91, 111], "higher", False),
+        # lower is better: ten lower values
+        ([10.0] * 10, [9.0] * 10, "lower", True),
+        ([10.0] * 10, [11.0] * 10, "lower", False),
+        # fewer than ten pairs
+        ([100] * 9, [110] * 9, "higher", False),
+    ],
+    ids=["clear-gain", "one-tie", "eight-wins", "within-spread", "lower-better",
+         "lower-worse", "nine-pairs"],
+)
+def test_bench_pairs_claim_met(parent, change, better, met):
+    """claim_met: at least ten pairs, nine tenths of them won (a tie wins
+    for neither side), and a median gap beyond the parent's q3 - q1."""
+    bench_pairs, entry = _claim_entry(parent, change, better)
+    assert bench_pairs.claim_met(entry, "m") is met
+
+
+def test_bench_pairs_writes_claim_met(tmp_path, monkeypatch):
+    """The output records the claim and whether it was met, from canned
+    runs of both checkouts."""
+    bench_pairs = _load_script("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: "0" * 40)
+    fingerprint = {"cpu_model": "cpu", "nproc": 2, "python": "3", "source_digest": "d"}
+
+    def run_once(checkout, workload, seed):
+        rate = 110.0 if checkout == tmp_path / "change" else 100.0
+        line = {"failed": 0, "metrics": {m["name"]: {"value": rate} for m in spec}}
+        return line, {"fingerprint": fingerprint}
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    (tmp_path / "change").mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    seeds = [str(s) for s in range(10)]
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--out", str(out), "--run", "sweep", *seeds,
+                             "--claim", "sweep", "items_per_s"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["claimed"] == {"workload": "sweep", "metric": "items_per_s"}
+    assert doc["claim_met"] is True
+    assert doc["workloads"]["sweep"]["metrics"]["items_per_s"]["change_wins"] == 10
