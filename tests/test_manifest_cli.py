@@ -390,11 +390,11 @@ class TestCli:
             (["verify", "order-lemmas", "--trials", "-3"], None, None, 2, "--trials"),
             (["verify", "order-lemmas", "--depth", "0"], None, None, 2, "--depth"),
             (["twisted", "--rep", "trivial", "--d-scale", "0"], None, None, 2, "--d-scale"),
-            (["twisted", "--rep", "trivial", "--d-scale", "10001"], None, None, 2,
-             "argument --d-scale: must be at most 10000, got 10001"),
             (["verify", "order-lemmas"], {"depth": 0}, None, 2, "options.depth"),
             (["verify", "order-lemmas"], {"trials": 0}, None, 2, "options.trials"),
             (["verify", "order-lemmas"], None, "0", 2, "ORDERLEX_DEPTH"),
+            (["twisted", "--rep", "trivial", "--d-scale", "10001"], None, None, 2,
+             "argument --d-scale: must be at most 10000, got 10001"),
         ],
     )
     def test_no_vacuous_pass_and_bounded_counts(
