@@ -67,11 +67,7 @@ from .ordering import (
     magnus_expand,
     theorem2_report,
 )
-from .roots import (
-    all_roots_real_positive,
-    common_positive_root_count,
-    sturm_positive_root_count,
-)
+from .roots import all_roots_real_positive, sturm_positive_root_count
 from .torus import (
     AlexanderResult,
     MappingTorus,
@@ -120,7 +116,6 @@ __all__ = [
     "build_cover",
     "classical_alexander",
     "clay_rolfsen_verdict",
-    "common_positive_root_count",
     "commutator",
     "cover_alexander",
     "cover_degree",

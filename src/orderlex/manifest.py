@@ -30,6 +30,7 @@ breadth-first element list):
 from __future__ import annotations
 
 import json
+import re
 
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +61,10 @@ class LoadedManifest:
 
 
 _MISSING = object()
+
+# a matrix entry string: an integer or p/q, so that the interpreter's digit
+# limit bounds it; Fraction alone also takes exponents such as "1e3000000"
+_ENTRY = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def _expect(value, kind, location):
@@ -150,9 +155,9 @@ def _load_matrix(rows, location):
         entries = []
         for j, x in enumerate(row):
             loc = f"{location}[{i}][{j}]"
-            if isinstance(x, bool) or not isinstance(x, (int, str)):
+            if not (type(x) is int or isinstance(x, str) and _ENTRY.fullmatch(x)):
                 raise ManifestError(
-                    "matrix entries must be integers or fraction strings", loc
+                    "matrix entries must be integers or strings p or p/q", loc
                 )
             try:
                 entries.append(Fraction(x))

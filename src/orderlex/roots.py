@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 
-from .laurent import poly_divmod, poly_gcd
+from .laurent import poly_divmod
 
 
 def _sign_changes(values):
@@ -73,15 +73,4 @@ def all_roots_real_positive(p):
     return positive == distinct
 
 
-def common_positive_root_count(p, q):
-    """Number of distinct positive real roots shared by p and q."""
-    if p.is_zero or q.is_zero:
-        raise ValueError("the zero polynomial does not have a root set")
-    return sturm_positive_root_count(poly_gcd(p, q))
-
-
-__all__ = [
-    "sturm_positive_root_count",
-    "all_roots_real_positive",
-    "common_positive_root_count",
-]
+__all__ = ["sturm_positive_root_count", "all_roots_real_positive"]

@@ -49,7 +49,7 @@ from orderlex.ordering import (
     lemma_comm_suite,
     theorem2_report,
 )
-from orderlex.roots import common_positive_root_count, sturm_positive_root_count
+from orderlex.roots import sturm_positive_root_count
 from orderlex.torus import MappingTorus, classical_alexander, lemma4_check, lemma5_check, twisted_alexander
 
 
@@ -109,7 +109,7 @@ def test_acceptance_1_worked_example():
     twisted = twisted_alexander(torus, rep).polynomial
     expected_twisted = (L("t^2 + 3*t + 1") * L("t^2 - 3*t + 1")).canonicalize()
 
-    shared = common_positive_root_count(classical, twisted)
+    shared = sturm_positive_root_count(poly_gcd(classical, twisted))
     elapsed = time.perf_counter() - start
 
     ok = (

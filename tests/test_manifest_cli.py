@@ -141,6 +141,24 @@ class TestLoading:
         m = loads_manifest(json.dumps(doc))
         assert m.representations[0].dimension == 1
 
+    @pytest.mark.parametrize("entry", ["1e5", "0.5", "1e3000000"])
+    def test_entry_outside_the_grammar_located(self, tmp_path, capsys, entry):
+        # Fraction takes exponents, so "1e3000000" would build a
+        # 10-million-bit integer; only integers and p/q strings load
+        doc = json.loads(manifest_text())
+        doc["representations"] = [
+            {"label": "big", "fiber_matrices": [[[1]], [[1]]], "stable_matrix": [[entry]]}
+        ]
+        with pytest.raises(ManifestError) as exc:
+            loads_manifest(json.dumps(doc))
+        assert exc.value.location == "representations[0].stable_matrix[0][0]"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["twisted", str(path), "--rep", "big"]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: representations[0].stable_matrix[0][0]: ")
+
 
 class TestSelectors:
     def test_by_label_and_index(self, fig8_manifest_path):

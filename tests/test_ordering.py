@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderlex import ordering
+from orderlex import cli, ordering
 from orderlex.autos import figure_eight_monodromy, standard_battery
+from orderlex.errors import ConsistencyError
 from orderlex.finite import homomorphism_classes
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
 from orderlex.linalg import RationalMatrix
@@ -450,3 +451,54 @@ class TestTheorem2Report:
         assert report["twisted_positive_roots"] > 0
         assert report["cover_positive_roots"] == 0
         assert report["existence_equal"] is False
+
+    @staticmethod
+    def not_dividing(monkeypatch):
+        """Make the classical polynomial of every torus t^2 - 5*t + 1, which
+        divides no regular twisted polynomial of figure-eight."""
+        monkeypatch.setattr(ordering, "classical_alexander",
+                            lambda m: AlexanderResult(L("t^2 - 5*t + 1"), (), 0))
+
+    def test_classical_not_dividing_raises(self, monkeypatch):
+        torus = MappingTorus(2, figure_eight_monodromy(), "figure-eight")
+        self.not_dividing(monkeypatch)
+        for f in homomorphism_classes(torus.monodromy).values():
+            with pytest.raises(ConsistencyError, match="does not divide"):
+                theorem2_report(torus, f)
+
+    @pytest.mark.parametrize("argv", [["verify", "theorem2"], ["report"]])
+    def test_classical_not_dividing_exits_internal(
+        self, monkeypatch, capsys, fig8_manifest_path, argv
+    ):
+        self.not_dividing(monkeypatch)
+        assert cli.main(argv + [fig8_manifest_path]) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal cross-check disagreed")
+
+    def test_division_and_gain_match_sympy(self):
+        """Over every 4th class of the battery, from the report's strings and
+        sympy alone: the classical polynomial divides the twisted one, and
+        gain is the formula of the gcd route, the shared positive roots
+        numbering the classical ones and the twisted ones more."""
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+
+        def poly(text):
+            return sympy.Poly(sympy.sympify(text.replace("^", "**")), t, domain=sympy.QQ)
+
+        classes = [(MappingTorus(auto.rank, auto, label), f)
+                   for label, auto in standard_battery()
+                   for f in homomorphism_classes(auto).values()][::4]
+        gains = 0
+        for torus, f in classes:
+            report = theorem2_report(torus, f)
+            classical, twisted = poly(report["classical"]), poly(report["twisted"])
+            assert sympy.rem(twisted, classical).is_zero
+            shared = {r for r in sympy.gcd(twisted, classical).real_roots() if r.is_positive}
+            classical_count = report["classical_positive_roots"]
+            gain = (len(shared) == classical_count
+                    and report["twisted_positive_roots"] > classical_count)
+            assert report["gain"] is gain
+            gains += gain
+        assert len(classes) == 64 and gains > 0

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orderlex.laurent import LaurentPolynomial, parse_polynomial
-from orderlex.roots import (
-    all_roots_real_positive,
-    common_positive_root_count,
-    sturm_positive_root_count,
-)
+from orderlex.ordering import theorem2_report
+from orderlex.roots import all_roots_real_positive, sturm_positive_root_count
 
 
 def L(s):
@@ -91,33 +88,14 @@ class TestAllRootsRealPositive:
             all_roots_real_positive(LaurentPolynomial.zero())
 
 
-class TestCommonRoots:
-    def test_shared_factor(self):
-        p = L("t^2 - 3*t + 1")
-        q = L("t^4 - 7*t^2 + 1")  # (t^2-3t+1)(t^2+3t+1)
-        assert common_positive_root_count(p, q) == 2
-
-    def test_disjoint(self):
-        assert common_positive_root_count(L("t - 1"), L("t - 2")) == 0
-
-    def test_multiplicity_insensitive(self):
-        assert common_positive_root_count(L("t^2 - 2*t + 1"), L("t - 1")) == 1
-
-    def test_zero_raises(self):
-        zero = LaurentPolynomial.zero()
-        for p, q in ((zero, L("t - 1")), (L("t - 1"), zero)):
-            with pytest.raises(ValueError):
-                common_positive_root_count(p, q)
-
-
-def test_one_chain_per_query(laurent_calls):
+def test_one_chain_per_query(laurent_calls, fig8_torus, fig8_z2):
     """Root counts build one Sturm chain of the polynomial itself, with no
-    square-free step: only the common-root count takes a gcd, and one."""
+    square-free step, and theorem 2 takes its shared roots from a division:
+    neither takes a gcd."""
     # roots 1 (twice), 2 and +-i
     p = L("t - 1") ** 2 * L("t - 2") * L("t^2 + 1")
     assert sturm_positive_root_count(p) == 2
     assert not all_roots_real_positive(p)
-    assert laurent_calls["poly_gcd"] == 0
     assert laurent_calls["poly_divmod"] > 0
-    assert common_positive_root_count(p, L("t^2 - 1")) == 1
-    assert laurent_calls["poly_gcd"] == 1
+    theorem2_report(fig8_torus, fig8_z2)
+    assert laurent_calls["poly_gcd"] == 0
