@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .finite import (
-    cover_degree,
+    _cover_degree,
     invert_permutation,
     multiply_permutations,
     regular_representation,
@@ -42,9 +42,8 @@ def build_cover(m, f):
     """Reidemeister-Schreier data for the cover attached to f, together with
     the monodromy lifted through the stable element t^d * w."""
     f.require_well_defined(m.monodromy)
-    d, w = cover_degree(f)
-
     order, reps = schreier_transversal(f)
+    d, w = _cover_degree(f, reps)
     identity = f.group.identity()
 
     basis = []

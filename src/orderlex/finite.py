@@ -2,9 +2,9 @@
 and matrix representations of that group over Q.
 
 Permutations are tuples p of length degree with p[i] = image of point i
-(0-based); multiply(p, q) applies q first.  Group elements are enumerated
-breadth-first from the identity in generator order, which makes every
-derived object (indices, regular representations) reproducible.
+(0-based); multiply_permutations(p, q) applies q first.  Group elements are
+enumerated breadth-first from the identity in generator order, which makes
+every derived object (indices, regular representations) reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .linalg import RationalMatrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
+# elements x degree: the points an enumerated group keeps, about 80 MB
+POINT_LIMIT = 10 ** 7
 MATRIX_ORDER_BOUND = 1000
 
 
@@ -32,7 +34,7 @@ def identity_permutation(degree):
 
 def multiply_permutations(p, q):
     """(p * q)(x) = p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def invert_permutation(p):
@@ -103,7 +105,9 @@ def format_cycles(p):
 
 def _bfs_closure(degree, generators, limit):
     """Elements reachable from the identity, breadth-first in generator
-    order; in a finite group this is the generated subgroup."""
+    order; in a finite group this is the generated subgroup.  Raises
+    EnumerationLimitError beyond limit elements or POINT_LIMIT stored
+    points."""
     start = identity_permutation(degree)
     elements = [start]
     seen = {start}
@@ -117,6 +121,11 @@ def _bfs_closure(degree, generators, limit):
                 if len(elements) >= limit:
                     raise EnumerationLimitError(
                         f"group enumeration exceeded {limit} elements"
+                    )
+                if (len(elements) + 1) * degree > POINT_LIMIT:
+                    raise EnumerationLimitError(
+                        f"group enumeration exceeded {POINT_LIMIT} points "
+                        f"(elements x degree)"
                     )
                 seen.add(nxt)
                 elements.append(nxt)
@@ -153,12 +162,6 @@ class FiniteGroup:
 
     def element(self, i):
         return self.elements[i]
-
-    def multiply(self, a, b):
-        return multiply_permutations(a, b)
-
-    def inverse(self, a):
-        return invert_permutation(a)
 
     def __eq__(self, other):
         return (
@@ -329,7 +332,11 @@ def schreier_transversal(f):
 def cover_degree(f):
     """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
     over the fiber generators with f(w) = f(t)^-d."""
-    _, reps = schreier_transversal(f)
+    return _cover_degree(f, schreier_transversal(f)[1])
+
+
+def _cover_degree(f, reps):
+    """cover_degree(f) from the representatives of schreier_transversal(f)."""
     t = f.stable_image
     acc = t
     d = 1
@@ -547,14 +554,45 @@ def trivial_representation(rank):
 
 
 def enumerate_homomorphisms(monodromy, group):
-    """All maps of the mapping-torus group into the group, by brute force
-    over images of the fiber generators and the stable letter."""
+    """All maps of the mapping-torus group into the group, in the order of
+    itertools.product(group.elements, repeat=rank + 1).
+
+    The search runs on element indices over one |G| x |G| multiplication
+    table and one inverse list, |G|^2 permutation products in all.  For
+    each tuple of fiber images, each theta(x_i) is evaluated once by table
+    lookups; a stable image t is kept when t f(x_i) = f(theta(x_i)) t for
+    every i, stopping at the first failure.  A TorusHomomorphism is built
+    only for the maps kept, so the |G|^(rank + 1) candidates cost
+    O(|G|^rank (|theta| + |G| rank)) lookups, |theta| the total length of
+    the images theta(x_i).
+    """
     rank = monodromy.rank
+    elements = group.elements
+    index = group._index
+    table = [[index[multiply_permutations(a, b)] for b in elements] for a in elements]
+    inverse = [index[invert_permutation(a)] for a in elements]
+    words = [image.letters for image in monodromy.images]
     homs = []
-    for combo in itertools.product(group.elements, repeat=rank + 1):
-        hom = TorusHomomorphism(group, combo[:rank], combo[rank])
-        if hom.is_well_defined(monodromy):
-            homs.append(hom)
+    for fibers in itertools.product(range(len(elements)), repeat=rank):
+        signed = {}
+        for g, x in enumerate(fibers, 1):
+            signed[g, 1] = x
+            signed[g, -1] = inverse[x]
+        targets = []
+        for letters in words:
+            acc = 0  # the identity, first in BFS order
+            for letter in letters:
+                acc = table[acc][signed[letter]]
+            targets.append(acc)
+        pairs = list(zip(fibers, targets))
+        for t, row in enumerate(table):
+            for x, y in pairs:
+                if row[x] != table[y][t]:
+                    break
+            else:
+                homs.append(TorusHomomorphism(
+                    group, [elements[x] for x in fibers], elements[t]
+                ))
     return homs
 
 

@@ -3,6 +3,7 @@ and the twisted-vs-cover cross-check."""
 
 import pytest
 
+from orderlex import covers, finite
 from orderlex.autos import (
     automorphism,
     figure_eight_monodromy,
@@ -48,6 +49,24 @@ class TestBuildCover:
         # lifted monodromy is theta^2
         theta2 = figure_eight_monodromy().power(2)
         assert c.lifted_monodromy.images == theta2.images
+
+    def test_one_transversal_per_cover(self, monkeypatch):
+        """build_cover takes d and w from the transversal it builds on."""
+        calls = []
+        transversal = finite.schreier_transversal
+
+        def counting(f):
+            calls.append(f)
+            return transversal(f)
+
+        monkeypatch.setattr(finite, "schreier_transversal", counting)
+        monkeypatch.setattr(covers, "schreier_transversal", counting)
+        m = MappingTorus(2, figure_eight_monodromy())
+        for f in homomorphism_classes(m.monodromy).values():
+            calls.clear()
+            c = build_cover(m, f)
+            assert len(calls) == 1
+            assert (c.d, c.w) == finite.cover_degree(f)
 
     def test_index_two_fiber_cover(self):
         m = MappingTorus(2, identity_automorphism(2))

@@ -5,7 +5,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orderlex import finite
 from orderlex.autos import figure_eight_monodromy, identity_automorphism, standard_battery
 from orderlex.errors import IllDefinedHomomorphismError, RepresentationError
 from orderlex.finite import (
@@ -19,6 +21,7 @@ from orderlex.finite import (
     format_cycles,
     homomorphism_classes,
     klein_four_group,
+    multiply_permutations,
     parse_cycles,
     permutation_matrix,
     regular_representation,
@@ -35,7 +38,7 @@ def permutation_order(g, a):
     """The order of the element a of g, from its successive powers."""
     power, k = a, 1
     while power != g.identity():
-        power, k = g.multiply(power, a), k + 1
+        power, k = multiply_permutations(power, a), k + 1
     return k
 
 
@@ -228,6 +231,89 @@ class TestHomomorphisms:
             for f in classes.values():
                 regular_representation(f)
             assert len(built) == catalog, label
+
+
+def reference_homomorphisms(monodromy, group):
+    """Every candidate map, tested one by one with is_well_defined."""
+    n = monodromy.rank
+    return [
+        f
+        for combo in itertools.product(group.elements, repeat=n + 1)
+        if (f := TorusHomomorphism(group, combo[:n], combo[n])).is_well_defined(monodromy)
+    ]
+
+
+def assert_matches_reference(monodromy, group):
+    got = enumerate_homomorphisms(monodromy, group)
+    want = reference_homomorphisms(monodromy, group)
+    assert all(f.group is group for f in got)
+    assert [(f.fiber_images, f.stable_image) for f in got] == [
+        (f.fiber_images, f.stable_image) for f in want
+    ]
+
+
+def group_from_cycles(name, degree, generators):
+    return FiniteGroup(degree, [parse_cycles(c, degree) for c in generators], name=name)
+
+
+BATTERY = standard_battery()
+
+
+class TestEnumeration:
+    """enumerate_homomorphisms against the candidate-by-candidate search,
+    element for element and in product order."""
+
+    @pytest.mark.parametrize("label, auto", BATTERY, ids=[label for label, _ in BATTERY])
+    def test_battery_into_catalog(self, label, auto):
+        for group in small_groups_catalog():
+            assert_matches_reference(auto, group)
+
+    @pytest.mark.parametrize(
+        "name, degree, generators, order",
+        [
+            ("D4", 4, ["(1 2 3 4)", "(2 4)"], 8),
+            ("D6", 6, ["(1 2 3 4 5 6)", "(2 6)(3 5)"], 12),
+            ("A4", 4, ["(1 2 3)", "(2 3 4)"], 12),
+        ],
+        ids=["D4", "D6", "A4"],
+    )
+    def test_battery_into_groups_beyond_the_catalog(self, name, degree, generators, order):
+        group = group_from_cycles(name, degree, generators)
+        assert group.order == order
+        for _, auto in BATTERY:
+            assert_matches_reference(auto, group)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rank=st.sampled_from([2, 3]),
+        factors=st.lists(
+            st.tuples(st.integers(0, 100), st.integers(-2, 2)), min_size=1, max_size=3
+        ),
+        group=st.sampled_from(small_groups_catalog()),
+    )
+    def test_composites_and_powers(self, rank, factors, group):
+        autos = [auto for _, auto in BATTERY if auto.rank == rank]
+        monodromy = identity_automorphism(rank)
+        for i, k in factors:
+            monodromy = monodromy.compose(autos[i % len(autos)].power(k))
+        assert_matches_reference(monodromy, group)
+
+    def test_products_bounded_by_the_table(self, monkeypatch):
+        """One call makes the |G|^2 products of its multiplication table
+        and no other, whatever the number of candidates."""
+        group = symmetric_group(3)
+        auto = next(auto for _, auto in BATTERY if auto.rank == 3)
+        products = []
+        multiply = finite.multiply_permutations
+
+        def counting(p, q):
+            products.append((p, q))
+            return multiply(p, q)
+
+        monkeypatch.setattr(finite, "multiply_permutations", counting)
+        homs = enumerate_homomorphisms(auto, group)
+        assert homs
+        assert len(products) <= group.order ** 2
 
 
 class TestCoverDegree:

@@ -446,6 +446,12 @@ class TestCli:
 
     S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
     WIDE = {"name": "Z2", "degree": DEFAULT_ELEMENT_LIMIT + 1, "generators": ["(1 2)"]}
+    # within both the degree and the element limit, but 10^8 stored points
+    LONG_CYCLE = {
+        "name": "Z10000",
+        "degree": DEFAULT_ELEMENT_LIMIT,
+        "generators": ["(" + " ".join(map(str, range(1, DEFAULT_ELEMENT_LIMIT + 1))) + ")"],
+    }
 
     @pytest.mark.parametrize(
         "argv, homs, break_char_poly, code, message",
@@ -465,12 +471,20 @@ class TestCli:
                 f"homomorphisms[0].group.degree: degree {DEFAULT_ELEMENT_LIMIT + 1} "
                 f"exceeds the limit of {DEFAULT_ELEMENT_LIMIT}",
             ),
+            (
+                ["alexander"],
+                [{"group": LONG_CYCLE, "fiber_images": [0, 0], "stable_image": 0}],
+                False,
+                cli.EXIT_PARSE_ERROR,
+                "homomorphisms[0].group: group enumeration exceeded 10000000 points",
+            ),
             (["alexander"], [], True, cli.EXIT_INTERNAL, "internal cross-check disagreed"),
             (["report"], [], False, cli.EXIT_CHECK_FAILED, "no homomorphisms"),
         ],
         ids=[
             "group-beyond-limit",
             "degree-beyond-limit",
+            "points-beyond-limit",
             "consistency-error",
             "report-without-homomorphisms",
         ],
