@@ -252,10 +252,6 @@ def assert_matches_reference(monodromy, group):
     ]
 
 
-def group_from_cycles(name, degree, generators):
-    return FiniteGroup(degree, [parse_cycles(c, degree) for c in generators], name=name)
-
-
 BATTERY = standard_battery()
 
 
@@ -278,7 +274,7 @@ class TestEnumeration:
         ids=["D4", "D6", "A4"],
     )
     def test_battery_into_groups_beyond_the_catalog(self, name, degree, generators, order):
-        group = group_from_cycles(name, degree, generators)
+        group = FiniteGroup(degree, [parse_cycles(c, degree) for c in generators], name=name)
         assert group.order == order
         for _, auto in BATTERY:
             assert_matches_reference(auto, group)
