@@ -20,7 +20,10 @@ Each seed of each --run makes one pair: one run of
 
 in each checkout, one after the other, the parent first on even-numbered
 pairs (0, 2, ...) of a workload and the change first on odd ones, so that
-a slow stretch of the host does not always fall on the same side.  The
+a slow stretch of the host does not always fall on the same side.  Each
+run has PYTHONPYCACHEPREFIX set to a new, empty temporary directory, so
+every run compiles the library afresh: __pycache__ left in one checkout
+by earlier runs cannot shorten its import, which setup_s includes.  The
 JSON object on the last line of each run's output gives its end-to-end
 metrics, and the run's result document under perfbench/results/ gives its
 machine fingerprint and source digest.  The output file holds, per
@@ -38,10 +41,12 @@ parent's q3 - q1; it is null without a claim.
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 # the benchmark's run length, untraced
@@ -64,12 +69,15 @@ def commit_of(checkout):
 
 
 def run_once(checkout, workload, seed):
-    """(result line, result document) of one untraced run in checkout."""
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         *RUN_ARGS],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    """(result line, result document) of one untraced run in checkout, with
+    bytecode cached in a fresh directory."""
+    with tempfile.TemporaryDirectory() as prefix:
+        out = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             *RUN_ARGS],
+            cwd=checkout, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPYCACHEPREFIX=prefix),
+        )
     lines = out.stdout.strip().splitlines()
     try:
         line = json.loads(lines[-1])

@@ -10,6 +10,7 @@ every derived object (indices, regular representations) reproducible.
 from __future__ import annotations
 
 import itertools
+import re
 
 from math import gcd, lcm
 
@@ -58,17 +59,10 @@ def parse_cycles(text, degree):
     body = text.strip()
     if body in ("", "()", "e", "id"):
         return tuple(out)
-    if not body.startswith("("):
+    if not re.fullmatch(r"(\s*\([^()]*\))+", body):
         raise ValueError(f"bad cycle notation: {text!r}")
-    for chunk in body.split(")"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not chunk.startswith("("):
-            raise ValueError(f"bad cycle notation: {text!r}")
-        items = chunk[1:].replace(",", " ").split()
-        if not items:
-            continue
+    for chunk in re.findall(r"\(([^()]*)\)", body):
+        items = chunk.replace(",", " ").split()
         cycle = []
         for item in items:
             k = int(item)
@@ -103,11 +97,11 @@ def format_cycles(p):
     return "".join(parts) if parts else "()"
 
 
-def _bfs_closure(degree, generators, limit):
+def _bfs_closure(degree, generators):
     """Elements reachable from the identity, breadth-first in generator
     order; in a finite group this is the generated subgroup.  Raises
-    EnumerationLimitError beyond limit elements or POINT_LIMIT stored
-    points."""
+    EnumerationLimitError beyond DEFAULT_ELEMENT_LIMIT elements or
+    POINT_LIMIT stored points."""
     start = identity_permutation(degree)
     elements = [start]
     seen = {start}
@@ -118,9 +112,9 @@ def _bfs_closure(degree, generators, limit):
         for g in generators:
             nxt = multiply_permutations(cur, g)
             if nxt not in seen:
-                if len(elements) >= limit:
+                if len(elements) >= DEFAULT_ELEMENT_LIMIT:
                     raise EnumerationLimitError(
-                        f"group enumeration exceeded {limit} elements"
+                        f"group enumeration exceeded {DEFAULT_ELEMENT_LIMIT} elements"
                     )
                 if (len(elements) + 1) * degree > POINT_LIMIT:
                     raise EnumerationLimitError(
@@ -133,7 +127,14 @@ def _bfs_closure(degree, generators, limit):
 
 
 class FiniteGroup:
-    """A permutation group with a fixed, reproducible element order."""
+    """A permutation group with a fixed, reproducible element order.
+
+    The group owns one product table on element indices: entry (i, j) is
+    index(elements[i] * elements[j]).  An entry costs one permutation
+    product the first time it is read, and a row is allocated when the
+    first of its entries is, so a hom into a large group whose image is
+    small never fills, or allocates, |G|^2 entries.
+    """
 
     def __init__(self, degree, generators, name=None):
         self.degree = int(degree)
@@ -141,8 +142,30 @@ class FiniteGroup:
             raise ValueError("degree must be positive")
         self.generators = [_check_permutation(g, self.degree) for g in generators]
         self.name = name
-        self.elements = _bfs_closure(self.degree, self.generators, DEFAULT_ELEMENT_LIMIT)
+        self.elements = _bfs_closure(self.degree, self.generators)
         self._index = {g: i for i, g in enumerate(self.elements)}
+        self._rows = [None] * len(self.elements)
+        self._filled = False
+
+    def _row(self, i, columns):
+        """Row i of the product table, its entries at columns filled."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = [None] * len(self._rows)
+        if not self._filled:
+            a = self.elements[i]
+            for j in columns:
+                if row[j] is None:
+                    row[j] = self._index[multiply_permutations(a, self.elements[j])]
+        return row
+
+    def _product_table(self):
+        """The product table as a list of rows, every entry filled."""
+        if not self._filled:
+            for i in range(self.order):
+                self._row(i, range(self.order))
+            self._filled = True
+        return self._rows
 
     @property
     def order(self):
@@ -220,16 +243,24 @@ def small_groups_catalog():
 
 class TorusHomomorphism:
     """A homomorphism f from the mapping-torus group to a finite group,
-    recorded by the images of the fiber generators and the stable letter."""
+    recorded by the images of the fiber generators and the stable letter.
 
-    def __init__(self, group, fiber_images, stable_image, label=None):
+    Only enumerate_homomorphisms passes _indices, the indices in
+    group.elements of the images it took from there, stable image last;
+    otherwise each image's membership is checked here, which gives its
+    index."""
+
+    def __init__(self, group, fiber_images, stable_image, label=None, _indices=None):
         self.group = group
-        # membership is the whole check: FiniteGroup certified its elements
         self.fiber_images = tuple(map(tuple, fiber_images))
         self.stable_image = tuple(stable_image)
-        for p in self.fiber_images + (self.stable_image,):
-            if p not in group:
-                raise ValueError("image is not an element of the target group")
+        if _indices is None:
+            # membership is the whole check: FiniteGroup certified its elements
+            try:
+                _indices = [group._index[p] for p in self.fiber_images + (self.stable_image,)]
+            except KeyError:
+                raise ValueError("image is not an element of the target group") from None
+        self._indices = tuple(_indices)
         self.rank = len(self.fiber_images)
         self.label = label
 
@@ -269,26 +300,50 @@ class TorusHomomorphism:
                 "images violate the mapping-torus relations"
             )
 
+    def _image(self):
+        """Indices of the elements of the full image, breadth-first from
+        the identity over the images of the fiber generators and then the
+        stable letter, each step read off the group's product table."""
+        row_of = self.group._row
+        gens = self._indices
+        image = [0]  # the identity, first in BFS order
+        seen = {0}
+        for cur in image:  # also visits the indices appended below
+            row = row_of(cur, gens)
+            for g in gens:
+                nxt = row[g]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    image.append(nxt)
+        return image
+
     def image_subgroup(self):
         """Elements of the full image, ordered by BFS."""
-        gens = list(self.fiber_images) + [self.stable_image]
-        return _bfs_closure(self.group.degree, gens, self.group.order + 1)
+        return [self.group.elements[i] for i in self._image()]
 
     def is_surjective(self):
-        return len(self.image_subgroup()) == self.group.order
+        return len(self._image()) == self.group.order
 
     def image_key(self):
         """The permutations by which the images of the fiber generators and
         of the stable letter act by left multiplication on the BFS-ordered
         image_subgroup().  Two homomorphisms with equal keys carry identical
-        twisting data, so this doubles as a deduplication key."""
-        elems = self.image_subgroup()
-        idx = {e: i for i, e in enumerate(elems)}
+        twisting data, so this doubles as a deduplication key.
+
+        The BFS and the permutations are read off the group's product
+        table: 2 |image| (rank + 1) entries, each a permutation product only
+        the first time the group reads it, so none after
+        enumerate_homomorphisms filled the table."""
+        image = self._image()
+        pos = {k: i for i, k in enumerate(image)}
+        row_of = self.group._row
 
         def as_perm(g):
-            return tuple(idx[multiply_permutations(g, h)] for h in elems)
+            row = row_of(g, image)
+            return tuple([pos[row[h]] for h in image])
 
-        return tuple(map(as_perm, self.fiber_images)), as_perm(self.stable_image)
+        perms = tuple(map(as_perm, self._indices))
+        return perms[:-1], perms[-1]
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -557,19 +612,21 @@ def enumerate_homomorphisms(monodromy, group):
     """All maps of the mapping-torus group into the group, in the order of
     itertools.product(group.elements, repeat=rank + 1).
 
-    The search runs on element indices over one |G| x |G| multiplication
-    table and one inverse list, |G|^2 permutation products in all.  For
-    each tuple of fiber images, each theta(x_i) is evaluated once by table
-    lookups; a stable image t is kept when t f(x_i) = f(theta(x_i)) t for
-    every i, stopping at the first failure.  A TorusHomomorphism is built
-    only for the maps kept, so the |G|^(rank + 1) candidates cost
-    O(|G|^rank (|theta| + |G| rank)) lookups, |theta| the total length of
-    the images theta(x_i).
+    The search runs on element indices over the group's product table,
+    which it fills (at most |G|^2 permutation products, once per group),
+    and one inverse list.  For each tuple of fiber images, each theta(x_i)
+    is evaluated once by table lookups; a stable image t is kept when
+    t f(x_i) = f(theta(x_i)) t for every i, stopping at the first failure.
+    A TorusHomomorphism is built only for the maps kept, from their element
+    indices and without a membership check, so the |G|^(rank + 1)
+    candidates cost O(|G|^rank (|theta| + |G| rank)) lookups, |theta| the
+    total length of the images theta(x_i).  The image_key() of each map
+    returned then reads the filled table and makes no permutation product.
     """
     rank = monodromy.rank
     elements = group.elements
     index = group._index
-    table = [[index[multiply_permutations(a, b)] for b in elements] for a in elements]
+    table = group._product_table()
     inverse = [index[invert_permutation(a)] for a in elements]
     words = [image.letters for image in monodromy.images]
     homs = []
@@ -591,7 +648,7 @@ def enumerate_homomorphisms(monodromy, group):
                     break
             else:
                 homs.append(TorusHomomorphism(
-                    group, [elements[x] for x in fibers], elements[t]
+                    group, [elements[x] for x in fibers], elements[t], _indices=fibers + (t,)
                 ))
     return homs
 

@@ -102,6 +102,7 @@ class TestCycles:
 
     def test_parse_disjoint(self):
         assert parse_cycles("(1 2)(3 4)", 4) == (1, 0, 3, 2)
+        assert parse_cycles(" (1,2) (3 4) ", 4) == (1, 0, 3, 2)
 
     def test_reject_overlap(self):
         with pytest.raises(ValueError):
@@ -111,6 +112,13 @@ class TestCycles:
         g = symmetric_group(4)
         for p in g.elements:
             assert parse_cycles(format_cycles(p), 4) == p
+
+    @pytest.mark.parametrize(
+        "text", ["(1 2", "(1 2)(3", "(1 2))", "((1 2)", "(1 2)x", ")(1 2"]
+    )
+    def test_reject_unbalanced(self, text):
+        with pytest.raises(ValueError, match="bad cycle notation"):
+            parse_cycles(text, 4)
 
 
 class TestGroups:
@@ -310,6 +318,128 @@ class TestEnumeration:
         homs = enumerate_homomorphisms(auto, group)
         assert homs
         assert len(products) <= group.order ** 2
+
+
+def reference_image(f):
+    """image_subgroup() by permutation products: breadth-first from the
+    identity over the images of the fiber generators and the stable letter."""
+    gens = list(f.fiber_images) + [f.stable_image]
+    elems = [f.group.identity()]
+    for cur in elems:
+        for g in gens:
+            nxt = multiply_permutations(cur, g)
+            if nxt not in elems:
+                elems.append(nxt)
+    return elems
+
+
+def reference_image_key(f):
+    """image_key() by permutation products: each generator image's action
+    by left multiplication on reference_image(f)."""
+    elems = reference_image(f)
+    idx = {e: i for i, e in enumerate(elems)}
+
+    def as_perm(g):
+        return tuple(idx[multiply_permutations(g, h)] for h in elems)
+
+    return tuple(map(as_perm, f.fiber_images)), as_perm(f.stable_image)
+
+
+def assert_keys_match_reference(monodromy, groups):
+    """Every map's key and image equal the reference's, and
+    homomorphism_classes-style deduplication keeps the same representatives
+    in the same order."""
+    classes, want = {}, {}
+    for group in groups:
+        for f in enumerate_homomorphisms(monodromy, group):
+            key = reference_image_key(f)
+            assert f.image_key() == key
+            assert f.image_subgroup() == reference_image(f)
+            classes.setdefault(f.image_key(), f)
+            want.setdefault(key, f)
+    assert list(classes) == list(want)
+    assert list(classes.values()) == list(want.values())
+    return classes
+
+
+DIHEDRAL_AND_ALTERNATING = [
+    ("D4", 4, ["(1 2 3 4)", "(2 4)"], 8),
+    ("D6", 6, ["(1 2 3 4 5 6)", "(2 6)(3 5)"], 12),
+    ("A4", 4, ["(1 2 3)", "(2 3 4)"], 12),
+]
+
+
+class TestImageKey:
+    """image_key() off the group's product table against the reference by
+    permutation products, and what the table costs."""
+
+    @pytest.mark.parametrize("label, auto", BATTERY, ids=[label for label, _ in BATTERY])
+    def test_battery_into_catalog(self, label, auto):
+        classes = assert_keys_match_reference(auto, small_groups_catalog())
+        assert list(homomorphism_classes(auto)) == list(classes)
+
+    @pytest.mark.parametrize(
+        "name, degree, generators, order", DIHEDRAL_AND_ALTERNATING,
+        ids=[case[0] for case in DIHEDRAL_AND_ALTERNATING],
+    )
+    def test_battery_into_groups_beyond_the_catalog(self, name, degree, generators, order):
+        group = FiniteGroup(degree, [parse_cycles(c, degree) for c in generators], name=name)
+        assert group.order == order
+        for _, auto in BATTERY:
+            assert_keys_match_reference(auto, [group])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rank=st.sampled_from([2, 3]),
+        factors=st.lists(
+            st.tuples(st.integers(0, 100), st.integers(-2, 2)), min_size=1, max_size=3
+        ),
+    )
+    def test_composites(self, rank, factors):
+        autos = [auto for _, auto in BATTERY if auto.rank == rank]
+        monodromy = identity_automorphism(rank)
+        for i, k in factors:
+            monodromy = monodromy.compose(autos[i % len(autos)].power(k))
+        classes = assert_keys_match_reference(monodromy, small_groups_catalog())
+        assert list(homomorphism_classes(monodromy)) == list(classes)
+
+    def test_no_products_after_enumeration(self, monkeypatch):
+        """Enumeration fills the product table, so the keys, images and
+        surjectivity of the maps it returns make no permutation product."""
+        homs = [f for _, auto in BATTERY for group in small_groups_catalog()
+                for f in enumerate_homomorphisms(auto, group)]
+        products = []
+        multiply = finite.multiply_permutations
+
+        def counting(p, q):
+            products.append((p, q))
+            return multiply(p, q)
+
+        monkeypatch.setattr(finite, "multiply_permutations", counting)
+        for f in homs:
+            f.image_key()
+            f.image_subgroup()
+            f.is_surjective()
+        assert products == []
+
+    def test_products_bounded_on_a_large_group(self, monkeypatch):
+        """Into S7, of order 5040, a map with image Z2 reads only the table
+        entries its key needs: at most the 2 |image| (rank + 1) products of
+        the search and the key by permutation products, never a row."""
+        group = symmetric_group(7)
+        e = group.identity()
+        f = TorusHomomorphism(group, (e, e), parse_cycles("(1 2)", 7))
+        products = []
+        multiply = finite.multiply_permutations
+
+        def counting(p, q):
+            products.append((p, q))
+            return multiply(p, q)
+
+        monkeypatch.setattr(finite, "multiply_permutations", counting)
+        rep = regular_representation(f)
+        assert rep.dimension == 2
+        assert 0 < len(products) <= 2 * 2 * (f.rank + 1)
 
 
 class TestCoverDegree:

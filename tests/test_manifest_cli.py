@@ -446,6 +446,7 @@ class TestCli:
 
     S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
     WIDE = {"name": "Z2", "degree": DEFAULT_ELEMENT_LIMIT + 1, "generators": ["(1 2)"]}
+    UNBALANCED = {"name": "Z2", "degree": 3, "generators": ["(1 2)(3", "(1 2"]}
     # within both the degree and the element limit, but 10^8 stored points
     LONG_CYCLE = {
         "name": "Z10000",
@@ -478,6 +479,13 @@ class TestCli:
                 cli.EXIT_PARSE_ERROR,
                 "homomorphisms[0].group: group enumeration exceeded 10000000 points",
             ),
+            (
+                ["alexander"],
+                [{"group": UNBALANCED, "fiber_images": [0, 0], "stable_image": 0}],
+                False,
+                cli.EXIT_PARSE_ERROR,
+                "homomorphisms[0].group.generators[0]: bad cycle notation: '(1 2)(3'",
+            ),
             (["alexander"], [], True, cli.EXIT_INTERNAL, "internal cross-check disagreed"),
             (["report"], [], False, cli.EXIT_CHECK_FAILED, "no homomorphisms"),
         ],
@@ -485,6 +493,7 @@ class TestCli:
             "group-beyond-limit",
             "degree-beyond-limit",
             "points-beyond-limit",
+            "unbalanced-cycle",
             "consistency-error",
             "report-without-homomorphisms",
         ],

@@ -161,6 +161,32 @@ def _load_script(name):
     return module
 
 
+def test_bench_pairs_fresh_bytecode_prefix(tmp_path, monkeypatch):
+    """Each run gets its own PYTHONPYCACHEPREFIX, a directory that exists
+    and is empty when the run starts, so no run reads bytecode that an
+    earlier one compiled."""
+    bench_pairs = _load_script("bench_pairs")
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+    for seed in (1, 2):
+        (results / f"sweep-seed{seed}-trace0.json").write_text('{"fingerprint": {}}')
+    prefixes = []
+
+    def fake_run(argv, **kwargs):
+        prefix = pathlib.Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        (prefix / "stale.pyc").write_text("")
+        prefixes.append(prefix)
+        line = json.dumps({"failed": 0, "metrics": {}})
+        return subprocess.CompletedProcess(argv, 0, f"{line}\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for seed in (1, 2, 1):
+        line, doc = bench_pairs.run_once(tmp_path, "sweep", seed)
+        assert line == {"failed": 0, "metrics": {}} and doc == {"fingerprint": {}}
+    assert len(set(prefixes)) == 3
+
+
 def _result_line(failed, items_per_s, p50_ms):
     """The last line run.py prints, for two metrics."""
     return json.loads(json.dumps({
