@@ -212,9 +212,12 @@ def cmd_cover(args):
     return EXIT_OK
 
 
-def _rep_battery(manifest):
+def _rep_battery(args, manifest):
+    """The trivial representation, the regular representation of each
+    selected homomorphism (every one without --hom) and the manifest's
+    explicit representations."""
     battery = [("trivial", trivial_representation(manifest.torus.fiber_rank))]
-    for hom in manifest.homomorphisms:
+    for hom in _selected_homs(args, manifest):
         battery.append((f"regular-{hom.label}", regular_representation(hom)))
     for rep in manifest.representations:
         battery.append((rep.label, rep))
@@ -252,13 +255,13 @@ def cmd_verify(args):
         ok = _nonempty(doc, checks, ok)
     elif which == "lemma4":
         checks = []
-        for label, rep in _rep_battery(manifest):
+        for label, rep in _rep_battery(args, manifest):
             for report in lemma4_check(torus, rep, (2, 3)):
                 checks.append({"rep": label, **report})
                 ok = ok and report["equal"]
         doc["checks"] = checks
     elif which == "lemma5":
-        battery = _rep_battery(manifest)
+        battery = _rep_battery(args, manifest)
         pairs = [(a, b) for i, a in enumerate(battery) for b in battery[i:]]
         equal = lemma5_check(torus, [(rep_a, rep_b) for (_, rep_a), (_, rep_b) in pairs])
         doc["checks"] = [

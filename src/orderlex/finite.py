@@ -53,15 +53,16 @@ def _check_permutation(p, degree):
 
 
 def parse_cycles(text, degree):
-    """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity."""
+    """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity.
+    Points are runs of ASCII digits, separated by spaces or commas."""
     out = list(range(degree))
     seen = set()
     body = text.strip()
     if body in ("", "()", "e", "id"):
         return tuple(out)
-    if not re.fullmatch(r"(\s*\([^()]*\))+", body):
+    if not re.fullmatch(r"(\s*\([0-9,\s]*\))+", body):
         raise ValueError(f"bad cycle notation: {text!r}")
-    for chunk in re.findall(r"\(([^()]*)\)", body):
+    for chunk in re.findall(r"\(([0-9,\s]*)\)", body):
         items = chunk.replace(",", " ").split()
         cycle = []
         for item in items:

@@ -10,15 +10,16 @@ as x^-1 followed by x, which a reduced word never contains.  So the terms
 never merge or cancel.
 
 specialize sends a group ring element through g -> rho(g) * t^phi(g),
-yielding a matrix of Laurent polynomials.  fox_row specializes the Fox
-derivatives of one word by every generator at once: the terms of all of
-them are prefixes of that word, so one walk builds each prefix product
-rho * t^phi once and hands it to the block of the letter it precedes or
-ends.  Both start a product at its first letter's matrix, and a letter
-whose matrix is the identity multiplies nothing.  The integer rows of each
-product, times its coefficient, are summed straight into the Z[t] entries
-of the result over one common denominator, so no Fraction or Laurent
-polynomial is built on the way.
+yielding a matrix of Laurent polynomials.  fox_matrix specializes the Fox
+derivatives of a list of relators by every generator at once: the terms of
+a relator's derivatives are prefixes of that relator, so one walk builds
+each prefix product rho * t^phi once and hands it to the block of the
+letter it precedes or ends.  Both start a product at its first letter's
+matrix, and a letter whose matrix is the identity multiplies nothing.  The
+integer rows of each product, times its coefficient, are summed straight
+into the Z[t] entries of the whole result over one shift and one common
+denominator, so no Fraction, Laurent polynomial or intermediate block is
+built on the way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .linalg import PolynomialMatrix, RationalMatrix
+from .linalg import PolynomialMatrix
 from .words import FreeWord
 
 
@@ -48,41 +49,51 @@ def specialize(x, matrices, exponents):
     invertible RationalMatrix, exponents to an integer.  Returns a
     PolynomialMatrix of the common dimension.
     """
-    dim, letter = _letters(matrices)
+    dim, letter = _letters(matrices, {g for word in x for g, _ in word.letters})
     terms = []
     for word, coeff in x.items():
         *_, last = _prefixes(word.letters, letter, exponents)
-        terms.append((coeff, *last))
-    return _sum_terms(terms, dim)
+        terms.append((0, 0, coeff, *last))
+    return _assemble(terms, dim, dim, dim)
 
 
-def fox_row(r, matrices, exponents):
-    """[specialize(fox_derivative(r, g), matrices, exponents) for g in
-    sorted(matrices)], from one walk of the word r: letter x_g^s adds s
-    times the prefix product before it (s = 1) or through it (s = -1) to
-    block g."""
-    dim, letter = _letters(matrices)
-    terms = {g: [] for g in matrices}
-    letters = r.letters
-    walk = _prefixes(letters, letter, exponents)
-    before = next(walk)
-    for (g, s), after in zip(letters, walk):
-        terms[g].append((s, *(before if s > 0 else after)))
-        before = after
-    return [_sum_terms(terms[g], dim) for g in sorted(matrices)]
+def fox_matrix(relators, matrices, exponents):
+    """The Fox matrix of the relators: block (i, j) is
+    specialize(fox_derivative(relators[i], g), matrices, exponents) for
+    the j-th generator g of sorted(matrices), from one walk of each
+    relator, in which letter x_g^s adds s times the prefix product before
+    it (s = 1) or through it (s = -1) to block (i, j)."""
+    dim, letter = _letters(matrices, matrices)
+    left = {g: j * dim for j, g in enumerate(sorted(matrices))}
+    terms = []
+    for i, r in enumerate(relators):
+        top, letters = i * dim, r.letters
+        walk = _prefixes(letters, letter, exponents)
+        before = next(walk)
+        for (g, s), after in zip(letters, walk):
+            terms.append((top, left[g], s, *(before if s > 0 else after)))
+            before = after
+    return _assemble(terms, dim, len(relators) * dim, len(matrices) * dim)
 
 
-def _letters(matrices):
-    """(dim, letter): the common dimension of the square matrices, and the
-    matrix of each letter (g, s) whose matrix is not the identity."""
-    dims = {m.rows for m in matrices.values()}
-    if len(dims) != 1 or any(m.rows != m.cols for m in matrices.values()):
+def _letters(matrices, gens):
+    """(dim, letter): the common dimension of the square matrices, and
+    the matrix of each letter (g, s), g in gens, or None where the matrix
+    of g is the identity."""
+    shapes = {(m.rows, m.cols) for m in matrices.values()}
+    dim = next(iter(shapes))[0] if len(shapes) == 1 else None
+    if shapes != {(dim, dim)}:
         raise ValueError("generator matrices must be square of equal dimension")
-    letter = {(g, s): None for g in matrices for s in (1, -1)}
-    for g, m in matrices.items():
-        if not m.is_identity():
+    letter = {}
+    for g in gens:
+        m = matrices.get(g)
+        if m is None:
+            raise ValueError(f"no matrix assigned to generator {g}")
+        if m.is_identity():
+            letter[g, 1] = letter[g, -1] = None
+        else:
             letter[g, 1], letter[g, -1] = m, m.inverse()
-    return dims.pop(), letter
+    return dim, letter
 
 
 def _prefixes(letters, letter, exponents):
@@ -101,26 +112,43 @@ def _prefixes(letters, letter, exponents):
         yield prod, shift
 
 
-def _sum_terms(terms, dim):
-    """The PolynomialMatrix sum of coeff * prod * t^e over the terms
-    (coeff, prod, e): coeff rational, prod a RationalMatrix of dimension
-    dim or None for the identity."""
-    identity = RationalMatrix.identity(dim)
-    terms = [(c, identity if p is None else p, e) for c, p, e in terms]
-    # entry (i, j) is t^low * out[i][j] / den, summed over the terms
-    den = lcm(*(c.denominator * p._den for c, p, _ in terms))
-    low = min((e for _, _, e in terms), default=0)
-    width = max((e for _, _, e in terms), default=0) - low + 1
-    out = [[[] for _ in range(dim)] for _ in range(dim)]
-    for coeff, prod, e in terms:
+def _assemble(terms, dim, rows, cols):
+    """The rows x cols PolynomialMatrix that is the sum of coeff * prod * t^e
+    over the terms (top, left, coeff, prod, e), each placed with its (0, 0)
+    entry at (top, left): coeff rational, prod a RationalMatrix of
+    dimension dim or None for the identity.  Entry (a, b) is
+    t^low * out[a][b] / den, for the least exponent low of the terms and
+    the lcm den of their denominators.  Entries no term reaches share one
+    empty list, which is safe as no kernel mutates a Z[t] list in place."""
+    den = lcm(*[c.denominator * (1 if p is None else p._den) for _, _, c, p, _ in terms])
+    exps = [e for *_, e in terms]
+    low = min(exps, default=0)
+    span = max(exps, default=0) - low + 1
+    zero = []
+    out = [[zero] * cols for _ in range(rows)]
+    made = []
+    for top, left, coeff, prod, e in terms:
+        e -= low
+        if prod is None:
+            f = coeff.numerator * (den // coeff.denominator)
+            for a in range(top, top + dim):
+                p = out[a][left]
+                if not p:
+                    p = out[a][left] = [0] * span
+                    made.append(p)
+                p[e] += f
+                left += 1
+            continue
         f = coeff.numerator * (den // (coeff.denominator * prod._den))
-        for acc, row in zip(out, prod._z):
-            for j, v in enumerate(row):
+        for acc, row in zip(out[top:top + dim], prod._z):
+            for b, v in enumerate(row, left):
                 if v:
-                    if not acc[j]:
-                        acc[j] = [0] * width
-                    acc[j][e - low] += f * v
-    for p in (p for acc in out for p in acc):
+                    p = acc[b]
+                    if not p:
+                        p = acc[b] = [0] * span
+                        made.append(p)
+                    p[e] += f * v
+    for p in made:
         while p and not p[-1]:
             p.pop()
     return PolynomialMatrix._of(out, low, den)

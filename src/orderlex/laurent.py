@@ -20,6 +20,7 @@ from math import gcd, lcm
 from .errors import PolynomialParseError
 
 _ZERO = Fraction(0)
+_ONE_COEFFS = {0: Fraction(1)}  # compared against, never mutated
 
 
 class LaurentPolynomial:
@@ -208,7 +209,7 @@ class LaurentPolynomial:
 
     @property
     def is_one(self):
-        return self._c == {0: Fraction(1)}
+        return self._c == _ONE_COEFFS
 
     def __repr__(self):
         return f"LaurentPolynomial({format_polynomial(self)!r})"
@@ -258,9 +259,22 @@ def poly_gcd(p, q):
 
 
 def _zsubmul(c, a, q, b):
-    """c*a - q*b."""
+    """c*a - q*b.  A constant c, with q or b zero or constant, takes one
+    pass: q*b is then zero or a constant y times a list v."""
     if not (c and a) and not (q and b):
         return []
+    if len(c) == 1 and (len(q) < 2 or len(b) < 2):
+        x = c[0]
+        out = [x * w for w in a]
+        if q and b:
+            y, v = (q[0], b) if len(q) == 1 else (b[0], q)
+            if len(out) < len(v):
+                out.extend([0] * (len(v) - len(out)))
+            for j, w in enumerate(v):
+                out[j] -= y * w
+            while out and not out[-1]:
+                out.pop()
+        return out
     out = [0] * max(len(c) + len(a), len(q) + len(b), 1)
     for i, x in enumerate(c):
         if x:
@@ -343,12 +357,12 @@ def _scaled(c, shift, den):
 def _zcanonical(p):
     """The canonical form of the Z[t] polynomial p (see canonicalize): the
     power of t and the content divided out, the leading coefficient made
-    positive."""
+    positive.  A p already canonical is returned as it is."""
     if not p:
         return p
-    k = next(e for e, c in enumerate(p) if c)
+    k = 0 if p[0] else next(e for e, c in enumerate(p) if c)
     g = gcd(*p) if p[-1] > 0 else -gcd(*p)
-    return [x // g for x in p[k:]]
+    return p if g == 1 and not k else [x // g for x in p[k:]]
 
 
 def _to_zcanonical(p):
@@ -362,7 +376,10 @@ def _to_zcanonical(p):
 def _z_to_laurent(p, shift=0, den=1):
     """The Laurent polynomial t^shift * p / den."""
     r = LaurentPolynomial()
-    r._c = {e: Fraction(v, den) for e, v in enumerate(p, shift) if v}
+    if den == 1:
+        r._c = {e: Fraction(v) for e, v in enumerate(p, shift) if v}
+    else:
+        r._c = {e: Fraction(v, den) for e, v in enumerate(p, shift) if v}
     return r
 
 

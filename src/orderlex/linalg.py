@@ -3,9 +3,12 @@ integer rows over one common denominator, and Z[t] rows under one unit
 t^shift / den of Q[t, 1/t].  Fraction and LaurentPolynomial values appear
 only at the public boundary: the constructors, entry and to_lists.
 
-A polynomial matrix is only ever assembled (by fox.fox_row, fox.specialize,
-characteristic_matrix, from_blocks or transpose) and read by the kernels,
-which rescale rows by units freely.  pencil_char_poly reads a minor
+A polynomial matrix is only ever assembled (by fox.fox_matrix, which
+writes the whole Fox matrix, fox.specialize, characteristic_matrix, the
+from_blocks that joins the blocks of b1, or transpose) and read by the
+kernels, which rescale rows by units freely.  The private _of constructors
+trust these callers to hand over rows of equal length; only the public
+constructors check for ragged rows.  pencil_char_poly reads a minor
 t^d A - B as the characteristic polynomial of A^-1 B, so the Bareiss
 determinant serves only det(t^d rho(t) - I); it and the Smith normal form
 share the one pseudo-division loop of laurent.  homology_invariant_factors
@@ -48,17 +51,17 @@ class RationalMatrix:
         # the lcm of reduced denominators is coprime to the scaled entries
         den = lcm(1, *(x.denominator for r in rows for x in r))
         self._set([[x.numerator * (den // x.denominator) for x in r] for r in rows], den)
+        if any(len(r) != self.cols for r in self._z):
+            raise ValueError("ragged matrix")
 
     def _set(self, z, den):
         self._z, self._den, self._inv = z, den, None
         self.rows, self.cols = len(z), len(z[0]) if z else 0
-        if any(len(r) != self.cols for r in z):
-            raise ValueError("ragged matrix")
 
     @classmethod
     def _of(cls, z, den):
-        """The matrix z / den from integer rows z, which it takes over, and
-        any den > 0."""
+        """The matrix z / den from integer rows z of equal length, which it
+        takes over, and any den > 0."""
         g = gcd(den, *(x for r in z for x in r)) if den > 1 else 1
         out = object.__new__(cls)
         out._set([[x // g for x in r] for r in z] if g > 1 else z, den // g)
@@ -282,17 +285,17 @@ class PolynomialMatrix:
         flat, shift, den = _row_to_z([x for r in rows for x in r])
         flat = iter(flat)
         self._set([[next(flat) for _ in r] for r in rows], shift, den)
+        if any(len(r) != self.cols for r in self._z):
+            raise ValueError("ragged matrix")
 
     def _set(self, z, shift, den):
         self._z, self._shift, self._den = z, shift, den
         self.rows, self.cols = len(z), len(z[0]) if z else 0
-        if any(len(r) != self.cols for r in z):
-            raise ValueError("ragged matrix")
 
     @classmethod
     def _of(cls, z, shift, den):
-        """The matrix t^shift * z / den from rows z of Z[t] lists, which it
-        takes over."""
+        """The matrix t^shift * z / den from rows z of Z[t] lists of equal
+        length, which it takes over."""
         out = object.__new__(cls)
         out._set(z, shift, den)
         return out
@@ -359,14 +362,35 @@ class PolynomialMatrix:
         """For the leading square minor t^d A - B of self, with A = I_n (x) block
         and B constant, chi_M(t^d) = det(minor) / det(A) for M = A^-1 B."""
         size, dim, den, lo = self.rows, block.rows, self._den, -self._shift
-        a, b = ([[s * p[e] if 0 <= e < len(p) else 0 for p in r[:size]] for r in self._z]
-                for e, s in ((lo + d, 1), (lo, -1)))  # the t^d and t^0 coefficients
-        if any(c for r in self._z for p in r[:size]
-               for e, c in enumerate(p) if e - lo not in (0, d)):
-            raise ConsistencyError("the minor has t-degrees other than 0 and d")
-        if size % dim or any(
-                x * block._den != den * block._z[k % dim][l % dim] * (k // dim == l // dim)
-                for k, r in enumerate(a) for l, x in enumerate(r)):
+        hi, bden = lo + d, block._den
+        # x * bden == den * block[i][j] on the diagonal blocks, x == 0 elsewhere
+        want = [[den * v for v in r] for r in block._z]
+        # one pass over the minor reads each entry's t^d coefficient x and
+        # its constant one; other nonzero coefficients raise at once, and a
+        # t^d part other than I_n (x) block raises after the pass
+        b, off = [], size % dim
+        for k, r in enumerate(self._z):
+            xs, ys = [], []
+            for p in r[:size]:
+                if p:
+                    n = len(p)
+                    x = p[hi] if 0 <= hi < n else 0
+                    y = p[lo] if 0 <= lo < n else 0
+                    if n - p.count(0) != (x != 0) + (y != 0):
+                        raise ConsistencyError("the minor has t-degrees other than 0 and d")
+                    xs.append(x)
+                    ys.append(-y)
+                else:
+                    xs.append(0)
+                    ys.append(0)
+            diag = k - k % dim
+            xd = xs[diag:diag + dim]
+            if bden != 1:
+                xd = [x * bden for x in xd]
+            if xd != want[k % dim] or any(xs[:diag]) or any(xs[diag + dim:]):
+                off = True
+            b.append(ys)
+        if off:
             raise ConsistencyError("the t^d part of the minor is not I_n (x) block")
         if not block.is_identity():
             inv = block.inverse()  # kept by block, so computed once per matrix

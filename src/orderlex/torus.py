@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, RepresentationError
-from .fox import fox_row, specialize
+from .fox import fox_matrix, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import (
     LaurentPolynomial,
@@ -68,7 +68,7 @@ def presentation(m):
     for i in range(1, m.fiber_rank + 1):
         letters = [(t, 1), (i, 1), (t, -1)]
         letters.extend(m.monodromy.images[i - 1].inverse().letters)
-        relators.append(FreeWord(letters))
+        relators.append(FreeWord._reduced(letters))
     return relators
 
 
@@ -99,8 +99,9 @@ def twisted_alexander(m, rep, d_scale=1):
 
     The chain complex of the presentation 2-complex has boundary maps
     assembled from group ring elements: the Fox derivatives of the relators
-    (degree 2 -> 1), one fox_row walk per relator, and x_j - 1 for each
-    generator (degree 1 -> 0), by specialize.  Both send g to
+    (degree 2 -> 1), from one fox_matrix call that walks each relator once
+    and writes the whole matrix in Z[t], and x_j - 1 for each generator
+    (degree 1 -> 0), one specialize per block.  Both send g to
     rep(g) * t^(phi(g)).  Because the module carries a left action while
     the matrices act on column vectors, both boundary blocks enter
     transposed, which replaces the module by its contragredient and
@@ -125,12 +126,11 @@ def twisted_alexander(m, rep, d_scale=1):
     exponents = {j: 0 for j in gens}
     exponents[m.stable_index] = d_scale
 
-    fox_blocks = [fox_row(r, matrices, exponents) for r in presentation(m)]
-    fox_matrix = PolynomialMatrix.from_blocks(fox_blocks)
-    b2 = fox_matrix.transpose()
-    one = FreeWord.empty()
+    fox = fox_matrix(presentation(m), matrices, exponents)
+    b2 = fox.transpose()
+    one = FreeWord._wrap(())
     phi_blocks = [
-        specialize({FreeWord.generator(j): 1, one: -1}, matrices, exponents).transpose()
+        specialize({FreeWord._wrap(((j, 1),)): 1, one: -1}, matrices, exponents).transpose()
         for j in gens
     ]
     b1 = PolynomialMatrix.from_blocks([phi_blocks])
@@ -146,7 +146,7 @@ def twisted_alexander(m, rep, d_scale=1):
     poly = [] if free_rank > 0 else _product_z(factors)
 
     # the last block of b1 is (rep(t) t^d - I)^T
-    _wada_cross_check(fox_matrix, b1_factors, phi_blocks[-1], rep.stable_matrix, d_scale, poly)
+    _wada_cross_check(fox, b1_factors, phi_blocks[-1], rep.stable_matrix, d_scale, poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
@@ -155,13 +155,16 @@ def twisted_alexander(m, rep, d_scale=1):
 def _product_z(polys, out=(1,)):
     """The canonical form of out times the product of the Laurent
     polynomials polys, for a canonical Z[t] list out: by Gauss's lemma it is
-    the product of their canonical forms."""
+    the product of their canonical forms, and a unit's canonical form is 1."""
     for p in polys:
-        out = _zsubmul(out, _to_zcanonical(p), (), ())  # out * p
+        if not p.is_one:
+            q = _to_zcanonical(p)
+            if q != [1]:
+                out = _zsubmul(out, q, (), ())  # out * q
     return list(out)
 
 
-def _wada_cross_check(fox_matrix, b1_factors, t_block, stable, d, poly):
+def _wada_cross_check(fox, b1_factors, t_block, stable, d, poly):
     """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists.
 
     The fiber columns of relator t x_i t^-1 theta(x_i)^-1 specialize to
@@ -172,7 +175,7 @@ def _wada_cross_check(fox_matrix, b1_factors, t_block, stable, d, poly):
     H_0 = coker(b1) that the homology's reduction of b1 already computed:
     a second reduction would run the same loop on the same matrix and
     check nothing independent."""
-    lhs = _product_z([fox_matrix.pencil_char_poly(stable, d)] + b1_factors)
+    lhs = _product_z([fox.pencil_char_poly(stable, d)] + b1_factors)
     rhs = _product_z([t_block.det()], poly)
     if lhs != rhs:
         raise ConsistencyError(

@@ -26,18 +26,23 @@ def _free_reduce(letters):
     return tuple(out)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class FreeWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
+        """Letters are pairs of ints, bools excluded: a generator >= 1 and
+        a sign +1 or -1.  A float or a string is rejected, never truncated
+        or parsed."""
         ls = []
         for item in letters:
             g, s = item
-            g = int(g)
-            s = int(s)
-            if g < 1 or s not in (1, -1):
+            if not (_is_int(g) and _is_int(s) and g >= 1 and s in (1, -1)):
                 raise ValueError(f"bad letter {item!r}")
-            ls.append((g, s))
+            ls.append((int(g), int(s)))
         object.__setattr__(self, "letters", _free_reduce(ls))
 
     @classmethod

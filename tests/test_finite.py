@@ -120,6 +120,19 @@ class TestCycles:
         with pytest.raises(ValueError, match="bad cycle notation"):
             parse_cycles(text, 4)
 
+    @pytest.mark.parametrize(
+        "text", ["(a b)", "(+1 2)", "(1_0 2)", "(\u0661 2)", "(1 -2)", "(1.0 2)", "(1 2)(3 x)"]
+    )
+    def test_reject_non_digit_points(self, text):
+        """Points are runs of ASCII digits: no letters, signs, underscores,
+        decimal points or non-ASCII digits, which int() would accept."""
+        with pytest.raises(ValueError, match="bad cycle notation"):
+            parse_cycles(text, 12)
+
+    def test_ascii_points(self):
+        assert parse_cycles("(10 2)", 12) == parse_cycles("(2, 10)", 12)
+        assert parse_cycles("(10 2)", 12)[9] == 1
+
 
 class TestGroups:
     def test_orders(self):

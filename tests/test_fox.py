@@ -12,9 +12,9 @@ from orderlex.finite import (
     homomorphism_classes,
     regular_representation,
 )
-from orderlex.fox import fox_derivative, fox_row, specialize
+from orderlex.fox import fox_derivative, fox_matrix, specialize
 from orderlex.laurent import parse_polynomial
-from orderlex.linalg import RationalMatrix
+from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import MappingTorus, presentation
 from orderlex.words import FreeWord, parse_word
 
@@ -303,34 +303,72 @@ MATRIX_POOL = (
 
 
 @st.composite
-def fox_rows(draw):
-    """(word, matrices, exponents): a word over generators 1..rank, a pool
-    matrix per generator and t-exponent d in {1, 2, 3} on the last
-    generator, as on a mapping torus's stable letter."""
-    rank, w = draw(ranked_words_st)
+def fox_grids(draw):
+    """(relators, matrices, exponents): one to three words over generators
+    1..rank, a pool matrix per generator and t-exponent d in {1, 2, 3} on
+    the last generator, as on a mapping torus's stable letter."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    letter = st.tuples(st.integers(min_value=1, max_value=rank), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, max_size=16).map(FreeWord),
+                             min_size=1, max_size=3))
     matrices = {g: draw(st.sampled_from(MATRIX_POOL)) for g in range(1, rank + 1)}
     exponents = {g: draw(st.integers(min_value=-2, max_value=2)) for g in range(1, rank)}
     exponents[rank] = draw(st.sampled_from((1, 2, 3)))
-    return w, matrices, exponents
+    return relators, matrices, exponents
+
+
+def _block_entries(pm, i, j, dim):
+    """_library_entries of block (i, j) of pm, dim x dim blocks."""
+    return {
+        (a, b): dict(pm.entry(i * dim + a, j * dim + b).items())
+        for a in range(dim)
+        for b in range(dim)
+        if pm.entry(i * dim + a, j * dim + b)
+    }
 
 
 @settings(max_examples=200)
-@given(fox_rows())
-def test_fox_row_matches_reference(case):
-    """Block j of the one-walk row is the reference specialization of
-    d(w)/dx_j."""
-    w, matrices, exponents = case
+@given(fox_grids())
+def test_fox_matrix_matches_reference(case):
+    """Block (i, j) of the one-walk Fox matrix is the reference
+    specialization of d(r_i)/dx_j."""
+    relators, matrices, exponents = case
     letters = {}
     for g, a in matrices.items():
         letters[g, 1] = a.to_lists()
         letters[g, -1] = _reference_inverse(letters[g, 1])
-    blocks = fox_row(w, matrices, exponents)
-    assert len(blocks) == len(matrices)
-    for j, block in enumerate(blocks, 1):
-        expected = _reference_specialize(fox_derivative(w, j), letters, exponents)
-        assert _library_entries(block) == expected, (w, j)
+    pm = fox_matrix(relators, matrices, exponents)
+    assert (pm.rows, pm.cols) == (2 * len(relators), 2 * len(matrices))
+    for i, r in enumerate(relators):
+        for j in range(len(matrices)):
+            expected = _reference_specialize(fox_derivative(r, j + 1), letters, exponents)
+            assert _block_entries(pm, i, j, 2) == expected, (r, j + 1)
 
 
-def test_fox_row_rejects_missing_generator():
+def test_fox_matrix_is_the_block_assembly():
+    """On every battery presentation and regular representation at d = 1,
+    2, 3, fox_matrix holds the very rows, shift and denominator that
+    assembling the blocks specialize(fox_derivative(r, g)) gives."""
+    checked = 0
+    for _, auto in standard_battery():
+        m = MappingTorus(auto.rank, auto)
+        relators = presentation(m)
+        for f in list(homomorphism_classes(auto).values())[::5]:
+            rep = regular_representation(f)
+            matrices = dict(enumerate(rep.fiber_matrices + (rep.stable_matrix,), 1))
+            for d in (1, 2, 3):
+                exponents = {g: 0 for g in matrices}
+                exponents[m.stable_index] = d
+                blocks = PolynomialMatrix.from_blocks(
+                    [[specialize(fox_derivative(r, g), matrices, exponents)
+                      for g in sorted(matrices)] for r in relators])
+                got = fox_matrix(relators, matrices, exponents)
+                assert (got._z, got._shift, got._den) == (
+                    blocks._z, blocks._shift, blocks._den)
+                checked += 1
+    assert checked >= 150
+
+
+def test_fox_matrix_rejects_missing_generator():
     with pytest.raises(ValueError, match="no matrix assigned to generator 2"):
-        fox_row(W("ab"), {1: RationalMatrix.identity(1)}, {1: 0})
+        fox_matrix([W("ab")], {1: RationalMatrix.identity(1)}, {1: 0})

@@ -224,3 +224,19 @@ def test_zsubmul_against_dense_reference(c, a, q, b):
     assert out == [] or out[-1] != 0
     assert all(isinstance(x, int) for x in out)
     assert dense(out) == dense(c) * dense(a) - dense(q) * dense(b)
+
+
+const_st = st.integers(min_value=-9, max_value=9).filter(bool).map(lambda x: [x])
+
+
+@given(const_st, zlist_st, st.one_of(const_st, zlist_st), zlist_st, st.booleans())
+def test_zsubmul_constant_multipliers(c, a, q, b, swap):
+    """The one-pass path: c constant and q or b constant (either order),
+    operands that may be zero or cancel at the top."""
+    if swap:
+        q, b = b, q
+    out = _zsubmul(c, a, q, b)
+    assert out == [] or out[-1] != 0
+    assert dense(out) == dense(c) * dense(a) - dense(q) * dense(b)
+    # a top that cancels leaves no trailing zero
+    assert _zsubmul(c, [1, 2], [1], [0, 2 * c[0]]) == [c[0]]

@@ -101,6 +101,16 @@ def factors_from_divisors(chain):
     return out
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], []]])
+def test_public_constructors_reject_ragged_rows(rows):
+    """The public constructors check row lengths; the private _of
+    constructors trust their callers."""
+    with pytest.raises(ValueError, match="ragged matrix"):
+        RationalMatrix(rows)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        PolynomialMatrix([[L(str(x)) for x in r] for r in rows])
+
+
 class TestRationalMatrix:
     def test_characteristic_matrix_known(self):
         m = QM([[2, 1], [1, 1]])
@@ -340,16 +350,16 @@ class TestIntegerKernels:
         assert laurent_calls["poly_divmod"] == 2
 
     def test_no_conversion_in_the_twisted_pipeline(self, monkeypatch):
-        """The twisted pipeline holds its matrices in Z[t] from fox_row and
-        specialize to the invariant factors: twisted_alexander converts no
-        row of Laurent polynomials into Z[t], and neither fox_row nor
+        """The twisted pipeline holds its matrices in Z[t] from fox_matrix
+        and specialize to the invariant factors: twisted_alexander converts
+        no row of Laurent polynomials into Z[t], and neither fox_matrix nor
         specialize builds a Laurent polynomial."""
         torus = MappingTorus(2, figure_eight_monodromy())
         g = cyclic_group(3)
         f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
         f.require_well_defined(torus.monodromy)
         rep = regular_representation(f)
-        counts = {"rows": 0, "built": 0, "fox_row": 0, "specialize": 0}
+        counts = {"rows": 0, "built": 0, "fox_matrix": 0, "specialize": 0}
         to_z = laurent._row_to_z
 
         def converting(row):
@@ -380,12 +390,12 @@ class TestIntegerKernels:
             monkeypatch.setattr(torus_module, name, call)
 
         monkeypatch.setattr(LaurentPolynomial, "__init__", building)
-        marked("fox_row")
+        marked("fox_matrix")
         marked("specialize")
         result = twisted_alexander(torus, rep)
         assert result.polynomial == L("t^6 - 18*t^3 + 1")
-        # one row walk per relator, one specialize per b1 block x_j - 1
-        assert counts == {"rows": 0, "built": 0, "fox_row": 2, "specialize": 3}
+        # one Fox matrix for both relators, one specialize per b1 block x_j - 1
+        assert counts == {"rows": 0, "built": 0, "fox_matrix": 1, "specialize": 3}
         # the counters count: the public constructor converts its entries
         PolynomialMatrix([[L("t"), L("1/2")]])
         assert counts["rows"] == 1

@@ -286,6 +286,35 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
 
+    @staticmethod
+    def battery_labels(which, doc):
+        if which == "lemma4":
+            return sorted({c["rep"] for c in doc["checks"]})
+        return sorted({c[k] for c in doc["checks"] for k in ("a", "b")})
+
+    @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
+    def test_verify_lemma_battery_follows_hom(self, capsys, fig8_manifest_path, which):
+        """--hom keeps the trivial representation, the regular
+        representation of that homomorphism only, and the explicit ones;
+        without --hom the battery has every homomorphism's."""
+        assert cli.main(["verify", which, fig8_manifest_path, "--hom", "z3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        assert self.battery_labels(which, doc) == ["regular-z3", "swap", "trivial"]
+        assert len(doc["checks"]) == 6  # 3 reps x d = 2, 3, or 3 x 4 / 2 pairs
+        assert cli.main(["verify", which, fig8_manifest_path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert self.battery_labels(which, doc) == [
+            "regular-z2", "regular-z3", "regular-z4", "regular-z5", "swap", "trivial"]
+
+    @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
+    def test_verify_lemma_unknown_hom(self, capsys, fig8_manifest_path, which):
+        code = cli.main(["verify", which, fig8_manifest_path, "--hom", "nosuch"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SELECTOR
+        assert captured.out == ""
+        assert captured.err == "error: no homomorphism matches 'nosuch'\n"
+
     def test_one_parser_per_process(self, capsys, monkeypatch, fig8_manifest_path):
         """main builds its parser at the first call and keeps it: a parser
         that has already parsed, or rejected, a command line answers the
@@ -447,6 +476,7 @@ class TestCli:
     S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
     WIDE = {"name": "Z2", "degree": DEFAULT_ELEMENT_LIMIT + 1, "generators": ["(1 2)"]}
     UNBALANCED = {"name": "Z2", "degree": 3, "generators": ["(1 2)(3", "(1 2"]}
+    NON_DIGIT = {"name": "Z2", "degree": 12, "generators": ["(1 2)", "(+1 2)"]}
     # within both the degree and the element limit, but 10^8 stored points
     LONG_CYCLE = {
         "name": "Z10000",
@@ -486,6 +516,13 @@ class TestCli:
                 cli.EXIT_PARSE_ERROR,
                 "homomorphisms[0].group.generators[0]: bad cycle notation: '(1 2)(3'",
             ),
+            (
+                ["alexander"],
+                [{"group": NON_DIGIT, "fiber_images": [0, 0], "stable_image": 0}],
+                False,
+                cli.EXIT_PARSE_ERROR,
+                "homomorphisms[0].group.generators[1]: bad cycle notation: '(+1 2)'",
+            ),
             (["alexander"], [], True, cli.EXIT_INTERNAL, "internal cross-check disagreed"),
             (["report"], [], False, cli.EXIT_CHECK_FAILED, "no homomorphisms"),
         ],
@@ -494,6 +531,7 @@ class TestCli:
             "degree-beyond-limit",
             "points-beyond-limit",
             "unbalanced-cycle",
+            "non-digit-point",
             "consistency-error",
             "report-without-homomorphisms",
         ],

@@ -133,29 +133,30 @@ class TestTwisted:
 
     def test_corrupted_fox_block_is_a_bug(self, monkeypatch):
         """A representation that satisfies the relators, with one entry of
-        each relator's stable-letter Fox block corrupted: b1 * b2 != 0 is
-        reported as ConsistencyError, not as bad input.  The Fox blocks come
-        from one fox_row walk per relator, the stable-letter block last;
-        the b1 blocks x_j - 1 come from specialize and are left intact."""
+        the stable-letter columns of the Fox matrix corrupted: b1 * b2 != 0
+        is reported as ConsistencyError, not as bad input.  The Fox matrix
+        comes from one fox_matrix call over the relators, the stable-letter
+        block last; the b1 blocks x_j - 1 come from specialize and are left
+        intact."""
         m = fig8()
         rep = z2_regular(m)
         relators, calls = [], []
-        fox_row = torus_module.fox_row
+        fox_matrix = torus_module.fox_matrix
         specialize = torus_module.specialize
 
-        def corrupting(r, matrices, exponents):
-            blocks = fox_row(r, matrices, exponents)
-            relators.append(r)
-            out = blocks[-1]
+        def corrupting(rs, matrices, exponents):
+            out = fox_matrix(rs, matrices, exponents)
+            relators.extend(rs)
             rows = [[out.entry(i, j) for j in range(out.cols)] for i in range(out.rows)]
-            rows[0][0] = rows[0][0] + L("1")
-            return blocks[:-1] + [PolynomialMatrix(rows)]
+            stable = out.cols - rep.stable_matrix.rows
+            rows[0][stable] = rows[0][stable] + L("1")
+            return PolynomialMatrix(rows)
 
         def recording(x, matrices, exponents):
             calls.append(x)
             return specialize(x, matrices, exponents)
 
-        monkeypatch.setattr(torus_module, "fox_row", corrupting)
+        monkeypatch.setattr(torus_module, "fox_matrix", corrupting)
         monkeypatch.setattr(torus_module, "specialize", recording)
         with pytest.raises(ConsistencyError, match="do not compose to zero"):
             twisted_alexander(m, rep)

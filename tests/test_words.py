@@ -75,11 +75,16 @@ class TestReduction:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("letter", [(0, 1), (1, 2), (-1, 1), (1, 0)])
+    @pytest.mark.parametrize("letter", [
+        (0, 1), (1, 2), (-1, 1), (1, 0),
+        # no truncation or conversion: only ints, and no bools, are letters
+        (1.5, 1), (1, 1.5), (2.9, -1), (1.0, 1), (1, -1.0), ("2", 1), (1, "1"),
+        (True, 1), (1, True), (2, False),
+    ])
     def test_rejects_bad_letters(self, letter):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad letter"):
             FreeWord([letter])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad letter"):
             FreeWord([(1, 1), letter, (1, -1)])
 
 
