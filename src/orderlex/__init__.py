@@ -42,7 +42,7 @@ from .finite import (
     trivial_group,
     trivial_representation,
 )
-from .fox import fox_derivative, specialize
+from .fox import specialize
 from .freegroup import FreeEndomorphism
 from .laurent import LaurentPolynomial, format_polynomial, parse_polynomial
 from .linalg import PolynomialMatrix, RationalMatrix, homology_invariant_factors
@@ -124,7 +124,6 @@ __all__ = [
     "figure_eight_monodromy",
     "format_polynomial",
     "format_word",
-    "fox_derivative",
     "has_positive_real_eigenvalue",
     "homology_invariant_factors",
     "homomorphism_classes",

@@ -12,21 +12,20 @@ from __future__ import annotations
 import itertools
 import re
 
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     EnumerationLimitError,
     IllDefinedHomomorphismError,
     RepresentationError,
+    SingularMatrixError,
 )
-from .laurent import _to_zcanonical, _zpseudo_divmod
 from .linalg import RationalMatrix
 from .words import FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
 # elements x degree: the points an enumerated group keeps, about 80 MB
 POINT_LIMIT = 10 ** 7
-MATRIX_ORDER_BOUND = 1000
 
 
 def identity_permutation(degree):
@@ -413,11 +412,16 @@ def permutation_matrix(p):
 
 class FiniteRepresentation:
     """Invertible rational matrices for the fiber generators and the stable
-    letter, each of finite multiplicative order; orders lists those orders,
-    fiber generators first.  Only direct_sum passes _orders, which it knows
-    from its summands; otherwise each matrix is certified here."""
+    letter that generate a finite group, the image of the representation.
 
-    def __init__(self, fiber_matrices, stable_matrix, label=None, _orders=None):
+    The constructor certifies both facts: it inverts each matrix once,
+    keeping the inverse for evaluate, and closes the image breadth-first
+    (see _close_image).  Only the constructions whose image is finite by
+    construction pass _finite and skip both: regular_representation (a
+    permutation group), trivial_representation (the trivial group) and
+    direct_sum (a subgroup of the product of two certified images)."""
+
+    def __init__(self, fiber_matrices, stable_matrix, label=None, _finite=False):
         self.fiber_matrices = tuple(fiber_matrices)
         self.stable_matrix = stable_matrix
         self.label = label
@@ -429,13 +433,13 @@ class FiniteRepresentation:
         if self.dimension == 0:
             raise RepresentationError("matrices must have dimension at least 1")
         self.rank = len(self.fiber_matrices)
-        if _orders is None:
-            _orders = [_multiplicative_order(m) for m in mats]
-        if None in _orders or max(_orders) > MATRIX_ORDER_BOUND:
-            raise RepresentationError(
-                f"generator matrix has no order up to {MATRIX_ORDER_BOUND}"
-            )
-        self.orders = tuple(_orders)
+        if not _finite:
+            for m in mats:
+                try:
+                    m.inverse()
+                except SingularMatrixError:
+                    raise RepresentationError("generator matrix is singular") from None
+            _close_image(mats, self.dimension)
 
     def matrix_for(self, gen):
         if 1 <= gen <= self.rank:
@@ -446,14 +450,9 @@ class FiniteRepresentation:
 
     def evaluate(self, word):
         acc = RationalMatrix.identity(self.dimension)
-        inverses = {}
         for g, s in word.letters:
             m = self.matrix_for(g)
-            if s < 0:
-                if g not in inverses:
-                    inverses[g] = m.inverse()
-                m = inverses[g]
-            acc = acc * m
+            acc = acc * (m if s > 0 else m.inverse())
         return acc
 
     def satisfies_relations(self, monodromy):
@@ -478,104 +477,42 @@ class FiniteRepresentation:
         label = None
         if self.label and other.label:
             label = f"{self.label}+{other.label}"
-        # a block-diagonal matrix has the lcm of its blocks' orders
-        orders = tuple(map(lcm, self.orders, other.orders))
-        return FiniteRepresentation(fibers, stable, label=label, _orders=orders)
+        return FiniteRepresentation(fibers, stable, label=label, _finite=True)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"FiniteRepresentation{tag}(rank {self.rank}, dim {self.dimension})"
 
 
-def _multiplicative_order(m):
-    """The order of the square matrix m, or None if m has infinite order
-    or an order above MATRIX_ORDER_BOUND; RepresentationError if m is
-    singular.
+def _close_image(generators, n):
+    """The group generated by the invertible n x n matrices, breadth-first
+    from the identity in generator order over the distinct non-identity
+    generators.  Raises RepresentationError unless the group is finite with
+    at most min(DEFAULT_ELEMENT_LIMIT, POINT_LIMIT / n^2) elements, a bound
+    on the integer entries kept.
 
-    A signed permutation matrix is certified by its cycles alone, which
-    give its exact order.  Any other matrix of finite order is
-    diagonalizable over C with roots of unity as eigenvalues, so its
-    characteristic polynomial is a product of cyclotomic polynomials Phi_k
-    and its order is the lcm N of those k.  Hence m has an order up to the
-    bound exactly when det(tI - m) factors into cyclotomic polynomials, N
-    is at most the bound and m^N = I, taken by repeated squaring.  m^N = I
-    also makes m invertible; a singular m is recognized by the zero
-    constant term of det(tI - m), which is (-1)^n det(m).
-    """
-    order = _signed_permutation_order(m)
-    if order is None:
-        order = _cyclotomic_lcm(m)
-        if order is None or order > MATRIX_ORDER_BOUND or not m.power(order).is_identity():
-            return None
-    return order if order <= MATRIX_ORDER_BOUND else None
-
-
-def _signed_permutation_order(m):
-    """The order of m if each row and column holds one nonzero entry, +-1,
-    else None: the lcm over the cycles of their lengths, each doubled when
-    the signs along it multiply to -1."""
-    if m._den != 1:
-        return None
-    image = {}
-    for i, row in enumerate(m._z):
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-            return None
-        image[nonzero[0][0]] = (i, nonzero[0][1])
-    if len(image) != m.rows:
-        return None
-    order = 1
-    while image:
-        start, (j, sign) = image.popitem()
-        length = 1
-        while j != start:
-            j, s = image.pop(j)
-            length += 1
-            sign *= s
-        order = lcm(order, length if sign > 0 else 2 * length)
-    return order
-
-
-def _cyclotomic_lcm(m):
-    """lcm of the k with Phi_k dividing det(tI - m), or None unless that
-    polynomial is a product of such Phi_k with k <= MATRIX_ORDER_BOUND.
-    Raises RepresentationError if its constant term, (-1)^n det(m), is 0."""
-    char = m.char_poly()
-    if not char.coefficient(0):
-        raise RepresentationError("generator matrix is singular")
-    # det(tI - m) is monic: its canonical form is itself if its coefficients
-    # are integers, and otherwise leads with an integer > 1, which no
-    # division by a cyclotomic polynomial removes
-    rest = _to_zcanonical(char)
-    order = 1
-    for k, phi in _cyclotomic_polynomials(m.rows):
-        if len(rest) == 1:
-            break
-        while len(phi) <= len(rest):
-            _, q, r = _zpseudo_divmod(rest, phi)
-            if r:
-                break
-            rest = q
-            order = lcm(order, k)
-    return order if rest == [1] else None
-
-
-def _cyclotomic_polynomials(n):
-    """(k, Phi_k) as Z[t] coefficient lists, for k ascending up to
-    MATRIX_ORDER_BOUND with deg Phi_k = phi(k) <= n.  Since
-    phi(k) >= sqrt(k / 2), every such k is at most 2 n^2; and the divisors
-    d of k have phi(d) <= phi(k), so Phi_k = (t^k - 1) / prod Phi_d over the
-    proper divisors uses only polynomials already built."""
-    built = {}
-    for k in range(1, min(2 * n * n, MATRIX_ORDER_BOUND) + 1):
-        if sum(gcd(i, k) == 1 for i in range(1, k + 1)) > n:
-            continue
-        phi = [-1] + [0] * (k - 1) + [1]
-        for d, p in built.items():
-            if k % d == 0:
-                phi = _zpseudo_divmod(phi, p)[1]
-        built[k] = phi
-        yield k, phi
+    Every element of a finite group has finite order, so it is
+    diagonalizable over C with roots of unity as eigenvalues.  Its trace is
+    then a rational algebraic integer, an integer, of absolute value at
+    most n, and equals n only for the identity.  A new element whose trace
+    is not an integer in [-n, n) therefore proves the group infinite, which
+    ends the closure at once for a unipotent or an expanding generator."""
+    one = RationalMatrix.identity(n)
+    gens = [g for g in dict.fromkeys(generators) if g != one]
+    limit = min(DEFAULT_ELEMENT_LIMIT, POINT_LIMIT // (n * n))
+    elements = [one]
+    seen = {one}
+    for cur in elements:  # also visits the elements appended below
+        for g in gens:
+            nxt = cur * g
+            if nxt in seen:
+                continue
+            trace, den = sum(r[i] for i, r in enumerate(nxt._z)), nxt._den
+            if len(elements) >= limit or trace % den or not -n <= trace // den < n:
+                raise RepresentationError(f"image not finite within {limit} elements")
+            seen.add(nxt)
+            elements.append(nxt)
+    return elements
 
 
 def _block_diagonal(a, b):
@@ -600,13 +537,14 @@ def regular_representation(f):
         name = (name or "G") + "-image"
     label = f"regular-{name}" if name else "regular"
     return FiniteRepresentation(
-        [permutation_matrix(p) for p in fibers], permutation_matrix(stable), label=label
+        [permutation_matrix(p) for p in fibers], permutation_matrix(stable), label=label,
+        _finite=True,
     )
 
 
 def trivial_representation(rank):
     one = RationalMatrix.identity(1)
-    return FiniteRepresentation([one] * rank, one, label="trivial")
+    return FiniteRepresentation([one] * rank, one, label="trivial", _finite=True)
 
 
 def enumerate_homomorphisms(monodromy, group):

@@ -1,6 +1,6 @@
-"""Free differential calculus and its linear specialization.
+"""Free differential calculus, specialized linearly.
 
-fox_derivative implements the standard left derivative determined by
+The Fox derivative is the standard left derivative determined by
   d(x)/dx = 1,  d(uv)/dx = du/dx + u * dv/dx,
 from which d(x^-1)/dx = -x^-1 follows.  Walking a reduced word once, each
 letter x^s of the derivative's generator adds s times the prefix before it
@@ -24,30 +24,18 @@ built on the way.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .linalg import PolynomialMatrix
-from .words import FreeWord
-
-
-def fox_derivative(w, gen):
-    """Fox derivative of the word w with respect to generator gen, as a
-    group ring element {reduced FreeWord: nonzero Fraction coefficient}."""
-    if gen < 1:
-        raise ValueError(f"unknown generator {gen}")
-    letters = w.letters
-    return {FreeWord._wrap(letters[:j + (s < 0)]): Fraction(s)
-            for j, (g, s) in enumerate(letters) if g == gen}
 
 
 def specialize(x, matrices, exponents):
     """Linear extension of g -> matrices[g]^sign * t^exponents[g].
 
-    x is a group ring element {FreeWord: rational coefficient}, such as
-    fox_derivative returns.  matrices maps generator index to an
-    invertible RationalMatrix, exponents to an integer.  Returns a
-    PolynomialMatrix of the common dimension.
+    x is a group ring element {FreeWord: rational coefficient}, such as a
+    Fox derivative.  matrices maps generator index to an invertible
+    RationalMatrix, exponents to an integer.  Returns a PolynomialMatrix of
+    the common dimension.
     """
     dim, letter = _letters(matrices, {g for word in x for g, _ in word.letters})
     terms = []
@@ -58,9 +46,9 @@ def specialize(x, matrices, exponents):
 
 
 def fox_matrix(relators, matrices, exponents):
-    """The Fox matrix of the relators: block (i, j) is
-    specialize(fox_derivative(relators[i], g), matrices, exponents) for
-    the j-th generator g of sorted(matrices), from one walk of each
+    """The Fox matrix of the relators: block (i, j) is the specialization
+    of the Fox derivative of relators[i] by the j-th generator g of
+    sorted(matrices), from one walk of each
     relator, in which letter x_g^s adds s times the prefix product before
     it (s = 1) or through it (s = -1) to block (i, j)."""
     dim, letter = _letters(matrices, matrices)

@@ -163,29 +163,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        r = LaurentPolynomial.one()
-        for _ in range(k):
-            r = r * self
-        return r
-
-    def shift(self, k):
-        """Multiply by the unit t^k."""
-        r = LaurentPolynomial()
-        r._c = {e + k: c for e, c in self._c.items()}
-        return r
-
-    def evaluate(self, x):
-        x = Fraction(x)
-        if x == 0 and self._c and self.order < 0:
-            raise ZeroDivisionError("evaluation at 0 with negative exponents")
-        total = _ZERO
-        for e, c in self._c.items():
-            total += c * x**e
-        return total
-
     def derivative(self):
         return LaurentPolynomial({e - 1: c * e for e, c in self._c.items() if e})
 

@@ -5,18 +5,21 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orderlex import finite
 from orderlex.autos import figure_eight_monodromy, identity_automorphism, standard_battery
-from orderlex.errors import IllDefinedHomomorphismError, RepresentationError
+from orderlex.errors import (
+    IllDefinedHomomorphismError,
+    RepresentationError,
+    SingularMatrixError,
+)
 from orderlex.finite import (
     FiniteGroup,
     FiniteRepresentation,
     TorusHomomorphism,
     cover_degree,
     cyclic_group,
-    _multiplicative_order,
     enumerate_homomorphisms,
     format_cycles,
     homomorphism_classes,
@@ -44,11 +47,8 @@ def permutation_order(g, a):
 
 @pytest.fixture
 def matrix_products(monkeypatch):
-    """The left factors of the RationalMatrix products made in the test.
-
-    Only RationalMatrix.__mul__ is counted, so bounds on this list bound
-    the order check's power-loop products; the products inside char_poly
-    run on linalg's integer kernel directly and are deliberately uncounted."""
+    """The left factors of the RationalMatrix products made in the test,
+    which bound the products of an image closure."""
     calls = []
     product = RationalMatrix.__mul__
 
@@ -478,6 +478,59 @@ class TestCoverDegree:
         assert w == FreeWord.empty()
 
 
+def _signed_permutation(perm, signs):
+    """The matrix sending basis vector j to signs[j] times basis vector
+    perm[j]."""
+    n = len(perm)
+    return RationalMatrix(
+        [[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def reference_signed_closure(generators):
+    """The group generated by signed permutations, each a tuple of the
+    signed images +-(j + 1) of the basis vectors j, by composing tuples."""
+    n = len(generators[0])
+
+    def compose(p, q):  # p after q
+        return tuple((1 if y > 0 else -1) * p[abs(y) - 1] for y in q)
+
+    elements = [tuple(range(1, n + 1))]
+    seen = set(elements)
+    for cur in elements:
+        for g in generators:
+            nxt = compose(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                elements.append(nxt)
+    return elements
+
+
+def _hyperoctahedral_generators(n):
+    """A transposition, an n-cycle and one sign change: they generate the
+    2^n n! signed permutation matrices of dimension n."""
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    ones = (1,) * n
+    return [
+        _signed_permutation(swap, ones),
+        _signed_permutation(cycle, ones),
+        _signed_permutation(tuple(range(n)), (-1,) + ones[1:]),
+    ]
+
+
+ROTATION = [[0, -1], [1, 0]]
+REFLECTION = [[1, 0], [0, -1]]
+# left multiplication by i and by j on the quaternions, basis 1, i, j, k
+QUATERNION_I = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+QUATERNION_J = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+
+
+def _conjugate(rows, by):
+    p = RationalMatrix(by)
+    return p * RationalMatrix(rows) * p.inverse()
+
+
 class TestRepresentations:
     def test_trivial(self):
         rep = trivial_representation(2)
@@ -513,10 +566,31 @@ class TestRepresentations:
         with pytest.raises(RepresentationError, match="generator matrix is singular"):
             FiniteRepresentation((ident, RationalMatrix(rows)), ident)
 
+    @pytest.mark.parametrize(
+        "fibers, stable, order",
+        [
+            ([ROTATION, [[1, 0], [0, 1]]], ROTATION, 4),
+            ([ROTATION, REFLECTION], [[1, 0], [0, 1]], 8),
+            ([QUATERNION_I, QUATERNION_J], QUATERNION_I, 8),
+            (_hyperoctahedral_generators(3)[:2], _hyperoctahedral_generators(3)[2], 48),
+            ([_conjugate(ROTATION, [[2, 0], [0, 1]]), _conjugate(REFLECTION, [[2, 0], [0, 1]])],
+             [[1, 0], [0, 1]], 8),
+        ],
+        ids=["cyclic", "dihedral", "quaternion", "signed-permutations", "conjugate"],
+    )
+    def test_accepts_finite_images(self, fibers, stable, order):
+        """The image is accepted and the closure lists each of its elements
+        once; the conjugate of the dihedral group by diag(2, 1) has entries
+        2 and 1/2 yet integer traces."""
+        mats = [m if isinstance(m, RationalMatrix) else RationalMatrix(m)
+                for m in fibers + [stable]]
+        rep = FiniteRepresentation(mats[:-1], mats[-1])
+        assert len(finite._close_image(mats, rep.dimension)) == order
+
     def test_signed_permutation_order_is_exact(self):
-        """The order read off the cycles is the least k with m^k = I, for
-        every signed permutation matrix up to dimension 3 and sampled ones of
-        dimensions 4 to 6."""
+        """The closure of one signed permutation matrix lists exactly k
+        elements, k the least with m^k = I, for every signed permutation
+        matrix up to dimension 3 and sampled ones of dimensions 4 to 6."""
 
         def signed_permutations(n):
             for perm in itertools.permutations(range(n)):
@@ -528,57 +602,37 @@ class TestRepresentations:
         for n in (4, 5, 6):
             cases += rng.sample(list(signed_permutations(n)), 40)
         for perm, signs in cases:
-            n = len(perm)
-            m = RationalMatrix(
-                [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-            )
+            m = _signed_permutation(perm, signs)
             acc, k = m, 1
             while not acc.is_identity():
                 acc, k = acc * m, k + 1
-            assert _multiplicative_order(m) == k, (perm, signs)
+            assert len(finite._close_image([m], m.rows)) == k, (perm, signs)
 
     def test_rejects_infinite_order(self):
-        from fractions import Fraction
-        from orderlex.linalg import RationalMatrix
-
-        shear = RationalMatrix([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
+        shear = RationalMatrix([[1, 1], [0, 1]])
         ident = RationalMatrix.identity(2)
-        with pytest.raises(RepresentationError):
+        with pytest.raises(RepresentationError, match="image not finite within 10000 elements"):
             FiniteRepresentation((ident, ident), shear)
 
     @pytest.mark.parametrize(
         "rows",
-        [_corner_two(4), _corner_two(8), _corner_two(12), [[2, 1], [1, 1]]],
-        ids=["corner-4", "corner-8", "corner-12", "figure-eight-homology"],
+        [_corner_two(4), _corner_two(8), _corner_two(12), [[2, 1], [1, 1]], [[1, 1], [0, 1]]]
+        + [[[int(j in (i, i + 1)) for j in range(n)] for i in range(n)] for n in (4, 8, 12)],
+        ids=["corner-4", "corner-8", "corner-12", "figure-eight-homology", "shear",
+             "jordan-4", "jordan-8", "jordan-12"],
     )
     def test_rejects_infinite_order_without_powers(self, matrix_products, rows):
+        """The first product with a generator of trace above the dimension
+        (the corners and the figure-eight homology) or of trace equal to it
+        but not the identity (the shear and the Jordan blocks) ends the
+        closure: at most rank + 1 products are made."""
         ident = RationalMatrix.identity(len(rows))
-        with pytest.raises(RepresentationError, match="no order up to 1000"):
+        with pytest.raises(RepresentationError, match="image not finite within"):
             FiniteRepresentation((RationalMatrix(rows), ident), ident)
-        assert len(matrix_products) <= 5
-
-    def test_order_loop_still_decides_cyclotomic_matrices(self, matrix_products):
-        ident = RationalMatrix.identity(2)
-        # rotation by a quarter turn has order 4
-        FiniteRepresentation((RationalMatrix([[0, -1], [1, 0]]), ident), ident)
-        assert len(matrix_products) <= 10
-        # the shear and the unipotent Jordan blocks have characteristic
-        # polynomial (t - 1)^n, a cyclotomic product with lcm 1; m^1 != I
-        # rejects them without running up to the order bound
-        blocks = [[[1, 1], [0, 1]]] + [
-            [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-            for n in (4, 8, 12)
-        ]
-        for rows in blocks:
-            eye = RationalMatrix.identity(len(rows))
-            matrix_products.clear()
-            with pytest.raises(RepresentationError, match="no order up to 1000"):
-                FiniteRepresentation((RationalMatrix(rows), eye), eye)
-            assert len(matrix_products) <= 10
+        assert len(matrix_products) <= 2 + 1
 
     def test_order_certification_makes_no_polynomial_det(self, monkeypatch):
-        """det(tI - m) comes from the characteristic polynomial, not from a
-        determinant over Q[t, 1/t]."""
+        """Certifying an image computes no determinant over Q[t, 1/t]."""
         calls = []
         det = PolynomialMatrix.det
 
@@ -588,34 +642,73 @@ class TestRepresentations:
 
         monkeypatch.setattr(PolynomialMatrix, "det", counting)
         eye = RationalMatrix.identity(2)
-        FiniteRepresentation((RationalMatrix([[0, -1], [1, 0]]), eye), eye)
+        FiniteRepresentation((RationalMatrix(ROTATION), eye), eye)
         for n in (4, 8, 12):
             jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
             eye = RationalMatrix.identity(n)
-            with pytest.raises(RepresentationError, match="no order up to 1000"):
+            with pytest.raises(RepresentationError, match="image not finite"):
                 FiniteRepresentation((RationalMatrix(jordan), eye), eye)
         assert calls == []
 
     @pytest.mark.parametrize(
-        "orders, accepted",
-        [((8, 3, 5, 7), True), ((8, 9, 5, 7), False)],
+        "orders, order",
+        [((8, 3, 5, 7), 840), ((8, 9, 5, 7), 2520)],
         ids=["order-840", "order-2520"],
     )
-    def test_order_bound_is_exact(self, matrix_products, orders, accepted):
-        # the companion matrix of prod Phi_k has order lcm(k): 840 is within
-        # the bound of 1000 and 2520 is not
+    def test_cyclic_companion_image(self, matrix_products, orders, order):
+        """The companion matrix of prod Phi_k generates a cyclic image of
+        order lcm(k), closed in exactly that many products; no bound on
+        the order of one generator remains below the element limit."""
         m = _cyclotomic_companion(orders)
         eye = RationalMatrix.identity(m.rows)
-        if accepted:
-            FiniteRepresentation((m, eye), eye)
-        else:
-            with pytest.raises(RepresentationError, match="no order up to 1000"):
-                FiniteRepresentation((m, eye), eye)
-        assert len(matrix_products) <= 20
+        FiniteRepresentation((m, eye), eye)
+        assert len(matrix_products) == order
+
+    def test_refuses_image_beyond_the_limit(self):
+        """The 46080 signed permutation matrices of dimension 6 form a
+        finite group past the element limit, refused like an infinite one."""
+        gens = _hyperoctahedral_generators(6)
+        with pytest.raises(RepresentationError, match="image not finite within 10000 elements"):
+            FiniteRepresentation(gens[:2], gens[2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        count=st.integers(1, 3),
+    )
+    def test_conjugated_signed_permutations(self, data, n, count):
+        """Signed permutation generators conjugated by a random invertible
+        rational matrix are accepted, and their closure has as many
+        elements as the reference closure on signed tuples; one more
+        generator, a conjugated non-identity unipotent, is refused."""
+        tuples = [
+            tuple(s * (p + 1) for p, s in zip(
+                data.draw(st.permutations(range(n))),
+                data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))))
+            for _ in range(count)
+        ]
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        p = RationalMatrix(data.draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+        try:
+            pinv = p.inverse()
+        except SingularMatrixError:
+            assume(False)
+        gens = [p * _signed_permutation([abs(x) - 1 for x in g], [x // abs(x) for x in g]) * pinv
+                for g in tuples]
+        FiniteRepresentation(gens[1:], gens[0])
+        assert len(finite._close_image(gens, n)) == len(reference_signed_closure(tuples))
+        if n > 1:
+            i, j = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+            rows = [[int(a == b) + int((a, b) == (i, j)) for b in range(n)] for a in range(n)]
+            unipotent = p * RationalMatrix(rows) * pinv
+            with pytest.raises(RepresentationError, match="image not finite"):
+                FiniteRepresentation(gens[1:] + [unipotent], gens[0])
 
     def test_evaluate_inverts_each_generator_once(self, monkeypatch):
-        from orderlex.linalg import RationalMatrix
-
+        """The constructor inverts each generator and keeps the inverse, so
+        evaluate inverts no matrix."""
         a, b, t = (permutation_matrix(p) for p in ((1, 0, 2), (1, 2, 0), (2, 0, 1)))
         rep = FiniteRepresentation((a, b), t)
         letters = {1: a, 2: b, 3: t}
@@ -626,55 +719,56 @@ class TestRepresentations:
             expected = expected * (letters[g] if s > 0 else inverses[g])
 
         inverted = []
-        inverse = RationalMatrix.inverse
+        invert = RationalMatrix._invert
 
         def counting(self):
             inverted.append(self)
-            return inverse(self)
+            return invert(self)
 
-        monkeypatch.setattr(RationalMatrix, "inverse", counting)
+        monkeypatch.setattr(RationalMatrix, "_invert", counting)
         assert rep.evaluate(w) == expected
-        assert len(inverted) <= 3
+        assert inverted == []
 
     def test_direct_sum_certifies_nothing(self, monkeypatch, capsys, fig8_manifest_path):
-        """verify lemma5 takes each direct sum's generator orders as the lcm
-        of its summands' orders: no order certification runs inside
-        direct_sum, and the orders are the certified ones."""
-        from orderlex import cli, finite
+        """No closure runs inside regular_representation,
+        trivial_representation or direct_sum: verify lemma5 closes only the
+        image of the manifest's explicit representation, once, though it
+        builds direct sums of every pair."""
+        from orderlex import cli
 
-        order = finite._multiplicative_order
+        close = finite._close_image
         direct_sum = FiniteRepresentation.direct_sum
-        inside, certified, sums = [], [], []
+        closed, sums = [], []
 
-        def counting(m):
-            certified.append(bool(inside))
-            return order(m)
+        def counting(generators, n):
+            closed.append(n)
+            return close(generators, n)
 
-        def marked(self, other):
-            inside.append(True)
-            try:
-                sums.append(direct_sum(self, other))
-            finally:
-                inside.pop()
+        def recorded(self, other):
+            sums.append(direct_sum(self, other))
             return sums[-1]
 
-        monkeypatch.setattr(finite, "_multiplicative_order", counting)
-        monkeypatch.setattr(FiniteRepresentation, "direct_sum", marked)
+        monkeypatch.setattr(finite, "_close_image", counting)
+        monkeypatch.setattr(FiniteRepresentation, "direct_sum", recorded)
+        for f in homomorphism_classes(figure_eight_monodromy()).values():
+            regular_representation(f).direct_sum(trivial_representation(2))
+        assert sums and closed == []
+        sums.clear()
         assert cli.main(["verify", "lemma5", fig8_manifest_path, "--json"]) == 0
         capsys.readouterr()
-        assert sums and certified and not any(certified)
-        for s in sums:
-            assert s.orders == tuple(map(order, s.fiber_matrices + (s.stable_matrix,)))
+        assert sums and closed == [2]
 
-    def test_direct_sum_order_bound(self):
-        """Orders 840 and 9 are each within the bound; their direct sum has
-        order 2520 and is rejected."""
+    def test_direct_sum_of_accepted_images(self):
+        """Images of orders 840 and 9 each pass; their direct sum, of order
+        2520, passes with them, as every subgroup of a product of finite
+        groups is finite."""
         a, b = _cyclotomic_companion((8, 3, 5, 7)), _cyclotomic_companion((9,))
         left = FiniteRepresentation((a, RationalMatrix.identity(a.rows)), a)
         right = FiniteRepresentation((b, RationalMatrix.identity(b.rows)), b)
-        assert (left.orders, right.orders) == ((840, 1, 840), (9, 1, 9))
-        with pytest.raises(RepresentationError, match="no order up to 1000"):
-            left.direct_sum(right)
+        s = left.direct_sum(right)
+        assert s.dimension == a.rows + b.rows
+        assert s.stable_matrix.power(2520).is_identity()
+        assert not s.stable_matrix.power(840).is_identity()
 
     def test_direct_sum_dimensions(self):
         a = trivial_representation(2)

@@ -56,19 +56,11 @@ class TestArithmetic:
         # (t^2-3t+1)(t^2+3t+1) expanded by hand
         assert L("t^2 - 3*t + 1") * L("t^2 + 3*t + 1") == L("t^4 - 7*t^2 + 1")
 
-    def test_pow(self):
-        assert L("t - 1") ** 3 == L("t^3 - 3*t^2 + 3*t - 1")
-
     def test_negative_exponents(self):
         p = LaurentPolynomial({-1: Fraction(3), 0: Fraction(-9), 1: Fraction(3)})
         assert p.coefficient(-1) == 3
         assert p.order == -1
         assert p.degree == 1
-
-    def test_evaluate(self):
-        p = L("t^2 - 3*t + 1")
-        assert p.evaluate(Fraction(2)) == -1
-        assert p.evaluate(Fraction(1, 2)) == Fraction(-1, 4)
 
     def test_substitute_power(self):
         p = L("t^2 - 3*t + 1")
@@ -185,8 +177,8 @@ class TestDivision:
     def test_divmod_identity(self, b, a):
         if a.is_zero:
             return
-        a = a.shift(-a.order)
-        b = b.shift(-b.order)
+        a = a * LaurentPolynomial.term(1, -a.order)
+        b = b * LaurentPolynomial.term(1, -b.order)
         q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or b.degree == 0 or r.degree < b.degree

@@ -589,6 +589,16 @@ class TestCli:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv", [["twisted"], ["verify", "lemma5"]])
+    def test_infinite_image_located(self, capsys, argv):
+        """S = [[0, -1], [1, 0]] and U = [[0, -1], [1, 1]] have orders 4 and
+        6 but generate SL(2, Z), which contains the shear (SU)^2."""
+        path = pathlib.Path(__file__).parent / "data" / "sl2z_image.json"
+        assert cli.main(argv + [str(path)]) == cli.EXIT_CERTIFICATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "representations[0]: image not finite within 10000 elements" in captured.err
+
     def test_exit_code_selector(self, fig8_manifest_path, capsys):
         code = cli.main(["twisted", fig8_manifest_path, "--hom", "nosuch"])
         assert code == cli.EXIT_SELECTOR
