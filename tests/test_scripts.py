@@ -72,6 +72,20 @@ def test_order_lemma_stats_exit_code(monkeypatch, capsys, case, code):
     assert doc["commutators"]["trials"] == doc["axioms"]["trials"] == 3
 
 
+SNAPSHOT = json.loads((ROOT / "tests" / "data" / "order_lemma_snapshot.json").read_text())
+
+
+@pytest.mark.parametrize("run", SNAPSHOT, ids=lambda run: " ".join(run["args"]))
+def test_order_lemma_stats_snapshot(monkeypatch, capsys, run):
+    """Every tally of the Magnus-order suites is pinned: at rank 4, at rank 4
+    with depth 2 (the expansion of u v^-1 comes out unresolved), and at rank
+    5 with depth 4 (degree-3 and degree-4 leads over ten generator pairs)."""
+    stats = _load_script("order_lemma_stats")
+    monkeypatch.setattr(sys, "argv", ["order_lemma_stats.py", *run["args"]])
+    assert stats.main() == 0
+    assert json.loads(capsys.readouterr().out) == run["output"]
+
+
 def test_figure_eight_demo():
     out = run_script("figure_eight_demo.py")
     assert out.returncode == 0, out.stderr
