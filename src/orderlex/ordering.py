@@ -7,9 +7,10 @@ variables X_1..X_n by x_i -> 1 + X_i, and compare elements by the first
 nonzero coefficient of u * v^-1 - 1 in graded-lexicographic monomial order.
 It lies in the first nonzero homogeneous degree, the lower-central-series
 class of u * v^-1 (Magnus-Karrass-Solitar, MKS, 5.5-5.7).  The expansion
-runs one recursion over the prefixes of the word, lazily, degree by degree,
-and stopping at the first nonzero degree is exact.  A class above the depth
-is reported unresolved, never guessed.
+walks one monomial at a time, m X_g from m in one pass over the prefixes of
+the word, so a query expands only the monomials it reads, and the leading
+term stops at the first nonzero one.  A class above the depth is reported
+unresolved, never guessed.
 
 The expansion M is a ring homomorphism and M(v)^-1 is 1 plus higher
 terms, so the lead of M(u v^-1) - 1 = (M(u) - M(v)) M(v)^-1 is the lead of
@@ -17,8 +18,8 @@ M(u) - M(v).  Degree 1 of a word is sum_a e_a X_a, e_a the exponent sum of
 x_a, and degree 2 is c(a,b) X_a X_b off the diagonal, c(a,b) a pair sum of
 Fox derivatives (Chen-Fox-Lyndon, "Free differential calculus IV", Ann.
 Math. 68 (1958)).  These closed forms live only in the comparison, which
-reads both from u and v; only a pair that agrees at both, u * v^-1 in the
-third lower-central term, builds u * v^-1 and expands it."""
+reads both from u and v over the generators they contain; only a pair that
+agrees at both, u * v^-1 in the third lower-central term, expands u * v^-1."""
 
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ import random
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, combinations
+from operator import mul
 
 from .covers import build_cover, cover_alexander
 from .errors import ConsistencyError
@@ -45,132 +48,128 @@ class Comparison(Enum):
     UNRESOLVED_AT_DEPTH = "UnresolvedAtDepth"
 
 
+def _extend(letters, a, g):
+    """Coefficients of m X_g on the prefixes p_0..p_n of the word, from those
+    a of m: the j-th letter x_g (p_j = p_{j-1} (1 + X_g)) adds a[j-1], x_g^-1
+    (p_j (1 + X_g) = p_{j-1}) subtracts a[j], and any other letter adds 0."""
+    out = [c := 0]
+    for j, (h, s) in enumerate(letters):
+        if h == g:
+            c += a[j] if s > 0 else -a[j + 1]
+        out.append(c)
+    return out
+
+
 class MagnusSeries:
-    """Image of a word under x_i -> 1 + X_i, truncated at total degree
-    depth, with integer coefficients on monomials stored as tuples of
-    generator indices.  Its homogeneous components are computed lazily, in
-    degree order, only as far as a query needs; the leading term lies in
-    the first nonzero component of positive degree, so stopping there is
-    exact."""
+    """Image of a word under x_i -> 1 + X_i, truncated at total degree depth,
+    with integer coefficients on monomials stored as tuples of generator
+    indices.  A query extends monomials one generator at a time, only by the
+    generators of the word, and never past a monomial that is zero on every
+    prefix, as each of its extensions is too."""
 
-    __slots__ = ("depth", "_pending", "_components")
+    __slots__ = ("depth", "_letters", "_gens")
 
-    def __init__(self, depth, components):
+    def __init__(self, depth, letters):
         self.depth = depth
-        self._pending = components
-        self._components = []
+        self._letters = letters
+        self._gens = sorted({g for g, _ in letters})
 
-    def _component(self, k):
-        while len(self._components) <= k:
-            self._components.append(next(self._pending))
-        return self._components[k]
+    def _terms(self):
+        """Yield (monomial, coefficients on every prefix) for the monomials of
+        degree 1..depth nonzero on some prefix, in graded-lex order: each
+        degree extends the last one's, in lex order, by increasing generators."""
+        level = [((), [1] * (len(self._letters) + 1))]
+        for _ in range(self.depth):
+            following = []
+            for mono, a in level:
+                for g in self._gens:
+                    b = _extend(self._letters, a, g)
+                    if any(b):
+                        following.append((mono + (g,), b))
+                        yield following[-1]
+            level = following
 
     def coefficient(self, mono):
+        """The coefficient of one monomial, from its chain of prefixes."""
         mono = tuple(mono)
         if len(mono) > self.depth:
             return 0
-        return self._component(len(mono)).get(mono, 0)
+        a = [1] * (len(self._letters) + 1)
+        for g in mono:
+            a = _extend(self._letters, a, g)
+        return a[-1]
 
     @property
     def coefficients(self):
         """Every nonzero coefficient up to the depth, as a dict."""
-        return {
-            mono: coeff
-            for k in range(self.depth + 1)
-            for mono, coeff in self._component(k).items()
-        }
+        return {(): 1, **{mono: a[-1] for mono, a in self._terms() if a[-1]}}
 
     def leading_term(self):
         """Smallest non-constant monomial with nonzero coefficient in
         graded-lex order, as (monomial, coefficient), or None."""
-        for k in range(1, self.depth + 1):
-            component = self._component(k)
-            if component:
-                mono = min(component)
-                return mono, component[mono]
-        return None
+        return next(((mono, a[-1]) for mono, a in self._terms() if a[-1]), None)
 
     def __repr__(self):
-        return f"MagnusSeries(depth={self.depth}, components={len(self._components)})"
-
-
-def _pair_sums(letters, width):
-    """Pair sums c(a,b) = sum of s_j E_a(j) over the letters x_b^s_j of the
-    word, E_a(j) the exponent sum of x_a before letter j, for generators
-    1 <= a < b < width, as a flat list with c(a,b) at a * width + b and
-    zero elsewhere, so that list order is lexicographic order on (a, b)."""
-    before = [0] * width
-    sums = [0] * (width * width)
-    for b, s in letters:
-        for a in range(1, b):
-            e = before[a]
-            if e:
-                sums[a * width + b] += s * e
-        before[b] += s
-    return sums
-
-
-def _prefix_components(letters):
-    """Yield the degree-k component of the image of the word, for k = 0,
-    1, 2, ...  With p_j the image of the first j letters, a letter x_g
-    gives p_j[k] = p_{j-1}[k] + p_{j-1}[k-1] X_g, and a letter x_g^-1
-    (from p_j (1 + X_g) = p_{j-1}) gives p_j[k] = p_{j-1}[k] - p_j[k-1] X_g.
-    Only degree k-1 of each prefix is kept."""
-    prev = [{(): 1}] * (len(letters) + 1)
-    yield prev[-1]
-    while True:
-        cur = [{}]
-        for j, (g, s) in enumerate(letters):
-            source = prev[j] if s > 0 else prev[j + 1]
-            comp = cur[j]
-            if source:
-                comp = dict(comp)
-                for mono, coeff in source.items():
-                    key = mono + (g,)
-                    acc = comp.get(key, 0) + s * coeff
-                    if acc:
-                        comp[key] = acc
-                    else:
-                        del comp[key]
-            cur.append(comp)
-        yield cur[-1]
-        prev = cur
+        return f"MagnusSeries(depth={self.depth}, letters={len(self._letters)})"
 
 
 def magnus_expand(w, depth=DEFAULT_DEPTH):
     """Image of the word under x_i -> 1 + X_i, truncated at total degree
-    depth; inverses expand through the geometric series.  Components are
-    computed when a query on the series first needs them."""
+    depth; inverses expand through the geometric series, when a query needs."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return MagnusSeries(depth, _prefix_components(w.letters))
+    return MagnusSeries(depth, w.letters)
+
+
+def _pair_sum(letters, a, b):
+    """c(a,b): the sum of s E_a(j) over the letters x_b^s of the word, E_a(j)
+    the exponent sum of x_a before letter j."""
+    before = total = 0
+    for g, s in letters:
+        if g == a:
+            before += s
+        elif g == b:
+            total += s * before
+    return total
+
+
+def _low_degree_lead(left, right, depth):
+    """The lead coefficient of M(u) - M(v) if it lies in degree 1, or 2 when
+    depth >= 2, else 0: the first nonzero difference of exponent sums, then
+    of pair sums c(a,b), a < b in lex order, over the generators present.
+    Where the e_a agree, so do C(e_a, 2) and c(b,a) = e_a e_b - c(a,b)."""
+    diff = {}
+    for g, s in left:
+        diff[g] = diff.get(g, 0) + s
+    for g, s in right:
+        diff[g] = diff.get(g, 0) - s
+    gens = sorted(diff)
+    for g in gens:
+        if diff[g]:
+            return diff[g]
+    if depth >= 2:
+        for a, b in combinations(gens, 2):
+            d = _pair_sum(left, a, b) - _pair_sum(right, a, b)
+            if d:
+                return d
+    return 0
 
 
 def magnus_compare(u, v, depth=DEFAULT_DEPTH):
-    """Compare two words under the Magnus bi-ordering at the given depth:
-    by exponent sums, then (depth >= 2) pair sums, as lists in monomial
-    order, whose comparison is the sign of the lead of M(u) - M(v) (module
-    docstring); where the e_a agree, so do the C(e_a, 2) on the diagonal,
-    and c(b,a) = e_a e_b - c(a,b).  A pair that ties expands u * v^-1."""
+    """Compare two words under the Magnus bi-ordering at the given depth, by
+    the sign of the lead of M(u) - M(v) (module docstring): in closed form in
+    degrees 1 and 2, and past them from the expansion of u * v^-1."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if u == v:
         return Comparison.EQUAL
-    left, right = u.letters, v.letters
-    width = max(left + right)[0] + 1
-    of_u, of_v = [0] * width, [0] * width
-    for g, s in left:
-        of_u[g] += s
-    for g, s in right:
-        of_v[g] += s
-    if of_u == of_v and depth >= 2:
-        of_u, of_v = _pair_sums(left, width), _pair_sums(right, width)
-    if of_u != of_v:
-        return Comparison.GREATER if of_u > of_v else Comparison.LESS
-    lead = magnus_expand(u * v.inverse(), depth).leading_term()
-    if lead is None:
-        return Comparison.UNRESOLVED_AT_DEPTH
-    return Comparison.GREATER if lead[1] > 0 else Comparison.LESS
+    lead = _low_degree_lead(u.letters, v.letters, depth)
+    if not lead:
+        term = magnus_expand(u * v.inverse(), depth).leading_term()
+        if term is None:
+            return Comparison.UNRESOLVED_AT_DEPTH
+        lead = term[1]
+    return Comparison.GREATER if lead > 0 else Comparison.LESS
 
 
 class _Tally:
@@ -238,15 +237,16 @@ def lemma_comm_suite(rank, trials, depth=DEFAULT_DEPTH, seed=0):
         if tally.compare(a, one) is Comparison.GREATER:
             tally.expect(tally.compare(comm, a.inverse()), Comparison.GREATER)
         if tally.compare(comm, one) is Comparison.GREATER:
-            powers = [(a ** n, b ** n) for n in range(2, 5)]
-            for a_n, _ in powers:
-                for _, b_m in powers:
-                    big = commutator(a_n, b_m)
+            # w^2, w^3, w^4, each one product from the last; the grid of
+            # [a^n, b^m] is built once, and its diagonal serves the sandwich
+            a_n, b_m = (list(accumulate([w] * 4, mul))[1:] for w in (a, b))
+            grid = [[commutator(x, y) for y in b_m] for x in a_n]
+            for row in grid:
+                for big in row:
                     tally.expect(tally.compare(big, comm), Comparison.GREATER)
-            for a_n, b_n in powers:
-                big = commutator(a_n, b_n)
-                tally.expect(tally.compare(big.inverse(), comm), Comparison.LESS)
-                tally.expect(tally.compare(comm, big), Comparison.LESS)
+            for n, row in enumerate(grid):
+                tally.expect(tally.compare(row[n].inverse(), comm), Comparison.LESS)
+                tally.expect(tally.compare(comm, row[n]), Comparison.LESS)
     return tally.report(trials)
 
 

@@ -1,6 +1,7 @@
 """Magnus-expansion ordering, property suites, and orderability verdicts."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,16 @@ def letter_pairs(draw):
 
 
 @st.composite
+def sparse_words(draw):
+    """A letter list over one to three generators drawn from 1..9, such as
+    {2, 7}, so that most generators below the largest are absent."""
+    gens = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=1,
+                         max_size=3, unique=True))
+    return draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                         max_size=10))
+
+
+@st.composite
 def commutator_products(draw):
     """(rank, letters) of a product of one to three commutators [x, y] of
     short letter lists, rank 2 to 5, over a drawn subset of the generators,
@@ -171,25 +182,55 @@ class TestMagnusExpansion:
         assert magnus_compare(FreeWord(u), FreeWord(v), depth) is oracle_compare(u, v, depth)
 
     def test_stops_at_first_nonzero_degree(self, monkeypatch):
-        pulled = []
-        prefix = ordering._prefix_components
+        """A query extends only the monomials it reads: one coefficient walks
+        its own chain of prefixes, the leading term stops in the first
+        nonzero degree, and a monomial zero on every prefix is never
+        extended, so a depth of 40 costs nothing past the last nonzero one."""
+        calls = []
+        extend = ordering._extend
 
-        def counting(letters):
-            for component in prefix(letters):
-                pulled.append(component)
-                yield component
+        def counting(letters, a, g):
+            calls.append(g)
+            return extend(letters, a, g)
 
-        monkeypatch.setattr(ordering, "_prefix_components", counting)
-        comm = commutator(W("a"), W("b"))
-        assert magnus_compare(comm, FreeWord.empty(), depth=40) is Comparison.GREATER
-        assert len(pulled) <= 3
-        pulled.clear()
+        monkeypatch.setattr(ordering, "_extend", counting)
+        a, b = W("a"), W("b")
+        comm = commutator(a, b)
         series = magnus_expand(comm, depth=40)
         assert series.coefficient((2, 1)) == -1
-        assert len(pulled) <= 3
+        assert calls == [2, 1]
+        calls.clear()
         assert series.leading_term() == ((1, 2), 1)
-        assert len(pulled) <= 3
+        assert calls == [1, 2, 1, 2]
+        calls.clear()
+        deep = commutator(comm, b)
+        result = magnus_compare(deep, FreeWord.empty(), depth=40)
+        assert result is oracle_compare(list(deep.letters), [], 3)
+        assert 2 + 4 < len(calls) <= 2 + 4 + 8
+        calls.clear()
+        # ab: X_a, X_b and X_a X_b; every other extension is zero on all
+        # prefixes and is pruned, so the walk ends at degree 3
+        assert magnus_expand(W("ab"), depth=40).coefficients == {
+            (): 1, (1,): 1, (2,): 1, (1, 2): 1}
+        assert len(calls) == 2 + 4 + 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_words(), st.integers(min_value=1, max_value=5),
+           st.lists(st.lists(st.integers(min_value=1, max_value=9), max_size=7).map(tuple),
+                    max_size=8))
+    @example([(2, 1), (7, -1), (2, -1), (7, 1)], 3, [(7,), (2, 7), (7, 2), (1, 2), (2, 7, 7, 2)])
+    def test_series_queries_match_oracle(self, letters, depth, monomials):
+        """On words over sparse generator sets such as {2, 7}: the leading
+        term is the graded-lex least monomial of the oracle expansion, and
+        every coefficient matches the oracle, on monomials of the
+        expansion, on monomials with absent generators and on monomials
+        longer than the depth (zero)."""
+        series = magnus_expand(FreeWord(letters), depth)
+        oracle = oracle_expand(letters, depth)
+        lead = min((m for m in oracle if m), key=lambda m: (len(m), m), default=None)
+        assert series.leading_term() == (None if lead is None else (lead, oracle[lead]))
+        for mono in [*oracle, *monomials]:
+            assert series.coefficient(mono) == oracle.get(mono, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(commutator_products())
@@ -211,27 +252,40 @@ class TestMagnusExpansion:
 
     def test_low_degrees_build_no_prefix_recursion(self, monkeypatch):
         """Comparisons that resolve at degree 1 or 2 take those degrees in
-        closed form; only a pair whose difference lies in the third term of
-        the lower central series builds the per-prefix recursion."""
-        built = []
-        prefix = ordering._prefix_components
+        closed form and extend no monomial; only a pair whose difference
+        lies in the third term of the lower central series walks the
+        prefixes of its quotient."""
+        walked = []
+        extend = ordering._extend
 
-        def counting(letters):
-            built.append(letters)
-            return prefix(letters)
+        def counting(letters, a, g):
+            walked.append(letters)
+            return extend(letters, a, g)
 
-        monkeypatch.setattr(ordering, "_prefix_components", counting)
+        monkeypatch.setattr(ordering, "_extend", counting)
         a, b = W("a"), W("b")
         one = FreeWord.empty()
         assert magnus_compare(W("ab"), b) is Comparison.GREATER
         assert magnus_compare(W("Ab"), W("bA")) is Comparison.LESS
         assert magnus_compare(commutator(a, b), one) is Comparison.GREATER
         assert magnus_compare(commutator(b, a), commutator(a, b)) is Comparison.LESS
-        assert built == []
+        assert walked == []
         deep = commutator(commutator(a, b), b)
         result = magnus_compare(deep, one)
         assert result is oracle_compare(list(deep.letters), [], DEFAULT_DEPTH)
-        assert len(built) == 1
+        assert walked and set(walked) == {deep.letters}
+
+    def test_huge_generator_index(self):
+        """The closed forms range over the generators present, never up to
+        the largest index: x_N x_1 against x_1 x_N for N = 10^9 is decided
+        by one pair sum, c(1, N), at once."""
+        big = 10 ** 9
+        u, v = [(big, 1), (1, 1)], [(1, 1), (big, 1)]
+        start = time.perf_counter()
+        result = magnus_compare(FreeWord(u), FreeWord(v))
+        assert time.perf_counter() - start < 0.1
+        assert result is Comparison.LESS is oracle_compare(u, v, 2)
+        assert magnus_compare(FreeWord(v), FreeWord(u)) is Comparison.GREATER
 
     def test_low_degree_pairs_build_no_product(self, monkeypatch):
         """A comparison whose lead lies in degree 1 or 2 reads it from the
