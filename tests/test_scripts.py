@@ -78,8 +78,10 @@ SNAPSHOT = json.loads((ROOT / "tests" / "data" / "order_lemma_snapshot.json").re
 @pytest.mark.parametrize("run", SNAPSHOT, ids=lambda run: " ".join(run["args"]))
 def test_order_lemma_stats_snapshot(monkeypatch, capsys, run):
     """Every tally of the Magnus-order suites is pinned: at rank 4, at rank 4
-    with depth 2 (the expansion of u v^-1 comes out unresolved), and at rank
-    5 with depth 4 (degree-3 and degree-4 leads over ten generator pairs)."""
+    with depth 2 (the expansion of u v^-1 comes out unresolved), at rank 5
+    with depth 4 (degree-3 and degree-4 leads over ten generator pairs), at
+    rank 1 (the random draw rejects half of its one-bit generator draws) and
+    at rank 2 with the script's default 500 trials."""
     stats = _load_script("order_lemma_stats")
     monkeypatch.setattr(sys, "argv", ["order_lemma_stats.py", *run["args"]])
     assert stats.main() == 0
