@@ -59,14 +59,26 @@ class FreeEndomorphism:
         return cls._derived(rank, gens, gens)
 
     def apply(self, w):
+        """The image of w.  It and every image are reduced, so a piece can
+        cancel only against the end of the product so far; each inverted
+        image is built once per call."""
+        inverted = {}
         out = []
         for g, s in w.letters:
-            img = self.images[g - 1].letters
             if s > 0:
-                out.extend(img)
+                piece = self.images[g - 1].letters
             else:
-                out.extend((h, -e) for h, e in reversed(img))
-        return FreeWord._reduced(out)
+                piece = inverted.get(g)
+                if piece is None:
+                    piece = inverted[g] = self.images[g - 1].inverse().letters
+            k = 0
+            for h, e in piece:
+                if not out or out[-1] != (h, -e):
+                    break
+                out.pop()
+                k += 1
+            out.extend(piece[k:])
+        return FreeWord._wrap(tuple(out))
 
     def compose(self, other):
         """self after other: (self.compose(other)).apply(w) = self(other(w))."""
@@ -90,12 +102,11 @@ class FreeEndomorphism:
     def abelianization(self):
         """Integer matrix whose column j records the exponent sums of the
         image of generator j."""
-        return RationalMatrix(
-            [
-                [self.images[j].exponent_sum(i + 1) for j in range(self.rank)]
-                for i in range(self.rank)
-            ]
-        )
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for j, w in enumerate(self.images):
+            for g, s in w.letters:
+                rows[g - 1][j] += s
+        return RationalMatrix(rows)
 
     def __repr__(self):
         imgs = ",".join(format_word(w) for w in self.images)

@@ -206,17 +206,37 @@ class _Tally:
 
 
 def random_reduced_word(rng, rank, max_len=8):
-    length = rng.randint(1, max_len)
+    """A random reduced word over generators 1..rank.  Its length is uniform
+    on 1..max_len; each letter is uniform on the 2*rank signed generators,
+    and a letter that would cancel the one before it is redrawn.  rng is a
+    random.Random, and the word consumes its stream exactly as
+    rng.randint(1, max_len), then rng.randint(1, rank) and
+    rng.choice((1, -1)) per letter drawn, would: each of those takes
+    n.bit_length() bits from getrandbits and redraws while the value is >= n,
+    for n = max_len, rank and 2."""
+    if rank < 1 or max_len < 1:
+        raise ValueError("rank and max_len must be at least 1")
+    bits = rng.getrandbits
+    k = max_len.bit_length()
+    length = bits(k)
+    while length >= max_len:
+        length = bits(k)
+    k = rank.bit_length()
     letters = []
-    prev = None
-    for _ in range(length):
+    undo = None
+    for _ in range(length + 1):
         while True:
-            g = rng.randint(1, rank)
-            s = rng.choice((1, -1))
-            if prev != (g, -s):
+            g = bits(k)
+            while g >= rank:
+                g = bits(k)
+            s = bits(2)
+            while s > 1:
+                s = bits(2)
+            letter = (g + 1, -1) if s else (g + 1, 1)
+            if letter != undo:
                 break
-        letters.append((g, s))
-        prev = (g, s)
+        letters.append(letter)
+        undo = (letter[0], -letter[1])
     return FreeWord._wrap(tuple(letters))
 
 

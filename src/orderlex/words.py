@@ -43,14 +43,14 @@ class FreeWord:
             if not (_is_int(g) and _is_int(s) and g >= 1 and s in (1, -1)):
                 raise ValueError(f"bad letter {item!r}")
             ls.append((int(g), int(s)))
-        object.__setattr__(self, "letters", _free_reduce(ls))
+        self.letters = _free_reduce(ls)
 
     @classmethod
     def _wrap(cls, letters):
         """The word on a tuple of letters already known to be valid (int
         pairs with generator >= 1 and sign +1/-1) and freely reduced."""
         out = object.__new__(cls)
-        object.__setattr__(out, "letters", letters)
+        out.letters = letters
         return out
 
     @classmethod
@@ -86,20 +86,14 @@ class FreeWord:
         if not isinstance(other, FreeWord):
             return NotImplemented
         left, right = self.letters, other.letters
-        k = 0
-        for (g, s), (h, r) in zip(reversed(left), right):
-            if g != h or s == r:
-                break
-            k += 1
-        return FreeWord._wrap(left[: len(left) - k] + right[k:] if k else left + right)
-
-    def __pow__(self, k):
-        """k products of w, or -k of w^-1, each cancelling only at its junction."""
-        base = self if k >= 0 else self.inverse()
-        out = FreeWord._wrap(())
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        if left and right and left[-1][0] == right[0][0] and left[-1][1] != right[0][1]:
+            k = 0
+            for (g, s), (h, r) in zip(reversed(left), right):
+                if g != h or s == r:
+                    break
+                k += 1
+            return FreeWord._wrap(left[: len(left) - k] + right[k:])
+        return FreeWord._wrap(left + right)
 
     def inverse(self):
         """The reversed word with signs flipped, reduced as the word is; built

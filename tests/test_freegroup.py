@@ -1,17 +1,57 @@
 """Certified free-group endomorphisms and their abelianizations."""
 
+from itertools import accumulate
+from operator import mul
+
 import pytest
 from hypothesis import given, strategies as st
 
 from orderlex.autos import automorphism, figure_eight_monodromy, standard_battery
+from orderlex.covers import build_cover
 from orderlex.errors import CertificationError
+from orderlex.finite import homomorphism_classes
 from orderlex.freegroup import FreeEndomorphism
+from orderlex.torus import MappingTorus
 from orderlex.words import FreeWord, commutator, parse_word
 
 words_st = st.lists(
     st.tuples(st.integers(min_value=1, max_value=2), st.sampled_from((1, -1))),
     max_size=8,
 ).map(FreeWord)
+
+
+@st.composite
+def nielsen_products(draw, min_rank, max_rank):
+    """A certified product of up to six elementary Nielsen moves at a drawn
+    rank: x_i -> x_i x_j^e, x_i -> x_j^e x_i (j != i) or x_i -> x_i^-1, each
+    built through the public constructor with its inverse images."""
+    rank = draw(st.integers(min_value=min_rank, max_value=max_rank))
+    auto = FreeEndomorphism.identity(rank)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i = draw(st.integers(min_value=1, max_value=rank))
+        kinds = ("invert", "right", "left") if rank > 1 else ("invert",)
+        kind = draw(st.sampled_from(kinds))
+        images = [FreeWord.generator(g) for g in range(1, rank + 1)]
+        back = list(images)
+        x = images[i - 1]
+        if kind == "invert":
+            images[i - 1] = back[i - 1] = x.inverse()
+        else:
+            j = draw(st.integers(min_value=1, max_value=rank).filter(lambda j: j != i))
+            y = FreeWord([(j, draw(st.sampled_from((1, -1))))])
+            if kind == "right":
+                images[i - 1], back[i - 1] = x * y, x * y.inverse()
+            else:
+                images[i - 1], back[i - 1] = y * x, y.inverse() * x
+        auto = FreeEndomorphism(rank, images, back).compose(auto)
+    return auto
+
+
+def random_word(data, rank):
+    """A word over generators 1..rank drawn letter by letter, reduced by the
+    validating constructor; often empty."""
+    letters = st.tuples(st.integers(min_value=1, max_value=rank), st.sampled_from((1, -1)))
+    return FreeWord(data.draw(st.lists(letters, max_size=12)))
 
 
 def assert_inverse_pair(f):
@@ -96,6 +136,32 @@ class TestAbelianization:
         for label, auto in standard_battery():
             d = auto.abelianization().char_poly().coefficient(0)
             assert d in (1, -1), label
+
+    @staticmethod
+    def exponent_sums(auto):
+        return [
+            [auto.images[j].exponent_sum(i + 1) for j in range(auto.rank)]
+            for i in range(auto.rank)
+        ]
+
+    @given(nielsen_products(2, 5))
+    def test_matches_exponent_sums(self, auto):
+        """Entry (i, j) is the exponent sum of x_i in the image of x_j."""
+        assert auto.abelianization().to_lists() == self.exponent_sums(auto)
+        back = auto.inverse_endomorphism()
+        assert back.abelianization().to_lists() == self.exponent_sums(back)
+
+    def test_lifted_cover_monodromy(self):
+        """The lifted monodromies of the covers of the 3-cycle of F_3's
+        generators reach rank 13."""
+        cycle3 = dict(standard_battery())["cycle3"]
+        m = MappingTorus(3, cycle3)
+        ranks = set()
+        for f in homomorphism_classes(m.monodromy).values():
+            lifted = build_cover(m, f).lifted_monodromy
+            assert lifted.abelianization().to_lists() == self.exponent_sums(lifted)
+            ranks.add(lifted.rank)
+        assert max(ranks) == 13
 
 
 class TestBattery:
@@ -217,10 +283,39 @@ class TestApplyBuildsReducedWords:
         assert built == []
 
 
+class TestJunctionOnlyProducts:
+    """apply and the word product cancel only where two reduced pieces meet;
+    these tests compare them with free reduction of the whole concatenation
+    by the validating constructor."""
+
+    @given(nielsen_products(1, 4), st.data())
+    def test_apply_matches_concatenated_images(self, auto, data):
+        back = auto.inverse_endomorphism()
+        w = random_word(data, auto.rank)
+        v = back.apply(w)
+        # v's pieces under auto cancel down to w; w * w^-1 cancels to nothing
+        for word in (w, w.inverse(), v, v.inverse(), w * w.inverse(), FreeWord.empty()):
+            pieces = [
+                letter
+                for g, s in word
+                for letter in (auto.images[g - 1] if s > 0 else auto.images[g - 1].inverse())
+            ]
+            assert auto.apply(word) == FreeWord(pieces)
+        assert auto.apply(v) == w
+
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_product_matches_concatenation(self, rank, data):
+        u, v = random_word(data, rank), random_word(data, rank)
+        for left, right in ((u, v), (u, u.inverse()), (u * v, v.inverse()), (u, FreeWord.empty())):
+            product = left * right
+            assert product == FreeWord(left.letters + right.letters)
+            assert not hasattr(product, "__dict__")
+
+
 class TestWordOperationsBuildReducedWords:
-    """Products, inverses and powers of words build their results without
-    the public constructor's letter checks; these tests compare them with
-    that constructor."""
+    """Products, repeated products and inverses of words build their results
+    without the public constructor's letter checks; these tests compare them
+    with that constructor."""
 
     def test_match_public_constructor_without_validation(self, monkeypatch):
         def inv(letters):
@@ -232,7 +327,8 @@ class TestWordOperationsBuildReducedWords:
         expected = [FreeWord(inv(a3) + inv(b2) + a3 + b2)]
         for w in words:
             expected.append(FreeWord(inv(w.letters)))
-            expected += [FreeWord(list(w.letters) * k) for k in range(5)]
+            expected.append(FreeWord(list(w.letters) + inv(w.letters)))
+            expected += [FreeWord(list(w.letters) * k) for k in range(1, 5)]
             expected += [FreeWord(inv(w.letters) * k) for k in range(1, 5)]
 
         built = []
@@ -243,11 +339,13 @@ class TestWordOperationsBuildReducedWords:
             init(self, letters)
 
         monkeypatch.setattr(FreeWord, "__init__", counting)
-        results = [commutator(a ** 3, b ** -2)]
+        b_inv = b.inverse()
+        results = [commutator(a * a * a, b_inv * b_inv)]
         for w in words:
-            results.append(w.inverse())
-            results += [w ** k for k in range(5)]
-            results += [w ** -k for k in range(1, 5)]
+            w_inv = w.inverse()
+            results += [w_inv, w * w_inv]
+            results += accumulate([w] * 4, mul)
+            results += accumulate([w_inv] * 4, mul)
         monkeypatch.undo()
         assert built == []
         assert results == expected

@@ -410,6 +410,58 @@ class TestSuites:
         assert a == b
 
 
+def reference_random_word(rng, rank, max_len=8):
+    """random_reduced_word as once written, on Random.randint and
+    Random.choice; the oracle of the stream the library must consume."""
+    length = rng.randint(1, max_len)
+    letters = []
+    prev = None
+    for _ in range(length):
+        while True:
+            g = rng.randint(1, rank)
+            s = rng.choice((1, -1))
+            if prev != (g, -s):
+                break
+        letters.append((g, s))
+        prev = (g, s)
+    return FreeWord(letters)
+
+
+class TestRandomReducedWord:
+    def test_same_stream_as_randint_and_choice(self):
+        """Seeds 0-499, ranks 1-9, max_len 1-12: the same words as the
+        reference, and the generator left in the same state."""
+        for seed in range(500):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for rank in range(1, 10):
+                for max_len in range(1, 13):
+                    assert random_reduced_word(ours, rank, max_len) == reference_random_word(
+                        ref, rank, max_len
+                    )
+                assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("rank, max_len", [(0, 8), (-1, 8), (2, 0), (2, -3), (0, 0)])
+    def test_rejects_empty_ranges_before_drawing(self, rank, max_len):
+        """A zero range would loop forever on getrandbits(0); it raises, as
+        randint did, before any draw."""
+
+        class NoDraws(random.Random):
+            def getrandbits(self, k):
+                raise AssertionError("drew from the generator")
+
+        with pytest.raises(ValueError):
+            random_reduced_word(NoDraws(7), rank, max_len)
+
+    def test_words_are_reduced_and_in_range(self):
+        rng = random.Random(3)
+        for rank in (1, 2, 5):
+            for _ in range(200):
+                w = random_reduced_word(rng, rank, 6)
+                assert 1 <= len(w) <= 6
+                assert FreeWord(list(w.letters)) == w
+                assert all(1 <= g <= rank for g, _ in w)
+
+
 class TestVerdicts:
     def test_biorderable(self):
         v = clay_rolfsen_verdict(L("t^2 - 3*t + 1"))
