@@ -47,13 +47,6 @@ def nielsen_products(draw, min_rank, max_rank):
     return auto
 
 
-def random_word(data, rank):
-    """A word over generators 1..rank drawn letter by letter, reduced by the
-    validating constructor; often empty."""
-    letters = st.tuples(st.integers(min_value=1, max_value=rank), st.sampled_from((1, -1)))
-    return FreeWord(data.draw(st.lists(letters, max_size=12)))
-
-
 def assert_inverse_pair(f):
     """f and its inverse undo each other on every generator:
     outer.apply(inner.images[i]) == x_i both ways."""
@@ -266,6 +259,25 @@ class TestApplyBuildsReducedWords:
                 ]
                 assert auto.apply(w) == FreeWord(substituted)
 
+    @given(nielsen_products(1, 4), st.data())
+    def test_matches_public_constructor_on_nielsen_products(self, auto, data):
+        """apply cancels only where an image meets the product so far; this
+        checks it against reduction of the whole concatenation, on words
+        whose images cancel far (v = auto^-1(w)) or entirely (w * w^-1)."""
+        letters_st = st.tuples(
+            st.integers(min_value=1, max_value=auto.rank), st.sampled_from((1, -1))
+        )
+        w = FreeWord(data.draw(st.lists(letters_st, max_size=12)))
+        v = auto.inverse_endomorphism().apply(w)
+        for word in (w, w.inverse(), v, v.inverse(), w * w.inverse(), FreeWord.empty()):
+            pieces = [
+                letter
+                for g, s in word
+                for letter in (auto.images[g - 1] if s > 0 else auto.images[g - 1].inverse())
+            ]
+            assert auto.apply(word) == FreeWord(pieces)
+        assert auto.apply(v) == w
+
     def test_apply_skips_letter_validation(self, monkeypatch):
         theta = figure_eight_monodromy()
         words = [w for k in range(-3, 4) for w in theta.power(k).images]
@@ -281,35 +293,6 @@ class TestApplyBuildsReducedWords:
         for w in words:
             theta.apply(w)
         assert built == []
-
-
-class TestJunctionOnlyProducts:
-    """apply and the word product cancel only where two reduced pieces meet;
-    these tests compare them with free reduction of the whole concatenation
-    by the validating constructor."""
-
-    @given(nielsen_products(1, 4), st.data())
-    def test_apply_matches_concatenated_images(self, auto, data):
-        back = auto.inverse_endomorphism()
-        w = random_word(data, auto.rank)
-        v = back.apply(w)
-        # v's pieces under auto cancel down to w; w * w^-1 cancels to nothing
-        for word in (w, w.inverse(), v, v.inverse(), w * w.inverse(), FreeWord.empty()):
-            pieces = [
-                letter
-                for g, s in word
-                for letter in (auto.images[g - 1] if s > 0 else auto.images[g - 1].inverse())
-            ]
-            assert auto.apply(word) == FreeWord(pieces)
-        assert auto.apply(v) == w
-
-    @given(st.integers(min_value=1, max_value=4), st.data())
-    def test_product_matches_concatenation(self, rank, data):
-        u, v = random_word(data, rank), random_word(data, rank)
-        for left, right in ((u, v), (u, u.inverse()), (u * v, v.inverse()), (u, FreeWord.empty())):
-            product = left * right
-            assert product == FreeWord(left.letters + right.letters)
-            assert not hasattr(product, "__dict__")
 
 
 class TestWordOperationsBuildReducedWords:

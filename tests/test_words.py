@@ -46,11 +46,13 @@ class TestReduction:
         which is not re-reduced, give the words that the validating
         constructor builds from the concatenated and the reversed letters.
         v may start with the inverse of a tail of u, so that the junction
-        cancels far, up to all of u or of v."""
+        cancels far, up to all of u or of v.  The product is a slotted word,
+        with no instance dict."""
         u = FreeWord(l1)
         tail = u.letters[len(u) - min(overlap, len(u)):]
         v = FreeWord([(g, -s) for g, s in reversed(tail)] + l2)
         assert u * v == FreeWord(u.letters + v.letters)
+        assert not hasattr(u * v, "__dict__")
         assert v * u == FreeWord(v.letters + u.letters)
         assert u.inverse() == FreeWord([(g, -s) for g, s in reversed(u.letters)])
 
