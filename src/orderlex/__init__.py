@@ -21,7 +21,6 @@ from .errors import (
     IllDefinedHomomorphismError,
     ManifestError,
     OrderlexError,
-    PolynomialParseError,
     RepresentationError,
     SelectorError,
     SingularMatrixError,
@@ -44,7 +43,7 @@ from .finite import (
 )
 from .fox import specialize
 from .freegroup import FreeEndomorphism
-from .laurent import LaurentPolynomial, format_polynomial, parse_polynomial
+from .laurent import LaurentPolynomial, format_polynomial
 from .linalg import PolynomialMatrix, RationalMatrix, homology_invariant_factors
 from .manifest import (
     LoadedManifest,
@@ -103,7 +102,6 @@ __all__ = [
     "OrderVerdict",
     "OrderlexError",
     "PolynomialMatrix",
-    "PolynomialParseError",
     "RationalMatrix",
     "RepresentationError",
     "SelectorError",
@@ -136,7 +134,6 @@ __all__ = [
     "loads_manifest",
     "magnus_compare",
     "magnus_expand",
-    "parse_polynomial",
     "parse_word",
     "presentation",
     "regular_representation",

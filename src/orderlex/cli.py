@@ -25,7 +25,6 @@ from .errors import (
     ConsistencyError,
     IllDefinedHomomorphismError,
     ManifestError,
-    PolynomialParseError,
     RepresentationError,
     SelectorError,
     WordParseError,
@@ -407,7 +406,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, WordParseError, PolynomialParseError) as e:
+    except (ManifestError, WordParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (CertificationError, IllDefinedHomomorphismError, RepresentationError) as e:

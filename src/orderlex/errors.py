@@ -5,16 +5,6 @@ class OrderlexError(Exception):
     """Base class for errors raised by this package."""
 
 
-class PolynomialParseError(OrderlexError, ValueError):
-    """Raised when a polynomial string does not match the grammar."""
-
-    def __init__(self, message, position=None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-
-
 class WordParseError(OrderlexError, ValueError):
     """Raised when a word string contains an unknown letter."""
 

@@ -28,10 +28,6 @@ DEFAULT_ELEMENT_LIMIT = 10000
 POINT_LIMIT = 10 ** 7
 
 
-def identity_permutation(degree):
-    return tuple(range(degree))
-
-
 def multiply_permutations(p, q):
     """(p * q)(x) = p(q(x))."""
     return tuple([p[i] for i in q])
@@ -102,7 +98,7 @@ def _bfs_closure(degree, generators):
     order; in a finite group this is the generated subgroup.  Raises
     EnumerationLimitError beyond DEFAULT_ELEMENT_LIMIT elements or
     POINT_LIMIT stored points."""
-    start = identity_permutation(degree)
+    start = tuple(range(degree))
     elements = [start]
     seen = {start}
     head = 0
@@ -245,10 +241,10 @@ class TorusHomomorphism:
     """A homomorphism f from the mapping-torus group to a finite group,
     recorded by the images of the fiber generators and the stable letter.
 
-    Only enumerate_homomorphisms passes _indices, the indices in
-    group.elements of the images it took from there, stable image last;
-    otherwise each image's membership is checked here, which gives its
-    index."""
+    A caller that took the images from group.elements by index
+    (enumerate_homomorphisms and the manifest loader) passes those indices
+    as _indices, stable image last; otherwise each image's membership is
+    checked here, which gives its index."""
 
     def __init__(self, group, fiber_images, stable_image, label=None, _indices=None):
         self.group = group

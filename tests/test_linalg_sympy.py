@@ -174,8 +174,9 @@ def test_scaled_conjugates(n):
         ))
     for a, b in zip(mats, mats[1:]):
         s = to_sympy(a)
-        for m, expected in ((a * b, s * to_sympy(b)), (a.inverse(), s.inv()),
-                            (a.power(5), s ** 5), (a.power(-3), s.inv() ** 3)):
+        inv = a.inverse()
+        for m, expected in ((a * b, s * to_sympy(b)), (inv, s.inv()),
+                            (a * a * a * a * a, s ** 5), (inv * inv * inv, s.inv() ** 3)):
             assert_same(m, expected)
             assert_fraction_matrix(m)
             assert_reduced(m)

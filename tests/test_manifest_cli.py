@@ -117,6 +117,24 @@ class TestLoading:
         with pytest.raises(IllDefinedHomomorphismError):
             loads_manifest(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "fiber, stable, location",
+        [([0, 3], 1, "fiber_images[1]"), ([0, -1], 1, "fiber_images[1]"),
+         ([0, 0], 3, "stable_image"), ([0, 0], -1, "stable_image")],
+    )
+    def test_element_index_out_of_range(self, fiber, stable, location):
+        doc = json.loads(manifest_text())
+        group = {"name": "Z3", "degree": 3, "generators": ["(1 2 3)"]}
+        doc["homomorphisms"] = [{"group": group, "fiber_images": fiber, "stable_image": stable}]
+        with pytest.raises(ManifestError, match=r"out of range 0\.\.2") as exc:
+            loads_manifest(json.dumps(doc))
+        assert exc.value.location == f"homomorphisms[0].{location}"
+
+    def test_loaded_images_keep_their_indices(self, fig8_manifest_path):
+        for f in load_manifest(fig8_manifest_path).homomorphisms:
+            elements = f.fiber_images + (f.stable_image,)
+            assert f._indices == tuple(f.group.index(p) for p in elements)
+
     def test_incompatible_representation_rejected(self):
         doc = json.loads(manifest_text())
         doc["representations"] = [
@@ -598,6 +616,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "representations[0]: image not finite within 10000 elements" in captured.err
+
+    def test_kelvin_sign_is_not_a_letter(self, capsys):
+        """U+212A KELVIN SIGN lowercases to 'k'; as the image of k it is an
+        unknown letter, not k^-1."""
+        path = pathlib.Path(__file__).parent / "data" / "kelvin_sign.json"
+        assert cli.main(["alexander", str(path)]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: manifold.monodromy[10]: unknown letter")
 
     def test_exit_code_selector(self, fig8_manifest_path, capsys):
         code = cli.main(["twisted", fig8_manifest_path, "--hom", "nosuch"])

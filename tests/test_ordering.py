@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _laurent_literal import L
+
 from orderlex import cli, ordering
 from orderlex.autos import figure_eight_monodromy, standard_battery
 from orderlex.errors import ConsistencyError
 from orderlex.finite import homomorphism_classes
-from orderlex.laurent import LaurentPolynomial, parse_polynomial
+from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import (
     DEFAULT_DEPTH,
@@ -28,10 +30,6 @@ from orderlex.ordering import (
 )
 from orderlex.torus import AlexanderResult, MappingTorus
 from orderlex.words import FreeWord, commutator, parse_word
-
-
-def L(s):
-    return parse_polynomial(s)
 
 
 def W(s, rank=2):
@@ -485,6 +483,24 @@ class TestVerdicts:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             clay_rolfsen_verdict(LaurentPolynomial.zero())
+
+    @pytest.mark.parametrize("text", ["t^2 - 3*t + 1", "t^2 - t + 1", "t^2 - t - 2", "1"])
+    def test_one_canonical_form_and_sturm_chain(self, monkeypatch, text):
+        """Both counts come from one Sturm chain of the one canonical form;
+        a constant obstructs without a chain."""
+        calls = {"canonicalize": 0, "_root_counts": 0}
+        canonicalize, root_counts = LaurentPolynomial.canonicalize, ordering._root_counts
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(LaurentPolynomial, "canonicalize", counting("canonicalize", canonicalize))
+        monkeypatch.setattr(ordering, "_root_counts", counting("_root_counts", root_counts))
+        clay_rolfsen_verdict(L(text) * LaurentPolynomial({-1: Fraction(-5)}))
+        assert calls == {"canonicalize": 1, "_root_counts": int(text != "1")}
 
 
 class TestPositiveEigenvalue:

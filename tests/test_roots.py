@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from orderlex.laurent import LaurentPolynomial, parse_polynomial
+from _laurent_literal import L
+
+from orderlex.laurent import LaurentPolynomial
 from orderlex.ordering import theorem2_report
 from orderlex.roots import all_roots_real_positive, sturm_positive_root_count
-
-
-def L(s):
-    return parse_polynomial(s)
 
 
 def linear_factor(root):

@@ -110,19 +110,25 @@ class TestParsing:
             parse_word("a-b", 2)
 
     def test_stable_letter_gated(self):
-        with pytest.raises(WordParseError):
-            parse_word("at", 2)
-        w = parse_word("at", 2, allow_stable=True)
-        assert w.letters == ((1, 1), (3, 1))
+        for text in ("at", "aT"):
+            with pytest.raises(WordParseError, match=r"stable letter 't'.*position 1"):
+                parse_word(text, 2)
+
+    @pytest.mark.parametrize("text", ["\u212a", "b\u212a", "\uff41"])
+    def test_only_ascii_letters(self, text):
+        # the Kelvin sign lowercases to 'k', the fullwidth a is a letter
+        with pytest.raises(WordParseError, match=f"unknown letter.*position {len(text) - 1}"):
+            parse_word(text, 11)
 
     def test_stable_letter_skips_t_slot(self):
         # fiber alphabet has no 't'; the letter after 's' is 'u'
-        w = parse_word("su", 20, allow_stable=False)
+        w = parse_word("su", 20)
         assert w.letters == ((19, 1), (20, 1))
 
-    def test_format_stable_index(self):
+    def test_format_has_no_stable_letter(self):
+        # a rank-2 torus's stable generator 3 prints as the fiber letter c
         w = FreeWord([(3, 1), (1, -1)])
-        assert format_word(w, stable_index=3) == "tA"
+        assert format_word(w) == "cA"
 
 
 class TestCommutator:
