@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import RationalMatrix
-from .words import FreeWord
+from .words import _SPACE, FreeWord
 
 DEFAULT_ELEMENT_LIMIT = 10000
 # elements x degree: the points an enumerated group keeps, about 80 MB
@@ -49,15 +49,16 @@ def _check_permutation(p, degree):
 
 def parse_cycles(text, degree):
     """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity.
-    Points are runs of ASCII digits, separated by spaces or commas."""
+    Points are runs of ASCII digits, separated by ASCII whitespace (words._SPACE,
+    which is what the pattern's class matches under re.ASCII) or commas."""
     out = list(range(degree))
     seen = set()
-    body = text.strip()
+    body = text.strip(_SPACE)
     if body in ("", "()", "e", "id"):
         return tuple(out)
-    if not re.fullmatch(r"(\s*\([0-9,\s]*\))+", body):
+    if not re.fullmatch(r"(\s*\([0-9,\s]*\))+", body, re.ASCII):
         raise ValueError(f"bad cycle notation: {text!r}")
-    for chunk in re.findall(r"\(([0-9,\s]*)\)", body):
+    for chunk in re.findall(r"\(([0-9,\s]*)\)", body, re.ASCII):
         items = chunk.replace(",", " ").split()
         cycle = []
         for item in items:

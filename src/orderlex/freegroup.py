@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError
 from .linalg import RationalMatrix
-from .words import FreeWord, format_word
+from .words import FreeWord, _printable
 
 
 @dataclass(frozen=True)
@@ -109,5 +109,5 @@ class FreeEndomorphism:
         return RationalMatrix(rows)
 
     def __repr__(self):
-        imgs = ",".join(format_word(w) for w in self.images)
+        imgs = ",".join(str(_printable(w)) for w in self.images)
         return f"FreeEndomorphism(rank={self.rank}, images=[{imgs}])"

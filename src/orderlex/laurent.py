@@ -2,8 +2,15 @@
 
 The single variable is always called t.  A polynomial is a finitely
 supported map from integer exponents (possibly negative) to nonzero
-rational coefficients.  Values are immutable and hashable; every
-operation returns a fresh object.
+rational coefficients.  It is held the way linalg holds matrix entries: a
+Z[t] list _z, constant first, whose first and last entries are nonzero, an
+exponent _shift and a denominator _den > 0 coprime to the entries, standing
+for t^_shift * _z / _den; zero is ([], 0, 1).  Equal polynomials therefore
+have equal state.  Arithmetic, canonical forms, division and the text form
+work on these integers, and a Fraction is built only at the public boundary:
+the constructor, term, coefficient, leading_coefficient and items.  Values
+are immutable and hashable, and no list is mutated once a value holds it,
+so a value may share its list with a linalg matrix.
 
 Canonical form: minimum exponent 0, integer coefficients with content 1,
 positive leading coefficient.  Two Laurent polynomials agree up to a unit
@@ -17,11 +24,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE_COEFFS = {0: Fraction(1)}  # compared against, never mutated
 
 
 class LaurentPolynomial:
-    __slots__ = ("_c",)
+    __slots__ = ("_z", "_shift", "_den")
 
     def __init__(self, coeffs=None):
         data = {}
@@ -36,7 +42,14 @@ class LaurentPolynomial:
                         data[e] = w
                     else:
                         del data[e]
-        self._c = data
+        self._z, self._shift, self._den = [], 0, 1
+        if data:
+            # the lcm of reduced denominators is coprime to the scaled numerators
+            self._shift = shift = min(data)
+            self._den = den = lcm(*(v.denominator for v in data.values()))
+            self._z = z = [0] * (max(data) - shift + 1)
+            for e, v in data.items():
+                z[e - shift] = v.numerator * (den // v.denominator)
 
     # -- constructors ------------------------------------------------
 
@@ -46,150 +59,157 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return _z_to_laurent([1])
 
     @classmethod
     def term(cls, coeff, exp=0):
-        return cls({int(exp): Fraction(coeff)})
+        q = Fraction(coeff)
+        return _z_to_laurent([q.numerator], int(exp), q.denominator)
 
     # -- inspection --------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self._c
+        return not self._z
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._z)
 
     def coefficient(self, exp):
-        return self._c.get(int(exp), _ZERO)
+        i = int(exp) - self._shift
+        return Fraction(self._z[i], self._den) if 0 <= i < len(self._z) else _ZERO
 
     @property
     def degree(self):
         """Largest exponent with nonzero coefficient."""
-        if not self._c:
+        if not self._z:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._c)
+        return self._shift + len(self._z) - 1
 
     @property
     def order(self):
         """Smallest exponent with nonzero coefficient."""
-        if not self._c:
+        if not self._z:
             raise ValueError("the zero polynomial has no order")
-        return min(self._c)
+        return self._shift
 
     @property
     def leading_coefficient(self):
-        return self._c[self.degree]
+        return Fraction(self._z[self.degree - self._shift], self._den)
 
     def items(self):
-        return self._c.items()
+        """The (exponent, nonzero coefficient) pairs, exponents ascending."""
+        den = self._den
+        return [(e, Fraction(v, den)) for e, v in enumerate(self._z, self._shift) if v]
 
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self._c == LaurentPolynomial.term(other)._c
-        return NotImplemented
-
-    def __hash__(self):
-        # a constant compares equal to its coefficient, so it hashes like it
-        if not self._c:
-            return hash(0)
-        if len(self._c) == 1 and 0 in self._c:
-            return hash(self._c[0])
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPolynomial.term(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        out = dict(self._c)
-        for e, c in other._c.items():
-            w = out.get(e, _ZERO) + c
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        r = LaurentPolynomial()
-        r._c = out
-        return r
+        return (self._z == other._z and self._shift == other._shift
+                and self._den == other._den)
+
+    def __hash__(self):
+        # a constant compares equal to its coefficient, so it hashes like it
+        z = self._z
+        if not z:
+            return hash(0)
+        if len(z) == 1 and not self._shift:
+            return hash(Fraction(z[0], self._den))
+        return hash(frozenset(self.items()))
+
+    def __add__(self, other):
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPolynomial()
-        r._c = {e: -c for e, c in self._c.items()}
-        return r
+        return _z_to_laurent([-x for x in self._z], self._shift, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.term(other)
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self + (-other)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _plus(-self, other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            if not q:
-                return LaurentPolynomial()
-            r = LaurentPolynomial()
-            r._c = {e: c * q for e, c in self._c.items()}
-            return r
+            n = q.numerator
+            return _z_to_laurent([n * x for x in self._z], self._shift, self._den * q.denominator)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        out = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                w = out.get(e, _ZERO) + c1 * c2
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        r = LaurentPolynomial()
-        r._c = out
-        return r
+        a, b = self._z, other._z
+        if not (a and b):
+            return _z_to_laurent([])
+        return _z_to_laurent(_zsubmul(a, b, (), ()), self._shift + other._shift,
+                             self._den * other._den)
 
     __rmul__ = __mul__
 
     def derivative(self):
-        return LaurentPolynomial({e - 1: c * e for e, c in self._c.items() if e})
+        z, shift = self._z, self._shift
+        return _z_to_laurent([e * v for e, v in enumerate(z, shift)], shift - 1, self._den)
 
     def substitute_power(self, d):
         """Return p(t^d) for an integer d >= 1."""
         d = int(d)
         if d < 1:
             raise ValueError("substitution power must be >= 1")
-        r = LaurentPolynomial()
-        r._c = {e * d: c for e, c in self._c.items()}
-        return r
+        z = self._z
+        if d == 1 or not z:
+            return self
+        out = [0] * ((len(z) - 1) * d + 1)
+        out[::d] = z
+        return _z_to_laurent(out, self._shift * d, self._den)
 
     # -- canonical form ----------------------------------------------
 
     def canonicalize(self):
         """Unique unit multiple with order 0, integer content-1 coefficients,
-        and positive leading coefficient.  Zero maps to zero."""
-        if not self._c:
+        and positive leading coefficient.  Zero maps to zero, and a
+        canonical polynomial to itself."""
+        z = self._z
+        c = _zcanonical(z)
+        if c is z and not self._shift and self._den == 1:
             return self
-        return _z_to_laurent(_to_zcanonical(self))
+        return _z_to_laurent(c)
 
     @property
     def is_one(self):
-        return self._c == _ONE_COEFFS
+        return self._z == [1] and not self._shift and self._den == 1
 
     def __repr__(self):
         return f"LaurentPolynomial({format_polynomial(self)!r})"
 
     def __str__(self):
         return format_polynomial(self)
+
+
+def _plus(a, b, sign):
+    """a + sign * b for a Laurent polynomial a and sign = 1 or -1, over the
+    least shift and the lcm of the denominators."""
+    if isinstance(b, (int, Fraction)):
+        b = LaurentPolynomial.term(b)
+    elif not isinstance(b, LaurentPolynomial):
+        return NotImplemented
+    if not b._z:
+        return a
+    if not a._z:
+        return b if sign == 1 else -b
+    za, zb, da, db = a._z, b._z, a._den, b._den
+    den = da if da == db else lcm(da, db)
+    s = min(a._shift, b._shift)
+    ia, ib = a._shift - s, b._shift - s
+    out = [0] * max(ia + len(za), ib + len(zb))
+    out[ia:ia + len(za)] = za if den == da else [den // da * x for x in za]
+    fb = sign * (den // db)
+    for j, x in enumerate(zb, ib):
+        out[j] += fb * x
+    return _z_to_laurent(out, s, den)
 
 
 # -- division and gcd ------------------------------------------------
@@ -227,9 +247,9 @@ def poly_gcd(p, q):
 # A Z[t] polynomial is a list of int coefficients indexed by exponent, with
 # no trailing zeros; the zero polynomial is [].  _zpseudo_divmod is the one
 # division loop: poly_divmod above and the determinant and Smith normal form
-# of linalg all run on it.  linalg keeps its polynomial matrices in this
-# form, so Fraction arithmetic happens only when a Laurent polynomial is
-# converted in and a result is converted back.
+# of linalg all run on it.  LaurentPolynomial and linalg's polynomial
+# matrices hold their values in this form, so no Fraction arithmetic
+# happens between the kernels.
 
 
 def _zsubmul(c, a, q, b):
@@ -308,24 +328,24 @@ def _zprimitive(row):
 def _row_to_z(row):
     """(zrow, shift, den) with zrow = den * t^-shift * row in Z[t].
 
-    shift is the least order in the row and den the lcm of its coefficient
+    shift is the least order in the row and den the lcm of its
     denominators, so both factors are units; a zero row gives shift 0 and
-    den 1."""
-    live = [x._c for x in row if x._c]
+    den 1.  An entry already under that unit keeps its list."""
+    live = [x for x in row if x._z]
     if not live:
         return [[] for _ in row], 0, 1
-    shift = min(min(c) for c in live)
-    den = lcm(*(v.denominator for c in live for v in c.values()))
-    return [_scaled(x._c, shift, den) for x in row], shift, den
-
-
-def _scaled(c, shift, den):
-    """den * t^-shift * p in Z[t], for the coefficient map c of p and a unit
-    that clears its denominators and negative exponents."""
-    p = [0] * (max(c) - shift + 1) if c else []
-    for e, v in c.items():
-        p[e - shift] = v.numerator * (den // v.denominator)
-    return p
+    shift = min(x._shift for x in live)
+    den = lcm(*(x._den for x in live))
+    out = []
+    for x in row:
+        z = x._z
+        if z:
+            if x._den != den:
+                z = [den // x._den * v for v in z]
+            if x._shift != shift:
+                z = [0] * (x._shift - shift) + z
+        out.append(z)
+    return out, shift, den
 
 
 def _zcanonical(p):
@@ -339,21 +359,28 @@ def _zcanonical(p):
     return p if g == 1 and not k else [x // g for x in p[k:]]
 
 
-def _to_zcanonical(p):
-    """The canonical form of the Laurent polynomial p as a Z[t] list."""
-    if not p._c:
-        return []
-    den = lcm(*(v.denominator for v in p._c.values()))
-    return _zcanonical(_scaled(p._c, min(p._c), den))
-
-
 def _z_to_laurent(p, shift=0, den=1):
-    """The Laurent polynomial t^shift * p / den."""
-    r = LaurentPolynomial()
-    if den == 1:
-        r._c = {e: Fraction(v) for e, v in enumerate(p, shift) if v}
-    else:
-        r._c = {e: Fraction(v, den) for e, v in enumerate(p, shift) if v}
+    """The Laurent polynomial t^shift * p / den, for a Z[t] list p and an
+    integer den != 0: the one constructor that normalizes.  It strips the
+    zeros at both ends of p, makes den positive and divides out
+    gcd(den, p); p itself is kept when none of that changes it."""
+    if p and not (p[0] and p[-1]):
+        lo = next((i for i, v in enumerate(p) if v), len(p))
+        hi = len(p)
+        while hi > lo and not p[hi - 1]:
+            hi -= 1
+        p = p[lo:hi]
+        shift += lo
+    if not p:
+        shift, den = 0, 1
+    elif den != 1:
+        if den < 0:
+            p, den = [-v for v in p], -den
+        g = gcd(den, *p)
+        if g > 1:
+            p, den = [v // g for v in p], den // g
+    r = object.__new__(LaurentPolynomial)
+    r._z, r._shift, r._den = p, shift, den
     return r
 
 
@@ -361,13 +388,17 @@ def _z_to_laurent(p, shift=0, den=1):
 
 def format_polynomial(p):
     """Render with descending exponents and explicit '*', e.g. "t^2 - 3*t + 1"."""
-    if p.is_zero:
+    z, den = p._z, p._den
+    if not z:
         return "0"
     parts = []
-    for e in sorted(p._c, reverse=True):
-        c = p._c[e]
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+    for i in range(len(z) - 1, -1, -1):
+        v = z[i]
+        if not v:
+            continue
+        e = i + p._shift
+        sign = "-" if v < 0 else "+"
+        mag = abs(v) if den == 1 else Fraction(abs(v), den)
         if e == 0:
             body = str(mag)
         else:

@@ -1,7 +1,10 @@
 """Exact matrices over Q and over Laurent polynomials, both held as integers:
 integer rows over one common denominator, and Z[t] rows under one unit
-t^shift / den of Q[t, 1/t].  Fraction and LaurentPolynomial values appear
-only at the public boundary: the constructors, entry and to_lists.
+t^shift / den of Q[t, 1/t].  Fraction values appear only at the public
+boundary: the constructors, entry and to_lists.  A LaurentPolynomial is
+held the same way, so entry and the kernel results become one by
+_z_to_laurent, which keeps the Z[t] list it is given; no list is mutated in
+place, so matrices and values may share them.
 
 A polynomial matrix is only ever assembled (by fox.fox_matrix, which
 writes the whole Fox matrix, fox.specialize, characteristic_matrix, the

@@ -63,8 +63,9 @@ class LoadedManifest:
 _MISSING = object()
 
 # a matrix entry string: an integer or p/q, so that the interpreter's digit
-# limit bounds it; Fraction alone also takes exponents such as "1e3000000"
-_ENTRY = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+# limit bounds it; Fraction alone also takes exponents such as "1e3000000".
+# Under re.ASCII, \s is words._SPACE, the whitespace of every manifest string
+_ENTRY = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
 
 
 def _expect(value, kind, location):
@@ -276,12 +277,12 @@ def load_manifest(path):
 
 
 def _select(items, selector, kind):
-    """The item labelled selector, else the one it indexes.  isdecimal, not
-    isdigit: int() rejects digits such as superscripts."""
+    """The item labelled selector, else the one it indexes, written in ASCII
+    digits: int() also reads other scripts' digits, such as U+0661."""
     for item in items:
         if item.label == selector:
             return item
-    if selector.isdecimal() and int(selector) < len(items):
+    if selector.isascii() and selector.isdecimal() and int(selector) < len(items):
         return items[int(selector)]
     raise SelectorError(f"no {kind} matches {selector!r}")
 

@@ -21,8 +21,8 @@ from .fox import fox_matrix, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import (
     LaurentPolynomial,
-    _to_zcanonical,
     _z_to_laurent,
+    _zcanonical,
     _zsubmul,
     format_polynomial,
 )
@@ -85,7 +85,7 @@ def _monodromy_polynomial(a, d):
     factors = characteristic_matrix(a, d).smith_normal_form()
     if any(f.is_zero for f in factors):
         raise ConsistencyError("t^d I - A is singular for an automorphism")
-    if _product_z(factors) != _to_zcanonical(poly):
+    if _product_z(factors) != _zcanonical(poly._z):
         raise ConsistencyError(
             "invariant factors of t^d I - A do not multiply to the "
             "characteristic polynomial"
@@ -158,7 +158,7 @@ def _product_z(polys, out=(1,)):
     the product of their canonical forms, and a unit's canonical form is 1."""
     for p in polys:
         if not p.is_one:
-            q = _to_zcanonical(p)
+            q = _zcanonical(p._z)
             if q != [1]:
                 out = _zsubmul(out, q, (), ())  # out * q
     return list(out)

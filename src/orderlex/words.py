@@ -18,6 +18,10 @@ FIBER_ALPHABET = "abcdefghijklmnopqrsuvwxyz"
 # script (the Kelvin sign lowercases to 'k') can stand in for one
 _LETTERS = {c: (g, s) for g, ch in enumerate(FIBER_ALPHABET, 1)
             for c, s in ((ch, 1), (ch.upper(), -1))}
+# the one whitespace set of every manifest string (words, cycles, matrix
+# entries): ASCII, the set that \s matches under re.ASCII, so no other blank
+# or control character (U+3000, U+00A0, U+001C) passes unnoticed
+_SPACE = " \t\n\r\f\v"
 
 
 def _free_reduce(letters):
@@ -112,7 +116,7 @@ class FreeWord:
         return max((g for g, _ in self.letters), default=0)
 
     def __repr__(self):
-        return f"FreeWord({format_word(self)!r})"
+        return f"FreeWord({_printable(self)!r})"
 
 
 def commutator(u, v):
@@ -125,11 +129,11 @@ def parse_word(s, fiber_rank):
 
     ASCII lowercase letters map to fiber generators 1..fiber_rank through
     FIBER_ALPHABET, uppercase ones to their inverses; 't' and 'T' are
-    refused.  Whitespace is ignored.
+    refused.  ASCII whitespace (_SPACE) is ignored.
     """
     letters = []
     for pos, ch in enumerate(s):
-        if ch.isspace():
+        if ch in _SPACE:
             continue
         if ch in "tT":
             raise WordParseError(f"stable letter 't' not allowed here (position {pos})")
@@ -142,6 +146,12 @@ def parse_word(s, fiber_rank):
             )
         letters.append(letter)
     return FreeWord._reduced(letters)
+
+
+def _printable(w):
+    """The text form of w, or its letter pairs when a generator is past
+    FIBER_ALPHABET, so that a repr never raises."""
+    return format_word(w) if w.max_generator() <= len(FIBER_ALPHABET) else list(w.letters)
 
 
 def format_word(w):

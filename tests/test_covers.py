@@ -37,6 +37,20 @@ def cyclic_stable_hom(m, k):
 
 
 class TestBuildCover:
+    def test_repr_of_a_basis_past_the_alphabet(self):
+        """Z13 with a, b, c -> 1 lifts cycle3 to a rank-27 cover; its
+        generators past FIBER_ALPHABET print as letter pairs."""
+        m = MappingTorus(3, dict(standard_battery())["cycle3"])
+        g = cyclic_group(13)
+        f = TorusHomomorphism(g, (g.element(1),) * 3, g.identity())
+        f.require_well_defined(m.monodromy)
+        lifted = build_cover(m, f).lifted_monodromy
+        assert lifted.rank == 27
+        text = repr(lifted)
+        assert text.startswith("FreeEndomorphism(rank=27, images=[")
+        assert "(26, 1)" in text and "(27, 1)" in text
+        assert repr(lifted.images[22]) == f"FreeWord({list(lifted.images[22].letters)!r})"
+
     def test_fig8_double_cover(self):
         m = MappingTorus(2, figure_eight_monodromy())
         c = build_cover(m, cyclic_stable_hom(m, 2))

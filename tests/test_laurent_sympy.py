@@ -9,6 +9,7 @@ orderlex and is used only here; without it the module is skipped.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,11 +81,87 @@ def from_sympy(poly):
     )
 
 
-laurent_st = st.dictionaries(
-    st.integers(-6, 6),
-    st.fractions(min_value=-20, max_value=20, max_denominator=9),
-    max_size=6,
-).map(LaurentPolynomial)
+fraction_st = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+laurent_st = st.dictionaries(st.integers(-6, 6), fraction_st, max_size=6).map(LaurentPolynomial)
+scalar_st = st.one_of(st.integers(-9, 9), fraction_st)
+
+
+def held(p):
+    """p, after checking the state it is held in: a Z[t] list whose first
+    and last entries are nonzero, under a denominator > 0 coprime to it;
+    zero is ([], 0, 1)."""
+    z = p._z
+    assert all(type(x) is int for x in z)
+    if z:
+        assert z[0] and z[-1]
+        assert p._den > 0 and gcd(p._den, *z) == 1
+    else:
+        assert (p._shift, p._den) == (0, 1)
+    return p
+
+
+def sym(x):
+    """A Laurent polynomial, int or Fraction as a sympy expression in t."""
+    if isinstance(x, LaurentPolynomial):
+        return sum((sym(c) * T ** e for e, c in held(x).items()), sympy.Integer(0))
+    return sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+
+
+def same(p, expr):
+    return sympy.expand(sym(p) - expr) == 0
+
+
+@given(laurent_st, laurent_st, scalar_st)
+def test_arithmetic_matches_sympy(p, q, c):
+    """Every operation against sympy's, each result in its held state."""
+    P, Q, C = sym(p), sym(q), sym(c)
+    assert same(p + q, P + Q) and same(p - q, P - Q) and same(p * q, P * Q)
+    assert same(p + c, P + C) and same(c + p, P + C)
+    assert same(p - c, P - C) and same(c - p, C - P) and same(-p, -P)
+    assert same(p * c, P * C) and same(c * p, P * C)
+    assert same(p.derivative(), sympy.diff(P, T))
+    for d in (1, 2, 3):
+        assert same(p.substitute_power(d), P.subs(T, T ** d))
+    assert (p == q) == same(p, Q) and (p == c) == same(p, C)
+    if p == q:
+        assert hash(p) == hash(q)
+    if p == c:
+        assert hash(p) == hash(c)
+    # the same value by another route has the same state and hash
+    r = held((p + q) - q)
+    assert r == p and hash(r) == hash(p)
+    assert held(p * c * q) == held(q * (p * c))
+
+
+@given(laurent_st)
+def test_inspection_matches_sympy(p):
+    P = sympy.expand(sym(p) * T ** 6)  # exponents >= -6, so a polynomial
+    if p.is_zero:
+        assert P == 0 and p == 0 and p == Fraction(0) and hash(p) == hash(0)
+        return
+    poly = sympy.Poly(P, T, domain=sympy.QQ)
+    assert p.coefficient(-7) == 0
+    for e in range(-6, 8):
+        assert sym(p.coefficient(e)) == poly.coeff_monomial(T ** (e + 6))
+    assert p.degree == poly.degree() - 6
+    assert p.order == min(m for (m,) in poly.monoms()) - 6
+    assert sym(p.leading_coefficient) == poly.LC()
+
+
+@given(laurent_st)
+def test_canonicalize_matches_sympy(p):
+    """The canonical form is the one multiple of p t^-order with integer,
+    content-1 coefficients and a positive leading one."""
+    c = held(p.canonicalize())
+    assert held(c.canonicalize()) is c
+    if p.is_zero:
+        assert c.is_zero
+        return
+    assert c.order == 0 and c.leading_coefficient > 0
+    coeffs = [x for _, x in c.items()]
+    assert all(x.denominator == 1 for x in coeffs) and gcd(*map(int, coeffs)) == 1
+    monic = sympy.Poly(sympy.expand(sym(p) * T ** -p.order), T, domain=sympy.QQ).monic()
+    assert sympy.Poly(sym(c), T, domain=sympy.QQ).monic() == monic
 
 
 @given(laurent_st)
@@ -102,7 +179,7 @@ def test_divmod_matches_sympy():
     for _ in range(200):
         a = random_laurent(rng, 7, 0, 3)
         b = random_laurent(rng, 4, 0, 2)
-        q, r = poly_divmod(a, b)
+        q, r = map(held, poly_divmod(a, b))
         # poly_divmod divides a and b themselves, with no unit removed
         sq, sr = sympy.div(to_sympy(a) * T ** a.order, to_sympy(b) * T ** b.order)
         assert q == from_sympy(sq)

@@ -345,11 +345,37 @@ class TestIntegerKernels:
         assert poly_gcd(L("t - 1"), L("t^2 - 1")) == L("t - 1")
         assert laurent_calls["poly_divmod"] == 2
 
+    def test_values_never_mutate_a_matrix_list(self):
+        """Values read off a PolynomialMatrix keep its Z[t] lists, and values
+        handed to the constructor lend theirs; computing with either, and
+        reducing either matrix, leaves every list as it was."""
+        m = PolynomialMatrix([[L("t^2 - 3*t + 1"), L("2*t + 5"), L("0")],
+                              [L("t - 1"), L("7"), L("-4*t^3 + 2*t")]])
+        values = [m.entry(i, j) for i in range(m.rows) for j in range(m.cols)]
+        assert sum(v._z is p for v, p in zip(values, sum(m._z, []))) == 5
+        values.append(L("t^-1/2 + 2/3"))
+        lent = PolynomialMatrix([values[:3], values[3:6]])
+        before = [[list(p) for p in r] for r in m._z + lent._z]
+        held = [list(v._z) for v in values]
+        for a in values:
+            for b in values:
+                a + b, a - b, a * b, b - 1, 1 - b
+                if b and all(x.is_zero or x.order >= 0 for x in (a, b)):
+                    poly_divmod(a, b)
+            -a, a * 3, Fraction(2, 3) * a, a.derivative(), a.substitute_power(2)
+            a.canonicalize(), a == 7, hash(a), a.items()
+        for x in (m, lent):
+            x.smith_normal_form(), x.transpose().smith_normal_form()
+            PolynomialMatrix([[x.entry(0, 0), x.entry(0, 1)], [x.entry(1, 0), x.entry(1, 1)]]).det()
+        assert [[list(p) for p in r] for r in m._z + lent._z] == before
+        assert [v._z for v in values] == held
+
     def test_no_conversion_in_the_twisted_pipeline(self, monkeypatch):
         """The twisted pipeline holds its matrices in Z[t] from fox_matrix
         and specialize to the invariant factors: twisted_alexander converts
         no row of Laurent polynomials into Z[t], and neither fox_matrix nor
-        specialize builds a Laurent polynomial."""
+        specialize builds a Laurent polynomial, by the public constructor
+        or by _z_to_laurent, the one that builds from Z[t]."""
         torus = MappingTorus(2, figure_eight_monodromy())
         g = cyclic_group(3)
         f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
@@ -362,11 +388,19 @@ class TestIntegerKernels:
             counts["rows"] += 1
             return to_z(row)
 
+        to_laurent = laurent._z_to_laurent
+        inside = []
+
+        def building_z(*args):
+            counts["built"] += bool(inside)
+            return to_laurent(*args)
+
         for module in [m for n, m in list(sys.modules.items()) if n.startswith("orderlex")]:
             if vars(module).get("_row_to_z") is to_z:
                 monkeypatch.setattr(module, "_row_to_z", converting)
+            if vars(module).get("_z_to_laurent") is to_laurent:
+                monkeypatch.setattr(module, "_z_to_laurent", building_z)
         init = LaurentPolynomial.__init__
-        inside = []
 
         def building(self, coeffs=None):
             counts["built"] += bool(inside)
@@ -392,9 +426,14 @@ class TestIntegerKernels:
         assert result.polynomial == L("t^6 - 18*t^3 + 1")
         # one Fox matrix for both relators, one specialize per b1 block x_j - 1
         assert counts == {"rows": 0, "built": 0, "fox_matrix": 1, "specialize": 3}
-        # the counters count: the public constructor converts its entries
-        PolynomialMatrix([[L("t"), L("1/2")]])
+        # the counters count: the public constructor converts its entries,
+        # and inside a marked call both ways of building a value are seen
+        matrix = PolynomialMatrix([[L("t"), L("1/2")]])
         assert counts["rows"] == 1
+        inside.append(True)
+        matrix.entry(0, 1)
+        LaurentPolynomial({1: 2})
+        assert counts["built"] == 2
 
 
 laurent_st = st.dictionaries(

@@ -626,6 +626,65 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: manifold.monodromy[10]: unknown letter")
 
+    def test_ideographic_space_is_not_whitespace(self, capsys):
+        """U+3000 IDEOGRAPHIC SPACE in a monodromy word is an unknown letter,
+        not a blank between letters."""
+        path = pathlib.Path(__file__).parent / "data" / "ideographic_space.json"
+        assert cli.main(["alexander", str(path)]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: manifold.monodromy[0]: unknown letter '\\u3000' (position 2)\n")
+
+    @pytest.mark.parametrize(
+        "manifold, located",
+        [
+            ({"monodromy": ["a\u3000b A\x1c", "b"]},
+             "manifold.monodromy[0]: unknown letter '\\u3000' (position 1)"),
+            ({"monodromy": ["aba", "ab\x1c"]},
+             "manifold.monodromy[1]: unknown letter '\\x1c' (position 2)"),
+            ({"monodromy_inverse": ["\xa0Ba", "Abb"]},
+             "manifold.monodromy_inverse[0]: unknown letter '\\xa0' (position 0)"),
+        ],
+        ids=["ideographic-space", "file-separator", "no-break-space"],
+    )
+    def test_only_ascii_whitespace_in_words(self, tmp_path, capsys, manifold, located):
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(manifold={**MINIMAL["manifold"], **manifold}))
+        assert cli.main(["alexander", str(path)]) == cli.EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == f"error: {located}\n"
+
+    @pytest.mark.parametrize("cycle", ["(1\xa02)", "\xa0(1 2)", "(1 2)\u3000", "(1\x1c2)"])
+    def test_only_ascii_whitespace_in_cycles(self, tmp_path, capsys, cycle):
+        hom = {"label": "z2", "group": {"degree": 2, "generators": [cycle]},
+               "fiber_images": [0, 0], "stable_image": 1}
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(homomorphisms=[hom]))
+        assert cli.main(["twisted", str(path)]) == cli.EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == (
+            f"error: homomorphisms[0].group.generators[0]: bad cycle notation: {cycle!r}\n")
+
+    @pytest.mark.parametrize("entry", ["\u20031", "1\xa0", "\x1c-1"])
+    def test_only_ascii_whitespace_in_matrix_entries(self, tmp_path, capsys, entry):
+        rep = {"fiber_matrices": [[[entry]], [[1]]], "stable_matrix": [[1]]}
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(representations=[rep]))
+        assert cli.main(["twisted", "--rep", "0", str(path)]) == cli.EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == (
+            "error: representations[0].fiber_matrices[0][0][0]: "
+            "matrix entries must be integers or strings p or p/q\n")
+
+    def test_ascii_whitespace_still_reads(self, tmp_path, capsys):
+        hom = {"label": "z2", "group": {"degree": 2, "generators": [" (1,\t2) "]},
+               "fiber_images": [0, 0], "stable_image": 1}
+        rep = {"fiber_matrices": [[[" 1\n"]], [[1]]], "stable_matrix": [["\t-1"]]}
+        manifold = {**MINIMAL["manifold"], "monodromy": [" a b\ta ", "a\r\nb"]}
+        m = loads_manifest(manifest_text(manifold=manifold, homomorphisms=[hom],
+                                         representations=[rep]))
+        assert m.torus.monodromy == loads_manifest(manifest_text()).torus.monodromy
+        assert m.homomorphisms[0].group.order == 2
+        assert m.representations[0].stable_matrix == RationalMatrix([[-1]])
+
     def test_exit_code_selector(self, fig8_manifest_path, capsys):
         code = cli.main(["twisted", fig8_manifest_path, "--hom", "nosuch"])
         assert code == cli.EXIT_SELECTOR
@@ -633,9 +692,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, kind", [("--hom", "homomorphism"), ("--rep", "representation")]
     )
-    @pytest.mark.parametrize("selector", ["²", "³"], ids=["superscript-2", "superscript-3"])
+    @pytest.mark.parametrize(
+        "selector", ["²", "³", "\u0661", "\uff10"],
+        ids=["superscript-2", "superscript-3", "arabic-indic-1", "fullwidth-0"],
+    )
     def test_non_decimal_digit_selector(self, fig8_manifest_path, capsys, flag, kind, selector):
-        # str.isdigit accepts superscripts, which int() rejects
+        # str.isdigit accepts superscripts, which int() rejects, and int()
+        # reads other scripts' decimal digits: only ASCII digits index
         code = cli.main(["twisted", fig8_manifest_path, flag, selector])
         assert code == cli.EXIT_SELECTOR
         assert capsys.readouterr().err == f"error: no {kind} matches {selector!r}\n"

@@ -120,6 +120,26 @@ class TestParsing:
         with pytest.raises(WordParseError, match=f"unknown letter.*position {len(text) - 1}"):
             parse_word(text, 11)
 
+    @pytest.mark.parametrize(
+        "text, pos",
+        [("a\u3000b A\x1c", 1), ("ab A\x1c", 4), ("a\xa0b", 1), ("\u2003a", 0)],
+        ids=["ideographic-space", "file-separator", "no-break-space", "em-space"],
+    )
+    def test_only_ascii_whitespace(self, text, pos):
+        # str.isspace also holds for these, which are not blanks of the grammar
+        with pytest.raises(WordParseError, match=f"unknown letter.*position {pos}"):
+            parse_word(text, 2)
+
+    def test_ascii_whitespace_is_ignored(self):
+        assert parse_word(" a\tb\nA\r\x0b\x0c", 2) == parse_word("abA", 2)
+
+    def test_repr_past_the_alphabet(self):
+        # a generator past FIBER_ALPHABET has no letter: repr shows the pairs
+        w = FreeWord([(26, 1), (1, -1)])
+        assert repr(w) == "FreeWord([(26, 1), (1, -1)])"
+        assert eval(repr(w)) == w
+        assert repr(FreeWord([(25, 1), (1, -1)])) == "FreeWord('zA')"
+
     def test_stable_letter_skips_t_slot(self):
         # fiber alphabet has no 't'; the letter after 's' is 'u'
         w = parse_word("su", 20)
