@@ -8,7 +8,8 @@ generators than word letters,
 3 certification or representation failure, 4 unresolved selector, 5
 internal cross-check disagreed (a bug).  ORDERLEX_DEPTH overrides the
 built-in default comparison depth; an explicit --depth flag or manifest
-option wins over the environment.
+option wins over the environment.  Numbers on the command line and in
+ORDERLEX_DEPTH are read in ASCII digits only, with an optional leading '-'.
 """
 
 from __future__ import annotations
@@ -55,19 +56,26 @@ def _env_depth():
     if raw is None:
         return DEFAULT_DEPTH
     try:
-        depth = int(raw)
-    except ValueError:
-        raise ManifestError("ORDERLEX_DEPTH must be an integer") from None
+        depth = _int(raw)
+    except argparse.ArgumentTypeError as e:
+        raise ManifestError(f"ORDERLEX_DEPTH: {e}") from None
     if depth < 1:
         raise ManifestError("ORDERLEX_DEPTH must be at least 1")
     return depth
 
 
+def _int(text):
+    """The integer text writes in ASCII digits with an optional leading
+    '-': int() also reads other scripts' digits, '_' separators and
+    surrounding blanks."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -373,7 +381,7 @@ def build_parser():
         if suite:
             p.add_argument("--depth", type=_positive_int, help="Magnus truncation depth")
             p.add_argument("--trials", type=_positive_int, help="randomized trials per suite")
-            p.add_argument("--seed", type=int, help="random seed echoed in reports")
+            p.add_argument("--seed", type=_int, help="random seed echoed in reports")
 
     p = sub.add_parser("alexander", help="classical polynomial and verdict")
     add_common(p)

@@ -33,16 +33,20 @@ def specialize(x, matrices, exponents):
     """Linear extension of g -> matrices[g]^sign * t^exponents[g].
 
     x is a group ring element {FreeWord: rational coefficient}, such as a
-    Fox derivative.  matrices maps generator index to an invertible
-    RationalMatrix, exponents to an integer.  Returns a PolynomialMatrix of
-    the common dimension.
+    Fox derivative, or a list of them.  matrices maps generator index to an
+    invertible RationalMatrix, exponents to an integer.  Returns a
+    PolynomialMatrix of the common dimension dim; for a list, a dim-row
+    matrix with the blocks of its elements side by side.
     """
-    dim, letter = _letters(matrices, {g for word in x for g, _ in word.letters})
+    row = x if isinstance(x, list) else [x]
+    gens = {g for y in row for word in y for g, _ in word.letters}
+    dim, letter = _letters(matrices, gens)
     terms = []
-    for word, coeff in x.items():
-        *_, last = _prefixes(word.letters, letter, exponents)
-        terms.append((0, 0, coeff, *last))
-    return _assemble(terms, dim, dim, dim)
+    for j, y in enumerate(row):
+        for word, coeff in y.items():
+            *_, last = _prefixes(word.letters, letter, exponents)
+            terms.append((0, j * dim, coeff, *last))
+    return _assemble(terms, dim, dim, len(row) * dim)
 
 
 def fox_matrix(relators, matrices, exponents):

@@ -7,17 +7,19 @@ _z_to_laurent, which keeps the Z[t] list it is given; no list is mutated in
 place, so matrices and values may share them.
 
 A polynomial matrix is only ever assembled (by fox.fox_matrix, which
-writes the whole Fox matrix, fox.specialize, characteristic_matrix, the
-from_blocks that joins the blocks of b1, or transpose) and read by the
-kernels, which rescale rows by units freely.  The private _of constructors
-trust these callers to hand over rows of equal length; only the public
-constructors check for ragged rows.  pencil_char_poly reads a minor
-t^d A - B as the characteristic polynomial of A^-1 B, so the Bareiss
-determinant serves only det(t^d rho(t) - I); it and the Smith normal form
-share the one pseudo-division loop of laurent.  homology_invariant_factors
-carries b2 through the Smith reduction of b1, so it builds no inverse matrix
-and reads b1 * b2 = 0 off the carried b2; it also returns the diagonal of
-that reduction, the invariant factors of coker(b1), so b1 is reduced once.
+writes the whole Fox matrix, fox.specialize, twisted_alexander, which lays
+the blocks of one specialize row into b1 transposed, characteristic_matrix,
+or transpose) and read by the kernels, which rescale rows by units freely.
+The private _of constructors trust these callers to hand over rows of
+equal length; only the public constructors check for ragged rows.
+pencil_char_poly reads a minor t^d A - B as the characteristic polynomial
+of A^-1 B, so the Bareiss determinant serves only det(t^d rho(t) - I); it
+and the Smith normal form share the one pseudo-division loop of laurent.
+The Smith normal form first takes out every constant pivot by sparse row
+operations, so its dense loop sees only a residual with no constant entry.
+homology_invariant_factors checks b1 * b2 = 0 by a sparse product and
+reduces b1 and b2 independently; the diagonal of b1's reduction, the
+invariant factors of coker(b1), is returned for the Wada check.
 RationalMatrix.char_poly works over F_p, for a Mersenne prime p above
 twice a Hadamard bound on its coefficients, and shares no code with the
 Smith normal form, so the checks that compare the two stay independent.
@@ -287,22 +289,6 @@ class PolynomialMatrix:
         out._set(z, shift, den)
         return out
 
-    @classmethod
-    def from_blocks(cls, blocks):
-        """Assemble from a 2d grid of blocks, under their least shift and lcm den."""
-        shift = min(b._shift for brow in blocks for b in brow)
-        den = lcm(*(b._den for brow in blocks for b in brow))
-        rows = []
-        for brow in blocks:
-            height = brow[0].rows
-            if any(b.rows != height for b in brow):
-                raise ValueError("inconsistent block heights")
-            units = [(b._z, den // b._den, [0] * (b._shift - shift)) for b in brow]
-            for i in range(height):
-                rows.append([pad + [scale * x for x in p] if p else p
-                             for z, scale, pad in units for p in z[i]])
-        return cls._of(rows, shift, den)
-
     def entry(self, i, j):
         return _z_to_laurent(self._z[i][j], self._shift, self._den)
 
@@ -388,7 +374,7 @@ class PolynomialMatrix:
     def smith_normal_form(self):
         """Canonical invariant factors p1 | p2 | ..., padded with zeros to
         min(rows, cols)."""
-        diag = _snf_core([list(r) for r in self._z], self.cols)
+        diag = _snf_core(self._z, self.cols)
         return [_z_to_laurent(_zcanonical(d)) for d in diag]
 
 
@@ -427,42 +413,106 @@ def _row_submul(c, row, q, other):
             for a, b in zip(row, other)]
 
 
-def _snf_core(m, cols, carry=None):
-    """Reduce the Z[t] rows m, each of length cols, to diagonal form in place
-    by unimodular operations over Q[t, 1/t]; returns the diagonal m[i][i],
-    i < min(len(m), cols), as Z[t] lists, nonzero entries first.
+def _constant_pivots(m):
+    """(units, rest) for Z[t] rows m: the Smith form of m over Q[t, 1/t]
+    is units ones followed by that of the rows rest, which hold no
+    constant entry.
 
-    Rows are kept integer-primitive, and each division is a pseudo-division
-    c*a = q*b + r whose scale c is a rational unit.  One loop: it moves the
-    nonzero entry of minimal degree (ties broken by the smallest (row, col)
-    pair) to (k, k), clears column k by row operations and only then row k
-    by column operations.  A remainder left by either has a lower degree
-    than the pivot, so the loop searches again, and the degree of the pivot
-    falls until both are clear.  Then a later entry the pivot does not
-    divide is added into row k, and k advances only once none is left.
-    The column operations make up a unimodular V with m * V
-    row-equivalent to the diagonal.  carry, when given, is a list of cols
-    Z[t] rows Y; every column operation on m is applied to it as the row
-    operation of V^-1, so on return row j of carry is a rational unit times
-    row j of V^-1 * Y.
+    Rows are held sparsely as {column: Z[t] list} over their nonzero
+    entries.  A constant c at (i, j) is a unit, so the row operations
+    row_s := c * row_s - a * row_i, for a = row_s[j], clear column j;
+    the column operations that would then clear row i change no other
+    entry, so row i and column j drop out as one unit factor.  c and a
+    are first divided by their common content, so a pivot of 1 or -1, or
+    one that divides a, scales nothing; each result is made primitive.
+    The pivot is the first constant of the last row that holds one: the
+    last rows of a twisted b2, from the stable letter's Fox derivatives
+    1 - t x_i t^-1, are constant, so their multipliers a meet only
+    constants and raise no degree.  rest holds the nonzero rows left,
+    dense over the columns that still have an entry."""
+    rows = [{j: x for j, x in enumerate(r) if x} for r in m]
+    units = 0
+    while True:
+        pivot = next(((i, j, x[0]) for i in range(len(rows) - 1, -1, -1)
+                      for j, x in rows[i].items() if len(x) == 1), None)
+        if pivot is None:
+            break
+        i, j, c = pivot
+        prow = rows.pop(i)
+        del prow[j]
+        units += 1
+        for k, r in enumerate(rows):
+            a = r.pop(j, None)
+            if a is not None and prow:
+                rows[k] = _sparse_submul(c, r, a, prow)
+    rows = [r for r in rows if r]
+    live = sorted(set().union(*rows))
+    return units, [[r.get(j, []) for j in live] for r in rows]
 
-    Without a carry, a pivot that is a unit c t^e of Q[t, 1/t] skips its
-    column operations.  Column k is clear outside row k by then, so they
-    would only clear row k and scale other columns by units, and a unit
-    divides every later entry; the rest of row k is set to zero and k
-    advances.
 
-    Zero entries cost no products.  A row or carry operation c*a - q*b
-    calls _zsubmul only where b is nonzero and elsewhere scales a by c.
-    The pivot search stops at the first constant in row-major order: no
+def _sparse_submul(c, row, a, prow):
+    """A primitive unit multiple of c * row - a * prow, for sparse rows
+    {column: Z[t] list}, an integer c != 0 and a Z[t] list a != 0.  Only
+    entries where prow is nonzero call _zsubmul; the others are only
+    scaled."""
+    g = gcd(c, *a)
+    s, q = c // g, [x // g for x in a] if g > 1 else a
+    if s < 0:
+        s, q = -s, [-x for x in q]
+    sl, out = [s], {}
+    for j, x in row.items():
+        y = prow.get(j)
+        if y is None:
+            out[j] = x if s == 1 else [s * v for v in x]
+        else:
+            z = _zsubmul(sl, x, q, y)
+            if z:
+                out[j] = z
+    for j, y in prow.items():
+        if j not in row:
+            out[j] = _zsubmul((), (), q, y)
+    g = 0
+    for p in out.values():
+        g = gcd(g, *p)
+        if g == 1:
+            return out
+    return {j: [x // g for x in p] for j, p in out.items()} if g > 1 else out
+
+
+def _snf_core(m, cols):
+    """The diagonal of a Smith form of the Z[t] rows m, each of length
+    cols, over Q[t, 1/t]: min(len(m), cols) Z[t] lists, each a rational
+    unit times an invariant factor, nonzero entries first.  m is not
+    changed.
+
+    _constant_pivots first takes out every constant pivot sparsely, and
+    the dense loop below reduces only the residual, which has no
+    constant entry.  Rows are kept integer-primitive, and each division
+    is a pseudo-division c*a = q*b + r whose scale c is a rational unit.
+    The loop moves the nonzero entry of minimal degree (ties broken by
+    the smallest (row, col) pair) to (k, k), clears column k by row
+    operations and only then row k by column operations.  A remainder
+    left by either has a lower degree than the pivot, so the loop
+    searches again, and the degree of the pivot falls until both are
+    clear.  Then a later entry the pivot does not divide is added into
+    row k, and k advances only once none is left.
+
+    A pivot that is a unit c t^e of Q[t, 1/t] skips its column
+    operations.  Column k is clear outside row k by then, so they would
+    only clear row k and scale other columns by units, and a unit divides
+    every later entry; the rest of row k is set to zero and k advances.
+
+    Zero entries cost no products.  A row operation c*a - q*b calls
+    _zsubmul only where b is nonzero and elsewhere scales a by c.  The
+    pivot search stops at the first constant in row-major order: no
     nonzero entry has lower degree, so it is the minimum the full search
     would pick.  normalize_row skips its power-of-t scan when some entry
     has a constant term, and a constant pivot, which divides every entry,
     skips the search for one it does not divide.
     """
-    rows = len(m)
-    # carry row j stands for carry[j] / cden[j]
-    cden = [1] * cols
+    total = min(len(m), cols)
+    units, m = _constant_pivots(m)
+    rows, cols_left = len(m), len(m[0]) if m else 0
 
     def normalize_row(i):
         # unit row scaling: strip the common power of t and the content
@@ -471,38 +521,21 @@ def _snf_core(m, cols, carry=None):
             (next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
         m[i] = _zprimitive([x[k:] for x in row] if k else row)
 
-    def col_swap(a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        if carry is not None:
-            carry[a], carry[b] = carry[b], carry[a]
-            cden[a], cden[b] = cden[b], cden[a]
-
     def reduce_col(j, k):
         # col_j := c * col_j - q * col_k clears m[k][j] to the remainder.
         # Column k is zero outside row k here, so rows other than k only
         # see the unit scale c.
-        c, q, r = _zpseudo_divmod(m[k][j], m[k][k])
+        c, _, r = _zpseudo_divmod(m[k][j], m[k][k])
         if c != 1:
             for row in m:
                 if row[j]:
                     row[j] = [c * x for x in row[j]]
         m[k][j] = r
-        if carry is not None:
-            # V^-1: row j is divided by c, then row k gains q * row j
-            cden[j] *= c
-            dk, dj = cden[k], cden[j]
-            l = lcm(dk, dj)
-            sq = [-(l // dj) * x for x in q]
-            row = _row_submul(l // dk, carry[k], sq, carry[j])
-            g = gcd(l, *(x for p in row for x in p)) if l > 1 else 1
-            carry[k] = [[x // g for x in p] for p in row] if g > 1 else row
-            cden[k] = l // g
 
     for i in range(rows):
         normalize_row(i)
 
-    limit = min(rows, cols)
+    limit = min(rows, cols_left)
     k = 0
     while k < limit:
         pivot = _least_entry(m, k)
@@ -511,7 +544,8 @@ def _snf_core(m, cols, carry=None):
         _, pi, pj = pivot
         m[pi], m[k] = m[k], m[pi]
         if pj != k:
-            col_swap(pj, k)
+            for row in m:
+                row[pj], row[k] = row[k], row[pj]
         normalize_row(k)
 
         for i in range(k + 1, rows):
@@ -521,15 +555,15 @@ def _snf_core(m, cols, carry=None):
                 m[i] = _zprimitive(_row_submul(c, m[i], q, m[k]))
         if any(m[i][k] for i in range(k + 1, rows)):
             continue  # a remainder, of lower degree than the pivot
-        if carry is None and not any(m[k][k][:-1]):
+        if not any(m[k][k][:-1]):
             # a unit c t^e: with column k zero outside row k, the column
             # operations would only clear row k and scale other columns by
             # units, and a unit divides every later entry
-            m[k][k + 1:] = [[] for _ in range(k + 1, cols)]
+            m[k][k + 1:] = [[] for _ in range(k + 1, cols_left)]
             k += 1
             continue
         # column k is now zero outside row k, as reduce_col needs
-        for j in range(k + 1, cols):
+        for j in range(k + 1, cols_left):
             if m[k][j]:
                 reduce_col(j, k)
         if any(m[k][k + 1:]):
@@ -545,7 +579,8 @@ def _snf_core(m, cols, carry=None):
             continue
         k += 1
 
-    return [m[i][i] for i in range(limit)]
+    diag = [[1]] * units + [m[i][i] for i in range(limit)]
+    return diag + [[]] * (total - len(diag))
 
 
 def homology_invariant_factors(b1, b2):
@@ -554,23 +589,37 @@ def homology_invariant_factors(b1, b2):
     b1 and b2 are consecutive boundary maps (b1 * b2 = 0).  Returns
     (factors, free_rank, b1_factors) where factors are the canonical nonzero
     invariant factors of the torsion part, units included, and b1_factors
-    are b1.smith_normal_form(), the invariant factors of coker(b1), read
-    off the reduction of b1 that carries b2.  Raises ConsistencyError
-    unless b1 * b2 = 0.
+    are b1.smith_normal_form(), the invariant factors of coker(b1).
+    Raises ConsistencyError unless b1 * b2 = 0.
+
+    The sparse product b1 * b2 is formed and checked, and b1 and b2 are
+    reduced independently.  im(b1) is free over the principal ideal
+    domain Q[t, 1/t], so coker(b2) = ker(b1) / im(b2) (+) im(b1), and the
+    nonzero invariant factors of b2 are those of the homology's torsion,
+    padded with units to rank(b2).
     """
     if b1.cols != b2.rows:
         raise ValueError("boundary maps do not compose")
-    # b2 in Z[t] under one unit; reducing b1 carries it to V^-1 * b2, up to
-    # a rational unit per row
-    k = b2.cols
-    y = [list(r) for r in b2._z]
-    diag = _snf_core([list(r) for r in b1._z], b1.cols, carry=y)
-    rank = sum(1 for d in diag if d)
-    # U * b1 * V = D gives b1 * b2 = U^-1 * D * (V^-1 * b2), and the first
-    # rank entries of D are nonzero in a domain: b1 * b2 = 0 iff y[:rank] = 0
-    if any(p for row in y[:rank] for p in row):
+    if not _composes_to_zero(b1._z, b2._z):
         raise ConsistencyError("boundary maps do not compose to zero")
-    kernel_rank = b1.cols - rank
-    nonzero = [_z_to_laurent(_zcanonical(d)) for d in _snf_core(y[rank:], k) if d]
-    free_rank = kernel_rank - len(nonzero)
+    diag = _snf_core(b1._z, b1.cols)
+    rank = sum(1 for d in diag if d)
+    nonzero = [_z_to_laurent(_zcanonical(d)) for d in _snf_core(b2._z, b2.cols) if d]
+    free_rank = b1.cols - rank - len(nonzero)
     return nonzero, free_rank, [_z_to_laurent(_zcanonical(d)) for d in diag]
+
+
+def _composes_to_zero(x, y):
+    """Whether the product of the Z[t] rows x and y is zero; only pairs of
+    nonzero entries are multiplied, and the rows' units do not matter."""
+    sparse = [[(j, b) for j, b in enumerate(r) if b] for r in y]
+    for row in x:
+        acc = {}
+        for a, terms in zip(row, sparse):
+            if a:
+                na = [-v for v in a]
+                for j, b in terms:
+                    acc[j] = _zsubmul((1,), acc.get(j, ()), na, b)
+        if any(acc.values()):
+            return False
+    return True

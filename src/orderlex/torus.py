@@ -101,9 +101,9 @@ def twisted_alexander(m, rep, d_scale=1):
     assembled from group ring elements: the Fox derivatives of the relators
     (degree 2 -> 1), from one fox_matrix call that walks each relator once
     and writes the whole matrix in Z[t], and x_j - 1 for each generator
-    (degree 1 -> 0), one specialize per block.  Both send g to
-    rep(g) * t^(phi(g)).  Because the module carries a left action while
-    the matrices act on column vectors, both boundary blocks enter
+    (degree 1 -> 0), from one specialize call over the row of them.  Both
+    send g to rep(g) * t^(phi(g)).  Because the module carries a left
+    action while the matrices act on column vectors, every block enters
     transposed, which replaces the module by its contragredient and
     changes no invariant factor up to units.
 
@@ -129,11 +129,13 @@ def twisted_alexander(m, rep, d_scale=1):
     fox = fox_matrix(presentation(m), matrices, exponents)
     b2 = fox.transpose()
     one = FreeWord._wrap(())
-    phi_blocks = [
-        specialize({FreeWord._wrap(((j, 1),)): 1, one: -1}, matrices, exponents).transpose()
-        for j in gens
-    ]
-    b1 = PolynomialMatrix.from_blocks([phi_blocks])
+    row = specialize([{FreeWord._wrap(((j, 1),)): 1, one: -1} for j in gens],
+                     matrices, exponents)
+    # b1 holds each block of row transposed: b1[a][j + b] = row[b][j + a]
+    dim, z = row.rows, row._z
+    b1 = PolynomialMatrix._of(
+        [[z[b][j + a] for j in range(0, row.cols, dim) for b in range(dim)] for a in range(dim)],
+        row._shift, row._den)
 
     try:
         factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
@@ -146,7 +148,8 @@ def twisted_alexander(m, rep, d_scale=1):
     poly = [] if free_rank > 0 else _product_z(factors)
 
     # the last block of b1 is (rep(t) t^d - I)^T
-    _wada_cross_check(fox, b1_factors, phi_blocks[-1], rep.stable_matrix, d_scale, poly)
+    t_block = PolynomialMatrix._of([r[-dim:] for r in b1._z], b1._shift, b1._den)
+    _wada_cross_check(fox, b1_factors, t_block, rep.stable_matrix, d_scale, poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)

@@ -2,6 +2,7 @@
 specialization into polynomial matrices."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,21 @@ class TestSpecialize:
         x = add(ring("a", rank=1), ONE)
         pm = specialize(x, {1: ident}, {1: 1})
         assert pm.entry(0, 0) == L("t + 1")
+
+    def test_row_places_blocks_side_by_side(self):
+        """A list of group ring elements specializes to one dim-row matrix
+        whose blocks are those of the elements, under one unit."""
+        swap = RationalMatrix([[0, 1], [1, 0]])
+        scaled = RationalMatrix([[Fraction(1, 3), 0], [0, 2]])
+        mats, exps = {1: swap, 2: scaled}, {1: 1, 2: -1}
+        xs = [add(ring("a"), ONE, -1), ring("B", coeff=Fraction(1, 2)), ring("aB")]
+        row = specialize(xs, mats, exps)
+        assert (row.rows, row.cols) == (2, 6)
+        for k, x in enumerate(xs):
+            block = specialize(x, mats, exps)
+            assert [[row.entry(i, 2 * k + j) for j in range(2)] for i in range(2)] == [
+                [block.entry(i, j) for j in range(2)] for i in range(2)]
+        assert row.entry(0, 0) == L("-1") and row.entry(1, 0) == L("t")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -346,10 +362,22 @@ def test_fox_matrix_matches_reference(case):
             assert _block_entries(pm, i, j, 2) == expected, (r, j + 1)
 
 
+def _stacked(parts):
+    """The PolynomialMatrix whose rows are those of the polynomial matrices
+    parts, in order, under their least shift and the lcm of their
+    denominators."""
+    shift = min(m._shift for m in parts)
+    den = lcm(*(m._den for m in parts))
+    return PolynomialMatrix._of(
+        [[[0] * (m._shift - shift) + [den // m._den * x for x in p] if p else p for p in r]
+         for m in parts for r in m._z], shift, den)
+
+
 def test_fox_matrix_is_the_block_assembly():
     """On every battery presentation and regular representation at d = 1,
     2, 3, fox_matrix holds the very rows, shift and denominator that
-    assembling the blocks specialize(fox_derivative(r, g)) gives."""
+    stacking one specialize row of the blocks fox_derivative(r, g) per
+    relator r gives."""
     checked = 0
     for _, auto in standard_battery():
         m = MappingTorus(auto.rank, auto)
@@ -360,9 +388,9 @@ def test_fox_matrix_is_the_block_assembly():
             for d in (1, 2, 3):
                 exponents = {g: 0 for g in matrices}
                 exponents[m.stable_index] = d
-                blocks = PolynomialMatrix.from_blocks(
-                    [[specialize(fox_derivative(r, g), matrices, exponents)
-                      for g in sorted(matrices)] for r in relators])
+                blocks = _stacked(
+                    [specialize([fox_derivative(r, g) for g in sorted(matrices)],
+                                matrices, exponents) for r in relators])
                 got = fox_matrix(relators, matrices, exponents)
                 assert (got._z, got._shift, got._den) == (
                     blocks._z, blocks._shift, blocks._den)

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orderlex import linalg
 from orderlex.autos import figure_eight_monodromy
@@ -513,12 +514,12 @@ UNIT_PIVOT_CASES = [
 @pytest.mark.parametrize("transpose", [False, True])
 def test_smith_normal_form_unit_pivots(case, transpose):
     """A unit pivot clears its row without column operations; the factors
-    still match sympy's, with and without a carry."""
+    still match sympy's, alone and as b1 of a homology pair."""
     s = sympy.Matrix(case).expand()
     m = from_sympy_matrix(s.T if transpose else s)
     expected = sympy_invariant_factors(m)
     assert m.smith_normal_form() == expected
-    # the same matrix as b1 of a pair with b2 = 0, reduced with a carry
+    # the same matrix as b1 of a pair with b2 = 0
     b2 = PolynomialMatrix([[0] for _ in range(m.cols)])
     factors, free_rank, b1_factors = homology_invariant_factors(m, b2)
     assert b1_factors == expected
@@ -529,8 +530,8 @@ def test_smith_normal_form_unit_pivots(case, transpose):
 def test_homology_remainders(v):
     """b1 = [M | M v] and b2 = [v; -1] B compose to zero for the remainder
     case M, which has full rank, so ker b1 is spanned by [v; -1] and the
-    homology is the cokernel of the row B; reducing b1 carries b2 through
-    every remainder."""
+    homology is the cokernel of the row B; reducing b1 meets every
+    remainder."""
     m = sympy.Matrix(REMAINDER_CASE)
     v = sympy.Matrix(v)
     b = sympy.Matrix([[(T - 1) * (T + 3), (T - 1) ** 2, T * (T - 1) * (T + 2)]])
@@ -610,7 +611,7 @@ SPARSE_HOMOLOGY_SHAPES = [(3, 1, 2), (4, 1, 3), (4, 2, 2), (5, 2, 3), (6, 1, 4)]
 def test_homology_invariant_factors_sparse(n, s, k):
     """b1 = [M | M V] and b2 = [V; -I] B compose to zero for sparse M, V and
     B; M has full rank, so ker b1 is the image of [V; -I] and the homology
-    is the cokernel of B.  Reducing b1 carries the mostly-zero b2."""
+    is the cokernel of B, read off the reduction of the mostly-zero b2."""
     rng = random.Random(f"sparse homology {n} {s} {k}")
     for _ in range(3):
         while True:
@@ -627,6 +628,68 @@ def test_homology_invariant_factors_sparse(n, s, k):
         assert factors == expected
         assert free_rank == s - len(expected)
         assert b1_factors == sympy_invariant_factors(b1)
+
+
+# the constants +-1, 2 and 3 next to Laurent polynomials, so that a constant
+# pivot meets entries it divides and entries it does not, and the scaled
+# row operation c * row - a * pivot_row runs
+MIXED_ENTRY = st.one_of(
+    st.just(sympy.Integer(0)),
+    st.sampled_from([sympy.Integer(c) for c in (1, -1, 2, -2, 3, -3)]),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3).flatmap(
+        lambda cs: st.integers(min_value=-2, max_value=2).map(
+            lambda e: sum((c * T ** (e + k) for k, c in enumerate(cs)), sympy.Integer(0)))),
+)
+
+
+@st.composite
+def mixed_matrices(draw, min_rows=1, max_rows=5, min_cols=1, max_cols=5):
+    """A sympy matrix of MIXED_ENTRY entries, square, wide or tall, with
+    some rows and columns set to zero."""
+    rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
+    cols = draw(st.integers(min_value=min_cols, max_value=max_cols))
+    s = sympy.Matrix(rows, cols, draw(st.lists(MIXED_ENTRY, min_size=rows * cols,
+                                               max_size=rows * cols)))
+    for i in draw(st.sets(st.integers(min_value=0, max_value=rows - 1), max_size=rows // 2)):
+        s[i, :] = sympy.zeros(1, cols)
+    for j in draw(st.sets(st.integers(min_value=0, max_value=cols - 1), max_size=cols // 2)):
+        s[:, j] = sympy.zeros(rows, 1)
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices())
+# the pivot 2 does not divide the 3 below it: 2 * row_1 - 3 * row_0
+@example(sympy.Matrix([[2, T], [3, 1 + T]]))
+def test_smith_normal_form_mixed_against_sympy(s):
+    """The sparse elimination of constant pivots and the dense loop on its
+    residual give sympy's invariant factors, padded with zeros to
+    min(rows, cols)."""
+    m = from_sympy_matrix(s)
+    assert m.smith_normal_form() == sympy_invariant_factors(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_matrices(max_rows=4, max_cols=3), st.data())
+def test_homology_mixed_against_sympy(s, data):
+    """b1 = [M | M V] and b2 = [V; -I] B compose to zero; when M has full
+    column rank, ker b1 is the image of [V; -I], so the homology is the
+    cokernel of B, and sympy gives its invariant factors and those of b1."""
+    n = s.cols
+    if s.rank() < n:
+        # stack an identity under M: still of full column rank, with
+        # constant +-1 entries to pivot on
+        s = s.col_join(sympy.eye(n))
+    v = data.draw(mixed_matrices(min_rows=n, max_rows=n, max_cols=2))
+    b = data.draw(mixed_matrices(min_rows=v.cols, max_rows=v.cols, max_cols=3))
+    b1 = from_sympy_matrix(s.row_join(s * v).expand())
+    b2 = from_sympy_matrix((v.col_join(-sympy.eye(v.cols)) * b).expand())
+    factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
+    expected = [f for f in sympy_invariant_factors(from_sympy_matrix(b)) if not f.is_zero]
+    assert factors == expected
+    assert free_rank == v.cols - len(expected)
+    assert b1_factors == sympy_invariant_factors(b1)
+    assert b2.smith_normal_form() == sympy_invariant_factors(b2)
 
 
 def sympy_laurent(rng, density, low=-2, high=2):
@@ -695,14 +758,19 @@ def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
     invariant factors sympy computes; P hides that structure from the
     library."""
     scales = []
-    pseudo = linalg._zpseudo_divmod
+    submul, pseudo = linalg._zsubmul, linalg._zpseudo_divmod
 
-    def recording(a, b):
+    def recording(c, a, q, b):
+        scales.extend(c)
+        return submul(c, a, q, b)
+
+    def dividing(a, b):
         out = pseudo(a, b)
         scales.append(out[0])
         return out
 
-    monkeypatch.setattr(linalg, "_zpseudo_divmod", recording)
+    monkeypatch.setattr(linalg, "_zsubmul", recording)
+    monkeypatch.setattr(linalg, "_zpseudo_divmod", dividing)
     rng = random.Random(f"homology {m_rows} {n} {r} {k}")
     for _ in range(3):
         b1, b2, b = (from_sympy_matrix(x) for x in composing_pair(rng, m_rows, n, r, k))
@@ -711,14 +779,19 @@ def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
         assert factors == expected
         assert free_rank == (n - r) - len(expected)
         assert b1_factors == sympy_invariant_factors(b1)
-    # the pseudo-divisions had to scale, so column scaling reached the carried b2
-    assert any(c != 1 for c in scales)
+    # some row or column operation scaled by a pivot scale other than 1:
+    # a constant pivot that does not divide the entry it clears, or a
+    # pseudo-division by a non-monic pivot.  A pair of a single row and a
+    # single column, as b1 (1 x 2) and b2 (2 x 1), may reduce with no
+    # operation between two rows or columns at all.
+    if max(min(b1.rows, b1.cols), min(b2.rows, b2.cols)) > 1:
+        assert any(c != 1 for c in scales)
 
 
 @pytest.mark.parametrize("m_rows, n, r, k", HOMOLOGY_SHAPES)
 def test_perturbed_pair_does_not_compose(m_rows, n, r, k):
-    """One b2 entry moved off a composing pair is caught by the carried b2:
-    the entry sits in a row i where column i of b1 is nonzero, so
+    """One b2 entry moved off a composing pair is caught by the product
+    check: the entry sits in a row i where column i of b1 is nonzero, so
     b1 * b2 != 0."""
     rng = random.Random(f"perturbed {m_rows} {n} {r} {k}")
     b1, b2, _ = composing_pair(rng, m_rows, n, r, k)

@@ -460,6 +460,17 @@ class TestCli:
             (["verify", "order-lemmas"], None, "0", 2, "ORDERLEX_DEPTH"),
             (["twisted", "--rep", "trivial", "--d-scale", "10001"], None, None, 2,
              "argument --d-scale: must be at most 10000, got 10001"),
+            # numbers are ASCII digits: int() would read each of these
+            (["verify", "order-lemmas", "--trials", "\u0663", "--depth", "\uff12"], None, None,
+             2, "argument --trials: expected an integer in ASCII digits, got '\u0663'"),
+            (["verify", "order-lemmas", "--depth", "\uff12"], None, None, 2, "argument --depth"),
+            (["verify", "order-lemmas", "--trials", "1_0"], None, None, 2, "argument --trials"),
+            (["verify", "order-lemmas", "--trials", " 3"], None, None, 2, "argument --trials"),
+            (["verify", "order-lemmas", "--seed", "\u0663"], None, None, 2, "argument --seed"),
+            (["twisted", "--rep", "trivial", "--d-scale", "\uff13"], None, None, 2,
+             "argument --d-scale"),
+            (["verify", "order-lemmas"], None, "\u0663", 2,
+             "ORDERLEX_DEPTH: expected an integer in ASCII digits, got '\u0663'"),
         ],
     )
     def test_no_vacuous_pass_and_bounded_counts(
@@ -490,6 +501,12 @@ class TestCli:
         args = parse(["twisted", "m.json", "--d-scale", str(cli.D_SCALE_LIMIT)])
         assert args.d_scale == cli.D_SCALE_LIMIT == 10000
         assert parse(["twisted", "m.json"]).d_scale == 1
+
+    def test_signed_ascii_seed_parses(self):
+        """--seed takes ASCII digits with an optional leading '-'."""
+        parse = cli.build_parser().parse_args
+        for text, seed in (("-4", -4), ("0", 0), ("0012", 12)):
+            assert parse(["verify", "order-lemmas", "m.json", "--seed", text]).seed == seed
 
     S8 = {"name": "S8", "degree": 8, "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}
     WIDE = {"name": "Z2", "degree": DEFAULT_ELEMENT_LIMIT + 1, "generators": ["(1 2)"]}

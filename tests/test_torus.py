@@ -133,8 +133,8 @@ class TestTwisted:
         the stable-letter columns of the Fox matrix corrupted: b1 * b2 != 0
         is reported as ConsistencyError, not as bad input.  The Fox matrix
         comes from one fox_matrix call over the relators, the stable-letter
-        block last; the b1 blocks x_j - 1 come from specialize and are left
-        intact."""
+        block last; the b1 blocks x_j - 1 come from one specialize call over
+        the row of them and are left intact."""
         m = fig8()
         rep = z2_regular(m)
         relators, calls = [], []
@@ -160,7 +160,7 @@ class TestTwisted:
         assert relators == presentation(m)
         one = FreeWord.empty()
         assert calls == [
-            {FreeWord.generator(j): 1, one: -1} for j in range(1, m.stable_index + 1)
+            [{FreeWord.generator(j): 1, one: -1} for j in range(1, m.stable_index + 1)]
         ]
 
     def test_no_product_with_an_identity_factor(self, monkeypatch):
@@ -184,57 +184,73 @@ class TestTwisted:
         assert factors and not any(factors)
 
     def test_one_reduction_of_b1(self, monkeypatch):
-        """One call reduces b1 once, carrying b2, and then the bottom block
-        of the carried b2: the Wada check reads order(H_0) off the
-        homology's reduction of b1 instead of taking b1's Smith normal form
-        again."""
+        """The homology reduces b1 once and b2 once, each on its own, and
+        carries nothing: the Wada check reads order(H_0) off the homology's
+        reduction of b1 instead of taking b1's Smith normal form again."""
         from orderlex import linalg
 
         m = fig8()
         rep = z2_regular(m)
-        reductions, snf = [], []
+        reductions, snf, pairs = [], [], []
         core = linalg._snf_core
         smith = PolynomialMatrix.smith_normal_form
+        homology = torus_module.homology_invariant_factors
 
-        def reducing(rows, cols, carry=None):
-            reductions.append(carry is not None)
-            return core(rows, cols, carry)
+        def reducing(rows, cols):
+            reductions.append((len(rows), cols))
+            return core(rows, cols)
 
         def counting(self):
             snf.append(self)
             return smith(self)
 
+        def capturing(b1, b2):
+            pairs.append((b1, b2))
+            return homology(b1, b2)
+
         monkeypatch.setattr(linalg, "_snf_core", reducing)
         monkeypatch.setattr(PolynomialMatrix, "smith_normal_form", counting)
+        monkeypatch.setattr(torus_module, "homology_invariant_factors", capturing)
         assert twisted_alexander(m, rep).polynomial == L("t^4 - 7*t^2 + 1")
-        assert reductions == [True, False]
+        (b1, b2), = pairs
+        assert reductions == [(b1.rows, b1.cols), (b2.rows, b2.cols)]
         assert snf == []
 
     def test_reduction_skips_zero_products(self, monkeypatch):
         """Inside the Smith reduction, c*a - q*b goes to _zsubmul only when
-        q*b is nonzero: where the pivot or carry row has a zero entry the
-        entry is only scaled.  Over every fifth class of the battery into
-        the groups of order <= 6, at d = 1 and 2."""
+        q*b is nonzero: where the pivot row has a zero entry the entry is
+        only scaled.  This holds for the sparse elimination of constant
+        pivots and for the dense loop on its residual, and both run.  Over
+        every fifth class of the battery into the groups of order <= 6, at
+        d = 1 and 2."""
         from orderlex import linalg
 
-        core, submul = linalg._snf_core, linalg._zsubmul
-        reducing, calls, zero = [False], [0], []
+        core, sparse, submul = linalg._snf_core, linalg._sparse_submul, linalg._zsubmul
+        where, calls, zero = [None], {"sparse": 0, "dense": 0}, []
 
-        def within(rows, cols, carry=None):
-            reducing[0] = True
+        def within(rows, cols):
+            where[0] = "dense"
             try:
-                return core(rows, cols, carry)
+                return core(rows, cols)
             finally:
-                reducing[0] = False
+                where[0] = None
+
+        def eliminating(c, row, a, prow):
+            where[0] = "sparse"
+            try:
+                return sparse(c, row, a, prow)
+            finally:
+                where[0] = "dense"
 
         def counting(c, a, q, b):
-            if reducing[0]:
-                calls[0] += 1
+            if where[0]:
+                calls[where[0]] += 1
                 if not (q and b):
                     zero.append((c, a, q, b))
             return submul(c, a, q, b)
 
         monkeypatch.setattr(linalg, "_snf_core", within)
+        monkeypatch.setattr(linalg, "_sparse_submul", eliminating)
         monkeypatch.setattr(linalg, "_zsubmul", counting)
         checked = 0
         for _, auto in standard_battery():
@@ -244,7 +260,7 @@ class TestTwisted:
                 for d in (1, 2):
                     twisted_alexander(m, rep, d_scale=d)
                     checked += 1
-        assert checked == 114 and calls[0] > 0
+        assert checked == 114 and calls["sparse"] > 0 and calls["dense"] > 0
         assert zero == []
 
     def test_fox_products_per_relator(self, monkeypatch):
