@@ -30,7 +30,7 @@ from .errors import (
     SelectorError,
     WordParseError,
 )
-from .finite import regular_representation, trivial_representation
+from .finite import regular_representation, schreier_transversal, trivial_representation
 from .laurent import format_polynomial
 from .manifest import load_manifest, select_homomorphism, select_representation
 from .ordering import (
@@ -184,8 +184,8 @@ def cmd_cover(args):
     manifest = load_manifest(args.manifest)
     hom = select_homomorphism(manifest, args.hom)
     _warn_not_surjective(hom)
-    cover = build_cover(manifest.torus, hom)
-    rank = len(cover.subgroup_basis)
+    # the Schreier basis has |f(F)| (n - 1) + 1 elements, known before the build
+    rank = len(schreier_transversal(hom)[0]) * (manifest.torus.fiber_rank - 1) + 1
     if rank > len(FIBER_ALPHABET):
         print(
             f"error: the cover of {hom.label!r} has {rank} basis generators; "
@@ -193,6 +193,7 @@ def cmd_cover(args):
             file=sys.stderr,
         )
         return EXIT_PARSE_ERROR
+    cover = build_cover(manifest.torus, hom)
     result = cover_alexander(cover)
     doc = {
         "hom": hom.label,

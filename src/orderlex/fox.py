@@ -15,18 +15,23 @@ derivatives of a list of relators by every generator at once: the terms of
 a relator's derivatives are prefixes of that relator, so one walk builds
 each prefix product rho * t^phi once and hands it to the block of the
 letter it precedes or ends.  Both start a product at its first letter's
-matrix, and a letter whose matrix is the identity multiplies nothing.  The
-integer rows of each product, times its coefficient, are summed straight
-into the Z[t] entries of the whole result over one shift and one common
-denominator, so no Fraction, Laurent polynomial or intermediate block is
-built on the way.
+matrix, a letter whose matrix is the identity multiplies nothing, and a
+product equal to the identity, such as t x_i t^-1 under a map that kills
+the fiber, is carried as None, like the empty prefix.  A product sums the
+letter matrix's rows at the nonzero entries of the prefix, so a permutation
+prefix takes the letter's rows as they are and nothing is rebuilt per
+letter.  The nonzero integer entries of each product, times its
+coefficient, are summed straight into the Z[t] entries of the whole result
+over one shift and one common denominator, so no Fraction, Laurent
+polynomial or intermediate block is built on the way.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import lcm
 
-from .linalg import PolynomialMatrix
+from .linalg import PolynomialMatrix, RationalMatrix, _zmatmul
 
 
 def specialize(x, matrices, exponents):
@@ -90,7 +95,7 @@ def _letters(matrices, gens):
 
 def _prefixes(letters, letter, exponents):
     """(product, t-exponent) of each prefix of letters, the empty one
-    first, with None standing for the identity product."""
+    first, with None standing for a product equal to the identity."""
     prod, shift = None, 0
     yield prod, shift
     for g, s in letters:
@@ -99,16 +104,24 @@ def _prefixes(letters, letter, exponents):
         except KeyError:
             raise ValueError(f"no matrix assigned to generator {g}") from None
         if m is not None:
-            prod = m if prod is None else prod * m
+            prod = m if prod is None else _product(prod, m)
         shift += s * exponents[g]
         yield prod, shift
+
+
+def _product(prod, m):
+    """prod * m, from the rows of m at the nonzero entries of prod, or None
+    when it is the identity."""
+    out = RationalMatrix._of(_zmatmul(prod._z, m._z), prod._den * m._den)
+    return None if out.is_identity() else out
 
 
 def _assemble(terms, dim, rows, cols):
     """The rows x cols PolynomialMatrix that is the sum of coeff * prod * t^e
     over the terms (top, left, coeff, prod, e), each placed with its (0, 0)
     entry at (top, left): coeff rational, prod a RationalMatrix of
-    dimension dim or None for the identity.  Entry (a, b) is
+    dimension dim or None for the identity, placed in O(dim); a product
+    places only its nonzero entries.  Entry (a, b) is
     t^low * out[a][b] / den, for the least exponent low of the terms and
     the lcm den of their denominators.  Entries no term reaches share one
     empty list, which is safe as no kernel mutates a Z[t] list in place."""
@@ -118,28 +131,27 @@ def _assemble(terms, dim, rows, cols):
     span = max(exps, default=0) - low + 1
     zero = []
     out = [[zero] * cols for _ in range(rows)]
-    made = []
+    made, block = [], range(dim)
     for top, left, coeff, prod, e in terms:
         e -= low
         if prod is None:
             f = coeff.numerator * (den // coeff.denominator)
-            for a in range(top, top + dim):
-                p = out[a][left]
+            for acc in out[top:top + dim]:
+                p = acc[left]
                 if not p:
-                    p = out[a][left] = [0] * span
+                    p = acc[left] = [0] * span
                     made.append(p)
                 p[e] += f
                 left += 1
             continue
         f = coeff.numerator * (den // (coeff.denominator * prod._den))
         for acc, row in zip(out[top:top + dim], prod._z):
-            for b, v in enumerate(row, left):
-                if v:
-                    p = acc[b]
-                    if not p:
-                        p = acc[b] = [0] * span
-                        made.append(p)
-                    p[e] += f * v
+            for b in compress(block, row):
+                p = acc[left + b]
+                if not p:
+                    p = acc[left + b] = [0] * span
+                    made.append(p)
+                p[e] += f * row[b]
     for p in made:
         while p and not p[-1]:
             p.pop()

@@ -253,11 +253,16 @@ def poly_gcd(p, q):
 
 
 def _zsubmul(c, a, q, b):
-    """c*a - q*b.  A constant c, with q or b zero or constant, takes one
-    pass: q*b is then zero or a constant y times a list v."""
-    if not (c and a) and not (q and b):
-        return []
-    if len(c) == 1 and (len(q) < 2 or len(b) < 2):
+    """c*a - q*b.  With c*a zero or a constant c, and q or b zero or
+    constant, it takes one pass: q*b is then zero or a constant y times a
+    list v."""
+    if not (c and a):
+        if not (q and b):
+            return []
+        if len(q) == 1 or len(b) == 1:
+            y, v = (q[0], b) if len(q) == 1 else (b[0], q)
+            return [-y * w for w in v]
+    elif len(c) == 1 and (len(q) < 2 or len(b) < 2):
         x = c[0]
         out = [x * w for w in a]
         if q and b:

@@ -15,8 +15,11 @@ equal length; only the public constructors check for ragged rows.
 pencil_char_poly reads a minor t^d A - B as the characteristic polynomial
 of A^-1 B, so the Bareiss determinant serves only det(t^d rho(t) - I); it
 and the Smith normal form share the one pseudo-division loop of laurent.
-The Smith normal form first takes out every constant pivot by sparse row
-operations, so its dense loop sees only a residual with no constant entry.
+The Smith normal form first takes out every unit pivot c t^e by sparse row
+operations, so its dense loop sees only a residual with no unit entry.
+Products, the elimination's sparse rows, the b1 * b2 check and the pass
+of pencil_char_poly walk only the nonzero entries of a dense row, by
+itertools.compress, and the Bareiss determinant skips an update that is 0.
 homology_invariant_factors checks b1 * b2 = 0 by a sparse product and
 reduces b1 and b2 independently; the diagonal of b1's reduction, the
 invariant factors of coker(b1), is returned for the Wada check.
@@ -29,7 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import ConsistencyError, SingularMatrixError
 from .laurent import (
@@ -47,7 +52,7 @@ class RationalMatrix:
     """A matrix over Q, held as integer rows _z over one positive common
     denominator _den with gcd(_den, every entry) = 1, so equal matrices have
     equal state.  Values are never mutated after construction, so the
-    inverse is computed once and kept in _inv."""
+    inverse is computed once and kept in _inv, and matrices may share rows."""
 
     __slots__ = ("rows", "cols", "_z", "_den", "_inv")
 
@@ -114,10 +119,18 @@ class RationalMatrix:
         return self._inv
 
     def _invert(self):
-        """Fraction-free Gauss-Jordan elimination on [z | I] ends in [C | R]
+        """A signed permutation matrix, such as each matrix of a regular
+        representation, is inverted by its transpose.  Otherwise
+        fraction-free Gauss-Jordan elimination on [z | I] ends in [C | R]
         with C diagonal, so (z / den)^-1 has row i equal to den * R[i] / C[i]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
+        if self._den == 1 and all(sum(map(abs, r)) == 1 for r in self._z):
+            # one entry +-1 in each row; a signed permutation unless two
+            # rows share a column
+            t = [list(c) for c in zip(*self._z)]
+            if all(sum(map(abs, r)) == 1 for r in t):
+                return RationalMatrix._of(t, 1)
         n = self.rows
         m = [r + [int(j == i) for j in range(n)] for i, r in enumerate(self._z)]
         for k in range(n):
@@ -157,7 +170,7 @@ class RationalMatrix:
         n = self.rows
         bound = 1
         for r in self._z:
-            bound *= 2 + isqrt(sum(x * x for x in r))
+            bound *= 2 + isqrt(sum(map(mul, r, r)))
         p = _char_poly_modulus(bound)
         half = p >> 1
         den = self._den
@@ -249,16 +262,21 @@ def _hessenberg_char_poly(z, p):
 
 
 def _zmatmul(x, y):
-    """x * y for integer rows, over nonzero entries only (O(n^2) for permutations)."""
-    sparse = [[(j, b) for j, b in enumerate(r) if b] for r in y]
+    """x * y for integer rows: each row of x sums the rows of y at its
+    nonzero entries, and a row whose one entry is 1 is that row of y
+    itself, which is safe as no row is mutated in place (O(n) for
+    permutations)."""
+    width = len(y[0]) if y else 0
     out = []
     for row in x:
-        acc = [0] * len(y[0]) if y else []
-        for a, terms in zip(row, sparse):
-            if a:
-                for j, b in terms:
-                    acc[j] += a * b
-        out.append(acc)
+        acc = None
+        for i in compress(range(len(row)), row):
+            a, r = row[i], y[i]
+            if acc is None:
+                acc = r if a == 1 else [a * v for v in r]
+            else:
+                acc = [u + a * v for u, v in zip(acc, r)]
+        out.append([0] * width if acc is None else acc)
     return out
 
 
@@ -323,8 +341,11 @@ class PolynomialMatrix:
                 mi = m[i]
                 a = mi[k]
                 for j in range(k + 1, n):
+                    x, y = mi[j], mk[j]
+                    if not x and not (a and y):
+                        continue  # the update p * 0 - a * y is 0
                     # an exact quotient in Z[t] never needs a scale
-                    c, q, r = _zpseudo_divmod(_zsubmul(p, mi[j], a, mk[j]), prev)
+                    c, q, r = _zpseudo_divmod(_zsubmul(p, x, a, y), prev)
                     if c != 1 or r:
                         raise ArithmeticError("division was expected to be exact")
                     mi[j] = q
@@ -341,21 +362,18 @@ class PolynomialMatrix:
         # one pass over the minor reads each entry's t^d coefficient x and
         # its constant one; other nonzero coefficients raise at once, and a
         # t^d part other than I_n (x) block raises after the pass
-        b, off = [], size % dim
+        b, off, cols = [], size % dim, range(size)
         for k, r in enumerate(self._z):
-            xs, ys = [], []
-            for p in r[:size]:
-                if p:
-                    n = len(p)
-                    x = p[hi] if 0 <= hi < n else 0
-                    y = p[lo] if 0 <= lo < n else 0
-                    if n - p.count(0) != (x != 0) + (y != 0):
-                        raise ConsistencyError("the minor has t-degrees other than 0 and d")
-                    xs.append(x)
-                    ys.append(-y)
-                else:
-                    xs.append(0)
-                    ys.append(0)
+            xs, ys = [0] * size, [0] * size
+            for j in compress(cols, r):
+                p = r[j]
+                n = len(p)
+                x = p[hi] if 0 <= hi < n else 0
+                y = p[lo] if 0 <= lo < n else 0
+                if n - p.count(0) != (x != 0) + (y != 0):
+                    raise ConsistencyError("the minor has t-degrees other than 0 and d")
+                xs[j] = x
+                ys[j] = -y
             diag = k - k % dim
             xd = xs[diag:diag + dim]
             if bden != 1:
@@ -413,41 +431,68 @@ def _row_submul(c, row, q, other):
             for a, b in zip(row, other)]
 
 
-def _constant_pivots(m):
+def _unit_pivots(m):
     """(units, rest) for Z[t] rows m: the Smith form of m over Q[t, 1/t]
-    is units ones followed by that of the rows rest, which hold no
-    constant entry.
+    is units ones followed by that of the rows rest, which hold no unit
+    entry.
 
     Rows are held sparsely as {column: Z[t] list} over their nonzero
-    entries.  A constant c at (i, j) is a unit, so the row operations
-    row_s := c * row_s - a * row_i, for a = row_s[j], clear column j;
-    the column operations that would then clear row i change no other
-    entry, so row i and column j drop out as one unit factor.  c and a
-    are first divided by their common content, so a pivot of 1 or -1, or
-    one that divides a, scales nothing; each result is made primitive.
-    The pivot is the first constant of the last row that holds one: the
-    last rows of a twisted b2, from the stable letter's Fox derivatives
-    1 - t x_i t^-1, are constant, so their multipliers a meet only
-    constants and raise no degree.  rest holds the nonzero rows left,
-    dense over the columns that still have an entry."""
-    rows = [{j: x for j, x in enumerate(r) if x} for r in m]
+    entries.  A unit c t^e at (i, j) clears column j by the row
+    operations row_s := c t^e * row_s - a * row_i, for a = row_s[j]
+    (t^e puts e leading zeros on each entry, and the common power of t
+    is stripped from the result); the column operations that would then
+    clear row i change no other entry, so row i and column j drop out as
+    one unit factor.  c and a are first divided by their common content,
+    so a pivot of 1 or -1, or one that divides a, scales nothing; each
+    result is made primitive.  Constants, which raise no degree, go
+    before monomials, and the last rows first: a twisted b2 ends in the
+    constant rows of the stable letter's Fox derivatives 1 - t x_i t^-1.
+    rest holds the nonzero rows left, dense over their live columns."""
+    rows = [{j: r[j] for j in compress(range(len(r)), r)} for r in m]
     units = 0
     while True:
-        pivot = next(((i, j, x[0]) for i in range(len(rows) - 1, -1, -1)
-                      for j, x in rows[i].items() if len(x) == 1), None)
+        pivot = _unit_entry(rows)
         if pivot is None:
             break
-        i, j, c = pivot
+        i, j, e, c = pivot
         prow = rows.pop(i)
         del prow[j]
         units += 1
+        pad = [0] * e
         for k, r in enumerate(rows):
             a = r.pop(j, None)
             if a is not None and prow:
-                rows[k] = _sparse_submul(c, r, a, prow)
+                if e:
+                    r = {col: pad + x for col, x in r.items()}
+                    rows[k] = _strip_t(_sparse_submul(c, r, a, prow))
+                else:
+                    rows[k] = _sparse_submul(c, r, a, prow)
     rows = [r for r in rows if r]
     live = sorted(set().union(*rows))
     return units, [[r.get(j, []) for j in live] for r in rows]
+
+
+def _unit_entry(rows):
+    """(i, j, e, c) for the unit c t^e = rows[i][j] that comes first in the
+    last row holding a constant, else in the last row holding a monomial;
+    None if there is no unit."""
+    monomial = None
+    for i in range(len(rows) - 1, -1, -1):
+        for j, x in rows[i].items():
+            n = len(x)
+            if n == 1:
+                return i, j, 0, x[0]
+            if monomial is None and x.count(0) == n - 1:
+                monomial = i, j, n - 1, x[-1]
+    return monomial
+
+
+def _strip_t(row):
+    """row divided by the largest power of t that divides each of its entries."""
+    if not row or any(x[0] for x in row.values()):
+        return row
+    e = min(next(compress(range(len(x)), x)) for x in row.values())
+    return {j: x[e:] for j, x in row.items()}
 
 
 def _sparse_submul(c, row, a, prow):
@@ -485,10 +530,12 @@ def _snf_core(m, cols):
     unit times an invariant factor, nonzero entries first.  m is not
     changed.
 
-    _constant_pivots first takes out every constant pivot sparsely, and
-    the dense loop below reduces only the residual, which has no
-    constant entry.  Rows are kept integer-primitive, and each division
-    is a pseudo-division c*a = q*b + r whose scale c is a rational unit.
+    _unit_pivots first takes out every unit pivot c t^e sparsely, and
+    the dense loop below reduces only the residual, which has no unit
+    entry; units that the loop's own operations make are met by its
+    unit pivot branch.  Rows are kept integer-primitive, and each
+    division is a pseudo-division c*a = q*b + r whose scale c is a
+    rational unit.
     The loop moves the nonzero entry of minimal degree (ties broken by
     the smallest (row, col) pair) to (k, k), clears column k by row
     operations and only then row k by column operations.  A remainder
@@ -511,7 +558,7 @@ def _snf_core(m, cols):
     skips the search for one it does not divide.
     """
     total = min(len(m), cols)
-    units, m = _constant_pivots(m)
+    units, m = _unit_pivots(m)
     rows, cols_left = len(m), len(m[0]) if m else 0
 
     def normalize_row(i):
@@ -612,14 +659,13 @@ def homology_invariant_factors(b1, b2):
 def _composes_to_zero(x, y):
     """Whether the product of the Z[t] rows x and y is zero; only pairs of
     nonzero entries are multiplied, and the rows' units do not matter."""
-    sparse = [[(j, b) for j, b in enumerate(r) if b] for r in y]
+    terms = [[(j, r[j]) for j in compress(range(len(r)), r)] for r in y]
     for row in x:
         acc = {}
-        for a, terms in zip(row, sparse):
-            if a:
-                na = [-v for v in a]
-                for j, b in terms:
-                    acc[j] = _zsubmul((1,), acc.get(j, ()), na, b)
+        for i in compress(range(len(row)), row):
+            na = [-v for v in row[i]]
+            for j, b in terms[i]:
+                acc[j] = _zsubmul((1,), acc.get(j, ()), na, b)
         if any(acc.values()):
             return False
     return True

@@ -15,6 +15,8 @@ invariant factors are the p_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .errors import ConsistencyError, RepresentationError
 from .fox import fox_matrix, specialize
@@ -28,6 +30,17 @@ from .laurent import (
 )
 from .linalg import PolynomialMatrix, characteristic_matrix, homology_invariant_factors
 from .words import FreeWord
+
+
+def presentation(m):
+    """Relators t x_i t^-1 theta(x_i)^-1 over the generators x_1..x_n, t."""
+    t = m.stable_index
+    relators = []
+    for i in range(1, m.fiber_rank + 1):
+        letters = [(t, 1), (i, 1), (t, -1)]
+        letters.extend(m.monodromy.images[i - 1].inverse().letters)
+        relators.append(FreeWord._reduced(letters))
+    return relators
 
 
 @dataclass(frozen=True)
@@ -46,6 +59,9 @@ class MappingTorus:
     def stable_index(self):
         return self.fiber_rank + 1
 
+    # built once per torus, for every twisted polynomial of it
+    relators = cached_property(presentation)
+
 
 @dataclass(frozen=True)
 class AlexanderResult:
@@ -59,17 +75,6 @@ class AlexanderResult:
 
     def factor_strings(self):
         return [format_polynomial(p) for p in self.invariant_factors]
-
-
-def presentation(m):
-    """Relators t x_i t^-1 theta(x_i)^-1 over the generators x_1..x_n, t."""
-    t = m.stable_index
-    relators = []
-    for i in range(1, m.fiber_rank + 1):
-        letters = [(t, 1), (i, 1), (t, -1)]
-        letters.extend(m.monodromy.images[i - 1].inverse().letters)
-        relators.append(FreeWord._reduced(letters))
-    return relators
 
 
 def classical_alexander(m):
@@ -126,16 +131,16 @@ def twisted_alexander(m, rep, d_scale=1):
     exponents = {j: 0 for j in gens}
     exponents[m.stable_index] = d_scale
 
-    fox = fox_matrix(presentation(m), matrices, exponents)
+    fox = fox_matrix(m.relators, matrices, exponents)
     b2 = fox.transpose()
     one = FreeWord._wrap(())
     row = specialize([{FreeWord._wrap(((j, 1),)): 1, one: -1} for j in gens],
                      matrices, exponents)
-    # b1 holds each block of row transposed: b1[a][j + b] = row[b][j + a]
-    dim, z = row.rows, row._z
-    b1 = PolynomialMatrix._of(
-        [[z[b][j + a] for j in range(0, row.cols, dim) for b in range(dim)] for a in range(dim)],
-        row._shift, row._den)
+    # b1 holds each block of row transposed: b1[a][j + b] = row[b][j + a],
+    # so row a of b1 is columns a, a + dim, ... of row, one after another
+    dim, cols = row.rows, list(zip(*row._z))
+    b1 = PolynomialMatrix._of([list(chain.from_iterable(cols[a::dim])) for a in range(dim)],
+                              row._shift, row._den)
 
     try:
         factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)

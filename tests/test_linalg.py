@@ -127,6 +127,27 @@ class TestRationalMatrix:
         with pytest.raises(SingularMatrixError):
             QM([[1, 2], [2, 4]]).inverse()
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[0, -1, 0], [1, 0, 0], [0, 0, -1]],
+        [[-1]],
+    ])
+    def test_inverse_signed_permutation(self, rows):
+        """A signed permutation matrix is inverted by its transpose."""
+        m = QM(rows)
+        inv = m.inverse()
+        assert inv.to_lists() == [list(c) for c in zip(*m.to_lists())]
+        assert (m * inv).is_identity() and (inv * m).is_identity()
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0], [0, -1, 0], [1, 0, 0]],
+        [[1, 0], [1, 0]],
+    ])
+    def test_inverse_singular_one_entry_per_row(self, rows):
+        """One entry +-1 per row, two rows in one column: singular."""
+        with pytest.raises(SingularMatrixError):
+            QM(rows).inverse()
+
     def test_char_poly_known(self):
         # trace 3, det 1
         assert QM([[2, 1], [1, 1]]).char_poly() == L("t^2 - 3*t + 1")

@@ -630,12 +630,16 @@ def test_homology_invariant_factors_sparse(n, s, k):
         assert b1_factors == sympy_invariant_factors(b1)
 
 
-# the constants +-1, 2 and 3 next to Laurent polynomials, so that a constant
-# pivot meets entries it divides and entries it does not, and the scaled
-# row operation c * row - a * pivot_row runs
+# the constants +-1, 2 and 3 and the monomials c t^e, e in -3..3 with e != 0,
+# next to Laurent polynomials, so that a unit pivot meets entries it divides
+# and entries it does not, and the scaled row operation c t^e * row - a *
+# pivot_row runs, with and without a shift
+UNIT_COEFFS = (1, -1, 2, -2, 3, -3)
 MIXED_ENTRY = st.one_of(
     st.just(sympy.Integer(0)),
-    st.sampled_from([sympy.Integer(c) for c in (1, -1, 2, -2, 3, -3)]),
+    st.sampled_from([sympy.Integer(c) for c in UNIT_COEFFS]),
+    st.builds(lambda c, e: c * T ** e, st.sampled_from(UNIT_COEFFS),
+              st.sampled_from([-3, -2, -1, 1, 2, 3])),
     st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3).flatmap(
         lambda cs: st.integers(min_value=-2, max_value=2).map(
             lambda e: sum((c * T ** (e + k) for k, c in enumerate(cs)), sympy.Integer(0)))),
@@ -661,9 +665,12 @@ def mixed_matrices(draw, min_rows=1, max_rows=5, min_cols=1, max_cols=5):
 @given(mixed_matrices())
 # the pivot 2 does not divide the 3 below it: 2 * row_1 - 3 * row_0
 @example(sympy.Matrix([[2, T], [3, 1 + T]]))
+# no constant: the monomial 3 t is the first unit of the last row that holds
+# one, and 3 t * row_0 - 2 t^2 * row_1 clears 2 t^2 above it
+@example(sympy.Matrix([[2 * T ** 2, 1 + T], [3 * T, T - 1], [T + T ** 2, 1 + T ** 3]]))
 def test_smith_normal_form_mixed_against_sympy(s):
-    """The sparse elimination of constant pivots and the dense loop on its
-    residual give sympy's invariant factors, padded with zeros to
+    """The sparse elimination of unit pivots c t^e and the dense loop on
+    its residual give sympy's invariant factors, padded with zeros to
     min(rows, cols)."""
     m = from_sympy_matrix(s)
     assert m.smith_normal_form() == sympy_invariant_factors(m)

@@ -291,6 +291,20 @@ class TestCli:
             assert "at most 25 generator letters" in captured.err
             assert "Traceback" not in captured.err
 
+    def test_cover_width_checked_before_the_build(self, monkeypatch, capsys):
+        """b -> a 30-cycle gives a Schreier basis of 30 (2 - 1) + 1 = 31
+        elements: the command exits 2 from the transversal alone, without
+        lifting the monodromy through build_cover."""
+        builds = []
+        monkeypatch.setattr(cli, "build_cover", lambda *a: builds.append(a))
+        path = pathlib.Path(__file__).parent / "data" / "cover_too_wide.json"
+        code = cli.main(["cover", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE_ERROR
+        assert builds == []
+        assert captured.out == ""
+        assert "'z30'" in captured.err and "31 basis generators" in captured.err
+
     def test_verify_shapiro_all_homs(self, capsys, fig8_manifest_path):
         code = cli.main(["verify", "shapiro", fig8_manifest_path])
         assert code == 0

@@ -61,6 +61,19 @@ class TestConstruction:
         assert rels[0] == t * parse_word("a", 2) * t.inverse() * parse_word("ABA", 2)
         assert rels[1] == t * parse_word("b", 2) * t.inverse() * parse_word("BA", 2)
 
+    def test_relators_built_once(self, monkeypatch):
+        """Every twisted polynomial of one torus walks the same relator
+        list, built on first use."""
+        m = fig8()
+        seen = []
+        fox_matrix = torus_module.fox_matrix
+        monkeypatch.setattr(torus_module, "fox_matrix",
+                            lambda rs, *a: seen.append(rs) or fox_matrix(rs, *a))
+        for d in (1, 2, 3):
+            twisted_alexander(m, trivial_representation(2), d_scale=d)
+        assert len(seen) == 3 and all(rs is m.relators for rs in seen)
+        assert m.relators == presentation(m)
+
 
 class TestClassical:
     def test_fig8(self):
@@ -164,24 +177,32 @@ class TestTwisted:
         ]
 
     def test_no_product_with_an_identity_factor(self, monkeypatch):
-        """Prefix chains start at a letter's matrix, and a letter whose
-        matrix is the identity multiplies nothing: over the 6 classes of
-        fig8, no RationalMatrix product has an identity factor."""
+        """Prefix chains start at a letter's matrix, a letter whose matrix
+        is the identity multiplies nothing, and a prefix product equal to
+        the identity, such as t x_i t^-1 under a map that kills the fiber,
+        is carried as None: over the 6 classes of fig8, no prefix product
+        has an identity factor, and some come out as the identity."""
+        from orderlex import fox
+
         label, auto = standard_battery()[0]
         m = MappingTorus(auto.rank, auto)
         reps = [regular_representation(f) for f in homomorphism_classes(auto).values()]
         assert (label, len(reps)) == ("fig8", 6)
-        product = RationalMatrix.__mul__
-        factors = []
+        product = fox._product
+        factors, results = [], []
 
-        def recording(a, b):
-            factors.append(a.is_identity() or b.is_identity())
-            return product(a, b)
+        def recording(prod, right):
+            factors.append(prod.is_identity() or right.is_identity())
+            out = product(prod, right)
+            results.append(out)
+            return out
 
-        monkeypatch.setattr(RationalMatrix, "__mul__", recording)
+        monkeypatch.setattr(fox, "_product", recording)
         for rep in reps:
             twisted_alexander(m, rep)
         assert factors and not any(factors)
+        assert None in results
+        assert all(p is None or not p.is_identity() for p in results)
 
     def test_one_reduction_of_b1(self, monkeypatch):
         """The homology reduces b1 once and b2 once, each on its own, and
