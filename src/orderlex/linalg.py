@@ -464,9 +464,8 @@ def _unit_pivots(m):
             if a is not None and prow:
                 if e:
                     r = {col: pad + x for col, x in r.items()}
-                    rows[k] = _strip_t(_sparse_submul(c, r, a, prow))
-                else:
-                    rows[k] = _sparse_submul(c, r, a, prow)
+                r = _sparse_submul(c, r, a, prow)
+                rows[k] = _strip_t(r) if e else r
     rows = [r for r in rows if r]
     live = sorted(set().union(*rows))
     return units, [[r.get(j, []) for j in live] for r in rows]
