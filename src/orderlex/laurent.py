@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 _ZERO = Fraction(0)
 
@@ -36,7 +37,7 @@ class LaurentPolynomial:
             for e, v in items:
                 v = Fraction(v)
                 if v:
-                    e = int(e)
+                    e = _exponent(e)
                     w = data.get(e, _ZERO) + v
                     if w:
                         data[e] = w
@@ -64,7 +65,7 @@ class LaurentPolynomial:
     @classmethod
     def term(cls, coeff, exp=0):
         q = Fraction(coeff)
-        return _z_to_laurent([q.numerator], int(exp), q.denominator)
+        return _z_to_laurent([q.numerator], _exponent(exp), q.denominator)
 
     # -- inspection --------------------------------------------------
 
@@ -76,7 +77,7 @@ class LaurentPolynomial:
         return bool(self._z)
 
     def coefficient(self, exp):
-        i = int(exp) - self._shift
+        i = _exponent(exp) - self._shift
         return Fraction(self._z[i], self._den) if 0 <= i < len(self._z) else _ZERO
 
     @property
@@ -156,7 +157,7 @@ class LaurentPolynomial:
 
     def substitute_power(self, d):
         """Return p(t^d) for an integer d >= 1."""
-        d = int(d)
+        d = _exponent(d)
         if d < 1:
             raise ValueError("substitution power must be >= 1")
         z = self._z
@@ -187,6 +188,14 @@ class LaurentPolynomial:
 
     def __str__(self):
         return format_polynomial(self)
+
+
+def _exponent(e):
+    """An exponent (or power) e as an int, by operator.index: a float, a
+    string or a bool raises TypeError, never truncated or parsed."""
+    if isinstance(e, bool):
+        raise TypeError(f"exponent must be an integer, not {e!r}")
+    return index(e)
 
 
 def _plus(a, b, sign):
@@ -316,18 +325,6 @@ def _zpseudo_divmod(a, b):
     while r and not r[-1]:
         r.pop()
     return c, q, r
-
-
-def _zprimitive(row):
-    """A row of Z[t] polynomials divided by the gcd of all its coefficients."""
-    g = 0
-    for p in row:
-        g = gcd(g, *p)
-        if g == 1:
-            return row
-    if g < 2:
-        return row
-    return [[x // g for x in p] for p in row]
 
 
 def _row_to_z(row):

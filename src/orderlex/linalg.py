@@ -15,8 +15,8 @@ equal length; only the public constructors check for ragged rows.
 pencil_char_poly reads a minor t^d A - B as the characteristic polynomial
 of A^-1 B, so the Bareiss determinant serves only det(t^d rho(t) - I); it
 and the Smith normal form share the one pseudo-division loop of laurent.
-The Smith normal form first takes out every unit pivot c t^e by sparse row
-operations, so its dense loop sees only a residual with no unit entry.
+The Smith normal form is one elimination loop over sparse rows, which
+takes every unit pivot c t^e first and divides by the others in Z[t].
 Products, the elimination's sparse rows, the b1 * b2 check and the pass
 of pencil_char_poly walk only the nonzero entries of a dense row, by
 itertools.compress, and the Bareiss determinant skips an update that is 0.
@@ -42,7 +42,6 @@ from .laurent import (
     _row_to_z,
     _z_to_laurent,
     _zcanonical,
-    _zprimitive,
     _zpseudo_divmod,
     _zsubmul,
 )
@@ -407,83 +406,25 @@ def characteristic_matrix(a, d):
     return PolynomialMatrix._of(rows, 0, a._den)
 
 
-def _least_entry(m, k):
-    """(len(x), i, j) for the nonzero x = m[i][j], i, j >= k, of least
-    length, ties broken by the least (i, j); None if there is none.  Z[t]
-    lists have no trailing zeros, so len - 1 is the Q[t] degree, and a
-    constant has the least length, so the row-major search stops at one."""
-    best = None
-    for i in range(k, len(m)):
-        for j, x in enumerate(m[i][k:], k):
-            if x and (best is None or len(x) < best[0]):
-                if len(x) == 1:
-                    return 1, i, j
-                best = len(x), i, j
-    return best
-
-
-def _row_submul(c, row, q, other):
-    """[c*a - q*b for a, b in zip(row, other)] for an integer c > 0.  Only
-    entries with b nonzero need _zsubmul; the others are c*a, or a itself
-    when c == 1, which is safe as no kernel mutates a Z[t] list in place."""
-    cl = [c]
-    return [_zsubmul(cl, a, q, b) if b else a if c == 1 else [c * x for x in a]
-            for a, b in zip(row, other)]
-
-
-def _unit_pivots(m):
-    """(units, rest) for Z[t] rows m: the Smith form of m over Q[t, 1/t]
-    is units ones followed by that of the rows rest, which hold no unit
-    entry.
-
-    Rows are held sparsely as {column: Z[t] list} over their nonzero
-    entries.  A unit c t^e at (i, j) clears column j by the row
-    operations row_s := c t^e * row_s - a * row_i, for a = row_s[j]
-    (t^e puts e leading zeros on each entry, and the common power of t
-    is stripped from the result); the column operations that would then
-    clear row i change no other entry, so row i and column j drop out as
-    one unit factor.  c and a are first divided by their common content,
-    so a pivot of 1 or -1, or one that divides a, scales nothing; each
-    result is made primitive.  Constants, which raise no degree, go
-    before monomials, and the last rows first: a twisted b2 ends in the
-    constant rows of the stable letter's Fox derivatives 1 - t x_i t^-1.
-    rest holds the nonzero rows left, dense over their live columns."""
-    rows = [{j: r[j] for j in compress(range(len(r)), r)} for r in m]
-    units = 0
-    while True:
-        pivot = _unit_entry(rows)
-        if pivot is None:
-            break
-        i, j, e, c = pivot
-        prow = rows.pop(i)
-        del prow[j]
-        units += 1
-        pad = [0] * e
-        for k, r in enumerate(rows):
-            a = r.pop(j, None)
-            if a is not None and prow:
-                if e:
-                    r = {col: pad + x for col, x in r.items()}
-                r = _sparse_submul(c, r, a, prow)
-                rows[k] = _strip_t(r) if e else r
-    rows = [r for r in rows if r]
-    live = sorted(set().union(*rows))
-    return units, [[r.get(j, []) for j in live] for r in rows]
-
-
-def _unit_entry(rows):
-    """(i, j, e, c) for the unit c t^e = rows[i][j] that comes first in the
-    last row holding a constant, else in the last row holding a monomial;
-    None if there is no unit."""
-    monomial = None
+def _pivot(rows):
+    """(i, j) for the pivot of the sparse rows {column: Z[t] list}, each
+    search taking the last row first and its first entry: a constant,
+    else a monomial c t^e, else an entry of least length; None if every
+    row is empty.  Z[t] lists have no trailing zeros, so len - 1 is the
+    Q[t] degree."""
+    monomial = least = None
+    size = 0
     for i in range(len(rows) - 1, -1, -1):
         for j, x in rows[i].items():
             n = len(x)
             if n == 1:
-                return i, j, 0, x[0]
-            if monomial is None and x.count(0) == n - 1:
-                monomial = i, j, n - 1, x[-1]
-    return monomial
+                return i, j
+            if monomial is None:
+                if x.count(0) == n - 1:
+                    monomial = i, j
+                elif least is None or n < size:
+                    least, size = (i, j), n
+    return monomial or least
 
 
 def _strip_t(row):
@@ -529,104 +470,83 @@ def _snf_core(m, cols):
     unit times an invariant factor, nonzero entries first.  m is not
     changed.
 
-    _unit_pivots first takes out every unit pivot c t^e sparsely, and
-    the dense loop below reduces only the residual, which has no unit
-    entry; units that the loop's own operations make are met by its
-    unit pivot branch.  Rows are kept integer-primitive, and each
-    division is a pseudo-division c*a = q*b + r whose scale c is a
-    rational unit.
-    The loop moves the nonzero entry of minimal degree (ties broken by
-    the smallest (row, col) pair) to (k, k), clears column k by row
-    operations and only then row k by column operations.  A remainder
-    left by either has a lower degree than the pivot, so the loop
-    searches again, and the degree of the pivot falls until both are
-    clear.  Then a later entry the pivot does not divide is added into
-    row k, and k advances only once none is left.
+    One loop reduces rows held sparsely as {column: Z[t] list} over their
+    nonzero entries, and each pass takes the pivot p = rows[i][j] that
+    _pivot picks.  Constants, which raise no degree, go first, and the
+    last rows first: a twisted b2 ends in the constant rows of the stable
+    letter's Fox derivatives 1 - t x_i t^-1.
 
-    A pivot that is a unit c t^e of Q[t, 1/t] skips its column
-    operations.  Column k is clear outside row k by then, so they would
-    only clear row k and scale other columns by units, and a unit divides
-    every later entry; the rest of row k is set to zero and k advances.
+    A unit p = c t^e clears column j by the row operations
+    row_s := c t^e * row_s - a * row_i, for a = row_s[j] (t^e puts e
+    leading zeros on each entry, and the common power of t is stripped
+    from the result); the column operations that would then clear row i
+    change no other entry, so row i and column j drop out as one unit
+    factor.
 
-    Zero entries cost no products.  A row operation c*a - q*b calls
-    _zsubmul only where b is nonzero and elsewhere scales a by c.  The
-    pivot search stops at the first constant in row-major order: no
-    nonzero entry has lower degree, so it is the minimum the full search
-    would pick.  normalize_row skips its power-of-t scan when some entry
-    has a constant term, and a constant pivot, which divides every entry,
-    skips the search for one it does not divide.
+    Any other p has the least length, and divides in Z[t] with no shift
+    by t, which would let coefficients grow at every pivot.  The
+    pseudo-division c*a = q*p + r gives the row operation
+    row_s := c * row_s - q * row_i, which leaves r in column j.  With
+    column j clear outside row i, the column operations
+    col_l := c * col_l - q * col_j clear row i to remainders and only
+    scale column l in the other rows.  Once p is alone in its row and
+    column, row i takes in the first row holding an entry p does not
+    divide, whose remainder the column operations then leave; p is done
+    when there is no such row, and divides every entry left.  A remainder
+    has a lower degree than p and ends the pass, so each pass drops a row
+    or lowers the least length, and the loop ends.
+
+    Each row operation divides out the content of its result, and costs
+    a product only where the pivot row is nonzero; a column operation is
+    only a scale.
     """
-    total = min(len(m), cols)
-    units, m = _unit_pivots(m)
-    rows, cols_left = len(m), len(m[0]) if m else 0
-
-    def normalize_row(i):
-        # unit row scaling: strip the common power of t and the content
-        row = m[i]
-        k = 0 if any(x and x[0] for x in row) else min(
-            (next(e for e, c in enumerate(x) if c) for x in row if x), default=0)
-        m[i] = _zprimitive([x[k:] for x in row] if k else row)
-
-    def reduce_col(j, k):
-        # col_j := c * col_j - q * col_k clears m[k][j] to the remainder.
-        # Column k is zero outside row k here, so rows other than k only
-        # see the unit scale c.
-        c, _, r = _zpseudo_divmod(m[k][j], m[k][k])
-        if c != 1:
-            for row in m:
-                if row[j]:
-                    row[j] = [c * x for x in row[j]]
-        m[k][j] = r
-
-    for i in range(rows):
-        normalize_row(i)
-
-    limit = min(rows, cols_left)
-    k = 0
-    while k < limit:
-        pivot = _least_entry(m, k)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        m[pi], m[k] = m[k], m[pi]
-        if pj != k:
-            for row in m:
-                row[pj], row[k] = row[k], row[pj]
-        normalize_row(k)
-
-        for i in range(k + 1, rows):
-            if m[i][k]:
-                # row_i := c * row_i - q * row_k, then its content removed
-                c, q, _ = _zpseudo_divmod(m[i][k], m[k][k])
-                m[i] = _zprimitive(_row_submul(c, m[i], q, m[k]))
-        if any(m[i][k] for i in range(k + 1, rows)):
-            continue  # a remainder, of lower degree than the pivot
-        if not any(m[k][k][:-1]):
-            # a unit c t^e: with column k zero outside row k, the column
-            # operations would only clear row k and scale other columns by
-            # units, and a unit divides every later entry
-            m[k][k + 1:] = [[] for _ in range(k + 1, cols_left)]
-            k += 1
+    rows = [{j: r[j] for j in compress(range(len(r)), r)} for r in m]
+    diag = []
+    while (pivot := _pivot(rows)) is not None:
+        i, j = pivot
+        prow = rows[i]
+        p = prow[j]
+        if p.count(0) == len(p) - 1:
+            del rows[i], prow[j]
+            pad = [0] * (len(p) - 1)
+            for k, r in enumerate(rows):
+                a = r.pop(j, None)
+                if a is not None and prow:
+                    if pad:
+                        r = {col: pad + x for col, x in r.items()}
+                    r = _sparse_submul(p[-1], r, a, prow)
+                    rows[k] = _strip_t(r) if pad else r
+            diag.append(p)
             continue
-        # column k is now zero outside row k, as reduce_col needs
-        for j in range(k + 1, cols_left):
-            if m[k][j]:
-                reduce_col(j, k)
-        if any(m[k][k + 1:]):
-            continue
-
-        # the first row with a later entry the pivot does not divide; a
-        # constant pivot divides every entry, so it skips the search
-        p = m[k][k]
-        offender = next((i for i in range(k + 1, rows) if len(p) > 1 and any(
-            x and _zpseudo_divmod(x, p)[2] for x in m[i][k + 1:])), None)
-        if offender is not None:
-            m[k] = _row_submul(1, m[k], [-1], m[offender])
-            continue
-        k += 1
-
-    diag = [[1]] * units + [m[i][i] for i in range(limit)]
-    return diag + [[]] * (total - len(diag))
+        for k, r in enumerate(rows):
+            if j in r and k != i:
+                c, q, _ = _zpseudo_divmod(r[j], p)
+                rows[k] = _sparse_submul(c, r, q, prow)
+        left = any(j in r for r in rows if r is not prow)
+        while not left:
+            for col in [col for col in prow if col != j]:
+                c, q, rem = _zpseudo_divmod(prow[col], p)
+                if c != 1:
+                    for r in rows:
+                        if col in r and r is not prow:
+                            r[col] = [c * v for v in r[col]]
+                if rem:
+                    prow[col] = rem
+                    left = True
+                else:
+                    del prow[col]
+            if left:
+                break
+            offender = next((r for r in rows if r is not prow and any(
+                _zpseudo_divmod(x, p)[2] for x in r.values())), None)
+            if offender is None:
+                del rows[i]
+                diag.append(p)
+                break
+            # row i := row i + offender, as row i is {j: p} and the
+            # offender has no entry in column j
+            prow.update(offender)
+    return diag + [[]] * (min(len(m), cols) - len(diag))
 
 
 def homology_invariant_factors(b1, b2):

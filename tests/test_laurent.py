@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from _laurent_literal import L
@@ -65,6 +66,25 @@ class TestArithmetic:
 
     def test_derivative(self):
         assert L("t^3 - 3*t^2 + 3*t - 1").derivative() == L("3*t^2 - 6*t + 3")
+
+    @pytest.mark.parametrize("bad", [1.5, 2.9, "3", True, 2.0])
+    @pytest.mark.parametrize("use", [
+        lambda e: LaurentPolynomial({e: 1}),
+        lambda e: LaurentPolynomial.term(1, e),
+        lambda e: L("t^2 + 1").substitute_power(e),
+        lambda e: L("t + 1").coefficient(e),
+    ], ids=["init", "term", "substitute_power", "coefficient"])
+    def test_exponents_are_integers(self, use, bad):
+        """An exponent or a power is read by operator.index: a float, a
+        string or a bool raises TypeError, never truncated or parsed."""
+        with pytest.raises(TypeError):
+            use(bad)
+
+    def test_sympy_integer_exponents(self):
+        two = sympy.Integer(2)
+        assert LaurentPolynomial({two: 1}) == LaurentPolynomial.term(1, two) == L("t^2")
+        assert L("t + 1").substitute_power(two) == L("t^2 + 1")
+        assert L("3*t^2").coefficient(two) == 3
 
 
 class TestCanonicalForm:

@@ -25,7 +25,7 @@ from orderlex.laurent import (
 from orderlex.linalg import (
     PolynomialMatrix,
     RationalMatrix,
-    _least_entry,
+    _pivot,
     characteristic_matrix,
     homology_invariant_factors,
 )
@@ -552,13 +552,30 @@ def sparse_zmatrices(draw):
 @given(sparse_zmatrices())
 @example(([[[] for _ in range(3)] for _ in range(2)], 0))  # all zero
 @example(([[[], [0, 2]], [[3], [-1]]], 0))  # constants in both rows
-@example(([[[], [-1]], [[3], []]], 0))  # row-major and column-major differ
-@example(([[[1, 1], [0, 0, 2]], [[], [4, 1]]], 1))  # no constant
-def test_least_entry_is_the_row_major_minimum(case):
-    """The pivot search returns the (length, row, col) minimum over the
-    nonzero entries at or past (k, k), so its early stop at the first
-    constant picks the pivot the full minimum picks."""
-    m, k = case
-    assert _least_entry(m, k) == min(
-        ((len(x), i, j) for i in range(k, len(m)) for j, x in enumerate(m[i][k:], k) if x),
-        default=None)
+@example(([[[0, 0, 2], [-1]], [[0, 3], []]], 0))  # a constant above a monomial
+@example(([[[1, 1], [0, 0, 2]], [[], [4, 1]]], 1))  # a monomial, no constant
+@example(([[[1, 1], [1, 0, 2]], [[], [4, 1, 1]]], 1))  # no unit
+def test_pivot_takes_units_first_from_the_last_row(case):
+    """The pivot is a constant in the last row that holds one, else a
+    monomial c t^e in the last row that holds one, else an entry of
+    least length; there is none exactly when every row is empty."""
+    m, _ = case
+    rows = [{j: x for j, x in enumerate(r) if x} for r in m]
+    pivot = _pivot(rows)
+    assert (pivot is None) == (not any(rows))
+    if pivot is None:
+        return
+    i, j = pivot
+    x = rows[i][j]
+
+    def last(unit):
+        return max((i for i, r in enumerate(rows) if any(map(unit, r.values()))), default=None)
+
+    constant = last(lambda y: len(y) == 1)
+    monomial = last(lambda y: y.count(0) == len(y) - 1)
+    if constant is not None:
+        assert i == constant and len(x) == 1
+    elif monomial is not None:
+        assert i == monomial and x.count(0) == len(x) - 1
+    else:
+        assert len(x) == min(len(y) for r in rows for y in r.values())

@@ -669,8 +669,8 @@ def mixed_matrices(draw, min_rows=1, max_rows=5, min_cols=1, max_cols=5):
 # one, and 3 t * row_0 - 2 t^2 * row_1 clears 2 t^2 above it
 @example(sympy.Matrix([[2 * T ** 2, 1 + T], [3 * T, T - 1], [T + T ** 2, 1 + T ** 3]]))
 def test_smith_normal_form_mixed_against_sympy(s):
-    """The sparse elimination of unit pivots c t^e and the dense loop on
-    its residual give sympy's invariant factors, padded with zeros to
+    """The elimination, with its unit pivots c t^e and its pseudo-division
+    by the others, gives sympy's invariant factors, padded with zeros to
     min(rows, cols)."""
     m = from_sympy_matrix(s)
     assert m.smith_normal_form() == sympy_invariant_factors(m)
@@ -759,17 +759,27 @@ def composing_pair(rng, m_rows, n, r, k):
     return (a_block * p_inv).expand(), (p * b_block).expand(), b
 
 
+# the reduction of these pairs peaks under 500 bits
+GROWTH_BITS = 4096
+
+
 @pytest.mark.parametrize("m_rows, n, r, k", HOMOLOGY_SHAPES)
 def test_homology_invariant_factors(m_rows, n, r, k, monkeypatch):
     """The homology of a composing pair is the cokernel of B, whose
     invariant factors sympy computes; P hides that structure from the
-    library."""
+    library.  No coefficient of a row operation passes GROWTH_BITS, so a
+    pivot rule that lets coefficients grow fails fast instead of running
+    on."""
     scales = []
     submul, pseudo = linalg._zsubmul, linalg._zpseudo_divmod
 
     def recording(c, a, q, b):
         scales.extend(c)
-        return submul(c, a, q, b)
+        out = submul(c, a, q, b)
+        bits = max((x.bit_length() for x in out), default=0)
+        if bits > GROWTH_BITS:
+            raise AssertionError(f"a coefficient of {bits} bits passed {GROWTH_BITS}")
+        return out
 
     def dividing(a, b):
         out = pseudo(a, b)
