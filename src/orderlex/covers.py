@@ -4,11 +4,16 @@ polynomial of the associated cover with t replaced by t^d.
 
 The cover of the fiber is the one corresponding to Ftilde = ker(f) cut down
 to the fiber subgroup F.  A shortlex breadth-first transversal makes the
-Schreier basis and every derived matrix reproducible.  As f o theta is f
-conjugated by f(t), theta^(+-1) preserve Ftilde; their restriction theta~ and
-conjugation by w, C~_w, are certified once on the basis, where words are short.
-The lifted monodromy x -> theta^d(w x w^-1) is exactly theta~^d o C~_w, since
-rewriting is an isomorphism of Ftilde onto the free group on the basis.
+Schreier basis and every derived matrix reproducible.  build_cover builds
+the Schreier graph of f(F) once, on vertex indices, and the basis, its
+kernel check and the rewriting of words into the basis all walk that graph
+by table lookups.  As f o theta is f conjugated by f(t), theta^(+-1)
+preserve Ftilde; their restriction theta~ and conjugation by w, C~_w, are
+certified once on the basis, where words are short.  The lifted monodromy
+x -> theta^d(w x w^-1) is exactly theta~^d o C~_w, since rewriting is an
+isomorphism of Ftilde onto the free group on the basis; theta~^d comes by
+repeated squaring, and the composite with C~_w, which is still built and
+certified, is skipped when w is empty and C~_w the identity.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from .errors import ConsistencyError
 from .finite import (
     _cover_degree,
-    invert_permutation,
     multiply_permutations,
     regular_representation,
     schreier_transversal,
@@ -44,20 +48,28 @@ def build_cover(m, f):
     f.require_well_defined(m.monodromy)
     order, reps = schreier_transversal(f)
     d, w = _cover_degree(f, reps)
-    identity = f.group.identity()
 
-    basis = []
-    edge_generator = {}
-    for element in order:
-        u = reps[element]
-        for j in range(1, f.rank + 1):
-            reached = multiply_permutations(element, f.fiber_images[j - 1])
-            s = u * FreeWord.generator(j) * reps[reached].inverse()
+    # the Schreier graph of f(F): vertex v is order[v], the identity is 0,
+    # and forward[v][g - 1] / backward[v][g - 1] are the targets of x_g^+-1
+    index = {element: v for v, element in enumerate(order)}
+    forward = [[index[multiply_permutations(element, x)] for x in f.fiber_images]
+               for element in order]
+    backward = [[0] * f.rank for _ in order]
+    for v, row in enumerate(forward):
+        for g, u in enumerate(row):
+            backward[u][g] = v
+
+    # edge[v][g - 1]: the basis index of the edge v -> forward[v][g - 1],
+    # 0 on the edges of the transversal's tree
+    basis, edge = [], []
+    for v, row in enumerate(forward):
+        u, ids = reps[order[v]], []
+        for g, target in enumerate(row, 1):
+            s = u * FreeWord.generator(g) * reps[order[target]].inverse()
             if s:
                 basis.append(s)
-                edge_generator[(element, j)] = len(basis)
-            else:
-                edge_generator[(element, j)] = 0
+            ids.append(len(basis) if s else 0)
+        edge.append(ids)
 
     expected_rank = len(order) * (m.fiber_rank - 1) + 1
     if len(basis) != expected_rank:
@@ -65,38 +77,24 @@ def build_cover(m, f):
             f"Schreier basis has rank {len(basis)}, expected {expected_rank}"
         )
     for b in basis:
-        if f.evaluate(b) != identity:
+        v = 0
+        for g, s in b.letters:
+            v = (forward if s > 0 else backward)[v][g - 1]
+        if v:
             raise ConsistencyError("Schreier basis element is not in the kernel")
 
-    fiber_inverses = [invert_permutation(p) for p in f.fiber_images]
-
-    def rewrite(word):
-        letters = []
-        cur = identity
-        for g, s in word.letters:
-            if s > 0:
-                idx = edge_generator[(cur, g)]
-                if idx:
-                    letters.append((idx, 1))
-                cur = multiply_permutations(cur, f.fiber_images[g - 1])
-            else:
-                cur = multiply_permutations(cur, fiber_inverses[g - 1])
-                idx = edge_generator[(cur, g)]
-                if idx:
-                    letters.append((idx, -1))
-        if cur != identity:
-            raise ValueError("word does not lie in the subgroup")
-        return FreeWord(letters)
-
-    def restricted(forward, backward):
-        images = [tuple(rewrite(phi(b)) for b in basis) for phi in (forward, backward)]
+    def restricted(there, back):
+        images = [tuple(_rewrite(phi(b), forward, backward, edge) for b in basis)
+                  for phi in (there, back)]
         return FreeEndomorphism(len(basis), *images)
 
     theta = m.monodromy
     w_inv = w.inverse()
     theta_tilde = restricted(theta.apply, theta.inverse_endomorphism().apply)
     conjugation = restricted(lambda b: w * b * w_inv, lambda b: w_inv * b * w)
-    lifted = theta_tilde.power(d).compose(conjugation)
+    lifted = theta_tilde.power(d)
+    if w:
+        lifted = lifted.compose(conjugation)
 
     transversal = tuple(reps[element] for element in order)
     return CoverData(
@@ -106,6 +104,36 @@ def build_cover(m, f):
         subgroup_basis=tuple(basis),
         lifted_monodromy=lifted,
     )
+
+
+def _rewrite(word, forward, backward, edge):
+    """The reduced word over the Schreier basis that equals word, a reduced
+    word of F, by a walk of the Schreier graph from the identity: the
+    letter x_g^s adds basis letter (edge[v][g - 1], s) for the edge it
+    crosses unless that edge lies in the transversal's tree.  Raises
+    ValueError when the walk does not end at the identity, as word then
+    does not lie in the subgroup.
+
+    The transversal is prefix-closed, so the tree edges form a spanning
+    tree of the graph.  Two basis letters that meet with opposite signs on
+    one edge would need a walk between them that returns along tree edges
+    alone, which a reduced word cannot make; so the result is reduced."""
+    letters = []
+    v = 0
+    for g, s in word.letters:
+        if s > 0:
+            idx = edge[v][g - 1]
+            if idx:
+                letters.append((idx, 1))
+            v = forward[v][g - 1]
+        else:
+            v = backward[v][g - 1]
+            idx = edge[v][g - 1]
+            if idx:
+                letters.append((idx, -1))
+    if v:
+        raise ValueError("word does not lie in the subgroup")
+    return FreeWord._wrap(tuple(letters))
 
 
 def cover_alexander(c):

@@ -120,29 +120,25 @@ def _assemble(terms, dim, rows, cols):
     """The rows x cols PolynomialMatrix that is the sum of coeff * prod * t^e
     over the terms (top, left, coeff, prod, e), each placed with its (0, 0)
     entry at (top, left): coeff rational, prod a RationalMatrix of
-    dimension dim or None for the identity, placed in O(dim); a product
-    places only its nonzero entries.  Entry (a, b) is
-    t^low * out[a][b] / den, for the least exponent low of the terms and
-    the lcm den of their denominators.  Entries no term reaches share one
-    empty list, which is safe as no kernel mutates a Z[t] list in place."""
+    dimension dim or None for the identity.  A product places only its
+    nonzero entries; the identity terms are summed by (top, left, e)
+    first, and each sum, a zero one too, is placed once in O(dim).  Entry
+    (a, b) is t^low * out[a][b] / den, for the least exponent low of all
+    the terms and the lcm den of their denominators.  Entries no term
+    reaches share one empty list, which is safe as no kernel mutates a
+    Z[t] list in place."""
     den = lcm(*[c.denominator * (1 if p is None else p._den) for _, _, c, p, _ in terms])
     exps = [e for *_, e in terms]
     low = min(exps, default=0)
     span = max(exps, default=0) - low + 1
     zero = []
     out = [[zero] * cols for _ in range(rows)]
-    made, block = [], range(dim)
+    made, block, identity = [], range(dim), {}
     for top, left, coeff, prod, e in terms:
         e -= low
         if prod is None:
-            f = coeff.numerator * (den // coeff.denominator)
-            for acc in out[top:top + dim]:
-                p = acc[left]
-                if not p:
-                    p = acc[left] = [0] * span
-                    made.append(p)
-                p[e] += f
-                left += 1
+            key = top, left, e
+            identity[key] = identity.get(key, 0) + coeff.numerator * (den // coeff.denominator)
             continue
         f = coeff.numerator * (den // (coeff.denominator * prod._den))
         for acc, row in zip(out[top:top + dim], prod._z):
@@ -152,6 +148,14 @@ def _assemble(terms, dim, rows, cols):
                     p = acc[left + b] = [0] * span
                     made.append(p)
                 p[e] += f * row[b]
+    for (top, left, e), f in identity.items():
+        for acc in out[top:top + dim]:
+            p = acc[left]
+            if not p:
+                p = acc[left] = [0] * span
+                made.append(p)
+            p[e] += f
+            left += 1
     for p in made:
         while p and not p[-1]:
             p.pop()

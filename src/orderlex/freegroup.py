@@ -13,6 +13,7 @@ every generator, so do (f o g) o (g^-1 o f^-1) and (g^-1 o f^-1) o (f o g).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CertificationError
@@ -93,20 +94,28 @@ class FreeEndomorphism:
         return FreeEndomorphism._derived(self.rank, self.inverse_images, self.images)
 
     def power(self, k):
+        """self composed with itself k times, by repeated squaring.  Powers
+        of one map commute and reduced words are unique, so the images and
+        inverse images are those of k-fold composition."""
         base = self if k >= 0 else self.inverse_endomorphism()
-        out = FreeEndomorphism.identity(self.rank)
-        for _ in range(abs(k)):
-            out = base.compose(out)
-        return out
+        out = None
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = base if out is None else base.compose(out)
+            k >>= 1
+            if k:
+                base = base.compose(base)
+        return FreeEndomorphism.identity(self.rank) if out is None else out
 
     def abelianization(self):
         """Integer matrix whose column j records the exponent sums of the
-        image of generator j."""
+        image of generator j, from a count of the image's letters."""
         rows = [[0] * self.rank for _ in range(self.rank)]
         for j, w in enumerate(self.images):
-            for g, s in w.letters:
-                rows[g - 1][j] += s
-        return RationalMatrix(rows)
+            for (g, s), n in Counter(w.letters).items():
+                rows[g - 1][j] += s * n
+        return RationalMatrix._of(rows, 1)
 
     def __repr__(self):
         imgs = ",".join(str(_printable(w)) for w in self.images)

@@ -474,7 +474,9 @@ def _snf_core(m, cols):
     nonzero entries, and each pass takes the pivot p = rows[i][j] that
     _pivot picks.  Constants, which raise no degree, go first, and the
     last rows first: a twisted b2 ends in the constant rows of the stable
-    letter's Fox derivatives 1 - t x_i t^-1.
+    letter's Fox derivatives 1 - t x_i t^-1.  A row with no entry, at the
+    start or once an operation has emptied it, is dropped, as it holds no
+    pivot and takes no operation.
 
     A unit p = c t^e clears column j by the row operations
     row_s := c t^e * row_s - a * row_i, for a = row_s[j] (t^e puts e
@@ -500,7 +502,7 @@ def _snf_core(m, cols):
     a product only where the pivot row is nonzero; a column operation is
     only a scale.
     """
-    rows = [{j: r[j] for j in compress(range(len(r)), r)} for r in m]
+    rows = [{j: r[j] for j in compress(range(len(r)), r)} for r in m if any(r)]
     diag = []
     while (pivot := _pivot(rows)) is not None:
         i, j = pivot
@@ -516,12 +518,15 @@ def _snf_core(m, cols):
                         r = {col: pad + x for col, x in r.items()}
                     r = _sparse_submul(p[-1], r, a, prow)
                     rows[k] = _strip_t(r) if pad else r
+            rows = [r for r in rows if r]
             diag.append(p)
             continue
         for k, r in enumerate(rows):
             if j in r and k != i:
                 c, q, _ = _zpseudo_divmod(r[j], p)
                 rows[k] = _sparse_submul(c, r, q, prow)
+        i -= sum(not r for r in rows[:i])
+        rows = [r for r in rows if r]
         left = any(j in r for r in rows if r is not prow)
         while not left:
             for col in [col for col in prow if col != j]:

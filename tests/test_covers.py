@@ -131,6 +131,79 @@ class TestBuildCover:
         assert covers == 256
 
 
+class TestSchreierGraph:
+    """build_cover walks one Schreier graph of f(F) on vertex indices."""
+
+    def test_rewrite_returns_reduced_words(self, monkeypatch):
+        """Every word _rewrite returns is the reduced word on its letters,
+        over every battery class; a word off the subgroup raises."""
+        rewrite = covers._rewrite
+        returned, tables = [], []
+
+        def recording(word, forward, backward, edge):
+            out = rewrite(word, forward, backward, edge)
+            returned.append(out)
+            tables.append((forward, backward, edge))
+            return out
+
+        monkeypatch.setattr(covers, "_rewrite", recording)
+        classes = off_subgroup = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            for f in homomorphism_classes(auto).values():
+                returned.clear()
+                tables.clear()
+                build_cover(m, f)
+                assert returned
+                for word in returned:
+                    assert word == FreeWord(word.letters)
+                outside = [g for g in range(1, f.rank + 1)
+                           if f.fiber_images[g - 1] != f.group.identity()]
+                for g in outside:
+                    with pytest.raises(ValueError, match="does not lie in the subgroup"):
+                        rewrite(FreeWord.generator(g), *tables[0])
+                    off_subgroup += 1
+                classes += 1
+        assert classes == 256 and off_subgroup > 0
+
+    def test_permutation_products_do_not_grow_with_the_degree(self, monkeypatch):
+        """Figure-eight onto Z_k, k = 3..13: the graph is built once, with
+        one product per vertex and generator, and no rewrite multiplies."""
+        calls = [0]
+        multiply = covers.multiply_permutations
+
+        def counting(p, q):
+            calls[0] += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(covers, "multiply_permutations", counting)
+        m = MappingTorus(2, figure_eight_monodromy())
+        counts = set()
+        for k in range(3, 14):
+            calls[0] = 0
+            build_cover(m, cyclic_stable_hom(m, k))
+            counts.add(calls[0])
+        assert counts == {2}
+
+    def test_lifted_power_by_squaring(self, monkeypatch):
+        """Figure-eight onto Z_k, k = 3..13, lifts theta~^k with w empty:
+        at most 2 ceil(log2 k) + 1 composes, none with C~_w."""
+        calls = [0]
+        compose = FreeEndomorphism.compose
+
+        def counting(self, other):
+            calls[0] += 1
+            return compose(self, other)
+
+        monkeypatch.setattr(FreeEndomorphism, "compose", counting)
+        m = MappingTorus(2, figure_eight_monodromy())
+        for k in range(3, 14):
+            calls[0] = 0
+            cover = build_cover(m, cyclic_stable_hom(m, k))
+            assert cover.w == FreeWord.empty()
+            assert calls[0] <= 2 * (k - 1).bit_length() + 1, (k, calls[0])
+
+
 class TestCoverAlexander:
     def test_fig8_double_cover_polynomial(self):
         m = MappingTorus(2, figure_eight_monodromy())

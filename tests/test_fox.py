@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlex.autos import standard_battery
+from orderlex.autos import figure_eight_monodromy, standard_battery
 from orderlex.finite import (
     FiniteRepresentation,
     homomorphism_classes,
@@ -401,3 +401,54 @@ def test_fox_matrix_is_the_block_assembly():
 def test_fox_matrix_rejects_missing_generator():
     with pytest.raises(ValueError, match="no matrix assigned to generator 2"):
         fox_matrix([W("ab")], {1: RationalMatrix.identity(1)}, {1: 0})
+
+
+def test_identity_terms_placed_once_per_key():
+    """_assemble sums the identity terms by (top, left, e) and places each
+    sum once.  Under identity matrices every prefix product is the
+    identity, so its identity placement runs dim times per distinct key of
+    the walk, fewer than the letters; a key whose sum is zero (a and A at
+    one exponent in abA) still matches the reference."""
+    import inspect
+    import sys
+
+    from orderlex import fox
+
+    source, first = inspect.getsourcelines(fox._assemble)
+    placement = [first + n for n, text in enumerate(source) if text.strip() == "p[e] += f"]
+    assert len(placement) == 1
+    runs = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == placement[0]:
+            runs[0] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is fox._assemble.__code__ else None
+
+    m = MappingTorus(2, figure_eight_monodromy())
+    relators = list(presentation(m)) + [W("abA", 3)]
+    dim = 2
+    matrices = {g: RationalMatrix.identity(dim) for g in (1, 2, 3)}
+    exponents = {1: 0, 2: 0, 3: 2}
+    keys, letters = set(), 0
+    for i, r in enumerate(relators):
+        shift = 0
+        for g, s in r.letters:
+            after = shift + s * exponents[g]
+            keys.add((i, g, shift if s > 0 else after))
+            shift = after
+            letters += 1
+    sys.settrace(tracer)
+    try:
+        pm = fox_matrix(relators, matrices, exponents)
+    finally:
+        sys.settrace(None)
+    assert runs[0] == dim * len(keys) < dim * letters
+    reference = {(g, s): RationalMatrix.identity(dim).to_lists()
+                 for g in (1, 2, 3) for s in (1, -1)}
+    for i, r in enumerate(relators):
+        for j in range(3):
+            expected = _reference_specialize(fox_derivative(r, j + 1), reference, exponents)
+            assert _block_entries(pm, i, j, dim) == expected, (r, j + 1)

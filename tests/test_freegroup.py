@@ -257,6 +257,37 @@ class TestCertifiedByConstruction:
         assert checked == []
 
 
+def composed_powers(auto, ks):
+    """{k: auto composed with itself |k| times, auto^-1 for k < 0} for k in
+    ks, one compose a step, as power did before it squared."""
+    out = {}
+    for base, sign in ((auto, 1), (auto.inverse_endomorphism(), -1)):
+        step = FreeEndomorphism.identity(auto.rank)
+        for k in range(max(sign * k for k in ks) + 1):
+            out[sign * k] = step
+            step = base.compose(step)
+    return {k: out[k] for k in ks}
+
+
+class TestPowerBySquaring:
+    """power squares; its images and inverse images are those of k-fold
+    compose, word for word."""
+
+    @pytest.mark.parametrize("label, auto", BATTERY, ids=[label for label, _ in BATTERY])
+    def test_matches_repeated_composition(self, label, auto):
+        for k, expected in composed_powers(auto, range(-9, 10)).items():
+            power = auto.power(k)
+            assert power.images == expected.images, k
+            assert power.inverse_images == expected.inverse_images, k
+
+    @given(nielsen_products(1, 4), st.integers(min_value=-9, max_value=9))
+    def test_matches_repeated_composition_on_nielsen_products(self, auto, k):
+        expected = composed_powers(auto, [k])[k]
+        power = auto.power(k)
+        assert power.images == expected.images
+        assert power.inverse_images == expected.inverse_images
+
+
 class TestApplyBuildsReducedWords:
     """apply builds its result without the public constructor's letter
     checks; these tests compare it with that constructor."""

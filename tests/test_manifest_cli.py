@@ -648,6 +648,16 @@ class TestCli:
         assert captured.out == ""
         assert "representations[0]: image not finite within 10000 elements" in captured.err
 
+    def test_thirteen_fold_cover_matches_twisted(self, capsys):
+        """The figure-eight onto Z13 lifts theta^13, 514229 letters, and its
+        cover polynomial equals the twisted one."""
+        path = pathlib.Path(__file__).parent / "data" / "fig8_z13.json"
+        assert cli.main(["verify", "shapiro", str(path), "--json"]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check == {"hom": "z13", "d": 13, "equal": True,
+                         "twisted": "t^26 - 271443*t^13 + 1",
+                         "cover": "t^26 - 271443*t^13 + 1"}
+
     def test_kelvin_sign_is_not_a_letter(self, capsys):
         """U+212A KELVIN SIGN lowercases to 'k'; as the image of k it is an
         unknown letter, not k^-1."""

@@ -47,6 +47,20 @@ def z2_regular(m):
     return regular_representation(f)
 
 
+def every_fifth_class_twisted():
+    """Twisted polynomials of every fifth class of the battery into the
+    groups of order <= 6, at d = 1 and 2; returns how many it computed."""
+    checked = 0
+    for _, auto in standard_battery():
+        m = MappingTorus(auto.rank, auto)
+        for f in list(homomorphism_classes(auto).values())[::5]:
+            rep = regular_representation(f)
+            for d in (1, 2):
+                twisted_alexander(m, rep, d_scale=d)
+                checked += 1
+    return checked
+
+
 class TestConstruction:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -264,16 +278,25 @@ class TestTwisted:
 
         monkeypatch.setattr(linalg, "_snf_core", within)
         monkeypatch.setattr(linalg, "_zsubmul", counting)
-        checked = 0
-        for _, auto in standard_battery():
-            m = MappingTorus(auto.rank, auto)
-            for f in list(homomorphism_classes(auto).values())[::5]:
-                rep = regular_representation(f)
-                for d in (1, 2):
-                    twisted_alexander(m, rep, d_scale=d)
-                    checked += 1
-        assert checked == 114 and calls[0] > 0
+        assert every_fifth_class_twisted() == 114 and calls[0] > 0
         assert zero == []
+
+    def test_reduction_drops_emptied_rows(self, monkeypatch):
+        """The Smith reduction drops a row once it is empty, so _pivot
+        never receives one, over the cases of
+        test_reduction_skips_zero_products."""
+        from orderlex import linalg
+
+        pivot, searches, empty = linalg._pivot, [0], []
+
+        def checking(rows):
+            searches[0] += 1
+            empty.extend(r for r in rows if not r)
+            return pivot(rows)
+
+        monkeypatch.setattr(linalg, "_pivot", checking)
+        assert every_fifth_class_twisted() == 114 and searches[0] > 0
+        assert empty == []
 
     def test_fox_products_per_relator(self, monkeypatch):
         """The Fox blocks of a relator of length L cost at most L - 1
