@@ -62,8 +62,8 @@ def build_cover(m, f):
     # edge[v][g - 1]: the basis index of the edge v -> forward[v][g - 1],
     # 0 on the edges of the transversal's tree
     basis, edge = [], []
-    for v, row in enumerate(forward):
-        u, ids = reps[order[v]], []
+    for element, row in zip(order, forward):
+        u, ids = reps[element], []
         for g, target in enumerate(row, 1):
             s = u * FreeWord.generator(g) * reps[order[target]].inverse()
             if s:

@@ -4,7 +4,7 @@ from itertools import accumulate
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orderlex.autos import automorphism, figure_eight_monodromy, standard_battery
 from orderlex.covers import build_cover
@@ -257,16 +257,18 @@ class TestCertifiedByConstruction:
         assert checked == []
 
 
-def composed_powers(auto, ks):
-    """{k: auto composed with itself |k| times, auto^-1 for k < 0} for k in
-    ks, one compose a step, as power did before it squared."""
-    out = {}
+def composed_powers(auto, budget=None):
+    """(k, auto composed with itself |k| times, auto^-1 for k < 0) for
+    k = 0..9 and then 0..-9, one compose a step, as power did before it
+    squared; each sign stops early once the images and inverse images
+    hold more than budget letters."""
     for base, sign in ((auto, 1), (auto.inverse_endomorphism(), -1)):
         step = FreeEndomorphism.identity(auto.rank)
-        for k in range(max(sign * k for k in ks) + 1):
-            out[sign * k] = step
+        for k in range(10):
+            yield sign * k, step
+            if budget is not None and sum(map(len, step.images + step.inverse_images)) > budget:
+                break
             step = base.compose(step)
-    return {k: out[k] for k in ks}
 
 
 class TestPowerBySquaring:
@@ -275,17 +277,24 @@ class TestPowerBySquaring:
 
     @pytest.mark.parametrize("label, auto", BATTERY, ids=[label for label, _ in BATTERY])
     def test_matches_repeated_composition(self, label, auto):
-        for k, expected in composed_powers(auto, range(-9, 10)).items():
+        checked = set()
+        for k, expected in composed_powers(auto):
             power = auto.power(k)
             assert power.images == expected.images, k
             assert power.inverse_images == expected.inverse_images, k
+            checked.add(k)
+        assert checked == set(range(-9, 10))
 
-    @given(nielsen_products(1, 4), st.integers(min_value=-9, max_value=9))
-    def test_matches_repeated_composition_on_nielsen_products(self, auto, k):
-        expected = composed_powers(auto, [k])[k]
-        power = auto.power(k)
-        assert power.images == expected.images
-        assert power.inverse_images == expected.inverse_images
+    @settings(deadline=None)
+    @given(nielsen_products(1, 4))
+    def test_matches_repeated_composition_on_nielsen_products(self, auto):
+        """k = -9..9, each sign up to the first power past 20000 letters:
+        each Nielsen move of a product can double a word's length, so a
+        power of a product of six can grow 64-fold a step."""
+        for k, expected in composed_powers(auto, budget=20000):
+            power = auto.power(k)
+            assert power.images == expected.images, k
+            assert power.inverse_images == expected.inverse_images, k
 
 
 class TestApplyBuildsReducedWords:
