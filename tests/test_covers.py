@@ -1,5 +1,16 @@
 """Finite covers: Schreier transversals, subgroup bases, lifted monodromy,
-and the twisted-vs-cover cross-check."""
+and the twisted-vs-cover cross-check.
+
+TestPinnedCovers compares a digest of every battery cover with
+data/cover_digests.json.  After a deliberate change of the cover data,
+rewrite that file with
+
+    PYTHONPATH=src python tests/test_covers.py
+"""
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -15,10 +26,13 @@ from orderlex.autos import (
 from orderlex.covers import build_cover, cover_alexander, verify_shapiro
 from orderlex.errors import CertificationError, ConsistencyError
 from orderlex.finite import (
+    FiniteGroup,
     TorusHomomorphism,
     cyclic_group,
+    enumerate_homomorphisms,
     homomorphism_classes,
     klein_four_group,
+    parse_cycles,
     symmetric_group,
     trivial_representation,
 )
@@ -27,6 +41,10 @@ from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 from orderlex.words import FreeWord, format_word
+
+from test_finite import DIHEDRAL_AND_ALTERNATING
+
+COVER_DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "cover_digests.json"
 
 
 def cyclic_stable_hom(m, k):
@@ -202,6 +220,68 @@ class TestSchreierGraph:
             cover = build_cover(m, cyclic_stable_hom(m, k))
             assert cover.w == FreeWord.empty()
             assert calls[0] <= 2 * (k - 1).bit_length() + 1, (k, calls[0])
+
+
+def battery_classes():
+    """(group, battery label, torus, homomorphism) for every image class of
+    the battery into the catalog of groups of order <= 6, then into D4, D6
+    and A4, in enumeration order."""
+    groups = [("catalog", None)] + [
+        (name, FiniteGroup(degree, [parse_cycles(c, degree) for c in generators], name=name))
+        for name, degree, generators, _ in DIHEDRAL_AND_ALTERNATING
+    ]
+    for name, group in groups:
+        for label, auto in standard_battery():
+            if group is None:
+                classes = homomorphism_classes(auto)
+            else:
+                classes = {}
+                for f in enumerate_homomorphisms(auto, group):
+                    classes.setdefault(f.image_key(), f)
+            for f in classes.values():
+                yield name, label, MappingTorus(auto.rank, auto), f
+
+
+def on_fresh_group(f):
+    """f into a new copy of its group, whose product table is unfilled."""
+    g = f.group
+    copy = FiniteGroup(g.degree, g.generators, name=g.name)
+    return TorusHomomorphism(copy, f.fiber_images, f.stable_image, label=f.label)
+
+
+def cover_digest(m, f):
+    """sha256 over the cover's d and the letters of w, the transversal,
+    the basis and the lifted images."""
+    c = build_cover(m, f)
+    data = [
+        c.d,
+        c.w.letters,
+        [u.letters for u in c.schreier_transversal],
+        [b.letters for b in c.subgroup_basis],
+        [x.letters for x in c.lifted_monodromy.images],
+    ]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def battery_cover_digests():
+    """{group: {battery label: [digest per class]}}; each cover is built
+    again into a fresh copy of its group and must match."""
+    doc = {}
+    for name, label, m, f in battery_classes():
+        digest = cover_digest(m, f)
+        assert cover_digest(m, on_fresh_group(f)) == digest, (name, label, f)
+        doc.setdefault(name, {}).setdefault(label, []).append(digest)
+    return doc
+
+
+class TestPinnedCovers:
+    def test_battery_cover_digests(self):
+        """Every battery cover, on a filled and on an unfilled product
+        table, against the digests recorded in data/cover_digests.json."""
+        pinned = json.loads(COVER_DIGESTS.read_text())
+        assert battery_cover_digests() == pinned
+        counts = {name: sum(map(len, labels.values())) for name, labels in pinned.items()}
+        assert counts["catalog"] == 256
 
 
 class TestCoverAlexander:
@@ -390,3 +470,8 @@ class TestLiftedMonodromy:
                     )
                 classes += 1
         assert classes == 256
+
+
+if __name__ == "__main__":
+    doc = battery_cover_digests()
+    COVER_DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

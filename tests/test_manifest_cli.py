@@ -250,12 +250,18 @@ class TestCli:
         assert doc["polynomial"] == "t^4 - 7*t^2 + 1"
 
     def test_cover_json_document_pinned(self, capsys, fig8_manifest_path):
-        # the whole document, lifted monodromy words included: on the
-        # basis [a, b] they are the images of theta^5 letter for letter
-        code = cli.main(["cover", fig8_manifest_path, "--hom", "z5", "--json"])
-        assert code == 0
-        pinned = pathlib.Path(__file__).parent / "data" / "cover_fig8_z5.json"
-        assert capsys.readouterr().out == pinned.read_text()
+        # the whole document, lifted monodromy words included.  Figure-eight
+        # onto Z5: on the basis [a, b] the lifted words are the images of
+        # theta^5 letter for letter.  right-mult onto S3: a six-element
+        # transversal, w = B and a rank-7 basis.
+        data = pathlib.Path(__file__).parent / "data"
+        for argv, pinned in [
+            ([fig8_manifest_path, "--hom", "z5"], "cover_fig8_z5.json"),
+            ([str(data / "right_mult_s3.json")], "cover_right_mult_s3.json"),
+        ]:
+            code = cli.main(["cover", *argv, "--json"])
+            assert code == 0
+            assert capsys.readouterr().out == (data / pinned).read_text()
 
     @pytest.mark.parametrize("k", [24, 26])
     @pytest.mark.parametrize("as_json", [False, True])
