@@ -66,7 +66,7 @@ from .ordering import (
     magnus_expand,
     theorem2_report,
 )
-from .roots import all_roots_real_positive, sturm_positive_root_count
+from .roots import sturm_positive_root_count
 from .torus import (
     AlexanderResult,
     MappingTorus,
@@ -108,7 +108,6 @@ __all__ = [
     "SingularMatrixError",
     "TorusHomomorphism",
     "WordParseError",
-    "all_roots_real_positive",
     "automorphism",
     "bi_order_axiom_suite",
     "build_cover",

@@ -30,7 +30,7 @@ from .errors import (
     SelectorError,
     WordParseError,
 )
-from .finite import regular_representation, schreier_transversal, trivial_representation
+from .finite import regular_representation, schreier_graph, trivial_representation
 from .laurent import format_polynomial
 from .manifest import load_manifest, select_homomorphism, select_representation
 from .ordering import (
@@ -185,7 +185,7 @@ def cmd_cover(args):
     hom = select_homomorphism(manifest, args.hom)
     _warn_not_surjective(hom)
     # the Schreier basis has |f(F)| (n - 1) + 1 elements, known before the build
-    rank = len(schreier_transversal(hom)[0]) * (manifest.torus.fiber_rank - 1) + 1
+    rank = len(schreier_graph(hom)[1]) * (manifest.torus.fiber_rank - 1) + 1
     if rank > len(FIBER_ALPHABET):
         print(
             f"error: the cover of {hom.label!r} has {rank} basis generators; "

@@ -4,10 +4,12 @@ polynomial of the associated cover with t replaced by t^d.
 
 The cover of the fiber is the one corresponding to Ftilde = ker(f) cut down
 to the fiber subgroup F.  A shortlex breadth-first transversal makes the
-Schreier basis and every derived matrix reproducible.  build_cover builds
-the Schreier graph of f(F) once, on vertex indices, and the basis, its
-kernel check and the rewriting of words into the basis all walk that graph
-by table lookups.  As f o theta is f conjugated by f(t), theta^(+-1)
+Schreier basis and every derived matrix reproducible.  build_cover takes
+the Schreier graph of f(F), on vertex indices, with that transversal and
+the cover degree from finite.schreier_graph, one walk of the group's
+product table; the basis, its kernel check and the rewriting of words into
+the basis all walk that graph by list lookups, and no permutation is
+multiplied here.  As f o theta is f conjugated by f(t), theta^(+-1)
 preserve Ftilde; their restriction theta~ and conjugation by w, C~_w, are
 certified once on the basis, where words are short.  The lifted monodromy
 x -> theta^d(w x w^-1) is exactly theta~^d o C~_w, since rewriting is an
@@ -21,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .finite import (
-    _cover_degree,
-    multiply_permutations,
-    regular_representation,
-    schreier_transversal,
-)
+from .finite import _cover_degree, regular_representation, schreier_graph
 from .freegroup import FreeEndomorphism
 from .laurent import format_polynomial
 from .torus import _monodromy_polynomial, twisted_alexander
@@ -46,32 +43,22 @@ def build_cover(m, f):
     """Reidemeister-Schreier data for the cover attached to f, together with
     the monodromy lifted through the stable element t^d * w."""
     f.require_well_defined(m.monodromy)
-    order, reps = schreier_transversal(f)
-    d, w = _cover_degree(f, reps)
-
-    # the Schreier graph of f(F): vertex v is order[v], the identity is 0,
-    # and forward[v][g - 1] / backward[v][g - 1] are the targets of x_g^+-1
-    index = {element: v for v, element in enumerate(order)}
-    forward = [[index[multiply_permutations(element, x)] for x in f.fiber_images]
-               for element in order]
-    backward = [[0] * f.rank for _ in order]
-    for v, row in enumerate(forward):
-        for g, u in enumerate(row):
-            backward[u][g] = v
+    vertex, reps, forward, backward = schreier_graph(f)
+    d, w = _cover_degree(f, vertex, reps)
 
     # edge[v][g - 1]: the basis index of the edge v -> forward[v][g - 1],
     # 0 on the edges of the transversal's tree
     basis, edge = [], []
-    for element, row in zip(order, forward):
-        u, ids = reps[element], []
+    for u, row in zip(reps, forward):
+        ids = []
         for g, target in enumerate(row, 1):
-            s = u * FreeWord.generator(g) * reps[order[target]].inverse()
+            s = u * FreeWord.generator(g) * reps[target].inverse()
             if s:
                 basis.append(s)
             ids.append(len(basis) if s else 0)
         edge.append(ids)
 
-    expected_rank = len(order) * (m.fiber_rank - 1) + 1
+    expected_rank = len(reps) * (m.fiber_rank - 1) + 1
     if len(basis) != expected_rank:
         raise ConsistencyError(
             f"Schreier basis has rank {len(basis)}, expected {expected_rank}"
@@ -96,11 +83,10 @@ def build_cover(m, f):
     if w:
         lifted = lifted.compose(conjugation)
 
-    transversal = tuple(reps[element] for element in order)
     return CoverData(
         d=d,
         w=w,
-        schreier_transversal=transversal,
+        schreier_transversal=tuple(reps),
         subgroup_basis=tuple(basis),
         lifted_monodromy=lifted,
     )

@@ -5,6 +5,9 @@ Permutations are tuples p of length degree with p[i] = image of point i
 (0-based); multiply_permutations(p, q) applies q first.  Group elements are
 enumerated breadth-first from the identity in generator order, which makes
 every derived object (indices, regular representations) reproducible.
+One breadth-first walk of a group's product table, FiniteGroup._walk, gives
+both the image of a homomorphism and the Schreier graph of its cover, with
+the transversal, and the cover degree walks one column of the same table.
 """
 
 from __future__ import annotations
@@ -156,6 +159,22 @@ class FiniteGroup:
                     row[j] = self._index[multiply_permutations(a, self.elements[j])]
         return row
 
+    def _walk(self, gens):
+        """The indices reachable from the identity, breadth-first over the
+        element indices gens in order, and the table row of each, its
+        entries at gens filled."""
+        visited, rows = [0], []  # the identity, first in BFS order
+        seen = {0}
+        for cur in visited:  # also visits the indices appended below
+            row = self._row(cur, gens)
+            rows.append(row)
+            for g in gens:
+                nxt = row[g]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    visited.append(nxt)
+        return visited, rows
+
     def _product_table(self):
         """The product table as a list of rows, every entry filled."""
         if not self._filled:
@@ -301,18 +320,7 @@ class TorusHomomorphism:
         """Indices of the elements of the full image, breadth-first from
         the identity over the images of the fiber generators and then the
         stable letter, each step read off the group's product table."""
-        row_of = self.group._row
-        gens = self._indices
-        image = [0]  # the identity, first in BFS order
-        seen = {0}
-        for cur in image:  # also visits the indices appended below
-            row = row_of(cur, gens)
-            for g in gens:
-                nxt = row[g]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    image.append(nxt)
-        return image
+        return self.group._walk(self._indices)[0]
 
     def image_subgroup(self):
         """Elements of the full image, ordered by BFS."""
@@ -349,53 +357,55 @@ class TorusHomomorphism:
         )
 
 
-def schreier_transversal(f):
-    """Shortlex-minimal coset representatives for ker(f|F) in F.
+def schreier_graph(f):
+    """The Schreier graph of f(F), whose vertices are the cosets of
+    ker(f|F) in F, from one walk of the group's product table.
 
-    Cosets are identified with the elements of f(F); breadth-first search
-    over the letters x_1, x_1^-1, x_2, ... yields a prefix-closed
-    transversal, listed in discovery order starting at the identity coset.
-    Returns (order, reps): the elements of f(F) in discovery order and the
-    map from each element to its representative word.
-    """
-    identity = f.group.identity()
-    letters = []
-    for g in range(1, f.rank + 1):
-        letters.append(((g, 1), f.fiber_images[g - 1]))
-        letters.append(((g, -1), invert_permutation(f.fiber_images[g - 1])))
-    reps = {identity: FreeWord.empty()}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for element in frontier:
-            word = reps[element]
-            for letter, image in letters:
-                reached = multiply_permutations(element, image)
-                if reached in reps:
-                    continue
-                reps[reached] = FreeWord(word.letters + (letter,))
-                order.append(reached)
-                nxt.append(reached)
-        frontier = nxt
-    return order, reps
+    The walk runs breadth-first over the letters x_1, x_1^-1, x_2, ... as
+    element indices, so vertex v is the v-th element of f(F) in discovery
+    order, the identity 0.  Returns (vertex, reps, forward, backward):
+    vertex[v] is that element's index in the group, reps[v] its
+    shortlex-minimal representative word, the prefix-closed transversal,
+    and forward[v][g - 1] / backward[v][g - 1] the vertices that x_g^+-1
+    lead to from v."""
+    group = f.group
+    letters, columns = [], []
+    for g, x in enumerate(f._indices[:-1], 1):
+        letters += [(g, 1), (g, -1)]
+        columns += [x, group._index[invert_permutation(group.elements[x])]]
+    vertex, rows = group._walk(columns)
+    position = {x: v for v, x in enumerate(vertex)}
+    reps = [FreeWord.empty()] + [None] * (len(vertex) - 1)
+    forward, backward = [], []
+    for word, row in zip(reps, rows):
+        targets = [position[row[x]] for x in columns]
+        for letter, u in zip(letters, targets):
+            if reps[u] is None:
+                reps[u] = FreeWord(word.letters + (letter,))
+        forward.append(targets[0::2])
+        backward.append(targets[1::2])
+    return vertex, reps, forward, backward
 
 
 def cover_degree(f):
     """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
     over the fiber generators with f(w) = f(t)^-d."""
-    return _cover_degree(f, schreier_transversal(f)[1])
+    vertex, reps, _, _ = schreier_graph(f)
+    return _cover_degree(f, vertex, reps)
 
 
-def _cover_degree(f, reps):
-    """cover_degree(f) from the representatives of schreier_transversal(f)."""
-    t = f.stable_image
-    acc = t
+def _cover_degree(f, vertex, reps):
+    """cover_degree(f) from the vertices and representatives of
+    schreier_graph(f), walking f(t)'s column of the product table."""
+    group = f.group
+    position = {x: v for v, x in enumerate(vertex)}
+    t = acc = f._indices[-1]
     d = 1
-    while acc not in reps:
-        acc = multiply_permutations(acc, t)
+    while acc not in position:
+        acc = group._row(acc, (t,))[t]
         d += 1
-    return d, reps[invert_permutation(acc)]
+    inverse = group._index[invert_permutation(group.elements[acc])]
+    return d, reps[position[inverse]]
 
 
 def permutation_matrix(p):

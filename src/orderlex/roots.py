@@ -15,8 +15,6 @@ also has a nonzero leading coefficient, so dividing by g changes no sign at
 
 from __future__ import annotations
 
-import warnings
-
 from .laurent import poly_divmod
 
 
@@ -53,24 +51,4 @@ def sturm_positive_root_count(p):
     return _root_counts(q)[0]
 
 
-def all_roots_real_positive(p):
-    """True when every complex root of p is a positive real number.
-
-    Constant nonzero polynomials have no roots; the claim is then vacuous
-    and reported as True with a RuntimeWarning.  Raises on zero input.
-    """
-    if p.is_zero:
-        raise ValueError("the zero polynomial does not have a root set")
-    q = p.canonicalize()
-    if q.degree == 0:
-        warnings.warn(
-            "all_roots_real_positive on a constant polynomial is vacuous",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return True
-    positive, distinct = _root_counts(q)
-    return positive == distinct
-
-
-__all__ = ["sturm_positive_root_count", "all_roots_real_positive"]
+__all__ = ["sturm_positive_root_count"]

@@ -81,16 +81,16 @@ class TestBuildCover:
         assert c.lifted_monodromy.images == theta2.images
 
     def test_one_transversal_per_cover(self, monkeypatch):
-        """build_cover takes d and w from the transversal it builds on."""
+        """build_cover takes d and w from the Schreier graph it builds on."""
         calls = []
-        transversal = finite.schreier_transversal
+        graph = finite.schreier_graph
 
         def counting(f):
             calls.append(f)
-            return transversal(f)
+            return graph(f)
 
-        monkeypatch.setattr(finite, "schreier_transversal", counting)
-        monkeypatch.setattr(covers, "schreier_transversal", counting)
+        monkeypatch.setattr(finite, "schreier_graph", counting)
+        monkeypatch.setattr(covers, "schreier_graph", counting)
         m = MappingTorus(2, figure_eight_monodromy())
         for f in homomorphism_classes(m.monodromy).values():
             calls.clear()
@@ -184,24 +184,37 @@ class TestSchreierGraph:
                 classes += 1
         assert classes == 256 and off_subgroup > 0
 
-    def test_permutation_products_do_not_grow_with_the_degree(self, monkeypatch):
-        """Figure-eight onto Z_k, k = 3..13: the graph is built once, with
-        one product per vertex and generator, and no rewrite multiplies."""
+    def test_permutation_products_one_per_graph_edge(self, monkeypatch):
+        """schreier_graph and cover_degree read the group's product table:
+        no permutation product once enumeration filled it, and on an
+        unfilled Z_k, k = 3..13, at most one per graph edge, 2 rank |f(F)|,
+        plus d - 1 for the degree.  covers makes none of its own."""
+        assert not hasattr(covers, "multiply_permutations")
+        filled = [f for _, auto in standard_battery()
+                  for f in homomorphism_classes(auto).values()]
         calls = [0]
-        multiply = covers.multiply_permutations
+        multiply = finite.multiply_permutations
 
         def counting(p, q):
             calls[0] += 1
             return multiply(p, q)
 
-        monkeypatch.setattr(covers, "multiply_permutations", counting)
-        m = MappingTorus(2, figure_eight_monodromy())
-        counts = set()
-        for k in range(3, 14):
+        def products(f):
             calls[0] = 0
-            build_cover(m, cyclic_stable_hom(m, k))
-            counts.add(calls[0])
-        assert counts == {2}
+            vertex, _, _, _ = finite.schreier_graph(f)
+            d, _ = finite.cover_degree(f)
+            return calls[0], len(vertex), d
+
+        monkeypatch.setattr(finite, "multiply_permutations", counting)
+        assert len(filled) == 256
+        for f in filled:
+            assert products(f)[0] == 0, f
+        for k in range(3, 14):
+            for a in (0, 1, 2):
+                g = cyclic_group(k)
+                f = TorusHomomorphism(g, (g.element(a), g.identity()), g.element(1))
+                count, size, d = products(f)
+                assert 0 < count <= 2 * f.rank * size + d - 1, (k, a, count, size, d)
 
     def test_lifted_power_by_squaring(self, monkeypatch):
         """Figure-eight onto Z_k, k = 3..13, lifts theta~^k with w empty:

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from orderlex.laurent import LaurentPolynomial, format_polynomial, poly_divmod, poly_gcd
 from orderlex.ordering import OrderStatus, clay_rolfsen_verdict
-from orderlex.roots import all_roots_real_positive, sturm_positive_root_count
+from orderlex.roots import sturm_positive_root_count
 
 sympy = pytest.importorskip("sympy")
 
@@ -208,22 +208,6 @@ def test_sturm_counts_match_sympy():
         assert sturm_positive_root_count(p) == expected
         positive += expected > 0
     assert positive > 0
-
-
-def test_all_roots_real_positive_matches_sympy():
-    rng = random.Random("all_roots_real_positive")
-    verdicts = {True: 0, False: 0}
-    for i in range(90):
-        # a third are products of positive factors alone, the rest mix in
-        # random factors
-        p = positive_product(rng)
-        if i % 3:
-            p = p * random_product(rng, -2, 2)
-        sqf = to_sympy(p).sqf_part()
-        expected = sqf.count_roots(0, None) == sqf.degree()
-        assert all_roots_real_positive(p) == expected
-        verdicts[expected] += 1
-    assert verdicts[True] >= 20 and verdicts[False] >= 20
 
 
 def test_common_positive_root_count_matches_sympy():

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from _laurent_literal import L
 
 from orderlex.laurent import LaurentPolynomial
-from orderlex.ordering import theorem2_report
-from orderlex.roots import all_roots_real_positive, sturm_positive_root_count
+from orderlex.ordering import OrderStatus, clay_rolfsen_verdict, theorem2_report
+from orderlex.roots import sturm_positive_root_count
 
 
 def linear_factor(root):
@@ -65,27 +65,6 @@ class TestSturmCounts:
         assert sturm_positive_root_count(p) == expected
 
 
-class TestAllRootsRealPositive:
-    def test_true_cases(self):
-        assert all_roots_real_positive(L("t^2 - 3*t + 1"))
-        assert all_roots_real_positive(L("t - 1"))
-        # multiplicity does not spoil the property
-        assert all_roots_real_positive(L("t^2 - 2*t + 1"))
-
-    def test_false_cases(self):
-        assert not all_roots_real_positive(L("t^2 + 1"))
-        assert not all_roots_real_positive(L("t^2 - 1"))
-        assert not all_roots_real_positive(L("t^2 + 3*t + 1"))
-
-    def test_constant_warns_vacuous(self):
-        with pytest.warns(RuntimeWarning):
-            assert all_roots_real_positive(L("3"))
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            all_roots_real_positive(LaurentPolynomial.zero())
-
-
 def test_one_chain_per_query(laurent_calls, fig8_torus, fig8_z2):
     """Root counts build one Sturm chain of the polynomial itself, with no
     square-free step, and theorem 2 takes its shared roots from a division:
@@ -93,7 +72,7 @@ def test_one_chain_per_query(laurent_calls, fig8_torus, fig8_z2):
     # roots 1 (twice), 2 and +-i
     p = L("t^2 - 2*t + 1") * L("t - 2") * L("t^2 + 1")
     assert sturm_positive_root_count(p) == 2
-    assert not all_roots_real_positive(p)
+    assert clay_rolfsen_verdict(p).status is OrderStatus.INCONCLUSIVE
     assert laurent_calls["poly_divmod"] > 0
     theorem2_report(fig8_torus, fig8_z2)
     assert laurent_calls["poly_gcd"] == 0
