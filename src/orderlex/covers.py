@@ -4,18 +4,19 @@ polynomial of the associated cover with t replaced by t^d.
 
 The cover of the fiber is the one corresponding to Ftilde = ker(f) cut down
 to the fiber subgroup F.  A shortlex breadth-first transversal makes the
-Schreier basis and every derived matrix reproducible.  build_cover takes
-the Schreier graph of f(F), on vertex indices, with that transversal and
-the cover degree from finite.schreier_graph, one walk of the group's
-product table; the basis, its kernel check and the rewriting of words into
-the basis all walk that graph by list lookups, and no permutation is
-multiplied here.  As f o theta is f conjugated by f(t), theta^(+-1)
-preserve Ftilde; their restriction theta~ and conjugation by w, C~_w, are
-certified once on the basis, where words are short.  The lifted monodromy
-x -> theta^d(w x w^-1) is exactly theta~^d o C~_w, since rewriting is an
-isomorphism of Ftilde onto the free group on the basis; theta~^d comes by
-repeated squaring, and the composite with C~_w, which is still built and
-certified, is skipped when w is empty and C~_w the identity.
+Schreier basis and every derived matrix reproducible.  build_cover checks
+the relations of f and takes the Schreier graph of f(F), on vertex indices,
+with that transversal and the cover degree from finite.schreier_graph, all
+read off the group's product table: no permutation product happens outside
+FiniteGroup.  The basis, its kernel check and the rewriting of words into
+the basis all walk that graph by list lookups.  As f o theta is f
+conjugated by f(t), theta^(+-1) preserve Ftilde; their restriction theta~
+and conjugation by w, C~_w, are certified once on the basis, where words
+are short.  The lifted monodromy x -> theta^d(w x w^-1) is exactly
+theta~^d o C~_w, since rewriting is an isomorphism of Ftilde onto the free
+group on the basis; theta~^d comes by repeated squaring, and the composite
+with C~_w, which is still built and certified, is skipped when w is empty
+and C~_w the identity.
 """
 
 from __future__ import annotations

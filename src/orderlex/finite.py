@@ -2,12 +2,12 @@
 and matrix representations of that group over Q.
 
 Permutations are tuples p of length degree with p[i] = image of point i
-(0-based); multiply_permutations(p, q) applies q first.  Group elements are
-enumerated breadth-first from the identity in generator order, which makes
-every derived object (indices, regular representations) reproducible.
-One breadth-first walk of a group's product table, FiniteGroup._walk, gives
-both the image of a homomorphism and the Schreier graph of its cover, with
-the transversal, and the cover degree walks one column of the same table.
+(0-based); a product p q applies q first.  Group elements are enumerated
+breadth-first from the identity in generator order, which makes every
+derived object (indices, regular representations) reproducible.  After
+parsing, only FiniteGroup handles a permutation: a homomorphism's relation
+check, image, Schreier graph (one walk, FiniteGroup._walk, for both) and
+cover degree all read element indices off the group's product table.
 """
 
 from __future__ import annotations
@@ -159,6 +159,10 @@ class FiniteGroup:
                     row[j] = self._index[multiply_permutations(a, self.elements[j])]
         return row
 
+    def _inverse(self, i):
+        """The index of the inverse of element i."""
+        return self._index[invert_permutation(self.elements[i])]
+
     def _walk(self, gens):
         """The indices reachable from the identity, breadth-first over the
         element indices gens in order, and the table row of each, its
@@ -261,52 +265,41 @@ class TorusHomomorphism:
     """A homomorphism f from the mapping-torus group to a finite group,
     recorded by the images of the fiber generators and the stable letter.
 
-    A caller that took the images from group.elements by index
-    (enumerate_homomorphisms and the manifest loader) passes those indices
-    as _indices, stable image last; otherwise each image's membership is
-    checked here, which gives its index."""
+    The constructor looks each image up in the group, which gives its
+    element index, stable image last; every later step reads those indices
+    off the group's product table, so no permutation product happens here."""
 
-    def __init__(self, group, fiber_images, stable_image, label=None, _indices=None):
+    def __init__(self, group, fiber_images, stable_image, label=None):
         self.group = group
         self.fiber_images = tuple(map(tuple, fiber_images))
         self.stable_image = tuple(stable_image)
-        if _indices is None:
-            # membership is the whole check: FiniteGroup certified its elements
-            try:
-                _indices = [group._index[p] for p in self.fiber_images + (self.stable_image,)]
-            except KeyError:
-                raise ValueError("image is not an element of the target group") from None
-        self._indices = tuple(_indices)
+        # membership is the whole check: FiniteGroup certified its elements
+        images = self.fiber_images + (self.stable_image,)
+        try:
+            self._indices = tuple(group._index[p] for p in images)
+        except KeyError:
+            raise ValueError("image is not an element of the target group") from None
         self.rank = len(self.fiber_images)
         self.label = label
 
-    def evaluate(self, word):
-        """Image of a word over the fiber generators and the stable letter
-        (index rank + 1)."""
-        acc = self.group.identity()
-        for g, s in word.letters:
-            if g <= self.rank:
-                el = self.fiber_images[g - 1]
-            elif g == self.rank + 1:
-                el = self.stable_image
-            else:
-                raise ValueError(f"generator {g} outside the mapping-torus group")
-            if s < 0:
-                el = invert_permutation(el)
-            acc = multiply_permutations(acc, el)
-        return acc
-
     def is_well_defined(self, monodromy):
-        """Check the mapping-torus relations f(t) f(x) f(t)^-1 = f(theta(x))."""
+        """Check the mapping-torus relations f(t) f(x_i) = f(theta(x_i)) f(t)
+        on element indices, reading only the product-table entries they
+        need: one per letter of theta(x_i) and two per i, so a large group
+        never fills its table."""
         if monodromy.rank != self.rank:
             raise ValueError("rank mismatch")
-        t = self.stable_image
-        tinv = invert_permutation(t)
-        for i in range(self.rank):
-            lhs = multiply_permutations(
-                multiply_permutations(t, self.fiber_images[i]), tinv
-            )
-            if lhs != self.evaluate(monodromy.images[i]):
+        row = self.group._row
+        *fibers, t = self._indices
+        signed = {}
+        for g, x in enumerate(fibers, 1):
+            signed[g, 1], signed[g, -1] = x, self.group._inverse(x)
+        for x, image in zip(fibers, monodromy.images):
+            y = 0  # the identity, first in BFS order
+            for letter in image.letters:
+                z = signed[letter]
+                y = row(y, (z,))[z]
+            if row(t, (x,))[x] != row(y, (t,))[t]:
                 return False
         return True
 
@@ -372,7 +365,7 @@ def schreier_graph(f):
     letters, columns = [], []
     for g, x in enumerate(f._indices[:-1], 1):
         letters += [(g, 1), (g, -1)]
-        columns += [x, group._index[invert_permutation(group.elements[x])]]
+        columns += [x, group._inverse(x)]
     vertex, rows = group._walk(columns)
     position = {x: v for v, x in enumerate(vertex)}
     reps = [FreeWord.empty()] + [None] * (len(vertex) - 1)
@@ -404,8 +397,7 @@ def _cover_degree(f, vertex, reps):
     while acc not in position:
         acc = group._row(acc, (t,))[t]
         d += 1
-    inverse = group._index[invert_permutation(group.elements[acc])]
-    return d, reps[position[inverse]]
+    return d, reps[position[group._inverse(acc)]]
 
 
 def permutation_matrix(p):
@@ -563,17 +555,17 @@ def enumerate_homomorphisms(monodromy, group):
     and one inverse list.  For each tuple of fiber images, each theta(x_i)
     is evaluated once by table lookups; a stable image t is kept when
     t f(x_i) = f(theta(x_i)) t for every i, stopping at the first failure.
-    A TorusHomomorphism is built only for the maps kept, from their element
-    indices and without a membership check, so the |G|^(rank + 1)
-    candidates cost O(|G|^rank (|theta| + |G| rank)) lookups, |theta| the
-    total length of the images theta(x_i).  The image_key() of each map
-    returned then reads the filled table and makes no permutation product.
+    A TorusHomomorphism is built only for the maps kept, by one membership
+    lookup per image, so the |G|^(rank + 1) candidates cost
+    O(|G|^rank (|theta| + |G| rank)) lookups, |theta| the total length of
+    the images theta(x_i).  Every permutation product is the table's, made
+    inside FiniteGroup; the image_key() and the relation check of each map
+    returned then read the filled table and make none.
     """
     rank = monodromy.rank
     elements = group.elements
-    index = group._index
     table = group._product_table()
-    inverse = [index[invert_permutation(a)] for a in elements]
+    inverse = [group._inverse(i) for i in range(len(elements))]
     words = [image.letters for image in monodromy.images]
     homs = []
     for fibers in itertools.product(range(len(elements)), repeat=rank):
@@ -593,9 +585,7 @@ def enumerate_homomorphisms(monodromy, group):
                 if row[x] != table[y][t]:
                     break
             else:
-                homs.append(TorusHomomorphism(
-                    group, [elements[x] for x in fibers], elements[t], _indices=fibers + (t,)
-                ))
+                homs.append(TorusHomomorphism(group, [elements[x] for x in fibers], elements[t]))
     return homs
 
 

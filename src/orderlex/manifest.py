@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EnumerationLimitError, ManifestError, RepresentationError
-from .errors import SelectorError, WordParseError
+from .errors import IllDefinedHomomorphismError, SelectorError, WordParseError
 from .finite import DEFAULT_ELEMENT_LIMIT, FiniteGroup, FiniteRepresentation
 from .finite import TorusHomomorphism, parse_cycles, trivial_representation
 from .freegroup import FreeEndomorphism
@@ -143,9 +143,12 @@ def _load_homomorphism(spec, torus, index):
     indices.append(_element_index(stable, group, f"{location}.stable_image"))
     hom = TorusHomomorphism(
         group, [group.element(i) for i in indices[:-1]], group.element(indices[-1]),
-        label=label, _indices=indices,
+        label=label,
     )
-    hom.require_well_defined(torus.monodromy)
+    if not hom.is_well_defined(torus.monodromy):
+        raise IllDefinedHomomorphismError(
+            f"{location} {label!r}: images violate the mapping-torus relations"
+        )
     return hom
 
 

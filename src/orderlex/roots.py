@@ -1,8 +1,10 @@
 """Exact real-root counting on (0, oo) via Sturm sequences.
 
-Everything runs over Fraction coefficients, so the counts are certificates
-rather than numerics.  Laurent inputs are canonicalized first; stripping
-the unit t^k never changes roots away from 0.
+Everything is exact: each remainder of the chain comes from a Z[t]
+pseudo-division (laurent.poly_divmod), undone under one rational unit, so
+the counts are certificates rather than numerics.  Laurent inputs are
+canonicalized first; stripping the unit t^k never changes roots away
+from 0.
 
 The Sturm chain is that of the canonical q itself, with no square-free
 step.  Its last entry g is gcd(q, q') up to a constant, and g divides every

@@ -216,6 +216,29 @@ class TestSchreierGraph:
                 count, size, d = products(f)
                 assert 0 < count <= 2 * f.rank * size + d - 1, (k, a, count, size, d)
 
+    def test_build_cover_makes_no_product_after_enumeration(self, monkeypatch):
+        """Once homomorphism_classes filled the product tables, build_cover,
+        its relation check included, makes no permutation product over the
+        256 battery classes."""
+        calls = [0]
+        multiply = finite.multiply_permutations
+
+        def counting(p, q):
+            calls[0] += 1
+            return multiply(p, q)
+
+        covers_built = 0
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            classes = homomorphism_classes(auto)
+            with monkeypatch.context() as patch:
+                patch.setattr(finite, "multiply_permutations", counting)
+                for f in classes.values():
+                    build_cover(m, f)
+                    covers_built += 1
+        assert covers_built == 256
+        assert calls[0] == 0
+
     def test_lifted_power_by_squaring(self, monkeypatch):
         """Figure-eight onto Z_k, k = 3..13, lifts theta~^k with w empty:
         at most 2 ceil(log2 k) + 1 composes, none with C~_w."""

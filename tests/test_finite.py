@@ -23,6 +23,7 @@ from orderlex.finite import (
     enumerate_homomorphisms,
     format_cycles,
     homomorphism_classes,
+    invert_permutation,
     klein_four_group,
     multiply_permutations,
     parse_cycles,
@@ -180,12 +181,6 @@ class TestHomomorphisms:
         with pytest.raises(IllDefinedHomomorphismError):
             bad.require_well_defined(theta)
 
-    def test_evaluate_uses_stable_letter(self):
-        g = cyclic_group(4)
-        f = TorusHomomorphism(g, (g.element(0), g.element(0)), g.element(1))
-        w = FreeWord([(3, 1), (3, 1), (1, 1)])  # t t a
-        assert f.evaluate(w) == g.element(2)
-
     def test_image_subgroup(self):
         g = symmetric_group(3)
         f = TorusHomomorphism(g, (g.identity(), g.identity()), g.element(1))
@@ -266,13 +261,28 @@ class TestHomomorphisms:
             assert len(built) == catalog, label
 
 
+def reference_relations_hold(monodromy, fibers, stable):
+    """t x_i t^-1 = theta(x_i) for the permutations fibers and stable, by
+    permutation products alone: no group, table or TorusHomomorphism."""
+    tinv = invert_permutation(stable)
+    for x, image in zip(fibers, monodromy.images):
+        acc = tuple(range(len(stable)))
+        for g, s in image.letters:
+            y = fibers[g - 1]
+            acc = multiply_permutations(acc, y if s > 0 else invert_permutation(y))
+        if multiply_permutations(multiply_permutations(stable, x), tinv) != acc:
+            return False
+    return True
+
+
 def reference_homomorphisms(monodromy, group):
-    """Every candidate map, tested one by one with is_well_defined."""
+    """(fiber images, stable image) of every candidate map that passes
+    reference_relations_hold, in product order."""
     n = monodromy.rank
     return [
-        f
+        (combo[:n], combo[n])
         for combo in itertools.product(group.elements, repeat=n + 1)
-        if (f := TorusHomomorphism(group, combo[:n], combo[n])).is_well_defined(monodromy)
+        if reference_relations_hold(monodromy, combo[:n], combo[n])
     ]
 
 
@@ -280,9 +290,7 @@ def assert_matches_reference(monodromy, group):
     got = enumerate_homomorphisms(monodromy, group)
     want = reference_homomorphisms(monodromy, group)
     assert all(f.group is group for f in got)
-    assert [(f.fiber_images, f.stable_image) for f in got] == [
-        (f.fiber_images, f.stable_image) for f in want
-    ]
+    assert [(f.fiber_images, f.stable_image) for f in got] == want
 
 
 BATTERY = standard_battery()
@@ -465,6 +473,76 @@ class TestImageKey:
         rep = regular_representation(f)
         assert rep.dimension == 2
         assert 0 < len(products) <= 2 * 2 * (f.rank + 1)
+
+
+class TestRelationCheck:
+    """is_well_defined on element indices against reference_relations_hold,
+    and the table entries it reads."""
+
+    def test_every_battery_candidate_on_fresh_groups(self):
+        """Every candidate map of the battery into the catalog, each on a
+        new copy of its group, whose product table is unfilled."""
+        checked = kept = 0
+        for _, auto in BATTERY:
+            n = auto.rank
+            for group in small_groups_catalog():
+                for combo in itertools.product(group.elements, repeat=n + 1):
+                    fresh = FiniteGroup(group.degree, group.generators)
+                    f = TorusHomomorphism(fresh, combo[:n], combo[n])
+                    want = reference_relations_hold(auto, combo[:n], combo[n])
+                    assert f.is_well_defined(auto) is want, combo
+                    checked += 1
+                    kept += want
+        assert checked == 17970 and 0 < kept < checked
+
+    def test_products_bounded_on_a_large_group(self, monkeypatch):
+        """Into an unfilled S7, of order 5040, the check reads at most one
+        table entry per letter of theta(x_i) and two per generator, and
+        makes each of their permutation products once.  The maps are, per
+        battery member, its map into S3 with the largest image and that
+        map with its stable image changed so that a relation fails, moved
+        into S7; figure-eight with image Z2 needs only 3 entries."""
+        products = []
+        multiply = finite.multiply_permutations
+
+        def counting(p, q):
+            products.append((p, q))
+            return multiply(p, q)
+
+        def pad(p):
+            return tuple(p) + tuple(range(3, 7))
+
+        s3 = symmetric_group(3)
+        cases = []
+        for _, auto in BATTERY:
+            f = max(enumerate_homomorphisms(auto, s3), key=lambda f: len(f.image_subgroup()))
+            fibers = tuple(map(pad, f.fiber_images))
+            cases.append((auto, fibers, pad(f.stable_image), True))
+            bad = [t for t in s3.elements if not reference_relations_hold(auto, f.fiber_images, t)]
+            cases += [(auto, fibers, pad(t), False) for t in bad[:1]]
+        assert sum(not ok for *_, ok in cases) > 0
+        e = tuple(range(7))
+        cases.append((figure_eight_monodromy(), (e, e), parse_cycles("(1 2)", 7), True))
+
+        for auto, fibers, stable, ok in cases:
+            f = TorusHomomorphism(symmetric_group(7), fibers, stable)
+            products.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(finite, "multiply_permutations", counting)
+                assert f.is_well_defined(auto) is ok
+            bound = sum(len(image) for image in auto.images) + 2 * auto.rank
+            assert 0 < len(products) <= bound, (auto, len(products))
+            assert len(set(products)) == len(products)
+        assert len(products) == 3
+
+    def test_rank_mismatch_raises(self):
+        """The check zips fiber images with theta's images, so a map of the
+        wrong rank is refused rather than compared on a prefix."""
+        g = cyclic_group(2)
+        f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
+        for rank in (1, 3):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                f.is_well_defined(identity_automorphism(rank))
 
 
 class TestCoverDegree:

@@ -617,6 +617,19 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["alexander", str(path)]) == cli.EXIT_CERTIFICATION
 
+    @pytest.mark.parametrize("argv", [["alexander"], ["verify", "shapiro", "--json"]])
+    def test_ill_defined_hom_located(self, capsys, argv):
+        """Of five homomorphisms, the third sends a to the generator of Z2
+        and b to 0, which theta(a) = aba does not respect: exit 3 naming it."""
+        path = pathlib.Path(__file__).parent / "data" / "ill_defined_hom.json"
+        assert cli.main(argv + [str(path)]) == cli.EXIT_CERTIFICATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: homomorphisms[2] 'z2-through-a': "
+            "images violate the mapping-torus relations\n"
+        )
+
     @pytest.mark.parametrize(
         "rep, message",
         [
