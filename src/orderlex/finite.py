@@ -267,7 +267,8 @@ class TorusHomomorphism:
 
     The constructor looks each image up in the group, which gives its
     element index, stable image last; every later step reads those indices
-    off the group's product table, so no permutation product happens here."""
+    off the group's product table, and no permutation product happens
+    outside FiniteGroup."""
 
     def __init__(self, group, fiber_images, stable_image, label=None):
         self.group = group
