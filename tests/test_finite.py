@@ -1,6 +1,7 @@
 """Permutation groups, torus homomorphisms, cover degrees, and finite
 representations."""
 
+import hashlib
 import itertools
 import random
 
@@ -871,3 +872,48 @@ class TestRepresentations:
         w = FreeWord([(3, 1)])
         top_left = s.evaluate(w).entry(0, 0)
         assert top_left == 1
+
+
+def _order_digest(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+class TestElementOrder:
+    """The breadth-first element order is pinned: manifests name elements
+    by index, so every group and image must list its elements in the same
+    order from one version to the next."""
+
+    CATALOG = {
+        "1": "78fce9491f4b0e3b", "Z2": "6df3ef58aaac2aff", "Z3": "276126cb1df8f2b8",
+        "Z4": "6fcb67ca35502e18", "V4": "a30147bc1e4552f2", "Z5": "ce50ee4a07ae9219",
+        "Z6": "3c9401c1366fe0d2", "S3": "7c30c8a59f181abd",
+    }
+    BEYOND = {"D4": "600ffba88abe28c1", "D6": "36790e5677c002dc", "A4": "7da206576da3eb5f"}
+
+    def test_catalog(self):
+        assert {g.name: _order_digest(g.elements) for g in small_groups_catalog()} == self.CATALOG
+
+    @pytest.mark.parametrize(
+        "name, degree, generators, order", DIHEDRAL_AND_ALTERNATING,
+        ids=[case[0] for case in DIHEDRAL_AND_ALTERNATING],
+    )
+    def test_groups_beyond_the_catalog(self, name, degree, generators, order):
+        group = FiniteGroup(degree, [parse_cycles(c, degree) for c in generators])
+        assert group.order == order
+        assert _order_digest(group.elements) == self.BEYOND[name]
+
+    def test_symmetric_group_of_degree_seven(self):
+        group = symmetric_group(7)
+        assert group.order == 5040
+        assert _order_digest(group.elements) == "e67684283eb64459"
+
+    def test_signed_permutation_image(self):
+        """The closure of a representation's image skips the identity and a
+        repeated generator, and lists the 48 signed permutation matrices of
+        dimension 3 in a fixed order."""
+        swap, cycle, sign = _hyperoctahedral_generators(3)
+        gens = [swap, RationalMatrix.identity(3), cycle, swap, sign]
+        elements = finite._close_image(gens, 3)
+        assert len(elements) == 48
+        entries = [[[str(m.entry(i, j)) for j in range(3)] for i in range(3)] for m in elements]
+        assert _order_digest(entries) == "5e2f3a6b966b5fcf"
