@@ -6,14 +6,15 @@ chosen rank/trial count and prints the tallies as JSON.  Violations should
 always be zero; the interesting number is the unresolved rate at shallow
 depths.  Exits 1 when either suite reports a violation or resolves no
 comparison, so that it never passes vacuously, else 0.  A rank, trial count
-or depth below 1 exits 2 with a usage error.
+or depth below 1, or a seed not written in ASCII digits, exits 2 with a
+usage error.
 """
 
 import argparse
 import json
 import sys
 
-from orderlex.cli import _positive_int
+from orderlex.cli import _int, _positive_int
 from orderlex.ordering import bi_order_axiom_suite, lemma_comm_suite
 
 
@@ -22,7 +23,7 @@ def main():
     parser.add_argument("--rank", type=_positive_int, default=2)
     parser.add_argument("--trials", type=_positive_int, default=500)
     parser.add_argument("--depth", type=_positive_int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int, default=0)
     args = parser.parse_args()
 
     doc = {

@@ -185,7 +185,7 @@ def cmd_cover(args):
     hom = select_homomorphism(manifest, args.hom)
     _warn_not_surjective(hom)
     # the Schreier basis has |f(F)| (n - 1) + 1 elements, known before the build
-    rank = len(schreier_graph(hom)[1]) * (manifest.torus.fiber_rank - 1) + 1
+    rank = len(schreier_graph(hom)[0]) * (manifest.torus.fiber_rank - 1) + 1
     if rank > len(FIBER_ALPHABET):
         print(
             f"error: the cover of {hom.label!r} has {rank} basis generators; "

@@ -6,8 +6,10 @@ Permutations are tuples p of length degree with p[i] = image of point i
 breadth-first from the identity in generator order, which makes every
 derived object (indices, regular representations) reproducible.  After
 parsing, only FiniteGroup handles a permutation: a homomorphism's relation
-check, image, Schreier graph (one walk, FiniteGroup._walk, for both) and
-cover degree all read element indices off the group's product table.
+check, image, Schreier graph and cover degree all read element indices off
+the group's product table.  One breadth-first closure, _closure, lists a
+group's permutations, walks the table for an image or a Schreier graph,
+and closes the image of a matrix representation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 import re
 
 from math import lcm
+from operator import index
 
 from .errors import (
     EnumerationLimitError,
@@ -43,8 +46,16 @@ def invert_permutation(p):
     return tuple(out)
 
 
+def _integer(x):
+    """A degree or point x as an int, by operator.index: a float, a string
+    or a bool raises TypeError, never truncated or parsed."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, not {x!r}")
+    return index(x)
+
+
 def _check_permutation(p, degree):
-    p = tuple(int(x) for x in p)
+    p = tuple(map(_integer, p))
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise ValueError(f"not a permutation of degree {degree}: {p!r}")
     return p
@@ -97,33 +108,22 @@ def format_cycles(p):
     return "".join(parts) if parts else "()"
 
 
-def _bfs_closure(degree, generators):
-    """Elements reachable from the identity, breadth-first in generator
-    order; in a finite group this is the generated subgroup.  Raises
-    EnumerationLimitError beyond DEFAULT_ELEMENT_LIMIT elements or
-    POINT_LIMIT stored points."""
-    start = tuple(range(degree))
-    elements = [start]
+def _closure(start, step, admit=None):
+    """Everything reachable from start, breadth-first: step(x) lists the
+    neighbours of x in generator order, and each one not met before is
+    kept, in the order met.  admit(y, count), when given, sees each new y
+    before it is kept, count the number kept so far, and may raise to end
+    the closure."""
+    kept = [start]
     seen = {start}
-    head = 0
-    while head < len(elements):
-        cur = elements[head]
-        head += 1
-        for g in generators:
-            nxt = multiply_permutations(cur, g)
+    for cur in kept:  # also visits the items appended below
+        for nxt in step(cur):
             if nxt not in seen:
-                if len(elements) >= DEFAULT_ELEMENT_LIMIT:
-                    raise EnumerationLimitError(
-                        f"group enumeration exceeded {DEFAULT_ELEMENT_LIMIT} elements"
-                    )
-                if (len(elements) + 1) * degree > POINT_LIMIT:
-                    raise EnumerationLimitError(
-                        f"group enumeration exceeded {POINT_LIMIT} points "
-                        f"(elements x degree)"
-                    )
+                if admit is not None:
+                    admit(nxt, len(kept))
                 seen.add(nxt)
-                elements.append(nxt)
-    return elements
+                kept.append(nxt)
+    return kept
 
 
 class FiniteGroup:
@@ -137,12 +137,28 @@ class FiniteGroup:
     """
 
     def __init__(self, degree, generators, name=None):
-        self.degree = int(degree)
-        if self.degree < 1:
+        """Enumerates the elements; raises EnumerationLimitError beyond
+        DEFAULT_ELEMENT_LIMIT elements or POINT_LIMIT stored points."""
+        self.degree = degree = _integer(degree)
+        if degree < 1:
             raise ValueError("degree must be positive")
-        self.generators = [_check_permutation(g, self.degree) for g in generators]
+        self.generators = gens = [_check_permutation(g, degree) for g in generators]
         self.name = name
-        self.elements = _bfs_closure(self.degree, self.generators)
+
+        def admit(p, count):
+            if count >= DEFAULT_ELEMENT_LIMIT:
+                raise EnumerationLimitError(
+                    f"group enumeration exceeded {DEFAULT_ELEMENT_LIMIT} elements"
+                )
+            if (count + 1) * degree > POINT_LIMIT:
+                raise EnumerationLimitError(
+                    f"group enumeration exceeded {POINT_LIMIT} points "
+                    f"(elements x degree)"
+                )
+
+        self.elements = _closure(
+            tuple(range(degree)), lambda p: [multiply_permutations(p, g) for g in gens], admit
+        )
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._rows = [None] * len(self.elements)
         self._filled = False
@@ -167,17 +183,14 @@ class FiniteGroup:
         """The indices reachable from the identity, breadth-first over the
         element indices gens in order, and the table row of each, its
         entries at gens filled."""
-        visited, rows = [0], []  # the identity, first in BFS order
-        seen = {0}
-        for cur in visited:  # also visits the indices appended below
-            row = self._row(cur, gens)
+        rows = []
+
+        def step(i):
+            row = self._row(i, gens)
             rows.append(row)
-            for g in gens:
-                nxt = row[g]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    visited.append(nxt)
-        return visited, rows
+            return [row[g] for g in gens]
+
+        return _closure(0, step), rows  # the identity, first in BFS order
 
     def _product_table(self):
         """The product table as a list of rows, every entry filled."""
@@ -353,15 +366,16 @@ class TorusHomomorphism:
 
 def schreier_graph(f):
     """The Schreier graph of f(F), whose vertices are the cosets of
-    ker(f|F) in F, from one walk of the group's product table.
+    ker(f|F) in F, and the cover degree, from one walk of the group's
+    product table.
 
     The walk runs breadth-first over the letters x_1, x_1^-1, x_2, ... as
     element indices, so vertex v is the v-th element of f(F) in discovery
-    order, the identity 0.  Returns (vertex, reps, forward, backward):
-    vertex[v] is that element's index in the group, reps[v] its
-    shortlex-minimal representative word, the prefix-closed transversal,
-    and forward[v][g - 1] / backward[v][g - 1] the vertices that x_g^+-1
-    lead to from v."""
+    order, the identity 0.  Returns (reps, forward, backward, d, w):
+    reps[v] is vertex v's shortlex-minimal representative word, the
+    prefix-closed transversal; forward[v][g - 1] / backward[v][g - 1] are
+    the vertices that x_g^+-1 lead to from v; and d, w are as in
+    cover_degree, found by walking f(t)'s column of the table."""
     group = f.group
     letters, columns = [], []
     for g, x in enumerate(f._indices[:-1], 1):
@@ -378,27 +392,19 @@ def schreier_graph(f):
                 reps[u] = FreeWord(word.letters + (letter,))
         forward.append(targets[0::2])
         backward.append(targets[1::2])
-    return vertex, reps, forward, backward
-
-
-def cover_degree(f):
-    """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
-    over the fiber generators with f(w) = f(t)^-d."""
-    vertex, reps, _, _ = schreier_graph(f)
-    return _cover_degree(f, vertex, reps)
-
-
-def _cover_degree(f, vertex, reps):
-    """cover_degree(f) from the vertices and representatives of
-    schreier_graph(f), walking f(t)'s column of the product table."""
-    group = f.group
-    position = {x: v for v, x in enumerate(vertex)}
     t = acc = f._indices[-1]
     d = 1
     while acc not in position:
         acc = group._row(acc, (t,))[t]
         d += 1
-    return d, reps[position[group._inverse(acc)]]
+    return reps, forward, backward, d, reps[position[group._inverse(acc)]]
+
+
+def cover_degree(f):
+    """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
+    over the fiber generators with f(w) = f(t)^-d: the last two entries of
+    schreier_graph(f)."""
+    return schreier_graph(f)[3:]
 
 
 def permutation_matrix(p):
@@ -415,8 +421,8 @@ class FiniteRepresentation:
     letter that generate a finite group, the image of the representation.
 
     The constructor certifies both facts: it inverts each matrix once,
-    keeping the inverse for evaluate, and closes the image breadth-first
-    (see _close_image).  Only the constructions whose image is finite by
+    keeping the inverse, and closes the image breadth-first (see
+    _close_image).  Only the constructions whose image is finite by
     construction pass _finite and skip both: regular_representation (a
     permutation group), trivial_representation (the trivial group) and
     direct_sum (a subgroup of the product of two certified images)."""
@@ -441,28 +447,18 @@ class FiniteRepresentation:
                     raise RepresentationError("generator matrix is singular") from None
             _close_image(mats, self.dimension)
 
-    def matrix_for(self, gen):
-        if 1 <= gen <= self.rank:
-            return self.fiber_matrices[gen - 1]
-        if gen == self.rank + 1:
-            return self.stable_matrix
-        raise ValueError(f"generator {gen} outside the mapping-torus group")
-
-    def evaluate(self, word):
-        acc = RationalMatrix.identity(self.dimension)
-        for g, s in word.letters:
-            m = self.matrix_for(g)
-            acc = acc * (m if s > 0 else m.inverse())
-        return acc
-
     def satisfies_relations(self, monodromy):
+        """Whether rho(t) rho(x_i) = rho(theta(x_i)) rho(t) for every i,
+        the mapping-torus relations with no inverse of rho(t)."""
         if monodromy.rank != self.rank:
             return False
         t = self.stable_matrix
-        tinv = t.inverse()
-        for i in range(self.rank):
-            lhs = t * self.fiber_matrices[i] * tinv
-            if lhs != self.evaluate(monodromy.images[i]):
+        for x, image in zip(self.fiber_matrices, monodromy.images):
+            y = RationalMatrix.identity(self.dimension)
+            for g, s in image.letters:
+                m = self.fiber_matrices[g - 1]
+                y = y * (m if s > 0 else m.inverse())
+            if t * x != y * t:
                 return False
         return True
 
@@ -500,19 +496,13 @@ def _close_image(generators, n):
     one = RationalMatrix.identity(n)
     gens = [g for g in dict.fromkeys(generators) if g != one]
     limit = min(DEFAULT_ELEMENT_LIMIT, POINT_LIMIT // (n * n))
-    elements = [one]
-    seen = {one}
-    for cur in elements:  # also visits the elements appended below
-        for g in gens:
-            nxt = cur * g
-            if nxt in seen:
-                continue
-            trace, den = sum(r[i] for i, r in enumerate(nxt._z)), nxt._den
-            if len(elements) >= limit or trace % den or not -n <= trace // den < n:
-                raise RepresentationError(f"image not finite within {limit} elements")
-            seen.add(nxt)
-            elements.append(nxt)
-    return elements
+
+    def admit(m, count):
+        trace, den = sum(r[i] for i, r in enumerate(m._z)), m._den
+        if count >= limit or trace % den or not -n <= trace // den < n:
+            raise RepresentationError(f"image not finite within {limit} elements")
+
+    return _closure(one, lambda m: (m * g for g in gens), admit)
 
 
 def _block_diagonal(a, b):

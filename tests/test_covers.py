@@ -201,9 +201,9 @@ class TestSchreierGraph:
 
         def products(f):
             calls[0] = 0
-            vertex, _, _, _ = finite.schreier_graph(f)
+            reps, *_ = finite.schreier_graph(f)
             d, _ = finite.cover_degree(f)
-            return calls[0], len(vertex), d
+            return calls[0], len(reps), d
 
         monkeypatch.setattr(finite, "multiply_permutations", counting)
         assert len(filled) == 256

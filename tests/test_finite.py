@@ -149,6 +149,18 @@ class TestCycles:
 
 
 class TestGroups:
+    @pytest.mark.parametrize(
+        "degree, generators",
+        [(2.9, [(1.7, 0.2)]), (3, [("1", "2", "0")]), (2, [(True, False)]), (True, [(0,)]),
+         ("2", [(1, 0)])],
+        ids=["floats", "strings", "bool-points", "bool-degree", "string-degree"],
+    )
+    def test_non_integer_input_refused(self, degree, generators):
+        """The degree and every point are read by operator.index: a float
+        is not truncated, a string not parsed and a bool not taken as 0 or 1."""
+        with pytest.raises(TypeError):
+            FiniteGroup(degree, generators)
+
     def test_orders(self):
         assert trivial_group().order == 1
         assert cyclic_group(5).order == 5
@@ -626,7 +638,8 @@ class TestRepresentations:
     def test_trivial(self):
         rep = trivial_representation(2)
         assert rep.dimension == 1
-        assert rep.evaluate(FreeWord([(1, 1), (2, 1), (3, -1)])).is_identity()  # a b T
+        a, b = rep.fiber_matrices
+        assert (a * b * rep.stable_matrix.inverse()).is_identity()  # a b T
 
     def test_regular_dimension_is_image_order(self):
         g = symmetric_group(3)
@@ -648,6 +661,26 @@ class TestRepresentations:
         g = cyclic_group(2)
         f = TorusHomomorphism(g, (g.identity(), g.identity()), g.element(1))
         assert regular_representation(f).satisfies_relations(theta)
+
+    def test_satisfies_relations_inverts_no_stable_matrix(self, monkeypatch):
+        """The relations are tested as rho(t) rho(x_i) = rho(theta(x_i)) rho(t):
+        over every figure-eight class, no stable matrix is inverted, and a
+        map that breaks a relation is refused."""
+        inverted = []
+        invert = RationalMatrix._invert
+
+        def counting(self):
+            inverted.append(self)
+            return invert(self)
+
+        theta = figure_eight_monodromy()
+        reps = [regular_representation(f) for f in homomorphism_classes(theta).values()]
+        g = cyclic_group(2)
+        bad = regular_representation(TorusHomomorphism(g, (g.element(1), g.identity()), g.element(1)))
+        monkeypatch.setattr(RationalMatrix, "_invert", counting)
+        assert all(rep.satisfies_relations(theta) for rep in reps)
+        assert not bad.satisfies_relations(theta)
+        assert not any(m is rep.stable_matrix for m in inverted for rep in reps + [bad])
 
     @pytest.mark.parametrize(
         "rows", [[[0]], [[1, 2], [2, 4]], [[0, 1], [0, 0]]], ids=["zero", "rank-1", "nilpotent"]
@@ -797,30 +830,6 @@ class TestRepresentations:
             with pytest.raises(RepresentationError, match="image not finite"):
                 FiniteRepresentation(gens[1:] + [unipotent], gens[0])
 
-    def test_evaluate_inverts_each_generator_once(self, monkeypatch):
-        """The constructor inverts each generator and keeps the inverse, so
-        evaluate inverts no matrix."""
-        a, b, t = (permutation_matrix(p) for p in ((1, 0, 2), (1, 2, 0), (2, 0, 1)))
-        rep = FiniteRepresentation((a, b), t)
-        letters = {1: a, 2: b, 3: t}
-        inverses = {g: m.inverse() for g, m in letters.items()}
-        T = FreeWord([(3, -1)])
-        w = parse_word("ABAB", 2) * T * parse_word("a", 2) * T * parse_word("BAb", 2)
-        expected = RationalMatrix.identity(3)
-        for g, s in w:
-            expected = expected * (letters[g] if s > 0 else inverses[g])
-
-        inverted = []
-        invert = RationalMatrix._invert
-
-        def counting(self):
-            inverted.append(self)
-            return invert(self)
-
-        monkeypatch.setattr(RationalMatrix, "_invert", counting)
-        assert rep.evaluate(w) == expected
-        assert inverted == []
-
     def test_direct_sum_certifies_nothing(self, monkeypatch, capsys, fig8_manifest_path):
         """No closure runs inside regular_representation,
         trivial_representation or direct_sum: verify lemma5 closes only the
@@ -869,9 +878,9 @@ class TestRepresentations:
         b = regular_representation(f)
         s = a.direct_sum(b)
         assert s.dimension == 3
-        w = FreeWord([(3, 1)])
-        top_left = s.evaluate(w).entry(0, 0)
-        assert top_left == 1
+        one = RationalMatrix.identity(3)
+        assert s.fiber_matrices == (one, one)
+        assert one * s.stable_matrix == RationalMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 
 def _order_digest(items):

@@ -26,6 +26,8 @@ from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import theorem2_report
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 MINIMAL = {
     "manifold": {
         "rank": 2,
@@ -130,10 +132,17 @@ class TestLoading:
             loads_manifest(json.dumps(doc))
         assert exc.value.location == f"homomorphisms[0].{location}"
 
-    def test_loaded_images_keep_their_indices(self, fig8_manifest_path):
-        for f in load_manifest(fig8_manifest_path).homomorphisms:
-            elements = f.fiber_images + (f.stable_image,)
-            assert f._indices == tuple(f.group.index(p) for p in elements)
+    def test_loaded_images_keep_their_indices(self):
+        """Each loaded homomorphism holds the element indices its manifest
+        names, stable image last."""
+        for path in (ROOT / "manifests" / "figure_eight.json",
+                     ROOT / "manifests" / "identity_rank2.json",
+                     ROOT / "tests" / "data" / "right_mult_s3.json"):
+            specs = json.loads(path.read_text())["homomorphisms"]
+            homs = load_manifest(str(path)).homomorphisms
+            assert len(homs) == len(specs), path
+            for f, spec in zip(homs, specs):
+                assert f._indices == tuple(spec["fiber_images"] + [spec["stable_image"]]), path
 
     def test_incompatible_representation_rejected(self):
         doc = json.loads(manifest_text())

@@ -47,6 +47,15 @@ def test_order_lemma_stats_rejects_counts_below_one(flag):
     assert "Traceback" not in out.stderr
 
 
+def test_order_lemma_stats_rejects_non_ascii_seed():
+    """The seed is read as the CLI reads its own: int() would take the
+    Arabic-Indic digit three as 3."""
+    out = run_script("order_lemma_stats.py", "--seed", "\u0663", "--trials", "3")
+    assert out.returncode == 2
+    assert "--seed" in out.stderr and "ASCII digits" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize(
     "case, code",
     [("clean", 0), ("commutators-violation", 1), ("axioms-violation", 1),
