@@ -28,7 +28,6 @@ from orderlex.finite import (
     klein_four_group,
     multiply_permutations,
     parse_cycles,
-    permutation_matrix,
     regular_representation,
     small_groups_catalog,
     symmetric_group,
