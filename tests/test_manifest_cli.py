@@ -272,6 +272,18 @@ class TestCli:
             assert code == 0
             assert capsys.readouterr().out == (data / pinned).read_text()
 
+    @pytest.mark.parametrize("argv, pinned", [
+        (["report"], "report_fig8.json"),
+        (["verify", "theorem2"], "theorem2_fig8.json"),
+    ], ids=["report", "verify-theorem2"])
+    def test_theorem2_documents_pinned(self, capsys, fig8_manifest_path, argv, pinned):
+        # every theorem-2 field of figure-eight onto Z2..Z5, byte for byte:
+        # the classical polynomial and its root count, the twisted and cover
+        # polynomials, d and surjectivity
+        data = pathlib.Path(__file__).parent / "data"
+        assert cli.main([*argv, fig8_manifest_path, "--json"]) == 0
+        assert capsys.readouterr().out == (data / pinned).read_text()
+
     @pytest.mark.parametrize("k", [24, 26])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_cover_beyond_printable_letters(self, tmp_path, capsys, id2_manifest_path, k, as_json):
