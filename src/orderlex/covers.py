@@ -14,9 +14,11 @@ conjugated by f(t), theta^(+-1) preserve Ftilde; their restriction theta~
 and conjugation by w, C~_w, are certified once on the basis, where words
 are short.  The lifted monodromy x -> theta^d(w x w^-1) is exactly
 theta~^d o C~_w, since rewriting is an isomorphism of Ftilde onto the free
-group on the basis; theta~^d comes by repeated squaring, and the composite
-with C~_w, which is still built and certified, is skipped when w is empty
-and C~_w the identity.
+group on the basis; theta~^d comes by repeated squaring.  C~_w is built,
+certified and composed only when w is non-empty.  When w is empty C~_w is
+the identity, which build_cover checks directly on every cover: each basis
+element rewrites to its own letter.  That is stronger than certifying the
+identity map, which any signed involution of the basis letters also passes.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ def build_cover(m, f):
         raise ConsistencyError(
             f"Schreier basis has rank {len(basis)}, expected {expected_rank}"
         )
-    for b in basis:
-        v = 0
-        for g, s in b.letters:
-            v = (forward if s > 0 else backward)[v][g - 1]
-        if v:
-            raise ConsistencyError("Schreier basis element is not in the kernel")
+    for i, b in enumerate(basis, 1):
+        try:
+            own = _rewrite(b, forward, backward, edge)
+        except ValueError:
+            raise ConsistencyError("Schreier basis element is not in the kernel") from None
+        if own.letters != ((i, 1),):
+            raise ConsistencyError("Schreier basis element does not rewrite to its own letter")
 
     def restricted(there, back):
         images = [tuple(_rewrite(phi(b), forward, backward, edge) for b in basis)
@@ -76,12 +79,10 @@ def build_cover(m, f):
         return FreeEndomorphism(len(basis), *images)
 
     theta = m.monodromy
-    w_inv = w.inverse()
-    theta_tilde = restricted(theta.apply, theta.inverse_endomorphism().apply)
-    conjugation = restricted(lambda b: w * b * w_inv, lambda b: w_inv * b * w)
-    lifted = theta_tilde.power(d)
+    lifted = restricted(theta.apply, theta.inverse_endomorphism().apply).power(d)
     if w:
-        lifted = lifted.compose(conjugation)
+        w_inv = w.inverse()
+        lifted = lifted.compose(restricted(lambda b: w * b * w_inv, lambda b: w_inv * b * w))
 
     return CoverData(
         d=d,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 
+from functools import cached_property
 from math import lcm
 from operator import index
 
@@ -323,30 +324,38 @@ class TorusHomomorphism:
                 "images violate the mapping-torus relations"
             )
 
+    @cached_property
     def _image(self):
         """Indices of the elements of the full image, breadth-first from
         the identity over the images of the fiber generators and then the
-        stable letter, each step read off the group's product table."""
+        stable letter, each step read off the group's product table.
+        Walked once per homomorphism and kept, for image_key,
+        image_subgroup and is_surjective alike."""
         return self.group._walk(self._indices)[0]
 
     def image_subgroup(self):
         """Elements of the full image, ordered by BFS."""
-        return [self.group.elements[i] for i in self._image()]
+        return [self.group.elements[i] for i in self._image]
 
     def is_surjective(self):
-        return len(self._image()) == self.group.order
+        return len(self._image) == self.group.order
 
     def image_key(self):
         """The permutations by which the images of the fiber generators and
         of the stable letter act by left multiplication on the BFS-ordered
         image_subgroup().  Two homomorphisms with equal keys carry identical
-        twisting data, so this doubles as a deduplication key.
+        twisting data, so this doubles as a deduplication key.  Computed at
+        the first call and kept, so deduplication and
+        regular_representation share it."""
+        return self._key
 
-        The BFS and the permutations are read off the group's product
-        table: 2 |image| (rank + 1) entries, each a permutation product only
-        the first time the group reads it, so none after
+    @cached_property
+    def _key(self):
+        """image_key(), read off the product table over the kept image:
+        |image| (rank + 1) entries, each a permutation product only the
+        first time the group reads it, so none after
         enumerate_homomorphisms filled the table."""
-        image = self._image()
+        image = self._image
         pos = {k: i for i, k in enumerate(image)}
         row_of = self.group._row
 
@@ -543,36 +552,48 @@ def enumerate_homomorphisms(monodromy, group):
 
     The search runs on element indices over the group's product table,
     which it fills (at most |G|^2 permutation products, once per group),
-    and one inverse list.  For each tuple of fiber images, each theta(x_i)
-    is evaluated once by table lookups; a stable image t is kept when
-    t f(x_i) = f(theta(x_i)) t for every i, stopping at the first failure.
-    A TorusHomomorphism is built only for the maps kept, by one membership
-    lookup per image, so the |G|^(rank + 1) candidates cost
-    O(|G|^rank (|theta| + |G| rank)) lookups, |theta| the total length of
-    the images theta(x_i).  Every permutation product is the table's, made
-    inside FiniteGroup; the image_key() and the relation check of each map
-    returned then read the filled table and make none.
+    one inverse list and one conjugator table: conj[x][y] lists, in
+    ascending order, every t with t x = y t, |G|^2 lookups in all.  For
+    each tuple of fiber images, each theta(x_i) is evaluated once by table
+    lookups over the slots of the fiber images and their inverses; the
+    stable images tried are conj[f(x_1)][f(theta(x_1))] alone, and one is
+    kept when t f(x_i) = f(theta(x_i)) t for every other i, stopping at
+    the first failure.  So the |G|^(rank + 1) candidates cost
+    O(|G|^2 + |G|^rank (|theta| + |C| rank)) lookups, |theta| the total
+    length of the images theta(x_i) and |C| the largest centralizer, the
+    length of a nonempty conj[x][y].  A TorusHomomorphism is built only
+    for the maps kept, by one membership lookup per image.  Every
+    permutation product is the table's, made inside FiniteGroup; the
+    image_key() and the relation check of each map returned then read the
+    filled table and make none.
     """
     rank = monodromy.rank
     elements = group.elements
+    n = len(elements)
     table = group._product_table()
-    inverse = [group._inverse(i) for i in range(len(elements))]
-    words = [image.letters for image in monodromy.images]
+    inverse = [group._inverse(i) for i in range(n)]
+    conj = [[[] for _ in range(n)] for _ in range(n)]
+    for t, row in enumerate(table):  # ascending t, so each list ascends
+        back = inverse[t]
+        for x, tx in enumerate(row):
+            conj[x][table[tx][back]].append(t)
+    # theta(x_i) as slots: g - 1 for x_g, rank + g - 1 for its inverse
+    words = [[g - 1 if s > 0 else rank + g - 1 for g, s in image.letters]
+             for image in monodromy.images]
     homs = []
-    for fibers in itertools.product(range(len(elements)), repeat=rank):
-        signed = {}
-        for g, x in enumerate(fibers, 1):
-            signed[g, 1] = x
-            signed[g, -1] = inverse[x]
+    for fibers in itertools.product(range(n), repeat=rank):
+        slots = fibers + tuple([inverse[x] for x in fibers])
         targets = []
-        for letters in words:
+        for word in words:
             acc = 0  # the identity, first in BFS order
-            for letter in letters:
-                acc = table[acc][signed[letter]]
+            for k in word:
+                acc = table[acc][slots[k]]
             targets.append(acc)
-        pairs = list(zip(fibers, targets))
-        for t, row in enumerate(table):
-            for x, y in pairs:
+        # at rank 0 the identity's conj[0][0], every t, is tried
+        (x1, y1), *rest = list(zip(fibers, targets)) or [(0, 0)]
+        for t in conj[x1][y1]:
+            row = table[t]
+            for x, y in rest:
                 if row[x] != table[y][t]:
                     break
             else:

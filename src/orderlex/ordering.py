@@ -363,9 +363,11 @@ def theorem2_report(m, f):
     existence_equal: the twisted polynomial has a positive real root exactly
     when the cover polynomial does (they differ by t -> t^d, a positive-root
     bijection).  gain: the twisted polynomial, which has every positive root
-    of the classical one, has more.
+    of the classical one, has more.  The classical polynomial and its root
+    count are the torus's, computed at its first report and kept.
     """
-    classical = classical_alexander(m).polynomial
+    base = classical_alexander(m)
+    classical = base.polynomial
     rep = regular_representation(f)
     twisted = twisted_alexander(m, rep).polynomial
     if not poly_divmod(twisted, classical)[1].is_zero:
@@ -374,7 +376,7 @@ def theorem2_report(m, f):
     cover = build_cover(m, f)
     covered = cover_alexander(cover).polynomial
 
-    classical_count = sturm_positive_root_count(classical)
+    classical_count = base.positive_roots  # one chain per torus
     twisted_count = sturm_positive_root_count(twisted)
     # equal polynomials (Shapiro) have equal counts; only a disagreement,
     # which existence_equal must catch, needs the cover's own chain

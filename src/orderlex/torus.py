@@ -29,6 +29,7 @@ from .laurent import (
     format_polynomial,
 )
 from .linalg import PolynomialMatrix, characteristic_matrix, homology_invariant_factors
+from .roots import sturm_positive_root_count
 from .words import FreeWord
 
 
@@ -62,6 +63,11 @@ class MappingTorus:
     # built once per torus, for every twisted polynomial of it
     relators = cached_property(presentation)
 
+    @cached_property
+    def _classical(self):
+        """classical_alexander's result, computed at its first call."""
+        return _monodromy_polynomial(self.monodromy.abelianization(), 1)
+
 
 @dataclass(frozen=True)
 class AlexanderResult:
@@ -76,27 +82,42 @@ class AlexanderResult:
     def factor_strings(self):
         return [format_polynomial(p) for p in self.invariant_factors]
 
+    @cached_property
+    def positive_roots(self):
+        """Distinct roots of polynomial in (0, oo), counted at the first
+        read and kept."""
+        return sturm_positive_root_count(self.polynomial)
+
 
 def classical_alexander(m):
     """Characteristic polynomial of the homology action of the monodromy,
-    cross-checked against the invariant factors of tI - A."""
-    return _monodromy_polynomial(m.monodromy.abelianization(), 1)
+    cross-checked against the invariant factors of tI - A.  It is computed
+    at the first call for a torus and kept on it, with its positive-root
+    count once that is read."""
+    return m._classical
 
 
 def _monodromy_polynomial(a, d):
     """det(t^d I - A) for the homology action A of an automorphism,
-    cross-checked against the invariant factors of t^d I - A."""
-    poly = a.char_poly().substitute_power(d).canonicalize()
-    factors = characteristic_matrix(a, d).smith_normal_form()
+    cross-checked against the invariant factors of t^d I - A.
+
+    Both come from sI - A, with t^d substituted for s afterwards.  If
+    U(s) (sI - A) V(s) = diag(f_i(s)) with U, V unimodular over Q[s], then
+    s = t^d keeps U and V unimodular over Q[t] and f_i | f_(i+1), so the
+    f_i(t^d) are the invariant factors of t^d I - A; substitution also
+    maps a canonical polynomial to a canonical one.  The check compares
+    the characteristic polynomial with the product of the f_i, at s."""
+    chi = a.char_poly().canonicalize()
+    factors = characteristic_matrix(a, 1).smith_normal_form()
     if any(f.is_zero for f in factors):
-        raise ConsistencyError("t^d I - A is singular for an automorphism")
-    if _product_z(factors) != _zcanonical(poly._z):
+        raise ConsistencyError("tI - A is singular for an automorphism")
+    if _product_z(factors) != _zcanonical(chi._z):
         raise ConsistencyError(
-            "invariant factors of t^d I - A do not multiply to the "
+            "invariant factors of tI - A do not multiply to the "
             "characteristic polynomial"
         )
-    nonunit = tuple(f for f in factors if not f.is_one)
-    return AlexanderResult(poly, nonunit, 0)
+    nonunit = tuple(f.substitute_power(d) for f in factors if not f.is_one)
+    return AlexanderResult(chi.substitute_power(d), nonunit, 0)
 
 
 def twisted_alexander(m, rep, d_scale=1):

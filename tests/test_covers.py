@@ -38,7 +38,7 @@ from orderlex.finite import (
 )
 from orderlex.freegroup import FreeEndomorphism
 from orderlex.laurent import LaurentPolynomial
-from orderlex.linalg import PolynomialMatrix, RationalMatrix
+from orderlex.linalg import PolynomialMatrix, RationalMatrix, characteristic_matrix
 from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 from orderlex.words import FreeWord, format_word
 
@@ -336,6 +336,23 @@ class TestCoverAlexander:
         assert cover_alexander(c).polynomial == L("t^3 - 3*t^2 + 3*t - 1")
 
 
+    def test_invariant_factors_against_the_smith_form_at_t_d(self):
+        """cover_alexander reduces tI - A and substitutes t -> t^d; the
+        direct route reduces t^d I - A itself.  Over the 256 battery
+        classes and the D4, D6 and A4 classes behind data/cover_digests.json
+        both give the same chain, and the same polynomial."""
+        covers_seen = 0
+        for _, _, m, f in battery_classes():
+            c = build_cover(m, f)
+            a = c.lifted_monodromy.abelianization()
+            direct = characteristic_matrix(a, c.d).smith_normal_form()
+            result = cover_alexander(c)
+            assert result.invariant_factors == tuple(p for p in direct if not p.is_one)
+            assert result.polynomial == a.char_poly().substitute_power(c.d).canonicalize()
+            covers_seen += 1
+        assert covers_seen == 256 + 115 + 193 + 90
+
+
 class TestShapiro:
     def test_fig8_cyclic_covers(self):
         m = MappingTorus(2, figure_eight_monodromy())
@@ -427,18 +444,18 @@ class TestCrossChecksRaise:
         assert checked[0].images == theta.images
 
     @pytest.mark.parametrize(
-        "theta, k, fiber, stable, theta_tilde, conjugation",
+        "theta, k, fiber, stable, certified",
         [
-            # figure-eight onto Z3: Ftilde = F, theta~ = theta, w empty
-            (figure_eight_monodromy(), 3, (0, 0), 1, ("aba", "ab"), ("a", "b")),
-            # identity onto Z2 through a and t: w = a, basis [b, aa, abA]
-            (identity_automorphism(2), 2, (1, 0), 1, ("a", "b", "c"), ("c", "b", "baB")),
+            # figure-eight onto Z3: Ftilde = F, theta~ = theta; w is empty,
+            # so C~_w is the identity and is neither built nor certified
+            (figure_eight_monodromy(), 3, (0, 0), 1, [("aba", "ab")]),
+            # identity onto Z2 through a and t: w = a, basis [b, aa, abA];
+            # theta~, then C~_w
+            (identity_automorphism(2), 2, (1, 0), 1, [("a", "b", "c"), ("c", "b", "baB")]),
         ],
         ids=["figure-eight-z3", "identity-z2-conjugating"],
     )
-    def test_only_restrictions_are_checked(
-        self, monkeypatch, theta, k, fiber, stable, theta_tilde, conjugation
-    ):
+    def test_only_restrictions_are_checked(self, monkeypatch, theta, k, fiber, stable, certified):
         m = MappingTorus(2, theta)
         g = cyclic_group(k)
         f = TorusHomomorphism(g, tuple(g.element(x) for x in fiber), g.element(stable))
@@ -452,12 +469,44 @@ class TestCrossChecksRaise:
         monkeypatch.setattr(FreeEndomorphism, "_verify_inverse", counting)
         cover = build_cover(m, f)
         rank = len(cover.subgroup_basis)
-        assert [[format_word(w) for w in c.images] for c in checked] == [
-            list(theta_tilde),
-            list(conjugation),
-        ]
+        assert [tuple(format_word(w) for w in c.images) for c in checked] == certified
         assert all(c.rank == rank for c in checked)
         assert all(c is not cover.lifted_monodromy for c in checked)
+
+    @pytest.mark.parametrize("theta, k, fiber, stable", [
+        (figure_eight_monodromy(), 3, (0, 0), 1),  # w empty, basis [a, b]
+        (identity_automorphism(2), 2, (1, 0), 1),  # w = a, basis [b, aa, abA]
+    ], ids=["figure-eight-z3", "identity-z2-conjugating"])
+    @pytest.mark.parametrize("signed", [
+        {1: (2, 1), 2: (1, 1)},  # letters 1 and 2 swapped
+        {1: (1, -1)},  # letter 1 rewritten to its inverse
+    ], ids=["swap", "invert"])
+    def test_basis_rewrites_to_its_own_letters(self, monkeypatch, theta, k, fiber, stable,
+                                               signed):
+        """A rewriting that permutes or inverts basis letters is an
+        automorphism of the free group on the basis, so the identity map
+        read through it still certifies, which is what certifying C~_w
+        for an empty w accepted.  build_cover's direct check refuses it."""
+        m = MappingTorus(2, theta)
+        g = cyclic_group(k)
+        f = TorusHomomorphism(g, tuple(g.element(x) for x in fiber), g.element(stable))
+        rank = len(build_cover(m, f).subgroup_basis)
+        rewrite = covers._rewrite
+
+        def letter(i, s):
+            h, e = signed.get(i, (i, 1))
+            return h, e * s
+
+        def wrong(word, *graph):
+            return FreeWord(tuple(letter(i, s) for i, s in rewrite(word, *graph).letters))
+
+        # the identity map as the rewriting reads it: basis element i, which
+        # rewrites honestly to letter i, now goes to letter(i, 1)
+        images = tuple(FreeWord((letter(i, 1),)) for i in range(1, rank + 1))
+        FreeEndomorphism(rank, images, images)  # an involution: it certifies
+        monkeypatch.setattr(covers, "_rewrite", wrong)
+        with pytest.raises(ConsistencyError, match="own letter"):
+            build_cover(m, f)
 
 
 class TestLiftedMonodromy:

@@ -34,6 +34,7 @@ from orderlex.finite import (
     trivial_group,
     trivial_representation,
 )
+from orderlex.freegroup import FreeEndomorphism
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.words import FreeWord, parse_word
 
@@ -305,6 +306,29 @@ def assert_matches_reference(monodromy, group):
     assert [(f.fiber_images, f.stable_image) for f in got] == want
 
 
+def reference_enumerate(monodromy, group):
+    """(fiber images, stable image) of every map, by the full scan:
+    theta(x_i) evaluated over a signed dict per fiber tuple, then every
+    stable image t tried against every pair, in product order."""
+    table = group._product_table()
+    inverse = [group._inverse(i) for i in range(group.order)]
+    found = []
+    for fibers in itertools.product(range(group.order), repeat=monodromy.rank):
+        signed = {}
+        for g, x in enumerate(fibers, 1):
+            signed[g, 1], signed[g, -1] = x, inverse[x]
+        targets = []
+        for image in monodromy.images:
+            acc = 0
+            for letter in image.letters:
+                acc = table[acc][signed[letter]]
+            targets.append(acc)
+        for t, row in enumerate(table):
+            if all(row[x] == table[y][t] for x, y in zip(fibers, targets)):
+                found.append((tuple(group.elements[x] for x in fibers), group.elements[t]))
+    return found
+
+
 BATTERY = standard_battery()
 
 
@@ -346,6 +370,24 @@ class TestEnumeration:
         for i, k in factors:
             monodromy = monodromy.compose(autos[i % len(autos)].power(k))
         assert_matches_reference(monodromy, group)
+
+    @pytest.mark.parametrize("name, degree, generators", [
+        ("catalog", None, None),
+        ("D6", 6, ["(1 2 3 4 5 6)", "(2 6)(3 5)"]),
+        ("A4", 4, ["(1 2 3)", "(2 3 4)"]),
+        ("Z12", 12, ["(1 2 3 4 5 6 7 8 9 10 11 12)"]),
+    ], ids=["catalog", "D6", "A4", "Z12"])
+    def test_conjugator_lookup_against_the_full_scan(self, name, degree, generators):
+        """Trying only the t with t f(x_1) = f(theta(x_1)) t finds the maps
+        the scan over every t finds, in the same order; at rank 0, where
+        there is no x_1, every t."""
+        groups = (small_groups_catalog() if degree is None else
+                  [FiniteGroup(degree, [parse_cycles(c, degree) for c in generators])])
+        for auto in [auto for _, auto in BATTERY] + [FreeEndomorphism.identity(0)]:
+            for group in groups:
+                got = [(f.fiber_images, f.stable_image)
+                       for f in enumerate_homomorphisms(auto, group)]
+                assert got == reference_enumerate(auto, group)
 
     def test_products_bounded_by_the_table(self, monkeypatch):
         """One call makes the |G|^2 products of its multiplication table

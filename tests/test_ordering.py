@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from _laurent_literal import L
 
-from orderlex import cli, ordering
+from orderlex import cli, ordering, torus as torus_module
 from orderlex.autos import figure_eight_monodromy, standard_battery
 from orderlex.errors import ConsistencyError
-from orderlex.finite import homomorphism_classes
+from orderlex.finite import FiniteGroup, homomorphism_classes
 from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import (
@@ -526,7 +526,8 @@ class TestPositiveEigenvalue:
 class TestTheorem2Report:
     @staticmethod
     def counting_chains(monkeypatch):
-        """The polynomials theorem2_report runs a Sturm chain on."""
+        """The polynomials theorem2_report runs a Sturm chain on: its own
+        chains, and the classical count the torus keeps."""
         chains = []
         count = ordering.sturm_positive_root_count
 
@@ -535,36 +536,42 @@ class TestTheorem2Report:
             return count(p)
 
         monkeypatch.setattr(ordering, "sturm_positive_root_count", counting)
+        monkeypatch.setattr(torus_module, "sturm_positive_root_count", counting)
         return chains
 
     def test_equal_cover_polynomial_shares_the_twisted_chain(self, monkeypatch):
         """Over every 8th class of the battery the cover polynomial equals the
-        twisted one (Shapiro), so each report runs two chains, the classical
-        and the twisted, and takes the cover's count from the twisted."""
-        classes = [(MappingTorus(auto.rank, auto, label), f)
-                   for label, auto in standard_battery()
-                   for f in homomorphism_classes(auto).values()][::8]
+        twisted one (Shapiro), so each report runs one chain, the twisted
+        one, and takes the cover's count from it; the classical chain runs
+        once per torus."""
+        tori = [MappingTorus(auto.rank, auto, label) for label, auto in standard_battery()]
+        classes = [(torus, f) for torus in tori
+                   for f in homomorphism_classes(torus.monodromy).values()][::8]
         chains = self.counting_chains(monkeypatch)
         for torus, f in classes:
             report = theorem2_report(torus, f)
             assert report["cover"] == report["twisted"]
             assert report["cover_positive_roots"] == report["twisted_positive_roots"]
-        assert len(classes) > 20
-        assert len(chains) == 2 * len(classes)
+        reached = {id(torus) for torus, _ in classes}
+        assert len(classes) > 20 and len(reached) > 1
+        assert len(chains) == len(classes) + len(reached)
 
     def test_differing_cover_polynomial_runs_its_chain(self, monkeypatch):
         """A cover polynomial other than the twisted one gets its own chain,
         so existence_equal still catches a disagreement."""
         torus = MappingTorus(2, figure_eight_monodromy(), "figure-eight")
-        f = next(iter(homomorphism_classes(torus.monodromy).values()))
+        homs = list(homomorphism_classes(torus.monodromy).values())[:2]
         monkeypatch.setattr(ordering, "cover_alexander",
                             lambda cover: AlexanderResult(L("t^2 + t + 1"), (), 0))
         chains = self.counting_chains(monkeypatch)
-        report = theorem2_report(torus, f)
-        assert len(chains) == 3 and chains[-1] == L("t^2 + t + 1")
-        assert report["twisted_positive_roots"] > 0
-        assert report["cover_positive_roots"] == 0
-        assert report["existence_equal"] is False
+        for f in homs:
+            report = theorem2_report(torus, f)
+            assert chains[-1] == L("t^2 + t + 1")
+            assert report["twisted_positive_roots"] > 0
+            assert report["cover_positive_roots"] == 0
+            assert report["existence_equal"] is False
+        # the torus's classical chain, then twisted and cover per report
+        assert len(chains) == 1 + 2 * len(homs)
 
     @staticmethod
     def not_dividing(monkeypatch):
@@ -589,6 +596,33 @@ class TestTheorem2Report:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal cross-check disagreed")
+
+    @pytest.mark.parametrize("argv", [["verify", "theorem2"], ["report"]])
+    def test_torus_and_image_work_done_once(self, monkeypatch, capsys, fig8_manifest_path, argv):
+        """Over figure-eight's four maps onto Z2..Z5, the base classical
+        polynomial is computed once and each image is walked once, over
+        f(a), f(b), f(t); each cover's Schreier walk, over the four fiber
+        letters, is its own."""
+        classical = []
+        polynomial = torus_module._monodromy_polynomial  # covers binds its own
+
+        def counting(a, d):
+            classical.append(d)
+            return polynomial(a, d)
+
+        walks = []
+        walk = FiniteGroup._walk
+
+        def walking(group, gens):
+            walks.append((group, len(gens)))
+            return walk(group, gens)
+
+        monkeypatch.setattr(torus_module, "_monodromy_polynomial", counting)
+        monkeypatch.setattr(FiniteGroup, "_walk", walking)
+        assert cli.main(argv + [fig8_manifest_path, "--json"]) == 0
+        assert classical == [1]
+        images = [id(group) for group, n in walks if n == 3]
+        assert len(images) == len(set(images)) == 4
 
     def test_division_and_gain_match_sympy(self):
         """Over every 4th class of the battery, from the report's strings and
