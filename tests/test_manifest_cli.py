@@ -284,6 +284,16 @@ class TestCli:
         assert cli.main([*argv, fig8_manifest_path, "--json"]) == 0
         assert capsys.readouterr().out == (data / pinned).read_text()
 
+    def test_order_lemmas_document_pinned(self, monkeypatch, capsys, fig8_manifest_path):
+        # both Magnus suites at seed 1, 20 trials, depth 6, byte for byte:
+        # every resolved and unresolved tally moves if a comparison or a
+        # random word does
+        monkeypatch.delenv("ORDERLEX_DEPTH", raising=False)
+        data = pathlib.Path(__file__).parent / "data"
+        argv = ["verify", "order-lemmas", fig8_manifest_path, "--trials", "20", "--json"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (data / "order_lemmas_fig8.json").read_text()
+
     @pytest.mark.parametrize("k", [24, 26])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_cover_beyond_printable_letters(self, tmp_path, capsys, id2_manifest_path, k, as_json):
