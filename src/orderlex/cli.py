@@ -35,8 +35,8 @@ from .laurent import format_polynomial
 from .manifest import load_manifest, select_homomorphism, select_representation
 from .ordering import (
     DEFAULT_DEPTH,
+    OrderVerdict,
     bi_order_axiom_suite,
-    clay_rolfsen_verdict,
     lemma_comm_suite,
     theorem2_report,
 )
@@ -122,7 +122,7 @@ def _warn_not_surjective(hom):
 def cmd_alexander(args):
     manifest = load_manifest(args.manifest)
     result = classical_alexander(manifest.torus)
-    verdict = clay_rolfsen_verdict(result.polynomial)
+    verdict = OrderVerdict.from_counts(*result.root_counts)
     poly = format_polynomial(result.polynomial)
     doc = {
         "label": manifest.torus.label,
@@ -315,7 +315,7 @@ def cmd_report(args):
     manifest = load_manifest(args.manifest)
     torus = manifest.torus
     classical = classical_alexander(torus)
-    verdict = clay_rolfsen_verdict(classical.polynomial)
+    verdict = OrderVerdict.from_counts(*classical.root_counts)
     doc = {
         "label": torus.label,
         "classical": {

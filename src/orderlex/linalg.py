@@ -395,13 +395,13 @@ class PolynomialMatrix:
         return [_z_to_laurent(_zcanonical(d)) for d in diag]
 
 
-def characteristic_matrix(a, d):
-    """t^d I - a for a square RationalMatrix a; its determinant is the
-    characteristic polynomial of a at t^d."""
+def characteristic_matrix(a):
+    """tI - a for a square RationalMatrix a; its determinant is the
+    characteristic polynomial of a."""
     rows = []
     for i, row in enumerate(a._z):
         out = [[-x] if x else [] for x in row]
-        out[i] = [-row[i]] + [0] * (d - 1) + [a._den]
+        out[i] = [-row[i], a._den]
         rows.append(out)
     return PolynomialMatrix._of(rows, 0, a._den)
 

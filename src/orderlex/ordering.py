@@ -19,7 +19,10 @@ x_a, and degree 2 is c(a,b) X_a X_b off the diagonal, c(a,b) a pair sum of
 Fox derivatives (Chen-Fox-Lyndon, "Free differential calculus IV", Ann.
 Math. 68 (1958)).  These closed forms live only in the comparison, which
 reads both from u and v over the generators they contain; only a pair that
-agrees at both, u * v^-1 in the third lower-central term, expands u * v^-1."""
+agrees at both, u * v^-1 in the third lower-central term, expands u * v^-1.
+Degree 1 reads x_1's exponent sums first, in one pass with no dict, as x_1
+leads every other generator in graded-lex order; in the property suites
+it decides about two comparisons in three alone."""
 
 from __future__ import annotations
 
@@ -137,7 +140,22 @@ def _low_degree_lead(left, right, depth):
     """The lead coefficient of M(u) - M(v) if it lies in degree 1, or 2 when
     depth >= 2, else 0: the first nonzero difference of exponent sums, then
     of pair sums c(a,b), a < b in lex order, over the generators present.
-    Where the e_a agree, so do C(e_a, 2) and c(b,a) = e_a e_b - c(a,b)."""
+    Where the e_a agree, so do C(e_a, 2) and c(b,a) = e_a e_b - c(a,b).
+
+    Generator 1 comes first, in one pass over the letters with no dict:
+    1 is the least index a word can hold, so a nonzero e_1 difference is
+    the lead, and an absent x_1 differs by 0 and leaves it to the rest.
+    The suites' words are mostly over x_1 and x_2, and x_1 alone decides
+    most of their comparisons."""
+    d = 0
+    for g, s in left:
+        if g == 1:
+            d += s
+    for g, s in right:
+        if g == 1:
+            d -= s
+    if d:
+        return d
     diff = {}
     for g, s in left:
         diff[g] = diff.get(g, 0) + s
@@ -161,7 +179,7 @@ def magnus_compare(u, v, depth=DEFAULT_DEPTH):
     degrees 1 and 2, and past them from the expansion of u * v^-1."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if u == v:
+    if u.letters == v.letters:
         return Comparison.EQUAL
     lead = _low_degree_lead(u.letters, v.letters, depth)
     if not lead:
@@ -213,7 +231,9 @@ def random_reduced_word(rng, rank, max_len=8):
     rng.randint(1, max_len), then rng.randint(1, rank) and
     rng.choice((1, -1)) per letter drawn, would: each of those takes
     n.bit_length() bits from getrandbits and redraws while the value is >= n,
-    for n = max_len, rank and 2."""
+    for n = max_len, rank and 2.  A letter is redrawn when its generator is
+    that of the letter before and its sign bit is not, compared as the two
+    ints drawn, so the stream is that of the old tuple comparison."""
     if rank < 1 or max_len < 1:
         raise ValueError("rank and max_len must be at least 1")
     bits = rng.getrandbits
@@ -223,7 +243,7 @@ def random_reduced_word(rng, rank, max_len=8):
         length = bits(k)
     k = rank.bit_length()
     letters = []
-    undo = None
+    last = last_s = -1  # the letter before, as drawn: generator - 1, sign bit
     for _ in range(length + 1):
         while True:
             g = bits(k)
@@ -232,11 +252,10 @@ def random_reduced_word(rng, rank, max_len=8):
             s = bits(2)
             while s > 1:
                 s = bits(2)
-            letter = (g + 1, -1) if s else (g + 1, 1)
-            if letter != undo:
+            if g != last or s == last_s:
                 break
-        letters.append(letter)
-        undo = (letter[0], -letter[1])
+        letters.append((g + 1, -1) if s else (g + 1, 1))
+        last, last_s = g, s
     return FreeWord._wrap(tuple(letters))
 
 
@@ -329,23 +348,30 @@ class OrderVerdict:
     status: OrderStatus
     positive_root_count: int
 
+    @classmethod
+    def from_counts(cls, positive, distinct):
+        """The verdict of a classical Alexander polynomial with the given
+        numbers of distinct roots in (0, oo) and in C: no positive real root
+        obstructs a bi-ordering; all roots real and positive suffices for
+        one."""
+        if positive == 0:
+            status = OrderStatus.OBSTRUCTED
+        elif positive == distinct:
+            status = OrderStatus.BIORDERABLE
+        else:
+            status = OrderStatus.INCONCLUSIVE
+        return cls(status, positive)
+
 
 def clay_rolfsen_verdict(p):
-    """Bi-orderability verdict from a classical Alexander polynomial: no
-    positive real root obstructs a bi-ordering; all roots real and positive
-    suffices for one.  Both counts come from one Sturm chain; a constant
-    has no roots, so it obstructs without one."""
+    """Bi-orderability verdict from a classical Alexander polynomial (see
+    OrderVerdict.from_counts).  Both counts come from one Sturm chain; a
+    constant has no roots, so it obstructs without one.  A torus keeps the
+    counts of its own classical polynomial (AlexanderResult.root_counts)."""
     if p.is_zero:
         raise ValueError("the zero polynomial carries no verdict")
     q = p.canonicalize()
-    positive, distinct = _root_counts(q) if q.degree else (0, 0)
-    if positive == 0:
-        status = OrderStatus.OBSTRUCTED
-    elif positive == distinct:
-        status = OrderStatus.BIORDERABLE
-    else:
-        status = OrderStatus.INCONCLUSIVE
-    return OrderVerdict(status, positive)
+    return OrderVerdict.from_counts(*(_root_counts(q) if q.degree else (0, 0)))
 
 
 def has_positive_real_eigenvalue(m):
@@ -376,7 +402,7 @@ def theorem2_report(m, f):
     cover = build_cover(m, f)
     covered = cover_alexander(cover).polynomial
 
-    classical_count = base.positive_roots  # one chain per torus
+    classical_count = base.root_counts[0]  # one chain per torus
     twisted_count = sturm_positive_root_count(twisted)
     # equal polynomials (Shapiro) have equal counts; only a disagreement,
     # which existence_equal must catch, needs the cover's own chain

@@ -29,7 +29,7 @@ from .laurent import (
     format_polynomial,
 )
 from .linalg import PolynomialMatrix, characteristic_matrix, homology_invariant_factors
-from .roots import sturm_positive_root_count
+from .roots import _root_counts
 from .words import FreeWord
 
 
@@ -83,17 +83,19 @@ class AlexanderResult:
         return [format_polynomial(p) for p in self.invariant_factors]
 
     @cached_property
-    def positive_roots(self):
-        """Distinct roots of polynomial in (0, oo), counted at the first
-        read and kept."""
-        return sturm_positive_root_count(self.polynomial)
+    def root_counts(self):
+        """(distinct roots in (0, oo), distinct complex roots) of the nonzero
+        polynomial, from one Sturm chain run at the first read and kept; a
+        constant has none."""
+        q = self.polynomial.canonicalize()
+        return _root_counts(q) if q.degree else (0, 0)
 
 
 def classical_alexander(m):
     """Characteristic polynomial of the homology action of the monodromy,
     cross-checked against the invariant factors of tI - A.  It is computed
-    at the first call for a torus and kept on it, with its positive-root
-    count once that is read."""
+    at the first call for a torus and kept on it, with its root counts
+    once they are read."""
     return m._classical
 
 
@@ -108,7 +110,7 @@ def _monodromy_polynomial(a, d):
     maps a canonical polynomial to a canonical one.  The check compares
     the characteristic polynomial with the product of the f_i, at s."""
     chi = a.char_poly().canonicalize()
-    factors = characteristic_matrix(a, 1).smith_normal_form()
+    factors = characteristic_matrix(a).smith_normal_form()
     if any(f.is_zero for f in factors):
         raise ConsistencyError("tI - A is singular for an automorphism")
     if _product_z(factors) != _zcanonical(chi._z):

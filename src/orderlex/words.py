@@ -100,14 +100,21 @@ class FreeWord:
                 if g != h or s == r:
                     break
                 k += 1
-            return FreeWord._wrap(left[: len(left) - k] + right[k:])
-        return FreeWord._wrap(left + right)
+            right = right[k:]
+            left = left[: len(left) - k]
+        # built as _wrap builds, without its call: this and inverse are the
+        # word layer's most frequent constructors
+        out = object.__new__(FreeWord)
+        out.letters = left + right
+        return out
 
     def inverse(self):
         """The reversed word with signs flipped, reduced as the word is; built
         from a list, as a tuple grown from a generator is resized step by
         step, which fragments small-object memory and raises the peak RSS."""
-        return FreeWord._wrap(tuple([(g, -s) for g, s in reversed(self.letters)]))
+        out = object.__new__(FreeWord)
+        out.letters = tuple([(g, -s) for g, s in reversed(self.letters)])
+        return out
 
     def exponent_sum(self, gen):
         return sum(s for g, s in self.letters if g == gen)

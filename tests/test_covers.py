@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from _laurent_literal import L
+from _laurent_literal import L, power_characteristic_matrix
 
 from orderlex import covers, finite
 from orderlex.autos import (
@@ -38,7 +38,7 @@ from orderlex.finite import (
 )
 from orderlex.freegroup import FreeEndomorphism
 from orderlex.laurent import LaurentPolynomial
-from orderlex.linalg import PolynomialMatrix, RationalMatrix, characteristic_matrix
+from orderlex.linalg import PolynomialMatrix, RationalMatrix
 from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 from orderlex.words import FreeWord, format_word
 
@@ -345,7 +345,7 @@ class TestCoverAlexander:
         for _, _, m, f in battery_classes():
             c = build_cover(m, f)
             a = c.lifted_monodromy.abelianization()
-            direct = characteristic_matrix(a, c.d).smith_normal_form()
+            direct = power_characteristic_matrix(a, c.d).smith_normal_form()
             result = cover_alexander(c)
             assert result.invariant_factors == tuple(p for p in direct if not p.is_one)
             assert result.polynomial == a.char_poly().substitute_power(c.d).canonicalize()

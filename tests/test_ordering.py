@@ -362,6 +362,35 @@ class TestMagnusCompare:
             with pytest.raises(ValueError):
                 magnus_compare(W("ab"), W("ba"), depth=depth)
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_generator_one_first_matches_oracle(self, depth):
+        """The degree-1 lead takes x_1's exponent sum first.  Against the
+        oracle, either way round: random words at ranks 1-5; the same words
+        with every x_1 deleted; pairs whose x_1 sums tie, so that x_2 or
+        x_3 decides; words over the sparse indices {2, 7}; the empty word."""
+        rng = random.Random(f"generator one first {depth}")
+        pairs = [([], []), ([], [(1, 1)]), ([(2, -1)], []), ([(7, 1)], [(2, 1)]),
+                 ([(1, 1), (2, 1)], [(2, 1), (1, 1), (3, -1)]),
+                 ([(2, 1), (1, 1), (2, 1)], [(1, 1), (2, 1), (3, 1), (3, 1)])]
+        for _ in range(200):
+            rank = rng.randint(1, 5)
+            u, v = (list(random_reduced_word(rng, rank, 6).letters) for _ in range(2))
+            tie = u[:] + [(rng.randint(2, 3), rng.choice((1, -1)))
+                          for _ in range(rng.randint(1, 3))]
+            rng.shuffle(tie)
+            pairs += [(u, v), (u, []),
+                      ([x for x in u if x[0] != 1], [x for x in v if x[0] != 1]),
+                      (u, tie),
+                      ([((2, 7)[g % 2], s) for g, s in u], [((2, 7)[g % 2], s) for g, s in v])]
+        decided = {"x_1": 0, "tie": 0}
+        for u, v in pairs:
+            e1 = sum(s for g, s in u if g == 1) - sum(s for g, s in v if g == 1)
+            if FreeWord(u) != FreeWord(v):
+                decided["x_1" if e1 else "tie"] += 1
+            for x, y in ((u, v), (v, u)):
+                assert magnus_compare(FreeWord(x), FreeWord(y), depth) is oracle_compare(x, y, depth)
+        assert decided["x_1"] > 300 and decided["tie"] > 300
+
     def test_antisymmetric_pairs(self):
         u, v = W("abA"), W("bb")
         c1 = magnus_compare(u, v)
@@ -527,16 +556,19 @@ class TestTheorem2Report:
     @staticmethod
     def counting_chains(monkeypatch):
         """The polynomials theorem2_report runs a Sturm chain on: its own
-        chains, and the classical count the torus keeps."""
+        chains, and the classical counts the torus keeps, whose chain runs
+        in torus's _root_counts."""
         chains = []
-        count = ordering.sturm_positive_root_count
 
-        def counting(p):
-            chains.append(p)
-            return count(p)
+        def counting(count):
+            def wrapper(p):
+                chains.append(p)
+                return count(p)
+            return wrapper
 
-        monkeypatch.setattr(ordering, "sturm_positive_root_count", counting)
-        monkeypatch.setattr(torus_module, "sturm_positive_root_count", counting)
+        monkeypatch.setattr(ordering, "sturm_positive_root_count",
+                            counting(ordering.sturm_positive_root_count))
+        monkeypatch.setattr(torus_module, "_root_counts", counting(torus_module._root_counts))
         return chains
 
     def test_equal_cover_polynomial_shares_the_twisted_chain(self, monkeypatch):
