@@ -334,7 +334,8 @@ def test_char_poly_prime_below_twice_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_characteristic_matrix(n):
-    """det(t^d I - A) is sympy's characteristic polynomial of A at t^d."""
+    """det(t^d I - A) is sympy's characteristic polynomial of A at t^d: the
+    library's tI - A at d = 1, the tests' own t^d I - A past it."""
     rng = random.Random(f"characteristic {n}")
     for d in (1, 2, 3):
         for density in (1.0, 0.5):
