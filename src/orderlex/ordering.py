@@ -37,7 +37,7 @@ from .covers import build_cover, cover_alexander
 from .errors import ConsistencyError
 from .finite import regular_representation
 from .laurent import format_polynomial, poly_divmod
-from .roots import _root_counts, sturm_positive_root_count
+from .roots import root_counts, sturm_positive_root_count
 from .torus import classical_alexander, twisted_alexander
 from .words import FreeWord, commutator
 
@@ -365,13 +365,9 @@ class OrderVerdict:
 
 def clay_rolfsen_verdict(p):
     """Bi-orderability verdict from a classical Alexander polynomial (see
-    OrderVerdict.from_counts).  Both counts come from one Sturm chain; a
-    constant has no roots, so it obstructs without one.  A torus keeps the
+    OrderVerdict.from_counts), from its roots.root_counts.  A torus keeps the
     counts of its own classical polynomial (AlexanderResult.root_counts)."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial carries no verdict")
-    q = p.canonicalize()
-    return OrderVerdict.from_counts(*(_root_counts(q) if q.degree else (0, 0)))
+    return OrderVerdict.from_counts(*root_counts(p))
 
 
 def has_positive_real_eigenvalue(m):

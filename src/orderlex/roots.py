@@ -1,10 +1,11 @@
 """Exact real-root counting on (0, oo) via Sturm sequences.
 
-Everything is exact: each remainder of the chain comes from a Z[t]
-pseudo-division (laurent.poly_divmod), undone under one rational unit, so
-the counts are certificates rather than numerics.  Laurent inputs are
-canonicalized first; stripping the unit t^k never changes roots away
-from 0.
+root_counts is the one entry point for a polynomial's root data, and every
+other root query reads its counts.  It canonicalizes once, as stripping the
+unit t^k changes no root away from 0, and runs the one Sturm chain unless
+the polynomial is a constant.  Everything is exact: each remainder of the
+chain comes from a Z[t] pseudo-division (laurent.poly_divmod), undone under
+one rational unit, so the counts are certificates rather than numerics.
 
 The Sturm chain is that of the canonical q itself, with no square-free
 step.  Its last entry g is gcd(q, q') up to a constant, and g divides every
@@ -25,9 +26,9 @@ def _sign_changes(values):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _root_counts(q):
-    """(distinct roots in (0, oo), distinct complex roots) of a canonical
-    polynomial q of positive degree, from its one Sturm chain."""
+def _sturm_counts(q):
+    """root_counts of a canonical polynomial q of positive degree, from its
+    one Sturm chain."""
     chain = [q, q.derivative()]
     while chain[-1].degree > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
@@ -40,17 +41,19 @@ def _root_counts(q):
     return positive, q.degree - chain[-1].degree
 
 
-def sturm_positive_root_count(p):
-    """Number of distinct real roots of p in the open interval (0, oo).
-
-    Multiplicities are ignored.  Raises on the zero polynomial.
-    """
+def root_counts(p):
+    """(distinct roots in (0, oo), distinct complex roots) of a Laurent
+    polynomial p, away from 0.  Raises ValueError on the zero polynomial."""
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
     q = p.canonicalize()
-    if q.degree == 0:
-        return 0
-    return _root_counts(q)[0]
+    return _sturm_counts(q) if q.degree else (0, 0)
 
 
-__all__ = ["sturm_positive_root_count"]
+def sturm_positive_root_count(p):
+    """Number of distinct real roots of p in the open interval (0, oo),
+    multiplicities ignored.  Raises on the zero polynomial."""
+    return root_counts(p)[0]
+
+
+__all__ = ["root_counts", "sturm_positive_root_count"]

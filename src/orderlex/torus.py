@@ -29,7 +29,7 @@ from .laurent import (
     format_polynomial,
 )
 from .linalg import PolynomialMatrix, characteristic_matrix, homology_invariant_factors
-from .roots import _root_counts
+from .roots import root_counts
 from .words import FreeWord
 
 
@@ -71,9 +71,8 @@ class MappingTorus:
 
 @dataclass(frozen=True)
 class AlexanderResult:
-    """polynomial is the product of the invariant factors, or zero when the
-    module has positive free rank; invariant_factors lists the non-unit
-    factors of the divisibility chain, canonicalized."""
+    """polynomial is the product of the invariant factors; invariant_factors
+    lists the non-unit factors of the divisibility chain, canonicalized."""
 
     polynomial: LaurentPolynomial
     invariant_factors: tuple
@@ -84,11 +83,8 @@ class AlexanderResult:
 
     @cached_property
     def root_counts(self):
-        """(distinct roots in (0, oo), distinct complex roots) of the nonzero
-        polynomial, from one Sturm chain run at the first read and kept; a
-        constant has none."""
-        q = self.polynomial.canonicalize()
-        return _root_counts(q) if q.degree else (0, 0)
+        """roots.root_counts of the polynomial, read once and kept."""
+        return root_counts(self.polynomial)
 
 
 def classical_alexander(m):
@@ -140,10 +136,13 @@ def twisted_alexander(m, rep, d_scale=1):
     the relator check: its ConsistencyError becomes RepresentationError if
     rep violates a relator, and is re-raised as a bug otherwise.
 
-    A second, independent route (Wada's) compares det(fox minor) *
-    order(H_0) with product(p_i) * det(rep(t) t^d - I); disagreement raises
-    ConsistencyError.  The fibered minor t^d A - B has determinant
-    det(A) chi_{A^-1 B}(t^d) (Kitano-Morifuji 2005; see _wada_cross_check).
+    The module is torsion: by Shapiro's lemma, with phi killing F, it is
+    d_scale copies of H_1(F; V), finite-dimensional over Q, so a free part
+    raises ConsistencyError.  A second, independent route (Wada's) compares
+    det(fox minor) * order(H_0) with product(p_i) * det(rep(t) t^d - I);
+    disagreement raises ConsistencyError.  The fibered minor t^d A - B has
+    determinant det(A) chi_{A^-1 B}(t^d) (Kitano-Morifuji 2005; see
+    _wada_cross_check).
     """
     if d_scale < 1:
         raise ValueError("d_scale must be a positive integer")
@@ -173,7 +172,9 @@ def twisted_alexander(m, rep, d_scale=1):
         raise RepresentationError(
             "representation violates the mapping-torus relations"
         ) from None
-    poly = [] if free_rank > 0 else _product_z(factors)
+    if free_rank:
+        raise ConsistencyError(f"the twisted module has free rank {free_rank}, not 0")
+    poly = _product_z(factors)
 
     # the last block of b1 is (rep(t) t^d - I)^T
     t_block = PolynomialMatrix._of([r[-dim:] for r in b1._z], b1._shift, b1._den)

@@ -16,7 +16,7 @@ import pytest
 
 from _laurent_literal import L, power_characteristic_matrix
 
-from orderlex import covers, finite
+from orderlex import cli, covers, finite, torus
 from orderlex.autos import (
     automorphism,
     figure_eight_monodromy,
@@ -39,7 +39,7 @@ from orderlex.finite import (
 from orderlex.freegroup import FreeEndomorphism
 from orderlex.laurent import LaurentPolynomial
 from orderlex.linalg import PolynomialMatrix, RationalMatrix
-from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
+from orderlex.torus import AlexanderResult, MappingTorus, classical_alexander, twisted_alexander
 from orderlex.words import FreeWord, format_word
 
 from test_finite import DIHEDRAL_AND_ALTERNATING
@@ -387,6 +387,16 @@ class TestShapiro:
         report = verify_shapiro(m, f)
         assert report["equal"], report
 
+    def test_differing_cover_polynomial_reported(self, monkeypatch):
+        """equal compares the two routes: a cover polynomial other than the
+        twisted one reads False."""
+        m = MappingTorus(2, figure_eight_monodromy())
+        monkeypatch.setattr(covers, "cover_alexander",
+                            lambda cover: AlexanderResult(L("t^2 + t + 1"), (), 0))
+        report = verify_shapiro(m, cyclic_stable_hom(m, 2))
+        assert report["equal"] is False
+        assert report["cover"] == "t^2 + t + 1" != report["twisted"]
+
     def test_battery_member_with_conjugating_stable(self):
         theta = automorphism(2, ("ab", "b"), ("aB", "b"))
         m = MappingTorus(2, theta)
@@ -415,6 +425,24 @@ class TestCrossChecksRaise:
         monkeypatch.setattr(PolynomialMatrix, "det", lambda self: LaurentPolynomial.one())
         with pytest.raises(ConsistencyError):
             twisted_alexander(m, trivial_representation(2))
+
+    def test_free_part_raises(self, monkeypatch, capsys, fig8_manifest_path):
+        """The twisted module is torsion, so a free part raises even when
+        Wada's route agrees with it: both routes are made to read zero."""
+        homology = torus.homology_invariant_factors
+
+        def free(b1, b2):
+            factors, _, b1_factors = homology(b1, b2)
+            return factors, 1, b1_factors
+
+        monkeypatch.setattr(torus, "homology_invariant_factors", free)
+        monkeypatch.setattr(PolynomialMatrix, "pencil_char_poly",
+                            lambda self, stable, d: LaurentPolynomial.zero())
+        m = MappingTorus(2, figure_eight_monodromy())
+        with pytest.raises(ConsistencyError, match="free rank 1"):
+            twisted_alexander(m, trivial_representation(2))
+        assert cli.main(["report", fig8_manifest_path]) == cli.EXIT_INTERNAL
+        assert "error: internal cross-check disagreed" in capsys.readouterr().err
 
     def test_restricted_monodromy_certification(self, monkeypatch):
         theta = figure_eight_monodromy()

@@ -16,7 +16,8 @@ from hypothesis import given, strategies as st
 
 from orderlex.laurent import LaurentPolynomial, format_polynomial, poly_divmod, poly_gcd
 from orderlex.ordering import OrderStatus, clay_rolfsen_verdict
-from orderlex.roots import sturm_positive_root_count
+from orderlex.roots import root_counts, sturm_positive_root_count
+from orderlex.torus import AlexanderResult
 
 sympy = pytest.importorskip("sympy")
 
@@ -225,15 +226,24 @@ def test_common_positive_root_count_matches_sympy():
 
 
 def test_clay_rolfsen_verdict_matches_sympy():
+    """The verdict and both root-count entries, AlexanderResult's too,
+    against sympy's count of distinct roots in (0, oo) and in C."""
     rng = random.Random("clay_rolfsen_verdict")
-    seen = set()
+    cases = [LaurentPolynomial.term(Fraction(-3, 2), -4)]  # a constant times a unit
     for i in range(90):
         # positive factors alone, mixed with random ones, and random alone
         p = positive_product(rng) if i % 3 < 2 else LaurentPolynomial.one()
         if i % 3:
             p = p * random_product(rng, -2, 2)
+        cases.append(p)
+    assert min(p.order for p in cases) < 0
+    seen = set()
+    for p in cases:
         sqf = to_sympy(p).sqf_part()
         positive = int(sqf.count_roots(0, None))
+        counts = (positive, sqf.degree())
+        assert root_counts(p) == counts
+        assert AlexanderResult(p, (), 0).root_counts == counts
         verdict = clay_rolfsen_verdict(p)
         assert verdict.positive_root_count == positive
         if positive == 0:

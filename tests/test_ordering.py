@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _laurent_literal import L
 
-from orderlex import cli, ordering, torus as torus_module
+from orderlex import cli, ordering, roots as roots_module, torus as torus_module
 from orderlex.autos import figure_eight_monodromy, standard_battery
 from orderlex.errors import ConsistencyError
 from orderlex.finite import FiniteGroup, homomorphism_classes
@@ -516,9 +516,9 @@ class TestVerdicts:
     @pytest.mark.parametrize("text", ["t^2 - 3*t + 1", "t^2 - t + 1", "t^2 - t - 2", "1"])
     def test_one_canonical_form_and_sturm_chain(self, monkeypatch, text):
         """Both counts come from one Sturm chain of the one canonical form;
-        a constant obstructs without a chain."""
-        calls = {"canonicalize": 0, "_root_counts": 0}
-        canonicalize, root_counts = LaurentPolynomial.canonicalize, ordering._root_counts
+        a constant obstructs without a chain.  Every chain starts in roots."""
+        calls = {"canonicalize": 0, "_sturm_counts": 0}
+        canonicalize, sturm_counts = LaurentPolynomial.canonicalize, roots_module._sturm_counts
 
         def counting(name, original):
             def wrapper(*args):
@@ -527,9 +527,9 @@ class TestVerdicts:
             return wrapper
 
         monkeypatch.setattr(LaurentPolynomial, "canonicalize", counting("canonicalize", canonicalize))
-        monkeypatch.setattr(ordering, "_root_counts", counting("_root_counts", root_counts))
+        monkeypatch.setattr(roots_module, "_sturm_counts", counting("_sturm_counts", sturm_counts))
         clay_rolfsen_verdict(L(text) * LaurentPolynomial({-1: Fraction(-5)}))
-        assert calls == {"canonicalize": 1, "_root_counts": int(text != "1")}
+        assert calls == {"canonicalize": 1, "_sturm_counts": int(text != "1")}
 
 
 class TestPositiveEigenvalue:
@@ -555,20 +555,17 @@ class TestPositiveEigenvalue:
 class TestTheorem2Report:
     @staticmethod
     def counting_chains(monkeypatch):
-        """The polynomials theorem2_report runs a Sturm chain on: its own
-        chains, and the classical counts the torus keeps, whose chain runs
-        in torus's _root_counts."""
+        """The canonical polynomials theorem2_report runs a Sturm chain on:
+        its own chains, and the classical counts the torus keeps.  Every
+        chain starts in roots."""
         chains = []
+        sturm_counts = roots_module._sturm_counts
 
-        def counting(count):
-            def wrapper(p):
-                chains.append(p)
-                return count(p)
-            return wrapper
+        def wrapper(q):
+            chains.append(q)
+            return sturm_counts(q)
 
-        monkeypatch.setattr(ordering, "sturm_positive_root_count",
-                            counting(ordering.sturm_positive_root_count))
-        monkeypatch.setattr(torus_module, "_root_counts", counting(torus_module._root_counts))
+        monkeypatch.setattr(roots_module, "_sturm_counts", wrapper)
         return chains
 
     def test_equal_cover_polynomial_shares_the_twisted_chain(self, monkeypatch):

@@ -382,3 +382,54 @@ def test_bench_pairs_writes_claim_met(tmp_path, monkeypatch):
     assert doc["claimed"] == {"workload": "sweep", "metric": "items_per_s"}
     assert doc["claim_met"] is True
     assert doc["workloads"]["sweep"]["metrics"]["items_per_s"]["change_wins"] == 10
+
+
+def test_mutant_catalogue_matches_the_source():
+    """Each catalogued old text occurs exactly once in its file, so an edit
+    to the library that moves a mutant's text fails here, not only in the
+    mutation run."""
+    mutants = json.loads((ROOT / "tests" / "data" / "mutants.json").read_text())
+    assert mutants
+    for m in mutants:
+        assert (ROOT / m["file"]).read_text().count(m["old"]) == 1, m["why"]
+        assert m["new"] != m["old"] and m["tests"] and m["why"]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("killed", 0), ("survived", 1), ("collection-error", 1), ("not-found", 1),
+     ("fails-unmutated", 1)],
+)
+def test_mutants_exit_code(tmp_path, monkeypatch, capsys, case, code):
+    """The mutation run exits 1 when a mutant survives, when its tests end
+    in an error rather than a failure, when its old text is not in its
+    file, and when the named tests fail unmutated.  pytest is replaced, and
+    reads whether the copy it runs in holds the mutant."""
+    mutants = _load_script("mutants")
+    old = "return sum(a != b for a, b in zip(signs, signs[1:]))"
+    entry = {"file": "src/orderlex/roots.py", "old": old + " # absent" * (case == "not-found"),
+             "new": old.replace("!=", "=="), "tests": ["tests/test_roots.py::TestSturmCounts"],
+             "why": "unequal neighbouring signs"}
+    catalogue = tmp_path / "mutants.json"
+    catalogue.write_text(json.dumps([entry]))
+    monkeypatch.setattr(mutants, "CATALOGUE", catalogue)
+    runs = []
+
+    def run_tests(copy, ids):
+        assert ids == entry["tests"]
+        mutated = "a == b" in (copy / entry["file"]).read_text()
+        runs.append(mutated)
+        if not mutated:
+            return int(case == "fails-unmutated"), ""
+        return {"killed": 1, "survived": 0, "collection-error": 2}[case], ""
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    assert mutants.main() == code
+    assert runs == ([False] if case in ("not-found", "fails-unmutated") else [False, True])
+    lines = capsys.readouterr().out.splitlines()
+    if case == "fails-unmutated":
+        assert "the named tests fail unmutated; no mutant was run" in lines
+    else:
+        assert f"1 mutants, {code} not killed" in lines
+        named = "  mutants[0] src/orderlex/roots.py: unequal neighbouring signs" in lines
+        assert named == bool(code)
