@@ -19,13 +19,16 @@ The Smith normal form is one elimination loop over sparse rows, which
 takes every unit pivot c t^e first and divides by the others in Z[t].
 Products, the elimination's sparse rows, the b1 * b2 check and the pass
 of pencil_char_poly walk only the nonzero entries of a dense row, by
-itertools.compress, and the Bareiss determinant skips an update that is 0.
+itertools.compress, and the Bareiss determinant skips an update that is 0
+and pivots on a constant +-1 where it can, so that the next step's exact
+quotients are only signs.
 homology_invariant_factors checks b1 * b2 = 0 by a sparse product and
 reduces b1 and b2 independently; the diagonal of b1's reduction, the
 invariant factors of coker(b1), is returned for the Wada check.
-RationalMatrix.char_poly works over F_p, for a Mersenne prime p above
-twice a Hadamard bound on its coefficients, and shares no code with the
-Smith normal form, so the checks that compare the two stay independent.
+RationalMatrix.char_poly works over F_p, for the least prime p above
+twice a Hadamard bound on its coefficients among the one-digit prime
+2^30 - 35 and the Mersenne primes, and shares no code with the Smith
+normal form, so the checks that compare the two stay independent.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_z", "_den", "_inv")
 
     def __init__(self, entries):
-        rows = [[Fraction(x) for x in row] for row in entries]
+        # an int is kept as it is: it has numerator and denominator too
+        rows = [[x if type(x) is int else Fraction(x) for x in row] for row in entries]
         # the lcm of reduced denominators is coprime to the scaled entries
         den = lcm(1, *(x.denominator for r in rows for x in r))
         self._set([[x.numerator * (den // x.denominator) for x in r] for r in rows], den)
@@ -160,10 +164,10 @@ class RationalMatrix:
 
         By Hadamard's inequality the coefficient of t^(n-k) is at most
         e_k(|z_1|, ..., |z_n|) <= B = prod_i (2 + isqrt(|z_i|^2)) in
-        absolute value, for the row norms |z_i|.  p is the least Mersenne
-        prime 2^q - 1 of _MERSENNE_EXPONENTS with p > 2B, so each
-        coefficient is its symmetric residue; a bound past the table
-        raises ArithmeticError."""
+        absolute value, for the row norms |z_i|.  p is the least prime
+        above 2B among _ONE_DIGIT_PRIME and then the Mersenne primes
+        2^q - 1 of _MERSENNE_EXPONENTS, so each coefficient is its
+        symmetric residue; a bound past the table raises ArithmeticError."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
@@ -178,6 +182,10 @@ class RationalMatrix:
                               enumerate(_hessenberg_char_poly(self._z, p))], 0, den ** n)
 
 
+# the largest prime below 2^30, proven prime: below it every residue the
+# Hessenberg loop keeps is one 30-bit digit of a CPython int
+_ONE_DIGIT_PRIME = (1 << 30) - 35
+
 # the exponents q of the Mersenne primes 2^q - 1 from 2^61 - 1 on, each
 # proven prime; primes are built from them only when chosen
 _MERSENNE_EXPONENTS = (
@@ -190,9 +198,12 @@ _MERSENNE_EXPONENTS = (
 
 
 def _char_poly_modulus(bound):
-    """The least prime p = 2^q - 1, q in _MERSENNE_EXPONENTS, with p > 2 * bound
-    for a bound >= 1; 2^q - 1 > 2 * bound exactly when 2^q > 2 * bound + 1,
-    an odd number above 1."""
+    """The least prime p > 2 * bound, for a bound >= 1, among
+    _ONE_DIGIT_PRIME and then the primes 2^q - 1, q in _MERSENNE_EXPONENTS;
+    2^q - 1 > 2 * bound exactly when 2^q > 2 * bound + 1, an odd number
+    above 1."""
+    if 2 * bound < _ONE_DIGIT_PRIME:
+        return _ONE_DIGIT_PRIME
     bits = (2 * bound + 1).bit_length()
     q = next((q for q in _MERSENNE_EXPONENTS if q >= bits), None)
     if q is None:
@@ -318,7 +329,15 @@ class PolynomialMatrix:
 
     def det(self):
         """Exact determinant by fraction-free Bareiss elimination over Z[t]
-        on the rows, times the n-th power of the matrix's unit."""
+        on the rows, times the n-th power of the matrix's unit.
+
+        Step k pivots on a constant +-1 in column k if there is one, else
+        on its first nonzero entry.  Each update (p x - a y) / prev is an
+        exact quotient by the previous pivot (Bareiss, Math. Comp. 22,
+        1968): +-(p x - a y) for prev = +-1, such as each -1 that a moved
+        point of rho(t) puts on the diagonal of Wada's t-block
+        (rho(t) t^d - I)^T; a pseudo-division otherwise, which raises
+        ArithmeticError unless it is exact."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -328,27 +347,37 @@ class PolynomialMatrix:
         sign = 1
         prev = [1]
         for k in range(n - 1):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
+            piv = next((i for i in range(k, n) if m[i][k] in ([1], [-1])), None)
             if piv is None:
-                return LaurentPolynomial.zero()
+                piv = next((i for i in range(k, n) if m[i][k]), None)
+                if piv is None:
+                    return LaurentPolynomial.zero()
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 sign = -sign
             mk = m[k]
             p = mk[k]
+            unit, flip = prev in ([1], [-1]), prev == [-1]
+            if flip:
+                p = [-v for v in p]  # (p x - a y) / -1 = (-p) x - (-a) y
             for i in range(k + 1, n):
                 mi = m[i]
                 a = mi[k]
+                if flip and a:
+                    a = [-v for v in a]
                 for j in range(k + 1, n):
                     x, y = mi[j], mk[j]
                     if not x and not (a and y):
                         continue  # the update p * 0 - a * y is 0
+                    if unit:
+                        mi[j] = _zsubmul(p, x, a, y)
+                        continue
                     # an exact quotient in Z[t] never needs a scale
                     c, q, r = _zpseudo_divmod(_zsubmul(p, x, a, y), prev)
                     if c != 1 or r:
                         raise ArithmeticError("division was expected to be exact")
                     mi[j] = q
-            prev = p
+            prev = mk[k]
         return _z_to_laurent(m[n - 1][n - 1], n * self._shift, sign * self._den ** n)
 
     def pencil_char_poly(self, block, d):
@@ -356,14 +385,15 @@ class PolynomialMatrix:
         and B constant, chi_M(t^d) = det(minor) / det(A) for M = A^-1 B."""
         size, dim, den, lo = self.rows, block.rows, self._den, -self._shift
         hi, bden = lo + d, block._den
-        # x * bden == den * block[i][j] on the diagonal blocks, x == 0 elsewhere
-        want = [[den * v for v in r] for r in block._z]
+        # the nonzero t^d coefficients x of a row, at their columns c within
+        # its diagonal block, times bden: the nonzeros of den * block's row
+        want = [[(c, den * v) for c, v in enumerate(r) if v] for r in block._z]
         # one pass over the minor reads each entry's t^d coefficient x and
         # its constant one; other nonzero coefficients raise at once, and a
         # t^d part other than I_n (x) block raises after the pass
         b, off, cols = [], size % dim, range(size)
         for k, r in enumerate(self._z):
-            xs, ys = [0] * size, [0] * size
+            diag, xs, ys = k - k % dim, [], [0] * size
             for j in compress(cols, r):
                 p = r[j]
                 n = len(p)
@@ -371,13 +401,11 @@ class PolynomialMatrix:
                 y = p[lo] if 0 <= lo < n else 0
                 if n - p.count(0) != (x != 0) + (y != 0):
                     raise ConsistencyError("the minor has t-degrees other than 0 and d")
-                xs[j] = x
+                if x:
+                    # a column outside the diagonal block gives c < 0 or c >= dim
+                    xs.append((j - diag, x * bden))
                 ys[j] = -y
-            diag = k - k % dim
-            xd = xs[diag:diag + dim]
-            if bden != 1:
-                xd = [x * bden for x in xd]
-            if xd != want[k % dim] or any(xs[:diag]) or any(xs[diag + dim:]):
+            if xs != want[k % dim]:
                 off = True
             b.append(ys)
         if off:

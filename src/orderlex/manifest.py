@@ -165,7 +165,7 @@ def _load_matrix(rows, location):
                     "matrix entries must be integers or strings p or p/q", loc
                 )
             try:
-                entries.append(Fraction(x))
+                entries.append(x if type(x) is int else Fraction(x))
             except (ValueError, ZeroDivisionError) as e:
                 raise ManifestError(str(e), loc) from e
         out.append(entries)

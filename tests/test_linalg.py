@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderlex import laurent
+from orderlex import laurent, linalg
 from orderlex import torus as torus_module
 from orderlex.autos import figure_eight_monodromy
 from orderlex.errors import ConsistencyError, SingularMatrixError
@@ -188,6 +188,33 @@ class TestPolynomialMatrixDet:
             a = random_poly_matrix(rng, 3, max_deg=1, span=2)
             b = random_poly_matrix(rng, 3, max_deg=1, span=2)
             assert product(a, b).det() == a.det() * b.det()
+
+    def test_det_minus_one_pivots(self):
+        """det(tR - I) = t^3 - 1 for the 3-cycle R: step 0 pivots on the -1
+        of row 0, so step 1 takes its quotient by -1 as a sign.  Wada's
+        canonical comparison cannot see a sign, so this pins it."""
+        m = PM([["-1", "t", "0"], ["0", "-1", "t"], ["t", "0", "-1"]])
+        assert m.det() == L("t^3 - 1")
+        assert m.transpose().det() == L("t^3 - 1")
+
+    def test_det_divides_by_other_pivots(self):
+        """No column holds a +-1, so step 1 divides by the pivot 2."""
+        m = PM([[2, 3, 5], [4, 7, 11], [6, 13, 17]])
+        assert m.det() == L("-4")
+
+    def test_inexact_division_raises(self, monkeypatch):
+        """Each Bareiss update perturbed by 1 is not divisible by the
+        previous pivot 3, which is not +-1, and the determinant raises
+        instead of keeping a quotient."""
+        submul = linalg._zsubmul
+
+        def perturbed(c, a, q, b):
+            out = submul(c, a, q, b) or [0]
+            return [out[0] + 1] + out[1:]
+
+        monkeypatch.setattr(linalg, "_zsubmul", perturbed)
+        with pytest.raises(ArithmeticError, match="expected to be exact"):
+            PM([[2, 3, 5], [4, 7, 11], [6, 13, 17]]).det()
 
 
 class TestPencilCharPoly:

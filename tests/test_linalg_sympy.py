@@ -295,7 +295,42 @@ def test_char_poly_structured(name, moduli):
     entries = STRUCTURED[name]
     assert_char_poly(RationalMatrix(entries))
     assert_char_poly(RationalMatrix([[Fraction(x, 3) for x in r] for r in entries]))
-    assert moduli and all(p == 2 ** 61 - 1 for _, p in moduli)
+    assert moduli and all(p == least_listed_prime(bound) for bound, p in moduli)
+
+
+def least_listed_prime(bound):
+    """The least of the one-digit prime, then the Mersenne primes of the
+    table, above 2 * bound."""
+    listed = [linalg._ONE_DIGIT_PRIME] + [(1 << q) - 1 for q in linalg._MERSENNE_EXPONENTS]
+    return next(p for p in listed if p > 2 * bound)
+
+
+def test_one_digit_prime():
+    """The first modulus is a prime of one 30-bit CPython digit, below the
+    table's first prime 2^61 - 1."""
+    p0 = linalg._ONE_DIGIT_PRIME
+    assert sympy.isprime(p0)
+    assert p0 < 2 ** 30 < 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("x, p", [(21474833, linalg._ONE_DIGIT_PRIME),
+                                  (21474834, 2 ** 61 - 1)])
+def test_char_poly_either_side_of_the_one_digit_prime(x, p, moduli):
+    """The bound of this 3 x 3 matrix is 25 (2 + x), so twice it is just
+    below p0 = 2^30 - 35 at the first x and just above it at the next:
+    both sides of the modulus rule run."""
+    assert_char_poly(RationalMatrix([[x, 1, 2], [3, -1, 1], [1, 2, -2]]))
+    assert moduli[0] == (25 * (2 + x), p)
+
+
+def test_char_poly_coefficient_above_half_the_one_digit_prime(moduli):
+    """[[a]] has bound B = a + 2 < p0 <= 2B and char poly t - a with
+    a > p0 / 2, so the residue of -a mod p0 would read as p0 - a: the
+    rule must take a prime above 2B, not above B."""
+    a = 2 ** 29 + 5
+    assert a + 2 < linalg._ONE_DIGIT_PRIME < 2 * a
+    assert RationalMatrix([[a]]).char_poly() == LaurentPolynomial({1: 1, 0: -a})
+    assert moduli == [(a + 2, 2 ** 61 - 1)]
 
 
 def test_char_poly_bound_past_the_table(monkeypatch):
@@ -458,6 +493,42 @@ def test_polynomial_det():
     rows = [[rows.entry(i, j) for j in range(4)] for i in range(4)]
     rows[3] = [x * LaurentPolynomial.term(Fraction(-2, 3), -1) for x in rows[0]]
     assert PolynomialMatrix(rows).det().is_zero
+
+
+def sympy_det(rows):
+    """sympy's determinant over QQ[t] of the matrix of integer coefficient
+    dicts {exponent: c}, and the same matrix as a PolynomialMatrix."""
+    s = sympy.Matrix([[sum((c * T ** e for e, c in x.items()), sympy.Integer(0)) for x in r]
+                      for r in rows])
+    det = DomainMatrix.from_Matrix(s).convert_to(QQ_T).det()
+    m = PolynomialMatrix([[LaurentPolynomial(x) for x in r] for r in rows])
+    return m, from_sympy_poly(QQ_T.to_sympy(det))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_det_against_sympy(d):
+    """det() equals sympy's determinant at d = 1-3 on matrices over Z[t^d]
+    whose constants are often +-1, so Bareiss pivots on units and takes
+    quotients by a sign; on ones whose coefficients avoid +-1, so no
+    column starts with a unit pivot and it divides by the others; and on
+    signed-permutation pencils t^d R - I and their transposes, the shape
+    of Wada's t-block, where each point R moves puts a -1 on the diagonal."""
+    rng = random.Random(f"det {d}")
+    for n in range(1, 7):
+        for coeffs in ((-1, 1, 1, -1, 0, 2), (-4, -3, -2, 0, 2, 3, 4)):
+            rows = [[{d * e: rng.choice(coeffs) for e in range(rng.randint(0, 2))}
+                     for _ in range(n)] for _ in range(n)]
+            m, expected = sympy_det(rows)
+            assert m.det() == expected
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        rows = [[{d: signs[i]} if perm[i] == j else {} for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = {**rows[i][i], 0: -1}
+        m, expected = sympy_det(rows)
+        assert m.det() == expected
+        assert m.transpose().det() == expected
 
 
 # (rows, cols, density): square sizes 1-6, non-square shapes, sparse

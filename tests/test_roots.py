@@ -38,7 +38,7 @@ class TestSturmCounts:
         assert sturm_positive_root_count(L("5")) == 0
 
     def test_zero_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every point as a root"):
             sturm_positive_root_count(LaurentPolynomial.zero())
 
     def test_laurent_unit_invariance(self):
