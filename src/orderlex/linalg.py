@@ -610,13 +610,18 @@ def homology_invariant_factors(b1, b2):
 
 def _composes_to_zero(x, y):
     """Whether the product of the Z[t] rows x and y is zero; only pairs of
-    nonzero entries are multiplied, and the rows' units do not matter."""
-    terms = [[(j, r[j]) for j in compress(range(len(r)), r)] for r in y]
+    nonzero entries are multiplied, and the rows' units do not matter.
+    The nonzero entries of a row of y are listed when a nonzero entry of x
+    first reaches it, so a row that x never reaches costs nothing."""
+    terms = {}
     for row in x:
         acc = {}
         for i in compress(range(len(row)), row):
+            if (t := terms.get(i)) is None:
+                r = y[i]
+                t = terms[i] = [(j, r[j]) for j in compress(range(len(r)), r)]
             na = [-v for v in row[i]]
-            for j, b in terms[i]:
+            for j, b in t:
                 acc[j] = _zsubmul((1,), acc.get(j, ()), na, b)
         if any(acc.values()):
             return False
