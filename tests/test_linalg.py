@@ -197,15 +197,13 @@ class TestPolynomialMatrixDet:
         assert m.det() == L("t^3 - 1")
         assert m.transpose().det() == L("t^3 - 1")
 
-    def test_det_divides_by_other_pivots(self):
-        """No column holds a +-1, so step 1 divides by the pivot 2."""
+    def test_inexact_division_raises(self, monkeypatch):
+        """Column 0 holds no +-1, so step 1 divides by the pivot 2, exactly.
+        With each Bareiss update perturbed by 1, the previous pivot 3 does
+        not divide the update, and the determinant raises instead of
+        keeping a quotient."""
         m = PM([[2, 3, 5], [4, 7, 11], [6, 13, 17]])
         assert m.det() == L("-4")
-
-    def test_inexact_division_raises(self, monkeypatch):
-        """Each Bareiss update perturbed by 1 is not divisible by the
-        previous pivot 3, which is not +-1, and the determinant raises
-        instead of keeping a quotient."""
         submul = linalg._zsubmul
 
         def perturbed(c, a, q, b):
@@ -214,7 +212,7 @@ class TestPolynomialMatrixDet:
 
         monkeypatch.setattr(linalg, "_zsubmul", perturbed)
         with pytest.raises(ArithmeticError, match="expected to be exact"):
-            PM([[2, 3, 5], [4, 7, 11], [6, 13, 17]]).det()
+            m.det()
 
 
 class TestPencilCharPoly:
