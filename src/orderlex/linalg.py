@@ -12,10 +12,12 @@ the blocks of one specialize row into b1 transposed, characteristic_matrix,
 or transpose) and read by the kernels, which rescale rows by units freely.
 The private _of constructors trust these callers to hand over rows of
 equal length; only the public constructors check for ragged rows.
-pencil_char_poly reads the pencil t^d A - B of constant matrices as the
-characteristic polynomial of A^-1 B, so the Bareiss determinant serves
-only det(t^d rho(t) - I); it and the Smith normal form share the one
-pseudo-division loop of laurent.  The Smith normal form is one
+pencil_char_poly reads the pencil s A - B of constant matrices as the
+characteristic polynomial of A^-1 B; twisted_alexander keeps it per
+representation and monodromy and reads it at s = t^d for every d, so the
+Bareiss determinant serves only det(t^d rho(t) - I), rebuilt at each d.
+It and the Smith normal form share the one pseudo-division loop of
+laurent.  The Smith normal form is one
 elimination loop over sparse rows, which takes every unit pivot c t^e
 first and divides by the others in Z[t].  Products, the elimination's
 sparse rows and the b1 * b2 check walk only the nonzero entries of a dense
@@ -387,13 +389,13 @@ class PolynomialMatrix:
         return [_z_to_laurent(_zcanonical(d)) for d in diag]
 
 
-def pencil_char_poly(b, block, d):
-    """det(t^d A - b) / det(A) = chi_M(t^d) for A = I_n (x) block and
+def pencil_char_poly(b, block):
+    """det(s A - b) / det(A) = chi_M(s) for A = I_n (x) block and
     M = A^-1 b, b a constant square RationalMatrix of size n * block.rows:
     each block row of b is multiplied by block^-1, which block keeps."""
     inv, dim = block.inverse(), block.rows
     z = [r for i in range(0, b.rows, dim) for r in _zmatmul(inv._z, b._z[i:i + dim])]
-    return RationalMatrix._of(z, b._den * inv._den).char_poly().substitute_power(d)
+    return RationalMatrix._of(z, b._den * inv._den).char_poly()
 
 
 def characteristic_matrix(a):

@@ -150,6 +150,13 @@ def twisted_alexander(m, rep, d_scale=1):
     raises ConsistencyError.  A second, independent route (Wada's) compares
     det(fox minor) * order(H_0) with product(p_i) * det(rep(t) t^d - I);
     disagreement raises ConsistencyError (see _wada_cross_check).
+
+    J, the rep(theta(x_i)) and Wada's chi_M(s) do not depend on d_scale:
+    the first call for rep and m's images computes them and keeps them on
+    rep, keyed by the images, and later calls read them there.  b1 from
+    specialize, b2 at t^d, the b1 * b2 check, both reductions, the Bareiss
+    det(rep(t) t^d - I) and Wada's comparison at chi_M(t^d) run at every
+    call.
     """
     if d_scale < 1:
         raise ValueError("d_scale must be a positive integer")
@@ -160,7 +167,11 @@ def twisted_alexander(m, rep, d_scale=1):
     exponents = {j: 0 for j in gens}
     exponents[m.stable_index] = d_scale
 
-    jac, ends = jacobian(m.monodromy.images, dict(zip(gens, rep.fiber_matrices)))
+    images = m.monodromy.images
+    if rep._fox is None or rep._fox[0] != images:
+        jac, ends = jacobian(images, dict(zip(gens, rep.fiber_matrices)))
+        rep._fox = images, jac, ends, pencil_char_poly(jac, rep.stable_matrix)
+    _, jac, ends, chi = rep._fox
     b2 = _fox_transpose(jac, ends, rep.stable_matrix, d_scale)
     one = FreeWord._wrap(())
     row = specialize([{FreeWord._wrap(((j, 1),)): 1, one: -1} for j in gens],
@@ -185,7 +196,7 @@ def twisted_alexander(m, rep, d_scale=1):
 
     # the last block of b1 is (rep(t) t^d - I)^T
     t_block = PolynomialMatrix._of([r[-dim:] for r in b1._z], b1._shift, b1._den)
-    _wada_cross_check(jac, b1_factors, t_block, rep.stable_matrix, d_scale, poly)
+    _wada_cross_check(chi.substitute_power(d_scale), b1_factors, t_block, poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
@@ -223,18 +234,18 @@ def _product_z(polys, out=(1,)):
     return list(out)
 
 
-def _wada_cross_check(jac, b1_factors, t_block, stable, d, poly):
+def _wada_cross_check(chi, b1_factors, t_block, poly):
     """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists.
 
-    The fox minor is delta_ij stable t^d - J_ij, so its determinant is a
-    unit times chi_M(t^d) for M = (I_n (x) stable^-1) J, which
-    pencil_char_poly reads off J = jac (Kitano-Morifuji 2005; Friedl-Vidussi,
+    The fox minor is delta_ij rep(t) t^d - J_ij, so its determinant is a
+    unit times chi = chi_M(t^d) for M = (I_n (x) rep(t)^-1) J, which
+    pencil_char_poly reads off J (Kitano-Morifuji 2005; Friedl-Vidussi,
     "A survey of twisted Alexander polynomials", 2011).  order(H_0) is the
     product of b1_factors, the invariant factors of H_0 = coker(b1) that
     the homology's reduction of b1 already computed: a second reduction
     would run the same loop on the same matrix and check nothing
     independent."""
-    lhs = _product_z([pencil_char_poly(jac, stable, d)] + b1_factors)
+    lhs = _product_z([chi] + b1_factors)
     rhs = _product_z([t_block.det()], poly)
     if lhs != rhs:
         raise ConsistencyError(

@@ -437,7 +437,7 @@ class TestCrossChecksRaise:
 
         monkeypatch.setattr(torus, "homology_invariant_factors", free)
         monkeypatch.setattr(torus, "pencil_char_poly",
-                            lambda jac, stable, d: LaurentPolynomial.zero())
+                            lambda jac, stable: LaurentPolynomial.zero())
         m = MappingTorus(2, figure_eight_monodromy())
         with pytest.raises(ConsistencyError, match="free rank 1"):
             twisted_alexander(m, trivial_representation(2))

@@ -217,27 +217,29 @@ class TestPolynomialMatrixDet:
 
 
 class TestPencilCharPoly:
-    """pencil_char_poly(b, block, d) reads the pencil t^d (I_n (x) block) - b,
-    b constant, as chi_M(t^d), M = (I_n (x) block^-1) b."""
+    """pencil_char_poly(b, block) reads the pencil s (I_n (x) block) - b,
+    b constant, as chi_M(s), M = (I_n (x) block^-1) b; each test
+    substitutes s = t^d itself and compares with the pencil at t^d."""
 
     def test_identity_block_gives_char_poly_of_b(self):
         b = QM([[2, 1], [1, 1]])
-        for d in (1, 2, 3):
-            chi = pencil_char_poly(b, RationalMatrix.identity(1), d)
-            assert chi == b.char_poly().substitute_power(d)
-            assert pencil_char_poly(b, RationalMatrix.identity(2), d) == (
-                power_characteristic_matrix(b, d).det())
+        for block in (RationalMatrix.identity(1), RationalMatrix.identity(2)):
+            chi = pencil_char_poly(b, block)
+            assert chi == b.char_poly()
+            for d in (1, 2, 3):
+                assert chi.substitute_power(d) == power_characteristic_matrix(b, d).det()
 
     def test_block_is_inverted(self):
         # t^2 * [[2]] - [[3]] has determinant 2 t^2 - 3 = 2 (t^2 - 3/2)
-        assert pencil_char_poly(QM([[3]]), QM([[2]]), 2) == L("t^2 - 3/2")
+        assert pencil_char_poly(QM([[3]]), QM([[2]])).substitute_power(2) == L("t^2 - 3/2")
         # I_2 (x) [[0, 1], [1, 0]]: the 4 x 4 pencil 1 + t^3 * swap, b = -I
         pm = PM([["1", "t^3", "0", "0"],
                  ["t^3", "1", "0", "0"],
                  ["0", "0", "1", "t^3"],
                  ["0", "0", "t^3", "1"]])
         swap = QM([[0, 1], [1, 0]])
-        chi = pencil_char_poly(QM([[-int(i == j) for j in range(4)] for i in range(4)]), swap, 3)
+        minus_one = QM([[-int(i == j) for j in range(4)] for i in range(4)])
+        chi = pencil_char_poly(minus_one, swap).substitute_power(3)
         assert chi == pm.det()  # det(I_2 (x) swap) = 1
         assert chi == L("t^12 - 2*t^6 + 1")
 

@@ -389,7 +389,8 @@ def test_pencil_char_poly(size):
     """det(t^d A - B) = det(A) chi_{A^-1 B}(t^d) for A = I_n (x) S with S a
     random invertible rational matrix (S = A when n = 1) and B random, each
     built in sympy; the left side is sympy's determinant of the pencil, the
-    right pencil_char_poly of the constant S and B."""
+    right pencil_char_poly of the constant S and B, chi_{A^-1 B}(s), with
+    s = t^d substituted here."""
     rng = random.Random(f"pencil {size}")
     for dim in (k for k in range(1, size + 1) if size % k == 0):
         for d in (1, 2, 3):
@@ -402,7 +403,7 @@ def test_pencil_char_poly(size):
                 minor = T ** d * a - b
                 block, constant = (RationalMatrix([[from_sympy(x[i, j]) for j in range(x.cols)]
                                                    for i in range(x.rows)]) for x in (s, b))
-                chi = pencil_char_poly(constant, block, d)
+                chi = pencil_char_poly(constant, block).substitute_power(d)
                 det = DomainMatrix.from_Matrix(minor).convert_to(QQ_T).det()
                 expected = from_sympy_poly(QQ_T.to_sympy(det))
                 assert chi * LaurentPolynomial.term(from_sympy(a.det())) == expected

@@ -447,6 +447,36 @@ class TestCli:
         expected = 3 * k if which == "lemma4" else k + k * (k + 1) // 2
         assert len(calls) == expected
 
+    def test_verify_lemma4_fox_work_per_representation(self, monkeypatch, capsys,
+                                                       fig8_manifest_path):
+        """verify lemma4 on figure-eight twists 6 representations at d = 1,
+        2 and 3: one Jacobian walk and one chi_M per representation, while
+        b1, b2, both reductions and the t-block det run at each of the 18
+        calls."""
+        from orderlex import torus
+        from orderlex.linalg import PolynomialMatrix
+
+        counts = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, call)
+
+        for name in ("jacobian", "pencil_char_poly", "specialize", "_fox_transpose",
+                     "homology_invariant_factors"):
+            counted(torus, name)
+        counted(PolynomialMatrix, "det")
+        assert cli.main(["verify", "lemma4", fig8_manifest_path]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert counts == {"jacobian": 6, "pencil_char_poly": 6, "specialize": 18,
+                          "_fox_transpose": 18, "homology_invariant_factors": 18,
+                          "det": 18}
+
     def test_verify_order_lemmas_seeded(self, capsys, fig8_manifest_path):
         code = cli.main(
             ["verify", "order-lemmas", fig8_manifest_path, "--trials", "20", "--seed", "3"]
