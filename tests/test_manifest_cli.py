@@ -426,6 +426,16 @@ class TestCli:
         pinned = pathlib.Path(__file__).parent / "data" / f"verify_{which}_fig8.json"
         assert capsys.readouterr().out == pinned.read_text()
 
+    def test_verify_lemma4_right_mult_s3_pinned(self, capsys):
+        # right-mult onto S3: the regular representation sends a and b to
+        # non-identity permutations, so b1's fiber blocks rho(x_j) - I are
+        # nonzero at d = 2 and 3, unlike figure-eight's fiber-killing
+        # homomorphisms
+        data = pathlib.Path(__file__).parent / "data"
+        code = cli.main(["verify", "lemma4", str(data / "right_mult_s3.json"), "--json"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / "verify_lemma4_right_mult_s3.json").read_text()
+
     @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
     def test_verify_lemma_twisted_calls(self, monkeypatch, capsys, fig8_manifest_path, which):
         # lemma4 computes d = 1 once beside d = 2, 3; lemma5 computes each
