@@ -49,6 +49,7 @@ EXIT_PARSE_ERROR = 2
 EXIT_CERTIFICATION = 3
 EXIT_SELECTOR = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it ended
 
 
 def _env_depth():
@@ -414,7 +415,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush goes nowhere
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ManifestError, WordParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -9,15 +9,15 @@ place, so matrices and values may share them.
 A polynomial matrix is only ever assembled (by fox.specialize,
 twisted_alexander, which builds b2 from the constant Fox Jacobian and lays
 the blocks of one specialize row into b1 transposed, characteristic_matrix,
-or transpose) and read by the kernels, which rescale rows by units freely.
-The private _of constructors trust these callers to hand over rows of
-equal length; only the public constructors check for ragged rows.
-pencil_char_poly reads the pencil s A - B of constant matrices as the
-characteristic polynomial of A^-1 B; twisted_alexander keeps it per
-representation and monodromy and reads it at s = t^d for every d, so the
-Bareiss determinant serves only det(t^d rho(t) - I), rebuilt at each d.
-It and the Smith normal form share the one pseudo-division loop of
-laurent.  The Smith normal form is one
+transpose or substitute_power) and read by the kernels, which rescale rows
+by units freely.  The private _of constructors trust these callers to hand
+over rows of equal length; only the public constructors check for ragged
+rows.  pencil_char_poly reads the pencil s A - B of constant matrices as the
+characteristic polynomial of A^-1 B; twisted_alexander keeps it, b1, b2 and
+the Bareiss determinant det(s rho(t) - I), its one use, per representation
+and monodromy at s, and reads them at s = t^d for every d.
+The determinant and the Smith normal form share the one pseudo-division
+loop of laurent.  The Smith normal form is one
 elimination loop over sparse rows, which takes every unit pivot c t^e
 first and divides by the others in Z[t].  Products, the elimination's
 sparse rows and the b1 * b2 check walk only the nonzero entries of a dense
@@ -328,6 +328,19 @@ class PolynomialMatrix:
 
     def transpose(self):
         return PolynomialMatrix._of([list(c) for c in zip(*self._z)], self._shift, self._den)
+
+    def substitute_power(self, d):
+        """The matrix at t^d for an int d >= 1, entry by entry as
+        LaurentPolynomial.substitute_power; d = 1 gives the matrix itself."""
+        if d == 1:
+            return self
+        rows = [list(r) for r in self._z]
+        for r in rows:
+            for j, p in enumerate(r):
+                if len(p) > 1:  # a constant or a zero keeps its list
+                    r[j] = q = [0] * ((len(p) - 1) * d + 1)
+                    q[::d] = p
+        return PolynomialMatrix._of(rows, self._shift * d, self._den)
 
     def det(self):
         """Exact determinant by fraction-free Bareiss elimination over Z[t]

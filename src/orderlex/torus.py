@@ -25,6 +25,7 @@ from .fox import jacobian, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import (
     LaurentPolynomial,
+    _exponent,
     _z_to_laurent,
     _zcanonical,
     _zsubmul,
@@ -151,37 +152,37 @@ def twisted_alexander(m, rep, d_scale=1):
     det(fox minor) * order(H_0) with product(p_i) * det(rep(t) t^d - I);
     disagreement raises ConsistencyError (see _wada_cross_check).
 
-    J, the rep(theta(x_i)) and Wada's chi_M(s) do not depend on d_scale:
-    the first call for rep and m's images computes them and keeps them on
-    rep, keyed by the images, and later calls read them there.  b1 from
-    specialize, b2 at t^d, the b1 * b2 check, both reductions, the Bareiss
-    det(rep(t) t^d - I) and Wada's comparison at chi_M(t^d) run at every
-    call.
+    b1, b2, Wada's chi_M and det(rep(t) t^d - I) are polynomials in s = t^d:
+    the first call for rep and m's images builds them at s and keeps them on
+    rep, keyed by the images.  Each call reads b1 and b2 at t^d by
+    PolynomialMatrix.substitute_power, which hands the homology the very
+    matrices a build at t^d gives, and runs the b1 * b2 check, both
+    reductions and Wada's comparison on them.
     """
+    d_scale = _exponent(d_scale)
     if d_scale < 1:
         raise ValueError("d_scale must be a positive integer")
     if rep.rank != m.fiber_rank:
         raise RepresentationError("representation rank does not match the fiber")
-    gens = range(1, m.stable_index + 1)
-    matrices = dict(zip(gens, rep.fiber_matrices + (rep.stable_matrix,)))
-    exponents = {j: 0 for j in gens}
-    exponents[m.stable_index] = d_scale
-
     images = m.monodromy.images
     if rep._fox is None or rep._fox[0] != images:
+        gens = range(1, m.stable_index + 1)
+        matrices = dict(zip(gens, rep.fiber_matrices + (rep.stable_matrix,)))
+        exponents = {j: int(j == m.stable_index) for j in gens}
         jac, ends = jacobian(images, dict(zip(gens, rep.fiber_matrices)))
-        rep._fox = images, jac, ends, pencil_char_poly(jac, rep.stable_matrix)
-    _, jac, ends, chi = rep._fox
-    b2 = _fox_transpose(jac, ends, rep.stable_matrix, d_scale)
-    one = FreeWord._wrap(())
-    row = specialize([{FreeWord._wrap(((j, 1),)): 1, one: -1} for j in gens],
-                     matrices, exponents)
-    # b1 holds each block of row transposed: b1[a][j + b] = row[b][j + a],
-    # so row a of b1 is columns a, a + dim, ... of row, one after another
-    dim, cols = row.rows, list(zip(*row._z))
-    b1 = PolynomialMatrix._of([list(chain.from_iterable(cols[a::dim])) for a in range(dim)],
-                              row._shift, row._den)
-
+        row = specialize([{FreeWord._wrap(((j, 1),)): 1, FreeWord._wrap(()): -1} for j in gens],
+                         matrices, exponents)
+        # b1 holds each block of row transposed: b1[a][j + b] = row[b][j + a],
+        # so row a of b1 is columns a, a + dim, ... of row, one after another;
+        # its last block is (rep(t) s - I)^T
+        dim, cols = row.rows, list(zip(*row._z))
+        b1 = PolynomialMatrix._of([list(chain.from_iterable(cols[a::dim])) for a in range(dim)],
+                                  row._shift, row._den)
+        t_block = PolynomialMatrix._of([r[-dim:] for r in b1._z], b1._shift, b1._den)
+        rep._fox = (images, b1, _fox_transpose(jac, ends, rep.stable_matrix),
+                    pencil_char_poly(jac, rep.stable_matrix), t_block.det())
+    _, b1, b2, chi, det = rep._fox
+    b1, b2 = b1.substitute_power(d_scale), b2.substitute_power(d_scale)
     try:
         factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
     except ConsistencyError:
@@ -193,21 +194,19 @@ def twisted_alexander(m, rep, d_scale=1):
     if free_rank:
         raise ConsistencyError(f"the twisted module has free rank {free_rank}, not 0")
     poly = _product_z(factors)
-
-    # the last block of b1 is (rep(t) t^d - I)^T
-    t_block = PolynomialMatrix._of([r[-dim:] for r in b1._z], b1._shift, b1._den)
-    _wada_cross_check(chi.substitute_power(d_scale), b1_factors, t_block, poly)
+    _wada_cross_check(chi.substitute_power(d_scale), b1_factors,
+                      det.substitute_power(d_scale), poly)
 
     nonunit = tuple(f for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
 
 
-def _fox_transpose(jac, ends, stable, d):
-    """b2, the transposed Fox matrix of the relators under a representation
-    that satisfies them: row block i of the Fox matrix is
-    delta_ij stable t^d - J_ij over the fiber generators j, then
+def _fox_transpose(jac, ends, stable):
+    """b2 at s = t, the transposed Fox matrix of the relators under a
+    representation that satisfies them: row block i of the Fox matrix is
+    delta_ij stable s - J_ij over the fiber generators j, then
     I - ends[i], under one denominator; zero entries share one list."""
-    dim, zero, pad = stable.rows, [], [0] * (d - 1)
+    dim, zero = stable.rows, []
     den = lcm(jac._den, stable._den, *(e._den for e in ends))
     fj, fs = den // jac._den, den // stable._den
     rows = []
@@ -215,7 +214,7 @@ def _fox_transpose(jac, ends, stable, d):
         for a, srow in enumerate(stable._z):
             r = [[-fj * x] if x else zero for x in jac._z[i * dim + a]]
             for b in compress(range(dim), srow):
-                r[i * dim + b] = [*(r[i * dim + b] or [0]), *pad, fs * srow[b]]
+                r[i * dim + b] = [*(r[i * dim + b] or [0]), fs * srow[b]]
             e = [den // end._den * x for x in end._z[a]]
             e[a] -= den
             rows.append(r + [[-v] if v else zero for v in e])
@@ -234,8 +233,8 @@ def _product_z(polys, out=(1,)):
     return list(out)
 
 
-def _wada_cross_check(chi, b1_factors, t_block, poly):
-    """det(fox minor) * order(H_0) == poly * det(t_block), as canonical Z[t] lists.
+def _wada_cross_check(chi, b1_factors, det, poly):
+    """det(fox minor) * order(H_0) == poly * det(rep(t) t^d - I), canonically.
 
     The fox minor is delta_ij rep(t) t^d - J_ij, so its determinant is a
     unit times chi = chi_M(t^d) for M = (I_n (x) rep(t)^-1) J, which
@@ -246,7 +245,7 @@ def _wada_cross_check(chi, b1_factors, t_block, poly):
     would run the same loop on the same matrix and check nothing
     independent."""
     lhs = _product_z([chi] + b1_factors)
-    rhs = _product_z([t_block.det()], poly)
+    rhs = _product_z([det], poly)
     if lhs != rhs:
         raise ConsistencyError(
             "homology invariant factors disagree with the determinant bookkeeping: "

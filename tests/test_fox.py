@@ -384,17 +384,32 @@ def _stacked(parts):
 
 
 def _assembled_fox_matrices(monkeypatch, cases):
-    """(m, rep, d, fox) for each (m, rep, d) of cases: fox is the Fox matrix
-    that twisted_alexander assembles, the transpose of the b2 it hands to
-    the homology."""
-    homology, b2s = torus_module.homology_invariant_factors, []
+    """(m, rep, d, fox, b1) for each (m, rep, d) of cases: fox is the Fox
+    matrix that twisted_alexander assembles, the transpose of the b2 it
+    hands to the homology, and b1 the b1 it hands over with it."""
+    homology, handed = torus_module.homology_invariant_factors, []
     monkeypatch.setattr(torus_module, "homology_invariant_factors",
-                        lambda b1, b2: b2s.append(b2.transpose()) or homology(b1, b2))
+                        lambda b1, b2: handed.append((b2.transpose(), b1)) or homology(b1, b2))
     out = []
     for m, rep, d in cases:
         torus_module.twisted_alexander(m, rep, d)
-        out.append((m, rep, d, b2s.pop()))
+        out.append((m, rep, d, *handed.pop()))
     return out
+
+
+def _reference_b1(m, rep, d):
+    """b1 under rep at t^d: one specialize row of the blocks x_j - 1 over
+    every generator j, with exponent d on t, and each dim x dim block
+    transposed in place, so that b1[a][j + b] = row[b][j + a]."""
+    matrices = dict(enumerate(rep.fiber_matrices + (rep.stable_matrix,), 1))
+    exponents = {g: 0 for g in matrices}
+    exponents[m.stable_index] = d
+    blocks = [{FreeWord(((g, 1),)): Fraction(1), FreeWord.empty(): Fraction(-1)}
+              for g in sorted(matrices)]
+    row, dim = specialize(blocks, matrices, exponents), rep.dimension
+    z = [[row._z[b][j + a] for j in range(0, row.cols, dim) for b in range(dim)]
+         for a in range(dim)]
+    return PolynomialMatrix._of(z, row._shift, row._den)
 
 
 def _reference_fox(m, rep, d):
@@ -412,18 +427,23 @@ def test_fox_matrix_is_the_block_assembly(monkeypatch):
     Fox matrix that twisted_alexander assembles from the Jacobian of the
     monodromy's images holds the very rows, shift and denominator that
     stacking one specialize row of the reference blocks
-    fox_derivative(r, g) per relator r of presentation(m) gives; on the
+    fox_derivative(r, g) per relator r of presentation(m) gives, and b1
+    those of the specialize row x_j - 1 at exponent d, blocks transposed,
+    though both are built once at s = t and read at t^d; on the
     quarter-turn representations of figure-eight conjugated by diag(2, 1),
-    whose matrices have denominators, it holds the same entries."""
+    whose matrices have denominators, the Fox matrix holds the same
+    entries and b1 the same rows."""
     cases = []
     for _, auto in standard_battery():
         m = MappingTorus(auto.rank, auto)
         for f in homomorphism_classes(auto).values():
             cases += [(m, regular_representation(f), d) for d in (1, 2, 3)]
     assert len(cases) == 768
-    for m, rep, d, got in _assembled_fox_matrices(monkeypatch, cases):
+    for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
         expected = _reference_fox(m, rep, d)
         assert (got._z, got._shift, got._den) == (expected._z, expected._shift, expected._den)
+        expected = _reference_b1(m, rep, d)
+        assert (b1._z, b1._shift, b1._den) == (expected._z, expected._shift, expected._den)
 
     a = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
     powers = [RationalMatrix.identity(2), a, a * a, a * a * a]
@@ -434,8 +454,10 @@ def test_fox_matrix_is_the_block_assembly(monkeypatch):
         rep = FiniteRepresentation([powers[i] for i in k[:2]], powers[k[2]])
         cases += [(m, rep, d) for d in (1, 2, 3)]
     dens = set()
-    for m, rep, d, got in _assembled_fox_matrices(monkeypatch, cases):
+    for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
         assert _library_entries(got) == _library_entries(_reference_fox(m, rep, d))
+        expected = _reference_b1(m, rep, d)
+        assert (b1._z, b1._shift, b1._den) == (expected._z, expected._shift, expected._den)
         dens.add(got._den)
     assert dens - {1}
 

@@ -145,6 +145,35 @@ class TestTwisted:
         with pytest.raises(ValueError):
             twisted_alexander(m, trivial_representation(2), d_scale=0)
 
+    @pytest.mark.parametrize("d", [2.0, True, "2"])
+    def test_d_scale_type_checked_before_work(self, d):
+        """d_scale is read by operator.index at entry: a float, a bool or a
+        string raises TypeError before the complex is built and kept."""
+        rep = trivial_representation(2)
+        with pytest.raises(TypeError):
+            twisted_alexander(fig8(), rep, d_scale=d)
+        assert rep._fox is None
+
+    def test_kept_complex_unchanged_by_reads_at_t_d(self):
+        """b1(s) and b2(s), kept on each regular representation of
+        right-mult, hold the same Z[t] lists after twists at d = 1, 2 and
+        3: the d = 1 read hands them to the homology as they are, so no
+        kernel may mutate a list in place, and the reads at t^d copy what
+        they spread."""
+        _, auto = standard_battery()[2]
+        m = MappingTorus(auto.rank, auto)
+        moved = 0
+        for rep in map(regular_representation, homomorphism_classes(auto).values()):
+            twisted_alexander(m, rep)
+            kept = rep._fox
+            before = [[[list(p) for p in r] for r in b._z] for b in kept[1:3]]
+            for d in (1, 2, 3):
+                twisted_alexander(m, rep, d)
+            assert rep._fox is kept
+            assert [[[list(p) for p in r] for r in b._z] for b in kept[1:3]] == before
+            moved += not all(a.is_identity() for a in rep.fiber_matrices)
+        assert moved
+
     def test_rejects_incompatible_representation(self):
         m = fig8()
         # sign representation violates t b t^-1 = theta(b) for this monodromy
@@ -416,7 +445,9 @@ class TestTwisted:
             assert chi.canonicalize() == minor.det().canonicalize()
 
     def test_one_polynomial_det_per_twisted_polynomial(self, monkeypatch):
-        """The Bareiss determinant serves only det(rep(t) t^d - I)."""
+        """The Bareiss determinant serves only det(rep(t) s - I), once per
+        representation and monodromy: at d = 1, and not again at d = 2 on
+        the same object."""
         det = PolynomialMatrix.det
         calls = []
 
@@ -428,10 +459,10 @@ class TestTwisted:
         _, auto = standard_battery()[0]
         m = MappingTorus(auto.rank, auto)
         for rep in map(regular_representation, homomorphism_classes(auto).values()):
-            for d in (1, 2):
+            for d, dets in ((1, [rep.dimension]), (2, [])):
                 before = len(calls)
                 twisted_alexander(m, rep, d)
-                assert calls[before:] == [rep.dimension]
+                assert calls[before:] == dets
 
     def test_generators_inverted_once_per_representation(self, monkeypatch):
         m = MappingTorus(2, identity_automorphism(2))
