@@ -41,7 +41,6 @@ from .finite import (
     trivial_group,
     trivial_representation,
 )
-from .fox import specialize
 from .freegroup import FreeEndomorphism
 from .laurent import LaurentPolynomial, format_polynomial
 from .linalg import PolynomialMatrix, RationalMatrix, homology_invariant_factors
@@ -73,7 +72,6 @@ from .torus import (
     classical_alexander,
     lemma4_check,
     lemma5_check,
-    presentation,
     twisted_alexander,
 )
 from .words import FreeWord, commutator, format_word, parse_word
@@ -134,12 +132,10 @@ __all__ = [
     "magnus_compare",
     "magnus_expand",
     "parse_word",
-    "presentation",
     "regular_representation",
     "select_homomorphism",
     "select_representation",
     "small_groups_catalog",
-    "specialize",
     "standard_battery",
     "sturm_positive_root_count",
     "symmetric_group",

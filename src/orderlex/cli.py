@@ -30,7 +30,7 @@ from .errors import (
     SelectorError,
     WordParseError,
 )
-from .finite import regular_representation, schreier_graph, trivial_representation
+from .finite import regular_representation, trivial_representation
 from .laurent import format_polynomial
 from .manifest import load_manifest, select_homomorphism, select_representation
 from .ordering import (
@@ -186,7 +186,7 @@ def cmd_cover(args):
     hom = select_homomorphism(manifest, args.hom)
     _warn_not_surjective(hom)
     # the Schreier basis has |f(F)| (n - 1) + 1 elements, known before the build
-    rank = len(schreier_graph(hom)[0]) * (manifest.torus.fiber_rank - 1) + 1
+    rank = len(hom._schreier[0]) * (manifest.torus.fiber_rank - 1) + 1
     if rank > len(FIBER_ALPHABET):
         print(
             f"error: the cover of {hom.label!r} has {rank} basis generators; "
@@ -354,9 +354,21 @@ def cmd_report(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes and flushes its help and usage messages
+    and raises what fails, where argparse drops it, so that help into a
+    closed stdout ends like any other command's output."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
+
 @cache  # one parser per process, built at the first main call
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orderlex",
         description=(
             "Exact Alexander polynomial and bi-orderability computations "
@@ -413,8 +425,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
         return code

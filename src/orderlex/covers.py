@@ -6,9 +6,9 @@ The cover of the fiber is the one corresponding to Ftilde = ker(f) cut down
 to the fiber subgroup F.  A shortlex breadth-first transversal makes the
 Schreier basis and every derived matrix reproducible.  build_cover checks
 the relations of f and takes the Schreier graph of f(F), on vertex indices,
-with that transversal and the cover degree, from one finite.schreier_graph
-walk of the group's product table: no permutation product happens outside
-FiniteGroup.  The basis, its kernel check and the rewriting of words into
+with that transversal and the cover degree, from the one
+finite.schreier_graph walk of the group's product table kept on f: no
+permutation product happens outside FiniteGroup.  The basis, its kernel check and the rewriting of words into
 the basis all walk that graph by list lookups.  As f o theta is f
 conjugated by f(t), theta^(+-1) preserve Ftilde; their restriction theta~
 and conjugation by w, C~_w, are certified once on the basis, where words
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .finite import regular_representation, schreier_graph
+from .finite import regular_representation
 from .freegroup import FreeEndomorphism
 from .laurent import format_polynomial
 from .torus import _monodromy_polynomial, twisted_alexander
@@ -46,7 +46,7 @@ def build_cover(m, f):
     """Reidemeister-Schreier data for the cover attached to f, together with
     the monodromy lifted through the stable element t^d * w."""
     f.require_well_defined(m.monodromy)
-    reps, forward, backward, d, w = schreier_graph(f)
+    reps, forward, backward, d, w = f._schreier
 
     # edge[v][g - 1]: the basis index of the edge v -> forward[v][g - 1],
     # 0 on the edges of the transversal's tree

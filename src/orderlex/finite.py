@@ -333,6 +333,12 @@ class TorusHomomorphism:
         image_subgroup and is_surjective alike."""
         return self.group._walk(self._indices)[0]
 
+    @cached_property
+    def _schreier(self):
+        """schreier_graph(self), walked once per homomorphism and kept, for
+        the cover command's rank check, build_cover and cover_degree alike."""
+        return schreier_graph(self)
+
     def image_subgroup(self):
         """Elements of the full image, ordered by BFS."""
         return [self.group.elements[i] for i in self._image]
@@ -412,8 +418,8 @@ def schreier_graph(f):
 def cover_degree(f):
     """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
     over the fiber generators with f(w) = f(t)^-d: the last two entries of
-    schreier_graph(f)."""
-    return schreier_graph(f)[3:]
+    f's kept Schreier graph."""
+    return f._schreier[3:]
 
 
 def permutation_matrix(p):

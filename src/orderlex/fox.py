@@ -9,16 +9,20 @@ reduced, and no two terms share one: two occurrences give equal lengths only
 as x^-1 followed by x, which a reduced word never contains.  So the terms
 never merge or cancel.
 
-specialize sends a group ring element through g -> rho(g) * t^phi(g),
-yielding a matrix of Laurent polynomials; jacobian specializes the Fox
-derivatives of words by every generator at once, at t^0, from one walk of
-each word that also ends at its product.  A product starts at its first
-letter's matrix, skips letters whose matrix is the identity, is carried as
-None while it equals the identity, and sums the letter matrix's rows at its
-nonzero entries, so a permutation prefix takes them as they are.  Each
-product's nonzero integer entries, times its coefficient, are summed
-straight into integer (jacobian) or Z[t] (specialize) entries over one
-common denominator: no Fraction or Laurent polynomial is built.
+jacobian specializes the Fox derivatives of words by every generator at
+once, through g -> rho(g) at t^0, from one walk of each word that also ends
+at its product.  A product starts at its first letter's matrix, skips
+letters whose matrix is the identity, is carried as None while it equals the
+identity, and sums the letter matrix's rows at its nonzero entries, so a
+permutation prefix takes them as they are.  Each product's nonzero integer
+entries, times its coefficient, are summed straight into integer entries
+over one common denominator: no Fraction is built.
+
+specialize builds the twisted boundary b1, the row x_j - 1 over the
+generators sent through g -> rho(g) s^phi(g).  That row is the constant
+blocks rho(x_j) - I and rho(t) s - I, each transposed (Wada 1994;
+Kitano-Morifuji 2005), so specialize reads them off the matrices' integer
+rows: it walks no word and builds no inverse.
 """
 
 from __future__ import annotations
@@ -29,25 +33,26 @@ from math import lcm
 from .linalg import PolynomialMatrix, RationalMatrix, _zmatmul
 
 
-def specialize(x, matrices, exponents):
-    """Linear extension of g -> matrices[g]^sign * t^exponents[g].
-
-    x is a group ring element {FreeWord: rational coefficient}, such as a
-    Fox derivative, or a list of them.  matrices maps generator index to an
-    invertible RationalMatrix, exponents to an integer.  Returns a
-    PolynomialMatrix of the common dimension dim; for a list, a dim-row
-    matrix with the blocks of its elements side by side.
-    """
-    row = x if isinstance(x, list) else [x]
-    gens = {g for y in row for word in y for g, _ in word.letters}
-    dim, letter = _letters(matrices, gens)
-    terms = []
-    for j, y in enumerate(row):
-        for word, coeff in y.items():
-            *_, last = _prefixes(word.letters, letter)
-            shift = sum(s * exponents[g] for g, s in word.letters)
-            terms.append((0, j * dim, coeff, last, shift))
-    return _assemble(terms, dim, dim, len(row) * dim)
+def specialize(fiber, stable):
+    """b1 at s = t: the row x_j - 1 over the generators x_1 .. x_n, t, each
+    g sent to rho(g) s^phi(g), every block transposed.  fiber lists the
+    RationalMatrix rho(x_j) and stable is rho(t); the result is the
+    PolynomialMatrix [(rho(x_1) - I)^T | ... | (rho(x_n) - I)^T |
+    (rho(t) s - I)^T] of the representation's dimension, under the lcm of
+    the matrices' denominators and with shift 0.  Zero entries share one
+    list."""
+    dim, zero = stable.rows, []
+    den = lcm(stable._den, *(m._den for m in fiber))
+    out = [[] for _ in range(dim)]
+    for k, m in enumerate((*fiber, stable)):
+        f, at_s = den // m._den, k == len(fiber)
+        for a, (row, col) in enumerate(zip(out, zip(*m._z))):
+            for b, x in enumerate(col):
+                p = [-den * (a == b), f * x] if at_s else [f * x - den * (a == b)]
+                while p and not p[-1]:
+                    p.pop()
+                row.append(p or zero)
+    return PolynomialMatrix._of(out, 0, den)
 
 
 def jacobian(words, matrices):
@@ -114,49 +119,3 @@ def _product(prod, m):
     when it is the identity."""
     out = RationalMatrix._of(_zmatmul(prod._z, m._z), prod._den * m._den)
     return None if out.is_identity() else out
-
-
-def _assemble(terms, dim, rows, cols):
-    """The rows x cols PolynomialMatrix that is the sum of coeff * prod * t^e
-    over the terms (top, left, coeff, prod, e), each placed with its (0, 0)
-    entry at (top, left): coeff rational, prod a RationalMatrix of
-    dimension dim or None for the identity.  A product places only its
-    nonzero entries; the identity terms are summed by (top, left, e)
-    first, and each sum, a zero one too, is placed once in O(dim).  Entry
-    (a, b) is t^low * out[a][b] / den, for the least exponent low of all
-    the terms and the lcm den of their denominators.  Entries no term
-    reaches share one empty list, which is safe as no kernel mutates a
-    Z[t] list in place."""
-    den = lcm(*[c.denominator * (1 if p is None else p._den) for _, _, c, p, _ in terms])
-    exps = [e for *_, e in terms]
-    low = min(exps, default=0)
-    span = max(exps, default=0) - low + 1
-    zero = []
-    out = [[zero] * cols for _ in range(rows)]
-    made, block, identity = [], range(dim), {}
-    for top, left, coeff, prod, e in terms:
-        e -= low
-        if prod is None:
-            key = top, left, e
-            identity[key] = identity.get(key, 0) + coeff.numerator * (den // coeff.denominator)
-            continue
-        f = coeff.numerator * (den // (coeff.denominator * prod._den))
-        for acc, row in zip(out[top:top + dim], prod._z):
-            for b in compress(block, row):
-                p = acc[left + b]
-                if not p:
-                    p = acc[left + b] = [0] * span
-                    made.append(p)
-                p[e] += f * row[b]
-    for (top, left, e), f in identity.items():
-        for acc in out[top:top + dim]:
-            p = acc[left]
-            if not p:
-                p = acc[left] = [0] * span
-                made.append(p)
-            p[e] += f
-            left += 1
-    for p in made:
-        while p and not p[-1]:
-            p.pop()
-    return PolynomialMatrix._of(out, low, den)

@@ -6,10 +6,10 @@ held the same way, so entry and the kernel results become one by
 _z_to_laurent, which keeps the Z[t] list it is given; no list is mutated in
 place, so matrices and values may share them.
 
-A polynomial matrix is only ever assembled (by fox.specialize,
-twisted_alexander, which builds b2 from the constant Fox Jacobian and lays
-the blocks of one specialize row into b1 transposed, characteristic_matrix,
-transpose or substitute_power) and read by the kernels, which rescale rows
+A polynomial matrix is only ever assembled (by fox.specialize, which lays
+the constant blocks of b1 side by side, twisted_alexander, which builds b2
+from the constant Fox Jacobian, characteristic_matrix, transpose or
+substitute_power) and read by the kernels, which rescale rows
 by units freely.  The private _of constructors trust these callers to hand
 over rows of equal length; only the public constructors check for ragged
 rows.  pencil_char_poly reads the pencil s A - B of constant matrices as the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from math import lcm
 
 from .errors import ConsistencyError, RepresentationError
@@ -38,18 +38,6 @@ from .linalg import (
     pencil_char_poly,
 )
 from .roots import root_counts
-from .words import FreeWord
-
-
-def presentation(m):
-    """Relators t x_i t^-1 theta(x_i)^-1 over the generators x_1..x_n, t."""
-    t = m.stable_index
-    relators = []
-    for i in range(1, m.fiber_rank + 1):
-        letters = [(t, 1), (i, 1), (t, -1)]
-        letters.extend(m.monodromy.images[i - 1].inverse().letters)
-        relators.append(FreeWord._reduced(letters))
-    return relators
 
 
 @dataclass(frozen=True)
@@ -129,11 +117,12 @@ def twisted_alexander(m, rep, d_scale=1):
     The chain complex of the presentation 2-complex has boundary maps
     assembled from group ring elements, each g sent to rep(g) t^(phi(g)):
     the Fox derivatives of the relators r_i = t x_i t^-1 theta(x_i)^-1
-    (degree 2 -> 1), and x_j - 1 for each generator (degree 1 -> 0), from
-    one specialize call over the row of them.  Every block enters
-    transposed, as the module carries a left action and the matrices act
-    on column vectors; that replaces the module by its contragredient and
-    changes no invariant factor up to units.
+    (degree 2 -> 1), and x_j - 1 for each generator (degree 1 -> 0), whose
+    row is the constant blocks rep(x_j) - I and rep(t) t^d - I that
+    fox.specialize lays side by side.  Every block enters transposed, as
+    the module carries a left action and the matrices act on column
+    vectors; that replaces the module by its contragredient and changes no
+    invariant factor up to units.
 
     dr_i/dx_j = delta_ij t - t x_i t^-1 theta(x_i)^-1 d(theta(x_i))/dx_j
     and dr_i/dt = 1 - t x_i t^-1.  If rep satisfies the relations, these
@@ -166,19 +155,9 @@ def twisted_alexander(m, rep, d_scale=1):
         raise RepresentationError("representation rank does not match the fiber")
     images = m.monodromy.images
     if rep._fox is None or rep._fox[0] != images:
-        gens = range(1, m.stable_index + 1)
-        matrices = dict(zip(gens, rep.fiber_matrices + (rep.stable_matrix,)))
-        exponents = {j: int(j == m.stable_index) for j in gens}
-        jac, ends = jacobian(images, dict(zip(gens, rep.fiber_matrices)))
-        row = specialize([{FreeWord._wrap(((j, 1),)): 1, FreeWord._wrap(()): -1} for j in gens],
-                         matrices, exponents)
-        # b1 holds each block of row transposed: b1[a][j + b] = row[b][j + a],
-        # so row a of b1 is columns a, a + dim, ... of row, one after another;
-        # its last block is (rep(t) s - I)^T
-        dim, cols = row.rows, list(zip(*row._z))
-        b1 = PolynomialMatrix._of([list(chain.from_iterable(cols[a::dim])) for a in range(dim)],
-                                  row._shift, row._den)
-        t_block = PolynomialMatrix._of([r[-dim:] for r in b1._z], b1._shift, b1._den)
+        jac, ends = jacobian(images, dict(enumerate(rep.fiber_matrices, 1)))
+        b1 = specialize(rep.fiber_matrices, rep.stable_matrix)
+        t_block = PolynomialMatrix._of([r[-b1.rows:] for r in b1._z], 0, b1._den)
         rep._fox = (images, b1, _fox_transpose(jac, ends, rep.stable_matrix),
                     pencil_char_poly(jac, rep.stable_matrix), t_block.det())
     _, b1, b2, chi, det = rep._fox

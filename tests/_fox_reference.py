@@ -1,9 +1,9 @@
-"""The Fox derivative as a group ring element, the reference oracle for
-fox.jacobian and fox.specialize.
+"""The mapping torus's relators and their Fox derivatives as group ring
+elements, the reference oracle for fox.jacobian and the twisted Fox matrix.
 
 The library builds the Fox Jacobian of the monodromy's images from one walk
-of each image, and never forms a derivative on its own; the tests form each
-one here and specialize it, block by block.
+of each image, and never forms a relator or a derivative on its own; the
+tests form each one here and specialize it, block by block.
 """
 
 from fractions import Fraction
@@ -23,3 +23,15 @@ def fox_derivative(w, gen):
     letters = w.letters
     return {FreeWord._wrap(letters[:j + (s < 0)]): Fraction(s)
             for j, (g, s) in enumerate(letters) if g == gen}
+
+
+def presentation(m):
+    """Relators t x_i t^-1 theta(x_i)^-1 of the mapping torus m over the
+    generators x_1..x_n, t."""
+    t = m.stable_index
+    relators = []
+    for i in range(1, m.fiber_rank + 1):
+        letters = [(t, 1), (i, 1), (t, -1)]
+        letters.extend(m.monodromy.images[i - 1].inverse().letters)
+        relators.append(FreeWord._reduced(letters))
+    return relators

@@ -81,7 +81,9 @@ class TestBuildCover:
         assert c.lifted_monodromy.images == theta2.images
 
     def test_one_transversal_per_cover(self, monkeypatch):
-        """build_cover takes d and w from the Schreier graph it builds on."""
+        """build_cover takes d and w from the Schreier graph it builds on,
+        walked once and kept on the homomorphism, where cover_degree reads
+        it too."""
         calls = []
         graph = finite.schreier_graph
 
@@ -90,13 +92,13 @@ class TestBuildCover:
             return graph(f)
 
         monkeypatch.setattr(finite, "schreier_graph", counting)
-        monkeypatch.setattr(covers, "schreier_graph", counting)
         m = MappingTorus(2, figure_eight_monodromy())
         for f in homomorphism_classes(m.monodromy).values():
+            f = TorusHomomorphism(f.group, f.fiber_images, f.stable_image)
             calls.clear()
             c = build_cover(m, f)
-            assert len(calls) == 1
             assert (c.d, c.w) == finite.cover_degree(f)
+            assert calls == [f]
 
     def test_index_two_fiber_cover(self):
         m = MappingTorus(2, identity_automorphism(2))
@@ -518,13 +520,12 @@ class TestCrossChecksRaise:
         m = MappingTorus(2, identity_automorphism(2))
         g = cyclic_group(2)
         f = TorusHomomorphism(g, (g.element(1), g.element(0)), g.element(1))
-        graph = covers.schreier_graph
-        reps, forward, backward, d, w = graph(f)
+        reps, forward, backward, d, w = graph = finite.schreier_graph(f)
         assert ([format_word(u) for u in reps], forward, backward) == (
             ["", "a"], [[1, 0], [0, 1]], [[1, 0], [0, 1]])
         assert [format_word(b) for b in build_cover(m, f).subgroup_basis] == ["b", "aa", "abA"]
-        monkeypatch.setattr(covers, "schreier_graph",
-                            lambda f: (*fake(*graph(f)[:3]), *graph(f)[3:]))
+        # build_cover reads the graph kept on f
+        monkeypatch.setitem(vars(f), "_schreier", (*fake(*graph[:3]), *graph[3:]))
         with pytest.raises(ConsistencyError, match=message):
             build_cover(m, f)
 

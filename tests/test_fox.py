@@ -1,5 +1,5 @@
-"""Free differential calculus: axioms, the fundamental identity, and
-specialization into polynomial matrices."""
+"""Free differential calculus: axioms, the fundamental identity, and the
+twisted boundary matrices built from it."""
 
 from fractions import Fraction
 from math import lcm
@@ -15,12 +15,12 @@ from orderlex.finite import (
     homomorphism_classes,
     regular_representation,
 )
-from _fox_reference import fox_derivative
+from _fox_reference import fox_derivative, presentation
 from _laurent_literal import L
 from orderlex import torus as torus_module
 from orderlex.fox import jacobian, specialize
-from orderlex.linalg import PolynomialMatrix, RationalMatrix
-from orderlex.torus import MappingTorus, presentation
+from orderlex.linalg import RationalMatrix
+from orderlex.torus import MappingTorus
 from orderlex.words import FreeWord, parse_word
 
 words_st = st.lists(
@@ -138,53 +138,24 @@ class TestFundamentalIdentity:
 
 class TestSpecialize:
     def test_scalar_with_exponent(self):
-        swap = RationalMatrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-        ident = RationalMatrix.identity(2)
-        mats = {1: swap, 2: ident}
-        exps = {1: 1, 2: 0}
-        pm = specialize(ring("a"), mats, exps)
-        assert pm.entry(0, 1) == L("t")
-        assert pm.entry(0, 0).is_zero
-
-    def test_inverse_letter(self):
-        swap = RationalMatrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-        mats = {1: swap}
-        pm = specialize(ring("A", rank=1), mats, {1: 2})
-        # swap is an involution, so the inverse contributes t^-2 * swap
-        assert pm.entry(0, 1) == L("t^-2")
-
-    def test_sum_of_terms(self):
-        ident = RationalMatrix.identity(1)
-        x = add(ring("a", rank=1), ONE)
-        pm = specialize(x, {1: ident}, {1: 1})
-        assert pm.entry(0, 0) == L("t + 1")
+        """A one-dimensional representation: b1 is the row rho(x_j) - 1,
+        then rho(t) t - 1, under the lcm of the denominators."""
+        b1 = specialize((RationalMatrix([[2]]), RationalMatrix([[Fraction(1, 3)]])),
+                        RationalMatrix([[Fraction(-1, 2)]]))
+        assert [b1.entry(0, j) for j in range(3)] == [L("1"), L("-2/3"), L("-1/2*t - 1")]
+        assert (b1._shift, b1._den) == (0, 6)
 
     def test_row_places_blocks_side_by_side(self):
-        """A list of group ring elements specializes to one dim-row matrix
-        whose blocks are those of the elements, under one unit."""
-        swap = RationalMatrix([[0, 1], [1, 0]])
-        scaled = RationalMatrix([[Fraction(1, 3), 0], [0, 2]])
-        mats, exps = {1: swap, 2: scaled}, {1: 1, 2: -1}
-        xs = [add(ring("a"), ONE, -1), ring("B", coeff=Fraction(1, 2)), ring("aB")]
-        row = specialize(xs, mats, exps)
-        assert (row.rows, row.cols) == (2, 6)
-        for k, x in enumerate(xs):
-            block = specialize(x, mats, exps)
-            assert [[row.entry(i, 2 * k + j) for j in range(2)] for i in range(2)] == [
-                [block.entry(i, j) for j in range(2)] for i in range(2)]
-        assert row.entry(0, 0) == L("-1") and row.entry(1, 0) == L("t")
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            specialize(
-                ring("ab"),
-                {1: RationalMatrix.identity(1), 2: RationalMatrix.identity(2)},
-                {1: 0, 2: 0},
-            )
-
-    def test_missing_generator_rejected(self):
-        with pytest.raises(ValueError):
-            specialize(ring("a"), {2: RationalMatrix.identity(1)}, {2: 0})
+        """Block j of the row is (rho(x_j) - I)^T and the last block
+        (rho(t) t - I)^T; a block whose matrix is the identity is zero."""
+        shear = RationalMatrix([[1, 1], [0, 1]])
+        quarter = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
+        b1 = specialize((shear, RationalMatrix.identity(2)), quarter)
+        assert (b1.rows, b1.cols, b1._den) == (2, 6, 2)
+        assert [[str(b1.entry(i, j)) for j in range(6)] for i in range(2)] == [
+            ["0", "0", "0", "0", "-1", "1/2*t"],
+            ["1", "0", "0", "0", "-2*t", "-1"],
+        ]
 
 
 def _reference_inverse(a):
@@ -247,70 +218,6 @@ def _library_entries(pm):
     }
 
 
-def _assert_matches_reference(m, fiber_matrices, stable_matrix, d_scales):
-    matrices = dict(enumerate(fiber_matrices, start=1))
-    matrices[m.stable_index] = stable_matrix
-    letters = {}
-    for g, a in matrices.items():
-        letters[g, 1] = a.to_lists()
-        letters[g, -1] = _reference_inverse(letters[g, 1])
-    for d_scale in d_scales:
-        exponents = {g: 0 for g in matrices}
-        exponents[m.stable_index] = d_scale
-        for r in presentation(m):
-            for j in range(1, m.stable_index + 1):
-                x = fox_derivative(r, j)
-                got = _library_entries(specialize(x, matrices, exponents))
-                assert got == _reference_specialize(x, letters, exponents), (r, j)
-
-
-class TestSpecializeAgainstReference:
-    def test_battery_regular_representations(self):
-        classes = 0
-        for _, auto in standard_battery():
-            m = MappingTorus(auto.rank, auto)
-            for f in homomorphism_classes(auto).values():
-                rep = regular_representation(f)
-                _assert_matches_reference(
-                    m, rep.fiber_matrices, rep.stable_matrix, (1, 2, 3)
-                )
-                classes += 1
-        assert classes == 256
-
-    def test_non_integer_entries(self):
-        # the quarter-turn rotation conjugated by diag(2, 1)
-        q = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
-        rep = FiniteRepresentation((q, q), q)
-        for _, auto in standard_battery():
-            if auto.rank != 2:
-                continue
-            _assert_matches_reference(
-                MappingTorus(2, auto), rep.fiber_matrices, rep.stable_matrix, (1, 2, 3)
-            )
-
-    @settings(max_examples=100)
-    @given(
-        st.dictionaries(
-            words_st,
-            st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
-            max_size=6,
-        )
-    )
-    def test_arbitrary_group_ring_elements(self, x):
-        # words that are not prefixes of one word, such as a and a^-1
-        matrices = {
-            1: RationalMatrix([[0, -2], [Fraction(1, 2), 0]]),
-            2: RationalMatrix([[0, 1], [1, 0]]),
-        }
-        exponents = {1: 1, 2: -2}
-        letters = {}
-        for g, a in matrices.items():
-            letters[g, 1] = a.to_lists()
-            letters[g, -1] = _reference_inverse(letters[g, 1])
-        got = _library_entries(specialize(x, matrices, exponents))
-        assert got == _reference_specialize(x, letters, exponents)
-
-
 # invertible 2 x 2 matrices: the identity, integer ones and ones with
 # denominators
 MATRIX_POOL = (
@@ -331,16 +238,6 @@ def fox_grids(draw):
     words = draw(st.lists(st.lists(letter, max_size=16).map(FreeWord), min_size=1, max_size=3))
     matrices = {g: draw(st.sampled_from(MATRIX_POOL)) for g in range(1, rank + 1)}
     return words, matrices
-
-
-def _block_entries(pm, i, j, dim):
-    """_library_entries of block (i, j) of pm, dim x dim blocks."""
-    return {
-        (a, b): dict(pm.entry(i * dim + a, j * dim + b).items())
-        for a in range(dim)
-        for b in range(dim)
-        if pm.entry(i * dim + a, j * dim + b)
-    }
 
 
 def _constant_block(jac, i, j, dim):
@@ -372,17 +269,6 @@ def test_fox_matrix_matches_reference(case):
         assert _constant_block(ends[i], 0, 0, 2) == end
 
 
-def _stacked(parts):
-    """The PolynomialMatrix whose rows are those of the polynomial matrices
-    parts, in order, under their least shift and the lcm of their
-    denominators."""
-    shift = min(m._shift for m in parts)
-    den = lcm(*(m._den for m in parts))
-    return PolynomialMatrix._of(
-        [[[0] * (m._shift - shift) + [den // m._den * x for x in p] if p else p for p in r]
-         for m in parts for r in m._z], shift, den)
-
-
 def _assembled_fox_matrices(monkeypatch, cases):
     """(m, rep, d, fox, b1) for each (m, rep, d) of cases: fox is the Fox
     matrix that twisted_alexander assembles, the transpose of the b2 it
@@ -397,42 +283,66 @@ def _assembled_fox_matrices(monkeypatch, cases):
     return out
 
 
-def _reference_b1(m, rep, d):
-    """b1 under rep at t^d: one specialize row of the blocks x_j - 1 over
-    every generator j, with exponent d on t, and each dim x dim block
-    transposed in place, so that b1[a][j + b] = row[b][j + a]."""
-    matrices = dict(enumerate(rep.fiber_matrices + (rep.stable_matrix,), 1))
-    exponents = {g: 0 for g in matrices}
-    exponents[m.stable_index] = d
-    blocks = [{FreeWord(((g, 1),)): Fraction(1), FreeWord.empty(): Fraction(-1)}
-              for g in sorted(matrices)]
-    row, dim = specialize(blocks, matrices, exponents), rep.dimension
-    z = [[row._z[b][j + a] for j in range(0, row.cols, dim) for b in range(dim)]
-         for a in range(dim)]
-    return PolynomialMatrix._of(z, row._shift, row._den)
+def _z_form(entries, rows, cols):
+    """(z, shift, den) of the rows x cols matrix whose nonzero entries are
+    entries {(row, col): {exponent: nonzero Fraction}}: shift is the least
+    exponent, den the lcm of the denominators, and each entry the list of
+    its coefficients times den from t^shift up, [] for zero."""
+    shift = min(e for entry in entries.values() for e in entry)
+    den = lcm(*(c.denominator for entry in entries.values() for c in entry.values()))
+    z = [[[] for _ in range(cols)] for _ in range(rows)]
+    for (i, j), entry in entries.items():
+        z[i][j] = [int(entry.get(e, 0) * den) for e in range(shift, max(entry) + 1)]
+    return z, shift, den
+
+
+def _reference_b1(rep, d):
+    """b1 under rep at t^d in plain Fraction lists, in the form of
+    _reference_specialize: block j of its row is (rep(x_j) - I)^T over the
+    fiber generators, then (rep(t) t^d - I)^T."""
+    blocks = [m.to_lists() for m in rep.fiber_matrices + (rep.stable_matrix,)]
+    dim, out = len(blocks[0]), {}
+    for j, m in enumerate(blocks):
+        e = d if j == len(blocks) - 1 else 0
+        for a in range(dim):
+            for b in range(dim):
+                entry = {e: m[b][a]} if m[b][a] else {}
+                if a == b:
+                    entry[0] = entry.get(0, 0) - 1
+                if entry := {k: c for k, c in entry.items() if c}:
+                    out[a, j * dim + b] = entry
+    return out
 
 
 def _reference_fox(m, rep, d):
-    """The Fox matrix of presentation(m) under rep, from one specialize row
-    of the reference blocks fox_derivative(r, g) per relator r."""
-    matrices = dict(enumerate(rep.fiber_matrices + (rep.stable_matrix,), 1))
-    exponents = {g: 0 for g in matrices}
+    """The Fox matrix of presentation(m) under rep at t^d: block (i, g) is
+    the plain-list _reference_specialize of fox_derivative(r_i, g)."""
+    matrices = rep.fiber_matrices + (rep.stable_matrix,)
+    letters = {}
+    for g, a in enumerate(matrices, 1):
+        letters[g, 1] = a.to_lists()
+        letters[g, -1] = _reference_inverse(letters[g, 1])
+    exponents = dict.fromkeys(range(1, m.stable_index), 0)
     exponents[m.stable_index] = d
-    return _stacked([specialize([fox_derivative(r, g) for g in sorted(matrices)],
-                                matrices, exponents) for r in presentation(m)])
+    dim, out = rep.dimension, {}
+    for i, r in enumerate(presentation(m)):
+        for g in range(1, m.stable_index + 1):
+            block = _reference_specialize(fox_derivative(r, g), letters, exponents)
+            for (a, b), entry in block.items():
+                out[i * dim + a, (g - 1) * dim + b] = entry
+    return out
 
 
 def test_fox_matrix_is_the_block_assembly(monkeypatch):
     """On every battery class's regular representation at d = 1, 2, 3, the
     Fox matrix that twisted_alexander assembles from the Jacobian of the
-    monodromy's images holds the very rows, shift and denominator that
-    stacking one specialize row of the reference blocks
-    fox_derivative(r, g) per relator r of presentation(m) gives, and b1
-    those of the specialize row x_j - 1 at exponent d, blocks transposed,
-    though both are built once at s = t and read at t^d; on the
-    quarter-turn representations of figure-eight conjugated by diag(2, 1),
-    whose matrices have denominators, the Fox matrix holds the same
-    entries and b1 the same rows."""
+    monodromy's images holds the very rows, shift and denominator of the
+    plain-list reference blocks fox_derivative(r, g) per relator r of
+    presentation(m), and b1 those of the transposed blocks rep(x_j) - I and
+    rep(t) t^d - I, though both are built once at s = t and read at t^d; on
+    the quarter-turn representations of figure-eight conjugated by
+    diag(2, 1), whose matrices have denominators, the Fox matrix holds the
+    same entries and b1 the same rows."""
     cases = []
     for _, auto in standard_battery():
         m = MappingTorus(auto.rank, auto)
@@ -440,10 +350,10 @@ def test_fox_matrix_is_the_block_assembly(monkeypatch):
             cases += [(m, regular_representation(f), d) for d in (1, 2, 3)]
     assert len(cases) == 768
     for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
-        expected = _reference_fox(m, rep, d)
-        assert (got._z, got._shift, got._den) == (expected._z, expected._shift, expected._den)
-        expected = _reference_b1(m, rep, d)
-        assert (b1._z, b1._shift, b1._den) == (expected._z, expected._shift, expected._den)
+        dim, n = rep.dimension, m.fiber_rank
+        expected = _z_form(_reference_fox(m, rep, d), n * dim, (n + 1) * dim)
+        assert (got._z, got._shift, got._den) == expected
+        assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep, d), dim, (n + 1) * dim)
 
     a = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
     powers = [RationalMatrix.identity(2), a, a * a, a * a * a]
@@ -455,9 +365,8 @@ def test_fox_matrix_is_the_block_assembly(monkeypatch):
         cases += [(m, rep, d) for d in (1, 2, 3)]
     dens = set()
     for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
-        assert _library_entries(got) == _library_entries(_reference_fox(m, rep, d))
-        expected = _reference_b1(m, rep, d)
-        assert (b1._z, b1._shift, b1._den) == (expected._z, expected._shift, expected._den)
+        assert _library_entries(got) == _reference_fox(m, rep, d)
+        assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep, d), 2, 6)
         dens.add(got._den)
     assert dens - {1}
 
@@ -465,53 +374,3 @@ def test_fox_matrix_is_the_block_assembly(monkeypatch):
 def test_fox_matrix_rejects_missing_generator():
     with pytest.raises(ValueError, match="no matrix assigned to generator 2"):
         jacobian([W("ab")], {1: RationalMatrix.identity(1)})
-
-
-def test_identity_terms_placed_once_per_key():
-    """_assemble sums the identity terms by (top, left, e) and places each
-    sum once.  Under identity matrices every word's product is the
-    identity, so specialize's identity placement runs dim times per
-    distinct key of a row of Fox derivatives, fewer than its words; a key
-    whose sum is zero (1 and abA at one exponent in d(abA)/da) still
-    matches the reference."""
-    import inspect
-    import sys
-
-    from orderlex import fox
-
-    source, first = inspect.getsourcelines(fox._assemble)
-    placement = [first + n for n, text in enumerate(source) if text.strip() == "p[e] += f"]
-    assert len(placement) == 1
-    runs = [0]
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == placement[0]:
-            runs[0] += 1
-        return local
-
-    def tracer(frame, event, arg):
-        return local if frame.f_code is fox._assemble.__code__ else None
-
-    m = MappingTorus(2, figure_eight_monodromy())
-    relators = list(presentation(m)) + [W("abA", 3)]
-    dim = 2
-    matrices = {g: RationalMatrix.identity(dim) for g in (1, 2, 3)}
-    exponents = {1: 0, 2: 0, 3: 2}
-    rows = [[fox_derivative(r, g) for g in (1, 2, 3)] for r in relators]
-    keys = words = 0
-    for row in rows:
-        keys += len({(j, sum(s * exponents[g] for g, s in w.letters))
-                     for j, x in enumerate(row) for w in x})
-        words += sum(map(len, row))
-    sys.settrace(tracer)
-    try:
-        got = [specialize(row, matrices, exponents) for row in rows]
-    finally:
-        sys.settrace(None)
-    assert runs[0] == dim * keys < dim * words
-    reference = {(g, s): RationalMatrix.identity(dim).to_lists()
-                 for g in (1, 2, 3) for s in (1, -1)}
-    for row, pm in zip(rows, got):
-        for j, x in enumerate(row):
-            expected = _reference_specialize(x, reference, exponents)
-            assert _block_entries(pm, 0, j, dim) == expected, j

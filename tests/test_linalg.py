@@ -14,7 +14,6 @@ from orderlex import torus as torus_module
 from orderlex.autos import figure_eight_monodromy
 from orderlex.errors import ConsistencyError, SingularMatrixError
 from orderlex.finite import TorusHomomorphism, cyclic_group, regular_representation
-from _fox_reference import fox_derivative
 from _laurent_literal import L, power_characteristic_matrix
 from orderlex.fox import specialize
 from orderlex.laurent import (
@@ -30,7 +29,7 @@ from orderlex.linalg import (
     homology_invariant_factors,
     pencil_char_poly,
 )
-from orderlex.torus import MappingTorus, presentation, twisted_alexander
+from orderlex.torus import MappingTorus, twisted_alexander
 
 
 def QM(rows):
@@ -371,23 +370,18 @@ class TestIntegerKernels:
         """det, the Smith normal form and the twisted pipeline around them
         run on the Z[t] kernels directly and never reach poly_divmod, which
         converts between Fraction polynomials and Z[t] on every call."""
-        # the twisted boundary matrix of the figure-eight knot group under
-        # the regular representation onto Z3
+        # the twisted boundary matrix b1 of the figure-eight knot group under
+        # the regular representation onto Z3, and its stable block
         torus = MappingTorus(2, figure_eight_monodromy())
         g = cyclic_group(3)
         f = TorusHomomorphism(g, (g.identity(),) * 2, g.element(1))
         f.require_well_defined(torus.monodromy)
         rep = regular_representation(f)
-        matrices = {1: rep.fiber_matrices[0], 2: rep.fiber_matrices[1], 3: rep.stable_matrix}
-        exponents = {1: 0, 2: 0, 3: 1}
-        rows = [specialize([fox_derivative(r, j) for j in (1, 2, 3)], matrices, exponents)
-                for r in presentation(torus)]
-        fox = PolynomialMatrix([[row.entry(i, j) for j in range(row.cols)]
-                                for row in rows for i in range(row.rows)])
-        assert (fox.rows, fox.cols) == (6, 9)
-        minor = PolynomialMatrix([[fox.entry(i, j) for j in range(6)] for i in range(6)])
-        assert not minor.det().is_zero
-        assert len(fox.smith_normal_form()) == 6
+        b1 = specialize(rep.fiber_matrices, rep.stable_matrix)
+        assert (b1.rows, b1.cols) == (3, 9)
+        minor = PolynomialMatrix([[b1.entry(i, j) for j in range(6, 9)] for i in range(3)])
+        assert minor.det() == L("t^3 - 1")
+        assert len(b1.smith_normal_form()) == 3
         twisted_alexander(torus, rep)
         assert laurent_calls["poly_divmod"] == 0
 

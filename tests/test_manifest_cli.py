@@ -275,6 +275,18 @@ class TestCli:
             assert code == 0
             assert capsys.readouterr().out == (data / pinned).read_text()
 
+    def test_cover_walks_the_schreier_graph_once(self, monkeypatch, capsys, fig8_manifest_path):
+        # the width check before the build and build_cover read one walk,
+        # kept on the homomorphism, and the document stays as pinned
+        from orderlex import finite
+
+        walks, graph = [], finite.schreier_graph
+        monkeypatch.setattr(finite, "schreier_graph", lambda f: walks.append(f) or graph(f))
+        assert cli.main(["cover", fig8_manifest_path, "--hom", "z5", "--json"]) == 0
+        assert len(walks) == 1
+        pinned = pathlib.Path(__file__).parent / "data" / "cover_fig8_z5.json"
+        assert capsys.readouterr().out == pinned.read_text()
+
     @pytest.mark.parametrize("argv, pinned", [
         (["report"], "report_fig8.json"),
         (["verify", "theorem2"], "theorem2_fig8.json"),
@@ -439,12 +451,17 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == (data / "verify_lemma4_right_mult_s3.json").read_text()
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_stdout_exits_141(self, fig8_manifest_path, unbuffered):
-        """A reader that closed stdout before the report is written ends the
-        command with 141 (128 + SIGPIPE) and nothing on stderr.  Unbuffered,
-        the first print fails; buffered, main's flush does, and not the
-        interpreter's last flush at exit."""
+    @pytest.mark.parametrize("argv, unbuffered", [
+        pytest.param(argv, unbuffered, id=name + mode)
+        for name, argv in [("", ["report", "{fig8}", "--json"]), ("help-", ["--help"]),
+                           ("report-help-", ["report", "--help"])]
+        for unbuffered, mode in [(False, "buffered"), (True, "unbuffered")]
+    ])
+    def test_closed_stdout_exits_141(self, fig8_manifest_path, argv, unbuffered):
+        """A reader that closed stdout before the report or argparse's help
+        is written ends the command with 141 (128 + SIGPIPE) and nothing on
+        stderr.  Unbuffered, the first write fails; buffered, main's flush
+        does, and not the interpreter's last flush at exit."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -454,7 +471,8 @@ class TestCli:
         os.close(read)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "orderlex.cli", "report", fig8_manifest_path, "--json"],
+                [sys.executable, "-m", "orderlex.cli",
+                 *(a.format(fig8=fig8_manifest_path) for a in argv)],
                 stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _fox_reference import presentation
 from _laurent_literal import L
 
 from orderlex.autos import (
@@ -30,7 +31,6 @@ from orderlex.torus import (
     classical_alexander,
     lemma4_check,
     lemma5_check,
-    presentation,
     twisted_alexander,
 )
 from orderlex.words import FreeWord, parse_word
@@ -77,14 +77,14 @@ class TestConstruction:
 
     def test_relators_built_once(self, monkeypatch):
         """Every twisted polynomial of one torus walks the monodromy's own
-        image list, built once with the automorphism, and none builds the
-        relator list: the Fox matrix is assembled from the images' walk."""
+        image list, built once with the automorphism, and the library builds
+        no relator list: the Fox matrix is assembled from the images' walk."""
         m = fig8()
         seen = []
         jacobian = torus_module.jacobian
         monkeypatch.setattr(torus_module, "jacobian",
                             lambda ws, *a: seen.append(ws) or jacobian(ws, *a))
-        monkeypatch.setattr(torus_module, "presentation", lambda m: seen.append(None))
+        assert not hasattr(torus_module, "presentation")
         for d in (1, 2, 3):
             twisted_alexander(m, trivial_representation(2), d_scale=d)
         assert len(seen) == 3 and all(ws is m.monodromy.images for ws in seen)
@@ -190,8 +190,8 @@ class TestTwisted:
         the stable-letter block of the Fox matrix corrupted: b1 * b2 != 0
         is reported as ConsistencyError, not as bad input.  The stable
         block I - rep(theta(x_i)) comes from the products that one jacobian
-        call over the monodromy's images returns; the b1 blocks x_j - 1
-        come from one specialize call over the row of them and are left
+        call over the monodromy's images returns; b1 comes from one
+        specialize call on the representation's matrices and is left
         intact."""
         m = fig8()
         rep = z2_regular(m)
@@ -206,19 +206,16 @@ class TestTwisted:
             end[0][0] += 1
             return jac, [RationalMatrix(end)] + ends[1:]
 
-        def recording(x, matrices, exponents):
-            calls.append(x)
-            return specialize(x, matrices, exponents)
+        def recording(fiber, stable):
+            calls.append((fiber, stable))
+            return specialize(fiber, stable)
 
         monkeypatch.setattr(torus_module, "jacobian", corrupting)
         monkeypatch.setattr(torus_module, "specialize", recording)
         with pytest.raises(ConsistencyError, match="do not compose to zero"):
             twisted_alexander(m, rep)
         assert images == list(m.monodromy.images)
-        one = FreeWord.empty()
-        assert calls == [
-            [{FreeWord.generator(j): 1, one: -1} for j in range(1, m.stable_index + 1)]
-        ]
+        assert calls == [(rep.fiber_matrices, rep.stable_matrix)]
 
     def test_corrupted_jacobian_entry_is_a_bug(self, monkeypatch):
         """As test_corrupted_fox_block_is_a_bug, with one entry of the
