@@ -333,42 +333,94 @@ def _reference_fox(m, rep, d):
     return out
 
 
-def test_fox_matrix_is_the_block_assembly(monkeypatch):
-    """On every battery class's regular representation at d = 1, 2, 3, the
-    Fox matrix that twisted_alexander assembles from the Jacobian of the
-    monodromy's images holds the very rows, shift and denominator of the
-    plain-list reference blocks fox_derivative(r, g) per relator r of
-    presentation(m), and b1 those of the transposed blocks rep(x_j) - I and
-    rep(t) t^d - I, though both are built once at s = t and read at t^d; on
-    the quarter-turn representations of figure-eight conjugated by
-    diag(2, 1), whose matrices have denominators, the Fox matrix holds the
-    same entries and b1 the same rows."""
+def _battery_cases():
+    """(m, rep, d) for every battery class's regular representation at
+    d = 1, 2, 3."""
     cases = []
     for _, auto in standard_battery():
         m = MappingTorus(auto.rank, auto)
         for f in homomorphism_classes(auto).values():
             cases += [(m, regular_representation(f), d) for d in (1, 2, 3)]
     assert len(cases) == 768
-    for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
+    return cases
+
+
+def test_fox_matrix_is_the_block_assembly(monkeypatch):
+    """On every battery class's regular representation at d = 1, 2, 3, the
+    Fox matrix that twisted_alexander assembles from the Jacobian of the
+    monodromy's images holds the very rows, shift and denominator of the
+    plain-list reference blocks fox_derivative(r, g) per relator r of
+    presentation(m), though it is built once at s = t and read at t^d."""
+    for m, rep, d, got, _ in _assembled_fox_matrices(monkeypatch, _battery_cases()):
         dim, n = rep.dimension, m.fiber_rank
         expected = _z_form(_reference_fox(m, rep, d), n * dim, (n + 1) * dim)
         assert (got._z, got._shift, got._den) == expected
-        assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep, d), dim, (n + 1) * dim)
 
-    a = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
-    powers = [RationalMatrix.identity(2), a, a * a, a * a * a]
-    m, g = MappingTorus(2, figure_eight_monodromy()), cyclic_group(4)
-    cases = []
-    for f in enumerate_homomorphisms(m.monodromy, g):
-        k = [g.index(p) for p in f.fiber_images + (f.stable_image,)]
-        rep = FiniteRepresentation([powers[i] for i in k[:2]], powers[k[2]])
-        cases += [(m, rep, d) for d in (1, 2, 3)]
-    dens = set()
-    for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
-        assert _library_entries(got) == _reference_fox(m, rep, d)
-        assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep, d), 2, 6)
-        dens.add(got._den)
-    assert dens - {1}
+
+@st.composite
+def b1_grids(draw):
+    """(fiber, stable): one to four fiber matrices and a stable matrix,
+    each drawn from the pool."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    fiber = tuple(draw(st.sampled_from(MATRIX_POOL)) for _ in range(rank))
+    return fiber, draw(st.sampled_from(MATRIX_POOL))
+
+
+class TestSpecializeAgainstReference:
+    def test_battery_regular_representations(self, monkeypatch):
+        """On every battery class's regular representation, specialize's
+        b1 at s = t, and the b1 twisted_alexander hands to the homology at
+        d = 1, 2, 3, hold the very rows, shift and denominator of the
+        plain-Fraction transposed blocks rep(x_j) - I and rep(t) t^d - I."""
+        for m, rep, d, _, b1 in _assembled_fox_matrices(monkeypatch, _battery_cases()):
+            dim, n = rep.dimension, m.fiber_rank
+            expected = _z_form(_reference_b1(rep, d), dim, (n + 1) * dim)
+            assert (b1._z, b1._shift, b1._den) == expected
+            if d == 1:
+                got = specialize(rep.fiber_matrices, rep.stable_matrix)
+                assert (got._z, got._shift, got._den) == expected
+
+    def test_non_integer_entries(self, monkeypatch):
+        """On the quarter-turn representations of figure-eight conjugated
+        by diag(2, 1), whose matrices have denominators, the Fox matrix
+        holds the entries of the plain-list reference and b1 the very rows
+        of the reference blocks, at d = 1, 2, 3."""
+        a = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
+        powers = [RationalMatrix.identity(2), a, a * a, a * a * a]
+        m, g = MappingTorus(2, figure_eight_monodromy()), cyclic_group(4)
+        cases = []
+        for f in enumerate_homomorphisms(m.monodromy, g):
+            k = [g.index(p) for p in f.fiber_images + (f.stable_image,)]
+            rep = FiniteRepresentation([powers[i] for i in k[:2]], powers[k[2]])
+            cases += [(m, rep, d) for d in (1, 2, 3)]
+        dens = set()
+        for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
+            assert _library_entries(got) == _reference_fox(m, rep, d)
+            assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep, d), 2, 6)
+            dens |= {got._den, b1._den}
+        assert dens - {1}
+
+    @settings(max_examples=100)
+    @given(b1_grids())
+    def test_arbitrary_group_ring_elements(self, case):
+        """Block j of specialize's row is the transpose of the plain-list
+        specialization of the group ring element x_j - 1, with exponent 1
+        on the stable letter, for any pool matrices, not only those of a
+        representation of a mapping torus group."""
+        fiber, stable = case
+        matrices = dict(enumerate(fiber + (stable,), 1))
+        letters = {(g, 1): a.to_lists() for g, a in matrices.items()}
+        exponents = dict.fromkeys(matrices, 0)
+        exponents[len(matrices)] = 1
+        expected = {}
+        for g in matrices:
+            element = {FreeWord.generator(g): Fraction(1), FreeWord.empty(): Fraction(-1)}
+            block = _reference_specialize(element, letters, exponents)
+            for (a, b), entry in block.items():
+                expected[b, (g - 1) * 2 + a] = entry
+        got = specialize(fiber, stable)
+        assert (got.rows, got.cols) == (2, 2 * len(matrices))
+        assert _library_entries(got) == expected
 
 
 def test_fox_matrix_rejects_missing_generator():
