@@ -451,6 +451,14 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == (data / "verify_lemma4_right_mult_s3.json").read_text()
 
+    def test_twisted_d_scale_3_right_mult_s3_pinned(self, capsys):
+        # the standalone twisted document at d = 3, byte for byte, outside
+        # lemma 4: right-mult onto S3, whose fiber blocks are nonzero
+        data = pathlib.Path(__file__).parent / "data"
+        argv = ["twisted", str(data / "right_mult_s3.json"), "--d-scale", "3", "--json"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (data / "twisted_right_mult_s3_d3.json").read_text()
+
     @pytest.mark.parametrize("argv, unbuffered", [
         pytest.param(argv, unbuffered, id=name + mode)
         for name, argv in [("", ["report", "{fig8}", "--json"]), ("help-", ["--help"]),
