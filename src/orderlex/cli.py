@@ -82,8 +82,8 @@ def _positive_int(text):
     return value
 
 
-# --d-scale D builds Z[t] rows about D long per entry, so its time grows
-# linearly in D
+# --d-scale D spreads each invariant factor, reduced once at s = t, to about
+# D times its length, so the output and its time grow linearly in D
 D_SCALE_LIMIT = 10000
 
 

@@ -440,14 +440,12 @@ class FiniteRepresentation:
     _close_image).  Only the constructions whose image is finite by
     construction pass _finite and skip both: regular_representation (a
     permutation group), trivial_representation (the trivial group) and
-    direct_sum (a subgroup of the product of two certified images).
-    _fox is twisted_alexander's memo for the last monodromy images."""
+    direct_sum (a subgroup of the product of two certified images)."""
 
     def __init__(self, fiber_matrices, stable_matrix, label=None, _finite=False):
         self.fiber_matrices = tuple(fiber_matrices)
         self.stable_matrix = stable_matrix
         self.label = label
-        self._fox = None
         mats = self.fiber_matrices + (self.stable_matrix,)
         dims = {m.rows for m in mats} | {m.cols for m in mats}
         if len(dims) != 1:

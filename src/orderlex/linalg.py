@@ -7,15 +7,14 @@ _z_to_laurent, which keeps the Z[t] list it is given; no list is mutated in
 place, so matrices and values may share them.
 
 A polynomial matrix is only ever assembled (by fox.specialize, which lays
-the constant blocks of b1 side by side, twisted_alexander, which builds b2
-from the constant Fox Jacobian, characteristic_matrix, transpose or
-substitute_power) and read by the kernels, which rescale rows
-by units freely.  The private _of constructors trust these callers to hand
-over rows of equal length; only the public constructors check for ragged
-rows.  pencil_char_poly reads the pencil s A - B of constant matrices as the
-characteristic polynomial of A^-1 B; twisted_alexander keeps it, b1, b2 and
-the Bareiss determinant det(s rho(t) - I), its one use, per representation
-and monodromy at s, and reads them at s = t^d for every d.
+the constant blocks of b1 side by side, the torus, which builds b2 from the
+constant Fox Jacobian at s = t or, for lemma 4's direct side, at t^d,
+characteristic_matrix or transpose) and read by the kernels, which rescale
+rows by units freely.  The private _of constructors trust these callers to
+hand over rows of equal length; only the public constructors check for
+ragged rows.  pencil_char_poly reads the pencil s A - B of constant
+matrices as the characteristic polynomial of A^-1 B, Wada's chi_M(s); the
+Bareiss determinant's one use is det(s rho(t) - I).
 The determinant and the Smith normal form share the one pseudo-division
 loop of laurent.  The Smith normal form is one
 elimination loop over sparse rows, which takes every unit pivot c t^e
@@ -328,19 +327,6 @@ class PolynomialMatrix:
 
     def transpose(self):
         return PolynomialMatrix._of([list(c) for c in zip(*self._z)], self._shift, self._den)
-
-    def substitute_power(self, d):
-        """The matrix at t^d for an int d >= 1, entry by entry as
-        LaurentPolynomial.substitute_power; d = 1 gives the matrix itself."""
-        if d == 1:
-            return self
-        rows = [list(r) for r in self._z]
-        for r in rows:
-            for j, p in enumerate(r):
-                if len(p) > 1:  # a constant or a zero keeps its list
-                    r[j] = q = [0] * ((len(p) - 1) * d + 1)
-                    q[::d] = p
-        return PolynomialMatrix._of(rows, self._shift * d, self._den)
 
     def det(self):
         """Exact determinant by fraction-free Bareiss elimination over Z[t]

@@ -52,10 +52,6 @@ class MappingTorus:
         if self.monodromy.rank != self.fiber_rank:
             raise ValueError("monodromy rank does not match the fiber rank")
 
-    @property
-    def stable_index(self):
-        return self.fiber_rank + 1
-
     @cached_property
     def _classical(self):
         """classical_alexander's result, computed at its first call."""
@@ -112,13 +108,35 @@ def _monodromy_polynomial(a, d):
 
 
 def twisted_alexander(m, rep, d_scale=1):
-    """Invariant factors of the first twisted homology of the mapping torus.
+    """Invariant factors of the first twisted homology of the mapping torus,
+    phi sending t to d_scale: those of the complex reduced once at s = t
+    (_twisted_complex), with t^d substituted afterwards, as in
+    _monodromy_polynomial.  s = t^d keeps the unimodular matrices of a Smith
+    form unimodular and a divisibility chain a chain, and maps a canonical
+    polynomial to a canonical one."""
+    d_scale = _d_scale(d_scale)
+    factors = _twisted_complex(m, rep)[-1]
+    nonunit = tuple(f.substitute_power(d_scale) for f in factors if not f.is_one)
+    return AlexanderResult(_z_to_laurent(_product_z(nonunit)), nonunit, 0)
+
+
+def _d_scale(d):
+    """d as an exponent of t, by operator.index, refused below 1."""
+    d = _exponent(d)
+    if d < 1:
+        raise ValueError("d_scale must be a positive integer")
+    return d
+
+
+def _twisted_complex(m, rep):
+    """(J, ends, rep(t), chi, det, h0, factors): the twisted complex of the
+    mapping torus under rep, with phi sending t to s, built and reduced once.
 
     The chain complex of the presentation 2-complex has boundary maps
-    assembled from group ring elements, each g sent to rep(g) t^(phi(g)):
+    assembled from group ring elements, each g sent to rep(g) s^(phi(g)):
     the Fox derivatives of the relators r_i = t x_i t^-1 theta(x_i)^-1
     (degree 2 -> 1), and x_j - 1 for each generator (degree 1 -> 0), whose
-    row is the constant blocks rep(x_j) - I and rep(t) t^d - I that
+    row is the constant blocks rep(x_j) - I and rep(t) s - I that
     fox.specialize lays side by side.  Every block enters transposed, as
     the module carries a left action and the matrices act on column
     vectors; that replaces the module by its contragredient and changes no
@@ -126,44 +144,32 @@ def twisted_alexander(m, rep, d_scale=1):
 
     dr_i/dx_j = delta_ij t - t x_i t^-1 theta(x_i)^-1 d(theta(x_i))/dx_j
     and dr_i/dt = 1 - t x_i t^-1.  If rep satisfies the relations, these
-    specialize to delta_ij rep(t) t^d - J_ij and I - rep(theta(x_i)), J the
+    specialize to delta_ij rep(t) s - J_ij and I - rep(theta(x_i)), J the
     constant Jacobian of the images, which one fox.jacobian walk gives with
-    each rep(theta(x_i)); b2 is built from these blocks.  If not, Fox's
-    fundamental formula for theta(x_i) makes block i of b1 * b2 equal to
-    ((rep(t) rep(x_i) - rep(theta(x_i)) rep(t)) t^d)^T, nonzero exactly
-    when relation i fails.  So the b1 * b2 = 0 check of the homology is the
-    relation check: its ConsistencyError becomes RepresentationError if rep
-    violates a relation, and is re-raised as a bug otherwise.
+    each product ends[i] = rep(theta(x_i)); b2 is built from these blocks.
+    If not, Fox's fundamental formula for theta(x_i) makes block i of
+    b1 * b2 equal to ((rep(t) rep(x_i) - rep(theta(x_i)) rep(t)) s)^T,
+    nonzero exactly when relation i fails.  So the b1 * b2 = 0 check of the
+    homology is the relation check: its ConsistencyError becomes
+    RepresentationError if rep violates a relation, and is re-raised as a
+    bug otherwise.
 
     The module is torsion: by Shapiro's lemma, with phi killing F, it is
-    d_scale copies of H_1(F; V), finite-dimensional over Q, so a free part
-    raises ConsistencyError.  A second, independent route (Wada's) compares
-    det(fox minor) * order(H_0) with product(p_i) * det(rep(t) t^d - I);
+    H_1(F; V), finite-dimensional over Q, so a free part raises
+    ConsistencyError.  factors are the canonical nonzero invariant factors
+    of b2, units included.  A second, independent route (Wada's) compares
+    chi * h0 with their product times det, for chi = chi_M(s) read off J,
+    h0 = order(H_0) and det = det(rep(t) s - I) from b1's t-block;
     disagreement raises ConsistencyError (see _wada_cross_check).
-
-    b1, b2, Wada's chi_M and det(rep(t) t^d - I) are polynomials in s = t^d:
-    the first call for rep and m's images builds them at s and keeps them on
-    rep, keyed by the images.  Each call reads b1 and b2 at t^d by
-    PolynomialMatrix.substitute_power, which hands the homology the very
-    matrices a build at t^d gives, and runs the b1 * b2 check, both
-    reductions and Wada's comparison on them.
     """
-    d_scale = _exponent(d_scale)
-    if d_scale < 1:
-        raise ValueError("d_scale must be a positive integer")
     if rep.rank != m.fiber_rank:
         raise RepresentationError("representation rank does not match the fiber")
-    images = m.monodromy.images
-    if rep._fox is None or rep._fox[0] != images:
-        jac, ends = jacobian(images, dict(enumerate(rep.fiber_matrices, 1)))
-        b1 = specialize(rep.fiber_matrices, rep.stable_matrix)
-        t_block = PolynomialMatrix._of([r[-b1.rows:] for r in b1._z], 0, b1._den)
-        rep._fox = (images, b1, _fox_transpose(jac, ends, rep.stable_matrix),
-                    pencil_char_poly(jac, rep.stable_matrix), t_block.det())
-    _, b1, b2, chi, det = rep._fox
-    b1, b2 = b1.substitute_power(d_scale), b2.substitute_power(d_scale)
+    stable = rep.stable_matrix
+    jac, ends = jacobian(m.monodromy.images, dict(enumerate(rep.fiber_matrices, 1)))
+    b1 = specialize(rep.fiber_matrices, stable)
     try:
-        factors, free_rank, b1_factors = homology_invariant_factors(b1, b2)
+        factors, free_rank, b1_factors = homology_invariant_factors(
+            b1, _fox_transpose(jac, ends, stable, 1))
     except ConsistencyError:
         if rep.satisfies_relations(m.monodromy):
             raise
@@ -172,20 +178,19 @@ def twisted_alexander(m, rep, d_scale=1):
         ) from None
     if free_rank:
         raise ConsistencyError(f"the twisted module has free rank {free_rank}, not 0")
-    poly = _product_z(factors)
-    _wada_cross_check(chi.substitute_power(d_scale), b1_factors,
-                      det.substitute_power(d_scale), poly)
+    chi = pencil_char_poly(jac, stable)
+    det = PolynomialMatrix._of([r[-b1.rows:] for r in b1._z], 0, b1._den).det()
+    h0 = _z_to_laurent(_product_z(b1_factors))
+    _wada_cross_check(chi, h0, det, _product_z(factors))
+    return jac, ends, stable, chi, det, h0, factors
 
-    nonunit = tuple(f for f in factors if not f.is_one)
-    return AlexanderResult(_z_to_laurent(poly), nonunit, free_rank)
 
-
-def _fox_transpose(jac, ends, stable):
-    """b2 at s = t, the transposed Fox matrix of the relators under a
+def _fox_transpose(jac, ends, stable, d):
+    """b2 at t^d, the transposed Fox matrix of the relators under a
     representation that satisfies them: row block i of the Fox matrix is
-    delta_ij stable s - J_ij over the fiber generators j, then
+    delta_ij stable t^d - J_ij over the fiber generators j, then
     I - ends[i], under one denominator; zero entries share one list."""
-    dim, zero = stable.rows, []
+    dim, zero, pad = stable.rows, [], [0] * (d - 1)
     den = lcm(jac._den, stable._den, *(e._den for e in ends))
     fj, fs = den // jac._den, den // stable._den
     rows = []
@@ -193,7 +198,7 @@ def _fox_transpose(jac, ends, stable):
         for a, srow in enumerate(stable._z):
             r = [[-fj * x] if x else zero for x in jac._z[i * dim + a]]
             for b in compress(range(dim), srow):
-                r[i * dim + b] = [*(r[i * dim + b] or [0]), fs * srow[b]]
+                r[i * dim + b] = [*(r[i * dim + b] or [0]), *pad, fs * srow[b]]
             e = [den // end._den * x for x in end._z[a]]
             e[a] -= den
             rows.append(r + [[-v] if v else zero for v in e])
@@ -212,18 +217,17 @@ def _product_z(polys, out=(1,)):
     return list(out)
 
 
-def _wada_cross_check(chi, b1_factors, det, poly):
-    """det(fox minor) * order(H_0) == poly * det(rep(t) t^d - I), canonically.
+def _wada_cross_check(chi, h0, det, poly):
+    """det(fox minor) * order(H_0) == poly * det(rep(t) s - I), canonically.
 
-    The fox minor is delta_ij rep(t) t^d - J_ij, so its determinant is a
-    unit times chi = chi_M(t^d) for M = (I_n (x) rep(t)^-1) J, which
+    The fox minor is delta_ij rep(t) s - J_ij, so its determinant is a
+    unit times chi = chi_M(s) for M = (I_n (x) rep(t)^-1) J, which
     pencil_char_poly reads off J (Kitano-Morifuji 2005; Friedl-Vidussi,
-    "A survey of twisted Alexander polynomials", 2011).  order(H_0) is the
-    product of b1_factors, the invariant factors of H_0 = coker(b1) that
-    the homology's reduction of b1 already computed: a second reduction
-    would run the same loop on the same matrix and check nothing
-    independent."""
-    lhs = _product_z([chi] + b1_factors)
+    "A survey of twisted Alexander polynomials", 2011).  h0 = order(H_0) is
+    the product of the invariant factors of H_0 = coker(b1) that the
+    homology's reduction of b1 already computed: a second reduction would
+    run the same loop on the same matrix and check nothing independent."""
+    lhs = _product_z([chi, h0])
     rhs = _product_z([det], poly)
     if lhs != rhs:
         raise ConsistencyError(
@@ -236,20 +240,24 @@ def _wada_cross_check(chi, b1_factors, det, poly):
 def lemma4_check(m, rep, ds):
     """Rescaling law: twisting phi by d equals substituting t^d afterwards.
 
-    One report per d in ds, each against the same d = 1 polynomial."""
-    base = twisted_alexander(m, rep).polynomial
+    One report per d in ds, each d read as twisted_alexander reads d_scale
+    before any work.  The complex is built once; the rescaled side is its
+    polynomial at s with t^d substituted.  The direct side alone reduces at
+    t^d: b2 built at t^d from the kept Jacobian and image products, the
+    product of its nonzero invariant factors, and Wada's comparison on it."""
+    ds = [_d_scale(d) for d in ds]
+    jac, ends, stable, chi, det, h0, factors = _twisted_complex(m, rep)
+    base = _z_to_laurent(_product_z(factors))
     reports = []
     for d in ds:
-        direct = twisted_alexander(m, rep, d_scale=d).polynomial
+        b2 = _fox_transpose(jac, ends, stable, d)
+        poly = _product_z([f for f in b2.smith_normal_form() if not f.is_zero])
+        _wada_cross_check(chi.substitute_power(d), h0.substitute_power(d),
+                          det.substitute_power(d), poly)
+        direct = _z_to_laurent(poly)
         rescaled = base.substitute_power(d).canonicalize()
-        reports.append(
-            {
-                "d": d,
-                "direct": format_polynomial(direct),
-                "rescaled": format_polynomial(rescaled),
-                "equal": direct == rescaled,
-            }
-        )
+        reports.append({"d": d, "direct": format_polynomial(direct),
+                        "rescaled": format_polynomial(rescaled), "equal": direct == rescaled})
     return reports
 
 

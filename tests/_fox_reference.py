@@ -28,7 +28,7 @@ def fox_derivative(w, gen):
 def presentation(m):
     """Relators t x_i t^-1 theta(x_i)^-1 of the mapping torus m over the
     generators x_1..x_n, t."""
-    t = m.stable_index
+    t = m.fiber_rank + 1
     relators = []
     for i in range(1, m.fiber_rank + 1):
         letters = [(t, 1), (i, 1), (t, -1)]

@@ -185,7 +185,7 @@ def test_acceptance_3_rescaling():
     _record(
         3,
         ok,
-        f"twisted(m, rep, d) == substitute_power(twisted(m, rep, 1), d) for "
+        f"Smith form of b2 built at t^d == twisted(m, rep, 1) at t^d for "
         f"d in (2, 3) on {len(battery)} representations ({count} checks, "
         f"{failures} failures)",
     )

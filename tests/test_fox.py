@@ -270,16 +270,28 @@ def test_fox_matrix_matches_reference(case):
 
 
 def _assembled_fox_matrices(monkeypatch, cases):
-    """(m, rep, d, fox, b1) for each (m, rep, d) of cases: fox is the Fox
-    matrix that twisted_alexander assembles, the transpose of the b2 it
-    hands to the homology, and b1 the b1 it hands over with it."""
-    homology, handed = torus_module.homology_invariant_factors, []
+    """(m, rep, d, fox, b1) for each (m, rep) of cases and d = 1, 2, 3,
+    from one lemma4_check(m, rep, (2, 3)): fox is the Fox matrix, the
+    transpose of the b2 built at t^d, which at d = 1 is the b2 handed to
+    the homology, and b1 the b1 handed over with it, at s = t."""
+    fox_transpose, homology = torus_module._fox_transpose, torus_module.homology_invariant_factors
+    built, handed = [], []
+
+    def building(jac, ends, stable, d):
+        built.append((d, fox_transpose(jac, ends, stable, d)))
+        return built[-1][1]
+
+    monkeypatch.setattr(torus_module, "_fox_transpose", building)
     monkeypatch.setattr(torus_module, "homology_invariant_factors",
-                        lambda b1, b2: handed.append((b2.transpose(), b1)) or homology(b1, b2))
+                        lambda b1, b2: handed.append((b1, b2)) or homology(b1, b2))
     out = []
-    for m, rep, d in cases:
-        torus_module.twisted_alexander(m, rep, d)
-        out.append((m, rep, d, *handed.pop()))
+    for m, rep in cases:
+        torus_module.lemma4_check(m, rep, (2, 3))
+        (b1, b2), = handed
+        assert [d for d, _ in built] == [1, 2, 3] and built[0][1] is b2
+        out += [(m, rep, d, fox.transpose(), b1) for d, fox in built]
+        built.clear()
+        handed.clear()
     return out
 
 
@@ -296,14 +308,14 @@ def _z_form(entries, rows, cols):
     return z, shift, den
 
 
-def _reference_b1(rep, d):
-    """b1 under rep at t^d in plain Fraction lists, in the form of
+def _reference_b1(rep):
+    """b1 under rep at s = t in plain Fraction lists, in the form of
     _reference_specialize: block j of its row is (rep(x_j) - I)^T over the
-    fiber generators, then (rep(t) t^d - I)^T."""
+    fiber generators, then (rep(t) t - I)^T."""
     blocks = [m.to_lists() for m in rep.fiber_matrices + (rep.stable_matrix,)]
     dim, out = len(blocks[0]), {}
     for j, m in enumerate(blocks):
-        e = d if j == len(blocks) - 1 else 0
+        e = int(j == len(blocks) - 1)
         for a in range(dim):
             for b in range(dim):
                 entry = {e: m[b][a]} if m[b][a] else {}
@@ -322,11 +334,11 @@ def _reference_fox(m, rep, d):
     for g, a in enumerate(matrices, 1):
         letters[g, 1] = a.to_lists()
         letters[g, -1] = _reference_inverse(letters[g, 1])
-    exponents = dict.fromkeys(range(1, m.stable_index), 0)
-    exponents[m.stable_index] = d
+    exponents = dict.fromkeys(range(1, m.fiber_rank + 1), 0)
+    exponents[m.fiber_rank + 1] = d
     dim, out = rep.dimension, {}
     for i, r in enumerate(presentation(m)):
-        for g in range(1, m.stable_index + 1):
+        for g in range(1, m.fiber_rank + 2):
             block = _reference_specialize(fox_derivative(r, g), letters, exponents)
             for (a, b), entry in block.items():
                 out[i * dim + a, (g - 1) * dim + b] = entry
@@ -334,27 +346,28 @@ def _reference_fox(m, rep, d):
 
 
 def _battery_cases():
-    """(m, rep, d) for every battery class's regular representation at
-    d = 1, 2, 3."""
+    """(m, rep) for every battery class's regular representation."""
     cases = []
     for _, auto in standard_battery():
         m = MappingTorus(auto.rank, auto)
-        for f in homomorphism_classes(auto).values():
-            cases += [(m, regular_representation(f), d) for d in (1, 2, 3)]
-    assert len(cases) == 768
+        cases += [(m, regular_representation(f)) for f in homomorphism_classes(auto).values()]
+    assert len(cases) == 256
     return cases
 
 
 def test_fox_matrix_is_the_block_assembly(monkeypatch):
     """On every battery class's regular representation at d = 1, 2, 3, the
-    Fox matrix that twisted_alexander assembles from the Jacobian of the
-    monodromy's images holds the very rows, shift and denominator of the
-    plain-list reference blocks fox_derivative(r, g) per relator r of
-    presentation(m), though it is built once at s = t and read at t^d."""
+    Fox matrix assembled from the Jacobian of the monodromy's images, at
+    s = t for the homology and at t^d for lemma 4's direct side, holds the
+    very rows, shift and denominator of the plain-list reference blocks
+    fox_derivative(r, g) per relator r of presentation(m)."""
+    checked = 0
     for m, rep, d, got, _ in _assembled_fox_matrices(monkeypatch, _battery_cases()):
         dim, n = rep.dimension, m.fiber_rank
         expected = _z_form(_reference_fox(m, rep, d), n * dim, (n + 1) * dim)
         assert (got._z, got._shift, got._den) == expected
+        checked += 1
+    assert checked == 768
 
 
 @st.composite
@@ -369,12 +382,12 @@ def b1_grids(draw):
 class TestSpecializeAgainstReference:
     def test_battery_regular_representations(self, monkeypatch):
         """On every battery class's regular representation, specialize's
-        b1 at s = t, and the b1 twisted_alexander hands to the homology at
-        d = 1, 2, 3, hold the very rows, shift and denominator of the
-        plain-Fraction transposed blocks rep(x_j) - I and rep(t) t^d - I."""
+        b1 at s = t, and the b1 handed to the homology, built once at s for
+        lemma 4's d = 2, 3, hold the very rows, shift and denominator of the
+        plain-Fraction transposed blocks rep(x_j) - I and rep(t) t - I."""
         for m, rep, d, _, b1 in _assembled_fox_matrices(monkeypatch, _battery_cases()):
             dim, n = rep.dimension, m.fiber_rank
-            expected = _z_form(_reference_b1(rep, d), dim, (n + 1) * dim)
+            expected = _z_form(_reference_b1(rep), dim, (n + 1) * dim)
             assert (b1._z, b1._shift, b1._den) == expected
             if d == 1:
                 got = specialize(rep.fiber_matrices, rep.stable_matrix)
@@ -383,8 +396,8 @@ class TestSpecializeAgainstReference:
     def test_non_integer_entries(self, monkeypatch):
         """On the quarter-turn representations of figure-eight conjugated
         by diag(2, 1), whose matrices have denominators, the Fox matrix
-        holds the entries of the plain-list reference and b1 the very rows
-        of the reference blocks, at d = 1, 2, 3."""
+        holds the entries of the plain-list reference at d = 1, 2, 3, and b1
+        the very rows of the reference blocks at s = t."""
         a = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
         powers = [RationalMatrix.identity(2), a, a * a, a * a * a]
         m, g = MappingTorus(2, figure_eight_monodromy()), cyclic_group(4)
@@ -392,11 +405,11 @@ class TestSpecializeAgainstReference:
         for f in enumerate_homomorphisms(m.monodromy, g):
             k = [g.index(p) for p in f.fiber_images + (f.stable_image,)]
             rep = FiniteRepresentation([powers[i] for i in k[:2]], powers[k[2]])
-            cases += [(m, rep, d) for d in (1, 2, 3)]
+            cases.append((m, rep))
         dens = set()
         for m, rep, d, got, b1 in _assembled_fox_matrices(monkeypatch, cases):
             assert _library_entries(got) == _reference_fox(m, rep, d)
-            assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep, d), 2, 6)
+            assert (b1._z, b1._shift, b1._den) == _z_form(_reference_b1(rep), 2, 6)
             dens |= {got._den, b1._den}
         assert dens - {1}
 

@@ -215,22 +215,6 @@ class TestPolynomialMatrixDet:
             m.det()
 
 
-class TestSubstitutePower:
-    def test_entries_spread_and_shift_scaled(self):
-        """At t^3 each entry is that entry's substitute_power, under a
-        nonzero shift and a denominator; a zero entry stays zero, and d = 1
-        gives the matrix itself."""
-        m = PolynomialMatrix([[L("t^-1 + 2/3*t"), L("0")], [L("t^-2"), L("1/2 - t^2")]])
-        assert (m._shift, m._den) == (-2, 6)
-        assert m.substitute_power(1) is m
-        got = m.substitute_power(3)
-        assert (got._shift, got._den, got._z[0][1]) == (-6, 6, [])
-        for i in range(2):
-            for j in range(2):
-                assert got.entry(i, j) == m.entry(i, j).substitute_power(3)
-        assert got._z[1][1] == [0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, -6]
-
-
 class TestPencilCharPoly:
     """pencil_char_poly(b, block) reads the pencil s (I_n (x) block) - b,
     b constant, as chi_M(s), M = (I_n (x) block^-1) b; each test

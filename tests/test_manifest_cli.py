@@ -489,54 +489,64 @@ class TestCli:
 
     @pytest.mark.parametrize("which", ["lemma4", "lemma5"])
     def test_verify_lemma_twisted_calls(self, monkeypatch, capsys, fig8_manifest_path, which):
-        # lemma4 computes d = 1 once beside d = 2, 3; lemma5 computes each
-        # representation once beside each direct sum
+        # lemma4 builds each representation's complex once for d = 2, 3;
+        # lemma5 builds each representation's once beside each direct sum's
         from orderlex import torus
 
         calls = []
-        twisted = torus.twisted_alexander
+        complex_ = torus._twisted_complex
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return twisted(*args, **kwargs)
+            return complex_(*args)
 
-        monkeypatch.setattr(torus, "twisted_alexander", counting)
+        monkeypatch.setattr(torus, "_twisted_complex", counting)
         manifest = load_manifest(fig8_manifest_path)
         k = 1 + len(manifest.homomorphisms) + len(manifest.representations)
         assert cli.main(["verify", which, fig8_manifest_path]) == 0
         capsys.readouterr()
-        expected = 3 * k if which == "lemma4" else k + k * (k + 1) // 2
+        expected = k if which == "lemma4" else k + k * (k + 1) // 2
         assert len(calls) == expected
 
     def test_verify_lemma4_fox_work_per_representation(self, monkeypatch, capsys,
                                                        fig8_manifest_path):
-        """verify lemma4 on figure-eight twists 6 representations at d = 1,
-        2 and 3: one Jacobian walk, one chi_M, one b1 from specialize, one
-        b2 and one t-block det per representation, at s, while the homology
-        and its two reductions run at each of the 18 calls."""
+        """verify lemma4 on figure-eight checks 6 representations at d = 2
+        and 3: one Jacobian walk, one chi_M, one b1 from specialize, one b2,
+        one homology and one t-block det per representation, at s, while
+        the direct side reduces the 12 b2 built at t^2 or t^3, one Smith
+        form each."""
         from orderlex import torus
         from orderlex.linalg import PolynomialMatrix
 
-        counts = {}
+        counts, built, reduced = {}, [], []
 
-        def counted(owner, name):
+        def counted(owner, name, seen=None):
             original = getattr(owner, name)
 
             def call(*args):
                 counts[name] = counts.get(name, 0) + 1
-                return original(*args)
+                out = original(*args)
+                if seen is not None:
+                    seen.append((args, out))
+                return out
 
             monkeypatch.setattr(owner, name, call)
 
-        for name in ("jacobian", "pencil_char_poly", "specialize", "_fox_transpose",
+        for name in ("jacobian", "pencil_char_poly", "specialize",
                      "homology_invariant_factors"):
             counted(torus, name)
+        counted(torus, "_fox_transpose", built)
         counted(PolynomialMatrix, "det")
+        counted(PolynomialMatrix, "smith_normal_form", reduced)
         assert cli.main(["verify", "lemma4", fig8_manifest_path]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert counts == {"jacobian": 6, "pencil_char_poly": 6, "specialize": 6,
-                          "_fox_transpose": 6, "homology_invariant_factors": 18,
-                          "det": 6}
+                          "_fox_transpose": 18, "homology_invariant_factors": 6,
+                          "det": 6, "smith_normal_form": 12}
+        at_t_d = [b2 for args, b2 in built if args[-1] > 1]
+        assert [args[-1] for args, _ in built] == [1, 2, 3] * 6
+        assert len(reduced) == len(at_t_d)
+        assert all(args[0] is b2 for (args, _), b2 in zip(reduced, at_t_d))
 
     def test_verify_order_lemmas_seeded(self, capsys, fig8_manifest_path):
         code = cli.main(

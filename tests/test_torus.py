@@ -15,6 +15,7 @@ from orderlex.autos import (
 )
 from orderlex import torus as torus_module
 from orderlex.errors import ConsistencyError, RepresentationError
+from orderlex.laurent import format_polynomial
 from orderlex.finite import (
     FiniteRepresentation,
     TorusHomomorphism,
@@ -70,7 +71,7 @@ class TestConstruction:
         m = fig8()
         rels = presentation(m)
         assert len(rels) == 2
-        t = FreeWord.generator(m.stable_index)
+        t = FreeWord.generator(m.fiber_rank + 1)
         # t x_i t^-1 theta(x_i)^-1, freely reduced
         assert rels[0] == t * parse_word("a", 2) * t.inverse() * parse_word("ABA", 2)
         assert rels[1] == t * parse_word("b", 2) * t.inverse() * parse_word("BA", 2)
@@ -133,12 +134,19 @@ class TestTwisted:
         )
 
     def test_d_scale_substitutes(self):
+        """twisted_alexander at d substitutes t^d into the polynomial at s;
+        it equals lemma 4's direct side, the Smith form of b2 built at t^d,
+        on figure-eight's Z2 class and right-mult's S3 class, whose fiber
+        blocks are nonzero."""
         m = fig8()
-        rep = z2_regular(m)
-        base = twisted_alexander(m, rep).polynomial
-        for d in (2, 3):
-            scaled = twisted_alexander(m, rep, d_scale=d).polynomial
-            assert scaled == base.substitute_power(d).canonicalize()
+        s3 = MappingTorus(2, automorphism(2, ("ab", "b"), ("aB", "b")))
+        g = symmetric_group(3)
+        f = TorusHomomorphism(g, (g.element(1), g.element(2)), g.element(2))
+        f.require_well_defined(s3.monodromy)
+        for m, rep in ((m, z2_regular(m)), (s3, regular_representation(f))):
+            for report in lemma4_check(m, rep, (2, 3)):
+                scaled = twisted_alexander(m, rep, d_scale=report["d"]).polynomial
+                assert report["equal"] and format_polynomial(scaled) == report["direct"]
 
     def test_d_scale_validated(self):
         m = fig8()
@@ -146,33 +154,51 @@ class TestTwisted:
             twisted_alexander(m, trivial_representation(2), d_scale=0)
 
     @pytest.mark.parametrize("d", [2.0, True, "2"])
-    def test_d_scale_type_checked_before_work(self, d):
+    def test_d_scale_type_checked_before_work(self, d, monkeypatch):
         """d_scale is read by operator.index at entry: a float, a bool or a
-        string raises TypeError before the complex is built and kept."""
-        rep = trivial_representation(2)
+        string raises TypeError before the complex is built."""
+        walks = []
+        monkeypatch.setattr(torus_module, "jacobian", lambda *a: walks.append(a))
         with pytest.raises(TypeError):
-            twisted_alexander(fig8(), rep, d_scale=d)
-        assert rep._fox is None
+            twisted_alexander(fig8(), trivial_representation(2), d_scale=d)
+        assert walks == []
 
-    def test_kept_complex_unchanged_by_reads_at_t_d(self):
-        """b1(s) and b2(s), kept on each regular representation of
-        right-mult, hold the same Z[t] lists after twists at d = 1, 2 and
-        3: the d = 1 read hands them to the homology as they are, so no
-        kernel may mutate a list in place, and the reads at t^d copy what
-        they spread."""
+    def test_kept_complex_unchanged_by_reads_at_t_d(self, monkeypatch):
+        """On each regular representation of right-mult, lemma4_check's
+        complex keeps its Jacobian, image products and b1 through the
+        builds of b2 at t^2 and t^3: b1(s) and b2(s) hold the same Z[t]
+        lists after the homology as before it, since b1's t-block det reads
+        b1 afterwards, so no kernel may mutate a list in place, and the
+        reads at t^d leave the kept J and ends as they were."""
+        homology, complex_ = torus_module.homology_invariant_factors, torus_module._twisted_complex
+        handed, kept = [], []
+
+        def snapshot(b):
+            return [[list(p) for p in r] for r in b._z]
+
+        def reducing(b1, b2):
+            handed.append(((b1, snapshot(b1)), (b2, snapshot(b2))))
+            return homology(b1, b2)
+
+        def keeping(m, rep):
+            out = complex_(m, rep)
+            jac, ends = out[:2]
+            kept.append((jac, jac.to_lists(), ends, [e.to_lists() for e in ends]))
+            return out
+
+        monkeypatch.setattr(torus_module, "homology_invariant_factors", reducing)
+        monkeypatch.setattr(torus_module, "_twisted_complex", keeping)
         _, auto = standard_battery()[2]
         m = MappingTorus(auto.rank, auto)
         moved = 0
         for rep in map(regular_representation, homomorphism_classes(auto).values()):
-            twisted_alexander(m, rep)
-            kept = rep._fox
-            before = [[[list(p) for p in r] for r in b._z] for b in kept[1:3]]
-            for d in (1, 2, 3):
-                twisted_alexander(m, rep, d)
-            assert rep._fox is kept
-            assert [[[list(p) for p in r] for r in b._z] for b in kept[1:3]] == before
+            assert all(r["equal"] for r in lemma4_check(m, rep, (2, 3)))
             moved += not all(a.is_identity() for a in rep.fiber_matrices)
-        assert moved
+        assert moved and len(handed) == len(kept) > moved
+        for pair in handed:
+            assert all(snapshot(b) == before for b, before in pair)
+        for jac, rows, ends, products in kept:
+            assert jac.to_lists() == rows and [e.to_lists() for e in ends] == products
 
     def test_rejects_incompatible_representation(self):
         m = fig8()
@@ -417,23 +443,21 @@ class TestTwisted:
 
     def test_wada_minor_matches_bareiss(self, monkeypatch):
         """On every battery class, the one chi_M(s) read from the Jacobian
-        at the class's first call, with s = t^d substituted, equals the
-        Bareiss determinant of the fiber minor of the assembled b2 at each
-        d_scale 1-3, canonically."""
-        pencil, homology = torus_module.pencil_char_poly, torus_module.homology_invariant_factors
+        by lemma4_check, with s = t^d substituted, equals the Bareiss
+        determinant of the fiber minor of the b2 it builds at each d_scale
+        1-3, canonically."""
+        pencil, fox_transpose = torus_module.pencil_char_poly, torus_module._fox_transpose
         chis, b2s = [], []
         monkeypatch.setattr(torus_module, "pencil_char_poly",
                             lambda *a: chis.append(pencil(*a)) or chis[-1])
-        monkeypatch.setattr(torus_module, "homology_invariant_factors",
-                            lambda b1, b2: b2s.append(b2) or homology(b1, b2))
+        monkeypatch.setattr(torus_module, "_fox_transpose",
+                            lambda *a: b2s.append(fox_transpose(*a)) or b2s[-1])
         classes = 0
         for _, auto in standard_battery():
             m = MappingTorus(auto.rank, auto)
             for f in homomorphism_classes(auto).values():
-                rep = regular_representation(f)
+                lemma4_check(m, regular_representation(f), (2, 3))
                 classes += 1
-                for d in (1, 2, 3):
-                    twisted_alexander(m, rep, d)
         assert (classes, len(chis), len(b2s)) == (256, 256, 768)
         for k, b2 in enumerate(b2s):
             n = b2.cols
@@ -443,8 +467,8 @@ class TestTwisted:
 
     def test_one_polynomial_det_per_twisted_polynomial(self, monkeypatch):
         """The Bareiss determinant serves only det(rep(t) s - I), once per
-        representation and monodromy: at d = 1, and not again at d = 2 on
-        the same object."""
+        twisted polynomial, at s, whatever d is: t^d is substituted into it
+        for Wada's comparison."""
         det = PolynomialMatrix.det
         calls = []
 
@@ -456,10 +480,10 @@ class TestTwisted:
         _, auto = standard_battery()[0]
         m = MappingTorus(auto.rank, auto)
         for rep in map(regular_representation, homomorphism_classes(auto).values()):
-            for d, dets in ((1, [rep.dimension]), (2, [])):
+            for d in (1, 2):
                 before = len(calls)
                 twisted_alexander(m, rep, d)
-                assert calls[before:] == dets
+                assert calls[before:] == [rep.dimension]
 
     def test_generators_inverted_once_per_representation(self, monkeypatch):
         m = MappingTorus(2, identity_automorphism(2))
@@ -485,11 +509,12 @@ class TestTwisted:
     def test_fox_memo_keyed_by_images(self):
         """One representation object twisted over tori whose monodromies
         have different abelianizations gives, over each, what a fresh
-        object gives: what twisted_alexander keeps on it is keyed by the
-        images.  Under the trivial representation neither b1 * b2 = 0 nor
-        Wada's identity sees a stale Jacobian, so only this compares."""
+        object gives, and twisted_alexander keeps nothing on it.  Under the
+        trivial representation neither b1 * b2 = 0 nor Wada's identity
+        would see a stale Jacobian, so only this compares."""
         battery = MappingTorus(2, automorphism(2, ("ab", "b"), ("aB", "b")))
         rep = trivial_representation(2)
+        state = dict(vars(rep))
         seen = set()
         for m in (fig8(), battery, fig8()):
             for d in (1, 2):
@@ -497,6 +522,7 @@ class TestTwisted:
                 assert result == twisted_alexander(m, trivial_representation(2), d)
                 seen.add(result.polynomial)
         assert len(seen) == 4
+        assert vars(rep) == state
 
 
 class TestLemma4:
@@ -512,6 +538,19 @@ class TestLemma4:
         m = fig8()
         [report] = lemma4_check(m, trivial_representation(2), (2,))
         assert set(report) == {"d", "direct", "rescaled", "equal"}
+
+    @pytest.mark.parametrize("d, error", [
+        (0, ValueError), (2.0, TypeError), (True, TypeError), ("2", TypeError),
+    ])
+    def test_each_d_read_before_work(self, monkeypatch, d, error):
+        """Every d is read as twisted_alexander reads d_scale, by
+        operator.index and then refused below 1, before the complex is
+        built, wherever it stands in ds."""
+        walks = []
+        monkeypatch.setattr(torus_module, "jacobian", lambda *a: walks.append(a))
+        with pytest.raises(error):
+            lemma4_check(fig8(), trivial_representation(2), (2, d))
+        assert walks == []
 
 
 class TestLemma5:
