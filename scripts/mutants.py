@@ -8,8 +8,9 @@ Run from anywhere, with pytest and the test extras installed:
 A mutant replaces one exact text of one file with another: a fault that a
 check of the library or a test must catch.  Each catalogue entry names the
 file, the old text, its replacement, the test ids that must fail, and why.
-The script copies src/, tests/, the manifests the tests read and
-pyproject.toml to a temporary directory, so that pytest's pythonpath =
+The script copies src/, tests/, the manifests the tests read,
+pyproject.toml and, for the benchmark's self-test, perfbench/ and
+BENCHMARK.json to a temporary directory, so that pytest's pythonpath =
 ["src"] imports the copy, and first runs every named test there unmutated:
 they must pass.  Then it applies one mutant at a time and runs
 
@@ -50,10 +51,11 @@ def main():
     not_killed = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp)
-        for name in ("src", "tests", "manifests"):
+        for name in ("src", "tests", "manifests", "perfbench"):
             shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", copy)
+                            ignore=shutil.ignore_patterns("__pycache__", "results", "work"))
+        for name in ("pyproject.toml", "BENCHMARK.json"):
+            shutil.copy2(ROOT / name, copy)
         ids = list(dict.fromkeys(i for m in mutants for i in m["tests"]))
         code, output = run_tests(copy, ids)
         if code:

@@ -19,7 +19,6 @@ import re
 
 from functools import cached_property
 from math import lcm
-from operator import index
 
 from .errors import (
     EnumerationLimitError,
@@ -27,6 +26,7 @@ from .errors import (
     RepresentationError,
     SingularMatrixError,
 )
+from .laurent import _integer, _positive
 from .linalg import RationalMatrix
 from .words import _SPACE, FreeWord
 
@@ -45,14 +45,6 @@ def invert_permutation(p):
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
-
-
-def _integer(x):
-    """A degree or point x as an int, by operator.index: a float, a string
-    or a bool raises TypeError, never truncated or parsed."""
-    if isinstance(x, bool):
-        raise TypeError(f"expected an integer, not {x!r}")
-    return index(x)
 
 
 def _check_permutation(p, degree):
@@ -140,9 +132,7 @@ class FiniteGroup:
     def __init__(self, degree, generators, name=None):
         """Enumerates the elements; raises EnumerationLimitError beyond
         DEFAULT_ELEMENT_LIMIT elements or POINT_LIMIT stored points."""
-        self.degree = degree = _integer(degree)
-        if degree < 1:
-            raise ValueError("degree must be positive")
+        self.degree = degree = _positive(degree, "degree")
         self.generators = gens = [_check_permutation(g, degree) for g in generators]
         self.name = name
 
@@ -240,8 +230,7 @@ def trivial_group():
 
 
 def cyclic_group(n):
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = _positive(n, "order")
     if n == 1:
         return trivial_group()
     shift = tuple((i + 1) % n for i in range(n))
@@ -417,9 +406,10 @@ def schreier_graph(f):
 
 def cover_degree(f):
     """Smallest d >= 1 with f(t)^d in f(F), plus a shortlex-minimal word w
-    over the fiber generators with f(w) = f(t)^-d: the last two entries of
-    f's kept Schreier graph."""
-    return f._schreier[3:]
+    over the fiber generators with f(w) = f(t)^-d.  d is |f(G)| / |f(F)|, as
+    f(F) is normal with cyclic quotient: a route apart from the kept graph's
+    walk of f(t)'s powers, which build_cover reads.  w is the graph's."""
+    return len(f._image) // len(f._schreier[0]), f._schreier[4]
 
 
 def permutation_matrix(p):

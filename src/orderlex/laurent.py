@@ -8,9 +8,14 @@ exponent _shift and a denominator _den > 0 coprime to the entries, standing
 for t^_shift * _z / _den; zero is ([], 0, 1).  Equal polynomials therefore
 have equal state.  Arithmetic, canonical forms, division and the text form
 work on these integers, and a Fraction is built only at the public boundary:
-the constructor, term, coefficient, leading_coefficient and items.  Values
-are immutable and hashable, and no list is mutated once a value holds it,
-so a value may share its list with a linalg matrix.
+the constructor, coefficient, leading_coefficient and items.  Values are
+immutable and hashable, and no list is mutated once a value holds it, so a
+value may share its list with a linalg matrix.
+
+Numbers handed to the library as values are read here: exponents and points
+by _integer (operator.index, a bool refused), counts by _positive, refused
+below 1, and coefficients and matrix entries by _rational, an int or a
+Fraction as it is.  A float, a string or a bool raises TypeError.
 
 Canonical form: minimum exponent 0, integer coefficients with content 1,
 positive leading coefficient.  Two Laurent polynomials agree up to a unit
@@ -35,9 +40,9 @@ class LaurentPolynomial:
         if coeffs:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for e, v in items:
-                v = Fraction(v)
+                v = _rational(v)
                 if v:
-                    e = _exponent(e)
+                    e = _integer(e)
                     w = data.get(e, _ZERO) + v
                     if w:
                         data[e] = w
@@ -64,8 +69,8 @@ class LaurentPolynomial:
 
     @classmethod
     def term(cls, coeff, exp=0):
-        q = Fraction(coeff)
-        return _z_to_laurent([q.numerator], _exponent(exp), q.denominator)
+        q = _rational(coeff)
+        return _z_to_laurent([q.numerator], _integer(exp), q.denominator)
 
     # -- inspection --------------------------------------------------
 
@@ -77,7 +82,7 @@ class LaurentPolynomial:
         return bool(self._z)
 
     def coefficient(self, exp):
-        i = _exponent(exp) - self._shift
+        i = _integer(exp) - self._shift
         return Fraction(self._z[i], self._den) if 0 <= i < len(self._z) else _ZERO
 
     @property
@@ -106,8 +111,8 @@ class LaurentPolynomial:
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.term(other)
+        if isinstance(other, (int, Fraction)):  # a bool too, as in Python
+            other = _z_to_laurent([other.numerator], 0, other.denominator)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return (self._z == other._z and self._shift == other._shift
@@ -138,9 +143,8 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            n = q.numerator
-            return _z_to_laurent([n * x for x in self._z], self._shift, self._den * q.denominator)
+            n, den = other.numerator, self._den * other.denominator
+            return _z_to_laurent([n * x for x in self._z], self._shift, den)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         a, b = self._z, other._z
@@ -157,9 +161,7 @@ class LaurentPolynomial:
 
     def substitute_power(self, d):
         """Return p(t^d) for an integer d >= 1."""
-        d = _exponent(d)
-        if d < 1:
-            raise ValueError("substitution power must be >= 1")
+        d = _positive(d, "substitution power")
         z = self._z
         if d == 1 or not z:
             return self
@@ -190,19 +192,34 @@ class LaurentPolynomial:
         return format_polynomial(self)
 
 
-def _exponent(e):
-    """An exponent (or power) e as an int, by operator.index: a float, a
-    string or a bool raises TypeError, never truncated or parsed."""
-    if isinstance(e, bool):
-        raise TypeError(f"exponent must be an integer, not {e!r}")
-    return index(e)
+def _integer(x):
+    """x as an int, by operator.index: a float, a string or a bool raises
+    TypeError, never truncated or parsed."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, not {x!r}")
+    return index(x)
+
+
+def _positive(x, name):
+    """A count x by _integer, refused below 1 with a ValueError naming it."""
+    x = _integer(x)
+    if x < 1:
+        raise ValueError(f"{name} must be a positive integer, got {x}")
+    return x
+
+
+def _rational(x):
+    """x itself when an int, not a bool, or a Fraction: a float is not rounded."""
+    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"expected an int or a Fraction, not {x!r}")
 
 
 def _plus(a, b, sign):
     """a + sign * b for a Laurent polynomial a and sign = 1 or -1, over the
     least shift and the lcm of the denominators."""
-    if isinstance(b, (int, Fraction)):
-        b = LaurentPolynomial.term(b)
+    if isinstance(b, (int, Fraction)):  # a bool too, as in Python
+        b = _z_to_laurent([b.numerator], 0, b.denominator)
     elif not isinstance(b, LaurentPolynomial):
         return NotImplemented
     if not b._z:

@@ -43,6 +43,7 @@ from operator import mul
 from .errors import ConsistencyError, SingularMatrixError
 from .laurent import (
     LaurentPolynomial,
+    _rational,
     _row_to_z,
     _z_to_laurent,
     _zcanonical,
@@ -61,7 +62,7 @@ class RationalMatrix:
 
     def __init__(self, entries):
         # an int is kept as it is: it has numerator and denominator too
-        rows = [[x if type(x) is int else Fraction(x) for x in row] for row in entries]
+        rows = [[_rational(x) for x in row] for row in entries]
         # the lcm of reduced denominators is coprime to the scaled entries
         den = lcm(1, *(x.denominator for r in rows for x in r))
         self._set([[x.numerator * (den // x.denominator) for x in r] for r in rows], den)

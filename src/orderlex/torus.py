@@ -25,7 +25,7 @@ from .fox import jacobian, specialize
 from .freegroup import FreeEndomorphism
 from .laurent import (
     LaurentPolynomial,
-    _exponent,
+    _positive,
     _z_to_laurent,
     _zcanonical,
     _zsubmul,
@@ -47,8 +47,7 @@ class MappingTorus:
     label: str = ""
 
     def __post_init__(self):
-        if self.fiber_rank < 1:
-            raise ValueError("fiber rank must be at least 1")
+        _positive(self.fiber_rank, "fiber rank")
         if self.monodromy.rank != self.fiber_rank:
             raise ValueError("monodromy rank does not match the fiber rank")
 
@@ -114,18 +113,10 @@ def twisted_alexander(m, rep, d_scale=1):
     _monodromy_polynomial.  s = t^d keeps the unimodular matrices of a Smith
     form unimodular and a divisibility chain a chain, and maps a canonical
     polynomial to a canonical one."""
-    d_scale = _d_scale(d_scale)
+    d_scale = _positive(d_scale, "d_scale")
     factors = _twisted_complex(m, rep)[-1]
     nonunit = tuple(f.substitute_power(d_scale) for f in factors if not f.is_one)
     return AlexanderResult(_z_to_laurent(_product_z(nonunit)), nonunit, 0)
-
-
-def _d_scale(d):
-    """d as an exponent of t, by operator.index, refused below 1."""
-    d = _exponent(d)
-    if d < 1:
-        raise ValueError("d_scale must be a positive integer")
-    return d
 
 
 def _twisted_complex(m, rep):
@@ -245,7 +236,7 @@ def lemma4_check(m, rep, ds):
     polynomial at s with t^d substituted.  The direct side alone reduces at
     t^d: b2 built at t^d from the kept Jacobian and image products, the
     product of its nonzero invariant factors, and Wada's comparison on it."""
-    ds = [_d_scale(d) for d in ds]
+    ds = [_positive(d, "d") for d in ds]
     jac, ends, stable, chi, det, h0, factors = _twisted_complex(m, rep)
     base = _z_to_laurent(_product_z(factors))
     reports = []

@@ -99,6 +99,17 @@ class TestBuildCover:
             assert (c.d, c.w) == finite.cover_degree(f)
             assert calls == [f]
 
+    def test_cover_degree_apart_from_the_graph(self, monkeypatch):
+        """cover_degree reads d as |f(G)| / |f(F)|, not off the kept graph
+        that build_cover reads, so the two disagree once the graph's d is
+        faked: each figure-eight class, its graph's d doubled."""
+        m = MappingTorus(2, figure_eight_monodromy())
+        for f in homomorphism_classes(m.monodromy).values():
+            reps, forward, backward, d, w = f._schreier
+            monkeypatch.setitem(vars(f), "_schreier", (reps, forward, backward, 2 * d, w))
+            assert build_cover(m, f).d == 2 * d
+            assert finite.cover_degree(f) == (d, w)
+
     def test_index_two_fiber_cover(self):
         m = MappingTorus(2, identity_automorphism(2))
         g = cyclic_group(2)
@@ -187,9 +198,11 @@ class TestSchreierGraph:
 
     def test_permutation_products_one_per_graph_edge(self, monkeypatch):
         """schreier_graph and cover_degree read the group's product table:
-        no permutation product once enumeration filled it, and on an
-        unfilled Z_k, k = 3..13, at most one per graph edge, 2 rank |f(F)|,
-        plus d - 1 for the degree.  covers makes none of its own."""
+        no permutation product once enumeration filled it.  On an unfilled
+        Z_k, k = 3..13, the graph makes at most one per graph edge, 2 rank
+        |f(F)|, plus d - 1 for the degree, and cover_degree's own route at
+        most one per entry of the image's walk, (rank + 1) d |f(F)|, with
+        the graph's d.  covers makes none of its own."""
         assert not hasattr(covers, "multiply_permutations")
         filled = [f for _, auto in standard_battery()
                   for f in homomorphism_classes(auto).values()]
@@ -202,20 +215,22 @@ class TestSchreierGraph:
 
         def products(f):
             calls[0] = 0
-            reps, *_ = finite.schreier_graph(f)
-            d, _ = finite.cover_degree(f)
-            return calls[0], len(reps), d
+            reps, _, _, d, _ = finite.schreier_graph(f)
+            walked = calls[0]
+            assert finite.cover_degree(f)[0] == d
+            return walked, calls[0] - walked, len(reps), d
 
         monkeypatch.setattr(finite, "multiply_permutations", counting)
         assert len(filled) == 256
         for f in filled:
-            assert products(f)[0] == 0, f
+            assert products(f)[:2] == (0, 0), f
         for k in range(3, 14):
             for a in (0, 1, 2):
                 g = cyclic_group(k)
                 f = TorusHomomorphism(g, (g.element(a), g.identity()), g.element(1))
-                count, size, d = products(f)
-                assert 0 < count <= 2 * f.rank * size + d - 1, (k, a, count, size, d)
+                walked, imaged, size, d = products(f)
+                assert 0 < walked <= 2 * f.rank * size + d - 1, (k, a, walked, size, d)
+                assert imaged <= (f.rank + 1) * d * size, (k, a, imaged, size, d)
 
     def test_build_cover_makes_no_product_after_enumeration(self, monkeypatch):
         """Once homomorphism_classes filled the product tables, build_cover,

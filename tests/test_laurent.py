@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from _laurent_literal import L
 
+from orderlex.autos import figure_eight_monodromy
+from orderlex.finite import FiniteGroup, cyclic_group, trivial_representation
 from orderlex.laurent import (
     LaurentPolynomial,
     _zsubmul,
@@ -15,6 +17,8 @@ from orderlex.laurent import (
     poly_divmod,
     poly_gcd,
 )
+from orderlex.linalg import RationalMatrix
+from orderlex.torus import MappingTorus, lemma4_check, twisted_alexander
 
 
 def assert_divides(p, q):
@@ -85,6 +89,59 @@ class TestArithmetic:
         assert LaurentPolynomial({two: 1}) == LaurentPolynomial.term(1, two) == L("t^2")
         assert L("t + 1").substitute_power(two) == L("t^2 + 1")
         assert L("3*t^2").coefficient(two) == 3
+
+
+FIG8 = MappingTorus(2, figure_eight_monodromy())
+
+# every site that reads a number through laurent's readers, and whether it
+# reads a count, refused below 1 (_positive), or an integer or a rational
+READ_SITES = [
+    ("init-exponent", lambda x: LaurentPolynomial({x: 1}), False),
+    ("init-coefficient", lambda x: LaurentPolynomial({0: x}), False),
+    ("term-coefficient", lambda x: LaurentPolynomial.term(x), False),
+    ("term-exponent", lambda x: LaurentPolynomial.term(1, x), False),
+    ("coefficient", lambda x: L("t + 1").coefficient(x), False),
+    ("substitute-power", lambda x: L("t + 1").substitute_power(x), True),
+    ("matrix-entry", lambda x: RationalMatrix([[1, x]]), False),
+    ("group-degree", lambda x: FiniteGroup(x, []), True),
+    ("group-point", lambda x: FiniteGroup(2, [(x, 0)]), False),
+    ("cyclic-order", lambda x: cyclic_group(x), True),
+    ("fiber-rank", lambda x: MappingTorus(x, figure_eight_monodromy()), True),
+    ("d-scale", lambda x: twisted_alexander(FIG8, trivial_representation(2), d_scale=x), True),
+    ("lemma4-d", lambda x: lemma4_check(FIG8, trivial_representation(2), (2, x)), True),
+]
+
+
+class TestReaders:
+    @pytest.mark.parametrize("use, bad, error", [
+        pytest.param(use, bad, error, id=f"{site}-{bad!r}")
+        for site, use, positive in READ_SITES
+        for bad, error in [(2.0, TypeError), (True, TypeError), ("2", TypeError)]
+        + ([(0, ValueError)] if positive else [])
+    ])
+    def test_refused(self, use, bad, error):
+        """A float is not truncated or rounded, a bool not taken as 0 or 1
+        and a string not parsed, and a count below 1 is refused."""
+        with pytest.raises(error):
+            use(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: RationalMatrix([[0.5]]),
+        lambda: RationalMatrix([["1/2"]]),
+        lambda: LaurentPolynomial({0: 0.5}),
+        lambda: LaurentPolynomial.term(True),
+    ], ids=["float-entry", "string-entry", "float-coefficient", "bool-coefficient"])
+    def test_coefficients_are_ints_or_fractions(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_operators_keep_python_numbers(self):
+        """The operators read a bool as Python does, as the int it is."""
+        one = LaurentPolynomial.one()
+        assert one == True
+        assert one + True == 2
+        assert one * True == one
+        assert True - one == 0
 
 
 class TestCanonicalForm:

@@ -25,9 +25,10 @@ from orderlex.manifest import (
     select_representation,
 )
 from orderlex.finite import DEFAULT_ELEMENT_LIMIT
-from orderlex.laurent import LaurentPolynomial
+from orderlex.laurent import LaurentPolynomial, format_polynomial
 from orderlex.linalg import RationalMatrix
 from orderlex.ordering import theorem2_report
+from orderlex.torus import twisted_alexander
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -880,6 +881,49 @@ class TestCli:
     def test_exit_code_selector(self, fig8_manifest_path, capsys):
         code = cli.main(["twisted", fig8_manifest_path, "--hom", "nosuch"])
         assert code == cli.EXIT_SELECTOR
+
+    @pytest.mark.parametrize("key, spec, message", [
+        ("homomorphisms",
+         {"group": {"degree": 2, "generators": ["(1 2)"]}, "fiber_images": [0],
+          "stable_image": 1},
+         "homomorphisms[0].fiber_images: expected 2 fiber images, got 1"),
+        ("representations",
+         {"fiber_matrices": [[[1]], [[1]], [[1]]], "stable_matrix": [[1]]},
+         "representations[0].fiber_matrices: expected 2 fiber matrices, got 3"),
+    ], ids=["fiber-images", "fiber-matrices"])
+    def test_wrong_fiber_count_located(self, tmp_path, capsys, key, spec, message):
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(**{key: [spec]}))
+        assert cli.main(["alexander", str(path)]) == cli.EXIT_PARSE_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_missing_manifest_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert cli.main(["alexander", str(path)]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+
+    def test_twisted_selects_the_one_representation(self, tmp_path, capsys):
+        """With no --rep or --hom and no homomorphisms, the one explicit
+        representation is selected, and its label is the selector."""
+        rep = {"label": "flip", "fiber_matrices": [[[1]], [[1]]], "stable_matrix": [[-1]]}
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(representations=[rep]))
+        assert cli.main(["twisted", str(path), "--json"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        m = load_manifest(str(path))
+        expected = twisted_alexander(m.torus, m.representations[0])
+        assert doc["selector"] == "flip"
+        assert doc["polynomial"] == format_polynomial(expected.polynomial)
+
+    def test_twisted_refuses_two_representations(self, tmp_path, capsys):
+        reps = [{"label": label, "fiber_matrices": [[[1]], [[1]]], "stable_matrix": [[s]]}
+                for label, s in (("plus", 1), ("flip", -1))]
+        path = tmp_path / "m.json"
+        path.write_text(manifest_text(representations=reps))
+        assert cli.main(["twisted", str(path)]) == cli.EXIT_SELECTOR
+        assert "no unique representation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, kind", [("--hom", "homomorphism"), ("--rep", "representation")]
