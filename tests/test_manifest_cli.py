@@ -460,6 +460,13 @@ class TestCli:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == (data / "twisted_right_mult_s3_d3.json").read_text()
 
+    def test_report_identity_s5_pinned(self, capsys):
+        # the identity monodromy of F2 onto S5: Wada's t-block is
+        # (s - 1) I_120, the largest determinant any pinned document takes
+        data = pathlib.Path(__file__).parent / "data"
+        assert cli.main(["report", str(data / "identity_s5.json"), "--json"]) == 0
+        assert capsys.readouterr().out == (data / "report_identity_s5.json").read_text()
+
     @pytest.mark.parametrize("argv, unbuffered", [
         pytest.param(argv, unbuffered, id=name + mode)
         for name, argv in [("", ["report", "{fig8}", "--json"]), ("help-", ["--help"]),
