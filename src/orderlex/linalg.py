@@ -13,16 +13,14 @@ characteristic_matrix or transpose) and read by the kernels, which rescale
 rows by units freely.  The private _of constructors trust these callers to
 hand over rows of equal length; only the public constructors check for
 ragged rows.  pencil_char_poly reads the pencil s A - B of constant
-matrices as the characteristic polynomial of A^-1 B, Wada's chi_M(s); the
-Bareiss determinant's one use is det(s rho(t) - I).
-The determinant and the Smith normal form share the one pseudo-division
-loop of laurent.  The Smith normal form is one
-elimination loop over sparse rows, which takes every unit pivot c t^e
-first and divides by the others in Z[t].  Products, the elimination's
-sparse rows and the b1 * b2 check walk only the nonzero entries of a dense
-row, by itertools.compress, and the Bareiss determinant skips an update
-that is 0 and pivots on a constant +-1 where it can, so that the next
-step's exact quotients are only signs.
+matrices as the characteristic polynomial of A^-1 B, Wada's chi_M(s), and
+the determinant reads a pencil with a scalar coefficient, tI - A or Wada's
+t-block (s rho(t) - I)^T, off one characteristic polynomial.
+The Smith normal form runs on the one pseudo-division loop of laurent.  It
+is one elimination loop over sparse rows, which takes every unit pivot
+c t^e first and divides by the others in Z[t].  Products, the
+elimination's sparse rows and the b1 * b2 check walk only the nonzero
+entries of a dense row, by itertools.compress.
 homology_invariant_factors checks b1 * b2 = 0 by a sparse product and
 reduces b1 and b2 independently; the diagonal of b1's reduction, the
 invariant factors of coker(b1), is returned for the Wada check.
@@ -330,57 +328,33 @@ class PolynomialMatrix:
         return PolynomialMatrix._of([list(c) for c in zip(*self._z)], self._shift, self._den)
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination over Z[t]
-        on the rows, times the n-th power of the matrix's unit.
-
-        Step k pivots on a constant +-1 in column k if there is one, else
-        on its first nonzero entry.  Each update (p x - a y) / prev is an
-        exact quotient by the previous pivot (Bareiss, Math. Comp. 22,
-        1968): +-(p x - a y) for prev = +-1, such as each -1 that a moved
-        point of rho(t) puts on the diagonal of Wada's t-block
-        (rho(t) t^d - I)^T; a pseudo-division otherwise, which raises
-        ArithmeticError unless it is exact."""
+        """Exact determinant of a pencil s A + B, A and B integer matrices
+        under the matrix's unit, one of them a scalar matrix c I, as in
+        tI - A and Wada's t-block (rho(t) s - I)^T.  For M the other and chi
+        the characteristic polynomial of -M, det(c s I + M) is
+        sum_e chi_e c^e s^e and det(s M + c I) = s^n chi(c / s) is
+        sum_e chi_e c^e s^(n-e), each times the unit's n-th power.  c = 0
+        covers a constant matrix; any other matrix raises ValueError."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return LaurentPolynomial.one()
-        m = [list(r) for r in self._z]
-        sign = 1
-        prev = [1]
-        for k in range(n - 1):
-            piv = next((i for i in range(k, n) if m[i][k] in ([1], [-1])), None)
-            if piv is None:
-                piv = next((i for i in range(k, n) if m[i][k]), None)
-                if piv is None:
-                    return LaurentPolynomial.zero()
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            mk = m[k]
-            p = mk[k]
-            unit, flip = prev in ([1], [-1]), prev == [-1]
-            if flip:
-                p = [-v for v in p]  # (p x - a y) / -1 = (-p) x - (-a) y
-            for i in range(k + 1, n):
-                mi = m[i]
-                a = mi[k]
-                if flip and a:
-                    a = [-v for v in a]
-                for j in range(k + 1, n):
-                    x, y = mi[j], mk[j]
-                    if not x and not (a and y):
-                        continue  # the update p * 0 - a * y is 0
-                    if unit:
-                        mi[j] = _zsubmul(p, x, a, y)
-                        continue
-                    # an exact quotient in Z[t] never needs a scale
-                    c, q, r = _zpseudo_divmod(_zsubmul(p, x, a, y), prev)
-                    if c != 1 or r:
-                        raise ArithmeticError("division was expected to be exact")
-                    mi[j] = q
-            prev = mk[k]
-        return _z_to_laurent(m[n - 1][n - 1], n * self._shift, sign * self._den ** n)
+        if any(max(map(len, r)) > 2 for r in self._z):
+            raise ValueError("determinant of a matrix that is not a pencil s A + B")
+        a = [[x[1] if len(x) == 2 else 0 for x in r] for r in self._z]
+        b = [[x[0] if x else 0 for x in r] for r in self._z]
+        eye = RationalMatrix.identity(self.rows)._z
+        for scalar, other, reverse in ((a, b, False), (b, a, True)):
+            c = scalar[0][0] if scalar else 0
+            if scalar == [[c * x for x in r] for r in eye]:
+                break
+        else:
+            raise ValueError("determinant of a pencil s A + B with neither A nor B scalar")
+        chi = RationalMatrix._of([[-x for x in r] for r in other], 1).char_poly()
+        out, power = [0] * chi._shift + chi._z, 1
+        for e in range(1, len(out)):
+            power *= c
+            out[e] *= power
+        return _z_to_laurent(out[::-1] if reverse else out, self.rows * self._shift,
+                             self._den ** self.rows)
 
     def smith_normal_form(self):
         """Canonical invariant factors p1 | p2 | ..., padded with zeros to

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from _acceptance_log import LINES
-from _laurent_literal import L
+from _laurent_literal import L, reference_det
 
 from orderlex import finite
 from orderlex.autos import figure_eight_monodromy, identity_automorphism, standard_battery
@@ -368,7 +368,7 @@ def _determinantal_factors(pm):
         for rs in combinations(range(n), k):
             for cs in combinations(range(n), k):
                 minor = PolynomialMatrix([[pm.entry(i, j) for j in cs] for i in rs])
-                acc = poly_gcd(acc, minor.det())
+                acc = poly_gcd(acc, reference_det(minor))
         acc = acc.canonicalize()
         if acc.is_zero:
             factors.append(LaurentPolynomial.zero())

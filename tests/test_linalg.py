@@ -11,10 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from orderlex import laurent, linalg
 from orderlex import torus as torus_module
-from orderlex.autos import figure_eight_monodromy
+from orderlex.autos import figure_eight_monodromy, standard_battery
 from orderlex.errors import ConsistencyError, SingularMatrixError
-from orderlex.finite import TorusHomomorphism, cyclic_group, regular_representation
-from _laurent_literal import L, power_characteristic_matrix
+from orderlex.finite import (
+    TorusHomomorphism,
+    cyclic_group,
+    homomorphism_classes,
+    regular_representation,
+)
+from _laurent_literal import L, power_characteristic_matrix, reference_det
 from orderlex.fox import specialize
 from orderlex.laurent import (
     LaurentPolynomial,
@@ -81,7 +86,7 @@ def determinantal_divisor_chain(pm):
         for rs in combinations(range(n), k):
             for cs in combinations(range(n), k):
                 minor = PolynomialMatrix([[pm.entry(i, j) for j in cs] for i in rs])
-                acc = poly_gcd(acc, minor.det())
+                acc = poly_gcd(acc, reference_det(minor))
         chain.append(acc.canonicalize())
     return chain
 
@@ -114,7 +119,7 @@ class TestRationalMatrix:
         assert characteristic_matrix(m).det() == L("t^2 - 3*t + 1")
         assert characteristic_matrix(m).entry(0, 1) == L("-1")
         assert characteristic_matrix(m).entry(1, 1) == L("t - 1")
-        assert power_characteristic_matrix(m, 2).det() == L("t^4 - 3*t^2 + 1")
+        assert reference_det(power_characteristic_matrix(m, 2)) == L("t^4 - 3*t^2 + 1")
         # the constant term is det(-m), so a singular m leaves none
         assert characteristic_matrix(QM([[1, 2], [2, 4]])).det() == L("t^2 - 5*t")
 
@@ -163,7 +168,7 @@ class TestRationalMatrix:
             m = QM([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
             direct = m.char_poly()
             via_det = characteristic_matrix(m).det()
-            assert direct == via_det
+            assert direct == via_det == reference_det(characteristic_matrix(m))
 
     def test_power(self):
         m = QM([[2, 1], [1, 1]])
@@ -178,41 +183,75 @@ class TestPolynomialMatrixDet:
         assert m.det() == L("t^2 - 3*t + 1")
 
     def test_det_with_laurent_entries(self):
-        tinv = LaurentPolynomial({-1: Fraction(1)})
-        m = PolynomialMatrix([[tinv, L("1")], [L("1"), L("t")]])
-        assert m.det().is_zero
+        # t^-1 (tI - A) has determinant t^-2 det(tI - A), and a constant
+        # singular matrix under the unit t^-1 has determinant 0
+        m = PM([["1 - 2*t^-1", "-t^-1"], ["-t^-1", "1 - t^-1"]])
+        assert m.det() == L("1 - 3*t^-1 + t^-2")
+        assert PM([["t^-1", "t^-1"], ["t^-1", "t^-1"]]).det().is_zero
 
     def test_det_multiplicative(self):
+        """The determinant of a product of scalar pencils, which is no
+        pencil, by the reference is the product of their determinants."""
         rng = random.Random(5)
         for _ in range(5):
-            a = random_poly_matrix(rng, 3, max_deg=1, span=2)
-            b = random_poly_matrix(rng, 3, max_deg=1, span=2)
-            assert product(a, b).det() == a.det() * b.det()
+            a, b = (PM([[f"{rng.randint(-2, 2)}" + (f" + {c}*t" if i == j else "")
+                         for j in range(3)] for i in range(3)]) for c in (1, -2))
+            assert reference_det(product(a, b)) == a.det() * b.det()
 
     def test_det_minus_one_pivots(self):
-        """det(tR - I) = t^3 - 1 for the 3-cycle R: step 0 pivots on the -1
-        of row 0, so step 1 takes its quotient by -1 as a sign.  Wada's
-        canonical comparison cannot see a sign, so this pins it."""
+        """det(tR - I) = t^3 - 1 for the 3-cycle R, the shape of Wada's
+        t-block: the constant term -I is the scalar, so the coefficients
+        of chi_{-R}(s) = s^3 + 1 are scaled by (-1)^e and reversed.  Wada's
+        canonical comparison cannot see the sign, so this pins it."""
         m = PM([["-1", "t", "0"], ["0", "-1", "t"], ["t", "0", "-1"]])
         assert m.det() == L("t^3 - 1")
         assert m.transpose().det() == L("t^3 - 1")
 
-    def test_inexact_division_raises(self, monkeypatch):
-        """Column 0 holds no +-1, so step 1 divides by the pivot 2, exactly.
-        With each Bareiss update perturbed by 1, the previous pivot 3 does
-        not divide the update, and the determinant raises instead of
-        keeping a quotient."""
-        m = PM([[2, 3, 5], [4, 7, 11], [6, 13, 17]])
-        assert m.det() == L("-4")
-        submul = linalg._zsubmul
+    @pytest.mark.parametrize("rows", [
+        [["t^2", "0"], ["0", "1"]],
+        [["t - 1", "t^-1 + t"], ["0", "t"]],
+        [["t", "1"], ["0", "2*t"]],
+        [["t", "t"], ["1", "2"]],
+    ], ids=["t-squared", "laurent-span", "unequal-diagonal", "no-scalar"])
+    def test_refuses_what_is_not_a_scalar_pencil(self, rows):
+        """Only a pencil s A + B with A or B scalar has a determinant: an
+        entry spanning three powers of t, or neither coefficient scalar,
+        raises ValueError."""
+        with pytest.raises(ValueError, match="pencil"):
+            PM(rows).det()
 
-        def perturbed(c, a, q, b):
-            out = submul(c, a, q, b) or [0]
-            return [out[0] + 1] + out[1:]
+    def test_rational_t_block_matches_the_reference(self):
+        """Wada's t-block (rho(t) s - I)^T of the quarter-turn conjugated by
+        diag(2, 1), whose entries have the denominator 2: the scalar is -2
+        under that unit, and the determinant is 1 + t^2."""
+        quarter = RationalMatrix([[0, -2], [Fraction(1, 2), 0]])
+        b1 = specialize((), quarter)
+        assert b1._den == 2
+        assert b1.det() == reference_det(b1) == L("t^2 + 1")
 
-        monkeypatch.setattr(linalg, "_zsubmul", perturbed)
-        with pytest.raises(ArithmeticError, match="expected to be exact"):
-            m.det()
+    def test_wada_t_blocks_are_one_char_poly(self, monkeypatch):
+        """On every battery class, the determinant of Wada's t-block, taken
+        as _twisted_complex takes it, equals the reference; each makes one
+        RationalMatrix.char_poly call and no Z[t] product or division."""
+        blocks, det = [], PolynomialMatrix.det
+        monkeypatch.setattr(PolynomialMatrix, "det", lambda m: blocks.append(m) or det(m))
+        for _, auto in standard_battery():
+            m = MappingTorus(auto.rank, auto)
+            for f in homomorphism_classes(auto).values():
+                twisted_alexander(m, regular_representation(f))
+        monkeypatch.undo()
+        assert len(blocks) == 256
+        calls = []
+        for owner, name in [(RationalMatrix, "char_poly"), (linalg, "_zsubmul"),
+                            (linalg, "_zpseudo_divmod")]:
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        for block in blocks:
+            calls.clear()
+            got = block.det()
+            assert calls == ["char_poly"]
+            assert got == reference_det(block)
 
 
 class TestPencilCharPoly:
@@ -226,7 +265,7 @@ class TestPencilCharPoly:
             chi = pencil_char_poly(b, block)
             assert chi == b.char_poly()
             for d in (1, 2, 3):
-                assert chi.substitute_power(d) == power_characteristic_matrix(b, d).det()
+                assert chi.substitute_power(d) == reference_det(power_characteristic_matrix(b, d))
 
     def test_block_is_inverted(self):
         # t^2 * [[2]] - [[3]] has determinant 2 t^2 - 3 = 2 (t^2 - 3/2)
@@ -239,7 +278,7 @@ class TestPencilCharPoly:
         swap = QM([[0, 1], [1, 0]])
         minus_one = QM([[-int(i == j) for j in range(4)] for i in range(4)])
         chi = pencil_char_poly(minus_one, swap).substitute_power(3)
-        assert chi == pm.det()  # det(I_2 (x) swap) = 1
+        assert chi == reference_det(pm)  # det(I_2 (x) swap) = 1
         assert chi == L("t^12 - 2*t^6 + 1")
 
 
@@ -294,7 +333,7 @@ class TestSmithNormalForm:
             prod = LaurentPolynomial.one()
             for f in m.smith_normal_form():
                 prod = prod * f
-            assert prod.canonicalize() == m.det().canonicalize()
+            assert prod.canonicalize() == reference_det(m).canonicalize()
 
 
 class TestHomologyInvariantFactors:
@@ -394,7 +433,8 @@ class TestIntegerKernels:
             a.canonicalize(), a == 7, hash(a), a.items()
         for x in (m, lent):
             x.smith_normal_form(), x.transpose().smith_normal_form()
-            PolynomialMatrix([[x.entry(0, 0), x.entry(0, 1)], [x.entry(1, 0), x.entry(1, 1)]]).det()
+            reference_det(PolynomialMatrix([[x.entry(0, 0), x.entry(0, 1)],
+                                            [x.entry(1, 0), x.entry(1, 1)]]))
         assert [[list(p) for p in r] for r in m._z + lent._z] == before
         assert [v._z for v in values] == held
 

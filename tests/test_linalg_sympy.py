@@ -28,7 +28,7 @@ from orderlex.torus import MappingTorus, classical_alexander, twisted_alexander
 
 sympy = pytest.importorskip("sympy")
 
-from _laurent_literal import power_characteristic_matrix
+from _laurent_literal import power_characteristic_matrix, reference_det
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
@@ -370,14 +370,16 @@ def test_char_poly_prime_below_twice_the_bound(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_characteristic_matrix(n):
     """det(t^d I - A) is sympy's characteristic polynomial of A at t^d: the
-    library's tI - A at d = 1, the tests' own t^d I - A past it."""
+    library's tI - A and det at d = 1, the tests' own t^d I - A and the
+    reference determinant past it."""
     rng = random.Random(f"characteristic {n}")
     for d in (1, 2, 3):
         for density in (1.0, 0.5):
             m = random_matrix(rng, n, n, density)
             charpoly = to_sympy(m).charpoly(T).as_expr().subs(T, T ** d)
-            pm = characteristic_matrix(m) if d == 1 else power_characteristic_matrix(m, d)
-            assert pm.det() == from_sympy_laurent(charpoly)
+            det = (characteristic_matrix(m).det() if d == 1
+                   else reference_det(power_characteristic_matrix(m, d)))
+            assert det == from_sympy_laurent(charpoly)
 
 def random_sympy_matrix(rng, rows, cols, density):
     return sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
@@ -481,27 +483,64 @@ def sympy_invariant_factors(m):
     return [from_sympy_poly(f).canonicalize() for f in factors]
 
 
+def random_pencil(rng, n, c, scalar_t, unit, density=1.0):
+    """unit * (c t I + M) if scalar_t, else unit * (t M + c I), for M a
+    random rational n x n matrix and unit a Laurent monomial."""
+    m = random_matrix(rng, n, n, density)
+    eye = [[c * (i == j) for j in range(n)] for i in range(n)]
+    scalar, other = (eye, m.to_lists()) if scalar_t else (m.to_lists(), eye)
+    return PolynomialMatrix([
+        [unit * LaurentPolynomial({1: scalar[i][j], 0: other[i][j]}) for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def sympy_pencil_det(m):
+    """sympy's determinant over QQ[t] of the rows of m shifted into QQ[t],
+    shifted back."""
+    s, shift = shifted_rows(m)
+    det = DomainMatrix.from_Matrix(s).convert_to(QQ_T).det()
+    return from_sympy_poly(QQ_T.to_sympy(det)) * LaurentPolynomial.term(1, shift)
+
+
 def test_polynomial_det():
+    """A constant matrix and t M are pencils with the scalar 0, under a
+    Laurent unit with a denominator: det() equals sympy's determinant, and
+    a repeated row up to a unit makes it zero."""
     rng = random.Random("polynomial det")
     for n in range(1, 7):
         for density in (1.0, 0.5):
-            m = random_poly_matrix(rng, n, n, density)
-            s, shift = shifted_rows(m)
-            det = DomainMatrix.from_Matrix(s).convert_to(QQ_T).det()
-            expected = from_sympy_poly(QQ_T.to_sympy(det)) * LaurentPolynomial.term(1, shift)
-            assert m.det() == expected
-    # a repeated row up to a unit makes the determinant zero
-    rows = random_poly_matrix(rng, 4, 4, 1.0)
+            for scalar_t in (True, False):
+                unit = LaurentPolynomial.term(Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+                                              rng.randint(-2, 2))
+                m = random_pencil(rng, n, 0, scalar_t, unit, density)
+                assert m.det() == sympy_pencil_det(m)
+    rows = random_pencil(rng, 4, 0, True, LaurentPolynomial.term(1, -1))
     rows = [[rows.entry(i, j) for j in range(4)] for i in range(4)]
-    rows[3] = [x * LaurentPolynomial.term(Fraction(-2, 3), -1) for x in rows[0]]
+    rows[3] = [x * Fraction(-2, 3) for x in rows[0]]
     assert PolynomialMatrix(rows).det().is_zero
 
 
-def sympy_det(rows):
-    """sympy's determinant over QQ[t] of the matrix of integer coefficient
-    dicts {exponent: c}, and the same matrix as a PolynomialMatrix."""
-    s = sympy.Matrix([[sum((c * T ** e for e, c in x.items()), sympy.Integer(0)) for x in r]
-                      for r in rows])
+@pytest.mark.parametrize("c", [-2, -1, Fraction(1, 3), 2], ids=["-2", "-1", "1/3", "2"])
+def test_scalar_pencil_det(c):
+    """det() of t^k (c t I + M) and t^k (t M + c I), k != 0, equals sympy's
+    determinant for rational M of sizes 1-6: the scalar's powers c^e, the
+    reversal of the coefficients when the scalar is the constant term, and
+    the unit's n-th power all show."""
+    rng = random.Random(f"scalar pencil {c}")
+    for n in range(1, 7):
+        for scalar_t in (True, False):
+            for k in (-2, 3):
+                m = random_pencil(rng, n, c, scalar_t, LaurentPolynomial.term(1, k))
+                assert m.det() == sympy_pencil_det(m)
+
+
+def sympy_det(rows, d):
+    """The matrix of integer coefficient dicts {exponent: c} as a
+    PolynomialMatrix, and sympy's determinant over QQ[t] of the same
+    matrix with t^d for t."""
+    s = sympy.Matrix([[sum((c * T ** (d * e) for e, c in x.items()), sympy.Integer(0))
+                       for x in r] for r in rows])
     det = DomainMatrix.from_Matrix(s).convert_to(QQ_T).det()
     m = PolynomialMatrix([[LaurentPolynomial(x) for x in r] for r in rows])
     return m, from_sympy_poly(QQ_T.to_sympy(det))
@@ -509,28 +548,30 @@ def sympy_det(rows):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_det_against_sympy(d):
-    """det() equals sympy's determinant at d = 1-3 on matrices over Z[t^d]
-    whose constants are often +-1, so Bareiss pivots on units and takes
-    quotients by a sign; on ones whose coefficients avoid +-1, so no
-    column starts with a unit pivot and it divides by the others; and on
-    signed-permutation pencils t^d R - I and their transposes, the shape
-    of Wada's t-block, where each point R moves puts a -1 on the diagonal."""
+    """det() at s with t^d substituted, as Wada's comparison takes it,
+    equals sympy's determinant of the pencil at t^d: on integer pencils
+    c s I + M and s M + c I whose entries are often +-1 and on ones that
+    avoid +-1, and on signed-permutation pencils s R - I and their
+    transposes, the shape of Wada's t-block, where each point R moves
+    puts a -1 on the diagonal."""
     rng = random.Random(f"det {d}")
     for n in range(1, 7):
         for coeffs in ((-1, 1, 1, -1, 0, 2), (-4, -3, -2, 0, 2, 3, 4)):
-            rows = [[{d * e: rng.choice(coeffs) for e in range(rng.randint(0, 2))}
-                     for _ in range(n)] for _ in range(n)]
-            m, expected = sympy_det(rows)
-            assert m.det() == expected
+            c = rng.choice([x for x in coeffs if x])
+            for e in (0, 1):
+                rows = [[{e: c * (i == j), 1 - e: rng.choice(coeffs)} for j in range(n)]
+                        for i in range(n)]
+                m, expected = sympy_det(rows, d)
+                assert m.det().substitute_power(d) == expected
         perm = list(range(n))
         rng.shuffle(perm)
         signs = [rng.choice((1, -1)) for _ in range(n)]
-        rows = [[{d: signs[i]} if perm[i] == j else {} for j in range(n)] for i in range(n)]
+        rows = [[{1: signs[i]} if perm[i] == j else {} for j in range(n)] for i in range(n)]
         for i in range(n):
             rows[i][i] = {**rows[i][i], 0: -1}
-        m, expected = sympy_det(rows)
-        assert m.det() == expected
-        assert m.transpose().det() == expected
+        m, expected = sympy_det(rows, d)
+        assert m.det().substitute_power(d) == expected
+        assert m.transpose().det().substitute_power(d) == expected
 
 
 # (rows, cols, density): square sizes 1-6, non-square shapes, sparse
