@@ -258,24 +258,18 @@ def poly_divmod(a, b):
 
 
 def poly_gcd(p, q):
-    """Canonical gcd in Q[t, 1/t] (canonicalized, so gcd of units is 1)."""
-    a = p.canonicalize()
-    b = q.canonicalize()
-    # canonical forms have order 0, so they divide as they are
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r.canonicalize()
-    return a
+    """Canonical gcd in Q[t, 1/t] (so gcd of units is 1), by _zgcd."""
+    return _z_to_laurent(_zgcd(p._z, q._z))
 
 
 # -- dense Z[t] kernels -------------------------------------------------
 #
 # A Z[t] polynomial is a list of int coefficients indexed by exponent, with
 # no trailing zeros; the zero polynomial is [].  _zpseudo_divmod is the one
-# division loop: poly_divmod above and the determinant and Smith normal form
-# of linalg all run on it.  LaurentPolynomial and linalg's polynomial
-# matrices hold their values in this form, so no Fraction arithmetic
-# happens between the kernels.
+# division loop and _zgcd the one gcd: poly_divmod and poly_gcd above and the
+# Smith normal form of linalg run on them.  LaurentPolynomial and linalg's
+# polynomial matrices hold their values in this form, so no Fraction
+# arithmetic happens between the kernels.
 
 
 def _zsubmul(c, a, q, b):
@@ -342,6 +336,15 @@ def _zpseudo_divmod(a, b):
     while r and not r[-1]:
         r.pop()
     return c, q, r
+
+
+def _zgcd(a, b):
+    """The canonical gcd in Q[t, 1/t] of the Z[t] lists a and b: remainders
+    of _zpseudo_divmod, each made canonical, so content and t drop out."""
+    a, b = _zcanonical(a), _zcanonical(b)
+    while b:
+        a, b = b, _zcanonical(_zpseudo_divmod(a, b)[2])
+    return a
 
 
 def _row_to_z(row):

@@ -16,11 +16,11 @@ ragged rows.  pencil_char_poly reads the pencil s A - B of constant
 matrices as the characteristic polynomial of A^-1 B, Wada's chi_M(s), and
 the determinant reads a pencil with a scalar coefficient, tI - A or Wada's
 t-block (s rho(t) - I)^T, off one characteristic polynomial.
-The Smith normal form runs on the one pseudo-division loop of laurent.  It
-is one elimination loop over sparse rows, which takes every unit pivot
-c t^e first and divides by the others in Z[t].  Products, the
-elimination's sparse rows and the b1 * b2 check walk only the nonzero
-entries of a dense row, by itertools.compress.
+The Smith normal form is one elimination loop over sparse rows, which takes
+every unit pivot c t^e first and divides by the others with laurent's one
+pseudo-division loop, then closes its diagonal into the divisibility chain
+with laurent's one gcd.  Products, the elimination's sparse rows and the
+b1 * b2 check walk only the nonzero entries of a dense row, by compress.
 homology_invariant_factors checks b1 * b2 = 0 by a sparse product and
 reduces b1 and b2 independently; the diagonal of b1's reduction, the
 invariant factors of coker(b1), is returned for the Wada check.
@@ -45,6 +45,7 @@ from .laurent import (
     _row_to_z,
     _z_to_laurent,
     _zcanonical,
+    _zgcd,
     _zpseudo_divmod,
     _zsubmul,
 )
@@ -468,19 +469,18 @@ def _snf_core(m, cols):
     row_s := c * row_s - q * row_i, which leaves r in column j.  With
     column j clear outside row i, the column operations
     col_l := c * col_l - q * col_j clear row i to remainders and only
-    scale column l in the other rows.  Once p is alone in its row and
-    column, row i takes in the first row holding an entry p does not
-    divide, whose remainder the column operations then leave; p is done
-    when there is no such row, and divides every entry left.  A remainder
-    has a lower degree than p and ends the pass, so each pass drops a row
-    or lowers the least length, and the loop ends.
+    scale column l in the other rows, and p, if then alone in its row
+    and column, is done.  A remainder has a lower degree than p and ends
+    the pass, so each pass drops a row or lowers the least length.
 
     Each row operation divides out the content of its result, and costs
-    a product only where the pivot row is nonzero; a column operation is
-    only a scale.
+    a product only where the pivot row is nonzero.  As diag(a, b) is
+    equivalent to diag(gcd(a, b), lcm(a, b)), a closing pass puts the
+    units first and trades each canonical non-unit with every later one
+    it does not divide, the lcm (a / gcd) * b; equal ones are skipped.
     """
     rows = [{j: r[j] for j in compress(range(len(r)), r)} for r in m if any(r)]
-    diag = []
+    units, rest = [], []
     while (pivot := _pivot(rows)) is not None:
         i, j = pivot
         prow = rows[i]
@@ -496,39 +496,35 @@ def _snf_core(m, cols):
                     r = _sparse_submul(p[-1], r, a, prow)
                     rows[k] = _strip_t(r) if pad else r
             rows = [r for r in rows if r]
-            diag.append(p)
+            units.append(p)
             continue
         for k, r in enumerate(rows):
             if j in r and k != i:
                 c, q, _ = _zpseudo_divmod(r[j], p)
                 rows[k] = _sparse_submul(c, r, q, prow)
-        i -= sum(not r for r in rows[:i])
         rows = [r for r in rows if r]
-        left = any(j in r for r in rows if r is not prow)
-        while not left:
-            for col in [col for col in prow if col != j]:
-                c, q, rem = _zpseudo_divmod(prow[col], p)
-                if c != 1:
-                    for r in rows:
-                        if col in r and r is not prow:
-                            r[col] = [c * v for v in r[col]]
-                if rem:
-                    prow[col] = rem
-                    left = True
-                else:
-                    del prow[col]
-            if left:
-                break
-            offender = next((r for r in rows if r is not prow and any(
-                _zpseudo_divmod(x, p)[2] for x in r.values())), None)
-            if offender is None:
-                del rows[i]
-                diag.append(p)
-                break
-            # row i := row i + offender, as row i is {j: p} and the
-            # offender has no entry in column j
-            prow.update(offender)
-    return diag + [[]] * (min(len(m), cols) - len(diag))
+        if any(j in r for r in rows if r is not prow):
+            continue
+        for col in [col for col in prow if col != j]:
+            c, q, rem = _zpseudo_divmod(prow[col], p)
+            if c != 1:
+                for r in rows:
+                    if col in r and r is not prow:
+                        r[col] = [c * v for v in r[col]]
+            if rem:
+                prow[col] = rem
+            else:
+                del prow[col]
+        if len(prow) == 1:
+            rows = [r for r in rows if r is not prow]
+            rest.append(_zcanonical(p))
+    for k, a in enumerate(rest):
+        for n, b in enumerate(rest[k + 1:], k + 1):
+            if a != b and (g := _zgcd(a, b)) != a:
+                q = _zpseudo_divmod(a, g)[1] if len(g) > 1 else a
+                a, rest[n] = g, _zcanonical(_zsubmul((), (), q, b))
+        rest[k] = a
+    return units + rest + [[]] * (min(len(m), cols) - len(units) - len(rest))
 
 
 def homology_invariant_factors(b1, b2):

@@ -441,7 +441,7 @@ class TestTwisted:
         res = twisted_alexander(m, z2_regular(m))
         assert res.polynomial == L("t^4 - 2*t^2 + 1")
 
-    def test_wada_minor_matches_bareiss(self, monkeypatch):
+    def test_wada_minor_matches_the_reference(self, monkeypatch):
         """On every battery class, the one chi_M(s) read from the Jacobian
         by lemma4_check, with s = t^d substituted, equals the reference
         determinant of the fiber minor of the b2 it builds at each d_scale
@@ -467,9 +467,9 @@ class TestTwisted:
             assert chi.canonicalize() == reference_det(minor).canonicalize()
 
     def test_one_polynomial_det_per_twisted_polynomial(self, monkeypatch):
-        """The Bareiss determinant serves only det(rep(t) s - I), once per
-        twisted polynomial, at s, whatever d is: t^d is substituted into it
-        for Wada's comparison."""
+        """PolynomialMatrix.det serves only det(rep(t) s - I), read off one
+        characteristic polynomial once per twisted polynomial, at s, whatever
+        d is: t^d is substituted into it for Wada's comparison."""
         det = PolynomialMatrix.det
         calls = []
 
